@@ -392,6 +392,10 @@ func run() error {
 			return err
 		}
 	}
+	if *verbose {
+		shared, alone := r.RecordPasses()
+		fmt.Fprintf(os.Stderr, "paperexp: oracle record passes: %d shared with the baseline cell, %d run alone\n", shared, alone)
+	}
 	fmt.Fprintf(os.Stderr, "paperexp: done in %v\n", time.Since(start).Round(time.Second))
 	return nil
 }

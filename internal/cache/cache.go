@@ -391,6 +391,20 @@ func (c *Cache) policyVictim(set int) int {
 // The new block's metadata starts clean except for fields the caller sets
 // afterwards through the returned pointer.
 func (c *Cache) Fill(key uint64, hint policy.InsertHint, now uint64) (nb *Block, victim Block, evicted bool) {
+	nb, evicted = c.allocate(key, hint, now, &victim)
+	return nb, victim, evicted
+}
+
+// Install is Fill for callers that discard the victim (silent inner-level
+// evictions): it skips copying the evicted block out.
+func (c *Cache) Install(key uint64, hint policy.InsertHint, now uint64) *Block {
+	nb, _ := c.allocate(key, hint, now, nil)
+	return nb
+}
+
+// allocate implements Fill and Install; victim, when non-nil, receives a
+// copy of the evicted block.
+func (c *Cache) allocate(key uint64, hint policy.InsertHint, now uint64, victim *Block) (nb *Block, evicted bool) {
 	c.fills++
 	set := c.SetIndex(key)
 	base := set * c.ways
@@ -399,7 +413,9 @@ func (c *Cache) Fill(key uint64, hint policy.InsertHint, now uint64) (nb *Block,
 		way = bits.TrailingZeros64(^live & c.fullMask)
 	} else {
 		way = c.victimWay(set)
-		victim = c.blocks[base+way]
+		if victim != nil {
+			*victim = c.blocks[base+way]
+		}
 		evicted = true
 		c.evictions++
 	}
@@ -418,7 +434,7 @@ func (c *Cache) Fill(key uint64, hint policy.InsertHint, now uint64) (nb *Block,
 	} else {
 		c.repl[set].Insert(way, hint)
 	}
-	return &c.blocks[base+way], victim, evicted
+	return &c.blocks[base+way], evicted
 }
 
 // lruInsert is the inlined equivalent of policy.LRU's Insert: MRU insertion

@@ -334,3 +334,35 @@ func BenchmarkLLCFill(b *testing.B) {
 		c.Fill(uint64(warm+i), policy.InsertMRU, uint64(warm+i))
 	}
 }
+
+// TestInstallMatchesFill: Install leaves the cache exactly as Fill does;
+// it only skips handing back the victim.
+func TestInstallMatchesFill(t *testing.T) {
+	a, b := mk(t, 4, 2), mk(t, 4, 2)
+	for i := uint64(0); i < 64; i++ {
+		key := i * 7 % 23
+		hint := policy.InsertHint(i % 2)
+		now := i
+		if _, ok := a.Lookup(key, now); !ok {
+			nb, _, _ := a.Fill(key, hint, now)
+			nb.Dirty = i%3 == 0
+		}
+		if _, ok := b.Lookup(key, now); !ok {
+			b.Install(key, hint, now).Dirty = i%3 == 0
+		}
+	}
+	if a.Stats() != b.Stats() {
+		t.Errorf("stats differ: Fill %+v, Install %+v", a.Stats(), b.Stats())
+	}
+	a.ForEach(func(set, way int, blk *Block) {
+		var got *Block
+		b.ForEach(func(s, w int, bb *Block) {
+			if s == set && w == way {
+				got = bb
+			}
+		})
+		if got == nil || *got != *blk {
+			t.Errorf("set %d way %d: Install left %+v, Fill %+v", set, way, got, blk)
+		}
+	})
+}

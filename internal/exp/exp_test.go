@@ -13,6 +13,19 @@ import (
 // baseline simulations run once.
 var quickRunner = NewRunner(QuickParams())
 
+// paperGrid marks a test of the full-length QuickParams paper grid (its
+// shapes and golden snapshots) and skips it under -race. The grid's
+// numbers do not depend on the race detector and CI checks them in its
+// non-race test step; the runner's concurrency is raced by the short-grid
+// tests (parallel, cancel, pair, warm, serve). Under -race the full grid
+// alone takes about 27 minutes on a 2-vCPU host.
+func paperGrid(t *testing.T) {
+	t.Helper()
+	if raceDetector {
+		t.Skip("full-length paper grid: checked by the non-race run")
+	}
+}
+
 func TestRunMemoizes(t *testing.T) {
 	r := NewRunner(QuickParams())
 	starts, dones := 0, 0
@@ -42,6 +55,7 @@ func TestRunMemoizes(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
+	paperGrid(t)
 	s, err := Figure1(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +74,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure2DOADominates(t *testing.T) {
+	paperGrid(t)
 	s, err := Figure2(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +86,7 @@ func TestFigure2DOADominates(t *testing.T) {
 }
 
 func TestTable3CorrelationPresent(t *testing.T) {
+	paperGrid(t)
 	s, err := Table3(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +98,7 @@ func TestTable3CorrelationPresent(t *testing.T) {
 }
 
 func TestFigure9DPPredWins(t *testing.T) {
+	paperGrid(t)
 	s, err := Figure9(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +132,7 @@ func TestFigure9DPPredWins(t *testing.T) {
 }
 
 func TestTable4OracleBeatsDPPred(t *testing.T) {
+	paperGrid(t)
 	s, err := Table4(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -129,6 +147,7 @@ func TestTable4OracleBeatsDPPred(t *testing.T) {
 }
 
 func TestFigure10FullProposalWins(t *testing.T) {
+	paperGrid(t)
 	s, err := Figure10(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +185,7 @@ func TestFigure10FullProposalWins(t *testing.T) {
 }
 
 func TestTable6ShadowImprovesAccuracy(t *testing.T) {
+	paperGrid(t)
 	s, err := Table6(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +202,7 @@ func TestTable6ShadowImprovesAccuracy(t *testing.T) {
 }
 
 func TestTable7PFQBoostsAccuracy(t *testing.T) {
+	paperGrid(t)
 	s, err := Table7(quickRunner)
 	if err != nil {
 		t.Fatal(err)

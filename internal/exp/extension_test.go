@@ -5,6 +5,7 @@ import "testing"
 // tinyRunner keeps the extension smoke tests fast; the quickRunner's
 // memoized baselines are reused where setups overlap.
 func TestExtensionPrefetchShape(t *testing.T) {
+	paperGrid(t)
 	s, err := ExtensionPrefetch(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +34,7 @@ func TestExtensionPrefetchShape(t *testing.T) {
 }
 
 func TestExtensionDIPShape(t *testing.T) {
+	paperGrid(t)
 	s, err := ExtensionDIP(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +49,7 @@ func TestExtensionDIPShape(t *testing.T) {
 }
 
 func TestAblationThresholdShape(t *testing.T) {
+	paperGrid(t)
 	s, err := AblationThreshold(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -64,6 +67,7 @@ func TestAblationThresholdShape(t *testing.T) {
 }
 
 func TestAblationCounterBitsShape(t *testing.T) {
+	paperGrid(t)
 	s, err := AblationCounterBits(quickRunner)
 	if err != nil {
 		t.Fatal(err)

@@ -81,6 +81,7 @@ func multiResultFields(t *testing.T, r sim.MultiResult) map[string]string {
 // shared-structure contention — fails with a per-field diff; regenerate
 // with -update after an intentional modelling change.
 func TestGoldenMultiCoreSweep(t *testing.T) {
+	paperGrid(t)
 	w, err := trace.ByName("cactusADM")
 	if err != nil {
 		t.Fatal(err)

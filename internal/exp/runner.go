@@ -14,6 +14,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -62,7 +63,9 @@ type Setup struct {
 	// Prefetch constructs an optional TLB prefetcher (extension
 	// experiments).
 	Prefetch func(s *sim.System) (pred.TLBPrefetcher, error)
-	// Oracle runs the two-pass record/replay protocol of §VI-A.
+	// Oracle runs the two-pass record/replay protocol of §VI-A. Its
+	// record pass is the plain machine's run, which RunGrid shares with
+	// the grid's baseline cell (pairGrid).
 	Oracle bool
 	// Instrument enables the requested instrumentation before
 	// measurement.
@@ -122,6 +125,15 @@ type Runner struct {
 
 	mu   sync.Mutex
 	memo map[string]*memoEntry
+	// pairs, also guarded by mu, holds one shared baseline pass per
+	// workload whose grid pairs its baseline cell with an oracle cell
+	// (pairGrid).
+	pairs map[string]*pairEntry
+
+	// sharedPasses and alonePasses count the oracle's record passes: run
+	// once for a workload's baseline and oracle cells together, or for an
+	// oracle cell alone (RecordPasses).
+	sharedPasses, alonePasses atomic.Int64
 
 	// bufMu guards bufMemo: one materialized trace buffer per workload,
 	// generated once (single-flight) and shared read-only by every setup
@@ -207,6 +219,27 @@ type warmEntry struct {
 	forks int
 }
 
+// pairEntry is one workload's shared baseline pass. The oracle's record
+// pass (§VI-A) runs the plain Table I machine over the same trace as the
+// baseline cell and changes nothing the Result reports, so when a grid
+// holds both cells one pass serves both. The first of the two cells to
+// claim the entry runs the pass in its own pool slot and progress span; the
+// second waits for it outside the pool, then takes its slot and consumes
+// the outcome. The second claim removes the entry from Runner.pairs.
+type pairEntry struct {
+	taken [2]bool // by pairRole; guarded by Runner.mu
+
+	done      chan struct{} // closed once the outcome is published
+	published bool          // touched only by the leader's goroutine
+	rec       *pred.DOARecord
+	res       sim.Result
+	err       error
+}
+
+// errPairAbandoned is what a pass leader publishes when it returns without
+// running the pass (canceled while queued, or a panic).
+var errPairAbandoned = errors.New("exp: shared baseline pass abandoned")
+
 // warmForkBudget is how many forks a warm master serves before the runner
 // releases it: the grids pair each shareable setup with exactly one
 // instrumented twin (e.g. dpPred and dpPred+acc), so holding the master
@@ -219,6 +252,7 @@ func NewRunner(p Params) *Runner {
 	r := &Runner{
 		params:   p,
 		memo:     make(map[string]*memoEntry),
+		pairs:    make(map[string]*pairEntry),
 		bufMemo:  make(map[string]*bufEntry),
 		warmMemo: make(map[string]*warmEntry),
 	}
@@ -274,6 +308,15 @@ func isCtxErr(err error) bool {
 
 // Params returns the runner's parameters.
 func (r *Runner) Params() Params { return r.params }
+
+// RecordPasses reports how the oracle's record passes ran so far: shared
+// counts baseline passes that served both a workload's baseline cell and
+// its oracle cell, alone counts record passes run for an oracle cell only
+// (an oracle-only grid, a baseline already memoized, a persistent-memo,
+// distributed or observed run, a lone Run).
+func (r *Runner) RecordPasses() (shared, alone int64) {
+	return r.sharedPasses.Load(), r.alonePasses.Load()
+}
 
 // Run simulates one workload under one setup (memoized, single-flight).
 // Concurrent callers asking for the same key block until the leader's
@@ -350,6 +393,22 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.R
 		}
 	}
 
+	// A paired cell that does not run the shared pass waits for it before
+	// taking a pool slot, so waiting holds no slot and its progress span
+	// covers only its own work.
+	pair, leadPass := r.claimPair(w, setup)
+	if pair != nil {
+		if leadPass {
+			defer r.publishPair(w, pair, nil, sim.Result{}, errPairAbandoned)
+		} else {
+			select {
+			case <-pair.done:
+			case <-ctx.Done():
+				return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
+			}
+		}
+	}
+
 	select {
 	case r.sem <- struct{}{}: // acquire a pool slot
 	case <-ctx.Done():
@@ -362,7 +421,7 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.R
 		r.Status.CellStart(w.Name, setup.Name)
 	}
 	start := time.Now()
-	res, err := r.runCell(ctx, w, setup)
+	res, err := r.runCell(ctx, w, setup, pair, leadPass)
 	if err != nil {
 		err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 	}
@@ -414,13 +473,13 @@ func (r *Runner) execRemote(ctx context.Context, key string, w trace.Workload, s
 // runCell wraps runUncached with panic containment: a panicking Setup
 // constructor or predictor fails its own cell with a stack-carrying error
 // instead of tearing down the whole grid's worker pool.
-func (r *Runner) runCell(ctx context.Context, w trace.Workload, setup Setup) (res sim.Result, err error) {
+func (r *Runner) runCell(ctx context.Context, w trace.Workload, setup Setup, pair *pairEntry, leadPass bool) (res sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return r.runUncached(ctx, w, setup)
+	return r.runUncached(ctx, w, setup, pair, leadPass)
 }
 
 // RunGrid simulates the full workload × setup cross product, sharding the
@@ -446,6 +505,7 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 		gctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
+	r.pairGrid(workloads, setups)
 	if r.Status != nil {
 		// Announce the full cross product before launching anything, so
 		// /status shows pending cells instead of a grid that grows as
@@ -500,6 +560,88 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 		return fmt.Errorf("exp: grid canceled (%d cells unfinished): %w", canceled, cause)
 	}
 	return nil
+}
+
+// pairRole returns the side of a shared baseline pass setup can take: 0
+// for the plain Table I machine, 1 for an oracle whose record pass runs
+// that machine, or -1.
+func pairRole(su Setup) int {
+	switch {
+	case su.Config != nil:
+		return -1
+	case su.Oracle:
+		return 1
+	case su.TLB == nil && su.LLC == nil && su.Prefetch == nil && su.Instrument == Instrumentation{}:
+		return 0
+	}
+	return -1
+}
+
+// pairGrid gives every workload of the grid a shared baseline pass when the
+// setups hold both a plain baseline and a default-config oracle and neither
+// cell is memoized yet. Runs with a persistent memo or an external executor
+// keep separate passes, since either cell may come from elsewhere, and so
+// do observed runs, whose baseline observer scope must see the plain
+// machine.
+func (r *Runner) pairGrid(workloads []trace.Workload, setups []Setup) {
+	if r.Observer != nil || r.Executor != nil || r.Memo != nil {
+		return
+	}
+	var names [2]string
+	for _, su := range setups {
+		if role := pairRole(su); role >= 0 && names[role] == "" {
+			names[role] = su.Name
+		}
+	}
+	if names[0] == "" || names[1] == "" {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, w := range workloads {
+		if r.pairs[w.Name] == nil && r.memo[w.Name+"/"+names[0]] == nil && r.memo[w.Name+"/"+names[1]] == nil {
+			r.pairs[w.Name] = &pairEntry{done: make(chan struct{})}
+		}
+	}
+}
+
+// claimPair takes setup's side of w's shared pass and reports whether the
+// caller runs the pass (the first claimant) or consumes it. It returns nil,
+// and the cell runs on its own, when there is no entry for w, setup takes
+// no side, or its side was already taken (a re-run after cancellation).
+func (r *Runner) claimPair(w trace.Workload, setup Setup) (e *pairEntry, leadPass bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, role := r.pairs[w.Name], pairRole(setup)
+	if e == nil || role < 0 || e.taken[role] {
+		return nil, false
+	}
+	e.taken[role] = true
+	if e.taken[1-role] {
+		delete(r.pairs, w.Name)
+		return e, false
+	}
+	return e, true
+}
+
+// publishPair publishes the pass outcome and wakes the consumer; only the
+// leader calls it, and only its first call counts. A failed pass leaves
+// Runner.pairs, so a cell arriving later runs on its own and a later grid
+// pairs afresh.
+func (r *Runner) publishPair(w trace.Workload, e *pairEntry, rec *pred.DOARecord, res sim.Result, err error) {
+	if e.published {
+		return
+	}
+	e.published = true
+	e.rec, e.res, e.err = rec, res, err
+	if err != nil {
+		r.mu.Lock()
+		if r.pairs[w.Name] == e {
+			delete(r.pairs, w.Name)
+		}
+		r.mu.Unlock()
+	}
+	close(e.done)
 }
 
 // generator returns a fresh start-positioned cursor over the workload's
@@ -768,7 +910,27 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup) (
 	return res, true, err
 }
 
-func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
+// runUncached simulates one cell. A paired cell (pair != nil) takes its
+// workload's shared baseline pass: the baseline cell's result is the pass's
+// Result, the oracle replays the pass's record. A consumer whose leader
+// failed runs on its own.
+func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup, pair *pairEntry, leadPass bool) (sim.Result, error) {
+	var record *pred.DOARecord
+	switch {
+	case pair != nil && leadPass:
+		rec, res, err := r.baselinePass(ctx, w, sim.DefaultConfig)
+		r.publishPair(w, pair, rec, res, err)
+		if err != nil || !setup.Oracle {
+			return res, err
+		}
+		record = rec
+	case pair != nil && pair.err == nil:
+		r.sharedPasses.Add(1)
+		if !setup.Oracle {
+			return pair.res, nil
+		}
+		record = pair.rec
+	}
 	if r.warmShareable(setup) {
 		if res, ok, err := r.runShared(ctx, w, setup); ok {
 			return res, err
@@ -780,13 +942,14 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup)
 		cfgFn = sim.DefaultConfig
 	}
 
-	var record *pred.DOARecord
-	if setup.Oracle {
-		// Recording pass: baseline machine, ground-truth capture.
-		rec, err := r.recordPass(ctx, w, cfgFn)
+	if setup.Oracle && record == nil {
+		// Recording pass on its own: the baseline machine over the same
+		// trace, its Result unused.
+		rec, _, err := r.baselinePass(ctx, w, cfgFn)
 		if err != nil {
 			return sim.Result{}, err
 		}
+		r.alonePasses.Add(1)
 		record = rec
 	}
 
@@ -841,25 +1004,32 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup)
 	return r.measure(ctx, s, g, setup)
 }
 
-// recordPass runs the baseline machine over the same trace to capture
-// ground-truth DOA outcomes for the oracle.
-func (r *Runner) recordPass(ctx context.Context, w trace.Workload, cfgFn func() sim.Config) (*pred.DOARecord, error) {
+// baselinePass runs the predictor-less machine cfgFn describes over the
+// workload's warmup and measured accesses, with a RecorderTLB capturing
+// every LLT fill's ground-truth DOA outcome for the oracle. The recorder
+// never bypasses and sim.Result reports nothing about predictors, so the
+// Result is the plain machine's cell bit for bit.
+func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, cfgFn func() sim.Config) (*pred.DOARecord, sim.Result, error) {
 	cfg := cfgFn()
 	cfg.Seed = r.params.Seed
 	s, err := sim.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, sim.Result{}, err
 	}
 	rec := pred.NewDOARecord()
 	s.SetTLBPredictor(pred.NewRecorderTLB(rec))
 	g, err := r.generator(ctx, w)
 	if err != nil {
-		return nil, err
+		return nil, sim.Result{}, err
 	}
-	if err := runSystem(ctx, s, g, r.params.Warmup+r.params.Measure); err != nil {
-		return nil, err
+	if err := runSystem(ctx, s, g, r.params.Warmup); err != nil {
+		return nil, sim.Result{}, err
 	}
-	return rec, nil
+	res, err := r.measure(ctx, s, g, Setup{})
+	if err != nil {
+		return nil, sim.Result{}, err
+	}
+	return rec, res, nil
 }
 
 // --- Standard setups -----------------------------------------------------

@@ -1,17 +1,16 @@
 package pagetable
 
 import (
-	"sort"
-
 	"repro/internal/arch"
 	"repro/internal/ckpt"
 )
 
 // EncodeState serializes the page table — allocator state, population
-// counters and the full radix tree — for warm-state checkpointing. Tree maps
-// are written with sorted keys so the byte stream is deterministic for
-// identical logical state. The interior-path memo is not stored: it is a
-// pure lookup shortcut that repopulates on the first post-restore walk.
+// counters and the full radix tree — for warm-state checkpointing. Each
+// node lists its present entries in ascending index order, so the byte
+// stream is deterministic for identical logical state. The interior-path
+// memo is not stored: it is a pure lookup shortcut that repopulates on the
+// first post-restore walk.
 func (pt *PageTable) EncodeState(w *ckpt.Writer) {
 	w.Mark("pagetable")
 	w.U64(uint64(pt.alloc.policy))
@@ -27,28 +26,34 @@ func encodeNode(w *ckpt.Writer, n *node) {
 	w.U64(uint64(n.frame))
 	w.Bool(n.children != nil)
 	if n.children != nil {
-		keys := make([]uint64, 0, len(n.children))
-		for k := range n.children {
-			keys = append(keys, k)
+		count := 0
+		for _, ch := range n.children {
+			if ch != nil {
+				count++
+			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U64(uint64(len(keys)))
-		for _, k := range keys {
-			w.U64(k)
-			encodeNode(w, n.children[k])
+		w.U64(uint64(count))
+		for i, ch := range n.children {
+			if ch != nil {
+				w.U64(uint64(i))
+				encodeNode(w, ch)
+			}
 		}
 	}
 	w.Bool(n.leaves != nil)
 	if n.leaves != nil {
-		keys := make([]uint64, 0, len(n.leaves))
-		for k := range n.leaves {
-			keys = append(keys, k)
+		count := 0
+		for i := uint64(0); i < fanout; i++ {
+			if n.leaves.has(i) {
+				count++
+			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.U64(uint64(len(keys)))
-		for _, k := range keys {
-			w.U64(k)
-			w.U64(uint64(n.leaves[k]))
+		w.U64(uint64(count))
+		for i := uint64(0); i < fanout; i++ {
+			if n.leaves.has(i) {
+				w.U64(i)
+				w.U64(uint64(n.leaves.pfn[i]))
+			}
 		}
 	}
 }
@@ -83,10 +88,10 @@ func (pt *PageTable) DecodeState(r *ckpt.Reader) error {
 	return nil
 }
 
-// maxRadixFanout bounds per-node child/leaf counts on decode (a radix node
-// holds at most 512 entries).
-const maxRadixFanout = 1 << arch.RadixIndexBits
-
+// decodeNode reads one node written by encodeNode. Counts and indices are
+// bounded by the 512-entry node, and the node's shape must match its depth
+// (children above the PT level, leaves at it), which every encoded tree
+// satisfies.
 func decodeNode(r *ckpt.Reader, depth int) *node {
 	if depth >= arch.RadixLevels {
 		r.Failf("pagetable: checkpoint radix tree deeper than %d levels", arch.RadixLevels)
@@ -95,27 +100,40 @@ func decodeNode(r *ckpt.Reader, depth int) *node {
 	n := &node{frame: arch.PFN(r.U64())}
 	if r.Bool() {
 		count := r.U64()
-		if count > maxRadixFanout {
-			r.Failf("pagetable: checkpoint node fanout %d exceeds %d", count, maxRadixFanout)
+		if count > fanout {
+			r.Failf("pagetable: checkpoint node fanout %d exceeds %d", count, fanout)
 			return nil
 		}
-		n.children = make(map[uint64]*node, count)
+		n.children = new([fanout]*node)
 		for i := uint64(0); i < count && r.Err() == nil; i++ {
 			k := r.U64()
+			if k >= fanout {
+				r.Failf("pagetable: checkpoint child index %d exceeds %d", k, fanout-1)
+				return nil
+			}
 			n.children[k] = decodeNode(r, depth+1)
 		}
 	}
 	if r.Bool() {
 		count := r.U64()
-		if count > maxRadixFanout {
-			r.Failf("pagetable: checkpoint leaf fanout %d exceeds %d", count, maxRadixFanout)
+		if count > fanout {
+			r.Failf("pagetable: checkpoint leaf fanout %d exceeds %d", count, fanout)
 			return nil
 		}
-		n.leaves = make(map[uint64]arch.PFN, count)
+		n.leaves = new(leafTable)
 		for i := uint64(0); i < count && r.Err() == nil; i++ {
 			k := r.U64()
-			n.leaves[k] = arch.PFN(r.U64())
+			if k >= fanout {
+				r.Failf("pagetable: checkpoint leaf index %d exceeds %d", k, fanout-1)
+				return nil
+			}
+			n.leaves.set(k, arch.PFN(r.U64()))
 		}
+	}
+	interior := depth < arch.RadixLevels-1
+	if r.Err() == nil && ((n.children != nil) != interior || (n.leaves != nil) == interior) {
+		r.Failf("pagetable: checkpoint node at level %d has the wrong shape", depth)
+		return nil
 	}
 	return n
 }

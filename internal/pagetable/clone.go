@@ -1,7 +1,5 @@
 package pagetable
 
-import "repro/internal/arch"
-
 // Clone deep-copies the allocator: both copies hand out the same future
 // frame sequence independently.
 func (a *Allocator) Clone() *Allocator {
@@ -10,8 +8,8 @@ func (a *Allocator) Clone() *Allocator {
 }
 
 // Clone deep-copies the page table — the full radix tree, the allocator and
-// the interior-path memo — for warm-state forking. Node maps are copied
-// recursively; the memoized leaf pointer is remapped to the corresponding
+// the interior-path memo — for warm-state forking. Leaf tables are copied
+// as arrays; the memoized leaf pointer is remapped to the corresponding
 // node of the cloned tree during the same traversal, so the clone's fast
 // path stays primed without aliasing the original's nodes.
 func (pt *PageTable) Clone() *PageTable {
@@ -50,16 +48,14 @@ func cloneNode(src, memoLeaf *node, memoOut **node) *node {
 	}
 	dst := &node{frame: src.frame}
 	if src.children != nil {
-		dst.children = make(map[uint64]*node, len(src.children))
-		for k, ch := range src.children {
-			dst.children[k] = cloneNode(ch, memoLeaf, memoOut)
+		dst.children = new([fanout]*node)
+		for i, ch := range src.children {
+			dst.children[i] = cloneNode(ch, memoLeaf, memoOut)
 		}
 	}
 	if src.leaves != nil {
-		dst.leaves = make(map[uint64]arch.PFN, len(src.leaves))
-		for k, pfn := range src.leaves {
-			dst.leaves[k] = pfn
-		}
+		leaves := *src.leaves
+		dst.leaves = &leaves
 	}
 	if src == memoLeaf {
 		*memoOut = dst

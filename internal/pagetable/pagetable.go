@@ -111,12 +111,40 @@ func mix(v uint64) uint64 {
 	return v
 }
 
+// fanout is the number of entries of one radix node.
+const fanout = 1 << arch.RadixIndexBits
+
 // node is one radix-tree node. Its frame is where the 512 PTEs live in
-// simulated physical memory; children/leaves hold the next level.
+// simulated physical memory; children/leaves hold the next level, indexed
+// by the VPN's radix index at this level.
 type node struct {
 	frame    arch.PFN
-	children map[uint64]*node    // interior levels
-	leaves   map[uint64]arch.PFN // leaf level only
+	children *[fanout]*node // interior levels
+	leaves   *leafTable     // leaf level only
+}
+
+// leafTable is a PT-level node's translations: pfn[i] is meaningful only
+// where bit i of present is set (frame 0 is a valid translation).
+type leafTable struct {
+	present [fanout / 64]uint64
+	pfn     [fanout]arch.PFN
+}
+
+func (t *leafTable) has(i uint64) bool { return t.present[i/64]>>(i%64)&1 != 0 }
+
+func (t *leafTable) set(i uint64, pfn arch.PFN) {
+	t.present[i/64] |= 1 << (i % 64)
+	t.pfn[i] = pfn
+}
+
+func (t *leafTable) clear(i uint64) { t.present[i/64] &^= 1 << (i % 64) }
+
+// lookup returns the translation at index i, if present.
+func (t *leafTable) lookup(i uint64) (arch.PFN, bool) {
+	if !t.has(i) {
+		return 0, false
+	}
+	return t.pfn[i], true
 }
 
 // PageTable is a four-level radix page table plus the frame allocator.
@@ -133,7 +161,7 @@ type PageTable struct {
 	memoKey   uint64 // vpn >> RadixIndexBits of the memoized path
 	memoValid bool
 	memoSteps [arch.RadixLevels - 1]Step // interior steps (indices fixed by memoKey)
-	memoLeaf  *node                      // PT-level node holding the leaves map
+	memoLeaf  *node                      // PT-level node holding the leaf table
 
 	mappedPages uint64
 	tableNodes  uint64
@@ -150,7 +178,7 @@ func New(alloc *Allocator) (*PageTable, error) {
 	}
 	return &PageTable{
 		alloc:      alloc,
-		root:       &node{frame: rootFrame, children: make(map[uint64]*node)},
+		root:       &node{frame: rootFrame, children: new([fanout]*node)},
 		tableNodes: 1,
 	}, nil
 }
@@ -169,7 +197,7 @@ type Step struct {
 // The steps slice is appended to dst to let callers reuse storage.
 func (pt *PageTable) Translate(vpn arch.VPN, dst []Step) (arch.PFN, []Step, error) {
 	// Fast path: the interior radix path matches the previous walk's, so
-	// the memoized steps and leaf node stand in for three map lookups.
+	// the memoized steps and leaf node stand in for three node lookups.
 	if pt.memoValid && uint64(vpn)>>arch.RadixIndexBits == pt.memoKey {
 		dst = append(dst, pt.memoSteps[:]...)
 		return pt.leafStep(pt.memoLeaf, vpn, dst)
@@ -182,17 +210,17 @@ func (pt *PageTable) Translate(vpn arch.VPN, dst []Step) (arch.PFN, []Step, erro
 			Level:   level,
 			PTEAddr: n.frame.Addr() + arch.PAddr(idx*arch.PTESize),
 		})
-		child, ok := n.children[idx]
-		if !ok {
+		child := n.children[idx]
+		if child == nil {
 			frame, err := pt.alloc.Alloc()
 			if err != nil {
 				return 0, dst, err
 			}
 			child = &node{frame: frame}
 			if level == arch.RadixLevels-2 {
-				child.leaves = make(map[uint64]arch.PFN)
+				child.leaves = new(leafTable)
 			} else {
-				child.children = make(map[uint64]*node)
+				child.children = new([fanout]*node)
 			}
 			n.children[idx] = child
 			pt.tableNodes++
@@ -216,14 +244,14 @@ func (pt *PageTable) leafStep(n *node, vpn arch.VPN, dst []Step) (arch.PFN, []St
 		Level:   arch.RadixLevels - 1,
 		PTEAddr: n.frame.Addr() + arch.PAddr(idx*arch.PTESize),
 	})
-	pfn, ok := n.leaves[idx]
+	pfn, ok := n.leaves.lookup(idx)
 	if !ok {
 		var err error
 		pfn, err = pt.alloc.Alloc()
 		if err != nil {
 			return 0, dst, err
 		}
-		n.leaves[idx] = pfn
+		n.leaves.set(idx, pfn)
 		pt.mappedPages++
 	}
 	return pfn, dst, nil
@@ -236,37 +264,35 @@ func (pt *PageTable) leafStep(n *node, vpn arch.VPN, dst []Step) (arch.PFN, []St
 // allocator — a later touch of the same page faults in a fresh frame,
 // which is what makes post-shootdown reuse visible to the TLB hierarchy.
 func (pt *PageTable) Unmap(vpn arch.VPN) bool {
-	n := pt.root
-	for level := 0; level < arch.RadixLevels-1; level++ {
-		child, ok := n.children[vpn.RadixIndex(level)]
-		if !ok {
-			return false
-		}
-		n = child
-	}
+	n := pt.leafNode(vpn)
 	idx := vpn.RadixIndex(arch.RadixLevels - 1)
-	if _, ok := n.leaves[idx]; !ok {
+	if n == nil || !n.leaves.has(idx) {
 		return false
 	}
-	delete(n.leaves, idx)
+	n.leaves.clear(idx)
 	pt.mappedPages--
 	return true
+}
+
+// leafNode returns the PT-level node on vpn's path, or nil when the path
+// does not exist yet.
+func (pt *PageTable) leafNode(vpn arch.VPN) *node {
+	n := pt.root
+	for level := 0; level < arch.RadixLevels-1 && n != nil; level++ {
+		n = n.children[vpn.RadixIndex(level)]
+	}
+	return n
 }
 
 // TranslateIfMapped returns the frame for vpn only if a mapping already
 // exists; it never allocates. TLB prefetchers use it so that speculative
 // translations do not fault in new pages.
 func (pt *PageTable) TranslateIfMapped(vpn arch.VPN) (arch.PFN, bool) {
-	n := pt.root
-	for level := 0; level < arch.RadixLevels-1; level++ {
-		child, ok := n.children[vpn.RadixIndex(level)]
-		if !ok {
-			return 0, false
-		}
-		n = child
+	n := pt.leafNode(vpn)
+	if n == nil {
+		return 0, false
 	}
-	pfn, ok := n.leaves[vpn.RadixIndex(arch.RadixLevels-1)]
-	return pfn, ok
+	return n.leaves.lookup(vpn.RadixIndex(arch.RadixLevels - 1))
 }
 
 // NodeFrame returns the frame of the radix node reached after consuming
@@ -276,11 +302,12 @@ func (pt *PageTable) TranslateIfMapped(vpn arch.VPN) (arch.PFN, bool) {
 func (pt *PageTable) NodeFrame(vpn arch.VPN, levels int) (arch.PFN, bool) {
 	n := pt.root
 	for l := 0; l < levels; l++ {
-		child, ok := n.children[vpn.RadixIndex(l)]
-		if !ok {
+		if n.children == nil { // past the PT level
 			return 0, false
 		}
-		n = child
+		if n = n.children[vpn.RadixIndex(l)]; n == nil {
+			return 0, false
+		}
 	}
 	return n.frame, true
 }

@@ -11,7 +11,9 @@ import (
 // structure (AIP) rebind to the clone rather than aliasing the original.
 //
 // The two-pass oracle and its recorder deliberately do not implement it:
-// their record/replay protocol is tied to a single cold run.
+// their record/replay protocol is tied to a single cold run. The oracle
+// saves its extra pass another way: the record pass is the baseline
+// machine's run, so exp.Runner shares it with the baseline cell.
 type ClonableTLB interface {
 	CloneTLB(llt *cache.Cache) (TLBPredictor, error)
 }

@@ -22,16 +22,28 @@ import (
 // DOARecord holds per-VPN fill outcomes captured by a RecorderTLB, in fill
 // order for each VPN.
 type DOARecord struct {
-	outcomes map[arch.VPN][]bool
+	vpns map[arch.VPN]*vpnRecord
+}
+
+// vpnRecord is one VPN's fill outcomes (true = dead on arrival) and the
+// replay cursor an OracleTLB advances, so each hook probes the map once.
+type vpnRecord struct {
+	doa  []bool
+	next int
 }
 
 // NewDOARecord creates an empty record.
 func NewDOARecord() *DOARecord {
-	return &DOARecord{outcomes: make(map[arch.VPN][]bool)}
+	return &DOARecord{vpns: make(map[arch.VPN]*vpnRecord)}
 }
 
 // Fills returns the number of recorded fills for vpn.
-func (r *DOARecord) Fills(vpn arch.VPN) int { return len(r.outcomes[vpn]) }
+func (r *DOARecord) Fills(vpn arch.VPN) int {
+	if e := r.vpns[vpn]; e != nil {
+		return len(e.doa)
+	}
+	return 0
+}
 
 // RecorderTLB is a pass-through TLB predictor that captures ground-truth
 // DOA outcomes into a DOARecord. It makes no predictions.
@@ -57,7 +69,12 @@ func (*RecorderTLB) OnMiss(arch.VPN, uint64) (arch.PFN, bool) { return 0, false 
 // eviction; fills still resident at simulation end stay non-DOA, the
 // conservative choice).
 func (r *RecorderTLB) OnFill(vpn arch.VPN, _ arch.PFN, _ uint64) Decision {
-	r.rec.outcomes[vpn] = append(r.rec.outcomes[vpn], false)
+	e := r.rec.vpns[vpn]
+	if e == nil {
+		e = &vpnRecord{}
+		r.rec.vpns[vpn] = e
+	}
+	e.doa = append(e.doa, false)
 	return Decision{}
 }
 
@@ -65,11 +82,11 @@ func (r *RecorderTLB) OnFill(vpn arch.VPN, _ arch.PFN, _ uint64) Decision {
 // A VPN is resident at most once, so fills and evictions strictly
 // alternate per VPN and the last recorded fill is the one being evicted.
 func (r *RecorderTLB) OnEvict(b cache.Block) {
-	list := r.rec.outcomes[arch.VPN(b.Key)]
-	if len(list) == 0 {
+	e := r.rec.vpns[arch.VPN(b.Key)]
+	if e == nil {
 		return // eviction of an entry filled before recording began
 	}
-	list[len(list)-1] = !b.Accessed
+	e.doa[len(e.doa)-1] = !b.Accessed
 }
 
 // StorageBits implements TLBPredictor; a recorder is instrumentation, not
@@ -79,15 +96,19 @@ func (*RecorderTLB) StorageBits() uint64 { return 0 }
 // OracleTLB replays a DOARecord: it bypasses exactly the fills the
 // recording pass proved dead on arrival.
 type OracleTLB struct {
-	rec  *DOARecord
-	next map[arch.VPN]int
+	rec *DOARecord
 
 	predictions uint64
 }
 
-// NewOracleTLB builds the replay predictor from a completed record.
+// NewOracleTLB builds the replay predictor from a completed record. The
+// replay cursors live in the record, so a record drives one oracle at a
+// time; building an oracle rewinds them.
 func NewOracleTLB(rec *DOARecord) *OracleTLB {
-	return &OracleTLB{rec: rec, next: make(map[arch.VPN]int, len(rec.outcomes))}
+	for _, e := range rec.vpns {
+		e.next = 0
+	}
+	return &OracleTLB{rec: rec}
 }
 
 // Name implements TLBPredictor.
@@ -101,10 +122,13 @@ func (*OracleTLB) OnMiss(arch.VPN, uint64) (arch.PFN, bool) { return 0, false }
 
 // OnFill implements TLBPredictor.
 func (o *OracleTLB) OnFill(vpn arch.VPN, _ arch.PFN, _ uint64) Decision {
-	list := o.rec.outcomes[vpn]
-	i := o.next[vpn]
-	o.next[vpn] = i + 1
-	if i < len(list) && list[i] {
+	e := o.rec.vpns[vpn]
+	if e == nil {
+		return Decision{}
+	}
+	i := e.next
+	e.next++
+	if i < len(e.doa) && e.doa[i] {
 		o.predictions++
 		return Decision{Bypass: true, PredictDOA: true}
 	}

@@ -540,7 +540,7 @@ func (s *System) lltFill(vpn arch.VPN, pfn arch.PFN, pc uint64, d pred.Decision)
 // Callers reach it only after vpn missed in l1 this very access, so the
 // translation is never already resident and no residency probe is needed.
 func (s *System) fillL1TLB(l1 *tlb.TLB, vpn arch.VPN, pfn arch.PFN) {
-	l1.Fill(vpn, pfn, 0, policy.InsertMRU, s.stepNow)
+	l1.Install(vpn, pfn, s.stepNow)
 }
 
 // ptFetch is the walker's window into the data caches: PTE fetches are
@@ -649,8 +649,7 @@ func blockFrame(blockNum uint64) arch.PFN {
 // just missed in c (and nothing re-inserts it in between), so the block is
 // never already resident and no residency probe is needed.
 func (s *System) fillInner(c *cache.Cache, key uint64, write bool, now uint64) {
-	nb, _, _ := c.Fill(key, policy.InsertMRU, now)
-	nb.Dirty = write
+	c.Install(key, policy.InsertMRU, now).Dirty = write
 }
 
 // Finish resolves end-of-run instrumentation: samplers flush residents,

@@ -99,6 +99,12 @@ func (t *TLB) Fill(vpn arch.VPN, pfn arch.PFN, pcHash uint16, hint policy.Insert
 	return nb, victim, evicted
 }
 
+// Install is a Fill at MRU with no PC hash whose victim is dropped
+// unseen (the L1 TLBs' silent evictions); it skips copying the victim out.
+func (t *TLB) Install(vpn arch.VPN, pfn arch.PFN, now uint64) {
+	t.c.Install(uint64(vpn), policy.InsertMRU, now).Data = uint64(pfn)
+}
+
 // Invalidate drops a translation if present (used by tests and by shadow-
 // table promotion paths).
 func (t *TLB) Invalidate(vpn arch.VPN) (cache.Block, bool) {

@@ -183,7 +183,7 @@ func (w *Walker) Walk(vpn arch.VPN) (Result, error) {
 		}
 		key := pwcKey(vpn, i)
 		if _, ok := w.pwc[i].Probe(key); !ok {
-			w.pwc[i].Fill(key, 0, w.tick)
+			w.pwc[i].Install(key, 0, w.tick)
 		}
 	}
 
