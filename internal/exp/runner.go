@@ -285,8 +285,8 @@ func (r *Runner) SetContext(ctx context.Context) { r.ctx = ctx }
 // a previous run when its name matches the workload, seed and length) and
 // replayed from disk through per-worker chunk cursors. Results are
 // byte-identical to the default in-memory mode at any job count — both
-// paths feed the batched columnar loop (sim.System.RunBufferContext) —
-// but the warm-state fork optimization is disabled, since forking resumes
+// feed the same columnar chunks to sim.System.RunContext — but the
+// warm-state fork optimization is disabled, since forking resumes
 // mid-buffer. The directory must exist; trace files opened from it stay
 // open for the runner's lifetime. Call before submitting work.
 func (r *Runner) SetTraceDir(dir string) { r.traceDir = dir }
@@ -745,19 +745,6 @@ func (r *Runner) streamWorkload(ctx context.Context, w trace.Workload) (*trace.C
 	return ct, nil
 }
 
-// runSystem feeds n accesses from g into s, taking the batched columnar
-// path (sim.System.RunBufferContext) whenever the generator can serve
-// chunks — materialized buffers and streamed DPBF v2 traces alike — and
-// the per-access path otherwise. The two paths are bit-identical by
-// contract (sim's TestRunBufferMatchesStep), so which one a cell takes is
-// purely a throughput matter.
-func runSystem(ctx context.Context, s *sim.System, g trace.Generator, n uint64) error {
-	if cr, ok := g.(trace.ChunkReader); ok {
-		return s.RunBufferContext(ctx, cr, n)
-	}
-	return s.RunContext(ctx, g, n)
-}
-
 // BuildSystem constructs the machine and its predictors/prefetcher for a
 // non-oracle setup, without running anything. cmd/deadsim's checkpoint path
 // uses it to rebuild the exact machine a checkpoint was taken from.
@@ -812,7 +799,7 @@ func (r *Runner) measure(ctx context.Context, s *sim.System, g trace.Generator, 
 		s.EnableCharacterization(r.params.SampleEvery)
 	}
 	s.StartMeasurement()
-	if err := runSystem(ctx, s, g, r.params.Measure); err != nil {
+	if err := s.RunContext(ctx, g, r.params.Measure); err != nil {
 		return sim.Result{}, err
 	}
 	s.Finish()
@@ -864,7 +851,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup) (
 				e.err = err
 				return
 			}
-			if err := runSystem(ctx, sys, rd, r.params.Warmup); err != nil {
+			if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
 				e.err = err
 				return
 			}
@@ -998,7 +985,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 	if err != nil {
 		return sim.Result{}, err
 	}
-	if err := runSystem(ctx, s, g, r.params.Warmup); err != nil {
+	if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
 		return sim.Result{}, err
 	}
 	return r.measure(ctx, s, g, setup)
@@ -1022,7 +1009,7 @@ func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, cfgFn func(
 	if err != nil {
 		return nil, sim.Result{}, err
 	}
-	if err := runSystem(ctx, s, g, r.params.Warmup); err != nil {
+	if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
 		return nil, sim.Result{}, err
 	}
 	res, err := r.measure(ctx, s, g, Setup{})

@@ -1,17 +1,14 @@
 package sim
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/arch"
 	"repro/internal/trace"
 )
 
-// Every batched drain loop below tests the chunk stride with the mask form
-// consumed&(ctxCheckStride-1); that is only equivalent to a modulus when
-// the stride is a power of two, and this constant fails to compile
-// otherwise (a negative value cannot convert to uint).
+// MultiSystem.RunContext finds stride boundaries with the mask form
+// i&(ctxCheckStride-1); that is only equivalent to a modulus when the
+// stride is a power of two, and this constant fails to compile otherwise
+// (a negative value cannot convert to uint).
 const _ uint = -(ctxCheckStride & (ctxCheckStride - 1))
 
 // batchMemo tracks, for the three L1 structures an access stream keeps
@@ -41,9 +38,9 @@ const _ uint = -(ctxCheckStride & (ctxCheckStride - 1))
 // re-keys its memo (or, for walk-perturbed L1D state, clears Loc so the
 // next repeat re-probes). Entries can therefore never be evicted or moved
 // behind a set Loc flag, so the run-extension fast path needs no tag check
-// at all. The memo lives on the stack of one RunBatch/RunBuffer call — it
-// is never stored on the System, so Fork, checkpointing and interleaved
-// Step calls are unaffected.
+// at all. The memo lives on the stack of one run, or of one MultiSystem
+// segment — it is never stored on the System, so Fork and checkpointing
+// are unaffected.
 type batchMemo struct {
 	iKey       arch.VPN // ASID-qualified instruction page
 	iSet, iWay int
@@ -61,9 +58,10 @@ type batchMemo struct {
 	dLast      uint64
 
 	// bVB keys the L1D run by *virtual* block number. Within one address
-	// space frames are never aliased or remapped (System never unmaps),
-	// so virtual blocks map 1:1 to physical blocks and the fast path can
-	// recognize a same-block repeat without translating at all.
+	// space frames are never aliased, and nothing is remapped while a memo
+	// lives (MultiSystem unmaps only between segments, each with a reset
+	// memo), so virtual blocks map 1:1 to physical blocks and the fast
+	// path can recognize a same-block repeat without translating at all.
 	bVB        uint64
 	bSet, bWay int
 	bOK        bool
@@ -78,12 +76,17 @@ type batchMemo struct {
 	iCo, dCo, bCo bool
 }
 
-func (s *System) newBatchMemo() batchMemo {
-	return batchMemo{
-		iCo: s.itlb.Inner().CoalescibleHits(),
-		dCo: s.dtlb.Inner().CoalescibleHits(),
-		bCo: s.l1d.CoalescibleHits(),
-	}
+// reset empties the memo for a new run or MultiSystem segment on s:
+// nothing is memoized, so each structure's first access takes the full
+// path. runBatch leaves no deferred hits pending when it returns, and the
+// other fields are only read under an OK flag, so clearing the flags is
+// the same as a zero memo — without zeroing the whole struct for every
+// one-access segment.
+func (m *batchMemo) reset(s *System) {
+	m.iOK, m.dOK, m.bOK = false, false, false
+	m.iCo = s.itlb.Inner().CoalescibleHits()
+	m.dCo = s.dtlb.Inner().CoalescibleHits()
+	m.bCo = s.l1d.CoalescibleHits()
 }
 
 // flushRuns applies every pending deferred-hit run. Called whenever the
@@ -99,6 +102,11 @@ func (s *System) flushRuns(m *batchMemo) {
 		s.dtlb.Inner().HitRun(m.dSet, m.dWay, m.dPend, m.dLast)
 		m.dPend = 0
 	}
+	s.flushBlockRun(m)
+}
+
+// flushBlockRun applies the pending L1D run.
+func (s *System) flushBlockRun(m *batchMemo) {
 	if m.bPend > 0 {
 		b := s.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
 		b.Dirty = b.Dirty || m.bDirty
@@ -106,32 +114,58 @@ func (s *System) flushRuns(m *batchMemo) {
 	}
 }
 
-// RunBatch feeds one columnar batch of accesses through the machine. The
-// parallel slices hold one access per index in the Buffer's
-// struct-of-arrays layout (flags as in trace.FlagWrite/FlagDependent).
-// Results are bit-identical to calling Step once per access.
-func (s *System) RunBatch(pc, va []uint64, gap []uint32, flags []uint8) error {
-	m := s.newBatchMemo()
-	_, err := s.runBatch(&m, pc, va, gap, flags)
-	return err
+// translateMiss is runBatch's full translation of an access whose page
+// (vpn, ASID-qualified) the instr side's memo does not hold. A translate
+// may page-walk, and PTE fetches traverse the data caches: it settles the
+// L1D run and the side's own TLB run first, drops the L1D slot if a walk
+// really happened, and afterwards re-keys the side's memo.
+func (s *System) translateMiss(m *batchMemo, vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PFN, error) {
+	s.flushBlockRun(m)
+	if instr && m.iPend > 0 {
+		s.itlb.Inner().HitRun(m.iSet, m.iWay, m.iPend, m.iLast)
+		m.iPend = 0
+	}
+	if !instr && m.dPend > 0 {
+		s.dtlb.Inner().HitRun(m.dSet, m.dWay, m.dPend, m.dLast)
+		m.dPend = 0
+	}
+	walks := s.walks
+	lat, pfn, err := s.translate(vpn, pc, instr)
+	if err != nil {
+		s.flushRuns(m)
+		return 0, 0, err
+	}
+	if s.walks != walks {
+		m.bLoc = false
+	}
+	if instr {
+		m.iKey, m.iOK, m.iLoc = vpn, true, false
+	} else {
+		m.dKey, m.dPFN = vpn, pfn
+		m.dOK, m.dLoc = true, false
+	}
+	return lat, pfn, nil
 }
 
-// runBatch is the batched inner loop. It replicates Step exactly — same
-// structure-touch order, same timestamps, same counter increments — but
-// hoists the per-access sampler/interval modulus checks out of the loop
-// (the loop is split at the next sampling boundary and the checks run in
-// a per-segment epilogue) and turns same-page/same-block runs into
-// deferred-hit runs resolved by one coalesced update each. On error it
-// returns the index of the access that failed.
-func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []uint8) (int, error) {
-	n := len(pc)
+// runBatch is the simulator's only access loop: every driver hands it
+// columnar chunks. Its result is that of simulating the accesses one at a
+// time — same structure-touch order, same timestamps, same counter
+// increments — but it hoists the per-access sampler/interval modulus
+// checks out of the loop (the loop is split at the next sampling boundary
+// and the checks run in a per-segment epilogue) and turns
+// same-page/same-block runs into deferred-hit runs resolved by one
+// coalesced update each. It simulates accesses [lo, hi) of c (the chunk
+// travels by pointer so a one-access MultiSystem segment passes its
+// arguments in registers) and on error returns the index, counted from
+// lo, of the access that failed.
+func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error) {
 	asid := arch.VPN(s.asidKey)
-	i := 0
-	for i < n {
-		// Split the batch at the next access count where Step would run a
-		// sampler or interval snapshot, so the inner loop needs no modulus
-		// checks and the epilogue fires them at exactly Step's points.
-		lim := n
+	i := lo
+	for i < hi {
+		// Split the batch at the next access count that runs a sampler or
+		// interval snapshot, so the inner loop needs no modulus checks and
+		// the epilogue fires them after exactly that access.
+		lim := hi
 		if s.lltSampler != nil {
 			if next := i + int(s.sampleEvery-s.accesses%s.sampleEvery); next < lim {
 				lim = next
@@ -144,7 +178,7 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 		}
 
 		for ; i < lim; i++ {
-			if g := gap[i]; g > 0 {
+			if g := c.Gap[i]; g > 0 {
 				if cc := s.cpuCore; cc != nil {
 					cc.Advance(uint64(g))
 				} else {
@@ -165,7 +199,7 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 			// the full translate path, then re-keys the memo. The slot is
 			// resolved lazily on the first repeat.
 			var iLat arch.Lat
-			ivpn := arch.VAddr(pc[i]).Page() | asid
+			ivpn := arch.VAddr(c.PC[i]).Page() | asid
 			iHit := m.iOK && ivpn == m.iKey
 			if iHit && !m.iLoc {
 				m.iSet, m.iWay, m.iLoc = s.itlb.Inner().Locate(uint64(ivpn))
@@ -179,36 +213,18 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 					s.itlb.Inner().HitAt(m.iSet, m.iWay, uint64(ivpn), now)
 				}
 			} else {
-				// A translate may page-walk, and PTE fetches traverse the
-				// data caches: settle the L1D run first and drop its memo
-				// if a walk really happened.
-				if m.bPend > 0 {
-					b := s.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
-					b.Dirty = b.Dirty || m.bDirty
-					m.bPend, m.bDirty = 0, false
-				}
-				if m.iPend > 0 {
-					s.itlb.Inner().HitRun(m.iSet, m.iWay, m.iPend, m.iLast)
-					m.iPend = 0
-				}
-				walks := s.walks
-				lat, _, err := s.translate(arch.VAddr(pc[i]).Page(), pc[i], true)
+				lat, _, err := s.translateMiss(m, ivpn, c.PC[i], true)
 				if err != nil {
-					s.flushRuns(m)
-					return i, err
+					return i - lo, err
 				}
 				iLat = lat
-				if s.walks != walks {
-					m.bLoc = false
-				}
-				m.iKey, m.iOK, m.iLoc = ivpn, true, false
 			}
 
 			// Data-side translation; the memo carries the page's PFN,
 			// which is immutable while the entry is resident.
 			var dLat arch.Lat
 			var pfn arch.PFN
-			dvpn := arch.VAddr(va[i]).Page() | asid
+			dvpn := arch.VAddr(c.VA[i]).Page() | asid
 			dHit := m.dOK && dvpn == m.dKey
 			if dHit && !m.dLoc {
 				m.dSet, m.dWay, m.dLoc = s.dtlb.Inner().Locate(uint64(dvpn))
@@ -223,27 +239,11 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 					s.dtlb.Inner().HitAt(m.dSet, m.dWay, uint64(dvpn), now)
 				}
 			} else {
-				if m.bPend > 0 {
-					b := s.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
-					b.Dirty = b.Dirty || m.bDirty
-					m.bPend, m.bDirty = 0, false
-				}
-				if m.dPend > 0 {
-					s.dtlb.Inner().HitRun(m.dSet, m.dWay, m.dPend, m.dLast)
-					m.dPend = 0
-				}
-				walks := s.walks
-				lat, p, err := s.translate(arch.VAddr(va[i]).Page(), pc[i], false)
+				lat, p, err := s.translateMiss(m, dvpn, c.PC[i], false)
 				if err != nil {
-					s.flushRuns(m)
-					return i, err
+					return i - lo, err
 				}
 				dLat, pfn = lat, p
-				if s.walks != walks {
-					m.bLoc = false
-				}
-				m.dKey, m.dPFN = dvpn, p
-				m.dOK, m.dLoc = true, false
 			}
 
 			// Data access. A same-virtual-block repeat extends the L1D
@@ -252,15 +252,15 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 			// full memAccess path and re-keys. The slot resolves lazily on
 			// the first repeat — and re-resolves after a page walk
 			// perturbed the data caches, so a block that survived the
-			// walk's PTE fetches keeps its run (exactly the L1D hit Step
-			// would take), while an evicted one falls through to memAccess
-			// (exactly Step's miss).
-			write := flags[i]&trace.FlagWrite != 0
+			// walk's PTE fetches keeps its run (exactly the L1D hit
+			// memAccess would find), while an evicted one falls through to
+			// memAccess (exactly its miss).
+			write := c.Flags[i]&trace.FlagWrite != 0
 			var memLat arch.Lat
-			vb := va[i] >> arch.BlockShift
+			vb := c.VA[i] >> arch.BlockShift
 			bHit := m.bOK && vb == m.bVB
 			if bHit && !m.bLoc {
-				pa := arch.Translate(pfn, arch.VAddr(va[i]))
+				pa := arch.Translate(pfn, arch.VAddr(c.VA[i]))
 				key := uint64(pa.Block() >> arch.BlockShift)
 				m.bSet, m.bWay, m.bLoc = s.l1d.Locate(key)
 				bHit = m.bLoc
@@ -272,20 +272,15 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 					m.bLast = now
 					m.bDirty = m.bDirty || write
 				} else {
-					pa := arch.Translate(pfn, arch.VAddr(va[i]))
+					pa := arch.Translate(pfn, arch.VAddr(c.VA[i]))
 					key := uint64(pa.Block() >> arch.BlockShift)
 					if b, ok := s.l1d.HitAt(m.bSet, m.bWay, key, now); ok {
 						b.Dirty = b.Dirty || write
 					}
 				}
 			} else {
-				if m.bPend > 0 {
-					b := s.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
-					b.Dirty = b.Dirty || m.bDirty
-					m.bPend, m.bDirty = 0, false
-				}
-				pa := arch.Translate(pfn, arch.VAddr(va[i]))
-				memLat = s.memAccess(pa, pc[i], write)
+				s.flushBlockRun(m)
+				memLat = s.memAccess(arch.Translate(pfn, arch.VAddr(c.VA[i])), c.PC[i], write)
 				m.bVB = vb
 				m.bOK, m.bLoc = true, false
 			}
@@ -294,18 +289,20 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 				s.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
 			}
 			if cc := s.cpuCore; cc != nil {
-				cc.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), flags[i]&trace.FlagDependent != 0)
+				cc.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), c.Flags[i]&trace.FlagDependent != 0)
 			} else {
-				s.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), flags[i]&trace.FlagDependent != 0)
+				s.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), c.Flags[i]&trace.FlagDependent != 0)
 			}
 		}
 
 		// Epilogue: settle the deferred runs (the samplers and the
 		// interval snapshot read structure state and counters), then the
-		// checks Step runs after every access — valid here because the
-		// segment limit guarantees no boundary was crossed mid-segment.
-		// Order matches Step: samplers, then the interval.
-		s.flushRuns(m)
+		// checks due after an access — valid here because the segment
+		// limit guarantees no boundary was crossed mid-segment. Samplers
+		// run before the interval.
+		if m.iPend|m.dPend|m.bPend != 0 {
+			s.flushRuns(m)
+		}
 		if s.lltSampler != nil && s.accesses%s.sampleEvery == 0 {
 			s.lltSampler.Sample(s.llt.Inner())
 			s.llcSampler.Sample(s.llc)
@@ -314,74 +311,62 @@ func (s *System) runBatch(m *batchMemo, pc, va []uint64, gap []uint32, flags []u
 			s.sampleInterval()
 		}
 	}
-	return n, nil
+	return hi - lo, nil
 }
 
-// RunBuffer feeds n accesses through the machine in columnar chunks
-// drained from src — the batched equivalent of Run over the same
-// generator, with bit-identical results.
+// RunBuffer is Run over a chunk source.
 func (s *System) RunBuffer(src trace.ChunkReader, n uint64) error {
-	return s.RunBufferContext(context.Background(), src, n)
+	return s.Run(src, n)
 }
 
-// RunBufferContext is RunBuffer with cancellation, checked at chunk
-// boundaries — at least the ctxCheckStride granularity of RunContext,
-// since chunks are never longer than the stride.
-func (s *System) RunBufferContext(ctx context.Context, src trace.ChunkReader, n uint64) error {
-	m := s.newBatchMemo()
-	done := ctx.Done()
-	for consumed := uint64(0); consumed < n; {
-		if done != nil {
-			select {
-			case <-done:
-				return fmt.Errorf("sim: canceled at access %d of %d: %w", consumed, n, ctx.Err())
-			default:
-			}
-		}
-		want := n - consumed
-		if want > ctxCheckStride {
-			want = ctxCheckStride
-		}
-		c, _ := src.NextChunk(int(want))
-		if c.Len() == 0 {
-			// The source can produce no records (empty trace, or a v2
-			// stream that latched a decode error mid-run). The per-access
-			// path defines the behaviour here — Next keeps returning the
-			// latched last/zero access and GeneratorErr reports the cause
-			// — so finish the run through it for bit-identical results.
-			return s.stepRemaining(ctx, src, consumed, n)
-		}
-		at, err := s.runBatch(&m, c.PC, c.VA, c.Gap, c.Flags)
-		if err != nil {
-			return fmt.Errorf("sim: access %d: %w", consumed+uint64(at), err)
-		}
-		consumed += uint64(c.Len())
-	}
-	if err := trace.GeneratorErr(src); err != nil {
-		return fmt.Errorf("sim: after %d accesses: %w", n, err)
-	}
-	return nil
+// chunkSource draws a run's accesses from its generator as columnar
+// chunks. A trace.ChunkReader serves views of its own buffers. Any other
+// generator fills a reused scratch chunk from Next(), and so does a
+// ChunkReader whose NextChunk comes back empty: the source can produce no
+// records and has latched an error, and Next keeps returning the latched
+// access, which the run consumes until its GeneratorErr check. A source
+// never draws more than it is asked for, so a generator ends exactly as
+// many records ahead as the run consumed; checkpoint splicing depends on
+// that.
+type chunkSource struct {
+	g       trace.Generator
+	cr      trace.ChunkReader // nil when g cannot serve chunks
+	scratch *trace.Chunk
 }
 
-// stepRemaining finishes accesses [consumed, n) through the per-access
-// path, mirroring RunContext's loop exactly (stride-masked context checks,
-// identical error wrapping with global indices, trailing GeneratorErr).
-func (s *System) stepRemaining(ctx context.Context, g trace.Generator, consumed, n uint64) error {
-	done := ctx.Done()
-	for i := consumed; i < n; i++ {
-		if done != nil && i&(ctxCheckStride-1) == 0 {
-			select {
-			case <-done:
-				return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
-			default:
-			}
-		}
-		if err := s.Step(g.Next()); err != nil {
-			return fmt.Errorf("sim: access %d: %w", i, err)
+func newChunkSource(g trace.Generator, scratch *trace.Chunk) chunkSource {
+	cr, _ := g.(trace.ChunkReader)
+	return chunkSource{g: g, cr: cr, scratch: scratch}
+}
+
+// next returns between 1 and max (≤ ctxCheckStride) consecutive accesses.
+// The chunk is valid until the next call.
+func (src *chunkSource) next(max int) trace.Chunk {
+	if src.cr != nil {
+		if c, _ := src.cr.NextChunk(max); c.Len() > 0 {
+			return c
 		}
 	}
-	if err := trace.GeneratorErr(g); err != nil {
-		return fmt.Errorf("sim: after %d accesses: %w", n, err)
+	sc := src.scratch
+	if sc.PC == nil {
+		*sc = trace.Chunk{
+			PC:    make([]uint64, ctxCheckStride),
+			VA:    make([]uint64, ctxCheckStride),
+			Gap:   make([]uint32, ctxCheckStride),
+			Flags: make([]uint8, ctxCheckStride),
+		}
 	}
-	return nil
+	c := trace.Chunk{PC: sc.PC[:max], VA: sc.VA[:max], Gap: sc.Gap[:max], Flags: sc.Flags[:max]}
+	for i := range c.PC {
+		a := src.g.Next()
+		var f uint8
+		if a.Write {
+			f |= trace.FlagWrite
+		}
+		if a.Dependent {
+			f |= trace.FlagDependent
+		}
+		c.PC[i], c.VA[i], c.Gap[i], c.Flags[i] = a.PC, uint64(a.Addr), a.Gap, f
+	}
+	return c
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -13,7 +15,7 @@ import (
 )
 
 // materializeWorkload captures n accesses of a named workload into a
-// columnar buffer (the input both execution paths replay from).
+// columnar buffer (the input the machine and the reference replay from).
 func materializeWorkload(tb testing.TB, name string, seed, n uint64) *trace.Buffer {
 	tb.Helper()
 	w, err := trace.ByName(name)
@@ -39,12 +41,14 @@ func checkpointBytes(tb testing.TB, s *System) []byte {
 	return buf.Bytes()
 }
 
-// TestRunBufferMatchesStep is the batched path's correctness contract:
-// feeding the same trace through RunBuffer must leave the machine in a
-// state bit-identical to the per-access Step loop — same Result, same
-// checkpoint image — across predictor, sampler and interval-observer
-// configurations (the sampler/interval cases exercise the segment
-// splitting that hoists the modulus checks out of the inner loop).
+// TestRunBufferMatchesStep is the batched loop's correctness contract:
+// feeding the same trace through Run must leave the machine in a state
+// bit-identical to the reference stepper — same Result, same checkpoint
+// image — across predictor, sampler and interval-observer configurations
+// (the sampler/interval cases exercise the segment splitting that hoists
+// the modulus checks out of the inner loop). Run is driven twice: from
+// the buffer's own chunks, and through a plain Generator whose records it
+// copies into its scratch chunk.
 func TestRunBufferMatchesStep(t *testing.T) {
 	// Odd warm/measure counts so chunk boundaries never line up with
 	// ctxCheckStride, and the run wraps the buffer several times.
@@ -75,34 +79,39 @@ func TestRunBufferMatchesStep(t *testing.T) {
 		buf := materializeWorkload(t, wl, 7, bufLen)
 		for _, sc := range scenarios {
 			t.Run(wl+"/"+sc.name, func(t *testing.T) {
-				stepSys := MustNew(smallConfig())
-				sc.setup(t, stepSys)
+				refSys := MustNew(smallConfig())
+				sc.setup(t, refSys)
 				rd := buf.Reader()
-				if err := stepSys.Run(rd, warm); err != nil {
+				if err := refRun(refSys, rd, warm); err != nil {
 					t.Fatal(err)
 				}
-				stepSys.StartMeasurement()
-				if err := stepSys.Run(rd, meas); err != nil {
-					t.Fatal(err)
-				}
-
-				batchSys := MustNew(smallConfig())
-				sc.setup(t, batchSys)
-				brd := buf.Reader()
-				if err := batchSys.RunBuffer(brd, warm); err != nil {
-					t.Fatal(err)
-				}
-				batchSys.StartMeasurement()
-				if err := batchSys.RunBuffer(brd, meas); err != nil {
+				refSys.StartMeasurement()
+				if err := refRun(refSys, rd, meas); err != nil {
 					t.Fatal(err)
 				}
 
-				if a, b := stepSys.Result(), batchSys.Result(); a != b {
-					t.Errorf("results diverged:\n  step:  %+v\n  batch: %+v", a, b)
-				}
-				if sc.ckpt {
-					if a, b := checkpointBytes(t, stepSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
-						t.Errorf("checkpoints diverged (%d vs %d bytes)", len(a), len(b))
+				for _, chunked := range []bool{true, false} {
+					batchSys := MustNew(smallConfig())
+					sc.setup(t, batchSys)
+					var g trace.Generator = buf.Reader()
+					if !chunked {
+						g = genOnly{g}
+					}
+					if err := batchSys.Run(g, warm); err != nil {
+						t.Fatal(err)
+					}
+					batchSys.StartMeasurement()
+					if err := batchSys.Run(g, meas); err != nil {
+						t.Fatal(err)
+					}
+
+					if a, b := refSys.Result(), batchSys.Result(); a != b {
+						t.Errorf("chunked=%v: results diverged:\n  ref:   %+v\n  batch: %+v", chunked, a, b)
+					}
+					if sc.ckpt {
+						if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
+							t.Errorf("chunked=%v: checkpoints diverged (%d vs %d bytes)", chunked, len(a), len(b))
+						}
 					}
 				}
 			})
@@ -112,7 +121,7 @@ func TestRunBufferMatchesStep(t *testing.T) {
 
 // TestRunBufferStreamedV2MatchesStep closes the loop end to end: a trace
 // round-tripped through the compressed v2 format and replayed chunk by
-// chunk through the batched path must match the per-access replay of the
+// chunk through the batched loop must match the reference replay of the
 // in-memory original.
 func TestRunBufferStreamedV2MatchesStep(t *testing.T) {
 	const bufLen, n = 10_007, 25_013
@@ -126,9 +135,9 @@ func TestRunBufferStreamedV2MatchesStep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stepSys := MustNew(smallConfig())
-	stepSys.StartMeasurement()
-	if err := stepSys.Run(buf.Reader(), n); err != nil {
+	refSys := MustNew(smallConfig())
+	refSys.StartMeasurement()
+	if err := refRun(refSys, buf.Reader(), n); err != nil {
 		t.Fatal(err)
 	}
 	batchSys := MustNew(smallConfig())
@@ -136,36 +145,36 @@ func TestRunBufferStreamedV2MatchesStep(t *testing.T) {
 	if err := batchSys.RunBuffer(ct.NewReader(), n); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := stepSys.Result(), batchSys.Result(); a != b {
-		t.Errorf("results diverged:\n  step:  %+v\n  batch: %+v", a, b)
+	if a, b := refSys.Result(), batchSys.Result(); a != b {
+		t.Errorf("results diverged:\n  ref:   %+v\n  batch: %+v", a, b)
 	}
-	if a, b := checkpointBytes(t, stepSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
+	if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
 		t.Errorf("checkpoints diverged (%d vs %d bytes)", len(a), len(b))
 	}
 }
 
-// TestRunBufferEmptySource: an empty trace must fail through the batched
-// path with exactly the error the per-access path reports (the empty
-// chunk falls back to stepping the latched zero access).
+// TestRunBufferEmptySource: an empty trace must fail the run with exactly
+// the error the reference reports (the empty chunk falls back to the
+// latched zero access that Next returns).
 func TestRunBufferEmptySource(t *testing.T) {
 	empty := trace.NewBuffer("empty", 0)
-	stepErr := MustNew(smallConfig()).Run(empty.Reader(), 100)
+	refErr := refRun(MustNew(smallConfig()), empty.Reader(), 100)
 	batchErr := MustNew(smallConfig()).RunBuffer(empty.Reader(), 100)
-	if stepErr == nil || batchErr == nil {
-		t.Fatalf("empty trace accepted: step=%v batch=%v", stepErr, batchErr)
+	if refErr == nil || batchErr == nil {
+		t.Fatalf("empty trace accepted: ref=%v batch=%v", refErr, batchErr)
 	}
-	if stepErr.Error() != batchErr.Error() {
-		t.Errorf("error mismatch:\n  step:  %v\n  batch: %v", stepErr, batchErr)
+	if refErr.Error() != batchErr.Error() {
+		t.Errorf("error mismatch:\n  ref:   %v\n  batch: %v", refErr, batchErr)
 	}
 }
 
-// TestRunBufferContextCanceled: cancellation must land at a chunk
-// boundary with the same error shape as the per-access path.
+// TestRunBufferContextCanceled: a run over a chunk source stops at a
+// chunk boundary with the canceled position in the error.
 func TestRunBufferContextCanceled(t *testing.T) {
 	buf := materializeWorkload(t, "sssp", 3, 4096)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := MustNew(smallConfig()).RunBufferContext(ctx, buf.Reader(), 1<<20)
+	err := MustNew(smallConfig()).RunContext(ctx, buf.Reader(), 1<<20)
 	if err == nil {
 		t.Fatal("canceled context did not stop the run")
 	}
@@ -174,65 +183,89 @@ func TestRunBufferContextCanceled(t *testing.T) {
 	}
 }
 
-// TestMultiChunkedMatchesPerAccess: MultiSystem's chunked step loop must
-// be bit-identical to the per-access loop — same scheduling, same unmap
-// injection, same shootdowns — when the tenant generators support chunk
-// draining. The per-access run hides the ChunkReader view behind a plain
-// Generator wrapper to force the old loop.
+// TestMultiChunkedMatchesPerAccess: MultiSystem.Run, which feeds segments
+// of columnar chunks through runBatch, must be bit-identical to the
+// reference driver that round-robins one access at a time through the
+// reference stepper — same scheduling, same unmap injection, same
+// shootdowns, same Result and checkpoint bytes — and must leave every
+// tenant's generator exactly where the reference leaves it. The 1c×3t
+// machine runs long single-core segments whose quantum ends and unmap
+// points fall mid-chunk; 2c×1t runs them next to an idle core; 2c×3t
+// interleaves one-access segments. Run is driven from chunk readers and
+// from plain generators, over two calls so the schedule carries across.
 func TestMultiChunkedMatchesPerAccess(t *testing.T) {
-	mc := MultiConfig{
-		Machine:    smallConfig(),
-		Cores:      2,
-		Tenants:    3,
-		Quantum:    101,
-		Shootdown:  ShootdownFlushASID,
-		UnmapEvery: 503,
-	}
 	bufs := []*trace.Buffer{
 		materializeWorkload(t, "sssp", 1, 5003),
 		materializeWorkload(t, "cc", 2, 5003),
 		materializeWorkload(t, "mcf", 3, 5003),
 	}
-	const n = 30_011
-
-	run := func(chunked bool) (*MultiSystem, MultiResult) {
-		m, err := NewMulti(mc)
-		if err != nil {
+	const warm, meas = 9_001, 21_010
+	for _, top := range []struct{ cores, tenants int }{{1, 3}, {2, 1}, {2, 3}} {
+		mc := MultiConfig{
+			Machine:    smallConfig(),
+			Cores:      top.cores,
+			Tenants:    top.tenants,
+			Quantum:    1_001,
+			Shootdown:  ShootdownFlushASID,
+			UnmapEvery: 1_503,
+		}
+		run := func(drive func(*MultiSystem, []trace.Generator, uint64) error, chunked bool) (*MultiSystem, MultiResult, []uint64) {
+			m, err := NewMulti(mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rds := make([]*trace.BufferReader, top.tenants)
+			gens := make([]trace.Generator, top.tenants)
+			for i := range gens {
+				rds[i] = bufs[i].Reader()
+				gens[i] = rds[i]
+				if !chunked {
+					gens[i] = genOnly{rds[i]}
+				}
+			}
+			if err := drive(m, gens, warm); err != nil {
+				t.Fatal(err)
+			}
+			m.StartMeasurement()
+			if err := drive(m, gens, meas); err != nil {
+				t.Fatal(err)
+			}
+			pos := make([]uint64, len(rds))
+			for i, rd := range rds {
+				pos[i] = rd.Pos()
+			}
+			return m, m.Result(), pos
+		}
+		rm, rr, rpos := run(refMultiRun, true)
+		var rb bytes.Buffer
+		if err := rm.WriteCheckpoint(&rb, "multi-diff"); err != nil {
 			t.Fatal(err)
 		}
-		gens := make([]trace.Generator, len(bufs))
-		for i, b := range bufs {
-			if chunked {
-				gens[i] = b.Reader()
-			} else {
-				gens[i] = genOnly{b.Reader()}
+		for _, chunked := range []bool{true, false} {
+			name := fmt.Sprintf("%dc×%dt chunked=%v", top.cores, top.tenants, chunked)
+			m, r, pos := run((*MultiSystem).Run, chunked)
+			if !reflect.DeepEqual(rr, r) {
+				t.Errorf("%s: results diverged:\n  ref: %+v\n  run: %+v", name, rr, r)
+			}
+			if r.Switches == 0 && top.tenants > top.cores || r.Unmaps == 0 {
+				t.Errorf("%s: run did not exercise scheduling: %+v", name, r)
+			}
+			if !reflect.DeepEqual(rpos, pos) {
+				t.Errorf("%s: generator positions %v, reference %v", name, pos, rpos)
+			}
+			var b bytes.Buffer
+			if err := m.WriteCheckpoint(&b, "multi-diff"); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rb.Bytes(), b.Bytes()) {
+				t.Errorf("%s: checkpoints diverged (%d vs %d bytes)", name, rb.Len(), b.Len())
 			}
 		}
-		m.StartMeasurement()
-		if err := m.Run(gens, n); err != nil {
-			t.Fatal(err)
-		}
-		return m, m.Result()
-	}
-	pm, pr := run(false)
-	cm, cr := run(true)
-	if fmt.Sprintf("%+v", pr) != fmt.Sprintf("%+v", cr) {
-		t.Errorf("results diverged:\n  per-access: %+v\n  chunked:    %+v", pr, cr)
-	}
-	var pb, cb bytes.Buffer
-	if err := pm.WriteCheckpoint(&pb, "multi-diff"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cm.WriteCheckpoint(&cb, "multi-diff"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb.Bytes(), cb.Bytes()) {
-		t.Errorf("checkpoints diverged (%d vs %d bytes)", pb.Len(), cb.Len())
 	}
 }
 
-// genOnly narrows a ChunkReader to the plain Generator interface, forcing
-// the per-access code paths in differential tests.
+// genOnly narrows a ChunkReader to the plain Generator interface, so a run
+// fills its scratch chunk from Next.
 type genOnly struct{ g trace.Generator }
 
 func (w genOnly) Next() trace.Access { return w.g.Next() }
@@ -258,9 +291,9 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzBatchVsStep feeds fuzzer-shaped access sequences through both
-// execution paths on two identical machines and requires identical final
-// Results and bit-identical checkpoints. VAs are masked to a small window
+// FuzzBatchVsStep feeds fuzzer-shaped access sequences through Run and
+// through the reference stepper on two identical machines and requires
+// identical final Results and bit-identical checkpoints. VAs are masked to a small window
 // so arbitrary bytes cannot exhaust physical memory, and PCs to a window
 // that still spans many pages.
 func FuzzBatchVsStep(f *testing.F) {
@@ -307,35 +340,32 @@ func FuzzBatchVsStep(f *testing.F) {
 			})
 		}
 
-		stepSys := MustNew(smallConfig())
-		stepErr := stepSys.Run(buf.Reader(), n)
+		refSys := MustNew(smallConfig())
+		refErr := refRun(refSys, buf.Reader(), n)
 		batchSys := MustNew(smallConfig())
 		batchErr := batchSys.RunBuffer(buf.Reader(), n)
 
-		if (stepErr == nil) != (batchErr == nil) {
-			t.Fatalf("error presence diverged: step=%v batch=%v", stepErr, batchErr)
+		if (refErr == nil) != (batchErr == nil) {
+			t.Fatalf("error presence diverged: ref=%v batch=%v", refErr, batchErr)
 		}
-		if stepErr != nil {
+		if refErr != nil {
 			return
 		}
-		if a, b := stepSys.Result(), batchSys.Result(); a != b {
-			t.Fatalf("results diverged:\n  step:  %+v\n  batch: %+v", a, b)
+		if a, b := refSys.Result(), batchSys.Result(); a != b {
+			t.Fatalf("results diverged:\n  ref:   %+v\n  batch: %+v", a, b)
 		}
-		if a, b := checkpointBytes(t, stepSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
+		if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
 			t.Fatal("checkpoints diverged")
 		}
 	})
 }
 
-// replayBenchBuffer builds the locality-heavy replay trace the warm
-// benchmarks share: a handful of PC sites sweeping sequentially over a
-// 16 KiB window — a hot kernel loop whose working set is L1-resident, so
-// once warm every structure hits and the measurement isolates pure
-// replay cost (generator dispatch, record reconstruction, repeated
-// associative lookups) from miss handling, which is identical in both
-// paths. The batched path's memoized run fast paths target exactly this
-// regime; the per-access benchmark on the same buffer is its honest
-// baseline.
+// replayBenchBuffer builds the locality-heavy replay trace of
+// BenchmarkRunBufferWarm: a handful of PC sites sweeping sequentially over
+// a 16 KiB window — a hot kernel loop whose working set is L1-resident, so
+// once warm every structure hits and the measurement isolates pure replay
+// cost (chunk dispatch and the memoized run fast paths) from miss
+// handling.
 func replayBenchBuffer(tb testing.TB) *trace.Buffer {
 	tb.Helper()
 	const n = 1 << 16
@@ -348,27 +378,8 @@ func replayBenchBuffer(tb testing.TB) *trace.Buffer {
 	return b
 }
 
-// BenchmarkStepWarmReplay: per-access replay cost of a warm machine on
-// the locality-heavy buffer — the baseline BenchmarkRunBufferWarm is
-// gated against.
-func BenchmarkStepWarmReplay(b *testing.B) {
-	s := MustNew(DefaultConfig())
-	buf := replayBenchBuffer(b)
-	rd := buf.Reader()
-	if err := s.Run(rd, buf.Len()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(rd.Next()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunBufferWarm: batched replay of the same buffer on the same
-// warm machine, drained in columnar chunks.
+// BenchmarkRunBufferWarm: warm-machine replay of that buffer, drained in
+// columnar chunks.
 func BenchmarkRunBufferWarm(b *testing.B) {
 	s := MustNew(DefaultConfig())
 	buf := replayBenchBuffer(b)
@@ -380,5 +391,108 @@ func BenchmarkRunBufferWarm(b *testing.B) {
 	b.ResetTimer()
 	if err := s.RunBuffer(rd, uint64(b.N)); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestRunAdvancesGeneratorExactly: a run draws exactly the records it
+// simulates, whatever its source — a live mix (compared with a Forked
+// twin that drew n records through Next), a BufferReader and a DPBF v2
+// StreamReader (compared by Pos as well) — so a generator ends exactly n
+// records ahead, which checkpoint splicing depends on. A MultiSystem run
+// advances each tenant by exactly its tenantQuota share.
+func TestRunAdvancesGeneratorExactly(t *testing.T) {
+	const bufLen, n = 4_099, 10_007
+	buf := materializeWorkload(t, "cc", 5, bufLen)
+	var enc bytes.Buffer
+	if _, err := buf.WriteToV2(&enc); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := trace.OpenChunked(bytes.NewReader(enc.Bytes()), int64(enc.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sameNext reports whether g and twin yield the same next records.
+	sameNext := func(g, twin trace.Generator) bool {
+		for i := 0; i < 8; i++ {
+			if g.Next() != twin.Next() {
+				return false
+			}
+		}
+		return true
+	}
+	type poser interface{ Pos() uint64 }
+	for _, src := range []struct {
+		name    string
+		g, twin trace.Generator
+	}{
+		{"mix", obsTestMix(t, 9), nil},
+		{"buffer", buf.Reader(), buf.Reader()},
+		{"stream", ct.NewReader(), ct.NewReader()},
+	} {
+		if src.twin == nil {
+			src.twin = src.g.(trace.ForkableGenerator).Fork()
+		}
+		if err := MustNew(smallConfig()).Run(src.g, n); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			src.twin.Next()
+		}
+		if p, ok := src.g.(poser); ok {
+			if got, want := p.Pos(), src.twin.(poser).Pos(); got != want {
+				t.Errorf("%s: Pos after Run = %d, want %d", src.name, got, want)
+			}
+		}
+		if !sameNext(src.g, src.twin) {
+			t.Errorf("%s: Run left the generator off the position n draws reach", src.name)
+		}
+	}
+
+	for _, top := range []struct{ cores, tenants int }{{1, 3}, {2, 3}} {
+		m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: top.cores, Tenants: top.tenants,
+			Quantum: 1_001, Shootdown: ShootdownFlushASID, UnmapEvery: 1_503})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := make([]trace.Generator, top.tenants)
+		twins := make([]trace.Generator, top.tenants)
+		for i := range gens {
+			gens[i] = obsTestMix(t, uint64(20+i))
+			twins[i] = gens[i].(trace.ForkableGenerator).Fork()
+		}
+		quota := m.tenantQuota(n)
+		if err := m.Run(gens, n); err != nil {
+			t.Fatal(err)
+		}
+		for i := range gens {
+			for j := uint64(0); j < quota[i]; j++ {
+				twins[i].Next()
+			}
+			if !sameNext(gens[i], twins[i]) {
+				t.Errorf("%dc×%dt tenant %d: Run did not advance its generator by its quota %d",
+					top.cores, top.tenants, i, quota[i])
+			}
+		}
+	}
+}
+
+// TestMultiRunContextCanceled: a canceled context stops a multi-core run
+// before its first access, with the position in the error.
+func TestMultiRunContextCanceled(t *testing.T) {
+	m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 2, Tenants: 3, Quantum: 1_001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = m.RunContext(ctx, readers(multiBuffers(t, 3, 4, 4096), nil), 1<<20)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled RunContext err = %v, want context.Canceled", err)
+	}
+	if want := fmt.Sprintf("sim: canceled at access 0 of %d: %v", 1<<20, context.Canceled); err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
+	}
+	if r := m.Result(); r.Accesses != 0 {
+		t.Errorf("canceled run simulated %d accesses", r.Accesses)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/pagetable"
 	"repro/internal/pred"
 )
 
@@ -46,44 +47,15 @@ func (s *System) Fork() (*System, error) {
 		pref = dp
 	}
 
-	n := &System{
-		cfg:             s.cfg,
-		sampleEvery:     s.sampleEvery,
-		prefFills:       s.prefFills,
-		prefUseful:      s.prefUseful,
-		accesses:        s.accesses,
-		walks:           s.walks,
-		shadowFills:     s.shadowFills,
-		walkerBusyUntil: s.walkerBusyUntil,
-		walkQueueCycles: s.walkQueueCycles,
-		stepNow:         s.stepNow,
-		asidKey:         s.asidKey,
-		base:            s.base,
-	}
-	var err error
-	if n.itlb, err = s.itlb.Clone(); err != nil {
+	n, err := s.forkCore(s.pt.Clone())
+	if err != nil {
 		return nil, err
 	}
-	if n.dtlb, err = s.dtlb.Clone(); err != nil {
-		return nil, err
-	}
+	n.prefFills, n.prefUseful = s.prefFills, s.prefUseful
 	if n.llt, err = s.llt.Clone(); err != nil {
 		return nil, err
 	}
-	if n.l1d, err = s.l1d.Clone(); err != nil {
-		return nil, err
-	}
-	if n.l2, err = s.l2.Clone(); err != nil {
-		return nil, err
-	}
 	if n.llc, err = s.llc.Clone(); err != nil {
-		return nil, err
-	}
-	n.pt = s.pt.Clone()
-	core := s.cpuCore.Clone()
-	n.core = core
-	n.cpuCore = core
-	if n.walk, err = s.walk.Clone(n.pt, n.ptFetch); err != nil {
 		return nil, err
 	}
 	if n.tlbPred, err = ct.CloneTLB(n.llt.Inner()); err != nil {
@@ -96,5 +68,45 @@ func (s *System) Fork() (*System, error) {
 		n.tlbPref = pref.Clone()
 	}
 	n.cachePredIfaces()
+	return n, nil
+}
+
+// forkCore copies a machine's core-private state — its counters, L1 TLBs,
+// L1D, L2, timing core, and a walker bound to pt — into a new System.
+// The shared levels (LLT, LLC), the predictors and the hooks are left for
+// the caller, which has checked that s has a real timing core.
+func (s *System) forkCore(pt *pagetable.PageTable) (*System, error) {
+	n := &System{
+		cfg:             s.cfg,
+		sampleEvery:     s.sampleEvery,
+		accesses:        s.accesses,
+		walks:           s.walks,
+		shadowFills:     s.shadowFills,
+		walkerBusyUntil: s.walkerBusyUntil,
+		walkQueueCycles: s.walkQueueCycles,
+		stepNow:         s.stepNow,
+		asidKey:         s.asidKey,
+		base:            s.base,
+		pt:              pt,
+	}
+	var err error
+	if n.itlb, err = s.itlb.Clone(); err != nil {
+		return nil, err
+	}
+	if n.dtlb, err = s.dtlb.Clone(); err != nil {
+		return nil, err
+	}
+	if n.l1d, err = s.l1d.Clone(); err != nil {
+		return nil, err
+	}
+	if n.l2, err = s.l2.Clone(); err != nil {
+		return nil, err
+	}
+	if n.walk, err = s.walk.Clone(pt, n.ptFetch); err != nil {
+		return nil, err
+	}
+	core := s.cpuCore.Clone()
+	n.core = core
+	n.cpuCore = core
 	return n, nil
 }

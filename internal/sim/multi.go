@@ -355,50 +355,6 @@ func (m *MultiSystem) SetLLCPredictor(p pred.LLCPredictor) {
 	}
 }
 
-// Step advances the machine by one access: the next core in the fixed
-// round-robin consumes one record from its running tenant's generator.
-// gens holds one generator per tenant, indexed by tenant ID.
-func (m *MultiSystem) Step(gens []trace.Generator) error {
-	if len(gens) != len(m.tenants) {
-		return fmt.Errorf("sim: %d generators for %d tenants", len(gens), len(m.tenants))
-	}
-	c := m.active[m.rr]
-	m.rr = (m.rr + 1) % len(m.active)
-	return m.stepCore(c, gens)
-}
-
-func (m *MultiSystem) stepCore(c int, gens []trace.Generator) error {
-	ti := m.coreTenants[c][m.curTenant[c]]
-	return m.stepCoreAccess(c, ti, gens[ti].Next())
-}
-
-// stepCoreAccess feeds one already-fetched record of tenant ti through
-// core c — the shared tail of the per-access and chunked step loops.
-func (m *MultiSystem) stepCoreAccess(c, ti int, a trace.Access) error {
-	t := m.tenants[ti]
-	s := m.cores[c]
-
-	if err := s.Step(a); err != nil {
-		return fmt.Errorf("sim: core %d tenant %d: %w", c, ti, err)
-	}
-	m.steps++
-	t.accesses++
-	if m.cfg.UnmapEvery > 0 {
-		t.touch(arch.VPN(a.Addr.Page()) | arch.VPN(t.asidKey))
-		if t.accesses%m.cfg.UnmapEvery == 0 {
-			m.injectUnmap(t)
-		}
-	}
-	if m.cfg.Quantum > 0 && len(m.coreTenants[c]) > 1 {
-		m.sliceLeft[c]--
-		if m.sliceLeft[c] == 0 {
-			m.contextSwitch(c)
-			m.sliceLeft[c] = m.cfg.Quantum
-		}
-	}
-	return nil
-}
-
 // contextSwitch rotates core c to its next pinned tenant: the ASID key and
 // page-table binding swap; every hardware structure keeps its contents.
 // TLB entries, predictor state and page-walk-cache entries are all keyed by
@@ -455,42 +411,64 @@ func (m *MultiSystem) shootdown(t *tenantState) {
 }
 
 // Run feeds n total accesses through the machine (round-robin across
-// cores), one generator per tenant.
+// cores), one generator per tenant. Each tenant needs its own generator:
+// a tenant draws its records a chunk ahead of the schedule.
 func (m *MultiSystem) Run(gens []trace.Generator, n uint64) error {
 	return m.RunContext(context.Background(), gens, n)
 }
 
-// RunContext is Run with cancellation, checked on the same coarse stride
-// as System.RunContext. When every tenant's generator supports columnar
-// chunk draining it switches to the chunked step loop, which consumes
-// whole chunks per tenant instead of one Generator interface call per
-// access; results are bit-identical either way.
+// RunContext is Run with cancellation, checked every ctxCheckStride
+// accesses. Each tenant keeps a cursor into a chunk drawn from its
+// generator, bounded by tenantQuota so every generator ends exactly at its
+// share of the n accesses. The round-robin schedule hands out segments:
+// while several cores interleave a segment is one access, and when a
+// single core is active it runs until its quantum ends, its tenant's next
+// unmap falls due, the chunk or the run ends, or a stride boundary comes.
+// Either way the machine sees the accesses in schedule order.
 func (m *MultiSystem) RunContext(ctx context.Context, gens []trace.Generator, n uint64) error {
 	if len(gens) != len(m.tenants) {
 		return fmt.Errorf("sim: %d generators for %d tenants", len(gens), len(m.tenants))
 	}
-	if crs := chunkReaders(gens); crs != nil {
-		return m.runContextChunked(ctx, gens, crs, n)
+	type cursor struct {
+		src     chunkSource
+		scratch trace.Chunk
+		c       trace.Chunk
+		off     int
+		left    uint64 // accesses still to draw from the generator
 	}
-	if done := ctx.Done(); done != nil {
-		for i := uint64(0); i < n; i++ {
-			if i&(ctxCheckStride-1) == 0 {
-				select {
-				case <-done:
-					return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
-				default:
-				}
-			}
-			if err := m.Step(gens); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
-			}
-		}
-	} else {
-		for i := uint64(0); i < n; i++ {
-			if err := m.Step(gens); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
+	cur := make([]cursor, len(gens))
+	for ti, q := range m.tenantQuota(n) {
+		cur[ti].src = newChunkSource(gens[ti], &cur[ti].scratch)
+		cur[ti].left = q
+	}
+	var bm batchMemo
+	solo := len(m.active) == 1
+	done := ctx.Done()
+	for i := uint64(0); i < n; {
+		if done != nil && i&(ctxCheckStride-1) == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
+			default:
 			}
 		}
+		c := m.active[m.rr]
+		m.rr = (m.rr + 1) % len(m.active)
+		ti := m.coreTenants[c][m.curTenant[c]]
+		tc := &cur[ti]
+		if tc.off == len(tc.c.PC) {
+			tc.c, tc.off = tc.src.next(int(min(tc.left, ctxCheckStride))), 0
+			tc.left -= uint64(len(tc.c.PC))
+		}
+		k := 1
+		if solo {
+			k = m.segmentLen(c, ti, len(tc.c.PC)-tc.off, min(n-i, ctxCheckStride-i&(ctxCheckStride-1)))
+		}
+		if err := m.runSegment(&bm, i, c, ti, &tc.c, tc.off, tc.off+k); err != nil {
+			return err
+		}
+		tc.off += k
+		i += uint64(k)
 	}
 	for ti, g := range gens {
 		if err := trace.GeneratorErr(g); err != nil {
@@ -500,31 +478,62 @@ func (m *MultiSystem) RunContext(ctx context.Context, gens []trace.Generator, n 
 	return nil
 }
 
-// chunkReaders returns the generators' ChunkReader views, or nil unless
-// every one supports chunk draining.
-func chunkReaders(gens []trace.Generator) []trace.ChunkReader {
-	if len(gens) == 0 {
-		return nil
+// segmentLen bounds the segment core c runs for tenant ti when it is the
+// only active core: no further than the avail records left in the chunk
+// or the limit the run sets, the end of the tenant's quantum, or its next
+// unmap point — scheduling events happen only between segments.
+func (m *MultiSystem) segmentLen(c, ti, avail int, limit uint64) int {
+	k := min(uint64(avail), limit)
+	if m.cfg.Quantum > 0 && len(m.coreTenants[c]) > 1 {
+		k = min(k, m.sliceLeft[c])
 	}
-	crs := make([]trace.ChunkReader, len(gens))
-	for i, g := range gens {
-		cr, ok := g.(trace.ChunkReader)
-		if !ok {
-			return nil
+	if u := m.cfg.UnmapEvery; u > 0 {
+		k = min(k, u-m.tenants[ti].accesses%u)
+	}
+	return int(k)
+}
+
+// runSegment feeds one segment of tenant ti's records through core c with
+// the batch memo reset, then applies what the accesses did to the schedule:
+// the unmap ring sees every data page, the counters advance, a due unmap
+// and its shootdown run, and an expired quantum switches the tenant. i is
+// the run's access count at the segment start, for error messages.
+func (m *MultiSystem) runSegment(bm *batchMemo, i uint64, c, ti int, ch *trace.Chunk, lo, hi int) error {
+	t := m.tenants[ti]
+	s := m.cores[c]
+	bm.reset(s)
+	if at, err := s.runBatch(bm, ch, lo, hi); err != nil {
+		return fmt.Errorf("sim: access %d: sim: core %d tenant %d: %w", i+uint64(at), c, ti, err)
+	}
+	k := uint64(hi - lo)
+	if m.cfg.UnmapEvery > 0 {
+		for _, v := range ch.VA[lo:hi] {
+			t.touch(arch.VAddr(v).Page() | arch.VPN(t.asidKey))
 		}
-		crs[i] = cr
 	}
-	return crs
+	m.steps += k
+	t.accesses += k
+	if m.cfg.UnmapEvery > 0 && t.accesses%m.cfg.UnmapEvery == 0 {
+		m.injectUnmap(t)
+	}
+	if m.cfg.Quantum > 0 && len(m.coreTenants[c]) > 1 {
+		m.sliceLeft[c] -= k
+		if m.sliceLeft[c] == 0 {
+			m.contextSwitch(c)
+			m.sliceLeft[c] = m.cfg.Quantum
+		}
+	}
+	return nil
 }
 
 // tenantQuota computes how many accesses each tenant will consume over
 // the next n machine steps. The schedule is a pure function of the
 // current scheduling state (round-robin cursor, per-core tenant rotation,
 // quantum remainders) and nothing an access does feeds back into it, so
-// the chunked loop can replay it cheaply in advance and bound each
-// tenant's generator draw to exactly its consumption — keeping generator
-// positions identical to the per-access loop's, which the checkpoint
-// splice protocol depends on.
+// RunContext can replay it cheaply in advance and bound each tenant's
+// generator draw to exactly its consumption: every generator ends at the
+// position a one-record-at-a-time drive would leave it at, which the
+// checkpoint splice protocol depends on.
 func (m *MultiSystem) tenantQuota(n uint64) []uint64 {
 	quota := make([]uint64, len(m.tenants))
 	multi := false
@@ -565,72 +574,6 @@ func (m *MultiSystem) tenantQuota(n uint64) []uint64 {
 		}
 	}
 	return quota
-}
-
-// runContextChunked is the chunked multi-generator step loop: each tenant
-// keeps a cursor into its generator's current columnar chunk and refills
-// it with one NextChunk call per ctxCheckStride records, so the
-// round-robin scheduler — which is unchanged, access for access — no
-// longer pays a Generator interface call per access. Draws are bounded by
-// the precomputed per-tenant quota so generators end at exactly the
-// positions the per-access loop leaves them at. A tenant whose source can
-// produce no chunk (empty trace, latched v2 decode error) degrades to
-// per-access Next for exactly the accesses scheduled to it, which is what
-// the per-access loop would have fed the core anyway.
-func (m *MultiSystem) runContextChunked(ctx context.Context, gens []trace.Generator, crs []trace.ChunkReader, n uint64) error {
-	type cursor struct {
-		c   trace.Chunk
-		off int
-	}
-	cur := make([]cursor, len(crs))
-	left := m.tenantQuota(n)
-	done := ctx.Done()
-	for i := uint64(0); i < n; i++ {
-		if done != nil && i&(ctxCheckStride-1) == 0 {
-			select {
-			case <-done:
-				return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
-			default:
-			}
-		}
-		c := m.active[m.rr]
-		m.rr = (m.rr + 1) % len(m.active)
-		ti := m.coreTenants[c][m.curTenant[c]]
-		tc := &cur[ti]
-		if tc.off >= tc.c.Len() {
-			want := left[ti]
-			if want > ctxCheckStride {
-				want = ctxCheckStride
-			}
-			ch, _ := crs[ti].NextChunk(int(want))
-			left[ti] -= uint64(ch.Len())
-			if ch.Len() == 0 {
-				if err := m.stepCoreAccess(c, ti, crs[ti].Next()); err != nil {
-					return fmt.Errorf("sim: access %d: %w", i, err)
-				}
-				continue
-			}
-			tc.c, tc.off = ch, 0
-		}
-		o := tc.off
-		tc.off++
-		a := trace.Access{
-			PC:        tc.c.PC[o],
-			Addr:      arch.VAddr(tc.c.VA[o]),
-			Gap:       tc.c.Gap[o],
-			Write:     tc.c.Flags[o]&trace.FlagWrite != 0,
-			Dependent: tc.c.Flags[o]&trace.FlagDependent != 0,
-		}
-		if err := m.stepCoreAccess(c, ti, a); err != nil {
-			return fmt.Errorf("sim: access %d: %w", i, err)
-		}
-	}
-	for ti, g := range gens {
-		if err := trace.GeneratorErr(g); err != nil {
-			return fmt.Errorf("sim: tenant %d after %d total accesses: %w", ti, n, err)
-		}
-	}
-	return nil
 }
 
 // EnableAccuracyTracking creates one pair of mirror accuracy trackers over

@@ -7,7 +7,7 @@ import (
 )
 
 // benchMulti warms a machine and returns it with infinite per-tenant
-// generators, ready for steady-state stepping.
+// generators, ready for a steady-state run.
 func benchMulti(b *testing.B, mc MultiConfig) (*MultiSystem, []trace.Generator) {
 	b.Helper()
 	m, err := NewMulti(mc)
@@ -34,10 +34,8 @@ func BenchmarkMultiCoreStep(b *testing.B) {
 		Quantum: 10_000, Shootdown: ShootdownFlushASID})
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(gens); err != nil {
-			b.Fatal(err)
-		}
+	if err := m.Run(gens, uint64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -52,9 +50,7 @@ func BenchmarkSharedLLTContention(b *testing.B) {
 		Quantum: 2_000, Shootdown: ShootdownFlushASID, UnmapEvery: 5_000})
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Step(gens); err != nil {
-			b.Fatal(err)
-		}
+	if err := m.Run(gens, uint64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }

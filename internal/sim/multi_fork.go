@@ -81,46 +81,20 @@ func (m *MultiSystem) Fork() (*MultiSystem, error) {
 		if s.cpuCore == nil {
 			return nil, fmt.Errorf("sim: cannot fork core %d with a substituted core model", c)
 		}
-		ns := &System{
-			cfg:             s.cfg,
-			sampleEvery:     s.sampleEvery,
-			accesses:        s.accesses,
-			walks:           s.walks,
-			shadowFills:     s.shadowFills,
-			walkerBusyUntil: s.walkerBusyUntil,
-			walkQueueCycles: s.walkQueueCycles,
-			stepNow:         s.stepNow,
-			asidKey:         s.asidKey,
-			base:            s.base,
+		// The core's bound address space is whichever tenant is running
+		// on it; idle cores were bound to tenant 0 at construction.
+		pt := n.tenants[0].pt
+		if lst := n.coreTenants[c]; len(lst) > 0 {
+			pt = n.tenants[lst[n.curTenant[c]]].pt
 		}
-		if ns.itlb, err = s.itlb.Clone(); err != nil {
-			return nil, err
-		}
-		if ns.dtlb, err = s.dtlb.Clone(); err != nil {
-			return nil, err
-		}
-		if ns.l1d, err = s.l1d.Clone(); err != nil {
-			return nil, err
-		}
-		if ns.l2, err = s.l2.Clone(); err != nil {
+		ns, err := s.forkCore(pt)
+		if err != nil {
 			return nil, err
 		}
 		ns.llt = n.llt
 		ns.llc = n.llc
 		ns.tlbPred = n.tlbPred
 		ns.llcPred = n.llcPred
-		// The core's bound address space is whichever tenant is running
-		// on it; idle cores were bound to tenant 0 at construction.
-		ns.pt = n.tenants[0].pt
-		if lst := n.coreTenants[c]; len(lst) > 0 {
-			ns.pt = n.tenants[lst[n.curTenant[c]]].pt
-		}
-		if ns.walk, err = s.walk.Clone(ns.pt, ns.ptFetch); err != nil {
-			return nil, err
-		}
-		core := s.cpuCore.Clone()
-		ns.core = core
-		ns.cpuCore = core
 		ns.cachePredIfaces()
 		if len(n.cores) > 1 {
 			ns.backInv = n.backInvalidate

@@ -3,14 +3,17 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // FuzzMultiCoreDeterminism is the machine-level determinism contract under
 // fuzzer-chosen topologies: any (cores, tenants, quantum, unmap cadence,
 // shootdown policy, workload seed) combination must produce deeply equal
-// results when run twice from scratch. Scheduling, shootdown broadcast
-// order, shared-structure contention and ASID tagging all sit under this
-// single invariant.
+// results when run twice from scratch, and those results must match the
+// per-access reference driver's. Scheduling, shootdown broadcast order,
+// shared-structure contention and ASID tagging all sit under this single
+// invariant.
 func FuzzMultiCoreDeterminism(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint16(0), uint16(0), uint64(1), false)
 	f.Add(uint8(2), uint8(3), uint16(700), uint16(900), uint64(7), false)
@@ -29,7 +32,7 @@ func FuzzMultiCoreDeterminism(f *testing.F) {
 		}
 		const steps = 12_000
 		bufs := multiBuffers(t, mc.Tenants, seed, steps)
-		run := func() MultiResult {
+		run := func(drive func(*MultiSystem, []trace.Generator, uint64) error) MultiResult {
 			m, err := NewMulti(mc)
 			if err != nil {
 				t.Fatal(err)
@@ -39,16 +42,20 @@ func FuzzMultiCoreDeterminism(f *testing.F) {
 				t.Fatal(err)
 			}
 			m.StartMeasurement()
-			if err := m.Run(readers(bufs, nil), steps); err != nil {
+			if err := drive(m, readers(bufs, nil), steps); err != nil {
 				t.Fatal(err)
 			}
 			m.Finish()
 			return m.Result()
 		}
-		a, b := run(), run()
+		a, b := run((*MultiSystem).Run), run((*MultiSystem).Run)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("runs of %dc×%dt q=%d u=%d %s diverged:\n  a=%+v\n  b=%+v",
 				mc.Cores, mc.Tenants, mc.Quantum, mc.UnmapEvery, mc.Shootdown, a, b)
+		}
+		if ref := run(refMultiRun); !reflect.DeepEqual(a, ref) {
+			t.Errorf("run of %dc×%dt q=%d u=%d %s diverged from the reference:\n  run=%+v\n  ref=%+v",
+				mc.Cores, mc.Tenants, mc.Quantum, mc.UnmapEvery, mc.Shootdown, a, ref)
 		}
 		// A third run through fork must match too: fork at time zero is
 		// construction-equivalent.

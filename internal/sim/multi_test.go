@@ -345,7 +345,7 @@ func TestPostShootdownMiss(t *testing.T) {
 	}
 
 	walksBefore := m.Core(0).walks
-	if err := m.Step([]trace.Generator{g}); err != nil {
+	if err := m.Run([]trace.Generator{g}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The single-tenant shootdown flushed the instruction page's

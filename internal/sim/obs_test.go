@@ -129,7 +129,8 @@ func TestObserverEventAndSampleContents(t *testing.T) {
 }
 
 // TestDisabledObserverStepAllocatesNothing asserts the disabled-observer
-// hot path stays allocation-free: tracing must cost nothing when off.
+// hot path stays allocation-free: tracing must cost nothing when off, and
+// a warm run from a live generator reuses its scratch chunk.
 func TestDisabledObserverStepAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	s, err := New(cfg)
@@ -144,13 +145,13 @@ func TestDisabledObserverStepAllocatesNothing(t *testing.T) {
 	if err := s.Run(g, 400_000); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(2000, func() {
-		if err := s.Step(g.Next()); err != nil {
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Run(g, 10); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("Step with observer disabled allocates %.2f/op, want 0", allocs)
+		t.Errorf("Run with observer disabled allocates %.2f/op, want 0", allocs)
 	}
 }
 
@@ -182,10 +183,8 @@ func BenchmarkStepObserverDisabled(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(g.Next()); err != nil {
-			b.Fatal(err)
-		}
+	if err := s.Run(g, uint64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -206,10 +205,8 @@ func BenchmarkStepObserverTracing(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(g.Next()); err != nil {
-			b.Fatal(err)
-		}
+	if err := s.Run(g, uint64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -225,9 +222,7 @@ func BenchmarkStepWarm(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(g.Next()); err != nil {
-			b.Fatal(err)
-		}
+	if err := s.Run(g, uint64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }

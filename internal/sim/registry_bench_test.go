@@ -6,7 +6,7 @@ import (
 	"repro/internal/pred"
 )
 
-// BenchmarkRegistryDispatch measures the warm step path with the paper's
+// BenchmarkRegistryDispatch measures the warm run path with the paper's
 // TLB predictor resolved and constructed through the registry instead of a
 // direct constructor call. Registry dispatch happens once, at construction;
 // this benchmark pins that registry-built predictors add no indirection to
@@ -30,10 +30,8 @@ func BenchmarkRegistryDispatch(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Step(g.Next()); err != nil {
-			b.Fatal(err)
-		}
+	if err := s.Run(g, uint64(b.N)); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -97,7 +97,7 @@ type System struct {
 	// walker (reported for diagnostics).
 	walkQueueCycles uint64
 
-	// stepNow is the core cycle at the start of the current Step. The
+	// stepNow is the core cycle at the start of the current access. The
 	// core's clock only moves in Advance (before the access) and Memory
 	// (after it), so every structure touched within one access sees the
 	// same timestamp; caching it avoids float→int conversions per probe.
@@ -117,6 +117,10 @@ type System struct {
 
 	// Measurement baseline (set by StartMeasurement).
 	base snapshot
+
+	// scratch holds the columns RunContext fills from a generator that
+	// cannot serve chunks itself; kept so a warm run allocates nothing.
+	scratch trace.Chunk
 }
 
 // coreModel is the slice of the timing core the system needs; it lets
@@ -277,58 +281,6 @@ func (s *System) EnableCharacterization(sampleEvery uint64) {
 // now returns the timestamp used for entry metadata: the core's cycle.
 func (s *System) now() uint64 { return uint64(s.core.Cycles()) }
 
-// Step feeds one trace record through the machine.
-func (s *System) Step(a trace.Access) error {
-	if cc := s.cpuCore; cc != nil {
-		if a.Gap > 0 {
-			cc.Advance(uint64(a.Gap))
-		}
-		s.stepNow = uint64(cc.Cycles())
-	} else {
-		if a.Gap > 0 {
-			s.core.Advance(uint64(a.Gap))
-		}
-		s.stepNow = uint64(s.core.Cycles())
-	}
-	s.accesses++
-
-	// Instruction-side translation: the fetch of the memory instruction
-	// itself. L1 I-TLB hits are free; misses go through the shared LLT.
-	iLat, _, err := s.translate(arch.VAddr(a.PC).Page(), a.PC, true)
-	if err != nil {
-		return err
-	}
-
-	// Data-side translation.
-	dLat, pfn, err := s.translate(a.Addr.Page(), a.PC, false)
-	if err != nil {
-		return err
-	}
-
-	// Data access through the cache hierarchy.
-	pa := arch.Translate(pfn, a.Addr)
-	memLat := s.memAccess(pa, a.PC, a.Write)
-
-	if s.histMemLat != nil {
-		s.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
-	}
-
-	if cc := s.cpuCore; cc != nil {
-		cc.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), a.Dependent)
-	} else {
-		s.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), a.Dependent)
-	}
-
-	if s.lltSampler != nil && s.accesses%s.sampleEvery == 0 {
-		s.lltSampler.Sample(s.llt.Inner())
-		s.llcSampler.Sample(s.llc)
-	}
-	if s.intervalEvery != 0 && s.accesses%s.intervalEvery == 0 {
-		s.sampleInterval()
-	}
-	return nil
-}
-
 // Run feeds n accesses from the generator. A generator that latches an
 // error mid-stream (trace.ErrGenerator) fails the run rather than feeding
 // the simulator its repeated final access.
@@ -336,35 +288,34 @@ func (s *System) Run(g trace.Generator, n uint64) error {
 	return s.RunContext(context.Background(), g, n)
 }
 
-// ctxCheckStride is how many accesses RunContext simulates between context
-// checks. It is a power of two so the check compiles to a mask, and coarse
-// enough to be invisible next to the per-access simulation work.
+// ctxCheckStride is the longest chunk a run draws from its generator and
+// so the coarsest granularity of its context checks. It is a power of two
+// so stride arithmetic compiles to masks, and coarse enough to be
+// invisible next to the per-access simulation work.
 const ctxCheckStride = 4096
 
-// RunContext is Run with cancellation: the access loop checks ctx on a
-// coarse stride and stops with ctx's error when it is canceled. A
-// background (uncancelable) context takes a separate loop with no check at
-// all, so the hot path pays nothing for the capability.
+// RunContext is Run with cancellation. It draws the generator in columnar
+// chunks of at most ctxCheckStride accesses and feeds each through the
+// batched loop, checking ctx before every chunk and stopping with ctx's
+// error when it is canceled. The generator ends exactly n records ahead.
 func (s *System) RunContext(ctx context.Context, g trace.Generator, n uint64) error {
-	if done := ctx.Done(); done != nil {
-		for i := uint64(0); i < n; i++ {
-			if i&(ctxCheckStride-1) == 0 {
-				select {
-				case <-done:
-					return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
-				default:
-				}
-			}
-			if err := s.Step(g.Next()); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
-			}
-		}
-	} else {
-		for i := uint64(0); i < n; i++ {
-			if err := s.Step(g.Next()); err != nil {
-				return fmt.Errorf("sim: access %d: %w", i, err)
+	src := newChunkSource(g, &s.scratch)
+	var m batchMemo
+	m.reset(s)
+	done := ctx.Done()
+	for i := uint64(0); i < n; {
+		if done != nil {
+			select {
+			case <-done:
+				return fmt.Errorf("sim: canceled at access %d of %d: %w", i, n, ctx.Err())
+			default:
 			}
 		}
+		c := src.next(int(min(n-i, ctxCheckStride)))
+		if at, err := s.runBatch(&m, &c, 0, c.Len()); err != nil {
+			return fmt.Errorf("sim: access %d: %w", i+uint64(at), err)
+		}
+		i += uint64(c.Len())
 	}
 	if err := trace.GeneratorErr(g); err != nil {
 		return fmt.Errorf("sim: after %d accesses: %w", n, err)

@@ -29,8 +29,8 @@ type Buffer struct {
 
 // Per-record flag bits of the packed flags byte. Bits 2..7 are reserved
 // and must be zero on disk. FlagWrite and FlagDependent are exported so the
-// batched simulation path (sim.System.RunBatch) can decode a flags column
-// without reconstructing Access values.
+// simulator's batched access loop can decode a flags column without
+// reconstructing Access values.
 const (
 	FlagWrite     uint8 = 1 << 0
 	FlagDependent uint8 = 1 << 1
