@@ -272,7 +272,16 @@ func run() error {
 		if observer != nil {
 			metrics = observer.Metrics
 		}
-		mres, err = runMulticore(ctx, w, mcfg, tlbReg, llcReg, *accuracy, metrics, board, *seed, *warmup, *measure)
+		cell := fmt.Sprintf("%dc×%dt", mcfg.Cores, mcfg.Tenants)
+		start := time.Now()
+		if board != nil {
+			board.CellQueued(w.Name, cell)
+			board.CellStart(w.Name, cell)
+		}
+		mres, err = exp.RunMulti(ctx, r.Params(), w, mcfg, tlbReg, llcReg, *accuracy, metrics)
+		if board != nil {
+			board.CellDone(w.Name, cell, time.Since(start), err)
+		}
 	case *ckptOut != "" || *ckptIn != "":
 		if observer != nil {
 			return fmt.Errorf("checkpoints cannot be combined with -trace-out/-metrics-out/-serve (observers span the whole run, including warmup)")
@@ -280,7 +289,7 @@ func run() error {
 		if setup.Oracle {
 			return fmt.Errorf("the oracle's two-pass protocol cannot be checkpointed")
 		}
-		res, err = runWithCheckpoint(ctx, r, w, setup, *ckptOut, *ckptIn, *seed, *warmup, *measure)
+		res, err = runWithCheckpoint(ctx, r, w, setup, *ckptOut, *ckptIn)
 	default:
 		res, err = r.Run(w, setup)
 	}
@@ -393,71 +402,6 @@ func openTraceGenerator(f *os.File) (trace.Generator, error) {
 	return b.Reader(), nil
 }
 
-// runMulticore builds the multi-core machine, feeds every tenant its own
-// generator (seeded seed+tenantID), and measures with optional accuracy and
-// confusion grading on the shared LLT/LLC. The live-monitoring board gets a
-// single cell named after the topology.
-func runMulticore(ctx context.Context, w trace.Workload, mc sim.MultiConfig, tlbReg, llcReg *pred.Registration,
-	accuracy bool, metrics *obs.Registry, board *serve.Board, seed, warmup, measure uint64) (sim.MultiResult, error) {
-	m, err := sim.NewMulti(mc)
-	if err != nil {
-		return sim.MultiResult{}, err
-	}
-	if tlbReg != nil {
-		p, err := tlbReg.NewTLB(m.LLT().Inner())
-		if err != nil {
-			return sim.MultiResult{}, err
-		}
-		m.SetTLBPredictor(p)
-	}
-	if llcReg != nil {
-		p, err := llcReg.NewLLC(m.LLC())
-		if err != nil {
-			return sim.MultiResult{}, err
-		}
-		m.SetLLCPredictor(p)
-	}
-	m.AttachMetrics(metrics)
-
-	cell := fmt.Sprintf("%dc×%dt", mc.Cores, mc.Tenants)
-	start := time.Now()
-	if board != nil {
-		board.CellQueued(w.Name, cell)
-		board.CellStart(w.Name, cell)
-	}
-	run := func() error {
-		gens := make([]trace.Generator, mc.Tenants)
-		for t := range gens {
-			gens[t] = w.New(seed + uint64(t))
-		}
-		if err := m.RunContext(ctx, gens, warmup); err != nil {
-			return err
-		}
-		if accuracy {
-			if err := m.EnableAccuracyTracking(); err != nil {
-				return err
-			}
-			if err := m.EnableConfusionTracking(); err != nil {
-				return err
-			}
-		}
-		m.StartMeasurement()
-		if err := m.RunContext(ctx, gens, measure); err != nil {
-			return err
-		}
-		m.Finish()
-		return nil
-	}
-	err = run()
-	if board != nil {
-		board.CellDone(w.Name, cell, time.Since(start), err)
-	}
-	if err != nil {
-		return sim.MultiResult{}, err
-	}
-	return m.Result(), nil
-}
-
 // printMulti renders the multi-core run's statistics. The shared-structure
 // counters (LLT, LLC) repeat identically in every PerCore entry, so they are
 // read from core 0; walks, instructions and the scheduling counters are
@@ -505,12 +449,12 @@ const _ uint = -(ffStride & (ffStride - 1))
 // file. A restored run fast-forwards its generator by the checkpoint's
 // consumed-access count and is bit-identical to the cold run that produced
 // the checkpoint.
-func runWithCheckpoint(ctx context.Context, r *exp.Runner, w trace.Workload, setup exp.Setup, outPath, inPath string, seed, warmup, measure uint64) (sim.Result, error) {
+func runWithCheckpoint(ctx context.Context, r *exp.Runner, w trace.Workload, setup exp.Setup, outPath, inPath string) (sim.Result, error) {
 	s, err := r.BuildSystem(setup)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	g := w.New(seed)
+	g := w.New(r.Params().Seed)
 	if inPath != "" {
 		f, err := os.Open(inPath)
 		if err != nil {
@@ -542,7 +486,7 @@ func runWithCheckpoint(ctx context.Context, r *exp.Runner, w trace.Workload, set
 			return sim.Result{}, fmt.Errorf("fast-forwarding %s: %w", inPath, err)
 		}
 		fmt.Fprintf(os.Stderr, "deadsim: restored %s (%d warm accesses)\n", inPath, meta.Accesses)
-	} else if err := s.RunContext(ctx, g, warmup); err != nil {
+	} else if err := s.RunContext(ctx, g, r.Params().Warmup); err != nil {
 		return sim.Result{}, err
 	}
 	if outPath != "" {
@@ -559,18 +503,5 @@ func runWithCheckpoint(ctx context.Context, r *exp.Runner, w trace.Workload, set
 		}
 		fmt.Fprintf(os.Stderr, "deadsim: wrote checkpoint %s\n", outPath)
 	}
-	if setup.Instrument.Accuracy {
-		if err := s.EnableAccuracyTracking(); err != nil {
-			return sim.Result{}, err
-		}
-	}
-	if setup.Instrument.Characterize {
-		s.EnableCharacterization(20_000)
-	}
-	s.StartMeasurement()
-	if err := s.RunContext(ctx, g, measure); err != nil {
-		return sim.Result{}, err
-	}
-	s.Finish()
-	return s.Result(), nil
+	return r.Measure(ctx, s, g, setup)
 }

@@ -395,6 +395,8 @@ func run() error {
 	if *verbose {
 		shared, alone := r.RecordPasses()
 		fmt.Fprintf(os.Stderr, "paperexp: oracle record passes: %d shared with the baseline cell, %d run alone\n", shared, alone)
+		forked, cold := r.WarmForks()
+		fmt.Fprintf(os.Stderr, "paperexp: warm-state forks: %d forked, %d fell back to cold\n", forked, cold)
 	}
 	fmt.Fprintf(os.Stderr, "paperexp: done in %v\n", time.Since(start).Round(time.Second))
 	return nil

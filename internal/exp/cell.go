@@ -134,24 +134,15 @@ type CellMemo interface {
 // result and error stand as the cell's outcome.
 type CellExecutor func(ctx context.Context, key string, w trace.Workload, setup Setup) (res sim.Result, handled bool, err error)
 
-// cellKey keys a cell for the persistent memo / executor, caching the
-// workload fingerprint per workload name (every setup shares it).
-func (r *Runner) cellKey(w trace.Workload, setup Setup) (string, error) {
-	r.fpMu.Lock()
-	fp, ok := r.fpMemo[w.Name]
-	r.fpMu.Unlock()
-	if !ok {
-		f, err := WorkloadFingerprint(w, r.params.Seed, r.params.Warmup+r.params.Measure)
-		if err != nil {
-			return "", err
-		}
-		fp = f
-		r.fpMu.Lock()
-		if r.fpMemo == nil {
-			r.fpMemo = make(map[string]string)
-		}
-		r.fpMemo[w.Name] = fp
-		r.fpMu.Unlock()
+// cellKey keys a cell for the persistent memo / executor. The workload
+// fingerprint is single-flight per workload name: every setup shares it,
+// and concurrent cells of one workload hash its stream once.
+func (r *Runner) cellKey(ctx context.Context, w trace.Workload, setup Setup) (string, error) {
+	fp, _, err := r.fps.do(ctx, w.Name, func() (string, error) {
+		return WorkloadFingerprint(w, r.params.Seed, r.params.Warmup+r.params.Measure)
+	})
+	if err != nil {
+		return "", err
 	}
 	return CellKey(fp, setup, r.params), nil
 }

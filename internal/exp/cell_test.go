@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -273,5 +274,39 @@ func TestExecutorFallback(t *testing.T) {
 	_, err = r2.Run(w, Baseline())
 	if err == nil || !strings.Contains(err.Error(), "cc under baseline") {
 		t.Fatalf("executor error lost the cell prefix: %v", err)
+	}
+}
+
+// passMemo is a CellMemo that never hits and keeps nothing, so a runner
+// keys every cell without the memo changing what it computes.
+type passMemo struct{}
+
+func (passMemo) Get(string) (sim.Result, bool, error)   { return sim.Result{}, false, nil }
+func (passMemo) Put(string, CellMeta, sim.Result) error { return nil }
+
+// TestFingerprintOncePerWorkload: concurrent cells of one workload share
+// its fingerprint. With a memo configured every cell is keyed before it
+// takes a pool slot, and the first generator construction (the first
+// fingerprint's) stalls, so every other cell arrives while it is in flight.
+// The workload's generator must be built exactly twice: once to
+// fingerprint the workload, once to materialize its trace.
+func TestFingerprintOncePerWorkload(t *testing.T) {
+	inner := testWorkload(t, "cc")
+	var built atomic.Int64
+	w := trace.Workload{Name: inner.Name, New: func(seed uint64) trace.Generator {
+		if built.Add(1) == 1 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		return inner.New(seed)
+	}}
+	r := NewRunner(cellTestParams)
+	r.SetJobs(4)
+	r.Memo = passMemo{}
+	setups := []Setup{Baseline(), DPPredSetup(), SHiPTLBSetup(), AIPTLBSetup()}
+	if err := r.RunGrid([]trace.Workload{w}, setups); err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Load(); n != 2 {
+		t.Fatalf("%d cells built the workload's generator %d times, want 2 (one fingerprint, one trace)", len(setups), n)
 	}
 }

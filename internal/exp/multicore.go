@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/pred"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -74,20 +74,9 @@ func multiCoreSweep(r *Runner, coreCounts, tenantCounts []int) (Series, error) {
 				return
 			}
 			defer func() { <-r.sem }()
-			if r.ProgressStart != nil {
-				r.ProgressStart(w.Name, c.name())
-			}
-			if r.Status != nil {
-				r.Status.CellStart(w.Name, c.name())
-			}
-			start := time.Now()
+			done := r.cellSpan(w.Name, c.name())
 			results[i], errs[i] = runMultiCell(ctx, r.params, w, c)
-			if r.ProgressDone != nil {
-				r.ProgressDone(w.Name, c.name(), time.Since(start), errs[i])
-			}
-			if r.Status != nil {
-				r.Status.CellDone(w.Name, c.name(), time.Since(start), errs[i])
-			}
+			done(errs[i])
 		}(i, c)
 	}
 	wg.Wait()
@@ -119,49 +108,75 @@ func multiCoreSweep(r *Runner, coreCounts, tenantCounts []int) (Series, error) {
 	return s, nil
 }
 
-// runMultiCell simulates one topology point: per-tenant generators seeded
-// seed+tenantID over a fresh multi-core machine, warmup, then a measured
-// region with accuracy and confusion grading on the shared structures.
-// The sweep bypasses the runner's memo (keys and warm-state sharing are
-// single-machine shaped); every cell simulates from cold, which keeps the
-// 1c×1t row comparable with the single-machine dpPred column.
+// runMultiCell simulates one topology point of the sweep: the full
+// dpPred+cbPred proposal on a fresh multi-core machine, graded for accuracy
+// and confusion on the shared structures. The sweep bypasses the runner's
+// memo (keys and warm-state sharing are single-machine shaped); every cell
+// simulates from cold, which keeps the 1c×1t row comparable with the
+// single-machine dpPred column.
 func runMultiCell(ctx context.Context, p Params, w trace.Workload, c multiCoreCell) (sim.MultiResult, error) {
+	dp, err := pred.Lookup("dpPred")
+	if err != nil {
+		return sim.MultiResult{}, err
+	}
+	cb, err := pred.Lookup("cbPred")
+	if err != nil {
+		return sim.MultiResult{}, err
+	}
 	cfg := sim.DefaultConfig()
 	cfg.Seed = p.Seed
-	m, err := sim.NewMulti(sim.MultiConfig{
+	return RunMulti(ctx, p, w, sim.MultiConfig{
 		Machine:    cfg,
 		Cores:      c.cores,
 		Tenants:    c.tenants,
 		Quantum:    multiCoreQuantum,
 		Shootdown:  sim.ShootdownFlushASID,
 		UnmapEvery: multiCoreUnmapEvery,
-	})
-	if err != nil {
-		return sim.MultiResult{}, err
-	}
-	dp, err := core.NewDPPred(core.DefaultDPPredConfig(m.LLT().Entries()))
-	if err != nil {
-		return sim.MultiResult{}, err
-	}
-	cb, err := core.NewCBPred(core.DefaultCBPredConfig(m.LLC().Capacity()))
-	if err != nil {
-		return sim.MultiResult{}, err
-	}
-	m.SetTLBPredictor(dp)
-	m.SetLLCPredictor(cb)
+	}, &dp, &cb, true, nil)
+}
 
-	gens := make([]trace.Generator, c.tenants)
+// RunMulti simulates one multi-core cell: the machine mc describes, with
+// the tlb and llc registrations' predictors (nil means none) shared by
+// every core and metrics (optional) attached, feeds tenant t the
+// generator w.New(p.Seed+t) for p.Warmup accesses, then measures p.Measure
+// more. With accuracy set, the measured region is graded for accuracy and
+// confusion on the shared LLT and LLC.
+func RunMulti(ctx context.Context, p Params, w trace.Workload, mc sim.MultiConfig, tlb, llc *pred.Registration,
+	accuracy bool, metrics *obs.Registry) (sim.MultiResult, error) {
+	m, err := sim.NewMulti(mc)
+	if err != nil {
+		return sim.MultiResult{}, err
+	}
+	if tlb != nil {
+		tp, err := tlb.NewTLB(m.LLT().Inner())
+		if err != nil {
+			return sim.MultiResult{}, err
+		}
+		m.SetTLBPredictor(tp)
+	}
+	if llc != nil {
+		lp, err := llc.NewLLC(m.LLC())
+		if err != nil {
+			return sim.MultiResult{}, err
+		}
+		m.SetLLCPredictor(lp)
+	}
+	m.AttachMetrics(metrics)
+
+	gens := make([]trace.Generator, mc.Tenants)
 	for t := range gens {
 		gens[t] = w.New(p.Seed + uint64(t))
 	}
 	if err := m.RunContext(ctx, gens, p.Warmup); err != nil {
 		return sim.MultiResult{}, err
 	}
-	if err := m.EnableAccuracyTracking(); err != nil {
-		return sim.MultiResult{}, err
-	}
-	if err := m.EnableConfusionTracking(); err != nil {
-		return sim.MultiResult{}, err
+	if accuracy {
+		if err := m.EnableAccuracyTracking(); err != nil {
+			return sim.MultiResult{}, err
+		}
+		if err := m.EnableConfusionTracking(); err != nil {
+			return sim.MultiResult{}, err
+		}
 	}
 	m.StartMeasurement()
 	if err := m.RunContext(ctx, gens, p.Measure); err != nil {

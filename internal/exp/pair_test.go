@@ -233,7 +233,7 @@ func TestCanceledSharedPassIsEvicted(t *testing.T) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		for _, su := range both {
-			if r.memo[w.Name+"/"+su.Name] != nil {
+			if r.results.has(w.Name + "/" + su.Name) {
 				memoized++
 			}
 		}

@@ -123,35 +123,32 @@ type Runner struct {
 	// grids want: one broken setup should not hide the other columns.
 	FailFast bool
 
-	mu   sync.Mutex
-	memo map[string]*memoEntry
-	// pairs, also guarded by mu, holds one shared baseline pass per
-	// workload whose grid pairs its baseline cell with an oracle cell
-	// (pairGrid).
+	// results, traces, warm and fps are the runner's single-flight stores
+	// (flight): one result per (workload, setup) name pair; one trace per
+	// workload, generated once and shared read-only by every setup and
+	// worker; one warmed master system per (workload, WarmupKey), forked per
+	// consuming setup and released after warmForkBudget forks; and one
+	// content fingerprint per workload, computed the first time a cell is
+	// keyed (CellKey hashes the stream prefix, so sharing it keeps keying
+	// O(1) per cell).
+	results flight[sim.Result]
+	traces  flight[traceSrc]
+	warm    flight[*warmMaster]
+	fps     flight[string]
+
+	// mu guards pairs: one shared baseline pass per workload whose grid
+	// pairs its baseline cell with an oracle cell (pairGrid).
+	mu    sync.Mutex
 	pairs map[string]*pairEntry
 
 	// sharedPasses and alonePasses count the oracle's record passes: run
 	// once for a workload's baseline and oracle cells together, or for an
 	// oracle cell alone (RecordPasses).
 	sharedPasses, alonePasses atomic.Int64
-
-	// bufMu guards bufMemo: one materialized trace buffer per workload,
-	// generated once (single-flight) and shared read-only by every setup
-	// and worker.
-	bufMu   sync.Mutex
-	bufMemo map[string]*bufEntry
-
-	// warmMu guards warmMemo: one warmed master system per (workload,
-	// WarmupKey), forked per consuming setup and released after
-	// warmForkBudget forks.
-	warmMu   sync.Mutex
-	warmMemo map[string]*warmEntry
-
-	// fpMu guards fpMemo: one content fingerprint per workload name,
-	// computed lazily the first time a cell is keyed (CellKey hashes the
-	// stream prefix, so caching it keeps keying O(1) per cell).
-	fpMu   sync.Mutex
-	fpMemo map[string]string
+	// warmForked and warmCold count warm-path consumers: measured on a fork
+	// of the shared master, or sent to the cold path because the fork
+	// budget was spent or Fork refused (WarmForks).
+	warmForked, warmCold atomic.Int64
 
 	// Memo, when set, layers a persistent result store under the
 	// in-process memo: leaders consult it before simulating and publish
@@ -188,30 +185,17 @@ type Runner struct {
 	Status *serve.Board
 }
 
-// memoEntry is one single-flight memo slot: the first caller for a key
-// becomes the leader and simulates; everyone else waits on done.
-type memoEntry struct {
-	done chan struct{}
-	res  sim.Result
-	err  error
+// traceSrc is one workload's shared trace: exactly one of buf (in-memory
+// materialized buffer) or ct (disk-backed DPBF v2 trace, the SetTraceDir
+// mode) is set.
+type traceSrc struct {
+	buf *trace.Buffer
+	ct  *trace.ChunkedTrace
 }
 
-// bufEntry is one single-flight slot of the trace memo: exactly one of buf
-// (in-memory materialized buffer) or ct (disk-backed DPBF v2 trace, the
-// SetTraceDir mode) is set on success.
-type bufEntry struct {
-	done chan struct{}
-	buf  *trace.Buffer
-	ct   *trace.ChunkedTrace
-	err  error
-}
-
-// warmEntry is one single-flight slot of the warm-state memo: the leader
-// builds and warms the master system; consumers fork it.
-type warmEntry struct {
-	done chan struct{}
-	err  error
-
+// warmMaster is one warmed machine of the warm-state store: consumers fork
+// it.
+type warmMaster struct {
 	mu    sync.Mutex
 	sys   *sim.System   // warmed master; nil once the fork budget is spent
 	buf   *trace.Buffer // shared trace, with pos = the post-warmup cursor
@@ -249,13 +233,7 @@ const warmForkBudget = 2
 // NewRunner creates a runner with the given parameters and a worker pool
 // sized to runtime.GOMAXPROCS.
 func NewRunner(p Params) *Runner {
-	r := &Runner{
-		params:   p,
-		memo:     make(map[string]*memoEntry),
-		pairs:    make(map[string]*pairEntry),
-		bufMemo:  make(map[string]*bufEntry),
-		warmMemo: make(map[string]*warmEntry),
-	}
+	r := &Runner{params: p, pairs: make(map[string]*pairEntry)}
 	r.SetJobs(runtime.GOMAXPROCS(0))
 	return r
 }
@@ -318,6 +296,14 @@ func (r *Runner) RecordPasses() (shared, alone int64) {
 	return r.sharedPasses.Load(), r.alonePasses.Load()
 }
 
+// WarmForks reports how the warm-state path served its consumers so far:
+// forked counts cells measured on a fork of a shared warmed master, cold
+// counts cells that fell back to warming their own machine because the
+// master's fork budget was spent or Fork refused the machine.
+func (r *Runner) WarmForks() (forked, cold int64) {
+	return r.warmForked.Load(), r.warmCold.Load()
+}
+
 // Run simulates one workload under one setup (memoized, single-flight).
 // Concurrent callers asking for the same key block until the leader's
 // simulation finishes and then share its result; errors are memoized too,
@@ -331,35 +317,19 @@ func (r *Runner) Run(w trace.Workload, setup Setup) (sim.Result, error) {
 // leaders (between simulation strides) and waiters (immediately); a waiter
 // canceled while the leader keeps running does not disturb the memo.
 func (r *Runner) RunContext(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
-	key := w.Name + "/" + setup.Name
-	r.mu.Lock()
-	if e, ok := r.memo[key]; ok {
-		r.mu.Unlock()
+	res, shared, err := r.results.do(ctx, w.Name+"/"+setup.Name, func() (sim.Result, error) {
+		return r.lead(ctx, w, setup)
+	})
+	if shared {
 		if r.Status != nil {
 			r.Status.MemoHit(w.Name, setup.Name)
 		}
-		select {
-		case <-e.done:
-			return e.res, e.err
-		case <-ctx.Done():
-			return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
+		// The leader's errors are already wrapped; only this waiter's own
+		// abort comes back bare.
+		if err != nil && err == ctx.Err() {
+			err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 		}
 	}
-	e := &memoEntry{done: make(chan struct{})}
-	r.memo[key] = e
-	r.mu.Unlock()
-
-	res, err := r.lead(ctx, w, setup)
-	e.res, e.err = res, err
-	if isCtxErr(err) {
-		// Evict before waking waiters so no future caller latches onto a
-		// cancellation result; waiters already parked on e.done still see
-		// the error, which is correct — their grid was canceled too.
-		r.mu.Lock()
-		delete(r.memo, key)
-		r.mu.Unlock()
-	}
-	close(e.done)
 	return res, err
 }
 
@@ -377,7 +347,7 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.R
 		// A keying failure (the workload's generator errors while being
 		// fingerprinted) is not fatal here: the local path below replays
 		// the same generator and reports the error as the cell's outcome.
-		key, _ = r.cellKey(w, setup)
+		key, _ = r.cellKey(ctx, w, setup)
 	}
 	if key != "" && r.Memo != nil {
 		if res, ok, err := r.Memo.Get(key); err == nil && ok {
@@ -414,23 +384,12 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.R
 	case <-ctx.Done():
 		return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
 	}
-	if r.ProgressStart != nil {
-		r.ProgressStart(w.Name, setup.Name)
-	}
-	if r.Status != nil {
-		r.Status.CellStart(w.Name, setup.Name)
-	}
-	start := time.Now()
+	done := r.cellSpan(w.Name, setup.Name)
 	res, err := r.runCell(ctx, w, setup, pair, leadPass)
 	if err != nil {
 		err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 	}
-	if r.ProgressDone != nil {
-		r.ProgressDone(w.Name, setup.Name, time.Since(start), err)
-	}
-	if r.Status != nil {
-		r.Status.CellDone(w.Name, setup.Name, time.Since(start), err)
-	}
+	done(err)
 	<-r.sem // release the slot before waking waiters
 	if err == nil && key != "" && r.Memo != nil {
 		// Best-effort: the result is correct whether or not it persists,
@@ -440,33 +399,43 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.R
 	return res, err
 }
 
-// execRemote runs one cell through the external executor, bracketed by the
-// same progress and status reporting as a local run so live displays see
-// remote cells. handled=false (an unresolvable setup) reports nothing and
-// sends the caller to the local path.
-func (r *Runner) execRemote(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, bool, error) {
+// cellSpan reports one computed cell's start to ProgressStart and the
+// status board, and returns the func that reports its end with the cell's
+// wall-clock duration and error. Local cells open the span once they hold
+// a pool slot, so a span covers only the cell's own work.
+func (r *Runner) cellSpan(workload, cell string) (done func(error)) {
 	if r.ProgressStart != nil {
-		r.ProgressStart(w.Name, setup.Name)
+		r.ProgressStart(workload, cell)
 	}
 	if r.Status != nil {
-		r.Status.CellStart(w.Name, setup.Name)
+		r.Status.CellStart(workload, cell)
 	}
 	start := time.Now()
+	return func(err error) {
+		elapsed := time.Since(start)
+		if r.ProgressDone != nil {
+			r.ProgressDone(workload, cell, elapsed, err)
+		}
+		if r.Status != nil {
+			r.Status.CellDone(workload, cell, elapsed, err)
+		}
+	}
+}
+
+// execRemote runs one cell through the external executor inside a cell span,
+// so live displays see remote cells. handled=false (an unresolvable setup)
+// reports no end and sends the caller to the local path, whose start the
+// board treats as a restart of the same cell.
+func (r *Runner) execRemote(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, bool, error) {
+	done := r.cellSpan(w.Name, setup.Name)
 	res, handled, err := r.Executor(ctx, key, w, setup)
 	if !handled {
-		// Undo nothing: the local path re-reports start, which the board
-		// treats as a restart of the same cell.
 		return sim.Result{}, false, nil
 	}
 	if err != nil {
 		err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 	}
-	if r.ProgressDone != nil {
-		r.ProgressDone(w.Name, setup.Name, time.Since(start), err)
-	}
-	if r.Status != nil {
-		r.Status.CellDone(w.Name, setup.Name, time.Since(start), err)
-	}
+	done(err)
 	return res, true, err
 }
 
@@ -599,7 +568,7 @@ func (r *Runner) pairGrid(workloads []trace.Workload, setups []Setup) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range workloads {
-		if r.pairs[w.Name] == nil && r.memo[w.Name+"/"+names[0]] == nil && r.memo[w.Name+"/"+names[1]] == nil {
+		if r.pairs[w.Name] == nil && !r.results.has(w.Name+"/"+names[0]) && !r.results.has(w.Name+"/"+names[1]) {
 			r.pairs[w.Name] = &pairEntry{done: make(chan struct{})}
 		}
 	}
@@ -653,47 +622,21 @@ func (r *Runner) publishPair(w trace.Workload, e *pairEntry, rec *pred.DOARecord
 // cursor implements trace.ChunkReader, so every run takes the batched
 // columnar simulation path.
 func (r *Runner) generator(ctx context.Context, w trace.Workload) (trace.Generator, error) {
-	r.bufMu.Lock()
-	e, ok := r.bufMemo[w.Name]
-	if !ok {
-		e = &bufEntry{done: make(chan struct{})}
-		r.bufMemo[w.Name] = e
-		r.bufMu.Unlock()
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					e.err = fmt.Errorf("exp: materializing %s: %v\n%s", w.Name, p, debug.Stack())
-				}
-				if isCtxErr(e.err) {
-					// A canceled materialization must not poison the
-					// buffer memo; evict so the next grid rebuilds it.
-					r.bufMu.Lock()
-					delete(r.bufMemo, w.Name)
-					r.bufMu.Unlock()
-				}
-				close(e.done)
-			}()
-			if r.traceDir != "" {
-				e.ct, e.err = r.streamWorkload(ctx, w)
-				return
-			}
-			e.buf, e.err = trace.MaterializeContext(ctx, w.New(r.params.Seed), r.params.Warmup+r.params.Measure)
-		}()
-	} else {
-		r.bufMu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	src, _, err := r.traces.do(ctx, w.Name, func() (src traceSrc, err error) {
+		if r.traceDir != "" {
+			src.ct, err = r.streamWorkload(ctx, w)
+		} else {
+			src.buf, err = trace.MaterializeContext(ctx, w.New(r.params.Seed), r.params.Warmup+r.params.Measure)
 		}
+		return src, err
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case src.ct != nil:
+		return src.ct.NewReader(), nil
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	if e.ct != nil {
-		return e.ct.NewReader(), nil
-	}
-	return e.buf.Reader(), nil
+	return src.buf.Reader(), nil
 }
 
 // streamWorkload records the workload's warmup+measure stream as a
@@ -746,8 +689,10 @@ func (r *Runner) streamWorkload(ctx context.Context, w trace.Workload) (*trace.C
 }
 
 // BuildSystem constructs the machine and its predictors/prefetcher for a
-// non-oracle setup, without running anything. cmd/deadsim's checkpoint path
-// uses it to rebuild the exact machine a checkpoint was taken from.
+// non-oracle setup, without running anything. Every cell builds its machine
+// through it (the oracle's two passes substitute their RecorderTLB and
+// OracleTLB as the setup's TLB constructor), and cmd/deadsim's checkpoint
+// path uses it to rebuild the exact machine a checkpoint was taken from.
 func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
 	if setup.Oracle {
 		return nil, fmt.Errorf("exp: the oracle's two-pass protocol has no standalone system")
@@ -786,10 +731,11 @@ func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
 	return s, nil
 }
 
-// measure runs the post-warmup half of a cell: enable the setup's
-// instrumentation, mark the measurement region, feed the measured accesses
-// and collect the result.
-func (r *Runner) measure(ctx context.Context, s *sim.System, g trace.Generator, setup Setup) (sim.Result, error) {
+// Measure runs the post-warmup half of a cell on a warmed machine: enable
+// the setup's instrumentation, mark the measurement region, feed the
+// measured accesses from g and collect the result. cmd/deadsim's checkpoint
+// path measures its restored machines through it.
+func (r *Runner) Measure(ctx context.Context, s *sim.System, g trace.Generator, setup Setup) (sim.Result, error) {
 	if setup.Instrument.Accuracy {
 		if err := s.EnableAccuracyTracking(); err != nil {
 			return sim.Result{}, err
@@ -806,94 +752,77 @@ func (r *Runner) measure(ctx context.Context, s *sim.System, g trace.Generator, 
 	return s.Result(), nil
 }
 
+// simulate runs a freshly built machine over the workload's warmup and
+// measured accesses.
+func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, setup Setup) (sim.Result, error) {
+	g, err := r.generator(ctx, w)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
+		return sim.Result{}, err
+	}
+	return r.Measure(ctx, s, g, setup)
+}
+
 // warmShareable reports whether a setup can take the warm-state fork path:
 // it must declare a WarmupKey, nothing may need to observe the warmup
 // prefix itself (observers attach before warmup; the oracle's record pass
 // and prefetchers manage their own state), and the trace must live in
-// memory — the warm memo resumes consumers from a shared Buffer position,
+// memory — the warm store resumes consumers from a shared Buffer position,
 // which a disk-streamed trace has no equivalent of.
 func (r *Runner) warmShareable(setup Setup) bool {
 	return setup.WarmupKey != "" && r.Observer == nil && r.traceDir == "" &&
 		!setup.Oracle && setup.Prefetch == nil
 }
 
-// runShared executes a cell via the warm-state memo: the first setup for
+// runShared executes a cell via the warm-state store: the first setup for
 // (workload, WarmupKey) builds and warms the master, every consumer measures
 // on its own fork. ok=false means the path was unavailable (fork refused or
-// budget spent) and the caller should fall back to the cold path; errors
-// from building or warming the shared machine are real and propagate.
+// budget spent, counted in WarmForks) and the caller should fall back to the
+// cold path; errors from building or warming the shared machine are real
+// and propagate.
 func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup) (res sim.Result, ok bool, err error) {
-	key := w.Name + "\x00" + setup.WarmupKey
-	r.warmMu.Lock()
-	e, cached := r.warmMemo[key]
-	if !cached {
-		e = &warmEntry{done: make(chan struct{})}
-		r.warmMemo[key] = e
-		r.warmMu.Unlock()
-		func() {
-			defer func() {
-				if isCtxErr(e.err) {
-					// Same eviction rule as the other memos: a canceled
-					// warmup must not poison future grids.
-					r.warmMu.Lock()
-					delete(r.warmMemo, key)
-					r.warmMu.Unlock()
-				}
-				close(e.done)
-			}()
-			sys, err := r.BuildSystem(setup)
-			if err != nil {
-				e.err = err
-				return
-			}
-			rd, err := r.generator(ctx, w)
-			if err != nil {
-				e.err = err
-				return
-			}
-			if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
-				e.err = err
-				return
-			}
-			// warmShareable guarantees the in-memory trace mode, so the
-			// cursor is a BufferReader whose position the forks resume from.
-			br := rd.(*trace.BufferReader)
-			e.sys, e.buf, e.pos = sys, br.Buffer(), br.Pos()
-		}()
-	} else {
-		r.warmMu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return sim.Result{}, true, ctx.Err()
+	m, _, err := r.warm.do(ctx, w.Name+"/"+setup.WarmupKey, func() (*warmMaster, error) {
+		sys, err := r.BuildSystem(setup)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if e.err != nil {
-		return sim.Result{}, true, e.err
+		rd, err := r.generator(ctx, w)
+		if err != nil {
+			return nil, err
+		}
+		if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
+			return nil, err
+		}
+		// warmShareable guarantees the in-memory trace mode, so the cursor
+		// is a BufferReader whose position the forks resume from.
+		br := rd.(*trace.BufferReader)
+		return &warmMaster{sys: sys, buf: br.Buffer(), pos: br.Pos()}, nil
+	})
+	if err != nil {
+		return sim.Result{}, true, err
 	}
 
-	e.mu.Lock()
-	master := e.sys
-	if master == nil {
-		// Fork budget already spent; an unexpected extra consumer warms
-		// its own machine on the cold path.
-		e.mu.Unlock()
+	m.mu.Lock()
+	var fork *sim.System
+	if m.sys != nil {
+		if f, ferr := m.sys.Fork(); ferr == nil {
+			fork = f
+			if m.forks++; m.forks >= warmForkBudget {
+				m.sys = nil // release the master for GC; nil marks exhaustion
+			}
+		}
+	}
+	m.mu.Unlock()
+	if fork == nil {
+		// An unforkable machine, or an unexpected extra consumer past the
+		// budget, warms its own machine on the cold path.
+		r.warmCold.Add(1)
 		return sim.Result{}, false, nil
 	}
-	fork, ferr := master.Fork()
-	if ferr == nil {
-		e.forks++
-		if e.forks >= warmForkBudget {
-			e.sys = nil // release the master for GC; the entry marks exhaustion
-		}
-	}
-	buf, pos := e.buf, e.pos
-	e.mu.Unlock()
-	if ferr != nil {
-		return sim.Result{}, false, nil // unforkable machine: cold path
-	}
-
-	res, err = r.measure(ctx, fork, buf.ReaderAt(pos), setup)
+	r.warmForked.Add(1)
+	res, err = r.Measure(ctx, fork, m.buf.ReaderAt(m.pos), setup)
 	return res, true, err
 }
 
@@ -905,7 +834,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 	var record *pred.DOARecord
 	switch {
 	case pair != nil && leadPass:
-		rec, res, err := r.baselinePass(ctx, w, sim.DefaultConfig)
+		rec, res, err := r.baselinePass(ctx, w, nil)
 		r.publishPair(w, pair, rec, res, err)
 		if err != nil || !setup.Oracle {
 			return res, err
@@ -924,50 +853,25 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 		}
 	}
 
-	cfgFn := setup.Config
-	if cfgFn == nil {
-		cfgFn = sim.DefaultConfig
-	}
-
-	if setup.Oracle && record == nil {
-		// Recording pass on its own: the baseline machine over the same
-		// trace, its Result unused.
-		rec, _, err := r.baselinePass(ctx, w, cfgFn)
-		if err != nil {
-			return sim.Result{}, err
+	if setup.Oracle {
+		if record == nil {
+			// Recording pass on its own: the baseline machine over the
+			// same trace, its Result unused.
+			rec, _, err := r.baselinePass(ctx, w, setup.Config)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			r.alonePasses.Add(1)
+			record = rec
 		}
-		r.alonePasses.Add(1)
-		record = rec
+		// The replay pass is the setup's machine with the oracle, fed the
+		// record, as its TLB predictor.
+		setup.Oracle = false
+		setup.TLB = func(*sim.System) (pred.TLBPredictor, error) { return pred.NewOracleTLB(record), nil }
 	}
-
-	cfg := cfgFn()
-	cfg.Seed = r.params.Seed
-	s, err := sim.New(cfg)
+	s, err := r.BuildSystem(setup)
 	if err != nil {
 		return sim.Result{}, err
-	}
-	if setup.Oracle {
-		s.SetTLBPredictor(pred.NewOracleTLB(record))
-	} else if setup.TLB != nil {
-		p, err := setup.TLB(s)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		s.SetTLBPredictor(p)
-	}
-	if setup.LLC != nil {
-		p, err := setup.LLC(s)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		s.SetLLCPredictor(p)
-	}
-	if setup.Prefetch != nil {
-		p, err := setup.Prefetch(s)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		s.SetTLBPrefetcher(p)
 	}
 	if r.Observer != nil {
 		// Attach before warmup: learning curves need the predictors'
@@ -980,39 +884,23 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 		defer join()
 		s.AttachObserver(child)
 	}
-
-	g, err := r.generator(ctx, w)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
-		return sim.Result{}, err
-	}
-	return r.measure(ctx, s, g, setup)
+	return r.simulate(ctx, s, w, setup)
 }
 
-// baselinePass runs the predictor-less machine cfgFn describes over the
-// workload's warmup and measured accesses, with a RecorderTLB capturing
-// every LLT fill's ground-truth DOA outcome for the oracle. The recorder
-// never bypasses and sim.Result reports nothing about predictors, so the
-// Result is the plain machine's cell bit for bit.
-func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, cfgFn func() sim.Config) (*pred.DOARecord, sim.Result, error) {
-	cfg := cfgFn()
-	cfg.Seed = r.params.Seed
-	s, err := sim.New(cfg)
-	if err != nil {
-		return nil, sim.Result{}, err
-	}
+// baselinePass runs the predictor-less machine config describes (nil means
+// Table I) over the workload's warmup and measured accesses, with a
+// RecorderTLB capturing every LLT fill's ground-truth DOA outcome for the
+// oracle. The recorder never bypasses and sim.Result reports nothing about
+// predictors, so the Result is the plain machine's cell bit for bit.
+func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, config func() sim.Config) (*pred.DOARecord, sim.Result, error) {
 	rec := pred.NewDOARecord()
-	s.SetTLBPredictor(pred.NewRecorderTLB(rec))
-	g, err := r.generator(ctx, w)
+	s, err := r.BuildSystem(Setup{Config: config, TLB: func(*sim.System) (pred.TLBPredictor, error) {
+		return pred.NewRecorderTLB(rec), nil
+	}})
 	if err != nil {
 		return nil, sim.Result{}, err
 	}
-	if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
-		return nil, sim.Result{}, err
-	}
-	res, err := r.measure(ctx, s, g, Setup{})
+	res, err := r.simulate(ctx, s, w, Setup{})
 	if err != nil {
 		return nil, sim.Result{}, err
 	}

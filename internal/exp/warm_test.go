@@ -63,8 +63,8 @@ func TestWarmSharedMatchesCold(t *testing.T) {
 }
 
 // TestWarmBudgetExhaustion: a third consumer of the same warmup key must
-// fall back to the cold path (the master is released after the fork budget)
-// and still produce the identical result.
+// fall back to the cold path (the master is released after the fork budget),
+// count as a cold fallback, and still produce the identical result.
 func TestWarmBudgetExhaustion(t *testing.T) {
 	w, err := trace.ByName("cc")
 	if err != nil {
@@ -89,5 +89,8 @@ func TestWarmBudgetExhaustion(t *testing.T) {
 	if res["dpPred-third"] != res["dpPred"] {
 		t.Errorf("post-budget cold fallback diverged:\n  third=%+v\n  first=%+v",
 			res["dpPred-third"], res["dpPred"])
+	}
+	if forked, cold := r.WarmForks(); forked != 2 || cold != 1 {
+		t.Errorf("WarmForks = %d forked, %d cold; want 2 and 1", forked, cold)
 	}
 }
