@@ -23,8 +23,8 @@
 // -quantum accesses per slice, and a page unmap plus TLB shootdown
 // (-shootdown asid|full) per tenant every -unmap-every accesses. The
 // defaults keep the single-machine path and its output byte-identical.
-// -serve and -metrics-out work in this mode; -trace, -trace-out,
-// -characterize, the oracle and checkpoint flags are single-machine only.
+// -serve, -metrics-out and the checkpoint flags work in this mode; -trace,
+// -trace-out, -characterize and the oracle are single-machine only.
 package main
 
 import (
@@ -147,7 +147,7 @@ func run() error {
 	cfg.Seed = *seed
 
 	setup := exp.Setup{Name: "cli"}
-	var tlbReg *pred.Registration
+	tlbBypasses := false // the TLB side can drive DOA-page coupling
 	switch strings.ToLower(*tlbPred) {
 	case "none":
 	case "oracle":
@@ -163,9 +163,8 @@ func run() error {
 		setup.TLB = func(s *sim.System) (pred.TLBPredictor, error) {
 			return reg.NewTLB(s.LLT().Inner())
 		}
-		tlbReg = &reg
+		tlbBypasses = reg.Caps.Bypasses
 	}
-	var llcReg *pred.Registration
 	if strings.ToLower(*llcPred) != "none" {
 		reg, err := pred.Lookup(resolveAlias(*llcPred, llcAliases))
 		if err != nil {
@@ -174,13 +173,12 @@ func run() error {
 		if reg.Kind != pred.KindLLC {
 			return fmt.Errorf("%s is a %v predictor; use -tlb", reg.Name, reg.Kind)
 		}
-		if reg.Caps.NeedsDOACoupling && (tlbReg == nil || !tlbReg.Caps.Bypasses) {
+		if reg.Caps.NeedsDOACoupling && !tlbBypasses {
 			return fmt.Errorf("%s requires a bypassing DOA-page driver on the TLB side (-tlb dpPred, §V-B)", reg.Name)
 		}
 		setup.LLC = func(s *sim.System) (pred.LLCPredictor, error) {
 			return reg.NewLLC(s.LLC())
 		}
-		llcReg = &reg
 	}
 	setup.Config = func() sim.Config { return cfg }
 	setup.Instrument = exp.Instrumentation{Accuracy: *accuracy, Characterize: *deadScan}
@@ -189,7 +187,7 @@ func run() error {
 	// §15). The single-machine path below is untouched — and byte-identical
 	// — at the 1-core, 1-tenant, no-unmap defaults.
 	multicore := *cores > 1 || *tenants > 1 || *unmapEvery > 0
-	var mcfg sim.MultiConfig
+	mcfg := sim.MultiConfig{Machine: cfg, Cores: 1, Tenants: 1}
 	if multicore {
 		policy, err := sim.ParseShootdown(*shootdown)
 		if err != nil {
@@ -204,8 +202,6 @@ func run() error {
 			return fmt.Errorf("the oracle's two-pass protocol is single-machine only")
 		case *deadScan:
 			return fmt.Errorf("-characterize is single-machine only")
-		case *ckptOut != "" || *ckptIn != "":
-			return fmt.Errorf("multi-core checkpoints are API-only (sim.MultiSystem.WriteCheckpoint); drop -checkpoint-out/-checkpoint-in")
 		case *traceOut != "":
 			return fmt.Errorf("-trace-out hook events are single-machine only; use -metrics-out or -serve for multi-core observability")
 		}
@@ -265,8 +261,15 @@ func run() error {
 	}
 	r.Observer = observer
 	var res sim.Result
-	var mres sim.MultiResult
 	switch {
+	case *ckptOut != "" || *ckptIn != "":
+		if observer != nil {
+			return fmt.Errorf("checkpoints cannot be combined with -trace-out/-metrics-out/-serve (observers span the whole run, including warmup)")
+		}
+		if setup.Oracle {
+			return fmt.Errorf("the oracle's two-pass protocol cannot be checkpointed")
+		}
+		res, err = runWithCheckpoint(ctx, r.Params(), w, setup, mcfg, *ckptOut, *ckptIn)
 	case multicore:
 		var metrics *obs.Registry
 		if observer != nil {
@@ -278,18 +281,10 @@ func run() error {
 			board.CellQueued(w.Name, cell)
 			board.CellStart(w.Name, cell)
 		}
-		mres, err = exp.RunMulti(ctx, r.Params(), w, mcfg, tlbReg, llcReg, *accuracy, metrics)
+		res, err = exp.RunMulti(ctx, r.Params(), w, setup, mcfg, metrics)
 		if board != nil {
 			board.CellDone(w.Name, cell, time.Since(start), err)
 		}
-	case *ckptOut != "" || *ckptIn != "":
-		if observer != nil {
-			return fmt.Errorf("checkpoints cannot be combined with -trace-out/-metrics-out/-serve (observers span the whole run, including warmup)")
-		}
-		if setup.Oracle {
-			return fmt.Errorf("the oracle's two-pass protocol cannot be checkpointed")
-		}
-		res, err = runWithCheckpoint(ctx, r, w, setup, *ckptOut, *ckptIn)
 	default:
 		res, err = r.Run(w, setup)
 	}
@@ -314,7 +309,7 @@ func run() error {
 	}
 
 	if multicore {
-		printMulti(w, mcfg, *tlbPred, *llcPred, *accuracy, mres)
+		printMulti(w, mcfg, *tlbPred, *llcPred, *accuracy, res)
 		return nil
 	}
 
@@ -402,11 +397,9 @@ func openTraceGenerator(f *os.File) (trace.Generator, error) {
 	return b.Reader(), nil
 }
 
-// printMulti renders the multi-core run's statistics. The shared-structure
-// counters (LLT, LLC) repeat identically in every PerCore entry, so they are
-// read from core 0; walks, instructions and the scheduling counters are
-// machine totals.
-func printMulti(w trace.Workload, mc sim.MultiConfig, tlbPred, llcPred string, accuracy bool, res sim.MultiResult) {
+// printMulti renders the multi-core run's statistics: the machine totals,
+// which carry the shared LLT/LLC counters, and each core's IPC.
+func printMulti(w trace.Workload, mc sim.MultiConfig, tlbPred, llcPred string, accuracy bool, res sim.Result) {
 	fmt.Printf("workload      %s (%s, %d MB) × %d tenants\n", w.Name, w.Suite, w.FootprintMB, mc.Tenants)
 	fmt.Printf("topology      %d cores, quantum %d, shootdown %s, unmap every %d\n",
 		mc.Cores, mc.Quantum, mc.Shootdown, mc.UnmapEvery)
@@ -414,18 +407,21 @@ func printMulti(w trace.Workload, mc sim.MultiConfig, tlbPred, llcPred string, a
 	fmt.Printf("instructions  %d\n", res.Instructions)
 	fmt.Printf("cycles        %.0f (slowest core)\n", res.Cycles)
 	fmt.Printf("IPC           %.4f aggregate;", res.IPC)
-	for i, pc := range res.PerCore {
+	perCore := res.PerCore
+	if len(perCore) == 0 {
+		perCore = []sim.Result{res} // one core: the totals are its own
+	}
+	for i, pc := range perCore {
 		fmt.Printf(" core%d %.4f", i, pc.IPC)
 	}
 	fmt.Println()
 	fmt.Printf("scheduling    %d context switches, %d shootdowns (%d entries flushed), %d unmaps\n",
 		res.Switches, res.Shootdowns, res.ShootdownFlushed, res.Unmaps)
-	shared := res.PerCore[0]
 	fmt.Printf("shared LLT    lookups %d, misses %d, walks %d, bypasses %d\n",
-		shared.LLTLookups, shared.LLTMisses, res.Walks, shared.LLTBypasses)
+		res.LLTLookups, res.LLTMisses, res.Walks, res.LLTBypasses)
 	fmt.Printf("LLT MPKI      %.3f\n", res.LLTMPKI)
 	fmt.Printf("shared LLC    lookups %d, misses %d, bypasses %d\n",
-		shared.LLCLookups, shared.LLCMisses, shared.LLCBypasses)
+		res.LLCLookups, res.LLCMisses, res.LLCBypasses)
 	fmt.Printf("LLC MPKI      %.3f\n", res.LLCMPKI)
 	if accuracy {
 		fmt.Printf("LLT predictor accuracy %.1f%%, coverage %.1f%%, premature kills %.1f%% (true DOAs %d)\n",
@@ -446,15 +442,16 @@ const _ uint = -(ffStride & (ffStride - 1))
 
 // runWithCheckpoint drives the simulation directly (bypassing the runner's
 // memo) so the warm state can be written to or restored from a checkpoint
-// file. A restored run fast-forwards its generator by the checkpoint's
-// consumed-access count and is bit-identical to the cold run that produced
-// the checkpoint.
-func runWithCheckpoint(ctx context.Context, r *exp.Runner, w trace.Workload, setup exp.Setup, outPath, inPath string) (sim.Result, error) {
-	s, err := r.BuildSystem(setup)
+// file. A restored run fast-forwards each tenant's generator by the
+// checkpoint's count of accesses that tenant consumed, and is
+// bit-identical to the cold run that produced the checkpoint.
+func runWithCheckpoint(ctx context.Context, p exp.Params, w trace.Workload, setup exp.Setup, mc sim.MultiConfig,
+	outPath, inPath string) (sim.Result, error) {
+	s, err := exp.BuildMachine(setup, mc)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	g := w.New(r.Params().Seed)
+	gens := exp.TenantGenerators(w, p.Seed, mc.Tenants)
 	if inPath != "" {
 		f, err := os.Open(inPath)
 		if err != nil {
@@ -468,25 +465,27 @@ func runWithCheckpoint(ctx context.Context, r *exp.Runner, w trace.Workload, set
 		if meta.Workload != w.Name {
 			return sim.Result{}, fmt.Errorf("checkpoint %s was taken on workload %q, not %q", inPath, meta.Workload, w.Name)
 		}
-		// Splice the generator onto the stream position the checkpointed
+		// Splice each generator onto the stream position the checkpointed
 		// run had reached. The fast-forward is pure generator work, so it
 		// honors cancellation and a replayed trace's latched errors just
 		// like a simulated prefix would.
-		for i := uint64(0); i < meta.Accesses; i++ {
-			if i&(ffStride-1) == 0 {
-				select {
-				case <-ctx.Done():
-					return sim.Result{}, fmt.Errorf("fast-forwarding %s: %w", inPath, ctx.Err())
-				default:
+		for t, g := range gens {
+			for i := uint64(0); i < meta.TenantAccesses[t]; i++ {
+				if i&(ffStride-1) == 0 {
+					select {
+					case <-ctx.Done():
+						return sim.Result{}, fmt.Errorf("fast-forwarding %s: %w", inPath, ctx.Err())
+					default:
+					}
 				}
+				g.Next()
 			}
-			g.Next()
-		}
-		if err := trace.GeneratorErr(g); err != nil {
-			return sim.Result{}, fmt.Errorf("fast-forwarding %s: %w", inPath, err)
+			if err := trace.GeneratorErr(g); err != nil {
+				return sim.Result{}, fmt.Errorf("fast-forwarding %s: %w", inPath, err)
+			}
 		}
 		fmt.Fprintf(os.Stderr, "deadsim: restored %s (%d warm accesses)\n", inPath, meta.Accesses)
-	} else if err := s.RunContext(ctx, g, r.Params().Warmup); err != nil {
+	} else if err := s.RunTenants(ctx, gens, p.Warmup); err != nil {
 		return sim.Result{}, err
 	}
 	if outPath != "" {
@@ -503,5 +502,5 @@ func runWithCheckpoint(ctx context.Context, r *exp.Runner, w trace.Workload, set
 		}
 		fmt.Fprintf(os.Stderr, "deadsim: wrote checkpoint %s\n", outPath)
 	}
-	return r.Measure(ctx, s, g, setup)
+	return exp.Measure(ctx, p, s, gens, setup)
 }

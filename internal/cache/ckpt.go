@@ -53,5 +53,15 @@ func (c *Cache) DecodeState(r *ckpt.Reader) error {
 	c.fills = r.U64()
 	c.bypasses = r.U64()
 	c.evictions = r.U64()
+	if r.Err() == nil {
+		// Valid and dead bits name ways; a bit past the last way would
+		// send a fill or victim search off the end of its set.
+		for s := range c.live {
+			if (c.live[s]|c.dead[s])&^c.fullMask != 0 {
+				r.Failf("cache %q: checkpoint set %d marks ways past %d", c.name, s, c.ways)
+				break
+			}
+		}
+	}
 	return r.Err()
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestParallelArenaSweep(t *testing.T) {
 		t.Fatalf("result maps differ in size: sequential %d, parallel %d", len(seq), len(par))
 	}
 	for key, want := range seq {
-		if got := par[key]; got != want {
+		if got := par[key]; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: parallel result diverged from sequential:\n  jobs=8: %+v\n  jobs=1: %+v", key, got, want)
 		}
 	}

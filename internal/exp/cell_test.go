@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,7 +144,7 @@ func TestResolvedSetupMatchesOriginal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("catalog-resolved %q diverges from the original construction", su.Name)
 		}
 	}
@@ -223,7 +224,7 @@ func TestRunnerPersistentMemo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("memo-served %s/%s diverges from a fresh simulation", w.Name, su.Name)
 			}
 		}
@@ -255,7 +256,7 @@ func TestExecutorFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want || handledKeys.Load() != 1 {
+	if !reflect.DeepEqual(got, want) || handledKeys.Load() != 1 {
 		t.Fatal("executor-handled cell did not serve the executor's result")
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -94,7 +95,7 @@ func TestGoldenTableIVResults(t *testing.T) {
 // struct dump.
 func diffResults(t *testing.T, setup, workload string, got, want sim.Result) {
 	t.Helper()
-	if got == want {
+	if reflect.DeepEqual(got, want) {
 		return
 	}
 	gm, wm := resultFields(t, got), resultFields(t, want)

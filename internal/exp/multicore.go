@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/pred"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -60,7 +59,7 @@ func multiCoreSweep(r *Runner, coreCounts, tenantCounts []int) (Series, error) {
 	}
 
 	ctx := r.baseCtx()
-	results := make([]sim.MultiResult, len(cells))
+	results := make([]sim.Result, len(cells))
 	errs := make([]error, len(cells))
 	var wg sync.WaitGroup
 	for i, c := range cells {
@@ -114,74 +113,59 @@ func multiCoreSweep(r *Runner, coreCounts, tenantCounts []int) (Series, error) {
 // memo (keys and warm-state sharing are single-machine shaped); every cell
 // simulates from cold, which keeps the 1c×1t row comparable with the
 // single-machine dpPred column.
-func runMultiCell(ctx context.Context, p Params, w trace.Workload, c multiCoreCell) (sim.MultiResult, error) {
-	dp, err := pred.Lookup("dpPred")
-	if err != nil {
-		return sim.MultiResult{}, err
-	}
-	cb, err := pred.Lookup("cbPred")
-	if err != nil {
-		return sim.MultiResult{}, err
-	}
+func runMultiCell(ctx context.Context, p Params, w trace.Workload, c multiCoreCell) (sim.Result, error) {
+	setup := DPPredCBPredSetup()
+	setup.Instrument.Accuracy = true
 	cfg := sim.DefaultConfig()
 	cfg.Seed = p.Seed
-	return RunMulti(ctx, p, w, sim.MultiConfig{
+	return RunMulti(ctx, p, w, setup, sim.MultiConfig{
 		Machine:    cfg,
 		Cores:      c.cores,
 		Tenants:    c.tenants,
 		Quantum:    multiCoreQuantum,
 		Shootdown:  sim.ShootdownFlushASID,
 		UnmapEvery: multiCoreUnmapEvery,
-	}, &dp, &cb, true, nil)
+	}, nil)
 }
 
 // RunMulti simulates one multi-core cell: the machine mc describes, with
-// the tlb and llc registrations' predictors (nil means none) shared by
-// every core and metrics (optional) attached, feeds tenant t the
-// generator w.New(p.Seed+t) for p.Warmup accesses, then measures p.Measure
-// more. With accuracy set, the measured region is graded for accuracy and
-// confusion on the shared LLT and LLC.
-func RunMulti(ctx context.Context, p Params, w trace.Workload, mc sim.MultiConfig, tlb, llc *pred.Registration,
-	accuracy bool, metrics *obs.Registry) (sim.MultiResult, error) {
-	m, err := sim.NewMulti(mc)
+// setup's predictors (built by BuildMachine and shared by every core) and
+// metrics (optional) attached, feeds tenant t the generator
+// w.New(p.Seed+t) for p.Warmup accesses, then measures p.Measure more
+// (Measure).
+func RunMulti(ctx context.Context, p Params, w trace.Workload, setup Setup, mc sim.MultiConfig,
+	metrics *obs.Registry) (sim.Result, error) {
+	s, err := BuildMachine(setup, mc)
 	if err != nil {
-		return sim.MultiResult{}, err
+		return sim.Result{}, err
 	}
-	if tlb != nil {
-		tp, err := tlb.NewTLB(m.LLT().Inner())
-		if err != nil {
-			return sim.MultiResult{}, err
-		}
-		m.SetTLBPredictor(tp)
+	s.AttachMetrics(metrics)
+	gens := TenantGenerators(w, p.Seed, mc.Tenants)
+	if err := s.RunTenants(ctx, gens, p.Warmup); err != nil {
+		return sim.Result{}, err
 	}
-	if llc != nil {
-		lp, err := llc.NewLLC(m.LLC())
-		if err != nil {
-			return sim.MultiResult{}, err
-		}
-		m.SetLLCPredictor(lp)
-	}
-	m.AttachMetrics(metrics)
+	return Measure(ctx, p, s, gens, setup)
+}
 
-	gens := make([]trace.Generator, mc.Tenants)
+// TenantGenerators returns one generator per tenant of w: tenant t runs
+// w.New(seed+t).
+func TenantGenerators(w trace.Workload, seed uint64, tenants int) []trace.Generator {
+	gens := make([]trace.Generator, tenants)
 	for t := range gens {
-		gens[t] = w.New(p.Seed + uint64(t))
+		gens[t] = w.New(seed + uint64(t))
 	}
-	if err := m.RunContext(ctx, gens, p.Warmup); err != nil {
-		return sim.MultiResult{}, err
-	}
-	if accuracy {
-		if err := m.EnableAccuracyTracking(); err != nil {
-			return sim.MultiResult{}, err
+	return gens
+}
+
+// Measure runs the post-warmup half of a cell outside the runner on a
+// warmed machine of any topology: the runner's measurement, with one
+// generator per tenant, and with setup.Instrument.Accuracy the shared LLT
+// and LLC are graded for confusion as well as accuracy.
+func Measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generator, setup Setup) (sim.Result, error) {
+	if setup.Instrument.Accuracy {
+		if err := s.EnableConfusionTracking(); err != nil {
+			return sim.Result{}, err
 		}
-		if err := m.EnableConfusionTracking(); err != nil {
-			return sim.MultiResult{}, err
-		}
 	}
-	m.StartMeasurement()
-	if err := m.RunContext(ctx, gens, p.Measure); err != nil {
-		return sim.MultiResult{}, err
-	}
-	m.Finish()
-	return m.Result(), nil
+	return measure(ctx, p, s, gens, setup)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -58,9 +59,54 @@ func TestMultiCoreSweepShape(t *testing.T) {
 	}
 }
 
-// multiResultFields flattens a MultiResult for field-level golden diffs,
-// the multi-machine analogue of resultFields.
-func multiResultFields(t *testing.T, r sim.MultiResult) map[string]string {
+// goldenMultiCell is the layout testdata/golden/multicore.json records for
+// one sweep cell: the cell's Result with the machine-level fields first
+// recorded, in their recorded order, and every core's Result in PerCore —
+// a one-core cell's own Result included.
+type goldenMultiCell struct {
+	PerCore          []sim.Result
+	Accesses         uint64
+	Switches         uint64
+	Shootdowns       uint64
+	ShootdownFlushed uint64
+	Unmaps           uint64
+	Instructions     uint64
+	Cycles           float64
+	IPC              float64
+	Walks            uint64
+	LLTMPKI          float64
+	LLCMPKI          float64
+	LLTAccuracy      stats.AccuracyResult
+	LLCAccuracy      stats.AccuracyResult
+	LLTConfusion     stats.Confusion
+	LLCConfusion     stats.Confusion
+}
+
+// goldenCell rearranges a sweep cell's Result into the snapshot layout.
+func goldenCell(r sim.Result) goldenMultiCell {
+	per := r.PerCore
+	if len(per) == 0 {
+		core := r
+		core.Switches, core.Shootdowns, core.ShootdownFlushed, core.Unmaps = 0, 0, 0, 0
+		core.LLTConfusion, core.LLCConfusion = nil, nil
+		per = []sim.Result{core}
+	}
+	g := goldenMultiCell{
+		PerCore: per, Accesses: r.MemAccesses,
+		Switches: r.Switches, Shootdowns: r.Shootdowns, ShootdownFlushed: r.ShootdownFlushed, Unmaps: r.Unmaps,
+		Instructions: r.Instructions, Cycles: r.Cycles, IPC: r.IPC,
+		Walks: r.Walks, LLTMPKI: r.LLTMPKI, LLCMPKI: r.LLCMPKI,
+		LLTAccuracy: r.LLTAccuracy, LLCAccuracy: r.LLCAccuracy,
+	}
+	if r.LLTConfusion != nil {
+		g.LLTConfusion, g.LLCConfusion = *r.LLTConfusion, *r.LLCConfusion
+	}
+	return g
+}
+
+// multiResultFields flattens a golden cell for field-level diffs, the
+// multi-machine analogue of resultFields.
+func multiResultFields(t *testing.T, r goldenMultiCell) map[string]string {
 	t.Helper()
 	raw, err := json.Marshal(r)
 	if err != nil {
@@ -87,7 +133,7 @@ func TestGoldenMultiCoreSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	dims := []int{1, 2, 4}
-	got := make(map[string]sim.MultiResult)
+	got := make(map[string]goldenMultiCell)
 	for _, c := range dims {
 		for _, tn := range dims {
 			cell := multiCoreCell{cores: c, tenants: tn}
@@ -95,7 +141,7 @@ func TestGoldenMultiCoreSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[cell.name()] = res
+			got[cell.name()] = goldenCell(res)
 		}
 	}
 
@@ -116,7 +162,7 @@ func TestGoldenMultiCoreSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden snapshot %s (run `go test ./internal/exp -run TestGoldenMultiCore -update` to create it): %v", path, err)
 	}
-	var want map[string]sim.MultiResult
+	var want map[string]goldenMultiCell
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -201,7 +202,7 @@ func TestSharedPassMatchesFallbacks(t *testing.T) {
 			if c.name != "memo-fill" {
 				got := pairGridResults(t, r, ws)
 				for cell, res := range want {
-					if got[cell] != res {
+					if !reflect.DeepEqual(got[cell], res) {
 						t.Errorf("%s diverged from the shared pass:\n  got  %+v\n  want %+v", cell, got[cell], res)
 					}
 				}
@@ -298,7 +299,7 @@ func TestCanceledSharedPassIsEvicted(t *testing.T) {
 	want := pairGridResults(t, ref, ws)
 	got := pairGridResults(t, r, ws)
 	for cell, res := range want {
-		if got[cell] != res {
+		if !reflect.DeepEqual(got[cell], res) {
 			t.Errorf("%s after recovery diverged from a fresh run", cell)
 		}
 	}

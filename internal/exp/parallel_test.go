@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,7 +68,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("result maps differ in size: sequential %d, parallel %d", len(seq), len(par))
 	}
 	for key, want := range seq {
-		if got := par[key]; got != want {
+		if got := par[key]; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: parallel result diverged from sequential:\n  jobs=8: %+v\n  jobs=1: %+v", key, got, want)
 		}
 	}
@@ -103,7 +104,7 @@ func TestSingleFlightMemo(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if results[i] != results[0] {
+		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Errorf("caller %d saw a different result", i)
 		}
 	}

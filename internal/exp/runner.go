@@ -688,22 +688,31 @@ func (r *Runner) streamWorkload(ctx context.Context, w trace.Workload) (*trace.C
 	return ct, nil
 }
 
-// BuildSystem constructs the machine and its predictors/prefetcher for a
-// non-oracle setup, without running anything. Every cell builds its machine
-// through it (the oracle's two passes substitute their RecorderTLB and
-// OracleTLB as the setup's TLB constructor), and cmd/deadsim's checkpoint
-// path uses it to rebuild the exact machine a checkpoint was taken from.
+// BuildSystem constructs the one-core machine and its
+// predictors/prefetcher for a non-oracle setup, without running anything:
+// BuildMachine on a 1×1 topology. Every cell builds its machine through it
+// (the oracle's two passes substitute their RecorderTLB and OracleTLB as
+// the setup's TLB constructor).
 func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
-	if setup.Oracle {
-		return nil, fmt.Errorf("exp: the oracle's two-pass protocol has no standalone system")
-	}
 	cfgFn := setup.Config
 	if cfgFn == nil {
 		cfgFn = sim.DefaultConfig
 	}
 	cfg := cfgFn()
 	cfg.Seed = r.params.Seed
-	s, err := sim.New(cfg)
+	return BuildMachine(setup, sim.MultiConfig{Machine: cfg, Cores: 1, Tenants: 1})
+}
+
+// BuildMachine constructs the machine mc describes (setup.Config is not
+// consulted) and installs setup's predictors, shared by every core, and
+// its prefetcher, for a non-oracle setup. Multi-core cells and
+// cmd/deadsim's checkpoint path, which rebuilds the exact machine a
+// checkpoint was taken from, build through it directly.
+func BuildMachine(setup Setup, mc sim.MultiConfig) (*sim.System, error) {
+	if setup.Oracle {
+		return nil, fmt.Errorf("exp: the oracle's two-pass protocol has no standalone system")
+	}
+	s, err := sim.NewMulti(mc)
 	if err != nil {
 		return nil, err
 	}
@@ -731,21 +740,20 @@ func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
 	return s, nil
 }
 
-// Measure runs the post-warmup half of a cell on a warmed machine: enable
-// the setup's instrumentation, mark the measurement region, feed the
-// measured accesses from g and collect the result. cmd/deadsim's checkpoint
-// path measures its restored machines through it.
-func (r *Runner) Measure(ctx context.Context, s *sim.System, g trace.Generator, setup Setup) (sim.Result, error) {
+// measure runs the post-warmup half of a cell on a warmed machine: enable
+// the setup's instrumentation, mark the measurement region, feed p.Measure
+// accesses from the tenants' generators and collect the result.
+func measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generator, setup Setup) (sim.Result, error) {
 	if setup.Instrument.Accuracy {
 		if err := s.EnableAccuracyTracking(); err != nil {
 			return sim.Result{}, err
 		}
 	}
 	if setup.Instrument.Characterize {
-		s.EnableCharacterization(r.params.SampleEvery)
+		s.EnableCharacterization(p.SampleEvery)
 	}
 	s.StartMeasurement()
-	if err := s.RunContext(ctx, g, r.params.Measure); err != nil {
+	if err := s.RunTenants(ctx, gens, p.Measure); err != nil {
 		return sim.Result{}, err
 	}
 	s.Finish()
@@ -762,7 +770,7 @@ func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, 
 	if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
 		return sim.Result{}, err
 	}
-	return r.Measure(ctx, s, g, setup)
+	return measure(ctx, r.params, s, []trace.Generator{g}, setup)
 }
 
 // warmShareable reports whether a setup can take the warm-state fork path:
@@ -822,7 +830,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup) (
 		return sim.Result{}, false, nil
 	}
 	r.warmForked.Add(1)
-	res, err = r.Measure(ctx, fork, m.buf.ReaderAt(m.pos), setup)
+	res, err = measure(ctx, r.params, fork, []trace.Generator{m.buf.ReaderAt(m.pos)}, setup)
 	return res, true, err
 }
 

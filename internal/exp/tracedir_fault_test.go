@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,7 +123,7 @@ func TestTraceDirCancelMidRecordRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != want {
+	if !reflect.DeepEqual(res, want) {
 		t.Fatal("post-cancellation recompute diverges from the in-memory mode")
 	}
 }

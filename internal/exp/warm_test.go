@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -56,7 +57,7 @@ func TestWarmSharedMatchesCold(t *testing.T) {
 	want := collect(cold)
 	got := collect(shared)
 	for key, w := range want {
-		if g := got[key]; g != w {
+		if g := got[key]; !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: warm-shared result diverged from cold:\n  shared=%+v\n  cold=%+v", key, g, w)
 		}
 	}
@@ -86,7 +87,7 @@ func TestWarmBudgetExhaustion(t *testing.T) {
 		}
 		res[su.Name] = got
 	}
-	if res["dpPred-third"] != res["dpPred"] {
+	if !reflect.DeepEqual(res["dpPred-third"], res["dpPred"]) {
 		t.Errorf("post-budget cold fallback diverged:\n  third=%+v\n  first=%+v",
 			res["dpPred-third"], res["dpPred"])
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get after Put: ok=%v err=%v", ok, err)
 	}
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round-tripped result diverges:\n got %+v\nwant %+v", got, want)
 	}
 	meta, ok := m.Meta(key)

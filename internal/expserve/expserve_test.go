@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -144,7 +145,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 
 	got, status := runSweep(t, t.TempDir(), workloads, setups, 2)
 	for cell, w := range want {
-		if got[cell] != w {
+		if !reflect.DeepEqual(got[cell], w) {
 			t.Errorf("cell %s: distributed result diverges from local", cell)
 		}
 	}
@@ -172,7 +173,7 @@ func TestCoordinatorRestartComputesOnlyDelta(t *testing.T) {
 		t.Fatalf("identical re-run: %+v, want 4 memo hits and 0 computed", status)
 	}
 	for cell, w := range first {
-		if second[cell] != w {
+		if !reflect.DeepEqual(second[cell], w) {
 			t.Errorf("cell %s changed across a coordinator restart", cell)
 		}
 	}
@@ -184,7 +185,7 @@ func TestCoordinatorRestartComputesOnlyDelta(t *testing.T) {
 		t.Fatalf("grown re-run: %+v, want 4 memo hits and 2 computed", status)
 	}
 	for cell, w := range first {
-		if third[cell] != w {
+		if !reflect.DeepEqual(third[cell], w) {
 			t.Errorf("cell %s changed when the grid grew", cell)
 		}
 	}
@@ -211,7 +212,7 @@ func TestCorruptMemoEntryRecomputed(t *testing.T) {
 		t.Fatalf("post-corruption sweep: %+v, want 1 memo hit and 1 recompute", status)
 	}
 	for cell, w := range first {
-		if second[cell] != w {
+		if !reflect.DeepEqual(second[cell], w) {
 			t.Errorf("cell %s diverges after corruption recovery", cell)
 		}
 	}
@@ -302,7 +303,7 @@ func TestLostWorkerRequeues(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("sweep failed after worker loss: %v", out.err)
 	}
-	if out.res != want {
+	if !reflect.DeepEqual(out.res, want) {
 		t.Fatal("requeued cell diverges from the local reference")
 	}
 	coord.Finish()

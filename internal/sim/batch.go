@@ -5,7 +5,7 @@ import (
 	"repro/internal/trace"
 )
 
-// MultiSystem.RunContext finds stride boundaries with the mask form
+// RunTenants finds stride boundaries with the mask form
 // i&(ctxCheckStride-1); that is only equivalent to a modulus when the
 // stride is a power of two, and this constant fails to compile otherwise
 // (a negative value cannot convert to uint).
@@ -38,8 +38,8 @@ const _ uint = -(ctxCheckStride & (ctxCheckStride - 1))
 // re-keys its memo (or, for walk-perturbed L1D state, clears Loc so the
 // next repeat re-probes). Entries can therefore never be evicted or moved
 // behind a set Loc flag, so the run-extension fast path needs no tag check
-// at all. The memo lives on the stack of one run, or of one MultiSystem
-// segment — it is never stored on the System, so Fork and checkpointing
+// at all. The memo lives on the stack of one run and is reset for every
+// segment — it is never stored on the machine, so Fork and checkpointing
 // are unaffected.
 type batchMemo struct {
 	iKey       arch.VPN // ASID-qualified instruction page
@@ -59,7 +59,7 @@ type batchMemo struct {
 
 	// bVB keys the L1D run by *virtual* block number. Within one address
 	// space frames are never aliased, and nothing is remapped while a memo
-	// lives (MultiSystem unmaps only between segments, each with a reset
+	// lives (the scheduler unmaps only between segments, each with a reset
 	// memo), so virtual blocks map 1:1 to physical blocks and the fast
 	// path can recognize a same-block repeat without translating at all.
 	bVB        uint64
@@ -70,45 +70,45 @@ type batchMemo struct {
 	bLast      uint64
 	bDirty     bool // OR of the deferred hits' write bits
 
-	// Per-structure CoalescibleHits, resolved once per run: a pluggable
+	// Per-structure CoalescibleHits, resolved once per segment: a pluggable
 	// replacement policy keeps opaque per-hit state, so its hits are
 	// replayed individually through HitAt instead of deferred.
 	iCo, dCo, bCo bool
 }
 
-// reset empties the memo for a new run or MultiSystem segment on s:
-// nothing is memoized, so each structure's first access takes the full
+// reset empties the memo for a new segment on core p: nothing is
+// memoized, so each structure's first access takes the full
 // path. runBatch leaves no deferred hits pending when it returns, and the
 // other fields are only read under an OK flag, so clearing the flags is
 // the same as a zero memo — without zeroing the whole struct for every
 // one-access segment.
-func (m *batchMemo) reset(s *System) {
+func (m *batchMemo) reset(p *proc) {
 	m.iOK, m.dOK, m.bOK = false, false, false
-	m.iCo = s.itlb.Inner().CoalescibleHits()
-	m.dCo = s.dtlb.Inner().CoalescibleHits()
-	m.bCo = s.l1d.CoalescibleHits()
+	m.iCo = p.itlb.Inner().CoalescibleHits()
+	m.dCo = p.dtlb.Inner().CoalescibleHits()
+	m.bCo = p.l1d.CoalescibleHits()
 }
 
 // flushRuns applies every pending deferred-hit run. Called whenever the
 // pending hits' structure is about to see other traffic, before anything
 // that reads structure state (segment epilogues, returns), and on the
 // error path so the machine is always left consistent.
-func (s *System) flushRuns(m *batchMemo) {
+func (p *proc) flushRuns(m *batchMemo) {
 	if m.iPend > 0 {
-		s.itlb.Inner().HitRun(m.iSet, m.iWay, m.iPend, m.iLast)
+		p.itlb.Inner().HitRun(m.iSet, m.iWay, m.iPend, m.iLast)
 		m.iPend = 0
 	}
 	if m.dPend > 0 {
-		s.dtlb.Inner().HitRun(m.dSet, m.dWay, m.dPend, m.dLast)
+		p.dtlb.Inner().HitRun(m.dSet, m.dWay, m.dPend, m.dLast)
 		m.dPend = 0
 	}
-	s.flushBlockRun(m)
+	p.flushBlockRun(m)
 }
 
 // flushBlockRun applies the pending L1D run.
-func (s *System) flushBlockRun(m *batchMemo) {
+func (p *proc) flushBlockRun(m *batchMemo) {
 	if m.bPend > 0 {
-		b := s.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
+		b := p.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
 		b.Dirty = b.Dirty || m.bDirty
 		m.bPend, m.bDirty = 0, false
 	}
@@ -119,23 +119,23 @@ func (s *System) flushBlockRun(m *batchMemo) {
 // may page-walk, and PTE fetches traverse the data caches: it settles the
 // L1D run and the side's own TLB run first, drops the L1D slot if a walk
 // really happened, and afterwards re-keys the side's memo.
-func (s *System) translateMiss(m *batchMemo, vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PFN, error) {
-	s.flushBlockRun(m)
+func (p *proc) translateMiss(m *batchMemo, vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PFN, error) {
+	p.flushBlockRun(m)
 	if instr && m.iPend > 0 {
-		s.itlb.Inner().HitRun(m.iSet, m.iWay, m.iPend, m.iLast)
+		p.itlb.Inner().HitRun(m.iSet, m.iWay, m.iPend, m.iLast)
 		m.iPend = 0
 	}
 	if !instr && m.dPend > 0 {
-		s.dtlb.Inner().HitRun(m.dSet, m.dWay, m.dPend, m.dLast)
+		p.dtlb.Inner().HitRun(m.dSet, m.dWay, m.dPend, m.dLast)
 		m.dPend = 0
 	}
-	walks := s.walks
-	lat, pfn, err := s.translate(vpn, pc, instr)
+	walks := p.walks
+	lat, pfn, err := p.translate(vpn, pc, instr)
 	if err != nil {
-		s.flushRuns(m)
+		p.flushRuns(m)
 		return 0, 0, err
 	}
-	if s.walks != walks {
+	if p.walks != walks {
 		m.bLoc = false
 	}
 	if instr {
@@ -155,43 +155,35 @@ func (s *System) translateMiss(m *batchMemo, vpn arch.VPN, pc uint64, instr bool
 // and the checks run in a per-segment epilogue) and turns
 // same-page/same-block runs into deferred-hit runs resolved by one
 // coalesced update each. It simulates accesses [lo, hi) of c (the chunk
-// travels by pointer so a one-access MultiSystem segment passes its
+// travels by pointer so a one-access segment passes its
 // arguments in registers) and on error returns the index, counted from
 // lo, of the access that failed.
-func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error) {
-	asid := arch.VPN(s.asidKey)
+func (p *proc) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error) {
+	asid := arch.VPN(p.asidKey)
 	i := lo
 	for i < hi {
 		// Split the batch at the next access count that runs a sampler or
 		// interval snapshot, so the inner loop needs no modulus checks and
 		// the epilogue fires them after exactly that access.
 		lim := hi
-		if s.lltSampler != nil {
-			if next := i + int(s.sampleEvery-s.accesses%s.sampleEvery); next < lim {
+		if p.lltSampler != nil {
+			if next := i + int(p.sampleEvery-p.accesses%p.sampleEvery); next < lim {
 				lim = next
 			}
 		}
-		if s.intervalEvery != 0 {
-			if next := i + int(s.intervalEvery-s.accesses%s.intervalEvery); next < lim {
+		if p.intervalEvery != 0 {
+			if next := i + int(p.intervalEvery-p.accesses%p.intervalEvery); next < lim {
 				lim = next
 			}
 		}
 
 		for ; i < lim; i++ {
 			if g := c.Gap[i]; g > 0 {
-				if cc := s.cpuCore; cc != nil {
-					cc.Advance(uint64(g))
-				} else {
-					s.core.Advance(uint64(g))
-				}
+				p.core.Advance(uint64(g))
 			}
-			if cc := s.cpuCore; cc != nil {
-				s.stepNow = uint64(cc.Cycles())
-			} else {
-				s.stepNow = uint64(s.core.Cycles())
-			}
-			s.accesses++
-			now := s.stepNow
+			p.stepNow = uint64(p.core.Cycles())
+			p.accesses++
+			now := p.stepNow
 
 			// Instruction-side translation. A repeat of the memoized
 			// instruction page extends the deferred-hit run (latency 0, as
@@ -202,7 +194,7 @@ func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error)
 			ivpn := arch.VAddr(c.PC[i]).Page() | asid
 			iHit := m.iOK && ivpn == m.iKey
 			if iHit && !m.iLoc {
-				m.iSet, m.iWay, m.iLoc = s.itlb.Inner().Locate(uint64(ivpn))
+				m.iSet, m.iWay, m.iLoc = p.itlb.Inner().Locate(uint64(ivpn))
 				iHit = m.iLoc
 			}
 			if iHit {
@@ -210,10 +202,10 @@ func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error)
 					m.iPend++
 					m.iLast = now
 				} else {
-					s.itlb.Inner().HitAt(m.iSet, m.iWay, uint64(ivpn), now)
+					p.itlb.Inner().HitAt(m.iSet, m.iWay, uint64(ivpn), now)
 				}
 			} else {
-				lat, _, err := s.translateMiss(m, ivpn, c.PC[i], true)
+				lat, _, err := p.translateMiss(m, ivpn, c.PC[i], true)
 				if err != nil {
 					return i - lo, err
 				}
@@ -227,7 +219,7 @@ func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error)
 			dvpn := arch.VAddr(c.VA[i]).Page() | asid
 			dHit := m.dOK && dvpn == m.dKey
 			if dHit && !m.dLoc {
-				m.dSet, m.dWay, m.dLoc = s.dtlb.Inner().Locate(uint64(dvpn))
+				m.dSet, m.dWay, m.dLoc = p.dtlb.Inner().Locate(uint64(dvpn))
 				dHit = m.dLoc
 			}
 			if dHit {
@@ -236,10 +228,10 @@ func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error)
 					m.dPend++
 					m.dLast = now
 				} else {
-					s.dtlb.Inner().HitAt(m.dSet, m.dWay, uint64(dvpn), now)
+					p.dtlb.Inner().HitAt(m.dSet, m.dWay, uint64(dvpn), now)
 				}
 			} else {
-				lat, p, err := s.translateMiss(m, dvpn, c.PC[i], false)
+				lat, p, err := p.translateMiss(m, dvpn, c.PC[i], false)
 				if err != nil {
 					return i - lo, err
 				}
@@ -262,11 +254,11 @@ func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error)
 			if bHit && !m.bLoc {
 				pa := arch.Translate(pfn, arch.VAddr(c.VA[i]))
 				key := uint64(pa.Block() >> arch.BlockShift)
-				m.bSet, m.bWay, m.bLoc = s.l1d.Locate(key)
+				m.bSet, m.bWay, m.bLoc = p.l1d.Locate(key)
 				bHit = m.bLoc
 			}
 			if bHit {
-				memLat = s.cfg.L1D.Latency
+				memLat = p.cfg.L1D.Latency
 				if m.bCo {
 					m.bPend++
 					m.bLast = now
@@ -274,25 +266,21 @@ func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error)
 				} else {
 					pa := arch.Translate(pfn, arch.VAddr(c.VA[i]))
 					key := uint64(pa.Block() >> arch.BlockShift)
-					if b, ok := s.l1d.HitAt(m.bSet, m.bWay, key, now); ok {
+					if b, ok := p.l1d.HitAt(m.bSet, m.bWay, key, now); ok {
 						b.Dirty = b.Dirty || write
 					}
 				}
 			} else {
-				s.flushBlockRun(m)
-				memLat = s.memAccess(arch.Translate(pfn, arch.VAddr(c.VA[i])), c.PC[i], write)
+				p.flushBlockRun(m)
+				memLat = p.memAccess(arch.Translate(pfn, arch.VAddr(c.VA[i])), c.PC[i], write)
 				m.bVB = vb
 				m.bOK, m.bLoc = true, false
 			}
 
-			if s.histMemLat != nil {
-				s.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
+			if p.histMemLat != nil {
+				p.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
 			}
-			if cc := s.cpuCore; cc != nil {
-				cc.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), c.Flags[i]&trace.FlagDependent != 0)
-			} else {
-				s.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), c.Flags[i]&trace.FlagDependent != 0)
-			}
+			p.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), c.Flags[i]&trace.FlagDependent != 0)
 		}
 
 		// Epilogue: settle the deferred runs (the samplers and the
@@ -301,22 +289,17 @@ func (s *System) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error)
 		// limit guarantees no boundary was crossed mid-segment. Samplers
 		// run before the interval.
 		if m.iPend|m.dPend|m.bPend != 0 {
-			s.flushRuns(m)
+			p.flushRuns(m)
 		}
-		if s.lltSampler != nil && s.accesses%s.sampleEvery == 0 {
-			s.lltSampler.Sample(s.llt.Inner())
-			s.llcSampler.Sample(s.llc)
+		if p.lltSampler != nil && p.accesses%p.sampleEvery == 0 {
+			p.lltSampler.Sample(p.llt.Inner())
+			p.llcSampler.Sample(p.llc)
 		}
-		if s.intervalEvery != 0 && s.accesses%s.intervalEvery == 0 {
-			s.sampleInterval()
+		if p.intervalEvery != 0 && p.accesses%p.intervalEvery == 0 {
+			p.sampleInterval()
 		}
 	}
 	return hi - lo, nil
-}
-
-// RunBuffer is Run over a chunk source.
-func (s *System) RunBuffer(src trace.ChunkReader, n uint64) error {
-	return s.Run(src, n)
 }
 
 // chunkSource draws a run's accesses from its generator as columnar

@@ -105,7 +105,7 @@ func TestRunBufferMatchesStep(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					if a, b := refSys.Result(), batchSys.Result(); a != b {
+					if a, b := refSys.Result(), batchSys.Result(); !reflect.DeepEqual(a, b) {
 						t.Errorf("chunked=%v: results diverged:\n  ref:   %+v\n  batch: %+v", chunked, a, b)
 					}
 					if sc.ckpt {
@@ -145,7 +145,7 @@ func TestRunBufferStreamedV2MatchesStep(t *testing.T) {
 	if err := batchSys.RunBuffer(ct.NewReader(), n); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := refSys.Result(), batchSys.Result(); a != b {
+	if a, b := refSys.Result(), batchSys.Result(); !reflect.DeepEqual(a, b) {
 		t.Errorf("results diverged:\n  ref:   %+v\n  batch: %+v", a, b)
 	}
 	if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
@@ -183,7 +183,7 @@ func TestRunBufferContextCanceled(t *testing.T) {
 	}
 }
 
-// TestMultiChunkedMatchesPerAccess: MultiSystem.Run, which feeds segments
+// TestMultiChunkedMatchesPerAccess: RunTenants, which feeds segments
 // of columnar chunks through runBatch, must be bit-identical to the
 // reference driver that round-robins one access at a time through the
 // reference stepper — same scheduling, same unmap injection, same
@@ -209,7 +209,7 @@ func TestMultiChunkedMatchesPerAccess(t *testing.T) {
 			Shootdown:  ShootdownFlushASID,
 			UnmapEvery: 1_503,
 		}
-		run := func(drive func(*MultiSystem, []trace.Generator, uint64) error, chunked bool) (*MultiSystem, MultiResult, []uint64) {
+		run := func(drive func(*System, []trace.Generator, uint64) error, chunked bool) (*System, Result, []uint64) {
 			m, err := NewMulti(mc)
 			if err != nil {
 				t.Fatal(err)
@@ -243,7 +243,7 @@ func TestMultiChunkedMatchesPerAccess(t *testing.T) {
 		}
 		for _, chunked := range []bool{true, false} {
 			name := fmt.Sprintf("%dc×%dt chunked=%v", top.cores, top.tenants, chunked)
-			m, r, pos := run((*MultiSystem).Run, chunked)
+			m, r, pos := run(runTenants, chunked)
 			if !reflect.DeepEqual(rr, r) {
 				t.Errorf("%s: results diverged:\n  ref: %+v\n  run: %+v", name, rr, r)
 			}
@@ -351,7 +351,7 @@ func FuzzBatchVsStep(f *testing.F) {
 		if refErr != nil {
 			return
 		}
-		if a, b := refSys.Result(), batchSys.Result(); a != b {
+		if a, b := refSys.Result(), batchSys.Result(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("results diverged:\n  ref:   %+v\n  batch: %+v", a, b)
 		}
 		if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
@@ -398,7 +398,7 @@ func BenchmarkRunBufferWarm(b *testing.B) {
 // simulates, whatever its source — a live mix (compared with a Forked
 // twin that drew n records through Next), a BufferReader and a DPBF v2
 // StreamReader (compared by Pos as well) — so a generator ends exactly n
-// records ahead, which checkpoint splicing depends on. A MultiSystem run
+// records ahead, which checkpoint splicing depends on. A multi-tenant run
 // advances each tenant by exactly its tenantQuota share.
 func TestRunAdvancesGeneratorExactly(t *testing.T) {
 	const bufLen, n = 4_099, 10_007
@@ -461,7 +461,7 @@ func TestRunAdvancesGeneratorExactly(t *testing.T) {
 			twins[i] = gens[i].(trace.ForkableGenerator).Fork()
 		}
 		quota := m.tenantQuota(n)
-		if err := m.Run(gens, n); err != nil {
+		if err := runTenants(m, gens, n); err != nil {
 			t.Fatal(err)
 		}
 		for i := range gens {
@@ -485,14 +485,14 @@ func TestMultiRunContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = m.RunContext(ctx, readers(multiBuffers(t, 3, 4, 4096), nil), 1<<20)
+	err = m.RunTenants(ctx, readers(multiBuffers(t, 3, 4, 4096), nil), 1<<20)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled RunContext err = %v, want context.Canceled", err)
 	}
 	if want := fmt.Sprintf("sim: canceled at access 0 of %d: %v", 1<<20, context.Canceled); err.Error() != want {
 		t.Errorf("error = %q, want %q", err, want)
 	}
-	if r := m.Result(); r.Accesses != 0 {
-		t.Errorf("canceled run simulated %d accesses", r.Accesses)
+	if r := m.Result(); r.MemAccesses != 0 {
+		t.Errorf("canceled run simulated %d accesses", r.MemAccesses)
 	}
 }

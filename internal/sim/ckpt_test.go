@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -28,60 +29,82 @@ func newCkptSystem(t *testing.T) *System {
 }
 
 // TestCheckpointRoundTrip is the restore contract: a fresh machine restored
-// from a checkpoint and spliced onto the same stream position must measure
+// from a checkpoint and spliced onto the same stream positions must measure
 // bit-identically to the machine that wrote it — and re-serializing the
-// restored state must reproduce the checkpoint byte for byte.
+// restored state must reproduce the checkpoint byte for byte. It holds on
+// the plain machine and on a 2-core 3-tenant one with context switching and
+// unmap injection.
 func TestCheckpointRoundTrip(t *testing.T) {
-	const warm, meas = 100_000, 200_000
-	w, err := trace.ByName("cc")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	orig := newCkptSystem(t)
-	g := w.New(orig.cfg.Seed)
-	if err := orig.Run(g, warm); err != nil {
-		t.Fatal(err)
-	}
-	var ck bytes.Buffer
-	if err := orig.WriteCheckpoint(&ck, w.Name); err != nil {
-		t.Fatal(err)
-	}
-
-	rest := newCkptSystem(t)
-	meta, err := rest.ReadCheckpoint(bytes.NewReader(ck.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Workload != w.Name || meta.Accesses != warm {
-		t.Fatalf("meta = %+v, want workload %q with %d accesses", meta, w.Name, warm)
-	}
-
-	// The restored state must re-serialize byte-identically.
-	var ck2 bytes.Buffer
-	if err := rest.WriteCheckpoint(&ck2, w.Name); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ck.Bytes(), ck2.Bytes()) {
-		t.Error("re-serialized checkpoint differs from the original")
-	}
-
-	g2 := w.New(rest.cfg.Seed)
-	for i := uint64(0); i < meta.Accesses; i++ {
-		g2.Next()
-	}
-	run := func(s *System, g trace.Generator) Result {
-		s.StartMeasurement()
-		if err := s.Run(g, meas); err != nil {
+	t.Run("1x1", func(t *testing.T) {
+		const warm, meas = 100_000, 200_000
+		w, err := trace.ByName("cc")
+		if err != nil {
 			t.Fatal(err)
 		}
-		s.Finish()
-		return s.Result()
-	}
-	got, want := run(rest, g2), run(orig, g)
-	if got != want {
-		t.Errorf("restored run diverged from original:\n  restored=%+v\n  original=%+v", got, want)
-	}
+
+		orig := newCkptSystem(t)
+		g := w.New(orig.cfg.Machine.Seed)
+		if err := orig.Run(g, warm); err != nil {
+			t.Fatal(err)
+		}
+		ck := checkpointBytes(t, orig)
+
+		rest := newCkptSystem(t)
+		meta, err := rest.ReadCheckpoint(bytes.NewReader(ck))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Accesses != warm || !reflect.DeepEqual(meta.TenantAccesses, []uint64{warm}) {
+			t.Fatalf("meta = %+v, want %d accesses", meta, warm)
+		}
+		if !bytes.Equal(ck, checkpointBytes(t, rest)) {
+			t.Error("re-serialized checkpoint differs from the original")
+		}
+
+		g2 := w.New(rest.cfg.Machine.Seed)
+		for i := uint64(0); i < meta.Accesses; i++ {
+			g2.Next()
+		}
+		run := func(s *System, g trace.Generator) Result {
+			s.StartMeasurement()
+			if err := s.Run(g, meas); err != nil {
+				t.Fatal(err)
+			}
+			s.Finish()
+			return s.Result()
+		}
+		got, want := run(rest, g2), run(orig, g)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("restored run diverged from original:\n  restored=%+v\n  original=%+v", got, want)
+		}
+	})
+	t.Run("2x3", func(t *testing.T) {
+		const warm, meas = 60_000, 120_000
+		m, bufs, pos := warmMulti(t, warm)
+		ck := checkpointBytes(t, m)
+
+		r, err := NewMulti(m.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		installMultiPreds(t, r)
+		meta, err := r.ReadCheckpoint(bytes.NewReader(ck))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Accesses != warm || !reflect.DeepEqual(meta.TenantAccesses, pos) {
+			t.Errorf("checkpoint covers %d accesses split %v, want %d split %v", meta.Accesses, meta.TenantAccesses, warm, pos)
+		}
+		if !bytes.Equal(ck, checkpointBytes(t, r)) {
+			t.Error("re-serialized checkpoint differs from the original")
+		}
+
+		got := runMulti(t, r, readers(bufs, pos), meas)
+		want := runMulti(t, m, readers(bufs, pos), meas)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("restored run diverged from master:\n  restored=%+v\n  master=%+v", got, want)
+		}
+	})
 }
 
 // TestCheckpointMismatchRejected: restoring under different flags must fail
@@ -92,7 +115,7 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := newCkptSystem(t)
-	g := w.New(orig.cfg.Seed)
+	g := w.New(orig.cfg.Machine.Seed)
 	if err := orig.Run(g, 50_000); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/pred"
@@ -34,7 +35,7 @@ func TestSimulationDeterminism(t *testing.T) {
 		return s.Result()
 	}
 	a, b := run(), run()
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed runs diverged:\n  a=%+v\n  b=%+v", a, b)
 	}
 }
@@ -56,7 +57,7 @@ func TestSeedChangesResults(t *testing.T) {
 		}
 		return s.Result()
 	}
-	if run(1) == run(2) {
+	if reflect.DeepEqual(run(1), run(2)) {
 		t.Error("different seeds produced identical results")
 	}
 }

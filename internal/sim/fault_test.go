@@ -19,7 +19,7 @@ func TestCheckpointSurvivesNoInjectedFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(w.New(s.cfg.Seed), 20_000); err != nil {
+	if err := s.Run(w.New(s.cfg.Machine.Seed), 20_000); err != nil {
 		t.Fatal(err)
 	}
 	var ck bytes.Buffer
@@ -42,7 +42,7 @@ func TestCheckpointRestoreInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(w.New(s.cfg.Seed), 20_000); err != nil {
+	if err := s.Run(w.New(s.cfg.Machine.Seed), 20_000); err != nil {
 		t.Fatal(err)
 	}
 	var ck bytes.Buffer
@@ -80,7 +80,7 @@ func TestCheckpointWriteFullDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(w.New(s.cfg.Seed), 20_000); err != nil {
+	if err := s.Run(w.New(s.cfg.Machine.Seed), 20_000); err != nil {
 		t.Fatal(err)
 	}
 	sink := faultio.NewFailingWriter(nil, 512, nil)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -53,19 +54,36 @@ func measureFrom(t *testing.T, s *System, buf *trace.Buffer, pos, n uint64) Resu
 }
 
 // TestForkBitIdentical is the fork contract: measuring on a fork must be
-// bit-identical to measuring on the master it was taken from.
+// bit-identical to measuring on the master it was taken from — on the
+// plain machine and on a 2-core 3-tenant one with context switching and
+// unmap injection.
 func TestForkBitIdentical(t *testing.T) {
-	const warm, meas = 100_000, 200_000
-	s, buf, pos := warmSystem(t, warm)
-	f, err := s.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := measureFrom(t, f, buf, pos, meas)
-	want := measureFrom(t, s, buf, pos, meas)
-	if got != want {
-		t.Errorf("forked run diverged from master:\n  fork=%+v\n  master=%+v", got, want)
-	}
+	t.Run("1x1", func(t *testing.T) {
+		const warm, meas = 100_000, 200_000
+		s, buf, pos := warmSystem(t, warm)
+		f, err := s.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := measureFrom(t, f, buf, pos, meas)
+		want := measureFrom(t, s, buf, pos, meas)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("forked run diverged from master:\n  fork=%+v\n  master=%+v", got, want)
+		}
+	})
+	t.Run("2x3", func(t *testing.T) {
+		const warm, meas = 60_000, 120_000
+		m, bufs, pos := warmMulti(t, warm)
+		f, err := m.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runMulti(t, f, readers(bufs, pos), meas)
+		want := runMulti(t, m, readers(bufs, pos), meas)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("forked run diverged from master:\n  fork=%+v\n  master=%+v", got, want)
+		}
+	})
 }
 
 // TestForkSiblingsIndependent: running one fork must not perturb another.
@@ -84,7 +102,7 @@ func TestForkSiblingsIndependent(t *testing.T) {
 	}
 	ra := measureFrom(t, a, buf, pos, meas)
 	rb := measureFrom(t, b, buf, pos, meas)
-	if ra != rb {
+	if !reflect.DeepEqual(ra, rb) {
 		t.Errorf("sibling forks diverged:\n  a=%+v\n  b=%+v", ra, rb)
 	}
 }
@@ -117,7 +135,7 @@ func TestConcurrentSiblingForks(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < n; i++ {
-		if results[i] != results[0] {
+		if !reflect.DeepEqual(results[i], results[0]) {
 			t.Errorf("concurrent fork %d diverged:\n  got=%+v\n  want=%+v", i, results[i], results[0])
 		}
 	}

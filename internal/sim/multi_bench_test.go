@@ -8,7 +8,7 @@ import (
 
 // benchMulti warms a machine and returns it with infinite per-tenant
 // generators, ready for a steady-state run.
-func benchMulti(b *testing.B, mc MultiConfig) (*MultiSystem, []trace.Generator) {
+func benchMulti(b *testing.B, mc MultiConfig) (*System, []trace.Generator) {
 	b.Helper()
 	m, err := NewMulti(mc)
 	if err != nil {
@@ -19,7 +19,7 @@ func benchMulti(b *testing.B, mc MultiConfig) (*MultiSystem, []trace.Generator) 
 	for i := range gens {
 		gens[i] = obsTestMix(b, uint64(i)+3)
 	}
-	if err := m.Run(gens, 200_000); err != nil {
+	if err := runTenants(m, gens, 200_000); err != nil {
 		b.Fatal(err)
 	}
 	return m, gens
@@ -34,7 +34,7 @@ func BenchmarkMultiCoreStep(b *testing.B) {
 		Quantum: 10_000, Shootdown: ShootdownFlushASID})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := m.Run(gens, uint64(b.N)); err != nil {
+	if err := runTenants(m, gens, uint64(b.N)); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -50,7 +50,7 @@ func BenchmarkSharedLLTContention(b *testing.B) {
 		Quantum: 2_000, Shootdown: ShootdownFlushASID, UnmapEvery: 5_000})
 	b.ReportAllocs()
 	b.ResetTimer()
-	if err := m.Run(gens, uint64(b.N)); err != nil {
+	if err := runTenants(m, gens, uint64(b.N)); err != nil {
 		b.Fatal(err)
 	}
 }

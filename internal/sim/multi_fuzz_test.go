@@ -32,7 +32,7 @@ func FuzzMultiCoreDeterminism(f *testing.F) {
 		}
 		const steps = 12_000
 		bufs := multiBuffers(t, mc.Tenants, seed, steps)
-		run := func(drive func(*MultiSystem, []trace.Generator, uint64) error) MultiResult {
+		run := func(drive func(*System, []trace.Generator, uint64) error) Result {
 			m, err := NewMulti(mc)
 			if err != nil {
 				t.Fatal(err)
@@ -48,7 +48,7 @@ func FuzzMultiCoreDeterminism(f *testing.F) {
 			m.Finish()
 			return m.Result()
 		}
-		a, b := run((*MultiSystem).Run), run((*MultiSystem).Run)
+		a, b := run(runTenants), run(runTenants)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("runs of %dc×%dt q=%d u=%d %s diverged:\n  a=%+v\n  b=%+v",
 				mc.Cores, mc.Tenants, mc.Quantum, mc.UnmapEvery, mc.Shootdown, a, b)
@@ -72,7 +72,7 @@ func FuzzMultiCoreDeterminism(f *testing.F) {
 			t.Fatal(err)
 		}
 		fk.StartMeasurement()
-		if err := fk.Run(readers(bufs, nil), steps); err != nil {
+		if err := runTenants(fk, readers(bufs, nil), steps); err != nil {
 			t.Fatal(err)
 		}
 		fk.Finish()

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +11,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/pred"
 	"repro/internal/tlb"
 	"repro/internal/trace"
 )
@@ -52,8 +56,14 @@ func positions(gens []trace.Generator) []uint64 {
 	return pos
 }
 
+// runTenants runs n accesses of the machine's tenants without a
+// deadline.
+func runTenants(m *System, gens []trace.Generator, n uint64) error {
+	return m.RunTenants(context.Background(), gens, n)
+}
+
 // installMultiPreds gives the machine the deepest-state predictor pair.
-func installMultiPreds(t testing.TB, m *MultiSystem) {
+func installMultiPreds(t testing.TB, m *System) {
 	t.Helper()
 	dp, err := core.NewDPPred(core.DefaultDPPredConfig(m.LLT().Entries()))
 	if err != nil {
@@ -97,77 +107,6 @@ func TestParseShootdown(t *testing.T) {
 	}
 	if _, err := ParseShootdown("nope"); err == nil {
 		t.Error("unknown policy accepted")
-	}
-}
-
-// TestMultiSingleBitIdentical is the tentpole invariant: a 1-core 1-tenant
-// MultiSystem is the existing single machine, bit for bit — on the
-// baseline and on the full dpPred+cbPred configuration, with a nonzero
-// quantum (a lone tenant never switches) and accuracy tracking enabled.
-func TestMultiSingleBitIdentical(t *testing.T) {
-	const warm, meas = 50_000, 150_000
-	for _, withPreds := range []bool{false, true} {
-		buf, err := trace.Materialize(obsTestMix(t, 7), warm+meas)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		s := MustNew(smallConfig())
-		m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 1, Tenants: 1,
-			Quantum: 5_000, Shootdown: ShootdownFlushASID})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if withPreds {
-			dp, err := core.NewDPPred(core.DefaultDPPredConfig(s.LLT().Entries()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb, err := core.NewCBPred(core.DefaultCBPredConfig(s.LLC().Capacity()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.SetTLBPredictor(dp)
-			s.SetLLCPredictor(cb)
-			installMultiPreds(t, m)
-		}
-
-		if err := s.Run(buf.Reader(), warm); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run([]trace.Generator{buf.Reader()}, warm); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.EnableAccuracyTracking(); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.EnableAccuracyTracking(); err != nil {
-			t.Fatal(err)
-		}
-		s.StartMeasurement()
-		m.StartMeasurement()
-		if err := s.Run(buf.ReaderAt(warm), meas); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run([]trace.Generator{buf.ReaderAt(warm)}, meas); err != nil {
-			t.Fatal(err)
-		}
-		s.Finish()
-		m.Finish()
-
-		want := s.Result()
-		mr := m.Result()
-		if len(mr.PerCore) != 1 {
-			t.Fatalf("PerCore has %d entries", len(mr.PerCore))
-		}
-		if got := mr.PerCore[0]; got != want {
-			t.Errorf("preds=%v: 1c×1t MultiSystem diverged from System:\n  multi=%+v\n  single=%+v",
-				withPreds, got, want)
-		}
-		if mr.Switches != 0 || mr.Shootdowns != 0 || mr.Unmaps != 0 {
-			t.Errorf("1c×1t machine scheduled: switches=%d shootdowns=%d unmaps=%d",
-				mr.Switches, mr.Shootdowns, mr.Unmaps)
-		}
 	}
 }
 
@@ -245,12 +184,12 @@ func TestShootdownASIDIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bufs := multiBuffers(t, 2, 11, 40_000)
-	if err := m.Run(readers(bufs, nil), 40_000); err != nil {
+	if err := runTenants(m, readers(bufs, nil), 40_000); err != nil {
 		t.Fatal(err)
 	}
 
 	lltBefore := tlbKeysByASID(m.LLT())
-	dtlbBefore := tlbKeysByASID(m.Core(0).dtlb)
+	dtlbBefore := tlbKeysByASID(m.cores[0].dtlb)
 	if len(lltBefore[0]) == 0 || len(lltBefore[1]) == 0 {
 		t.Fatalf("warmup left an empty ASID in the LLT: %d/%d", len(lltBefore[0]), len(lltBefore[1]))
 	}
@@ -265,7 +204,7 @@ func TestShootdownASIDIsolation(t *testing.T) {
 		t.Errorf("shootdown of tenant 1 disturbed tenant 0's LLT entries (%d -> %d)",
 			len(lltBefore[0]), len(lltAfter[0]))
 	}
-	dtlbAfter := tlbKeysByASID(m.Core(0).dtlb)
+	dtlbAfter := tlbKeysByASID(m.cores[0].dtlb)
 	if len(dtlbAfter[1]) != 0 {
 		t.Errorf("%d D-TLB entries of shot-down tenant 1 survived", len(dtlbAfter[1]))
 	}
@@ -283,7 +222,7 @@ func TestShootdownFullFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	bufs := multiBuffers(t, 2, 13, 40_000)
-	if err := m.Run(readers(bufs, nil), 40_000); err != nil {
+	if err := runTenants(m, readers(bufs, nil), 40_000); err != nil {
 		t.Fatal(err)
 	}
 	if tlbCount(m.LLT()) == 0 {
@@ -294,10 +233,10 @@ func TestShootdownFullFlush(t *testing.T) {
 		t.Errorf("full flush left %d LLT entries", n)
 	}
 	for c := 0; c < 2; c++ {
-		if n := tlbCount(m.Core(c).dtlb); n != 0 {
+		if n := tlbCount(m.cores[c].dtlb); n != 0 {
 			t.Errorf("full flush left %d D-TLB entries on core %d", n, c)
 		}
-		if n := tlbCount(m.Core(c).itlb); n != 0 {
+		if n := tlbCount(m.cores[c].itlb); n != 0 {
 			t.Errorf("full flush left %d I-TLB entries on core %d", n, c)
 		}
 	}
@@ -318,7 +257,7 @@ func TestPostShootdownMiss(t *testing.T) {
 		accs = append(accs, access(0x400000, page+arch.VAddr(i*64)))
 	}
 	g := &seqGen{name: "page", list: accs}
-	if err := m.Run([]trace.Generator{g}, 64); err != nil {
+	if err := runTenants(m, []trace.Generator{g}, 64); err != nil {
 		t.Fatal(err)
 	}
 
@@ -340,19 +279,19 @@ func TestPostShootdownMiss(t *testing.T) {
 	if _, ok := m.LLT().Probe(vpn); ok {
 		t.Error("LLT still holds the shot-down translation")
 	}
-	if _, ok := m.Core(0).dtlb.Probe(vpn); ok {
+	if _, ok := m.cores[0].dtlb.Probe(vpn); ok {
 		t.Error("D-TLB still holds the shot-down translation")
 	}
 
-	walksBefore := m.Core(0).walks
-	if err := m.Run([]trace.Generator{g}, 1); err != nil {
+	walksBefore := m.cores[0].walks
+	if err := runTenants(m, []trace.Generator{g}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The single-tenant shootdown flushed the instruction page's
 	// translation too, so this access walks twice: once for the PC's
 	// page, once for the unmapped data page.
-	if m.Core(0).walks != walksBefore+2 {
-		t.Errorf("post-shootdown access walked %d times, want 2", m.Core(0).walks-walksBefore)
+	if m.cores[0].walks != walksBefore+2 {
+		t.Errorf("post-shootdown access walked %d times, want 2", m.cores[0].walks-walksBefore)
 	}
 	newPFN, mapped := tn.pt.TranslateIfMapped(vpn)
 	if !mapped {
@@ -364,10 +303,10 @@ func TestPostShootdownMiss(t *testing.T) {
 }
 
 // runMulti measures n accesses and returns the result.
-func runMulti(t testing.TB, m *MultiSystem, gens []trace.Generator, n uint64) MultiResult {
+func runMulti(t testing.TB, m *System, gens []trace.Generator, n uint64) Result {
 	t.Helper()
 	m.StartMeasurement()
-	if err := m.Run(gens, n); err != nil {
+	if err := runTenants(m, gens, n); err != nil {
 		t.Fatal(err)
 	}
 	m.Finish()
@@ -377,7 +316,7 @@ func runMulti(t testing.TB, m *MultiSystem, gens []trace.Generator, n uint64) Mu
 // warmMulti builds a full-featured machine (2 cores, 3 tenants, context
 // switching, unmap injection, dpPred+cbPred), warms it, and returns the
 // machine with its buffers and post-warmup positions.
-func warmMulti(t testing.TB, warm uint64) (*MultiSystem, []*trace.Buffer, []uint64) {
+func warmMulti(t testing.TB, warm uint64) (*System, []*trace.Buffer, []uint64) {
 	t.Helper()
 	m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 2, Tenants: 3,
 		Quantum: 700, Shootdown: ShootdownFlushASID, UnmapEvery: 900})
@@ -387,78 +326,34 @@ func warmMulti(t testing.TB, warm uint64) (*MultiSystem, []*trace.Buffer, []uint
 	installMultiPreds(t, m)
 	bufs := multiBuffers(t, 3, 21, warm+300_000)
 	gens := readers(bufs, nil)
-	if err := m.Run(gens, warm); err != nil {
+	if err := runTenants(m, gens, warm); err != nil {
 		t.Fatal(err)
 	}
 	return m, bufs, positions(gens)
 }
 
-// TestMultiForkBitIdentical: measuring on a fork must be bit-identical to
-// measuring on the master it was taken from.
-func TestMultiForkBitIdentical(t *testing.T) {
-	const warm, meas = 60_000, 120_000
-	m, bufs, pos := warmMulti(t, warm)
-	f, err := m.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runMulti(t, f, readers(bufs, pos), meas)
-	want := runMulti(t, m, readers(bufs, pos), meas)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("forked multi run diverged from master:\n  fork=%+v\n  master=%+v", got, want)
-	}
-}
-
-// TestMultiForkRefusesInstrumented mirrors the single-machine contract.
+// TestMultiForkRefusesInstrumented: the fork refusals of TestForkRefusals
+// hold on a multi-core machine, whose shared trackers and per-core metrics
+// every core references.
 func TestMultiForkRefusesInstrumented(t *testing.T) {
-	m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 1, Tenants: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.EnableAccuracyTracking(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Fork(); err == nil {
-		t.Error("fork of instrumented machine accepted")
-	}
-}
-
-// TestMultiCheckpointRoundTrip: restore into a fresh machine, splice the
-// generators at the checkpoint's per-tenant positions, and the restored
-// run must be bit-identical to the continuing master.
-func TestMultiCheckpointRoundTrip(t *testing.T) {
-	const warm, meas = 60_000, 120_000
-	m, bufs, pos := warmMulti(t, warm)
-
-	var ck bytes.Buffer
-	if err := m.WriteCheckpoint(&ck, "mix"); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewMulti(m.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	installMultiPreds(t, r)
-	meta, err := r.ReadCheckpoint(bytes.NewReader(ck.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for i, ta := range meta.TenantAccesses {
-		total += ta
-		if ta != pos[i] {
-			t.Errorf("tenant %d checkpoint accesses %d, generator position %d", i, ta, pos[i])
+	for name, instrument := range map[string]func(*System) error{
+		"accuracy":  (*System).EnableAccuracyTracking,
+		"confusion": (*System).EnableConfusionTracking,
+		"metrics": func(m *System) error {
+			m.AttachMetrics(obs.NewRegistry())
+			return nil
+		},
+	} {
+		m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 2, Tenants: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if meta.Accesses != warm || total != warm {
-		t.Errorf("checkpoint covers %d accesses (tenant sum %d), want %d", meta.Accesses, total, warm)
-	}
-
-	got := runMulti(t, r, readers(bufs, pos), meas)
-	want := runMulti(t, m, readers(bufs, pos), meas)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("restored multi run diverged from master:\n  restored=%+v\n  master=%+v", got, want)
+		if err := instrument(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Fork(); err == nil {
+			t.Errorf("fork with %s attached accepted", name)
+		}
 	}
 }
 
@@ -494,7 +389,7 @@ func TestMultiCheckpointRejectsMismatch(t *testing.T) {
 // switches (two cores run two tenants each), shootdowns, shared-structure
 // contention and all — produce deeply equal results.
 func TestMultiDeterminism(t *testing.T) {
-	run := func() MultiResult {
+	run := func() Result {
 		m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 4, Tenants: 6,
 			Quantum: 1_000, Shootdown: ShootdownFullFlush, UnmapEvery: 1_500})
 		if err != nil {
@@ -517,5 +412,78 @@ func TestMultiDeterminism(t *testing.T) {
 	if a.Switches == 0 || a.Shootdowns == 0 || a.Unmaps == 0 {
 		t.Errorf("stress run did not exercise scheduling: switches=%d shootdowns=%d unmaps=%d",
 			a.Switches, a.Shootdowns, a.Unmaps)
+	}
+}
+
+// TestCheckpointRejectsOutOfRangeSchedule: a checkpoint whose scheduler
+// state points outside the machine — a round-robin cursor past the active
+// cores, a running tenant past a core's pinned list, a quantum remainder
+// outside [1, Quantum] — must fail to decode rather than decode cleanly
+// and crash or stall the next run.
+func TestCheckpointRejectsOutOfRangeSchedule(t *testing.T) {
+	mc := MultiConfig{Machine: smallConfig(), Cores: 2, Tenants: 4, Quantum: 500, Shootdown: ShootdownFlushASID}
+	m, err := NewMulti(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := multiBuffers(t, 4, 3, 6_000)
+	if err := runTenants(m, readers(bufs, nil), 5_000); err != nil {
+		t.Fatal(err)
+	}
+	ck := checkpointBytes(t, m)
+	// The sched section: its mark (length-prefixed label), then rr, four
+	// counters, and (curTenant, sliceLeft) per core.
+	sched := bytes.Index(ck, append(binary.LittleEndian.AppendUint64(nil, 5), "sched"...))
+	if sched < 0 {
+		t.Fatal("no sched section in the checkpoint")
+	}
+	sched += 8 + len("sched")
+	for _, c := range []struct {
+		name string
+		off  int
+		v    uint64
+	}{
+		{"round-robin cursor", 0, 7},
+		{"running tenant", 5 * 8, 2},
+		{"empty quantum", 6 * 8, 0},
+		{"quantum overrun", 6 * 8, mc.Quantum + 1},
+	} {
+		bad := bytes.Clone(ck)
+		binary.LittleEndian.PutUint64(bad[sched+c.off:], c.v)
+		r, err := NewMulti(mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadCheckpoint(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s %d accepted", c.name, c.v)
+			if err := runTenants(r, readers(bufs, []uint64{1250, 1250, 1250, 1250}), 1_000); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// TestSingleCoreFeaturesRefuseLargerMachines: the characterization
+// samplers, the TLB prefetcher and the observer's tracer and interval
+// sampler exist for one core only; on a larger machine they must refuse
+// loudly, never act silently on core 0 alone.
+func TestSingleCoreFeaturesRefuseLargerMachines(t *testing.T) {
+	for name, enable := range map[string]func(*System){
+		"characterization": func(s *System) { s.EnableCharacterization(0) },
+		"prefetcher":       func(s *System) { s.SetTLBPrefetcher(&pred.DistancePrefetcher{}) },
+		"observer":         func(s *System) { s.AttachObserver(&obs.Observer{Interval: obs.NewIntervalRecorder(100)}) },
+	} {
+		m, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 2, Tenants: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a 2-core machine did not refuse", name)
+				}
+			}()
+			enable(m)
+		}()
 	}
 }

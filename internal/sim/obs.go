@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -12,56 +14,78 @@ import (
 // every structure's counters, and the interval recorder is driven every
 // Interval.Every accesses. Passing nil detaches everything. Each hook in
 // the simulator is guarded by one pointer/integer check, so a detached
-// system pays nothing on the access path.
+// system pays nothing on the access path. Single-core machines only; a
+// larger machine publishes its metrics through AttachMetrics.
 //
 // Attach order is free: predictors installed after AttachObserver are
 // wired by SetTLBPredictor/SetLLCPredictor.
 func (s *System) AttachObserver(o *obs.Observer) {
-	s.observer = o
-	s.tr = nil
-	s.intervalEvery = 0
-	s.lltConf, s.llcConf = nil, nil
-	s.histMemLat, s.histWalkDepth, s.histWalkLat = nil, nil, nil
-	s.histLLTLife, s.histLLCLife = nil, nil
+	s.singleCore("the observer (tracer and interval sampler)")
+	p := s.cores[0]
+	p.observer = o
+	p.tr = nil
+	p.intervalEvery = 0
+	p.lltConf, p.llcConf = s.lltConf, s.llcConf
+	p.histMemLat, p.histWalkDepth, p.histWalkLat = nil, nil, nil
+	p.histLLTLife, p.histLLCLife = nil, nil
 	if o == nil {
 		return
 	}
-	s.tr = o.Tracer
-	if s.tr != nil {
-		s.tr.SetClock(func() (uint64, uint64) { return s.now(), s.accesses })
+	p.tr = o.Tracer
+	if p.tr != nil {
+		p.tr.SetClock(func() (uint64, uint64) { return p.now(), p.accesses })
 	}
 	if o.Interval != nil && o.Interval.Every > 0 {
-		s.intervalEvery = o.Interval.Every
+		p.intervalEvery = o.Interval.Every
 	}
 	if reg := o.RunRegistry(); reg != nil {
-		s.enableQuality(reg)
-		s.registerMetrics(reg)
+		p.enableQuality(reg)
+		p.registerMetrics(reg)
 	}
-	if s.intervalEvery > 0 {
-		s.intervalBase = s.snap()
+	if p.intervalEvery > 0 {
+		p.intervalBase = p.snap()
 	}
-	s.observePredictors()
+	p.observePredictors()
 }
 
-// Observer returns the attached observability bundle (nil when detached).
-func (s *System) Observer() *obs.Observer { return s.observer }
+// AttachMetrics publishes every core's structure counters under a
+// "coreN." prefix plus the machine-level scheduling counters, and enables
+// per-core latency/lifetime histograms. Registration is passive — results
+// stay bit-identical with or without it.
+func (s *System) AttachMetrics(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	for i, p := range s.cores {
+		sub := reg.Sub(fmt.Sprintf("core%d.", i))
+		p.enableHistograms(sub)
+		p.registerMetrics(sub)
+	}
+	reg.RegisterProbe("multi.steps", func() float64 { return float64(s.counts.steps) })
+	reg.RegisterProbe("multi.switches", func() float64 { return float64(s.counts.switches) })
+	reg.RegisterProbe("multi.shootdowns", func() float64 { return float64(s.counts.shootdowns) })
+	reg.RegisterProbe("multi.shootdown_flushed", func() float64 { return float64(s.counts.shootdownFlushed) })
+	reg.RegisterProbe("multi.unmaps", func() float64 { return float64(s.counts.unmaps) })
+	reg.RegisterProbe("multi.cores", func() float64 { return float64(len(s.cores)) })
+	reg.RegisterProbe("multi.tenants", func() float64 { return float64(len(s.tenants)) })
+}
 
 // observePredictors hands the tracer and registry to the installed
 // predictors; called from AttachObserver and the predictor setters so
 // either ordering works.
-func (s *System) observePredictors() {
-	if s.observer == nil {
+func (p *proc) observePredictors() {
+	if p.observer == nil {
 		return
 	}
-	reg := s.observer.RunRegistry()
-	for _, p := range []any{s.tlbPred, s.llcPred} {
-		if s.tr != nil {
-			if ta, ok := p.(obs.TraceAttacher); ok {
-				ta.AttachTracer(s.tr)
+	reg := p.observer.RunRegistry()
+	for _, pr := range []any{p.tlbPred, p.llcPred} {
+		if p.tr != nil {
+			if ta, ok := pr.(obs.TraceAttacher); ok {
+				ta.AttachTracer(p.tr)
 			}
 		}
 		if reg != nil {
-			if m, ok := p.(obs.MetricSource); ok {
+			if m, ok := pr.(obs.MetricSource); ok {
 				m.RegisterMetrics(reg)
 			}
 		}
@@ -71,30 +95,34 @@ func (s *System) observePredictors() {
 // enableQuality turns on the passive quality telemetry that only exists
 // when a metrics registry is attached: the confusion trackers mirroring
 // the LLT and LLC (grading every dead prediction as true-dead, premature
-// or missed) and the latency/lifetime histograms. Mirror construction
-// cannot fail here — the geometries were already validated when the real
-// structures were built — but a defensive nil keeps the hook disabled if
-// it ever does.
-func (s *System) enableQuality(r *obs.Registry) {
-	inner := s.llt.Inner()
-	if t, err := stats.NewConfusionTracker("llt", inner.Sets(), inner.Ways(), s.cfg.LLT.Policy); err == nil {
-		s.lltConf = t
+// or missed; the machine's shared ones when EnableConfusionTracking ran)
+// and the latency/lifetime histograms. Mirror construction cannot fail
+// here — the geometries were already validated when the real structures
+// were built — but a defensive nil keeps the hook disabled if it ever
+// does.
+func (p *proc) enableQuality(r *obs.Registry) {
+	if p.lltConf == nil {
+		if lt, ct, err := newMirrors(p.cfg, p.llt, p.llc, "llt", "llc", stats.NewConfusionTracker); err == nil {
+			p.lltConf, p.llcConf = lt, ct
+		}
 	}
-	if t, err := stats.NewConfusionTracker("llc", s.llc.Sets(), s.llc.Ways(), s.cfg.LLC.Policy); err == nil {
-		s.llcConf = t
-	}
-	s.histMemLat = r.Histogram("hist.mem_latency")
-	s.histWalkDepth = r.Histogram("hist.walk_depth")
-	s.histWalkLat = r.Histogram("hist.walk_latency")
-	s.histLLTLife = r.Histogram("hist.llt_lifetime")
-	s.histLLCLife = r.Histogram("hist.llc_lifetime")
+	p.enableHistograms(r)
+}
+
+// enableHistograms creates the latency/lifetime histograms in r.
+func (p *proc) enableHistograms(r *obs.Registry) {
+	p.histMemLat = r.Histogram("hist.mem_latency")
+	p.histWalkDepth = r.Histogram("hist.walk_depth")
+	p.histWalkLat = r.Histogram("hist.walk_latency")
+	p.histLLTLife = r.Histogram("hist.llt_lifetime")
+	p.histLLCLife = r.Histogram("hist.llc_lifetime")
 }
 
 // registerMetrics publishes every structure's counters as probes. Probes
 // are closures over the live structures, so a snapshot always reflects
 // current state; per-run registry scopes (obs.Observer.BeginRun) keep
 // successive runs apart.
-func (s *System) registerMetrics(r *obs.Registry) {
+func (p *proc) registerMetrics(r *obs.Registry) {
 	cacheStats := func(prefix string, st func() cache.Stats) {
 		r.RegisterProbe(prefix+".lookups", func() float64 { return float64(st().Lookups) })
 		r.RegisterProbe(prefix+".hits", func() float64 { return float64(st().Hits) })
@@ -103,32 +131,32 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		r.RegisterProbe(prefix+".bypasses", func() float64 { return float64(st().Bypasses) })
 		r.RegisterProbe(prefix+".evictions", func() float64 { return float64(st().Evictions) })
 	}
-	cacheStats("itlb", s.itlb.Stats)
-	cacheStats("dtlb", s.dtlb.Stats)
-	cacheStats("llt", s.llt.Stats)
-	cacheStats("l1d", s.l1d.Stats)
-	cacheStats("l2", s.l2.Stats)
-	cacheStats("llc", s.llc.Stats)
+	cacheStats("itlb", p.itlb.Stats)
+	cacheStats("dtlb", p.dtlb.Stats)
+	cacheStats("llt", p.llt.Stats)
+	cacheStats("l1d", p.l1d.Stats)
+	cacheStats("l2", p.l2.Stats)
+	cacheStats("llc", p.llc.Stats)
 
-	r.RegisterProbe("walker.walks", func() float64 { return float64(s.walk.Stats().Walks) })
-	r.RegisterProbe("walker.pt_accesses", func() float64 { return float64(s.walk.Stats().PTAccesses) })
-	r.RegisterProbe("walker.walk_cycles", func() float64 { return float64(s.walk.Stats().WalkCycles) })
-	r.RegisterProbe("walker.full_walks", func() float64 { return float64(s.walk.Stats().FullWalks) })
-	r.RegisterProbe("walker.queue_cycles", func() float64 { return float64(s.walkQueueCycles) })
+	r.RegisterProbe("walker.walks", func() float64 { return float64(p.walk.Stats().Walks) })
+	r.RegisterProbe("walker.pt_accesses", func() float64 { return float64(p.walk.Stats().PTAccesses) })
+	r.RegisterProbe("walker.walk_cycles", func() float64 { return float64(p.walk.Stats().WalkCycles) })
+	r.RegisterProbe("walker.full_walks", func() float64 { return float64(p.walk.Stats().FullWalks) })
+	r.RegisterProbe("walker.queue_cycles", func() float64 { return float64(p.walkQueueCycles) })
 
-	r.RegisterProbe("core.instructions", func() float64 { return float64(s.core.Instructions()) })
-	r.RegisterProbe("core.cycles", func() float64 { return s.core.Cycles() })
-	r.RegisterProbe("core.mem_ops", func() float64 { return float64(s.core.MemOps()) })
+	r.RegisterProbe("core.instructions", func() float64 { return float64(p.core.Instructions()) })
+	r.RegisterProbe("core.cycles", func() float64 { return p.core.Cycles() })
+	r.RegisterProbe("core.mem_ops", func() float64 { return float64(p.core.MemOps()) })
 	r.RegisterProbe("core.ipc", func() float64 {
-		if c := s.core.Cycles(); c > 0 {
-			return float64(s.core.Instructions()) / c
+		if c := p.core.Cycles(); c > 0 {
+			return float64(p.core.Instructions()) / c
 		}
 		return 0
 	})
 
-	r.RegisterProbe("sim.accesses", func() float64 { return float64(s.accesses) })
-	r.RegisterProbe("sim.walks", func() float64 { return float64(s.walks) })
-	r.RegisterProbe("sim.shadow_fills", func() float64 { return float64(s.shadowFills) })
+	r.RegisterProbe("sim.accesses", func() float64 { return float64(p.accesses) })
+	r.RegisterProbe("sim.walks", func() float64 { return float64(p.walks) })
+	r.RegisterProbe("sim.shadow_fills", func() float64 { return float64(p.shadowFills) })
 
 	// Ground-truth prediction quality from the mirror-based confusion
 	// trackers (nil-guarded: the trackers only exist while a registry is
@@ -146,8 +174,8 @@ func (s *System) registerMetrics(r *obs.Registry) {
 		r.RegisterProbe(prefix+".premature_rate", func() float64 { return counts().PrematureRate() })
 		r.RegisterProbe(prefix+".coverage", func() float64 { return counts().CoverageRate() })
 	}
-	confusion("conf.llt", func() *stats.ConfusionTracker { return s.lltConf })
-	confusion("conf.llc", func() *stats.ConfusionTracker { return s.llcConf })
+	confusion("conf.llt", func() *stats.ConfusionTracker { return p.lltConf })
+	confusion("conf.llc", func() *stats.ConfusionTracker { return p.llcConf })
 
 	// Self-reported quality from predictors implementing obs.QualitySource
 	// (dpPred's shadow table detects its own premature predictions). The
@@ -169,58 +197,54 @@ func (s *System) registerMetrics(r *obs.Registry) {
 			return float64(d)
 		})
 	}
-	quality("pred.tlb", func() any { return s.tlbPred })
-	quality("pred.llc", func() any { return s.llcPred })
+	quality("pred.tlb", func() any { return p.tlbPred })
+	quality("pred.llc", func() any { return p.llcPred })
 }
 
 // sampleInterval emits one time-series point covering the accesses since
 // the previous sample (or since AttachObserver). Runs off the hot path —
 // once per intervalEvery accesses.
-func (s *System) sampleInterval() {
-	cur := s.snap()
-	b := s.intervalBase
-	s.intervalBase = cur
+func (p *proc) sampleInterval() {
+	cur := p.snap()
+	b := p.intervalBase
+	p.intervalBase = cur
 
+	d := between(cur, b)
 	samp := obs.IntervalSample{
-		Access:          s.accesses,
+		Access:          p.accesses,
 		Cycle:           cur.cycles,
-		Instructions:    cur.instructions - b.instructions,
-		Walks:           cur.walks - b.walks,
-		ShadowHits:      cur.shadowFills - b.shadowFills,
-		WalkQueueCycles: cur.walkQueue - b.walkQueue,
+		Instructions:    d.Instructions,
+		Walks:           d.Walks,
+		ShadowHits:      d.ShadowFills,
+		WalkQueueCycles: d.WalkQueueCycles,
+		IPC:             d.IPC,
+		LLTMPKI:         d.LLTMPKI,
+		LLCMPKI:         d.LLCMPKI,
+		LLTBypassRate:   bypassRate(d.LLTBypasses, d.LLTMisses),
+		LLCBypassRate:   bypassRate(d.LLCBypasses, d.LLCMisses),
 	}
-	if dc := cur.cycles - b.cycles; dc > 0 {
-		samp.IPC = float64(samp.Instructions) / dc
+	if now := p.now(); p.walkerBusyUntil > now {
+		samp.WalkerBacklog = p.walkerBusyUntil - now
 	}
-	if samp.Instructions > 0 {
-		ki := float64(samp.Instructions) / 1000
-		samp.LLTMPKI = float64(samp.Walks) / ki
-		samp.LLCMPKI = float64(cur.llcMisses-b.llcMisses) / ki
-	}
-	samp.LLTBypassRate = bypassRate(cur.lltBypasses-b.lltBypasses, cur.lltMisses-b.lltMisses)
-	samp.LLCBypassRate = bypassRate(cur.llcBypasses-b.llcBypasses, cur.llcMisses-b.llcMisses)
-	if now := s.now(); s.walkerBusyUntil > now {
-		samp.WalkerBacklog = s.walkerBusyUntil - now
-	}
-	if h, ok := s.tlbPred.(obs.CounterHistogrammer); ok {
+	if h, ok := p.tlbPred.(obs.CounterHistogrammer); ok {
 		samp.PHISTHist = h.CounterHistogram()
 	}
-	if h, ok := s.llcPred.(obs.CounterHistogrammer); ok {
+	if h, ok := p.llcPred.(obs.CounterHistogrammer); ok {
 		samp.BHISTHist = h.CounterHistogram()
 	}
-	if s.lltConf != nil {
+	if p.lltConf != nil {
 		d := cur.lltConf.Delta(b.lltConf)
 		samp.LLTTrueDead, samp.LLTPremature, samp.LLTMissed = d.TrueDead, d.Premature, d.Missed
 		samp.LLTPrematureRate = d.PrematureRate()
 	}
-	if s.llcConf != nil {
+	if p.llcConf != nil {
 		d := cur.llcConf.Delta(b.llcConf)
 		samp.LLCTrueDead, samp.LLCPremature, samp.LLCMissed = d.TrueDead, d.Premature, d.Missed
 		samp.LLCPrematureRate = d.PrematureRate()
 	}
-	idx := s.observer.Interval.Add(samp)
-	if s.tr != nil {
-		s.tr.Emit(obs.Event{Kind: obs.EvInterval, Key: uint64(idx)})
+	idx := p.observer.Interval.Add(samp)
+	if p.tr != nil {
+		p.tr.Emit(obs.Event{Kind: obs.EvInterval, Key: uint64(idx)})
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -69,7 +70,7 @@ func TestConcurrentSystemsShareNothing(t *testing.T) {
 		if got.err != nil {
 			t.Fatal(got.err)
 		}
-		if got.res != want {
+		if !reflect.DeepEqual(got.res, want) {
 			t.Errorf("concurrent run diverged from sequential:\n  got  %+v\n  want %+v", got.res, want)
 		}
 	}

@@ -97,7 +97,7 @@ func TestPrefetchDoesNotFaultNewPages(t *testing.T) {
 	// Pages mapped must equal pages demanded (plus code/PT): the
 	// prefetcher must not allocate beyond the demand stream.
 	demanded := uint64(5_000) // one new page per access on this stride
-	mapped := s.PageTable().MappedPages()
+	mapped := s.tenants[0].pt.MappedPages()
 	if mapped > demanded+16 {
 		t.Errorf("%d pages mapped for %d demanded; prefetcher faulted pages in", mapped, demanded)
 	}

@@ -1,0 +1,435 @@
+package sim
+
+import (
+	"repro/internal/arch"
+	"repro/internal/cache"
+	"repro/internal/cpu"
+	"repro/internal/obs"
+	"repro/internal/pagetable"
+	"repro/internal/policy"
+	"repro/internal/pred"
+	"repro/internal/stats"
+	"repro/internal/tlb"
+	"repro/internal/walker"
+	"repro/internal/xhash"
+)
+
+// proc is one core of the machine: its private L1 TLBs, L1D and L2, its
+// page walker and timing core, plus the pointers into the shared LLT, LLC
+// and predictors its access path reaches. Every access runs on a proc.
+type proc struct {
+	cfg Config
+
+	itlb, dtlb, llt *tlb.TLB
+	pt              *pagetable.PageTable // the running tenant's address space
+	walk            *walker.Walker
+	l1d, l2, llc    *cache.Cache
+	core            *cpu.Core
+
+	tlbPred pred.TLBPredictor
+	llcPred pred.LLCPredictor
+	tlbPref pred.TLBPrefetcher
+
+	// Cached optional-interface views of the installed predictors,
+	// refreshed whenever a predictor is set. The hot path tests these
+	// nil-able fields instead of repeating type assertions per access.
+	tlbObs pred.AccessObserver
+	llcObs pred.AccessObserver
+	tlbFF  pred.FillFinisher
+	llcFF  pred.FillFinisher
+	llcDOA pred.DOAPageListener
+
+	prefFills  uint64
+	prefUseful uint64
+
+	// Instrumentation (nil unless enabled). The accuracy mirrors are the
+	// machine's shared ones; the samplers and correlation tracker exist
+	// only on a single-core machine.
+	lltAcc      *stats.AccuracyTracker
+	llcAcc      *stats.AccuracyTracker
+	lltSampler  *stats.DeadSampler
+	llcSampler  *stats.DeadSampler
+	corr        *stats.DOACorrelation
+	sampleEvery uint64
+
+	// Observability (nil/zero unless attached; see AttachObserver). tr
+	// and intervalEvery are cached from observer so the hot-path guards
+	// are a single load each.
+	observer      *obs.Observer
+	tr            *obs.Tracer
+	intervalEvery uint64
+	intervalBase  snapshot
+
+	// Predictor-quality telemetry and latency/lifetime histograms. The
+	// confusion trackers are the machine's shared ones when
+	// EnableConfusionTracking ran, else created by AttachObserver; the
+	// histograms come with a metrics registry. All nil otherwise, so the
+	// disabled hot path pays one nil check per hook. All of it is passive:
+	// mirrors and histograms only observe, so results are bit-identical
+	// with or without it.
+	lltConf, llcConf *stats.ConfusionTracker
+	histMemLat       *obs.Histogram // total memory latency per access
+	histWalkDepth    *obs.Histogram // PTE fetches per page walk (1–4)
+	histWalkLat      *obs.Histogram // effective walk latency, queueing included
+	histLLTLife      *obs.Histogram // LLT entry residency, fill → eviction
+	histLLCLife      *obs.Histogram // LLC block residency, fill → eviction
+
+	// Counters owned by the core.
+	accesses    uint64
+	walks       uint64
+	shadowFills uint64
+
+	// walkerBusyUntil models the single hardware page walker: concurrent
+	// LLT misses queue behind it, so walk latency cannot be hidden by
+	// memory-level parallelism (the paper's premise, §I).
+	walkerBusyUntil uint64
+	// walkQueueCycles accumulates time walks spent waiting for the
+	// walker (reported for diagnostics).
+	walkQueueCycles uint64
+
+	// stepNow is the core cycle at the start of the current access. The
+	// core's clock only moves in Advance (before the access) and Memory
+	// (after it), so every structure touched within one access sees the
+	// same timestamp; caching it avoids float→int conversions per probe.
+	stepNow uint64
+
+	// asidKey tags every virtual page number this core translates with
+	// its running tenant's address-space identifier (the ASID shifted
+	// above the VPN bits). Tenant 0's key is 0, which leaves every key
+	// numerically unchanged. Context switches swap it.
+	asidKey uint64
+
+	// backInv, when set, replaces the local inclusive-LLC
+	// back-invalidation with a fan-out across every core sharing the LLC
+	// (set on machines with more than one core). nil keeps the
+	// single-core behaviour.
+	backInv func(key uint64)
+
+	// Measurement baseline (set by StartMeasurement).
+	base snapshot
+}
+
+// newProc builds one core over the shared LLT and LLC, running tenant t.
+func newProc(cfg Config, llt *tlb.TLB, llc *cache.Cache, t *tenantState) (*proc, error) {
+	p := &proc{cfg: cfg, llt: llt, llc: llc, pt: t.pt, asidKey: t.asidKey, sampleEvery: 50_000}
+	var err error
+	if p.itlb, err = tlb.New(cfg.L1ITLB); err != nil {
+		return nil, err
+	}
+	if p.dtlb, err = tlb.New(cfg.L1DTLB); err != nil {
+		return nil, err
+	}
+	if p.walk, err = walker.New(p.pt, cfg.PWC, p.ptFetch); err != nil {
+		return nil, err
+	}
+	if p.l1d, err = newCache(cfg.L1D); err != nil {
+		return nil, err
+	}
+	if p.l2, err = newCache(cfg.L2); err != nil {
+		return nil, err
+	}
+	if p.core, err = cpu.New(cfg.Core); err != nil {
+		return nil, err
+	}
+	p.setPredictors(pred.NullTLB{}, pred.NullLLC{})
+	return p, nil
+}
+
+// newCache builds one data-cache level.
+func newCache(cc CacheConfig) (*cache.Cache, error) {
+	return cache.New(cache.Config{Name: cc.Name, Sets: cc.sets(), Ways: cc.Ways, Policy: cc.Policy})
+}
+
+// setPredictors installs the (shared) predictors and refreshes the cached
+// optional-interface views the hot path tests (see the field comments).
+func (p *proc) setPredictors(tp pred.TLBPredictor, lp pred.LLCPredictor) {
+	p.tlbPred, p.llcPred = tp, lp
+	p.tlbObs, _ = p.tlbPred.(pred.AccessObserver)
+	p.tlbFF, _ = p.tlbPred.(pred.FillFinisher)
+	p.llcObs, _ = p.llcPred.(pred.AccessObserver)
+	p.llcFF, _ = p.llcPred.(pred.FillFinisher)
+	p.llcDOA, _ = p.llcPred.(pred.DOAPageListener)
+}
+
+// now returns the timestamp used for entry metadata: the core's cycle.
+func (p *proc) now() uint64 { return uint64(p.core.Cycles()) }
+
+// translate resolves a page through the TLB hierarchy, returning the extra
+// latency beyond a (free) L1 TLB hit.
+func (p *proc) translate(vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PFN, error) {
+	// Qualify the page number with the current address space: TLB entries,
+	// predictor state and page-walk-cache keys all become ASID-tagged. The
+	// ASID occupies bits above the 36 VPN bits, which no radix index ever
+	// consumes, so page-table walks see the qualified value transparently.
+	vpn |= arch.VPN(p.asidKey)
+	l1 := p.dtlb
+	if instr {
+		l1 = p.itlb
+	}
+	now := p.stepNow
+	if pfn, ok := l1.Lookup(vpn, now); ok {
+		return 0, pfn, nil
+	}
+
+	// Unified L2 TLB (LLT). AIP-style predictors observe every access.
+	if p.tlbObs != nil {
+		p.tlbObs.OnAccess(uint64(vpn))
+	}
+	if b, ok := p.llt.Inner().Lookup(uint64(vpn), now); ok {
+		if b.Prefetched {
+			p.prefUseful++
+			b.Prefetched = false
+		}
+		p.tlbPred.OnHit(b)
+		if p.lltAcc != nil {
+			p.lltAcc.Access(uint64(vpn), false, now)
+		}
+		if p.lltConf != nil {
+			p.lltConf.Access(uint64(vpn), false, now)
+		}
+		pfn := arch.PFN(b.Data)
+		p.fillL1TLB(l1, vpn, pfn)
+		return p.llt.Latency(), pfn, nil
+	}
+
+	// LLT miss: consult the predictor's victim buffer (shadow table)
+	// before walking (Fig. 6a).
+	if pfn, handled := p.tlbPred.OnMiss(vpn, pc); handled {
+		p.shadowFills++
+		if p.tr != nil {
+			p.tr.Emit(obs.Event{Kind: obs.EvShadowHit, Key: uint64(vpn), Aux: uint64(pfn), PC: pc})
+		}
+		p.lltFill(vpn, pfn, pc, pred.Decision{PCHash: uint16(xhash.PC(pc, 6))})
+		if p.lltAcc != nil {
+			p.lltAcc.Access(uint64(vpn), false, now)
+		}
+		if p.lltConf != nil {
+			p.lltConf.Access(uint64(vpn), false, now)
+		}
+		p.fillL1TLB(l1, vpn, pfn)
+		return p.llt.Latency(), pfn, nil
+	}
+
+	// Page walk. The hash of the PC rides in the MSHR (we simply pass
+	// the PC to the fill decision). The single page walker serializes
+	// concurrent walks: the effective latency includes queueing.
+	p.walks++
+	res, err := p.walk.Walk(vpn)
+	if err != nil {
+		return 0, 0, err
+	}
+	start := now
+	walkerWasIdle := p.walkerBusyUntil <= start
+	if !walkerWasIdle {
+		p.walkQueueCycles += p.walkerBusyUntil - start
+		start = p.walkerBusyUntil
+	}
+	p.walkerBusyUntil = start + uint64(res.Latency)
+	effWalk := arch.Lat(p.walkerBusyUntil - now)
+	if p.tr != nil {
+		p.tr.Emit(obs.Event{Kind: obs.EvWalk, Key: uint64(vpn), Aux: uint64(effWalk), Flag: !walkerWasIdle})
+	}
+	if p.histWalkDepth != nil {
+		p.histWalkDepth.Observe(uint64(res.PTAccesses))
+		p.histWalkLat.Observe(uint64(effWalk))
+	}
+	d := p.tlbPred.OnFill(vpn, res.PFN, pc)
+	if p.lltAcc != nil {
+		p.lltAcc.Access(uint64(vpn), d.PredictDOA, now)
+	}
+	if p.lltConf != nil {
+		p.lltConf.Access(uint64(vpn), d.PredictDOA, now)
+	}
+	if d.Bypass {
+		p.llt.RecordBypass()
+		if p.tr != nil {
+			p.tr.Emit(obs.Event{Kind: obs.EvLLTBypass, Key: uint64(vpn), Aux: uint64(res.PFN), PC: pc})
+		}
+		// Fig. 6b: announce the DOA page's frame to the LLC side.
+		if p.llcDOA != nil {
+			p.llcDOA.NotifyDOAPage(res.PFN)
+		}
+	} else {
+		p.lltFill(vpn, res.PFN, pc, d)
+	}
+	p.fillL1TLB(l1, vpn, res.PFN)
+
+	// Extension: distance prefetching. Prefetch walks run strictly at
+	// lower priority than demand walks: they are serviced in the
+	// walker's idle slots and dropped outright while a backlog exists,
+	// so prefetching never delays a demand walk (and consequently
+	// cannot help a walker-saturated workload — the "does not perform
+	// well across all applications" behaviour §VII cites).
+	if p.tlbPref != nil {
+		for _, cand := range p.tlbPref.OnMiss(vpn, pc) {
+			if !walkerWasIdle {
+				break
+			}
+			if _, resident := p.llt.Probe(cand); resident {
+				continue
+			}
+			pfn, mapped := p.pt.TranslateIfMapped(cand)
+			if !mapped {
+				continue
+			}
+			nb, victim, evicted := p.llt.Fill(cand, pfn, 0, policy.InsertMRU, p.stepNow)
+			nb.Prefetched = true
+			if evicted && !victim.Prefetched {
+				p.tlbPred.OnEvict(victim)
+				if p.lltSampler != nil {
+					p.lltSampler.OnEvict(victim, p.stepNow)
+				}
+			}
+			p.prefFills++
+		}
+	}
+	return p.llt.Latency() + effWalk, res.PFN, nil
+}
+
+// lltFill allocates an LLT entry and processes the resulting eviction.
+func (p *proc) lltFill(vpn arch.VPN, pfn arch.PFN, pc uint64, d pred.Decision) {
+	now := p.stepNow
+	if p.tr != nil {
+		p.tr.Emit(obs.Event{Kind: obs.EvLLTFill, Key: uint64(vpn), Aux: uint64(pfn), PC: pc})
+	}
+	nb, victim, evicted := p.llt.Fill(vpn, pfn, d.PCHash, d.Hint, now)
+	nb.Sig = d.Sig
+	if p.tlbFF != nil {
+		p.tlbFF.OnFillDone(nb)
+	}
+	if !evicted {
+		return
+	}
+	if p.tr != nil {
+		p.tr.Emit(obs.Event{Kind: obs.EvLLTEvict, Key: victim.Key, Aux: victim.Data, Flag: victim.Accessed})
+	}
+	if p.histLLTLife != nil {
+		p.histLLTLife.Observe(now - victim.FillTime)
+	}
+	if !victim.Prefetched {
+		p.tlbPred.OnEvict(victim)
+	}
+	if p.lltSampler != nil {
+		p.lltSampler.OnEvict(victim, now)
+	}
+	if p.corr != nil {
+		p.corr.OnPageEvict(arch.PFN(victim.Data), !victim.Accessed)
+	}
+}
+
+// fillL1TLB installs a translation in an L1 TLB; L1 evictions are silent
+// (the translation is already in the LLT or was bypassed deliberately).
+// Callers reach it only after vpn missed in l1 this very access, so the
+// translation is never already resident and no residency probe is needed.
+func (p *proc) fillL1TLB(l1 *tlb.TLB, vpn arch.VPN, pfn arch.PFN) {
+	l1.Install(vpn, pfn, p.stepNow)
+}
+
+// ptFetch is the walker's window into the data caches: PTE fetches are
+// physically addressed and traverse the hierarchy like any other access
+// ("the page table contents are cached on the processor caches", §III).
+func (p *proc) ptFetch(pa arch.PAddr) arch.Lat {
+	return p.memAccess(pa, ptWalkerPC, false)
+}
+
+// ptWalkerPC is the pseudo-PC attributed to the hardware walker's fetches.
+const ptWalkerPC = 0x00FF_FF00
+
+// memAccess sends a physical access through L1D → L2 → LLC → memory and
+// returns its latency. Fills propagate to all levels; LLC evictions
+// back-invalidate the inner levels (inclusive LLC).
+func (p *proc) memAccess(pa arch.PAddr, pc uint64, write bool) arch.Lat {
+	now := p.stepNow
+	key := uint64(pa.Block() >> arch.BlockShift)
+
+	if b, ok := p.l1d.Lookup(key, now); ok {
+		b.Dirty = b.Dirty || write
+		return p.cfg.L1D.Latency
+	}
+	if _, ok := p.l2.Lookup(key, now); ok {
+		p.fillInner(p.l1d, key, write, now)
+		return p.cfg.L2.Latency
+	}
+
+	if p.llcObs != nil {
+		p.llcObs.OnAccess(key)
+	}
+	if b, ok := p.llc.Lookup(key, now); ok {
+		p.llcPred.OnHit(b)
+		if p.llcAcc != nil {
+			p.llcAcc.Access(key, false, now)
+		}
+		if p.llcConf != nil {
+			p.llcConf.Access(key, false, now)
+		}
+		p.fillInner(p.l2, key, false, now)
+		p.fillInner(p.l1d, key, write, now)
+		return p.cfg.LLC.Latency
+	}
+
+	// LLC miss → main memory; decide allocation (Fig. 8b).
+	d := p.llcPred.OnFill(key, pc)
+	if p.llcAcc != nil {
+		p.llcAcc.Access(key, d.PredictDOA, now)
+	}
+	if p.llcConf != nil {
+		p.llcConf.Access(key, d.PredictDOA, now)
+	}
+	if d.Bypass {
+		p.llc.RecordBypass()
+		if p.tr != nil {
+			p.tr.Emit(obs.Event{Kind: obs.EvLLCBypass, Key: key, PC: pc})
+		}
+	} else {
+		if p.tr != nil {
+			p.tr.Emit(obs.Event{Kind: obs.EvLLCFill, Key: key, PC: pc, Flag: d.SetDP})
+		}
+		nb, victim, evicted := p.llc.Fill(key, d.Hint, now)
+		nb.DP = d.SetDP
+		nb.Sig = d.Sig
+		nb.PCHash = d.PCHash
+		if p.llcFF != nil {
+			p.llcFF.OnFillDone(nb)
+		}
+		if evicted {
+			if p.tr != nil {
+				p.tr.Emit(obs.Event{Kind: obs.EvLLCEvict, Key: victim.Key, Flag: victim.Accessed})
+			}
+			if p.histLLCLife != nil {
+				p.histLLCLife.Observe(now - victim.FillTime)
+			}
+			p.llcPred.OnEvict(victim)
+			if p.llcSampler != nil {
+				p.llcSampler.OnEvict(victim, now)
+			}
+			if p.corr != nil {
+				p.corr.OnBlockEvict(blockFrame(victim.Key), victim.Hits)
+			}
+			// Inclusive LLC: drop inner copies — from every core
+			// sharing the LLC when the machine installed the fan-out,
+			// else locally.
+			if p.backInv != nil {
+				p.backInv(victim.Key)
+			} else {
+				p.l2.Invalidate(victim.Key)
+				p.l1d.Invalidate(victim.Key)
+			}
+		}
+	}
+	p.fillInner(p.l2, key, false, now)
+	p.fillInner(p.l1d, key, write, now)
+	return p.cfg.LLC.Latency + p.cfg.MemLatency
+}
+
+// blockFrame recovers the frame of a physical block number.
+func blockFrame(blockNum uint64) arch.PFN {
+	return arch.PFN(blockNum >> (arch.PageShift - arch.BlockShift))
+}
+
+// fillInner installs a block in an inner cache level; inner evictions are
+// silent (clean-eviction model). Every call site sits on a path where key
+// just missed in c (and nothing re-inserts it in between), so the block is
+// never already resident and no residency probe is needed.
+func (p *proc) fillInner(c *cache.Cache, key uint64, write bool, now uint64) {
+	c.Install(key, policy.InsertMRU, now).Dirty = write
+}

@@ -14,76 +14,57 @@ import (
 // them; runBatch must leave the machine bit-identical to them.
 
 // refStep feeds one trace record through the machine.
-func (s *System) refStep(a trace.Access) error {
-	if cc := s.cpuCore; cc != nil {
-		if a.Gap > 0 {
-			cc.Advance(uint64(a.Gap))
-		}
-		s.stepNow = uint64(cc.Cycles())
-	} else {
-		if a.Gap > 0 {
-			s.core.Advance(uint64(a.Gap))
-		}
-		s.stepNow = uint64(s.core.Cycles())
+func (p *proc) refStep(a trace.Access) error {
+	if a.Gap > 0 {
+		p.core.Advance(uint64(a.Gap))
 	}
-	s.accesses++
+	p.stepNow = uint64(p.core.Cycles())
+	p.accesses++
 
 	// Instruction-side translation: the fetch of the memory instruction
 	// itself. L1 I-TLB hits are free; misses go through the shared LLT.
-	iLat, _, err := s.translate(arch.VAddr(a.PC).Page(), a.PC, true)
+	iLat, _, err := p.translate(arch.VAddr(a.PC).Page(), a.PC, true)
 	if err != nil {
 		return err
 	}
 
 	// Data-side translation.
-	dLat, pfn, err := s.translate(a.Addr.Page(), a.PC, false)
+	dLat, pfn, err := p.translate(a.Addr.Page(), a.PC, false)
 	if err != nil {
 		return err
 	}
 
 	// Data access through the cache hierarchy.
 	pa := arch.Translate(pfn, a.Addr)
-	memLat := s.memAccess(pa, a.PC, a.Write)
+	memLat := p.memAccess(pa, a.PC, a.Write)
 
-	if s.histMemLat != nil {
-		s.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
+	if p.histMemLat != nil {
+		p.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
 	}
 
-	if cc := s.cpuCore; cc != nil {
-		cc.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), a.Dependent)
-	} else {
-		s.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), a.Dependent)
-	}
+	p.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), a.Dependent)
 
-	if s.lltSampler != nil && s.accesses%s.sampleEvery == 0 {
-		s.lltSampler.Sample(s.llt.Inner())
-		s.llcSampler.Sample(s.llc)
+	if p.lltSampler != nil && p.accesses%p.sampleEvery == 0 {
+		p.lltSampler.Sample(p.llt.Inner())
+		p.llcSampler.Sample(p.llc)
 	}
-	if s.intervalEvery != 0 && s.accesses%s.intervalEvery == 0 {
-		s.sampleInterval()
+	if p.intervalEvery != 0 && p.accesses%p.intervalEvery == 0 {
+		p.sampleInterval()
 	}
 	return nil
 }
 
-// refRun feeds n accesses from g through refStep, with RunContext's error
-// messages.
+// refRun feeds n accesses from g through a one-tenant machine.
 func refRun(s *System, g trace.Generator, n uint64) error {
-	for i := uint64(0); i < n; i++ {
-		if err := s.refStep(g.Next()); err != nil {
-			return fmt.Errorf("sim: access %d: %w", i, err)
-		}
-	}
-	if err := trace.GeneratorErr(g); err != nil {
-		return fmt.Errorf("sim: after %d accesses: %w", n, err)
-	}
-	return nil
+	return refMultiRun(s, []trace.Generator{g}, n)
 }
 
-// refMultiRun drives n accesses through the multi-core machine one access
-// at a time: the next active core in round-robin order takes one record
-// from its running tenant's generator and steps it through refStep; then
-// the tenant's unmap ring, counters, unmap injection and quantum advance.
-func refMultiRun(m *MultiSystem, gens []trace.Generator, n uint64) error {
+// refMultiRun drives n accesses through the machine one access at a time,
+// with RunTenants' error messages: the next active core in round-robin
+// order takes one record from its running tenant's generator and steps it
+// through refStep; then the tenant's unmap ring, counters, unmap injection
+// and quantum advance.
+func refMultiRun(m *System, gens []trace.Generator, n uint64) error {
 	for i := uint64(0); i < n; i++ {
 		c := m.active[m.rr]
 		m.rr = (m.rr + 1) % len(m.active)
@@ -91,9 +72,12 @@ func refMultiRun(m *MultiSystem, gens []trace.Generator, n uint64) error {
 		t := m.tenants[ti]
 		a := gens[ti].Next()
 		if err := m.cores[c].refStep(a); err != nil {
+			if len(gens) == 1 {
+				return fmt.Errorf("sim: access %d: %w", i, err)
+			}
 			return fmt.Errorf("sim: access %d: sim: core %d tenant %d: %w", i, c, ti, err)
 		}
-		m.steps++
+		m.counts.steps++
 		t.accesses++
 		if m.cfg.UnmapEvery > 0 {
 			t.touch(arch.VPN(a.Addr.Page()) | arch.VPN(t.asidKey))
@@ -111,6 +95,9 @@ func refMultiRun(m *MultiSystem, gens []trace.Generator, n uint64) error {
 	}
 	for ti, g := range gens {
 		if err := trace.GeneratorErr(g); err != nil {
+			if len(gens) == 1 {
+				return fmt.Errorf("sim: after %d accesses: %w", n, err)
+			}
 			return fmt.Errorf("sim: tenant %d after %d total accesses: %w", ti, n, err)
 		}
 	}

@@ -1,14 +1,8 @@
 package sim
 
 import (
-	"repro/internal/cpu"
 	"repro/internal/stats"
 )
-
-// newCore adapts the cpu package to the coreModel seam.
-func newCore(cfg cpu.Config) (coreModel, error) {
-	return cpu.New(cfg)
-}
 
 // snapshot captures the monotone counters a measurement subtracts.
 type snapshot struct {
@@ -40,21 +34,21 @@ type snapshot struct {
 	lltConf, llcConf stats.Confusion
 }
 
-func (s *System) snap() snapshot {
-	llt := s.llt.Stats()
-	llc := s.llc.Stats()
-	l1d := s.l1d.Stats()
-	l2 := s.l2.Stats()
-	itlb := s.itlb.Stats()
-	dtlb := s.dtlb.Stats()
-	wk := s.walk.Stats()
-	latSum, memOps := s.core.MemLatencyStats()
+func (p *proc) snap() snapshot {
+	llt := p.llt.Stats()
+	llc := p.llc.Stats()
+	l1d := p.l1d.Stats()
+	l2 := p.l2.Stats()
+	itlb := p.itlb.Stats()
+	dtlb := p.dtlb.Stats()
+	wk := p.walk.Stats()
+	latSum, memOps := p.core.MemLatencyStats()
 	var lltConf, llcConf stats.Confusion
-	if s.lltConf != nil {
-		lltConf = s.lltConf.Counts()
+	if p.lltConf != nil {
+		lltConf = p.lltConf.Counts()
 	}
-	if s.llcConf != nil {
-		llcConf = s.llcConf.Counts()
+	if p.llcConf != nil {
+		llcConf = p.llcConf.Counts()
 	}
 	return snapshot{
 		lltConf: lltConf, llcConf: llcConf,
@@ -64,11 +58,11 @@ func (s *System) snap() snapshot {
 		dtlbLookups: dtlb.Lookups, dtlbMisses: dtlb.Misses,
 		pwcHits:      wk.PWCHits,
 		fullWalks:    wk.FullWalks,
-		instructions: s.core.Instructions(),
-		cycles:       s.core.Cycles(),
-		accesses:     s.accesses,
-		walks:        s.walks,
-		shadowFills:  s.shadowFills,
+		instructions: p.core.Instructions(),
+		cycles:       p.core.Cycles(),
+		accesses:     p.accesses,
+		walks:        p.walks,
+		shadowFills:  p.shadowFills,
 		lltLookups:   llt.Lookups,
 		lltMisses:    llt.Misses,
 		llcLookups:   llc.Lookups,
@@ -77,17 +71,11 @@ func (s *System) snap() snapshot {
 		lltBypasses:  llt.Bypasses,
 		ptAccesses:   wk.PTAccesses,
 		walkCycles:   wk.WalkCycles,
-		walkQueue:    s.walkQueueCycles,
+		walkQueue:    p.walkQueueCycles,
 		memLatSum:    latSum,
 		memOps:       memOps,
 	}
 }
-
-// StartMeasurement marks the end of warmup: the Result will report only
-// activity after this point. Instrumentation enabled earlier keeps
-// accumulating; enable it just before calling this to scope it to the
-// measured region.
-func (s *System) StartMeasurement() { s.base = s.snap() }
 
 // Result summarizes a measured region.
 type Result struct {
@@ -137,12 +125,51 @@ type Result struct {
 	LLTDead     stats.DeadResult
 	LLCDead     stats.DeadResult
 	Correlation stats.CorrelationResult
+
+	// Multi-core and multi-tenant fields, zero — and absent from the
+	// JSON — on a plain single-core machine. On a machine with several
+	// cores the fields above are machine totals: private counters are
+	// summed, the shared LLT/LLC counters and accuracy are the shared
+	// structures' own, Cycles is the slowest core's (cores run in
+	// parallel), IPC is aggregate throughput (summed instructions over
+	// those cycles), the MPKIs are per summed kilo-instruction and
+	// AvgMemLatency is weighted by each core's accesses. PerCore then
+	// holds each core's own Result.
+	PerCore []Result `json:",omitempty"`
+	// Scheduling counters over the measured region.
+	Switches         uint64 `json:",omitempty"`
+	Shootdowns       uint64 `json:",omitempty"`
+	ShootdownFlushed uint64 `json:",omitempty"`
+	Unmaps           uint64 `json:",omitempty"`
+	// Shared-structure ground-truth grading (nil unless
+	// EnableConfusionTracking ran).
+	LLTConfusion *stats.Confusion `json:",omitempty"`
+	LLCConfusion *stats.Confusion `json:",omitempty"`
 }
 
-// Result computes the summary for everything since StartMeasurement.
-func (s *System) Result() Result {
-	cur := s.snap()
-	b := s.base
+// result computes the core's summary for everything since
+// StartMeasurement. The shared structures' counters (LLT, LLC) and the
+// shared accuracy mirrors are machine-global, so they are the same on
+// every core.
+func (p *proc) result() Result {
+	r := between(p.snap(), p.base)
+	if p.lltAcc != nil {
+		r.LLTAccuracy = p.lltAcc.Result()
+		r.LLCAccuracy = p.llcAcc.Result()
+	}
+	if p.lltSampler != nil {
+		r.LLTDead = p.lltSampler.Result()
+		r.LLCDead = p.llcSampler.Result()
+	}
+	if p.corr != nil {
+		r.Correlation = p.corr.Result()
+	}
+	return r
+}
+
+// between returns the counters, and the rates derived from them, of the
+// activity between snapshots b and cur.
+func between(cur, b snapshot) Result {
 	r := Result{
 		Instructions:    cur.instructions - b.instructions,
 		Cycles:          cur.cycles - b.cycles,
@@ -182,16 +209,80 @@ func (s *System) Result() Result {
 		r.LLTMPKI = float64(r.Walks) / ki
 		r.LLCMPKI = float64(r.LLCMisses) / ki
 	}
-	if s.lltAcc != nil {
-		r.LLTAccuracy = s.lltAcc.Result()
-		r.LLCAccuracy = s.llcAcc.Result()
+	return r
+}
+
+// Result computes the summary for everything since StartMeasurement: a
+// single core's own numbers, or the machine totals with every core's
+// Result in PerCore.
+func (s *System) Result() Result {
+	var r Result
+	if len(s.cores) == 1 {
+		r = s.cores[0].result()
+	} else {
+		r = machineTotals(s.cores)
 	}
-	if s.lltSampler != nil {
-		r.LLTDead = s.lltSampler.Result()
-		r.LLCDead = s.llcSampler.Result()
+	c, b := s.counts, s.base
+	r.Switches = c.switches - b.switches
+	r.Shootdowns = c.shootdowns - b.shootdowns
+	r.ShootdownFlushed = c.shootdownFlushed - b.shootdownFlushed
+	r.Unmaps = c.unmaps - b.unmaps
+	if s.lltConf != nil {
+		lc, cc := s.lltConf.Counts(), s.llcConf.Counts()
+		r.LLTConfusion, r.LLCConfusion = &lc, &cc
 	}
-	if s.corr != nil {
-		r.Correlation = s.corr.Result()
+	return r
+}
+
+// machineTotals combines per-core Results into the machine's (see the
+// Result field comments).
+func machineTotals(cores []*proc) Result {
+	per := make([]Result, len(cores))
+	for i, p := range cores {
+		per[i] = p.result()
+	}
+	// Start from core 0: its shared-structure counters and accuracy are
+	// the machine's. Then sum the private counters over the other cores.
+	r := per[0]
+	r.PerCore = per
+	var latSum float64
+	for i, c := range per {
+		latSum += c.AvgMemLatency * float64(c.MemAccesses)
+		r.Cycles = max(r.Cycles, c.Cycles)
+		if i == 0 {
+			continue
+		}
+		r.Instructions += c.Instructions
+		r.MemAccesses += c.MemAccesses
+		r.Walks += c.Walks
+		r.ShadowFills += c.ShadowFills
+		r.PTAccesses += c.PTAccesses
+		r.WalkCycles += c.WalkCycles
+		r.WalkQueueCycles += c.WalkQueueCycles
+		r.L1DLookups += c.L1DLookups
+		r.L1DMisses += c.L1DMisses
+		r.L2Lookups += c.L2Lookups
+		r.L2Misses += c.L2Misses
+		r.ITLBLookups += c.ITLBLookups
+		r.ITLBMisses += c.ITLBMisses
+		r.DTLBLookups += c.DTLBLookups
+		r.DTLBMisses += c.DTLBMisses
+		for l := range r.PWCHits {
+			r.PWCHits[l] += c.PWCHits[l]
+		}
+		r.FullWalks += c.FullWalks
+	}
+	r.IPC, r.LLTMPKI, r.LLCMPKI, r.AvgMemLatency = 0, 0, 0, 0
+	if r.MemAccesses > 0 {
+		r.AvgMemLatency = latSum / float64(r.MemAccesses)
+	}
+	if r.Cycles > 0 {
+		r.IPC = float64(r.Instructions) / r.Cycles
+	}
+	if r.Instructions > 0 {
+		ki := float64(r.Instructions) / 1000
+		r.LLTMPKI = float64(r.Walks) / ki
+		r.LLCMPKI = float64(r.LLCMisses) / ki
 	}
 	return r
 }

@@ -130,7 +130,7 @@ func TestInclusionBackInvalidation(t *testing.T) {
 	}
 	// Inclusion invariant: every valid L2/L1D block is present in LLC.
 	violations := 0
-	for _, inner := range []*cache.Cache{s.l1d, s.l2} {
+	for _, inner := range []*cache.Cache{s.cores[0].l1d, s.cores[0].l2} {
 		inner.ForEach(func(_, _ int, b *cache.Block) {
 			if _, ok := s.llc.Probe(b.Key); !ok {
 				violations++
