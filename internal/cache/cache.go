@@ -10,14 +10,18 @@
 // and AIP baselines — plus fill/last-hit timestamps for the §IV dead-entry
 // characterization.
 //
-// Storage layout (hot path). All per-entry state lives in flat, fixed-stride
-// arrays indexed by set*ways+way: the Block payloads in one slice, and a
-// separate compact tag array so a lookup scans 8 bytes per way instead of a
-// full Block. Per-set packed bit words hold the valid and dead-mark bits, so
-// "any invalid way?" and "any dead-marked way?" are single-word tests during
-// a fill instead of a scan. The default LRU policy is inlined over the same
-// flat layout (per-way stamps plus a per-set clock), so a fully-warm access
-// performs no interface-method calls and no heap allocations.
+// Storage layout (hot path). Each set owns one record of 8-byte words in a
+// single slice: its W tags, then (under the default LRU policy) its W use
+// stamps, so set s spans [2·s·W, 2·(s+1)·W). A lookup scans the tags 8 bytes
+// per way, and the victim search that follows a miss reads the stamps on
+// the host lines right after them. The Block payloads sit in their own
+// slice indexed set*W+way and are touched only on a hit or a fill. Three
+// per-set arrays stay dense: the packed valid and dead-mark bit words, so
+// "any invalid way?" and "any dead-marked way?" are single-word tests, and
+// the LRU clock. A fully-warm access performs no interface-method calls and
+// no heap allocations. A fill copies its victim's Block out only when the
+// caller passes a buffer (FillVictim); the victim's key always comes back,
+// read from the tag record.
 package cache
 
 import (
@@ -107,17 +111,21 @@ type Cache struct {
 	// it has no invalid way.
 	fullMask uint64
 
-	// Flat per-entry arrays, indexed by set*ways+way.
-	tags   []uint64 // entry keys, scanned on lookup
-	blocks []Block  // full metadata payloads
+	// rec holds one record per set: set s occupies rec[s*stride:] with its
+	// tags (entry keys, scanned on lookup) in the first `ways` words and,
+	// under LRU, its per-way use stamps in the next `ways`. stride is
+	// 2*ways under LRU and ways otherwise.
+	rec    []uint64
+	stride int
+	// blocks holds the full metadata payloads, indexed by set*ways+way.
+	blocks []Block
 
 	// Packed per-set bit words (bit w = way w).
 	live []uint64 // valid bits
 	dead []uint64 // dead-mark bits (see MarkDead)
 
-	// Inlined LRU state (non-nil exactly when the policy is LRU):
-	// per-way use stamps plus a per-set clock, flat like the entries.
-	lruStamp []uint64
+	// lruClock is the inlined LRU policy's per-set clock; it is non-nil
+	// exactly when the policy is LRU (and the records carry stamps).
 	lruClock []uint64
 	// repl holds per-set policy state for non-LRU policies (nil when the
 	// LRU fast path is active).
@@ -152,25 +160,27 @@ func New(cfg Config) (*Cache, error) {
 		setMask:  uint64(cfg.Sets - 1),
 		pow2:     cfg.Sets&(cfg.Sets-1) == 0,
 		fullMask: fullWays(cfg.Ways),
-		tags:     make([]uint64, cfg.Sets*cfg.Ways),
+		stride:   cfg.Ways,
 		blocks:   make([]Block, cfg.Sets*cfg.Ways),
 		live:     make([]uint64, cfg.Sets),
 		dead:     make([]uint64, cfg.Sets),
 	}
 	if _, isLRU := pol.(policy.LRU); isLRU {
-		// Inline the default policy over flat arrays; state mirrors
+		// Inline the default policy over the set records; state mirrors
 		// policy.LRU.NewSet exactly (distinct initial stamps, clock at
 		// ways) so victim choices are bit-identical.
-		c.lruStamp = make([]uint64, cfg.Sets*cfg.Ways)
+		c.stride = 2 * cfg.Ways
+		c.rec = make([]uint64, cfg.Sets*c.stride)
 		c.lruClock = make([]uint64, cfg.Sets)
 		for s := 0; s < cfg.Sets; s++ {
-			for w := 0; w < cfg.Ways; w++ {
-				c.lruStamp[s*cfg.Ways+w] = uint64(w)
+			for w, stamps := 0, c.stamps(s); w < cfg.Ways; w++ {
+				stamps[w] = uint64(w)
 			}
 			c.lruClock[s] = uint64(cfg.Ways)
 		}
 		return c, nil
 	}
+	c.rec = make([]uint64, cfg.Sets*c.stride)
 	c.repl = make([]policy.Set, cfg.Sets)
 	for s := 0; s < cfg.Sets; s++ {
 		c.repl[s] = pol.NewSet(cfg.Ways)
@@ -184,6 +194,18 @@ func fullWays(n int) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(1)<<uint(n) - 1
+}
+
+// tags returns the set's tag words.
+func (c *Cache) tags(set int) []uint64 {
+	rb := set * c.stride
+	return c.rec[rb : rb+c.ways]
+}
+
+// stamps returns the set's LRU use stamps (LRU policy only).
+func (c *Cache) stamps(set int) []uint64 {
+	sb := set*c.stride + c.ways
+	return c.rec[sb : sb+c.ways]
 }
 
 // MustNew is New that panics on configuration errors; for tests and
@@ -225,7 +247,7 @@ func (c *Cache) Lookup(key uint64, now uint64) (*Block, bool) {
 	c.lookups++
 	set := c.SetIndex(key)
 	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
+	tags := c.tags(set)
 	if live := c.live[set]; live == c.fullMask {
 		// Full set (the warm steady state): every tag is backed by a
 		// valid entry, so the scan is pure 8-byte compares.
@@ -255,10 +277,10 @@ func (c *Cache) hit(set, base, w int, now uint64) *Block {
 	if d := c.dead[set]; d != 0 {
 		c.dead[set] = d &^ (1 << uint(w))
 	}
-	if c.lruStamp != nil {
+	if c.lruClock != nil {
 		clk := c.lruClock[set] + 1
 		c.lruClock[set] = clk
-		c.lruStamp[base+w] = clk
+		c.rec[set*c.stride+c.ways+w] = clk
 	} else {
 		c.repl[set].Touch(w)
 	}
@@ -271,8 +293,7 @@ func (c *Cache) hit(set, base, w int, now uint64) *Block {
 // resolved an access; HitAt later replays hits against that slot directly.
 func (c *Cache) Locate(key uint64) (set, way int, ok bool) {
 	set = c.SetIndex(key)
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
+	tags := c.tags(set)
 	live := c.live[set]
 	for w := range tags {
 		if tags[w] == key && live>>uint(w)&1 != 0 {
@@ -292,12 +313,11 @@ func (c *Cache) Locate(key uint64) (set, way int, ok bool) {
 // intervening eviction or invalidation: the guard detects it and the slow
 // path re-resolves.
 func (c *Cache) HitAt(set, way int, key, now uint64) (*Block, bool) {
-	base := set * c.ways
-	if c.tags[base+way] != key || c.live[set]>>uint(way)&1 == 0 {
+	if c.rec[set*c.stride+way] != key || c.live[set]>>uint(way)&1 == 0 {
 		return nil, false
 	}
 	c.lookups++
-	return c.hit(set, base, way, now), true
+	return c.hit(set, set*c.ways, way, now), true
 }
 
 // CoalescibleHits reports whether a run of consecutive hits to one slot
@@ -305,7 +325,7 @@ func (c *Cache) HitAt(set, way int, key, now uint64) (*Block, bool) {
 // stamp-based LRU policy, whose hit effect has a closed form over k
 // repeats; pluggable policies keep opaque per-hit state, so callers must
 // replay their hits one by one through Lookup or HitAt.
-func (c *Cache) CoalescibleHits() bool { return c.lruStamp != nil }
+func (c *Cache) CoalescibleHits() bool { return c.lruClock != nil }
 
 // HitRun applies k deferred hits to a slot in one update, bit-identical
 // to k individual Lookup hits on that slot of which the last happened at
@@ -329,7 +349,7 @@ func (c *Cache) HitRun(set, way int, k, lastNow uint64) *Block {
 	}
 	clk := c.lruClock[set] + k
 	c.lruClock[set] = clk
-	c.lruStamp[base+way] = clk
+	c.rec[set*c.stride+c.ways+way] = clk
 	return b
 }
 
@@ -337,12 +357,11 @@ func (c *Cache) HitRun(set, way int, k, lastNow uint64) *Block {
 // bit or statistics. Mirror structures and tests use it.
 func (c *Cache) Probe(key uint64) (*Block, bool) {
 	set := c.SetIndex(key)
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
+	tags := c.tags(set)
 	live := c.live[set]
 	for w := range tags {
 		if tags[w] == key && live>>uint(w)&1 != 0 {
-			return &c.blocks[base+w], true
+			return &c.blocks[set*c.ways+w], true
 		}
 	}
 	return nil, false
@@ -372,11 +391,10 @@ func (c *Cache) victimWay(set int) int {
 
 // policyVictim returns the replacement policy's victim for the set.
 func (c *Cache) policyVictim(set int) int {
-	if c.lruStamp == nil {
+	if c.lruClock == nil {
 		return c.repl[set].Victim()
 	}
-	base := set * c.ways
-	stamps := c.lruStamp[base : base+c.ways]
+	stamps := c.stamps(set)
 	v, min := 0, stamps[0]
 	for w := 1; w < len(stamps); w++ {
 		if s := stamps[w]; s < min {
@@ -391,30 +409,34 @@ func (c *Cache) policyVictim(set int) int {
 // The new block's metadata starts clean except for fields the caller sets
 // afterwards through the returned pointer.
 func (c *Cache) Fill(key uint64, hint policy.InsertHint, now uint64) (nb *Block, victim Block, evicted bool) {
-	nb, evicted = c.allocate(key, hint, now, &victim)
+	nb, _, evicted = c.FillVictim(key, hint, now, &victim)
 	return nb, victim, evicted
 }
 
 // Install is Fill for callers that discard the victim (silent inner-level
 // evictions): it skips copying the evicted block out.
 func (c *Cache) Install(key uint64, hint policy.InsertHint, now uint64) *Block {
-	nb, _ := c.allocate(key, hint, now, nil)
+	nb, _, _ := c.FillVictim(key, hint, now, nil)
 	return nb
 }
 
-// allocate implements Fill and Install; victim, when non-nil, receives a
-// copy of the evicted block.
-func (c *Cache) allocate(key uint64, hint policy.InsertHint, now uint64, victim *Block) (nb *Block, evicted bool) {
+// FillVictim is the fill behind Fill and Install. When it evicts, it
+// returns the victim's key, read from the tag record, and copies the
+// victim's whole Block into `into` only when `into` is non-nil — so a
+// caller that needs no more than the key never loads the old payload.
+func (c *Cache) FillVictim(key uint64, hint policy.InsertHint, now uint64, into *Block) (nb *Block, victimKey uint64, evicted bool) {
 	c.fills++
 	set := c.SetIndex(key)
 	base := set * c.ways
+	tags := c.tags(set)
 	var way int
 	if live := c.live[set]; live != c.fullMask {
 		way = bits.TrailingZeros64(^live & c.fullMask)
 	} else {
 		way = c.victimWay(set)
-		if victim != nil {
-			*victim = c.blocks[base+way]
+		victimKey = tags[way]
+		if into != nil {
+			*into = c.blocks[base+way]
 		}
 		evicted = true
 		c.evictions++
@@ -424,26 +446,25 @@ func (c *Cache) allocate(key uint64, hint policy.InsertHint, now uint64, victim 
 		Key:      key,
 		FillTime: now,
 	}
-	c.tags[base+way] = key
+	tags[way] = key
 	c.live[set] |= 1 << uint(way)
 	if d := c.dead[set]; d != 0 {
 		c.dead[set] = d &^ (1 << uint(way))
 	}
-	if c.lruStamp != nil {
+	if c.lruClock != nil {
 		c.lruInsert(set, way, hint)
 	} else {
 		c.repl[set].Insert(way, hint)
 	}
-	return &c.blocks[base+way], evicted
+	return &c.blocks[base+way], victimKey, evicted
 }
 
 // lruInsert is the inlined equivalent of policy.LRU's Insert: MRU insertion
 // bumps the clock; distant insertion stamps the way older than everything
 // resident (shifting stamps up when zero is already taken).
 func (c *Cache) lruInsert(set, way int, hint policy.InsertHint) {
-	base := set * c.ways
+	stamps := c.stamps(set)
 	if hint == policy.InsertDistant {
-		stamps := c.lruStamp[base : base+c.ways]
 		min := stamps[0]
 		for _, st := range stamps[1:] {
 			if st < min {
@@ -462,7 +483,7 @@ func (c *Cache) lruInsert(set, way int, hint policy.InsertHint) {
 	}
 	clk := c.lruClock[set] + 1
 	c.lruClock[set] = clk
-	c.lruStamp[base+way] = clk
+	stamps[way] = clk
 }
 
 // MarkDead flags the resident entry at the given way of key's set as a
@@ -481,9 +502,8 @@ func (c *Cache) MarkDead(key uint64, way int) {
 // per-way callers on the access path use MarkDead.
 func (c *Cache) MarkDeadKey(key uint64) bool {
 	set := c.SetIndex(key)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == key && c.live[set]>>uint(w)&1 != 0 {
+	for w, tag := range c.tags(set) {
+		if tag == key && c.live[set]>>uint(w)&1 != 0 {
 			c.dead[set] |= 1 << uint(w)
 			return true
 		}
@@ -494,9 +514,8 @@ func (c *Cache) MarkDeadKey(key uint64) bool {
 // DeadMarked reports whether key's resident entry carries a dead-mark.
 func (c *Cache) DeadMarked(key uint64) bool {
 	set := c.SetIndex(key)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == key && c.live[set]>>uint(w)&1 != 0 {
+	for w, tag := range c.tags(set) {
+		if tag == key && c.live[set]>>uint(w)&1 != 0 {
 			return c.dead[set]>>uint(w)&1 != 0
 		}
 	}
@@ -511,16 +530,17 @@ func (c *Cache) RecordBypass() { c.bypasses++ }
 func (c *Cache) Invalidate(key uint64) (Block, bool) {
 	set := c.SetIndex(key)
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == key && c.live[set]>>uint(w)&1 != 0 {
+	tags := c.tags(set)
+	for w, tag := range tags {
+		if tag == key && c.live[set]>>uint(w)&1 != 0 {
 			old := c.blocks[base+w]
 			c.blocks[base+w] = Block{}
-			c.tags[base+w] = 0
+			tags[w] = 0
 			c.live[set] &^= 1 << uint(w)
 			c.dead[set] &^= 1 << uint(w)
-			if c.lruStamp != nil {
+			if c.lruClock != nil {
 				// An invalidated way becomes the best victim.
-				c.lruStamp[base+w] = 0
+				c.stamps(set)[w] = 0
 			} else {
 				c.repl[set].Invalidate(w)
 			}

@@ -335,6 +335,40 @@ func BenchmarkLLCFill(b *testing.B) {
 	}
 }
 
+// BenchmarkLLCMissPath measures the simulated LLC miss path the way the
+// machine drives it when nothing reads LLC victims: a lookup that misses
+// in the 2048×16 LLC, a fill that keeps no copy of its victim, the
+// back-invalidation of the victim's key from a 512×8 and a 64×8 inner
+// cache, and the new block's fill into both. Keys are scrambled so
+// successive misses land in unrelated sets, as they do in the grid.
+func BenchmarkLLCMissPath(b *testing.B) {
+	llc := MustNew(Config{Name: "LLC", Sets: 2048, Ways: 16})
+	l2 := MustNew(Config{Name: "L2", Sets: 512, Ways: 8})
+	l1 := MustNew(Config{Name: "L1D", Sets: 64, Ways: 8})
+	key := func(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 >> 20 }
+	miss := func(i int) {
+		k, now := key(i), uint64(i)
+		if _, ok := llc.Lookup(k, now); ok {
+			b.Fatalf("key %#x hit", k)
+		}
+		if _, vk, evicted := llc.FillVictim(k, policy.InsertMRU, now, nil); evicted {
+			l2.Invalidate(vk)
+			l1.Invalidate(vk)
+		}
+		l2.Install(k, policy.InsertMRU, now)
+		l1.Install(k, policy.InsertMRU, now)
+	}
+	warm := 4 * llc.Capacity()
+	for i := 0; i < warm; i++ {
+		miss(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miss(warm + i)
+	}
+}
+
 // TestInstallMatchesFill: Install leaves the cache exactly as Fill does;
 // it only skips handing back the victim.
 func TestInstallMatchesFill(t *testing.T) {

@@ -4,23 +4,29 @@ import "repro/internal/ckpt"
 
 // EncodeState serializes the cache's full mutable state — entries, packed
 // valid/dead bit words, inlined LRU state and statistics — for warm-state
-// checkpointing. Geometry is stamped so DecodeState can reject a checkpoint
-// taken under a different configuration. Non-LRU replacement state is not
-// serializable (policy sets are opaque); encoding such a cache latches an
-// error.
+// checkpointing. The set records are written split, every set's tags
+// first and every set's stamps later, so the bytes do not depend on the
+// in-memory layout. Geometry is stamped so DecodeState can reject a
+// checkpoint taken under a different configuration. Non-LRU replacement
+// state is not serializable (policy sets are opaque); encoding such a
+// cache latches an error.
 func (c *Cache) EncodeState(w *ckpt.Writer) {
 	w.Mark("cache:" + c.name)
-	if c.lruStamp == nil {
+	if c.lruClock == nil {
 		w.Failf("cache %q: non-LRU replacement state cannot be checkpointed", c.name)
 		return
 	}
 	w.U64(uint64(c.sets))
 	w.U64(uint64(c.ways))
-	w.Binary(c.tags)
+	for s := 0; s < c.sets; s++ {
+		w.Binary(c.tags(s))
+	}
 	w.Binary(c.blocks)
 	w.Binary(c.live)
 	w.Binary(c.dead)
-	w.Binary(c.lruStamp)
+	for s := 0; s < c.sets; s++ {
+		w.Binary(c.stamps(s))
+	}
 	w.Binary(c.lruClock)
 	w.U64(c.lookups)
 	w.U64(c.hits)
@@ -33,7 +39,7 @@ func (c *Cache) EncodeState(w *ckpt.Writer) {
 // the identical configuration.
 func (c *Cache) DecodeState(r *ckpt.Reader) error {
 	r.Expect("cache:" + c.name)
-	if c.lruStamp == nil {
+	if c.lruClock == nil {
 		r.Failf("cache %q: non-LRU replacement state cannot be checkpointed", c.name)
 		return r.Err()
 	}
@@ -42,11 +48,15 @@ func (c *Cache) DecodeState(r *ckpt.Reader) error {
 		r.Failf("cache %q: checkpoint geometry %d×%d does not match configured %d×%d",
 			c.name, sets, ways, c.sets, c.ways)
 	}
-	r.Binary(c.tags)
+	for s := 0; s < c.sets; s++ {
+		r.Binary(c.tags(s))
+	}
 	r.Binary(c.blocks)
 	r.Binary(c.live)
 	r.Binary(c.dead)
-	r.Binary(c.lruStamp)
+	for s := 0; s < c.sets; s++ {
+		r.Binary(c.stamps(s))
+	}
 	r.Binary(c.lruClock)
 	c.lookups = r.U64()
 	c.hits = r.U64()

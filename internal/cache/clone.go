@@ -21,7 +21,8 @@ func (c *Cache) Clone() (*Cache, error) {
 		setMask:   c.setMask,
 		pow2:      c.pow2,
 		fullMask:  c.fullMask,
-		tags:      append([]uint64(nil), c.tags...),
+		rec:       append([]uint64(nil), c.rec...),
+		stride:    c.stride,
 		blocks:    append([]Block(nil), c.blocks...),
 		live:      append([]uint64(nil), c.live...),
 		dead:      append([]uint64(nil), c.dead...),
@@ -31,8 +32,7 @@ func (c *Cache) Clone() (*Cache, error) {
 		bypasses:  c.bypasses,
 		evictions: c.evictions,
 	}
-	if c.lruStamp != nil {
-		n.lruStamp = append([]uint64(nil), c.lruStamp...)
+	if c.lruClock != nil {
 		n.lruClock = append([]uint64(nil), c.lruClock...)
 		return n, nil
 	}

@@ -1,0 +1,340 @@
+package cache
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/ckpt"
+	"repro/internal/policy"
+)
+
+// refWay is one way of the reference model: the entry and its LRU stamp.
+type refWay struct {
+	blk   Block // blk.Valid and blk.Key mirror the cache's valid bit and tag
+	dead  bool
+	stamp uint64
+}
+
+// refCache is a deliberately plain model of an LRU Cache: per set, a slice
+// of ways plus a clock, with the victim rule spelled out directly — an
+// invalid way first (lowest index), else the policy victim (lowest stamp,
+// lowest way on ties) unless it is not dead-marked while another way is,
+// in which case the lowest dead-marked way.
+type refCache struct {
+	name  string
+	sets  [][]refWay
+	clock []uint64
+	st    Stats
+}
+
+func newRef(name string, sets, ways int) *refCache {
+	r := &refCache{name: name, sets: make([][]refWay, sets), clock: make([]uint64, sets)}
+	for s := range r.sets {
+		r.sets[s] = make([]refWay, ways)
+		for w := range r.sets[s] {
+			r.sets[s][w].stamp = uint64(w)
+		}
+		r.clock[s] = uint64(ways)
+	}
+	return r
+}
+
+func (r *refCache) set(key uint64) int { return int(key % uint64(len(r.sets))) }
+
+// find returns the way holding key, or -1.
+func (r *refCache) find(key uint64) (set, way int) {
+	set = r.set(key)
+	for w, e := range r.sets[set] {
+		if e.blk.Valid && e.blk.Key == key {
+			return set, w
+		}
+	}
+	return set, -1
+}
+
+func (r *refCache) touch(set, way int, k, now uint64) *Block {
+	e := &r.sets[set][way]
+	r.st.Lookups += k
+	r.st.Hits += k
+	e.blk.Accessed = true
+	e.blk.Hits += k
+	e.blk.LastHitTime = now
+	e.dead = false
+	r.clock[set] += k
+	e.stamp = r.clock[set]
+	return &e.blk
+}
+
+func (r *refCache) lookup(key, now uint64) (*Block, bool) {
+	set, w := r.find(key)
+	if w < 0 {
+		r.st.Lookups++
+		return nil, false
+	}
+	return r.touch(set, w, 1, now), true
+}
+
+func (r *refCache) victimWay(set int) (way int, full bool) {
+	ways := r.sets[set]
+	for w, e := range ways {
+		if !e.blk.Valid {
+			return w, false
+		}
+	}
+	v := 0
+	for w, e := range ways {
+		if e.stamp < ways[v].stamp {
+			v = w
+		}
+	}
+	if !ways[v].dead {
+		for w, e := range ways {
+			if e.dead {
+				return w, true
+			}
+		}
+	}
+	return v, true
+}
+
+func (r *refCache) fill(key uint64, hint policy.InsertHint, now uint64) (nb *Block, victim Block, evicted bool) {
+	set := r.set(key)
+	way, evicted := r.victimWay(set)
+	ways := r.sets[set]
+	r.st.Fills++
+	if evicted {
+		victim = ways[way].blk
+		r.st.Evictions++
+	}
+	ways[way].blk = Block{Valid: true, Key: key, FillTime: now}
+	ways[way].dead = false
+	if hint == policy.InsertDistant {
+		min := ways[0].stamp
+		for _, e := range ways {
+			if e.stamp < min {
+				min = e.stamp
+			}
+		}
+		if min == 0 {
+			for w := range ways {
+				ways[w].stamp++
+			}
+			r.clock[set]++
+			min = 1
+		}
+		ways[way].stamp = min - 1
+	} else {
+		r.clock[set]++
+		ways[way].stamp = r.clock[set]
+	}
+	return &ways[way].blk, victim, evicted
+}
+
+func (r *refCache) invalidate(key uint64) (Block, bool) {
+	set, w := r.find(key)
+	if w < 0 {
+		return Block{}, false
+	}
+	old := r.sets[set][w].blk
+	r.sets[set][w] = refWay{}
+	return old, true
+}
+
+// encode writes the model in the checkpoint layout EncodeState promises:
+// all tags, all blocks, the valid and dead words, all stamps, the clocks
+// and the counters.
+func (r *refCache) encode(w *ckpt.Writer) {
+	var tags, stamps, live, dead []uint64
+	var blocks []Block
+	for _, ways := range r.sets {
+		var lv, dd uint64
+		for i, e := range ways {
+			tags = append(tags, e.blk.Key)
+			stamps = append(stamps, e.stamp)
+			blocks = append(blocks, e.blk)
+			if e.blk.Valid {
+				lv |= 1 << uint(i)
+			}
+			if e.dead {
+				dd |= 1 << uint(i)
+			}
+		}
+		live, dead = append(live, lv), append(dead, dd)
+	}
+	w.Mark("cache:" + r.name)
+	w.U64(uint64(len(r.sets)))
+	w.U64(uint64(len(r.sets[0])))
+	w.Binary(tags)
+	w.Binary(blocks)
+	w.Binary(live)
+	w.Binary(dead)
+	w.Binary(stamps)
+	w.Binary(r.clock)
+	w.U64(r.st.Lookups)
+	w.U64(r.st.Hits)
+	w.U64(r.st.Fills)
+	w.U64(r.st.Bypasses)
+	w.U64(r.st.Evictions)
+}
+
+func encoded(t *testing.T, enc func(*ckpt.Writer)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	enc(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzCacheVsReference drives a Cache and the reference model with the
+// same random operation stream and requires identical hits, victims (key
+// and full Block), statistics and checkpoint bytes throughout, across
+// clones and checkpoint round trips.
+func FuzzCacheVsReference(f *testing.F) {
+	f.Add([]byte{0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{0x13, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87, 0x98, 0xa9, 0xba, 0xcb, 0xdc})
+	f.Add(bytes.Repeat([]byte{0x27, 0x41, 0x05, 0x8c, 0x3a, 0xd2, 0x6e, 0x19}, 24))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		sets := []int{1, 2, 3, 4}[data[0]&3]
+		ways := 1 + int(data[0]>>2)%5
+		cfg := Config{Name: "ref", Sets: sets, Ways: ways}
+		c := MustNew(cfg)
+		r := newRef(cfg.Name, sets, ways)
+		keySpace := uint64(2*sets*ways + 3)
+		var now uint64
+		for i := 1; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			key := uint64(arg) % keySpace
+			now++
+			switch op % 12 {
+			case 0: // Lookup
+				got, gok := c.Lookup(key, now)
+				want, wok := r.lookup(key, now)
+				if gok != wok || gok && *got != *want {
+					t.Fatalf("op %d Lookup(%d): got %v %+v, want %v %+v", i, key, gok, got, wok, want)
+				}
+			case 1, 2, 3: // Fill, Install or FillVictim on a key not resident
+				if _, w := r.find(key); w >= 0 {
+					continue
+				}
+				hint := policy.InsertHint(op >> 7)
+				wnb, wv, wev := r.fill(key, hint, now)
+				var gnb *Block
+				var gv Block
+				var gk uint64
+				var gev bool
+				switch op % 12 {
+				case 1:
+					gnb, gv, gev = c.Fill(key, hint, now)
+					gk = gv.Key
+				case 2:
+					gnb = c.Install(key, hint, now)
+					gev, gv, gk = wev, wv, wv.Key
+				case 3:
+					into := &gv
+					if op&0x40 != 0 {
+						into = nil
+					}
+					gnb, gk, gev = c.FillVictim(key, hint, now, into)
+					if into == nil {
+						gv = wv
+					}
+				}
+				if gev != wev || gk != wv.Key || gv != wv || *gnb != *wnb {
+					t.Fatalf("op %d fill(%d): got evicted=%v key %d %+v new %+v, want %v %+v new %+v",
+						i, key, gev, gk, gv, gnb, wev, wv, wnb)
+				}
+				if op&0x20 != 0 { // set caller-owned metadata on both
+					gnb.Dirty, wnb.Dirty = true, true
+					gnb.DP, wnb.DP = true, true
+				}
+			case 4: // Invalidate
+				gb, gok := c.Invalidate(key)
+				wb, wok := r.invalidate(key)
+				if gok != wok || gb != wb {
+					t.Fatalf("op %d Invalidate(%d): got %v %+v, want %v %+v", i, key, gok, gb, wok, wb)
+				}
+			case 5: // MarkDead on a way, resident or not
+				way := int(op>>4) % ways
+				c.MarkDead(key, way)
+				if e := &r.sets[r.set(key)][way]; e.blk.Valid {
+					e.dead = true
+				}
+			case 6: // MarkDeadKey
+				set, w := r.find(key)
+				if w >= 0 {
+					r.sets[set][w].dead = true
+				}
+				if got := c.MarkDeadKey(key); got != (w >= 0) {
+					t.Fatalf("op %d MarkDeadKey(%d) = %v", i, key, got)
+				}
+			case 7: // HitAt on an arbitrary slot (the guard must hold)
+				set, way := r.set(key), int(op>>4)%ways
+				got, gok := c.HitAt(set, way, key, now)
+				e := r.sets[set][way]
+				wok := e.blk.Valid && e.blk.Key == key
+				if gok != wok {
+					t.Fatalf("op %d HitAt(%d,%d,%d) = %v, want %v", i, set, way, key, gok, wok)
+				}
+				if wok {
+					if want := r.touch(set, way, 1, now); *got != *want {
+						t.Fatalf("op %d HitAt block %+v, want %+v", i, got, want)
+					}
+				}
+			case 8: // HitRun on a resident key
+				set, way, ok := c.Locate(key)
+				if _, w := r.find(key); ok != (w >= 0) || ok && w != way {
+					t.Fatalf("op %d Locate(%d) = %d %v, model way %d", i, key, way, ok, w)
+				}
+				if ok {
+					k := uint64(op>>4) + 1
+					got := c.HitRun(set, way, k, now)
+					if want := r.touch(set, way, k, now); *got != *want {
+						t.Fatalf("op %d HitRun block %+v, want %+v", i, got, want)
+					}
+				}
+			case 9: // Clone, and carry on with the clone
+				n, err := c.Clone()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c = n
+			case 10: // checkpoint round trip into a fresh cache
+				want := encoded(t, r.encode)
+				got := encoded(t, c.EncodeState)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("op %d: EncodeState bytes differ from the model's", i)
+				}
+				fresh := MustNew(cfg)
+				if err := fresh.DecodeState(ckpt.NewReader(bytes.NewReader(got))); err != nil {
+					t.Fatal(err)
+				}
+				if again := encoded(t, fresh.EncodeState); !bytes.Equal(again, got) {
+					t.Fatalf("op %d: decoded cache re-encodes differently", i)
+				}
+				c = fresh
+			case 11: // Victim preview and a bypass
+				gv, gok := c.Victim(key)
+				set := r.set(key)
+				way, full := r.victimWay(set)
+				if gok != full || full && gv != r.sets[set][way].blk {
+					t.Fatalf("op %d Victim(%d) = %v %+v, want %v way %d", i, key, gok, gv, full, way)
+				}
+				c.RecordBypass()
+				r.st.Bypasses++
+			}
+			r.st.Misses = r.st.Lookups - r.st.Hits
+			if c.Stats() != r.st {
+				t.Fatalf("op %d: stats %+v, want %+v", i, c.Stats(), r.st)
+			}
+		}
+		if got, want := encoded(t, c.EncodeState), encoded(t, r.encode); !bytes.Equal(got, want) {
+			t.Fatal("final EncodeState bytes differ from the model's")
+		}
+	})
+}

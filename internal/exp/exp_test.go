@@ -184,6 +184,40 @@ func TestFigure10FullProposalWins(t *testing.T) {
 	}
 }
 
+// TestTable5Shape checks Table V's orderings on the quick grid, whose
+// cells Figure 10 already runs. cbPred's mean does not top SHiP-LLC's on
+// either grid (EXPERIMENTS.md, Table V), so that ordering is not asserted;
+// the paper's consistency contrast is.
+func TestTable5Shape(t *testing.T) {
+	paperGrid(t)
+	s, err := Table5(quickRunner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: AIP-LLC, SHiP-LLC, cbPred.
+	aip, cb := s.Summary[0], s.Summary[2]
+	if cb <= 0 {
+		t.Errorf("cbPred mean LLC MPKI reduction %.3f%% not positive", cb)
+	}
+	if cb <= aip {
+		t.Errorf("cbPred mean reduction %.3f%% does not beat AIP-LLC %.3f%%", cb, aip)
+	}
+	shipWorst, cbWorst := math.Inf(1), math.Inf(1)
+	for _, row := range s.Rows {
+		if row.Values[2] < -0.5 {
+			t.Errorf("%s: cbPred raises LLC MPKI by %.3f%%", row.Name, -row.Values[2])
+		}
+		shipWorst = math.Min(shipWorst, row.Values[1])
+		cbWorst = math.Min(cbWorst, row.Values[2])
+	}
+	if shipWorst >= 0 {
+		t.Error("SHiP-LLC reduces LLC MPKI on every workload; the paper's mixed-sign column is missing")
+	}
+	if cbWorst <= shipWorst {
+		t.Errorf("cbPred's worst row %.3f%% is no better than SHiP-LLC's %.3f%%", cbWorst, shipWorst)
+	}
+}
+
 func TestTable6ShadowImprovesAccuracy(t *testing.T) {
 	paperGrid(t)
 	s, err := Table6(quickRunner)

@@ -38,6 +38,9 @@ type proc struct {
 	tlbFF  pred.FillFinisher
 	llcFF  pred.FillFinisher
 	llcDOA pred.DOAPageListener
+	// llcVictims is set when the LLC predictor reads evicted blocks
+	// (every predictor but pred.NullLLC).
+	llcVictims bool
 
 	prefFills  uint64
 	prefUseful uint64
@@ -149,6 +152,8 @@ func (p *proc) setPredictors(tp pred.TLBPredictor, lp pred.LLCPredictor) {
 	p.llcObs, _ = p.llcPred.(pred.AccessObserver)
 	p.llcFF, _ = p.llcPred.(pred.FillFinisher)
 	p.llcDOA, _ = p.llcPred.(pred.DOAPageListener)
+	_, null := p.llcPred.(pred.NullLLC)
+	p.llcVictims = !null
 }
 
 // now returns the timestamp used for entry metadata: the core's cycle.
@@ -384,7 +389,15 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64, write bool) arch.Lat {
 		if p.tr != nil {
 			p.tr.Emit(obs.Event{Kind: obs.EvLLCFill, Key: key, PC: pc, Flag: d.SetDP})
 		}
-		nb, victim, evicted := p.llc.Fill(key, d.Hint, now)
+		// The victim's Block is copied out only when something reads
+		// it (the DOA correlation comes with the sampler); back-
+		// invalidation needs no more than its key.
+		var victim cache.Block
+		var into *cache.Block
+		if p.llcVictims || p.tr != nil || p.histLLCLife != nil || p.llcSampler != nil {
+			into = &victim
+		}
+		nb, victimKey, evicted := p.llc.FillVictim(key, d.Hint, now, into)
 		nb.DP = d.SetDP
 		nb.Sig = d.Sig
 		nb.PCHash = d.PCHash
@@ -392,33 +405,42 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64, write bool) arch.Lat {
 			p.llcFF.OnFillDone(nb)
 		}
 		if evicted {
-			if p.tr != nil {
-				p.tr.Emit(obs.Event{Kind: obs.EvLLCEvict, Key: victim.Key, Flag: victim.Accessed})
-			}
-			if p.histLLCLife != nil {
-				p.histLLCLife.Observe(now - victim.FillTime)
-			}
-			p.llcPred.OnEvict(victim)
-			if p.llcSampler != nil {
-				p.llcSampler.OnEvict(victim, now)
-			}
-			if p.corr != nil {
-				p.corr.OnBlockEvict(blockFrame(victim.Key), victim.Hits)
+			if into != nil {
+				p.llcVictim(&victim, now)
 			}
 			// Inclusive LLC: drop inner copies — from every core
 			// sharing the LLC when the machine installed the fan-out,
 			// else locally.
 			if p.backInv != nil {
-				p.backInv(victim.Key)
+				p.backInv(victimKey)
 			} else {
-				p.l2.Invalidate(victim.Key)
-				p.l1d.Invalidate(victim.Key)
+				p.l2.Invalidate(victimKey)
+				p.l1d.Invalidate(victimKey)
 			}
 		}
 	}
 	p.fillInner(p.l2, key, false, now)
 	p.fillInner(p.l1d, key, write, now)
 	return p.cfg.LLC.Latency + p.cfg.MemLatency
+}
+
+// llcVictim hands an evicted LLC block to everything that reads it: the
+// tracer, the lifetime histogram, the predictor, the sampler and the DOA
+// correlation.
+func (p *proc) llcVictim(victim *cache.Block, now uint64) {
+	if p.tr != nil {
+		p.tr.Emit(obs.Event{Kind: obs.EvLLCEvict, Key: victim.Key, Flag: victim.Accessed})
+	}
+	if p.histLLCLife != nil {
+		p.histLLCLife.Observe(now - victim.FillTime)
+	}
+	p.llcPred.OnEvict(*victim)
+	if p.llcSampler != nil {
+		p.llcSampler.OnEvict(*victim, now)
+	}
+	if p.corr != nil {
+		p.corr.OnBlockEvict(blockFrame(victim.Key), victim.Hits)
+	}
 }
 
 // blockFrame recovers the frame of a physical block number.
