@@ -27,7 +27,9 @@
 //
 // Simulations are sharded across a bounded worker pool (-jobs); every run
 // is seeded, results are aggregated in the paper's fixed order, and the
-// printed tables are byte-identical whatever the job count.
+// printed tables are byte-identical whatever the job count. The selected
+// experiments' cells simulate first as one planned grid (exp.PlanGrid), so
+// -v progress follows that grid rather than the tables' order.
 //
 // -trace-dir DIR caches each workload's stream as a compressed DPBF v2
 // trace file under DIR (recorded once, reused on later runs with the same
@@ -341,11 +343,46 @@ func run() error {
 		return err
 	}
 
-	start := time.Now()
+	var selectedRuns []experiment
 	for _, e := range experiments {
-		if !want(e.id) {
-			continue
+		if want(e.id) {
+			selectedRuns = append(selectedRuns, e)
 		}
+	}
+	var predictorsRun func(*exp.Runner) (exp.Series, error)
+	if *predictors != "" {
+		var names []string
+		if !strings.EqualFold(*predictors, "all") {
+			for _, n := range strings.Split(*predictors, ",") {
+				if n = strings.TrimSpace(n); n != "" {
+					names = append(names, n)
+				}
+			}
+		}
+		predictorsRun = func(r *exp.Runner) (exp.Series, error) { return exp.Table4Extended(r, names) }
+	}
+
+	start := time.Now()
+	// Every selected experiment's cells simulate first, as one grid: the
+	// runner then counts each warm master's consumers across experiments
+	// and pairs one experiment's baseline cells with another's oracle
+	// (DESIGN.md §9). The experiments below replay that grid from the memo
+	// in table order, so stdout is unchanged. A planning or grid failure is
+	// not reported here: each experiment re-runs its own grid, failed and
+	// canceled cells included, and fails under its own ID after the ones
+	// before it have printed, as it would on its own.
+	fns := make([]func(*exp.Runner) (exp.Series, error), 0, len(selectedRuns)+1)
+	for _, e := range selectedRuns {
+		fns = append(fns, e.run)
+	}
+	if predictorsRun != nil {
+		fns = append(fns, predictorsRun)
+	}
+	if ws, setups, err := exp.PlanGrid(params, fns...); err == nil {
+		_ = r.RunGrid(ws, setups)
+	}
+
+	for _, e := range selectedRuns {
 		s, err := e.run(r)
 		if err != nil {
 			return failPartial(fmt.Errorf("%s: %w", e.id, err))
@@ -359,16 +396,8 @@ func run() error {
 		}
 		fmt.Println(rep.Format())
 	}
-	if *predictors != "" {
-		var names []string
-		if !strings.EqualFold(*predictors, "all") {
-			for _, n := range strings.Split(*predictors, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					names = append(names, n)
-				}
-			}
-		}
-		s, err := exp.Table4Extended(r, names)
+	if predictorsRun != nil {
+		s, err := predictorsRun(r)
 		if err != nil {
 			return failPartial(fmt.Errorf("predictors: %w", err))
 		}

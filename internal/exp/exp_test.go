@@ -250,6 +250,76 @@ func TestTable7PFQBoostsAccuracy(t *testing.T) {
 	}
 }
 
+// TestFigure11Shapes checks the six §VI-E sensitivity figures against the
+// orderings and ranges EXPERIMENTS.md reports, not exact values. Their
+// cells simulate first as one planned union grid, as paperexp runs them.
+func TestFigure11Shapes(t *testing.T) {
+	paperGrid(t)
+	figs := []func(*Runner) (Series, error){Figure11a, Figure11b, Figure11c, Figure11d, Figure11e, Figure11f}
+	ws, setups, err := PlanGrid(quickRunner.Params(), figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := quickRunner.RunGrid(ws, setups); err != nil {
+		t.Fatal(err)
+	}
+	s := make([]Series, len(figs))
+	for i, fig := range figs {
+		if s[i], err = fig(quickRunner); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b, c, d, e, f := s[0].Summary, s[1].Summary, s[2].Summary, s[3].Summary, s[4].Summary, s[5].Summary
+
+	// 11a: dpPred pays at every LLT size, and cactusADM's gain grows with
+	// the LLT (it thrashes the smaller ones).
+	for i, g := range a {
+		if g <= 1 {
+			t.Errorf("11a: dpPred geomean %.4f at %s, want > 1", g, s[0].Cols[i])
+		}
+	}
+	for _, row := range s[0].Rows {
+		if row.Name == "cactusADM" && !(row.Values[0] < row.Values[1] && row.Values[1] <= row.Values[2]) {
+			t.Errorf("11a: cactusADM gains %v do not grow with LLT size", row.Values)
+		}
+	}
+	// 11b: the doubled 6+5 table is slightly ahead of the default 6+4,
+	// which is close to the 10-bit PC-only index.
+	if b[0] < b[1] {
+		t.Errorf("11b: 6b PC + 5b VPN geomean %.4f below the default 6+4 %.4f", b[0], b[1])
+	}
+	if math.Abs(b[1]-b[2]) > 0.02 {
+		t.Errorf("11b: 6+4 geomean %.4f vs 10b PC %.4f, want within 0.02", b[1], b[2])
+	}
+	// 11c and 11d: the shadow size and the PFQ size barely matter.
+	if math.Abs(c[0]-c[1]) > 0.01 {
+		t.Errorf("11c: 2-entry shadow %.4f vs 4-entry %.4f, want within 0.01", c[0], c[1])
+	}
+	if math.Abs(d[0]-d[1]) > 0.01 {
+		t.Errorf("11d: 8-entry PFQ %.4f vs 64-entry %.4f, want within 0.01", d[0], d[1])
+	}
+	// 11e: the proposal still pays with a 3 MB LLC, but less than at 2 MB.
+	if e[1] <= 1 || e[1] >= e[0] {
+		t.Errorf("11e: 3 MB gain %.4f, want above 1 and below the 2 MB gain %.4f", e[1], e[0])
+	}
+	// 11f: SRRIP in the LLT alone adds little; dpPred on top of it adds
+	// more; SRRIP in both structures beats the LLT alone; and
+	// dpPred+cbPred on top of that adds a large margin.
+	srripLLT, srripDP, srripBoth, srripCB := f[0], f[1], f[2], f[3]
+	if srripLLT < 0.99 || srripLLT > 1.03 {
+		t.Errorf("11f: SRRIP LLT geomean %.4f, want within [0.99, 1.03]", srripLLT)
+	}
+	if srripDP < srripLLT+0.03 {
+		t.Errorf("11f: SRRIP dpPred %.4f adds under 3 points over SRRIP LLT %.4f", srripDP, srripLLT)
+	}
+	if srripBoth <= srripLLT {
+		t.Errorf("11f: SRRIP LLT+LLC %.4f does not beat SRRIP LLT %.4f", srripBoth, srripLLT)
+	}
+	if srripCB < srripBoth+0.05 {
+		t.Errorf("11f: SRRIP cbPred %.4f adds under 5 points over SRRIP LLT+LLC %.4f", srripCB, srripBoth)
+	}
+}
+
 func TestStorageOverheads(t *testing.T) {
 	rep, err := StorageOverheads()
 	if err != nil {

@@ -70,3 +70,19 @@ func (f *flight[V]) has(key string) bool {
 	defer f.mu.Unlock()
 	return f.m[key] != nil
 }
+
+// value returns key's outcome value once it is final and error-free.
+func (f *flight[V]) value(key string) (v V, ok bool) {
+	f.mu.Lock()
+	c := f.m[key]
+	f.mu.Unlock()
+	if c == nil {
+		return v, false
+	}
+	select {
+	case <-c.done:
+		return c.val, c.err == nil
+	default:
+		return v, false
+	}
+}

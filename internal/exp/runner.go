@@ -127,27 +127,37 @@ type Runner struct {
 	// (flight): one result per (workload, setup) name pair; one trace per
 	// workload, generated once and shared read-only by every setup and
 	// worker; one warmed master system per (workload, WarmupKey), forked per
-	// consuming setup and released after warmForkBudget forks; and one
-	// content fingerprint per workload, computed the first time a cell is
-	// keyed (CellKey hashes the stream prefix, so sharing it keeps keying
-	// O(1) per cell).
+	// consuming cell and released once its last counted consumer has
+	// consumed (countWarm); and one content fingerprint per workload,
+	// computed the first time a cell is keyed (CellKey hashes the stream
+	// prefix, so sharing it keeps keying O(1) per cell).
 	results flight[sim.Result]
 	traces  flight[traceSrc]
 	warm    flight[*warmMaster]
 	fps     flight[string]
 
-	// mu guards pairs: one shared baseline pass per workload whose grid
-	// pairs its baseline cell with an oracle cell (pairGrid).
-	mu    sync.Mutex
-	pairs map[string]*pairEntry
+	// mu guards pairs, claims and pending. pairs holds one shared baseline
+	// pass per workload whose grid pairs its baseline cell with an oracle
+	// cell (pairGrid). claims counts, per cell (workload/setup), the
+	// warm-path runs that grids counted and no consumer has served yet;
+	// pending sums them per warm master (workload/WarmupKey), whose machine
+	// the runner drops when its sum reaches zero (countWarm).
+	mu      sync.Mutex
+	pairs   map[string]*pairEntry
+	claims  map[string]int
+	pending map[string]int
+
+	// plan, when set, makes the runner a planner (PlanGrid): RunGrid
+	// records its grid there and Run simulates nothing.
+	plan *gridPlan
 
 	// sharedPasses and alonePasses count the oracle's record passes: run
 	// once for a workload's baseline and oracle cells together, or for an
 	// oracle cell alone (RecordPasses).
 	sharedPasses, alonePasses atomic.Int64
 	// warmForked and warmCold count warm-path consumers: measured on a fork
-	// of the shared master, or sent to the cold path because the fork
-	// budget was spent or Fork refused (WarmForks).
+	// of the shared master, or sent to the cold path because the master was
+	// already released or Fork refused it (WarmForks).
 	warmForked, warmCold atomic.Int64
 
 	// Memo, when set, layers a persistent result store under the
@@ -196,11 +206,10 @@ type traceSrc struct {
 // warmMaster is one warmed machine of the warm-state store: consumers fork
 // it.
 type warmMaster struct {
-	mu    sync.Mutex
-	sys   *sim.System   // warmed master; nil once the fork budget is spent
-	buf   *trace.Buffer // shared trace, with pos = the post-warmup cursor
-	pos   uint64
-	forks int
+	mu  sync.Mutex
+	sys *sim.System   // warmed master; nil once its counted consumers are served
+	buf *trace.Buffer // shared trace, with pos = the post-warmup cursor
+	pos uint64
 }
 
 // pairEntry is one workload's shared baseline pass. The oracle's record
@@ -224,16 +233,11 @@ type pairEntry struct {
 // running the pass (canceled while queued, or a panic).
 var errPairAbandoned = errors.New("exp: shared baseline pass abandoned")
 
-// warmForkBudget is how many forks a warm master serves before the runner
-// releases it: the grids pair each shareable setup with exactly one
-// instrumented twin (e.g. dpPred and dpPred+acc), so holding the master
-// beyond two forks would only retain memory.
-const warmForkBudget = 2
-
 // NewRunner creates a runner with the given parameters and a worker pool
 // sized to runtime.GOMAXPROCS.
 func NewRunner(p Params) *Runner {
-	r := &Runner{params: p, pairs: make(map[string]*pairEntry)}
+	r := &Runner{params: p, pairs: make(map[string]*pairEntry),
+		claims: make(map[string]int), pending: make(map[string]int)}
 	r.SetJobs(runtime.GOMAXPROCS(0))
 	return r
 }
@@ -263,10 +267,11 @@ func (r *Runner) SetContext(ctx context.Context) { r.ctx = ctx }
 // a previous run when its name matches the workload, seed and length) and
 // replayed from disk through per-worker chunk cursors. Results are
 // byte-identical to the default in-memory mode at any job count — both
-// feed the same columnar chunks to sim.System.RunContext — but the
-// warm-state fork optimization is disabled, since forking resumes
-// mid-buffer. The directory must exist; trace files opened from it stay
-// open for the runner's lifetime. Call before submitting work.
+// feed the same columnar chunks to sim.System.RunContext — but warm
+// sharing is off, since a fork resumes mid-buffer: every cell warms its
+// own machine and no warm master is counted or held. The directory must
+// exist; trace files opened from it stay open for the runner's lifetime.
+// Call before submitting work.
 func (r *Runner) SetTraceDir(dir string) { r.traceDir = dir }
 
 // baseCtx returns the runner's base context.
@@ -299,7 +304,8 @@ func (r *Runner) RecordPasses() (shared, alone int64) {
 // WarmForks reports how the warm-state path served its consumers so far:
 // forked counts cells measured on a fork of a shared warmed master, cold
 // counts cells that fell back to warming their own machine because the
-// master's fork budget was spent or Fork refused the machine.
+// master was already released (its counted consumers were all served
+// before this cell arrived) or Fork refused the machine.
 func (r *Runner) WarmForks() (forked, cold int64) {
 	return r.warmForked.Load(), r.warmCold.Load()
 }
@@ -316,7 +322,21 @@ func (r *Runner) Run(w trace.Workload, setup Setup) (sim.Result, error) {
 // RunContext is Run under an explicit context. Cancellation unblocks both
 // leaders (between simulation strides) and waiters (immediately); a waiter
 // canceled while the leader keeps running does not disturb the memo.
+//
+// A cell outside any grid counts as a grid of one: a warm-path cell not yet
+// memoized warms its own master, forks it once and releases it.
 func (r *Runner) RunContext(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
+	if r.plan != nil {
+		return sim.Result{}, ErrPlanned
+	}
+	retire := r.countWarm([]trace.Workload{w}, []Setup{setup})
+	defer retire()
+	return r.run(ctx, w, setup)
+}
+
+// run is RunContext without the warm count: grids count their cells once
+// before launching them.
+func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
 	res, shared, err := r.results.do(ctx, w.Name+"/"+setup.Name, func() (sim.Result, error) {
 		return r.lead(ctx, w, setup)
 	})
@@ -354,6 +374,9 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.R
 			if r.Status != nil {
 				r.Status.MemoHit(w.Name, setup.Name)
 			}
+			// Retire the cell's warm claim now, so a master whose other
+			// consumers simulate need not wait for the grid to end.
+			r.retireClaim(w.Name+"/"+setup.Name, w.Name+"/"+setup.WarmupKey)
 			return res, nil
 		}
 	}
@@ -467,7 +490,16 @@ func (r *Runner) RunGrid(workloads []trace.Workload, setups []Setup) error {
 // the grid promptly: running cells stop at their next stride check, queued
 // cells never start, and the returned error wraps ctx's error with the
 // number of unfinished cells.
+//
+// Before launching anything the grid counts its warm-path cells per warm
+// master (countWarm), so each master is released as soon as its last
+// consumer has forked it; whatever the grid counted and never served (a
+// failed or canceled cell) is retired when it returns.
 func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload, setups []Setup) error {
+	if r.plan != nil {
+		r.plan.add(workloads, setups)
+		return ErrPlanned
+	}
 	gctx := ctx
 	var cancel context.CancelFunc
 	if r.FailFast {
@@ -475,6 +507,8 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 		defer cancel()
 	}
 	r.pairGrid(workloads, setups)
+	retire := r.countWarm(workloads, setups)
+	defer retire()
 	if r.Status != nil {
 		// Announce the full cross product before launching anything, so
 		// /status shows pending cells instead of a grid that grows as
@@ -494,7 +528,7 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 			wg.Add(1)
 			go func(w trace.Workload, su Setup) {
 				defer wg.Done()
-				_, err := r.RunContext(gctx, w, su)
+				_, err := r.run(gctx, w, su)
 				if err == nil {
 					return
 				}
@@ -784,14 +818,90 @@ func (r *Runner) warmShareable(setup Setup) bool {
 		!setup.Oracle && setup.Prefetch == nil
 }
 
+// countWarm counts the cells of a grid that will take the warm path — a
+// warm-shareable setup whose cell is not memoized (or in flight) and is not
+// a baseline cell about to share an oracle's record pass — as claims on
+// their masters, and returns the func that retires whichever of those
+// claims no consumer served.
+func (r *Runner) countWarm(workloads []trace.Workload, setups []Setup) (retire func()) {
+	type claim struct{ cell, master string }
+	var counted []claim
+	r.mu.Lock()
+	for _, w := range workloads {
+		for _, su := range setups {
+			cell := w.Name + "/" + su.Name
+			if !r.warmShareable(su) || r.results.has(cell) {
+				continue
+			}
+			if e := r.pairs[w.Name]; e != nil && pairRole(su) == 0 && !e.taken[0] {
+				continue
+			}
+			c := claim{cell, w.Name + "/" + su.WarmupKey}
+			r.claims[c.cell]++
+			r.pending[c.master]++
+			counted = append(counted, c)
+		}
+	}
+	r.mu.Unlock()
+	return func() {
+		for _, c := range counted {
+			r.retireClaim(c.cell, c.master)
+		}
+	}
+}
+
+// retireClaim retires one of cell's counted claims, if it holds any, and
+// releases master if that was its last.
+func (r *Runner) retireClaim(cell, master string) {
+	if took, left := r.takeClaim(cell, master); took && left == 0 {
+		r.releaseIdle(master)
+	}
+}
+
+// takeClaim consumes one of cell's counted claims, if it holds any, and
+// returns how many counted consumers master has left.
+func (r *Runner) takeClaim(cell, master string) (took bool, left int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.claims[cell] > 0 {
+		took = true
+		if r.claims[cell]--; r.claims[cell] == 0 {
+			delete(r.claims, cell)
+		}
+		if r.pending[master]--; r.pending[master] == 0 {
+			delete(r.pending, master)
+		}
+	}
+	return took, r.pending[master]
+}
+
+// releaseIdle drops the master's machine unless a consumer was counted for
+// it meanwhile.
+func (r *Runner) releaseIdle(master string) {
+	m, ok := r.warm.value(master)
+	if !ok || m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r.mu.Lock()
+	idle := r.pending[master] == 0
+	r.mu.Unlock()
+	if idle {
+		m.sys = nil
+	}
+}
+
 // runShared executes a cell via the warm-state store: the first setup for
 // (workload, WarmupKey) builds and warms the master, every consumer measures
-// on its own fork. ok=false means the path was unavailable (fork refused or
-// budget spent, counted in WarmForks) and the caller should fall back to the
-// cold path; errors from building or warming the shared machine are real
-// and propagate.
+// on its own fork, and the consumer that takes the master's last counted
+// claim releases its machine. ok=false means the path was unavailable
+// (master already released or fork refused, counted in WarmForks) and the
+// caller should fall back to the cold path; errors from building or warming
+// the shared machine are real and propagate.
 func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup) (res sim.Result, ok bool, err error) {
-	m, _, err := r.warm.do(ctx, w.Name+"/"+setup.WarmupKey, func() (*warmMaster, error) {
+	master := w.Name + "/" + setup.WarmupKey
+	m, _, err := r.warm.do(ctx, master, func() (*warmMaster, error) {
 		sys, err := r.BuildSystem(setup)
 		if err != nil {
 			return nil, err
@@ -817,15 +927,17 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup) (
 	if m.sys != nil {
 		if f, ferr := m.sys.Fork(); ferr == nil {
 			fork = f
-			if m.forks++; m.forks >= warmForkBudget {
-				m.sys = nil // release the master for GC; nil marks exhaustion
-			}
 		}
+	}
+	// Every consumer consumes, forked or not; the last counted one releases
+	// the master for GC.
+	if _, left := r.takeClaim(w.Name+"/"+setup.Name, master); left == 0 {
+		m.sys = nil
 	}
 	m.mu.Unlock()
 	if fork == nil {
-		// An unforkable machine, or an unexpected extra consumer past the
-		// budget, warms its own machine on the cold path.
+		// An unforkable machine, or a consumer arriving after the master's
+		// release, warms its own machine on the cold path.
 		r.warmCold.Add(1)
 		return sim.Result{}, false, nil
 	}

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/pred"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -63,35 +65,114 @@ func TestWarmSharedMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmBudgetExhaustion: a third consumer of the same warmup key must
-// fall back to the cold path (the master is released after the fork budget),
-// count as a cold fallback, and still produce the identical result.
-func TestWarmBudgetExhaustion(t *testing.T) {
-	w, err := trace.ByName("cc")
-	if err != nil {
-		t.Fatal(err)
+// heldMasters lists the warm masters that still hold a machine.
+func heldMasters(r *Runner) []string {
+	r.warm.mu.Lock()
+	defer r.warm.mu.Unlock()
+	var held []string
+	for key, c := range r.warm.m {
+		select {
+		case <-c.done:
+		default:
+			held = append(held, key+" (in flight)")
+			continue
+		}
+		if m := c.val; m != nil {
+			m.mu.Lock()
+			if m.sys != nil {
+				held = append(held, key)
+			}
+			m.mu.Unlock()
+		}
 	}
-	r := NewRunner(Params{Warmup: 10_000, Measure: 30_000, Seed: 3, SampleEvery: 5_000})
-	r.SetJobs(1)
+	return held
+}
 
-	base := DPPredSetup()
-	acc := withAccuracy(DPPredSetup())
-	third := DPPredSetup()
-	third.Name = "dpPred-third" // distinct memo key, same warmup key
+// unforkableTLB hides its predictor's Clone, so sim.System.Fork refuses a
+// machine that carries it.
+type unforkableTLB struct{ pred.TLBPredictor }
 
-	res := make(map[string]sim.Result)
-	for _, su := range []Setup{base, acc, third} {
-		got, err := r.Run(w, su)
+// TestWarmCountedLifetimes: a grid counts each warm master's consumers
+// before it launches, so every consumer forks (none falls back to cold) and
+// the last one releases the master; a later lone Run of the same key finds
+// the master released, goes cold, is counted, and still matches; a consumer
+// whose Fork is refused still consumes, so its master is released too.
+func TestWarmCountedLifetimes(t *testing.T) {
+	var ws []trace.Workload
+	for _, name := range []string{"cc", "canneal"} {
+		w, err := trace.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res[su.Name] = got
+		ws = append(ws, w)
 	}
-	if !reflect.DeepEqual(res["dpPred-third"], res["dpPred"]) {
-		t.Errorf("post-budget cold fallback diverged:\n  third=%+v\n  first=%+v",
-			res["dpPred-third"], res["dpPred"])
+	third := DPPredSetup()
+	third.Name = "dpPred-third" // distinct memo key, same warmup key
+	fourth := DPPredSetup()
+	fourth.Name = "dpPred-fourth"
+	grid := []Setup{DPPredSetup(), withAccuracy(DPPredSetup()), third}
+
+	dp := DPPredSetup()
+	refused := Setup{Name: "refused", WarmupKey: "refused", TLB: func(s *sim.System) (pred.TLBPredictor, error) {
+		p, err := dp.TLB(s)
+		return unforkableTLB{p}, err
+	}}
+	refusedTwin := withAccuracy(refused)
+
+	for _, jobs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
+			r := NewRunner(Params{Warmup: 10_000, Measure: 30_000, Seed: 3, SampleEvery: 5_000})
+			r.SetJobs(jobs)
+			if err := r.RunGrid(ws, grid); err != nil {
+				t.Fatal(err)
+			}
+			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != 0 {
+				t.Errorf("grid WarmForks = %d forked, %d cold; want %d and 0", forked, cold, 3*len(ws))
+			}
+			if held := heldMasters(r); len(held) > 0 {
+				t.Errorf("masters still hold a machine after the grid: %v", held)
+			}
+
+			w := ws[0]
+			got, err := r.Run(w, fourth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := r.Run(w, DPPredSetup())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cold run after release diverged:\n  fourth=%+v\n  first=%+v", got, want)
+			}
+			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != 1 {
+				t.Errorf("after a lone Run, WarmForks = %d forked, %d cold; want %d and 1", forked, cold, 3*len(ws))
+			}
+
+			if err := r.RunGrid(ws, []Setup{refused, refusedTwin}); err != nil {
+				t.Fatal(err)
+			}
+			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != int64(1+2*len(ws)) {
+				t.Errorf("after refused forks, WarmForks = %d forked, %d cold; want %d and %d", forked, cold, 3*len(ws), 1+2*len(ws))
+			}
+			if held := heldMasters(r); len(held) > 0 {
+				t.Errorf("masters still hold a machine after refused forks: %v", held)
+			}
+		})
 	}
-	if forked, cold := r.WarmForks(); forked != 2 || cold != 1 {
-		t.Errorf("WarmForks = %d forked, %d cold; want 2 and 1", forked, cold)
+}
+
+// TestTable4ReleasesMasters: Table IV has one consumer per warm master, so
+// once it returns on a fresh runner no master may still hold a machine.
+func TestTable4ReleasesMasters(t *testing.T) {
+	r := NewRunner(Params{Warmup: 5_000, Measure: 10_000, Seed: 1, SampleEvery: 5_000})
+	if _, err := Table4(r); err != nil {
+		t.Fatal(err)
+	}
+	if held := heldMasters(r); len(held) > 0 {
+		t.Errorf("%d masters still hold a machine after Table4: %v", len(held), held)
+	}
+	if forked, cold := r.WarmForks(); forked == 0 || cold != 0 {
+		t.Errorf("Table4 WarmForks = %d forked, %d cold; want forks and no cold fallback", forked, cold)
 	}
 }
