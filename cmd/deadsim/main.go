@@ -29,7 +29,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +75,7 @@ func resolveAlias(name string, aliases map[string]string) string {
 func run() error {
 	var (
 		workload  = flag.String("workload", "cactusADM", "Table II workload name (or 'list')")
-		traceFile = flag.String("trace", "", "replay a recorded trace file instead of a synthetic workload (looped; DPTR streams and DPBF v1/v2 dumps by magic, see cmd/tracedump)")
+		traceFile = flag.String("trace", "", "replay a recorded trace file instead of a synthetic workload (looped; any format: DPBF v2 streams, DPTR and DPBF v1 are read into memory; see cmd/tracedump)")
 		tlbPred   = flag.String("tlb", "none", "LLT predictor: none, oracle, or a registered name/alias (dpPred, SHiP, AIP, SDBP-TLB, Leeway-TLB, ...)")
 		llcPred   = flag.String("llc", "none", "LLC predictor: none or a registered name/alias (cbPred, SHiP, AIP, SDBP-LLC, ...)")
 		warmup    = flag.Uint64("warmup", 300_000, "warmup accesses before measurement")
@@ -114,17 +113,21 @@ func run() error {
 	var w trace.Workload
 	if *traceFile != "" {
 		// Open and validate the trace up front so a missing file or bad
-		// header fails the run through the normal error path. All the
-		// generators built here implement trace.ErrGenerator, so a
-		// truncated or mid-file-corrupt trace latches its error during
-		// replay and every drain path (Materialize, System.Run) surfaces it
-		// instead of silently repeating the last record.
+		// header fails the run through the normal error path. A DPBF v2
+		// file streams, and a chunk that fails to read or decode latches
+		// its error during replay (trace.ErrGenerator), which every drain
+		// path (Materialize, System.Run) surfaces instead of silently
+		// repeating the last record.
 		f, err := os.Open(*traceFile)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		g, err := openTraceGenerator(f)
+		info, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		g, err := trace.Open(f, info.Size())
 		if err != nil {
 			return fmt.Errorf("%s: %w", *traceFile, err)
 		}
@@ -357,44 +360,6 @@ func run() error {
 			res.Correlation.Percent())
 	}
 	return nil
-}
-
-// openTraceGenerator sniffs the trace file's magic (and, for DPBF, its
-// version) and builds the matching looping generator: DPTR record streams
-// replay through the Replayer, DPBF v1 dumps materialize into a Buffer,
-// and DPBF v2 dumps stream chunk by chunk through a ChunkedTrace without
-// ever materializing. All three wrap at end of stream, and the buffer
-// cursors serve the batched simulation path (trace.ChunkReader).
-func openTraceGenerator(f *os.File) (trace.Generator, error) {
-	var pre [6]byte
-	if _, err := f.ReadAt(pre[:], 0); err != nil {
-		return nil, fmt.Errorf("sniffing trace magic: %w", err)
-	}
-	if string(pre[:4]) != "DPBF" {
-		// DPTR — or garbage, which the replayer rejects with the message
-		// naming both accepted magics.
-		rp, err := trace.NewReplayer(f, true)
-		if err != nil {
-			return nil, err
-		}
-		return rp, nil
-	}
-	if binary.LittleEndian.Uint16(pre[4:]) == 2 {
-		info, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		ct, err := trace.OpenChunked(f, info.Size())
-		if err != nil {
-			return nil, err
-		}
-		return ct.NewReader(), nil
-	}
-	b, err := trace.ReadBuffer(f)
-	if err != nil {
-		return nil, err
-	}
-	return b.Reader(), nil
 }
 
 // printMulti renders the multi-core run's statistics: the machine totals,

@@ -1,38 +1,35 @@
-// Command tracedump records synthetic workload traces to the repository's
-// binary trace formats, converts between them, and inspects existing trace
-// files. Recorded traces can be replayed through the simulator (deadsim
+// Command tracedump records synthetic workload traces to DPBF v2 files,
+// converts older trace files to DPBF v2, and inspects trace files of any
+// format. Recorded traces can be replayed through the simulator (deadsim
 // -trace) or exported as CSV for external analysis.
 //
 // Usage:
 //
-//	tracedump -workload cc -n 1000000 -o cc.dptr     # record DPTR stream
-//	tracedump -workload cc -n 1000000 -o cc.dpbf     # record DPBF v2 dump
-//	tracedump -convert cc.dptr -o cc.dpbf            # re-encode (v1 -> v2, ...)
-//	tracedump -dump cc.dptr -n 20                    # peek at records
-//	tracedump -dump cc.dptr -csv > cc.csv            # export CSV
+//	tracedump -workload cc -n 1000000 -o cc.dpbf     # record
+//	tracedump -convert cc.dptr -o cc.dpbf            # re-encode to v2
+//	tracedump -dump cc.dpbf -n 20                    # peek at records
+//	tracedump -dump cc.dpbf -csv > cc.csv            # export CSV
 //	tracedump -summary cc.dpbf                       # whole-file statistics
 //
-// A .dpbf output selects the struct-of-arrays buffer dump, always written
-// in the compressed chunk-indexed v2 layout. Writing the legacy raw v1
-// layout was removed after its one-release deprecation window; -v1 now
-// fails with a pointer at -convert. Any other output extension selects the
-// DPTR record stream.
+// Every file tracedump writes is a DPBF v2 buffer dump: compressed,
+// chunk-indexed columns that deadsim and the experiment runner stream
+// without materializing. The older DPTR record stream and the raw DPBF v1
+// layout are no longer written; an -o path ending in .dptr is refused.
 //
-// -convert reads a trace in any format (DPTR, DPBF v1, DPBF v2 — by magic)
-// and re-encodes it to -o under the same extension rules, so upgrading a
-// v1 library is `tracedump -convert old.dpbf -o new.dpbf`. Reading v1
-// files is permanent; only producing new ones is gone.
+// -convert, -dump and -summary read a trace in any format (DPTR, DPBF v1,
+// DPBF v2). Converting an old file once, `tracedump -convert old.dptr -o
+// new.dpbf`, lets it stream; reading old files stays supported.
 //
-// -summary accepts every format and reports per-PC-stream access counts,
-// the read/write ratio and the unique-VPN footprint over the entire file.
-// For DPBF v2 it first reports the chunk index — per-chunk compressed and
-// raw columnar sizes and the overall compression ratio — and rejects files
-// whose chunk index disagrees with the footer (trace.ErrChunkIndexMismatch).
+// -summary reports per-PC-stream access counts, the read/write ratio and
+// the unique-VPN footprint over the entire file. For DPBF v2 it first
+// reports the chunk index — per-chunk compressed and raw columnar sizes and
+// the overall compression ratio. A v2 file whose chunk index disagrees
+// with its footer is rejected (trace.ErrChunkIndexMismatch).
 package main
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -55,22 +52,18 @@ func run() error {
 	var (
 		workload = flag.String("workload", "", "Table II workload to record")
 		n        = flag.Uint64("n", 1_000_000, "records to record/dump")
-		out      = flag.String("o", "", "output trace file (record/convert mode)")
+		out      = flag.String("o", "", "output DPBF v2 trace file, named .dpbf (record/convert mode)")
 		convert  = flag.String("convert", "", "trace file (any format) to re-encode to -o")
-		v1       = flag.Bool("v1", false, "removed: DPBF v1 can no longer be written (v1 files still read; see -convert)")
-		dump     = flag.String("dump", "", "trace file to inspect")
+		dump     = flag.String("dump", "", "trace file (any format) to inspect")
 		csv      = flag.Bool("csv", false, "dump as CSV instead of a summary")
-		summary  = flag.String("summary", "", "trace file (DPTR or DPBF v1/v2) to summarize whole-file")
+		summary  = flag.String("summary", "", "trace file (any format) to summarize whole-file")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 	)
 	flag.Parse()
 
-	if *v1 {
-		// The deprecation window (one release behind -v1) is over: v1 is a
-		// read-only format now. Reading and converting v1 files is
-		// unaffected and stays supported.
-		return fmt.Errorf("-v1 was removed: tracedump no longer writes the legacy DPBF v1 layout; " +
-			"existing v1 files still read everywhere — re-encode one with `tracedump -convert old.dpbf -o new.dpbf`")
+	if strings.HasSuffix(*out, ".dptr") {
+		return fmt.Errorf("-o %s: DPTR is no longer written; tracedump writes DPBF v2, so name the output .dpbf "+
+			"(existing DPTR files still read everywhere)", *out)
 	}
 
 	// SIGINT/SIGTERM cancel a long recording; the partially written file
@@ -103,14 +96,8 @@ func record(ctx context.Context, name, path string, n, seed uint64) error {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".dpbf") {
-		// Compressed chunk-indexed buffer dump, streamed chunk by chunk —
-		// memory stays bounded whatever -n is.
-		err = trace.RecordV2Context(ctx, f, w.New(seed), n)
-	} else {
-		err = trace.RecordContext(ctx, f, w.New(seed), n)
-	}
-	if err != nil {
+	// Streamed chunk by chunk: memory stays bounded whatever -n is.
+	if err := trace.RecordV2Context(ctx, f, w.New(seed), n); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
@@ -124,31 +111,20 @@ func record(ctx context.Context, name, path string, n, seed uint64) error {
 	return nil
 }
 
-// reencode reads a whole trace in any format and rewrites it to outPath:
-// .dpbf selects the DPBF v2 buffer dump, anything else the DPTR record
-// stream. The access sequence is preserved exactly, so a converted trace
+// reencode reads a whole trace in any format and rewrites it to outPath as
+// DPBF v2. The access sequence is preserved exactly, so a converted trace
 // replays bit-identically to its source.
 func reencode(inPath, outPath string) error {
-	in, err := os.Open(inPath)
+	b, err := readTrace(inPath)
 	if err != nil {
 		return err
-	}
-	defer in.Close()
-	b, err := trace.ReadTrace(in)
-	if err != nil {
-		return fmt.Errorf("%s: %w", inPath, err)
 	}
 	f, err := os.Create(outPath)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(outPath, ".dpbf") {
-		_, err = b.WriteToV2(f)
-	} else {
-		err = trace.Record(f, b.Reader(), b.Len())
-	}
-	if err != nil {
+	if _, err := b.WriteToV2(f); err != nil {
 		return fmt.Errorf("%s: %w", outPath, err)
 	}
 	if err := f.Close(); err != nil {
@@ -163,20 +139,35 @@ func reencode(inPath, outPath string) error {
 	return nil
 }
 
-func inspect(path string, n uint64, csv bool) error {
+// readTrace materializes a whole trace file of any format.
+func readTrace(path string) (*trace.Buffer, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	rp, err := trace.NewReplayer(f, false)
+	b, err := trace.ReadTrace(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return b, nil
+}
+
+// inspect prints the first min(n, records) accesses of a trace — as CSV, or
+// the first ten and a summary over all of them.
+func inspect(path string, n uint64, csv bool) error {
+	b, err := readTrace(path)
 	if err != nil {
 		return err
 	}
+	if b.Len() == 0 {
+		return fmt.Errorf("%s: trace has no records", path)
+	}
+	n = min(n, b.Len())
 	if csv {
 		fmt.Println("pc,vaddr,gap,write,dependent")
 	} else {
-		fmt.Printf("trace %q\n", rp.Name())
+		fmt.Printf("trace %q\n", b.Name())
 	}
 	var (
 		writes, deps uint64
@@ -184,10 +175,7 @@ func inspect(path string, n uint64, csv bool) error {
 		gaps         uint64
 	)
 	for i := uint64(0); i < n; i++ {
-		a := rp.Next()
-		if err := rp.Err(); err != nil {
-			return err
-		}
+		a := b.At(i)
 		if csv {
 			fmt.Printf("%#x,%#x,%d,%t,%t\n", a.PC, uint64(a.Addr), a.Gap, a.Write, a.Dependent)
 			continue
@@ -218,15 +206,7 @@ func inspect(path string, n uint64, csv bool) error {
 // (the 21 bytes/record a v1 dump would spend), and the overall compression
 // ratio. It costs O(chunks) — the index comes from the footer, payloads
 // are never inflated. Long indexes elide the middle chunks.
-func summarizeChunks(f *os.File) error {
-	info, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	ct, err := trace.OpenChunked(f, info.Size())
-	if err != nil {
-		return err
-	}
+func summarizeChunks(ct *trace.ChunkedTrace, size int64) {
 	const recBytes = 21 // 8 PC + 8 VA + 4 gap + 1 flags per record, the v1 column cost
 	ratio := func(raw, comp uint64) float64 {
 		if comp == 0 {
@@ -235,7 +215,7 @@ func summarizeChunks(f *os.File) error {
 		return float64(raw) / float64(comp)
 	}
 	chunks := ct.Chunks()
-	fmt.Printf("dpbf v2: %d chunks, file %d bytes\n", chunks, info.Size())
+	fmt.Printf("dpbf v2: %d chunks, file %d bytes\n", chunks, size)
 	const headTail = 16 // chunks shown before eliding + the final chunk
 	var comp, raw uint64
 	for i := 0; i < chunks; i++ {
@@ -253,7 +233,6 @@ func summarizeChunks(f *os.File) error {
 	}
 	fmt.Printf("  payload total: %d bytes compressed, %d raw columnar, ratio %.2fx\n",
 		comp, raw, ratio(raw, comp))
-	return nil
 }
 
 // streamShift groups PCs into instruction streams for the summary: the
@@ -264,26 +243,30 @@ const streamShift = 14
 
 // summarize reads an entire trace file — any format — and prints
 // per-stream access counts, the read/write split and the unique-VPN
-// footprint. DPBF v2 files additionally get their chunk index reported
-// first; a v2 file whose index disagrees with its footer is rejected with
-// trace.ErrChunkIndexMismatch rather than summarized from whichever copy
-// happens to parse.
+// footprint. A file that opens as an indexed DPBF v2 trace gets its chunk
+// index reported first; a v2 file whose index disagrees with its footer is
+// rejected with trace.ErrChunkIndexMismatch. Other files — older formats,
+// and any that OpenChunked cannot index — go straight to ReadTrace, which
+// decodes the whole file and rejects it if it is corrupt.
 func summarize(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	var pre [6]byte
-	if _, err := f.ReadAt(pre[:], 0); err == nil &&
-		string(pre[:4]) == "DPBF" && binary.LittleEndian.Uint16(pre[4:]) == 2 {
-		if err := summarizeChunks(f); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	switch ct, err := trace.OpenChunked(f, info.Size()); {
+	case err == nil:
+		summarizeChunks(ct, info.Size())
+	case errors.Is(err, trace.ErrChunkIndexMismatch):
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	b, err := trace.ReadTrace(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	n := b.Len()
 	fmt.Printf("trace %q: %d accesses\n", b.Name(), n)

@@ -67,7 +67,7 @@ type (
 	// Generator produces an unbounded deterministic access stream.
 	Generator = trace.Generator
 	// ErrGenerator is a Generator that latches mid-stream failures
-	// (e.g. a Replayer over a truncated trace); check Err after draining.
+	// (e.g. a replay of a corrupt trace file); check Err after draining.
 	ErrGenerator = trace.ErrGenerator
 	// MixSpec declares a custom workload as a weighted mix of streams.
 	MixSpec = trace.MixSpec
@@ -158,15 +158,16 @@ func WorkloadByName(name string) (Workload, error) { return trace.ByName(name) }
 // NewMix builds a generator for a custom workload specification.
 func NewMix(spec MixSpec, seed uint64) (Generator, error) { return trace.NewMix(spec, seed) }
 
-// RecordTrace captures n accesses from a generator into w using the
-// repository's binary trace format (see cmd/tracedump).
-func RecordTrace(w io.Writer, g Generator, n uint64) error { return trace.Record(w, g, n) }
+// RecordTrace captures n accesses from a generator into w as a DPBF v2
+// trace file, the format cmd/tracedump writes (name it with a .dpbf
+// extension). Recording streams chunk by chunk, whatever n is.
+func RecordTrace(w io.Writer, g Generator, n uint64) error { return trace.RecordV2(w, g, n) }
 
-// NewReplayer opens a recorded trace as a Generator. With loop=true the
-// source must be an io.ReadSeeker and the trace restarts at EOF.
-func NewReplayer(r io.Reader, loop bool) (*trace.Replayer, error) {
-	return trace.NewReplayer(r, loop)
-}
+// OpenTrace opens a recorded trace file of size bytes, in any of the
+// repository's formats, as a Generator that wraps at the end of the trace.
+// A DPBF v2 file streams; older DPTR and DPBF v1 files are read into
+// memory first. Read errors during replay latch: check Err after a run.
+func OpenTrace(r io.ReaderAt, size int64) (ErrGenerator, error) { return trace.Open(r, size) }
 
 // AttachPaperPredictors installs the paper's full proposal — dpPred on the
 // LLT and cbPred on the LLC, coupled through the PFN filter queue — with

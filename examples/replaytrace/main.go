@@ -1,7 +1,7 @@
-// Replaytrace: record a workload's access trace to a file, then replay it
-// through the simulator — the workflow for users who want to bring traces
-// captured on real systems (convert them to the repository's binary format
-// with cmd/tracedump as a template).
+// Replaytrace: record a workload's access trace to a DPBF v2 file, then
+// replay it through the simulator — the workflow for users who want to
+// bring traces captured on real systems (convert them to the repository's
+// binary format with cmd/tracedump as a template).
 //
 //	go run ./examples/replaytrace
 //	go run ./examples/replaytrace -n 20000   # smoke-test scale
@@ -27,7 +27,7 @@ func main() {
 	}
 
 	// Record the first n accesses to a temporary trace file.
-	path := filepath.Join(os.TempDir(), "graph500.dptr")
+	path := filepath.Join(os.TempDir(), "graph500.dpbf")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
@@ -38,7 +38,10 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	info, _ := os.Stat(path)
+	info, err := os.Stat(path)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("recorded %d accesses to %s (%.1f MB)\n\n", n, path,
 		float64(info.Size())/(1<<20))
 	defer os.Remove(path)
@@ -51,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen, err := deadpred.NewReplayer(rf, false)
+		gen, err := deadpred.OpenTrace(rf, info.Size())
 		if err != nil {
 			log.Fatal(err)
 		}

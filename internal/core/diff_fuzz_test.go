@@ -186,7 +186,7 @@ func FuzzPredictorVsReference(f *testing.F) {
 			f.Fatal(err)
 		}
 		var sink bytes.Buffer
-		if _, err := buf.WriteTo(&sink); err != nil {
+		if _, err := buf.WriteToV2(&sink); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(sink.Bytes())

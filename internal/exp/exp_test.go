@@ -85,6 +85,50 @@ func TestFigure2DOADominates(t *testing.T) {
 	}
 }
 
+func TestFigure3Shape(t *testing.T) {
+	paperGrid(t)
+	s, err := Figure3(quickRunner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Rows) != 14 || len(s.Cols) != 2 {
+		t.Fatalf("grid is %dx%d, want 14x2", len(s.Rows), len(s.Cols))
+	}
+	// Paper: ≈83% of LLC blocks dead at any time. DOA blocks are dead
+	// blocks, so no workload can show more DOA than dead.
+	if dead := s.Summary[0]; dead < 50 {
+		t.Errorf("mean sampled dead fraction %.1f%%; paper ≈83%%", dead)
+	}
+	for _, row := range s.Rows {
+		if dead, doa := row.Values[0], row.Values[1]; doa > dead {
+			t.Errorf("%s: DOA %.2f%% exceeds dead %.2f%%", row.Name, doa, dead)
+		}
+	}
+}
+
+func TestFigure4Shape(t *testing.T) {
+	paperGrid(t)
+	s, err := Figure4(quickRunner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Rows) != 14 || len(s.Cols) != 3 {
+		t.Fatalf("grid is %dx%d, want 14x3", len(s.Rows), len(s.Cols))
+	}
+	// Paper: LLC dead blocks are largely dead on arrival, so DOA is the
+	// larger class of dead evictions on the mean.
+	if mostly, doa := s.Summary[0], s.Summary[1]; doa <= mostly {
+		t.Errorf("mean DOA %.1f%% of evictions not above mostly-dead %.1f%%", doa, mostly)
+	}
+	for _, row := range s.Rows {
+		mostly, doa, total := row.Values[0], row.Values[1], row.Values[2]
+		if mostly > total || doa > total {
+			t.Errorf("%s: a class exceeds total dead %.2f%% (mostly-dead %.2f%%, DOA %.2f%%)",
+				row.Name, total, mostly, doa)
+		}
+	}
+}
+
 func TestTable3CorrelationPresent(t *testing.T) {
 	paperGrid(t)
 	s, err := Table3(quickRunner)

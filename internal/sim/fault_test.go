@@ -115,26 +115,37 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRunSurfacesGeneratorError: feeding the simulator from a replayer
-// over a truncated trace must fail the run, not quietly simulate the
-// repeated final record.
+// TestRunSurfacesGeneratorError: feeding the simulator from a trace replay
+// that fails mid-stream must fail the run, not quietly simulate the
+// repeated final record. The trace's second chunk header disagrees with its
+// index, so trace.Open accepts the file and the stream dies at chunk 1.
 func TestRunSurfacesGeneratorError(t *testing.T) {
 	w, err := trace.ByName("cc")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const n = 10_000 // three DPBF v2 chunks
 	var rec bytes.Buffer
-	if err := trace.Record(&rec, w.New(1), 1_000); err != nil {
+	if err := trace.RecordV2(&rec, w.New(1), n); err != nil {
 		t.Fatal(err)
 	}
 	raw := rec.Bytes()
-	rp, err := trace.NewReplayer(faultio.Truncate(bytes.NewReader(raw), int64(len(raw)-11)), false)
+	ct, err := trace.OpenChunked(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The v2 header is magic|version|flags|nameLen (10 bytes), the name,
+	// count u64 and chunkLen u32; each chunk is a 12-byte header and its
+	// payload. Bump chunk 1's record count.
+	encLen0, _ := ct.ChunkInfo(0)
+	raw[10+len("cc")+12+12+int(encLen0)]++
+	rp, err := trace.Open(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := MustNew(smallConfig())
-	err = s.Run(rp, 1_000)
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("err = %v, want the replayer's latched truncation error", err)
+	err = s.Run(rp, n)
+	if !errors.Is(err, trace.ErrChunkIndexMismatch) {
+		t.Fatalf("err = %v, want the replay's latched trace.ErrChunkIndexMismatch", err)
 	}
 }

@@ -153,8 +153,8 @@ func (r *BufferReader) Pos() uint64 { return r.pos }
 // Buffer returns the underlying shared buffer.
 func (r *BufferReader) Buffer() *Buffer { return r.buf }
 
-// Next implements Generator. Past the end the reader wraps to the start,
-// mirroring the looping Replayer; an empty buffer returns zero accesses.
+// Next implements Generator. Past the end the reader wraps to the start;
+// an empty buffer returns zero accesses.
 func (r *BufferReader) Next() Access {
 	if r.pos >= r.buf.Len() {
 		if r.buf.Len() == 0 {
@@ -194,7 +194,7 @@ func (c Chunk) Len() int { return len(c.PC) }
 // StreamReader (DPBF v2) decodes chunks on demand into reused buffers.
 // Next and NextChunk advance the same cursor and may be interleaved.
 type ChunkReader interface {
-	Generator
+	ErrGenerator
 	// NextChunk returns up to max consecutive accesses, advancing the
 	// cursor, and wraps at the end of the stream like Next. It returns a
 	// shorter (but non-empty) chunk at a wrap or chunk boundary; an empty
@@ -244,23 +244,22 @@ type ForkableGenerator interface {
 
 // --- Binary codec --------------------------------------------------------
 //
-// Buffer file format (all little-endian):
+// Buffer file format, version 1 (all little-endian):
 //
 //	header:  magic "DPBF" | version u16 | flags u16 (reserved, 0) |
 //	         name len u16 | name | count u64
 //	body:    pc [count]u64 | vaddr [count]u64 | gap [count]u32 |
 //	         flags [count]u8 (bits 2..7 reserved, 0)
 //
-// The struct-of-arrays body mirrors the in-memory layout, so a dump is a
-// straight slice copy per field. The format is versioned separately from
-// the record-stream DPTR format in replay.go: DPTR is for interchange with
-// external tools, DPBF is the runner's materialized cache format.
+// The struct-of-arrays body mirrors the in-memory layout. Nothing writes v1
+// any more; existing v1 files stay readable.
 //
 // Version 2 of the format (bufferv2.go) keeps the magic and the
 // magic|version|flags|name prefix but replaces the raw columns with
 // delta/varint-encoded, per-chunk-compressed columns plus a chunk index in
-// the footer. ReadBuffer dispatches on the version field, so both versions
-// are accepted everywhere a DPBF file is.
+// the footer. It is the only format the repository writes. ReadBuffer
+// dispatches on the version field, so both versions are accepted
+// everywhere a DPBF file is.
 const (
 	bufferMagic   = "DPBF"
 	bufferVersion = 1
@@ -270,74 +269,7 @@ const (
 	bufferChunk = 1 << 16
 )
 
-// WriteTo serializes the buffer in the legacy v1 layout (raw columns). It
-// implements io.WriterTo. New trace files should prefer WriteToV2, which is
-// both smaller and chunk-streamable; v1 writing remains available for one
-// release behind the tools' explicit format flags.
-func (b *Buffer) WriteTo(w io.Writer) (int64, error) {
-	if len(b.name) > 1<<16-1 {
-		return 0, fmt.Errorf("trace: buffer name too long (%d bytes)", len(b.name))
-	}
-	cw := &countingWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	cw.str(bufferMagic)
-	cw.u16(bufferVersion)
-	cw.u16(0) // reserved flags
-	cw.u16(uint16(len(b.name)))
-	cw.str(b.name)
-	cw.u64(b.Len())
-	for _, v := range b.pc {
-		cw.u64(v)
-	}
-	for _, v := range b.va {
-		cw.u64(v)
-	}
-	for _, v := range b.gap {
-		cw.u32(v)
-	}
-	cw.bytes(b.flags)
-	if cw.err == nil {
-		cw.err = cw.w.(*bufio.Writer).Flush()
-	}
-	return cw.n, cw.err
-}
-
-// countingWriter latches the first write error and counts bytes.
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countingWriter) bytes(p []byte) {
-	if c.err != nil {
-		return
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-}
-
-func (c *countingWriter) str(s string) { c.bytes([]byte(s)) }
-
-func (c *countingWriter) u16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	c.bytes(b[:])
-}
-
-func (c *countingWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	c.bytes(b[:])
-}
-
-func (c *countingWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	c.bytes(b[:])
-}
-
-// ReadBuffer deserializes a buffer written by WriteTo (v1) or WriteToV2,
+// ReadBuffer deserializes a DPBF buffer dump, v1 or v2 (WriteToV2),
 // dispatching on the header's version field. Truncated, corrupt or
 // future-versioned inputs return an error; they never panic and never
 // allocate proportionally to an unvalidated count.

@@ -54,22 +54,14 @@ func TestBufferPackedFlagsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBufferCodecRoundTrip: WriteTo → ReadBuffer must be lossless.
+// TestBufferCodecRoundTrip: a DPBF v1 dump must decode losslessly.
 func TestBufferCodecRoundTrip(t *testing.T) {
 	w, err := ByName("sssp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := mustMaterialize(t, w.New(3), 5_000)
-	var buf bytes.Buffer
-	n, err := in.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	out, err := ReadBuffer(bytes.NewReader(buf.Bytes()))
+	out, err := ReadBuffer(bytes.NewReader(encodeV1(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +78,13 @@ func TestBufferCodecRoundTrip(t *testing.T) {
 // TestBufferCodecRejects: corrupt inputs must error, never panic or
 // over-allocate.
 func TestBufferCodecRejects(t *testing.T) {
-	var good bytes.Buffer
-	if _, err := mustMaterialize(t, mustByName(t, "cc").New(1), 16).WriteTo(&good); err != nil {
-		t.Fatal(err)
-	}
+	good := encodeV1(mustMaterialize(t, mustByName(t, "cc").New(1), 16))
 	cases := map[string][]byte{
 		"empty":           nil,
 		"bad magic":       []byte("NOPE\x01\x00\x00\x00\x00\x00"),
 		"bad version":     []byte("DPBF\x07\x00\x00\x00\x00\x00"),
 		"reserved header": []byte("DPBF\x01\x00\x01\x00\x00\x00"),
-		"truncated":       good.Bytes()[:good.Len()-3],
+		"truncated":       good[:len(good)-3],
 		"huge count": append([]byte("DPBF\x01\x00\x00\x00\x00\x00"),
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f),
 	}
@@ -106,15 +95,15 @@ func TestBufferCodecRejects(t *testing.T) {
 	}
 
 	// Reserved record-flag bits must be rejected too.
-	raw := append([]byte(nil), good.Bytes()...)
+	raw := good
 	raw[len(raw)-1] |= 0x80
 	if _, err := ReadBuffer(bytes.NewReader(raw)); err == nil {
 		t.Error("reserved record flag bits accepted")
 	}
 }
 
-// TestBufferReaderWrapsAndForks: ReaderAt cursors wrap like the looping
-// Replayer, and forked readers advance independently.
+// TestBufferReaderWrapsAndForks: ReaderAt cursors wrap at the end of the
+// buffer, and forked readers advance independently.
 func TestBufferReaderWrapsAndForks(t *testing.T) {
 	b := NewBuffer("wrap", 3)
 	for i := 0; i < 3; i++ {
@@ -160,21 +149,17 @@ func TestMixGenFork(t *testing.T) {
 }
 
 // TestReadTraceSniffsBothFormats: ReadTrace must yield the same buffer from
-// a DPTR record stream and a DPBF dump of the same accesses.
+// a DPTR record stream and from DPBF dumps (v1 and v2) of the same
+// accesses.
 func TestReadTraceSniffsBothFormats(t *testing.T) {
-	w := mustByName(t, "cc")
 	const n = 2_000
-	want := mustMaterialize(t, w.New(5), n)
-
-	var dptr, dpbf bytes.Buffer
-	if err := Record(&dptr, w.New(5), n); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := want.WriteTo(&dpbf); err != nil {
+	want := mustMaterialize(t, mustByName(t, "cc").New(5), n)
+	var v2 bytes.Buffer
+	if _, err := want.WriteToV2(&v2); err != nil {
 		t.Fatal(err)
 	}
 
-	for name, data := range map[string][]byte{"DPTR": dptr.Bytes(), "DPBF": dpbf.Bytes()} {
+	for name, data := range map[string][]byte{"DPTR": encodeDPTR(want), "DPBF": encodeV1(want), "DPBF v2": v2.Bytes()} {
 		got, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

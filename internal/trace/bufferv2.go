@@ -216,7 +216,9 @@ func (e *v2Encoder) encode(pc, va []uint64, gap []uint32, flags []uint8) (payloa
 // v2Writer streams a DPBF v2 file: header, chunks as they are delivered,
 // then the index footer on finish.
 type v2Writer struct {
-	cw    *countingWriter
+	w     io.Writer
+	off   int64 // bytes written so far
+	err   error // first write error, latched
 	enc   *v2Encoder
 	index []byte // accumulated index entries
 	n     uint32 // chunks written
@@ -232,15 +234,25 @@ func newV2Writer(w io.Writer, name string, count uint64, compress bool) (*v2Writ
 	if compress {
 		headerFlags |= v2HeaderFlagFlate
 	}
-	cw := &countingWriter{w: w}
-	cw.str(bufferMagic)
-	cw.u16(bufferVersion2)
-	cw.u16(headerFlags)
-	cw.u16(uint16(len(name)))
-	cw.str(name)
-	cw.u64(count)
-	cw.u32(v2ChunkLen)
-	return &v2Writer{cw: cw, enc: newV2Encoder(compress), count: count}, nil
+	hdr := binary.LittleEndian.AppendUint16([]byte(bufferMagic), bufferVersion2)
+	hdr = binary.LittleEndian.AppendUint16(hdr, headerFlags)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
+	hdr = append(hdr, name...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, count)
+	hdr = binary.LittleEndian.AppendUint32(hdr, v2ChunkLen)
+	vw := &v2Writer{w: w, enc: newV2Encoder(compress), count: count}
+	vw.put(hdr)
+	return vw, nil
+}
+
+// put appends p to the file, latching the first write error.
+func (vw *v2Writer) put(p []byte) {
+	if vw.err != nil {
+		return
+	}
+	n, err := vw.w.Write(p)
+	vw.off += int64(n)
+	vw.err = err
 }
 
 // writeChunk encodes and appends one chunk (at most v2ChunkLen accesses).
@@ -248,34 +260,34 @@ func (vw *v2Writer) writeChunk(pc, va []uint64, gap []uint32, flags []uint8) err
 	if len(pc) == 0 {
 		return nil
 	}
-	offset := uint64(vw.cw.n)
+	offset := uint64(vw.off)
 	payload, plainLen, err := vw.enc.encode(pc, va, gap, flags)
 	if err != nil {
 		return err
 	}
-	vw.cw.u32(uint32(len(pc)))
-	vw.cw.u32(uint32(len(payload)))
-	vw.cw.u32(plainLen)
-	vw.cw.bytes(payload)
+	var hdr [v2ChunkHdrLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(pc)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[8:], plainLen)
+	vw.put(hdr[:])
+	vw.put(payload)
 	vw.index = binary.LittleEndian.AppendUint64(vw.index, offset)
 	vw.index = binary.LittleEndian.AppendUint32(vw.index, uint32(len(payload)))
 	vw.index = binary.LittleEndian.AppendUint32(vw.index, uint32(len(pc)))
 	vw.n++
 	vw.total += uint64(len(pc))
-	return vw.cw.err
+	return vw.err
 }
 
 // finish writes the chunk index and trailer.
 func (vw *v2Writer) finish() (int64, error) {
-	if vw.cw.err == nil && vw.total != vw.count {
-		return vw.cw.n, fmt.Errorf("trace: dpbf v2: wrote %d accesses, header promised %d", vw.total, vw.count)
+	if vw.err == nil && vw.total != vw.count {
+		return vw.off, fmt.Errorf("trace: dpbf v2: wrote %d accesses, header promised %d", vw.total, vw.count)
 	}
-	indexOff := uint64(vw.cw.n)
-	vw.cw.bytes(vw.index)
-	vw.cw.u64(indexOff)
-	vw.cw.u32(vw.n)
-	vw.cw.str(v2TrailerMagic)
-	return vw.cw.n, vw.cw.err
+	footer := binary.LittleEndian.AppendUint64(vw.index, uint64(vw.off))
+	footer = binary.LittleEndian.AppendUint32(footer, vw.n)
+	vw.put(append(footer, v2TrailerMagic...))
+	return vw.off, vw.err
 }
 
 // WriteToV2 serializes the buffer in the chunked, compressed v2 layout.
@@ -291,7 +303,7 @@ func (b *Buffer) WriteToV2(w io.Writer) (int64, error) {
 			end = len(b.pc)
 		}
 		if err := vw.writeChunk(b.pc[pos:end], b.va[pos:end], b.gap[pos:end], b.flags[pos:end]); err != nil {
-			return vw.cw.n, err
+			return vw.off, err
 		}
 	}
 	n, err := vw.finish()
@@ -796,7 +808,7 @@ func (t *ChunkedTrace) NewReader() *StreamReader {
 // exactly one chunk of reused buffers. It implements ChunkReader (and so
 // Generator), wrapping at the end of the trace like BufferReader; read and
 // decode errors latch (ErrGenerator) and Next then repeats the last good
-// access, mirroring Replayer.
+// access.
 type StreamReader struct {
 	t    *ChunkedTrace
 	dec  *v2ChunkDecoder

@@ -11,24 +11,14 @@ import (
 	"repro/internal/faultio"
 )
 
-// recordedTrace writes a small DPTR trace with a one-byte name, so record
+// recordedTrace encodes a small DPTR trace with a one-byte name, so record
 // i's flags byte sits at a computable offset: 11-byte header + i*24 + 20.
-func recordedTrace(t *testing.T, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	tw, err := NewWriter(&buf, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
+func recordedTrace(n int) []byte {
+	b := NewBuffer("x", n)
 	for i := 0; i < n; i++ {
-		if err := tw.Write(Access{PC: uint64(i + 1), Addr: 0x1000, Gap: 1, Write: i%2 == 0}); err != nil {
-			t.Fatal(err)
-		}
+		b.Append(Access{PC: uint64(i + 1), Addr: 0x1000, Gap: 1, Write: i%2 == 0})
 	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeDPTR(b)
 }
 
 const (
@@ -37,88 +27,98 @@ const (
 	testPadOff   = 21
 )
 
-// TestReplayerLatchesTruncatedRecord: a trace cut mid-record (crashed
-// writer, partial copy) must latch a truncation error instead of silently
-// repeating the last good access.
-func TestReplayerLatchesTruncatedRecord(t *testing.T) {
-	raw := recordedTrace(t, 4)
-	cut := int64(testHdrLen + 2*recordSize + 7) // record 2 ends mid-record
-	rp, err := NewReplayer(faultio.Truncate(bytes.NewReader(raw), cut), false)
+// streamedTrace returns a DPBF v2 file of two chunks and a reader over it
+// whose reads of the second chunk fail (faultio.ErrInjected), with the
+// index intact: OpenChunked accepts the file and the replay dies midway.
+func streamedTrace(t *testing.T) (failing failingReaderAt, size int64) {
+	t.Helper()
+	var v2 bytes.Buffer
+	if _, err := testBufferN(t, v2ChunkLen+10).WriteToV2(&v2); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := OpenChunked(bytes.NewReader(v2.Bytes()), int64(v2.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		rp.Next()
-	}
-	err = rp.Err()
+	second := int64(ct.index[1].offset)
+	return failingReaderAt{r: bytes.NewReader(v2.Bytes()), lo: second, hi: second + 1}, int64(v2.Len())
+}
+
+// TestOpenRejectsTruncatedRecord: a DPTR trace cut mid-record (crashed
+// writer, partial copy) is refused with the failing record's index instead
+// of replaying a short or padded stream.
+func TestOpenRejectsTruncatedRecord(t *testing.T) {
+	raw := recordedTrace(4)
+	cut := raw[:testHdrLen+2*recordSize+7] // record 2 ends mid-record
+	_, err := openBytes(cut)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("Err() = %v, want a record-2 truncation error", err)
+		t.Fatalf("Open err = %v, want a record-2 truncation error", err)
 	}
 	if !strings.Contains(err.Error(), "record 2") {
-		t.Errorf("Err() = %v, want the failing record index (2)", err)
+		t.Errorf("Open err = %v, want the failing record index (2)", err)
 	}
 }
 
-// TestReplayerLatchesMidStreamReadError: an I/O error mid-stream (dying
-// mount, closed pipe) must latch, stick, and stop advancing the stream.
+// TestReplayerLatchesMidStreamReadError: an I/O error under a streaming
+// replay (dying mount) must latch, stick, and stop advancing the stream;
+// the same error under a DPTR file fails Open, which reads the file whole.
 func TestReplayerLatchesMidStreamReadError(t *testing.T) {
-	raw := recordedTrace(t, 4)
-	fail := int64(testHdrLen + recordSize) // record 0 readable, record 1 dies
-	rp, err := NewReplayer(faultio.NewFailingReader(bytes.NewReader(raw), fail, nil), false)
+	failing, size := streamedTrace(t)
+	rp, err := Open(failing, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := rp.Next()
+	var last Access
+	for i := 0; i < v2ChunkLen; i++ {
+		last = rp.Next()
+	}
 	if err := rp.Err(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("first chunk: %v", err)
 	}
 	got := rp.Next()
 	if !errors.Is(rp.Err(), faultio.ErrInjected) {
 		t.Fatalf("Err() = %v, want wrapped faultio.ErrInjected", rp.Err())
 	}
-	if got != first {
-		t.Errorf("post-error Next() = %+v, want last good access %+v", got, first)
+	if got != last {
+		t.Errorf("post-error Next() = %+v, want last good access %+v", got, last)
+	}
+	if again := rp.Next(); again != last || rp.Err() == nil {
+		t.Errorf("latched reader moved on: %+v (err %v)", again, rp.Err())
+	}
+
+	raw := recordedTrace(4)
+	dying := failingReaderAt{r: bytes.NewReader(raw), lo: testHdrLen + recordSize, hi: int64(len(raw))}
+	if _, err := Open(dying, int64(len(raw))); !errors.Is(err, faultio.ErrInjected) {
+		t.Errorf("DPTR Open err = %v, want wrapped faultio.ErrInjected", err)
 	}
 }
 
 // TestReplayerRejectsReservedFlagBits: flipped bits in a record's flags
-// byte (bits 2..7 are reserved) must latch a validation error.
+// byte (bits 2..7 are reserved) must be refused.
 func TestReplayerRejectsReservedFlagBits(t *testing.T) {
-	raw := recordedTrace(t, 3)
-	off := int64(testHdrLen + recordSize + testFlagsOff)
-	rp, err := NewReplayer(faultio.NewCorruptReader(bytes.NewReader(raw), off), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Next() // record 0 fine
-	rp.Next() // record 1 corrupt
-	err = rp.Err()
+	raw := recordedTrace(3)
+	raw[testHdrLen+recordSize+testFlagsOff] |= 0x80
+	_, err := openBytes(raw)
 	if err == nil || !strings.Contains(err.Error(), "reserved record flag bits") {
-		t.Fatalf("Err() = %v, want reserved-flag-bits rejection", err)
+		t.Fatalf("Open err = %v, want reserved-flag-bits rejection", err)
 	}
 }
 
 // TestReplayerRejectsNonzeroPad: a corrupted pad byte means the record is
-// not one this version wrote; both readers must reject it.
+// not one the format's writer produced; it must be refused.
 func TestReplayerRejectsNonzeroPad(t *testing.T) {
-	raw := recordedTrace(t, 3)
-	off := int64(testHdrLen + recordSize + testPadOff)
-	rp, err := NewReplayer(faultio.NewCorruptReader(bytes.NewReader(raw), off), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Next()
-	rp.Next()
-	err = rp.Err()
+	raw := recordedTrace(3)
+	raw[testHdrLen+recordSize+testPadOff] = 1
+	_, err := openBytes(raw)
 	if err == nil || !strings.Contains(err.Error(), "nonzero pad bytes") {
-		t.Fatalf("Err() = %v, want nonzero-pad rejection", err)
+		t.Fatalf("Open err = %v, want nonzero-pad rejection", err)
 	}
 }
 
-// TestReadTraceRejectsCorruptRecords: the whole-file reader must apply the
-// same record validation as the streaming replayer.
+// TestReadTraceRejectsCorruptRecords: the whole-file reader validates every
+// record, over a stream that is cut short, corrupted or dying.
 func TestReadTraceRejectsCorruptRecords(t *testing.T) {
-	raw := recordedTrace(t, 3)
+	raw := recordedTrace(3)
 	cases := map[string]struct {
 		r    io.Reader
 		want string
@@ -151,11 +151,7 @@ func TestReadTraceRejectsCorruptRecords(t *testing.T) {
 // TestReadBufferSurfacesInjectedFaults: DPBF decoding over a dying or
 // truncated source must fail cleanly, naming the array being read.
 func TestReadBufferSurfacesInjectedFaults(t *testing.T) {
-	var good bytes.Buffer
-	if _, err := mustMaterialize(t, mustByName(t, "cc").New(1), 64).WriteTo(&good); err != nil {
-		t.Fatal(err)
-	}
-	raw := good.Bytes()
+	raw := encodeV1(mustMaterialize(t, mustByName(t, "cc").New(1), 64))
 
 	if _, err := ReadBuffer(faultio.Truncate(bytes.NewReader(raw), int64(len(raw)-7))); err == nil {
 		t.Error("truncated DPBF accepted")
@@ -170,13 +166,13 @@ func TestReadBufferSurfacesInjectedFaults(t *testing.T) {
 // dies mid-stream must fail instead of returning a buffer padded with the
 // repeated final access.
 func TestMaterializeSurfacesGeneratorError(t *testing.T) {
-	raw := recordedTrace(t, 8)
-	rp, err := NewReplayer(faultio.Truncate(bytes.NewReader(raw), int64(testHdrLen+3*recordSize+1)), false)
+	failing, size := streamedTrace(t)
+	rp, err := Open(failing, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Materialize(rp, 8); err == nil {
-		t.Fatal("Materialize over a truncated replay succeeded")
+	if _, err := Materialize(rp, v2ChunkLen+10); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("Materialize over a dying replay: err = %v, want wrapped faultio.ErrInjected", err)
 	}
 }
 
@@ -195,8 +191,8 @@ func TestMaterializeEmptyBufferReader(t *testing.T) {
 // TestRecordToFullDisk: recording onto a full disk must return the write
 // error instead of reporting a successful capture.
 func TestRecordToFullDisk(t *testing.T) {
-	w := faultio.NewFailingWriter(nil, int64(testHdrLen+2*recordSize), nil)
-	err := Record(w, mustByName(t, "cc").New(1), 100)
+	w := faultio.NewFailingWriter(nil, 1000, nil)
+	err := RecordV2(w, mustByName(t, "cc").New(1), 3*v2ChunkLen)
 	if !errors.Is(err, faultio.ErrNoSpace) {
 		t.Fatalf("err = %v, want wrapped faultio.ErrNoSpace", err)
 	}
@@ -204,9 +200,9 @@ func TestRecordToFullDisk(t *testing.T) {
 
 // TestBufferWriteToFullDisk: DPBF dumps must surface the sink error too.
 func TestBufferWriteToFullDisk(t *testing.T) {
-	b := mustMaterialize(t, mustByName(t, "cc").New(1), 256)
-	w := faultio.NewFailingWriter(nil, 100, nil)
-	if _, err := b.WriteTo(w); !errors.Is(err, faultio.ErrNoSpace) {
+	b := mustMaterialize(t, mustByName(t, "cc").New(1), 3*v2ChunkLen)
+	w := faultio.NewFailingWriter(nil, 1000, nil)
+	if _, err := b.WriteToV2(w); !errors.Is(err, faultio.ErrNoSpace) {
 		t.Fatalf("err = %v, want wrapped faultio.ErrNoSpace", err)
 	}
 }
@@ -217,8 +213,8 @@ func TestRecordAndMaterializeHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := mustByName(t, "cc").New(1)
-	if err := RecordContext(ctx, io.Discard, g, 1_000_000); !errors.Is(err, context.Canceled) {
-		t.Errorf("RecordContext err = %v, want context.Canceled", err)
+	if err := RecordV2Context(ctx, io.Discard, g, 1_000_000); !errors.Is(err, context.Canceled) {
+		t.Errorf("RecordV2Context err = %v, want context.Canceled", err)
 	}
 	if _, err := MaterializeContext(ctx, g, 1_000_000); !errors.Is(err, context.Canceled) {
 		t.Errorf("MaterializeContext err = %v, want context.Canceled", err)

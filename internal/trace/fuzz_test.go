@@ -7,48 +7,52 @@ import (
 	"repro/internal/arch"
 )
 
-// recordSeed captures n accesses of a synthetic workload exactly the way
-// cmd/tracedump does, giving the fuzzer structurally valid corpora to
+// openSeeds returns n accesses of a synthetic workload in each of the
+// three trace formats, giving the fuzzer structurally valid corpora to
 // mutate from.
-func recordSeed(f *testing.F, name string, n uint64) []byte {
+func openSeeds(f *testing.F, name string, n uint64) (dptr, v1, v2 []byte) {
 	f.Helper()
-	w, err := ByName(name)
-	if err != nil {
-		f.Fatal(err)
-	}
+	b := mustMaterialize(f, mustByName(f, name).New(1), n)
 	var buf bytes.Buffer
-	if err := Record(&buf, w.New(1), n); err != nil {
+	if _, err := b.WriteToV2(&buf); err != nil {
 		f.Fatal(err)
 	}
-	return buf.Bytes()
+	return encodeDPTR(b), encodeV1(b), buf.Bytes()
 }
 
-// FuzzReplayer feeds arbitrary bytes through the trace parser in both
-// replay modes. The parser must never panic or loop: it either rejects the
-// input from NewReplayer or replays it, latching the first read error in
-// Err while the Generator contract keeps returning the last good access.
+// FuzzReplayer feeds arbitrary bytes to Open, the replay opener, seeded
+// with all three formats. Open must never panic or spin: it either rejects
+// the input or returns a reader that replays it, latching the first read
+// or decode error in Err while the Generator contract keeps returning the
+// last good access. Whatever ReadTrace accepts, Open must replay
+// identically, wrapping at the end.
 func FuzzReplayer(f *testing.F) {
 	for _, name := range []string{"cc", "sssp"} {
-		seed := recordSeed(f, name, 16)
-		f.Add(seed, false)
-		f.Add(seed, true)
-		f.Add(seed[:len(seed)-5], true) // truncated mid-record
+		dptr, v1, v2 := openSeeds(f, name, 16)
+		for _, seed := range [][]byte{dptr, v1, v2} {
+			f.Add(seed)
+			f.Add(seed[:len(seed)-5]) // truncated mid-record or mid-trailer
+		}
 	}
-	f.Add([]byte(nil), false)
-	f.Add([]byte("DPTR"), false)                                                       // magic only
-	f.Add([]byte("DPTR\x01\x00\x00\x00\x00\x00"), true)                                // empty name, no records
-	f.Add([]byte("DPTR\x02\x00\x00\x00\x00\x00"), false)                               // unsupported version
-	f.Add([]byte("DPTR\x01\x00\x01\x00\x00\x00"), false)                               // reserved header flags set
-	f.Add([]byte("DPTR\x01\x00\x00\x00\xff\xffshort"), false)                          // name length beyond data
-	f.Add(append([]byte("DPTR\x01\x00\x00\x00\x02\x00cc"), make([]byte, 24)...), true) // one zero record
+	f.Add([]byte(nil))
+	f.Add([]byte("DPTR"))                                                        // magic only
+	f.Add([]byte("DPTR\x01\x00\x00\x00\x00\x00"))                                // empty name, no records
+	f.Add([]byte("DPTR\x02\x00\x00\x00\x00\x00"))                                // unsupported version
+	f.Add([]byte("DPTR\x01\x00\x01\x00\x00\x00"))                                // reserved header flags set
+	f.Add([]byte("DPTR\x01\x00\x00\x00\xff\xffshort"))                           // name length beyond data
+	f.Add(append([]byte("DPTR\x01\x00\x00\x00\x02\x00cc"), make([]byte, 24)...)) // one zero record
+	f.Add([]byte("DPBF\x02\x00\x00\x00\x00\x00"))                                // truncated v2 header
 
-	f.Fuzz(func(t *testing.T, data []byte, loop bool) {
-		rp, err := NewReplayer(bytes.NewReader(data), loop)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := ReadTrace(bytes.NewReader(data))
+		rp, err := openBytes(data)
 		if err != nil {
+			if wantErr == nil && want.Len() > 0 {
+				t.Fatalf("Open rejects a trace ReadTrace accepts: %v", err)
+			}
 			return
 		}
-		var last Access
-		for i := 0; i < 64; i++ {
+		for i := uint64(0); i < 64; i++ {
 			a := rp.Next()
 			if rp.Err() != nil {
 				// Errors must latch: every subsequent Next repeats the
@@ -59,11 +63,15 @@ func FuzzReplayer(f *testing.F) {
 				if rp.Err() == nil {
 					t.Error("Err cleared by Next after latching")
 				}
+				if wantErr == nil && want.Len() > 0 {
+					t.Fatalf("replay of a trace ReadTrace accepts latched %v", rp.Err())
+				}
 				return
 			}
-			last = a
+			if wantErr == nil && a != want.At(i%want.Len()) {
+				t.Fatalf("access %d: Open %+v, ReadTrace %+v", i, a, want.At(i%want.Len()))
+			}
 		}
-		_ = last
 	})
 }
 
@@ -77,12 +85,9 @@ func FuzzBufferCodec(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := mustMaterialize(f, w.New(1), 16).WriteTo(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()-5]) // truncated mid-array
+		v1 := encodeV1(mustMaterialize(f, w.New(1), 16))
+		f.Add(v1)
+		f.Add(v1[:len(v1)-5]) // truncated mid-array
 	}
 	f.Add([]byte(nil))
 	f.Add([]byte("DPBF"))                           // magic only
@@ -99,11 +104,7 @@ func FuzzBufferCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if _, err := b.WriteTo(&out); err != nil {
-			t.Fatalf("re-encoding an accepted buffer failed: %v", err)
-		}
-		b2, err := ReadBuffer(bytes.NewReader(out.Bytes()))
+		b2, err := ReadBuffer(bytes.NewReader(encodeV1(b)))
 		if err != nil {
 			t.Fatalf("re-decoding a re-encoded buffer failed: %v", err)
 		}
@@ -204,7 +205,8 @@ func FuzzBufferCodecV2(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip checks Writer → Replayer is lossless for any access record.
+// FuzzRoundTrip checks that any access record written by the test DPTR
+// encoder reads back losslessly through Open.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(0x400123), uint64(0x7fff_0000_1000), uint32(3), true, false)
 	f.Add(uint64(0), uint64(0), uint32(0), false, false)
@@ -212,18 +214,7 @@ func FuzzRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, pc, addr uint64, gap uint32, write, dep bool) {
 		in := Access{PC: pc, Addr: arch.VAddr(addr), Gap: gap, Write: write, Dependent: dep}
-		var buf bytes.Buffer
-		tw, err := NewWriter(&buf, "fuzz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tw.Write(in); err != nil {
-			t.Fatal(err)
-		}
-		if err := tw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		rp, err := NewReplayer(bytes.NewReader(buf.Bytes()), false)
+		rp, err := openBytes(encodeDPTR(bufferOf("fuzz", in)))
 		if err != nil {
 			t.Fatal(err)
 		}

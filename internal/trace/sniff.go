@@ -5,65 +5,80 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"repro/internal/arch"
 )
 
-// ReadTrace materializes any of the repository's trace file formats into a
-// Buffer, dispatching on the leading magic: DPTR record streams (the
-// interchange format written by trace.Record / cmd/tracedump) and DPBF
-// buffer dumps (the runner's materialized cache format). Tools that analyze
-// traces can accept either without caring which one they were handed.
-func ReadTrace(r io.Reader) (*Buffer, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("trace: sniffing magic: %w", err)
+// format is a trace file's on-disk format, as sniff classifies it.
+type format uint8
+
+const (
+	formatDPTR   format = iota // DPTR record stream
+	formatDPBF                 // DPBF other than v2; ReadBuffer checks the version
+	formatDPBFv2               // chunk-indexed DPBF v2, streamable
+)
+
+// sniff classifies a trace file by its first bytes (up to six: the magic
+// and, for DPBF, the version). It is the one place that tells the formats
+// apart. readErr is the error that cut head short, if any.
+func sniff(head []byte, readErr error) (format, error) {
+	if len(head) < 4 {
+		return 0, fmt.Errorf("trace: sniffing magic: %w", readErr)
 	}
-	switch string(magic) {
-	case bufferMagic:
-		return ReadBuffer(br)
+	switch string(head[:4]) {
 	case traceMagic:
-		return readTraceRecords(br)
-	default:
-		return nil, fmt.Errorf("trace: unrecognized magic %q (want %q or %q)",
-			magic, traceMagic, bufferMagic)
+		return formatDPTR, nil
+	case bufferMagic:
+		if len(head) >= 6 && binary.LittleEndian.Uint16(head[4:]) == bufferVersion2 {
+			return formatDPBFv2, nil
+		}
+		return formatDPBF, nil
 	}
+	return 0, fmt.Errorf("trace: unrecognized magic %q (want %q or %q)",
+		head[:4], traceMagic, bufferMagic)
 }
 
-// readTraceRecords drains a DPTR stream into a Buffer. The record count is
-// not stored in the header, so the stream ends at clean EOF; a partial
-// trailing record is corruption and errors out.
-func readTraceRecords(br *bufio.Reader) (*Buffer, error) {
-	name, _, err := readTraceHeader(br)
+// ReadTrace materializes a trace file of any format into a Buffer: DPTR
+// record streams, DPBF v1 raw columns and DPBF v2 chunked columns. Tools
+// that analyze traces can accept any of them without caring which one
+// they were handed.
+func ReadTrace(r io.Reader) (*Buffer, error) { return readTrace(r, 0) }
+
+// readTrace is ReadTrace for a source of size bytes (0 if unknown).
+func readTrace(r io.Reader, size int64) (*Buffer, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	head, err := br.Peek(6)
+	f, err := sniff(head, err)
 	if err != nil {
 		return nil, err
 	}
-	b := &Buffer{name: name}
-	var rec [recordSize]byte
-	for i := 0; ; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			if err == io.EOF {
-				return b, nil
-			}
-			if err == io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("trace: record %d truncated (partial trailing record): %w", i, err)
-			}
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		flags := rec[20]
-		if flags&recFlagReserved != 0 {
-			return nil, fmt.Errorf("trace: record %d: reserved record flag bits %#x set", i, flags&recFlagReserved)
-		}
-		if rec[21] != 0 || rec[22] != 0 || rec[23] != 0 {
-			return nil, fmt.Errorf("trace: record %d: nonzero pad bytes % x", i, rec[21:24])
-		}
-		b.Append(Access{
-			PC:        binary.LittleEndian.Uint64(rec[0:]),
-			Addr:      arch.VAddr(binary.LittleEndian.Uint64(rec[8:])),
-			Gap:       binary.LittleEndian.Uint32(rec[16:]),
-			Write:     flags&recFlagWrite != 0,
-			Dependent: flags&recFlagDependent != 0,
-		})
+	if f == formatDPTR {
+		return readTraceRecords(br, size)
 	}
+	return ReadBuffer(br)
+}
+
+// Open opens a trace file of size bytes, in any format, for replay and
+// returns a reader that wraps at the end of the trace. A DPBF v2 file streams chunk by chunk
+// through OpenChunked, so it is never held in memory whole; DPTR and DPBF
+// v1 files are materialized by ReadTrace (21 bytes per access) and replay
+// from the Buffer. Converting a large DPTR or v1 file to v2 once (cmd/
+// tracedump -convert) makes it stream.
+func Open(r io.ReaderAt, size int64) (ChunkReader, error) {
+	var head [6]byte
+	n, err := r.ReadAt(head[:], 0)
+	f, err := sniff(head[:n], err)
+	if err != nil {
+		return nil, err
+	}
+	if f == formatDPBFv2 {
+		ct, err := OpenChunked(r, size)
+		if err != nil {
+			return nil, err
+		}
+		return ct.NewReader(), nil
+	}
+	b, err := readTrace(io.NewSectionReader(r, 0, size), size)
+	if err != nil {
+		return nil, err
+	}
+	return b.Reader(), nil
 }

@@ -15,7 +15,11 @@
 // PCs, DOA behaviour correlates with the PC exactly as dpPred expects.
 package trace
 
-import "repro/internal/arch"
+import (
+	"errors"
+
+	"repro/internal/arch"
+)
 
 // Access is one record of the trace.
 type Access struct {
@@ -46,9 +50,9 @@ type Generator interface {
 
 // ErrGenerator is a Generator that can fail mid-stream. Next cannot return
 // an error without breaking the Generator contract, so sources backed by
-// I/O (Replayer) or by finite storage (BufferReader) latch the first
+// I/O (StreamReader) or by finite storage (BufferReader) latch the first
 // failure instead and keep returning the last good access. Consumers that
-// drain a generator — Materialize, Record, sim.System.Run — check Err
+// drain a generator — Materialize, RecordV2, sim.System.Run — check Err
 // afterwards via GeneratorErr, so trace corruption surfaces as an error
 // instead of silently repeated records.
 type ErrGenerator interface {
@@ -56,6 +60,23 @@ type ErrGenerator interface {
 	// Err returns the first error the generator latched, or nil.
 	Err() error
 }
+
+// errEmptyTrace reports a structurally valid trace with zero records.
+var errEmptyTrace = errors.New("trace: no records")
+
+// ctxCheckStride is how many loop iterations drain loops (Materialize,
+// RecordV2, sim.System.RunContext) run between context checks: frequent
+// enough that cancellation lands within microseconds, coarse enough that
+// the check is invisible next to the per-iteration work. It doubles as the
+// batch granule of the chunked APIs (Buffer.NextChunk, the DPBF v2 chunk
+// size), so cancellation keeps landing at chunk boundaries.
+const ctxCheckStride = 4096
+
+// Every drain loop tests the stride with the mask form
+// i&(ctxCheckStride-1) == 0, which is only equivalent to i%ctxCheckStride
+// when the stride is a power of two; this constant fails to compile
+// otherwise (a negative value cannot convert to uint).
+const _ uint = -(ctxCheckStride & (ctxCheckStride - 1))
 
 // GeneratorErr returns g's latched error when g is an ErrGenerator, and
 // nil otherwise. Drain loops call it once after consuming the stream.
