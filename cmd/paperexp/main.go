@@ -363,10 +363,10 @@ func run() error {
 	}
 
 	start := time.Now()
-	// Every selected experiment's cells simulate first, as one grid: the
-	// runner then counts each warm master's consumers across experiments
-	// and pairs one experiment's baseline cells with another's oracle
-	// (DESIGN.md §9). The experiments below replay that grid from the memo
+	// Every selected experiment's cells simulate first, as one planned
+	// grid: its plan counts each warm master's consumers across
+	// experiments and pairs one experiment's baseline cells with another's
+	// oracle (DESIGN.md §9). The experiments below replay that grid from the memo
 	// in table order, so stdout is unchanged. A planning or grid failure is
 	// not reported here: each experiment re-runs its own grid, failed and
 	// canceled cells included, and fails under its own ID after the ones

@@ -128,11 +128,10 @@ type CellMemo interface {
 }
 
 // CellExecutor lets an external scheduler (expserve's coordinator) execute
-// cells the runner would otherwise simulate locally. handled=false means
-// the executor does not cover this cell — an unresolvable custom setup —
-// and the runner falls back to the local path; with handled=true the
-// result and error stand as the cell's outcome.
-type CellExecutor func(ctx context.Context, key string, w trace.Workload, setup Setup) (res sim.Result, handled bool, err error)
+// cells the runner would otherwise simulate locally. The runner offers it
+// only cells a worker can rebuild by name (a catalog setup on a Table II
+// workload); its result and error stand as the cell's outcome.
+type CellExecutor func(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, error)
 
 // cellKey keys a cell for the persistent memo / executor. The workload
 // fingerprint is single-flight per workload name: every setup shares it,

@@ -231,9 +231,10 @@ func TestRunnerPersistentMemo(t *testing.T) {
 	}
 }
 
-// TestExecutorFallback: cells the executor declines run locally, handled
-// cells never touch the local simulation path, and executor errors surface
-// with the standard cell prefix.
+// TestExecutorFallback: cells a worker cannot rebuild by name run locally
+// without reaching the executor, offloaded cells never touch the local
+// simulation path, every computed cell opens exactly one progress span,
+// and executor errors surface with the standard cell prefix.
 func TestExecutorFallback(t *testing.T) {
 	w := testWorkload(t, "cc")
 	ref := NewRunner(cellTestParams)
@@ -242,35 +243,36 @@ func TestExecutorFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var handledKeys, declined atomic.Int64
+	var offered, adhocOffered atomic.Int64
 	r := NewRunner(cellTestParams)
-	r.Executor = func(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, bool, error) {
+	spans := newSpanLog(r)
+	r.Executor = func(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, error) {
 		if setup.Name != "baseline" {
-			declined.Add(1)
-			return sim.Result{}, false, nil
+			adhocOffered.Add(1)
 		}
-		handledKeys.Add(1)
-		return want, true, nil
+		offered.Add(1)
+		return want, nil
 	}
 	got, err := r.Run(w, Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) || handledKeys.Load() != 1 {
-		t.Fatal("executor-handled cell did not serve the executor's result")
+	if !reflect.DeepEqual(got, want) || offered.Load() != 1 {
+		t.Fatal("offloaded cell did not serve the executor's result")
 	}
 
 	adhoc := Setup{Name: "adhoc-local"}
 	if _, err := r.Run(w, adhoc); err != nil {
-		t.Fatalf("declined cell failed to fall back to local execution: %v", err)
+		t.Fatalf("ad-hoc cell failed to run locally: %v", err)
 	}
-	if declined.Load() != 1 {
-		t.Fatalf("executor consulted %d times for the ad-hoc cell", declined.Load())
+	if n := adhocOffered.Load(); n != 0 {
+		t.Fatalf("executor offered the ad-hoc cell %d times", n)
 	}
+	spans.check(t, 2, 1)
 
 	r2 := NewRunner(cellTestParams)
-	r2.Executor = func(context.Context, string, trace.Workload, Setup) (sim.Result, bool, error) {
-		return sim.Result{}, true, context.DeadlineExceeded
+	r2.Executor = func(context.Context, string, trace.Workload, Setup) (sim.Result, error) {
+		return sim.Result{}, context.DeadlineExceeded
 	}
 	_, err = r2.Run(w, Baseline())
 	if err == nil || !strings.Contains(err.Error(), "cc under baseline") {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // flight is a keyed single-flight store. The first do for a key leads: it
@@ -71,18 +72,42 @@ func (f *flight[V]) has(key string) bool {
 	return f.m[key] != nil
 }
 
-// value returns key's outcome value once it is final and error-free.
-func (f *flight[V]) value(key string) (v V, ok bool) {
-	f.mu.Lock()
-	c := f.m[key]
-	f.mu.Unlock()
-	if c == nil {
-		return v, false
-	}
+// node is a value the cells of one planned grid share (gridPlan): a
+// baseline pass's Result or a warmed master. edges counts the consumers
+// yet to drop it. One consumer computes and publishes the value, the rest
+// wait for done and read it until they drop; the last drop releases it.
+type node struct {
+	mu      sync.Mutex
+	edges   int
+	claimed atomic.Bool   // by the consumer that computes it
+	done    chan struct{} // closed once val and err are final
+	val     any
+	err     error
+}
+
+// publish sets the outcome and wakes the waiters; only the first call
+// counts.
+func (n *node) publish(v any, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	select {
-	case <-c.done:
-		return c.val, c.err == nil
+	case <-n.done:
 	default:
-		return v, false
+		n.val, n.err = v, err
+		close(n.done)
+	}
+}
+
+// drop drops one consumer's edge. A consumer that computes the node and
+// drops it unpublished abandons it, so its waiters wake and run on their
+// own; the last drop releases the value.
+func (n *node) drop(computes bool) {
+	if computes {
+		n.publish(nil, errAbandoned)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.edges--; n.edges == 0 {
+		n.val = nil
 	}
 }

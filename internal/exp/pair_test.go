@@ -72,6 +72,7 @@ func TestTable4SharesBaselinePass(t *testing.T) {
 		r := NewRunner(pairTestParams)
 		r.SetJobs(jobs)
 		spans := newSpanLog(r)
+		held := trackPlans(r)
 		s, err := Table4(r)
 		if err != nil {
 			t.Fatal(err)
@@ -81,11 +82,9 @@ func TestTable4SharesBaselinePass(t *testing.T) {
 		if shared, alone := r.RecordPasses(); shared != int64(n) || alone != 0 {
 			t.Errorf("jobs=%d: %d shared and %d lone record passes, want %d and 0", jobs, shared, alone, n)
 		}
-		r.mu.Lock()
-		if len(r.pairs) != 0 {
-			t.Errorf("jobs=%d: %d shared passes still held after the grid", jobs, len(r.pairs))
+		if h := held(); len(h) != 0 {
+			t.Errorf("jobs=%d: nodes still held after Table IV: %v", jobs, h)
 		}
-		r.mu.Unlock()
 	}
 	if outs[0] != outs[1] {
 		t.Errorf("Table IV differs between jobs=1 and jobs=4:\n%s\n%s", outs[0], outs[1])
@@ -100,21 +99,19 @@ func TestPairConsumerWaitsOutsideItsSpan(t *testing.T) {
 	both := []Setup{Baseline(), OracleSetup()}
 	r := NewRunner(pairTestParams)
 	r.SetJobs(4)
-	r.pairGrid(ws, both) // RunGrid keeps these entries
-	passes := map[string]*pairEntry{}
-	for name, e := range r.pairs {
-		passes[name] = e
-	}
-	var mu sync.Mutex
-	started := map[string]int{}
+	var plan *gridPlan
+	r.onPlan = func(p *gridPlan) { plan = p }
 	r.ProgressStart = func(w, s string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if started[w]++; started[w] == 1 {
+		e := plan.edges[w+"/"+s]
+		if e == nil || !e.pass {
+			t.Errorf("%s/%s takes no shared pass", w, s)
+			return
+		}
+		if e.computes {
 			return // the pass leader
 		}
 		select {
-		case <-passes[w].done:
+		case <-e.done:
 		default:
 			t.Errorf("%s/%s opened its span before the shared pass was published", w, s)
 		}
@@ -216,8 +213,8 @@ func TestSharedPassMatchesFallbacks(t *testing.T) {
 
 // TestCanceledSharedPassIsEvicted: a shared pass canceled while it runs is
 // dropped, not memoized: its consumer neither hangs nor replays the abort,
-// a pass canceled before its consumer arrived leaves no entry behind, and
-// the same runner shares a fresh pass on the next grid.
+// the grid leaves no node holding anything, and the same runner shares a
+// fresh pass on the next grid.
 func TestCanceledSharedPassIsEvicted(t *testing.T) {
 	w := testWorkload(t, "cc")
 	ws := []trace.Workload{w}
@@ -230,15 +227,14 @@ func TestCanceledSharedPassIsEvicted(t *testing.T) {
 	if _, err := r.Run(w, DPPredSetup()); err != nil {
 		t.Fatal(err)
 	}
-	held := func() (pairs, memoized int) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
+	nodes := trackPlans(r)
+	held := func() (held, memoized int) {
 		for _, su := range both {
 			if r.results.has(w.Name + "/" + su.Name) {
 				memoized++
 			}
 		}
-		return len(r.pairs), memoized
+		return len(nodes()), memoized
 	}
 	// cancelOnStart cancels as the first cell starts and returns the
 	// first cell's error.
@@ -270,22 +266,8 @@ func TestCanceledSharedPassIsEvicted(t *testing.T) {
 	if err := leaderErr(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("the pass leader finished with %v, want a cancellation", err)
 	}
-	if pairs, memoized := held(); pairs != 0 || memoized != 0 {
-		t.Fatalf("after a canceled grid: %d shared passes held, %d cells memoized; want none", pairs, memoized)
-	}
-
-	// Only the leader arrived before its pass was canceled: the entry
-	// must go, or the oracle would later latch onto the abort.
-	r.pairGrid(ws, both)
-	ctx, leaderErr = cancelOnStart()
-	if _, err := r.RunContext(ctx, w, Baseline()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled baseline returned %v, want a context.Canceled wrap", err)
-	}
-	if err := leaderErr(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("the pass leader finished with %v, want a cancellation", err)
-	}
-	if pairs, memoized := held(); pairs != 0 || memoized != 0 {
-		t.Fatalf("after a canceled lone pass: %d shared passes held, %d cells memoized; want none", pairs, memoized)
+	if held, memoized := held(); held != 0 || memoized != 0 {
+		t.Fatalf("after a canceled grid: %d nodes held, %d cells memoized; want none", held, memoized)
 	}
 
 	r.ProgressStart, r.ProgressDone = nil, nil

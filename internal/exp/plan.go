@@ -10,12 +10,19 @@ import (
 // was recorded, not simulated (PlanGrid).
 var ErrPlanned = errors.New("exp: grid planned, not simulated")
 
-// gridPlan is the union of the grids a planning runner was asked for:
-// workloads and setups each in first-seen order, deduplicated by name.
+// errAbandoned wakes the waiters of a node dropped before it was computed.
+var errAbandoned = errors.New("exp: shared node abandoned")
+
+// gridPlan is a grid's cells, its workloads and setups each in first-seen
+// order and deduplicated by name, and the shared nodes the cells consume.
+// RunGrid plans its grid before launching anything, and a lone Run is a
+// plan of one cell; a planning runner (PlanGrid) accumulates the union of
+// every grid it is asked for instead.
 type gridPlan struct {
 	workloads []trace.Workload
 	setups    []Setup
 	seen      map[string]bool
+	edges     map[string]*edge // by consuming cell (workload/setup)
 }
 
 func (p *gridPlan) add(workloads []trace.Workload, setups []Setup) {
@@ -33,6 +40,76 @@ func (p *gridPlan) add(workloads []trace.Workload, setups []Setup) {
 	}
 }
 
+// edge is one cell's edge into a node of its plan, used only by the cell's
+// goroutine. An oracle cell computes its pass and the baseline waits for
+// it; the first of a master's consumers to reach a pool slot computes it.
+type edge struct {
+	*node
+	pass     bool // the node is a baseline pass, not a warmed master
+	computes bool
+	dropped  bool
+}
+
+// drop drops the cell's edge; only its first call counts, so every exit
+// path may call it.
+func (e *edge) drop() {
+	if e != nil && !e.dropped {
+		e.dropped = true
+		e.node.drop(e.computes)
+	}
+}
+
+// planGrid plans a grid: its cells and the nodes they share, each with its
+// count of consumers.
+//   - One baseline pass per workload, when the grid holds a plain baseline
+//     and a default-config oracle and neither cell is memoized or in
+//     flight: the oracle's record pass (§VI-A) is the plain machine's run,
+//     so the oracle computes it and replays its record at once.
+//     Runs with a persistent memo or an external executor keep separate
+//     passes, since either cell may come from elsewhere, and so do
+//     observed runs, whose baseline scope must see the plain machine.
+//   - One warmed master per (workload, WarmupKey) with a warm-path
+//     consumer: a warm-shareable cell not memoized or in flight, and not a
+//     baseline cell taking a pass.
+func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan {
+	p := &gridPlan{seen: make(map[string]bool), edges: make(map[string]*edge)}
+	p.add(workloads, setups)
+	var base, oracle string
+	for _, su := range p.setups {
+		switch {
+		case su.Config != nil:
+		case su.Oracle && oracle == "":
+			oracle = su.Name
+		case !su.Oracle && base == "" && su.TLB == nil && su.LLC == nil && su.Prefetch == nil && su.Instrument == Instrumentation{}:
+			base = su.Name
+		}
+	}
+	pairs := base != "" && oracle != "" && r.Observer == nil && r.Executor == nil && r.Memo == nil
+	masters := make(map[string]*node)
+	for _, w := range p.workloads {
+		if b, o := w.Name+"/"+base, w.Name+"/"+oracle; pairs && !r.results.has(b) && !r.results.has(o) {
+			n := &node{edges: 2, done: make(chan struct{})}
+			p.edges[b] = &edge{node: n, pass: true}
+			p.edges[o] = &edge{node: n, pass: true, computes: true}
+		}
+		for _, su := range p.setups {
+			cell, master := w.Name+"/"+su.Name, w.Name+"/"+su.WarmupKey
+			if !r.warmShareable(su) || r.results.has(cell) || p.edges[cell] != nil {
+				continue
+			}
+			if masters[master] == nil {
+				masters[master] = &node{done: make(chan struct{})}
+			}
+			masters[master].edges++
+			p.edges[cell] = &edge{node: masters[master]}
+		}
+	}
+	if r.onPlan != nil {
+		r.onPlan(p)
+	}
+	return p
+}
+
 // PlanGrid returns the union of the grids the experiment functions fns
 // simulate, without simulating anything: each function runs, one at a
 // time, on a planning runner whose RunGrid records its grid and returns
@@ -41,12 +118,11 @@ func (p *gridPlan) add(workloads []trace.Workload, setups []Setup) {
 // trace.Workloads(), so the union's cross product is exactly their cells.
 //
 // Running the union as one RunGrid and then the experiments themselves
-// (every cell a memo hit) lets the runner count each warm master's
-// consumers across experiments — Figure 9's dpPred and Table VI's
-// dpPred+acc share one — and pair one experiment's baseline cells with
-// another's oracle. A function that fails before planning (an unknown
-// predictor name) returns its error; one that returns without calling
-// RunGrid is an error too.
+// (every cell a memo hit) lets one plan count each warm master's consumers
+// across experiments (Figure 9's dpPred and Table VI's dpPred+acc share
+// one) and pair one experiment's baseline cells with another's oracle. A
+// function that fails before planning (an unknown predictor name) returns
+// its error; one that returns without calling RunGrid is an error too.
 func PlanGrid(p Params, fns ...func(*Runner) (Series, error)) ([]trace.Workload, []Setup, error) {
 	planner := NewRunner(p)
 	planner.plan = &gridPlan{seen: make(map[string]bool)}

@@ -64,19 +64,19 @@ type Setup struct {
 	// experiments).
 	Prefetch func(s *sim.System) (pred.TLBPrefetcher, error)
 	// Oracle runs the two-pass record/replay protocol of §VI-A. Its
-	// record pass is the plain machine's run, which RunGrid shares with
-	// the grid's baseline cell (pairGrid).
+	// record pass is the plain machine's run, which a grid holding the
+	// baseline cell too runs once for both (planGrid).
 	Oracle bool
 	// Instrument enables the requested instrumentation before
 	// measurement.
 	Instrument Instrumentation
 	// WarmupKey, when non-empty, asserts that every setup carrying the
 	// same key builds an identical machine and predictors and differs only
-	// in Instrument. The runner then warms that machine once per workload
-	// and hands each such setup its own warm-state fork (sim.System.Fork),
-	// instead of re-simulating the shared warmup prefix. Instrumentation
-	// is enabled only after warmup, so the shared warm state is
-	// bit-identical for every consumer.
+	// in Instrument. Each grid then warms that machine once per workload
+	// and hands each such cell its own warm-state fork (sim.System.Fork),
+	// instead of re-simulating the shared warmup prefix; a later grid warms
+	// its own. Instrumentation is enabled only after warmup, so the shared
+	// warm state is bit-identical for every consumer.
 	WarmupKey string
 }
 
@@ -123,41 +123,29 @@ type Runner struct {
 	// grids want: one broken setup should not hide the other columns.
 	FailFast bool
 
-	// results, traces, warm and fps are the runner's single-flight stores
+	// results, traces and fps are the runner's single-flight stores
 	// (flight): one result per (workload, setup) name pair; one trace per
 	// workload, generated once and shared read-only by every setup and
-	// worker; one warmed master system per (workload, WarmupKey), forked per
-	// consuming cell and released once its last counted consumer has
-	// consumed (countWarm); and one content fingerprint per workload,
-	// computed the first time a cell is keyed (CellKey hashes the stream
-	// prefix, so sharing it keeps keying O(1) per cell).
+	// worker; and one content fingerprint per workload, computed the first
+	// time a cell is keyed (CellKey hashes the stream prefix, so sharing it
+	// keeps keying O(1) per cell). What cells share beyond these, a
+	// baseline pass or a warmed master, lives in the nodes of their grid's
+	// plan (planGrid) and goes with it.
 	results flight[sim.Result]
 	traces  flight[traceSrc]
-	warm    flight[*warmMaster]
 	fps     flight[string]
-
-	// mu guards pairs, claims and pending. pairs holds one shared baseline
-	// pass per workload whose grid pairs its baseline cell with an oracle
-	// cell (pairGrid). claims counts, per cell (workload/setup), the
-	// warm-path runs that grids counted and no consumer has served yet;
-	// pending sums them per warm master (workload/WarmupKey), whose machine
-	// the runner drops when its sum reaches zero (countWarm).
-	mu      sync.Mutex
-	pairs   map[string]*pairEntry
-	claims  map[string]int
-	pending map[string]int
 
 	// plan, when set, makes the runner a planner (PlanGrid): RunGrid
 	// records its grid there and Run simulates nothing.
-	plan *gridPlan
+	plan   *gridPlan
+	onPlan func(*gridPlan) // when set, sees every plan before it runs (tests)
 
-	// sharedPasses and alonePasses count the oracle's record passes: run
-	// once for a workload's baseline and oracle cells together, or for an
-	// oracle cell alone (RecordPasses).
-	sharedPasses, alonePasses atomic.Int64
+	// recordPasses counts the oracle cells' record passes, sharedPasses
+	// those whose Result a baseline cell took (RecordPasses).
+	sharedPasses, recordPasses atomic.Int64
 	// warmForked and warmCold count warm-path consumers: measured on a fork
-	// of the shared master, or sent to the cold path because the master was
-	// already released or Fork refused it (WarmForks).
+	// of the shared master, or sent to the cold path because Fork refused
+	// it (WarmForks).
 	warmForked, warmCold atomic.Int64
 
 	// Memo, when set, layers a persistent result store under the
@@ -169,9 +157,10 @@ type Runner struct {
 	// The memo is best-effort: a failing Put never fails the cell.
 	Memo CellMemo
 	// Executor, when set, offloads cells to an external scheduler
-	// (expserve's coordinator) instead of simulating locally. Cells the
-	// executor declines — setups outside the standard catalog — fall back
-	// to the local path, so grids with ad-hoc setups still complete.
+	// (expserve's coordinator) instead of simulating locally. Cells a
+	// worker cannot rebuild by name — setups outside the standard catalog,
+	// ad-hoc workloads — take the local path, so grids with ad-hoc setups
+	// still complete.
 	Executor CellExecutor
 
 	// ProgressStart, when set, is called as each uncached simulation
@@ -203,41 +192,17 @@ type traceSrc struct {
 	ct  *trace.ChunkedTrace
 }
 
-// warmMaster is one warmed machine of the warm-state store: consumers fork
-// it.
+// warmMaster is a warmed machine its grid's warm-path cells fork.
 type warmMaster struct {
-	mu  sync.Mutex
-	sys *sim.System   // warmed master; nil once its counted consumers are served
+	sys *sim.System
 	buf *trace.Buffer // shared trace, with pos = the post-warmup cursor
 	pos uint64
 }
 
-// pairEntry is one workload's shared baseline pass. The oracle's record
-// pass (§VI-A) runs the plain Table I machine over the same trace as the
-// baseline cell and changes nothing the Result reports, so when a grid
-// holds both cells one pass serves both. The first of the two cells to
-// claim the entry runs the pass in its own pool slot and progress span; the
-// second waits for it outside the pool, then takes its slot and consumes
-// the outcome. The second claim removes the entry from Runner.pairs.
-type pairEntry struct {
-	taken [2]bool // by pairRole; guarded by Runner.mu
-
-	done      chan struct{} // closed once the outcome is published
-	published bool          // touched only by the leader's goroutine
-	rec       *pred.DOARecord
-	res       sim.Result
-	err       error
-}
-
-// errPairAbandoned is what a pass leader publishes when it returns without
-// running the pass (canceled while queued, or a panic).
-var errPairAbandoned = errors.New("exp: shared baseline pass abandoned")
-
 // NewRunner creates a runner with the given parameters and a worker pool
 // sized to runtime.GOMAXPROCS.
 func NewRunner(p Params) *Runner {
-	r := &Runner{params: p, pairs: make(map[string]*pairEntry),
-		claims: make(map[string]int), pending: make(map[string]int)}
+	r := &Runner{params: p}
 	r.SetJobs(runtime.GOMAXPROCS(0))
 	return r
 }
@@ -269,7 +234,7 @@ func (r *Runner) SetContext(ctx context.Context) { r.ctx = ctx }
 // byte-identical to the default in-memory mode at any job count — both
 // feed the same columnar chunks to sim.System.RunContext — but warm
 // sharing is off, since a fork resumes mid-buffer: every cell warms its
-// own machine and no warm master is counted or held. The directory must
+// own machine and no warm master is planned. The directory must
 // exist; trace files opened from it stay open for the runner's lifetime.
 // Call before submitting work.
 func (r *Runner) SetTraceDir(dir string) { r.traceDir = dir }
@@ -292,20 +257,20 @@ func isCtxErr(err error) bool {
 // Params returns the runner's parameters.
 func (r *Runner) Params() Params { return r.params }
 
-// RecordPasses reports how the oracle's record passes ran so far: shared
-// counts baseline passes that served both a workload's baseline cell and
-// its oracle cell, alone counts record passes run for an oracle cell only
-// (an oracle-only grid, a baseline already memoized, a persistent-memo,
+// RecordPasses reports the oracle cells' record passes so far: shared
+// counts those whose Result also served the workload's baseline cell in
+// their grid, alone those that served the oracle only (an oracle-only grid,
+// a baseline already memoized or led by another grid, a persistent-memo,
 // distributed or observed run, a lone Run).
 func (r *Runner) RecordPasses() (shared, alone int64) {
-	return r.sharedPasses.Load(), r.alonePasses.Load()
+	shared = r.sharedPasses.Load() // first: a pass is counted before it is shared
+	return shared, r.recordPasses.Load() - shared
 }
 
 // WarmForks reports how the warm-state path served its consumers so far:
-// forked counts cells measured on a fork of a shared warmed master, cold
-// counts cells that fell back to warming their own machine because the
-// master was already released (its counted consumers were all served
-// before this cell arrived) or Fork refused the machine.
+// forked counts cells measured on a fork of their grid's warmed master,
+// cold counts cells that fell back to warming their own machine because
+// Fork refused the master.
 func (r *Runner) WarmForks() (forked, cold int64) {
 	return r.warmForked.Load(), r.warmCold.Load()
 }
@@ -323,22 +288,22 @@ func (r *Runner) Run(w trace.Workload, setup Setup) (sim.Result, error) {
 // leaders (between simulation strides) and waiters (immediately); a waiter
 // canceled while the leader keeps running does not disturb the memo.
 //
-// A cell outside any grid counts as a grid of one: a warm-path cell not yet
-// memoized warms its own master, forks it once and releases it.
+// A lone cell is a plan of one: a warm-path cell not yet memoized warms its
+// own master, forks it once and releases it.
 func (r *Runner) RunContext(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
 	if r.plan != nil {
 		return sim.Result{}, ErrPlanned
 	}
-	retire := r.countWarm([]trace.Workload{w}, []Setup{setup})
-	defer retire()
-	return r.run(ctx, w, setup)
+	p := r.planGrid([]trace.Workload{w}, []Setup{setup})
+	return r.run(ctx, w, setup, p.edges[w.Name+"/"+setup.Name])
 }
 
-// run is RunContext without the warm count: grids count their cells once
-// before launching them.
-func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
+// run runs one cell of a plan, whose edge into a shared node is e (nil if
+// it has none), and drops e when it returns, on every path.
+func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup, e *edge) (sim.Result, error) {
+	defer e.drop()
 	res, shared, err := r.results.do(ctx, w.Name+"/"+setup.Name, func() (sim.Result, error) {
-		return r.lead(ctx, w, setup)
+		return r.lead(ctx, w, setup, e)
 	})
 	if shared {
 		if r.Status != nil {
@@ -355,13 +320,13 @@ func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup) (sim.Re
 
 // lead executes one uncached cell as the memo leader. With a persistent
 // memo or an external executor configured it first tries those — a memo
-// hit returns without touching the worker pool, a handled executor cell
-// runs remotely (progress is still reported so -v and the status board see
-// it) — and otherwise it takes the local path: acquire a pool slot
-// (abandoning the wait if ctx is canceled first), report progress, run the
-// cell with panic containment, report completion, and publish the result
-// into the persistent memo.
-func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
+// hit returns without touching the worker pool, a cell a worker can rebuild
+// by name runs remotely inside a cell span, so -v and the status board see
+// it — and otherwise it takes the local path: wait for a node another cell
+// computes, acquire a pool slot (abandoning either wait if ctx is canceled
+// first), report progress, run the cell with panic containment, report
+// completion, and publish the result into the persistent memo.
+func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edge) (sim.Result, error) {
 	var key string
 	if r.Memo != nil || r.Executor != nil {
 		// A keying failure (the workload's generator errors while being
@@ -374,41 +339,36 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup) (sim.R
 			if r.Status != nil {
 				r.Status.MemoHit(w.Name, setup.Name)
 			}
-			// Retire the cell's warm claim now, so a master whose other
-			// consumers simulate need not wait for the grid to end.
-			r.retireClaim(w.Name+"/"+setup.Name, w.Name+"/"+setup.WarmupKey)
 			return res, nil
 		}
 	}
-	if key != "" && r.Executor != nil {
-		if res, handled, err := r.execRemote(ctx, key, w, setup); handled {
-			return res, err
+	if key != "" && r.Executor != nil && remote(w, setup) {
+		done := r.cellSpan(w.Name, setup.Name)
+		res, err := r.Executor(ctx, key, w, setup)
+		if err != nil {
+			err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 		}
+		done(err)
+		return res, err
 	}
 
-	// A paired cell that does not run the shared pass waits for it before
-	// taking a pool slot, so waiting holds no slot and its progress span
-	// covers only its own work.
-	pair, leadPass := r.claimPair(w, setup)
-	if pair != nil {
-		if leadPass {
-			defer r.publishPair(w, pair, nil, sim.Result{}, errPairAbandoned)
-		} else {
-			select {
-			case <-pair.done:
-			case <-ctx.Done():
-				return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
-			}
+	// A baseline cell waits for its workload's pass before taking a pool
+	// slot, so waiting holds no slot and its progress span covers only its
+	// own work.
+	if e != nil && e.pass && !e.computes {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
 		}
 	}
-
 	select {
 	case r.sem <- struct{}{}: // acquire a pool slot
 	case <-ctx.Done():
 		return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
 	}
 	done := r.cellSpan(w.Name, setup.Name)
-	res, err := r.runCell(ctx, w, setup, pair, leadPass)
+	res, err := r.runUncached(ctx, w, setup, e)
 	if err != nil {
 		err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 	}
@@ -445,33 +405,12 @@ func (r *Runner) cellSpan(workload, cell string) (done func(error)) {
 	}
 }
 
-// execRemote runs one cell through the external executor inside a cell span,
-// so live displays see remote cells. handled=false (an unresolvable setup)
-// reports no end and sends the caller to the local path, whose start the
-// board treats as a restart of the same cell.
-func (r *Runner) execRemote(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, bool, error) {
-	done := r.cellSpan(w.Name, setup.Name)
-	res, handled, err := r.Executor(ctx, key, w, setup)
-	if !handled {
-		return sim.Result{}, false, nil
-	}
-	if err != nil {
-		err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
-	}
-	done(err)
-	return res, true, err
-}
-
-// runCell wraps runUncached with panic containment: a panicking Setup
-// constructor or predictor fails its own cell with a stack-carrying error
-// instead of tearing down the whole grid's worker pool.
-func (r *Runner) runCell(ctx context.Context, w trace.Workload, setup Setup, pair *pairEntry, leadPass bool) (res sim.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
-		}
-	}()
-	return r.runUncached(ctx, w, setup, pair, leadPass)
+// remote reports whether a worker can rebuild the cell by name, so the
+// Executor may run it; cells of ad-hoc setups or workloads run locally.
+func remote(w trace.Workload, setup Setup) bool {
+	_, known := ResolveSetup(setup.Name)
+	_, err := trace.ByName(w.Name)
+	return known && err == nil
 }
 
 // RunGrid simulates the full workload × setup cross product, sharding the
@@ -491,30 +430,28 @@ func (r *Runner) RunGrid(workloads []trace.Workload, setups []Setup) error {
 // cells never start, and the returned error wraps ctx's error with the
 // number of unfinished cells.
 //
-// Before launching anything the grid counts its warm-path cells per warm
-// master (countWarm), so each master is released as soon as its last
-// consumer has forked it; whatever the grid counted and never served (a
-// failed or canceled cell) is retired when it returns.
+// Before launching anything the grid is planned (planGrid): its baseline
+// passes and warmed masters, each with its consumers counted, so a master
+// is released as soon as its last consumer has forked it. Every cell drops
+// its edge on return, so nothing the grid shared outlives it.
 func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload, setups []Setup) error {
 	if r.plan != nil {
 		r.plan.add(workloads, setups)
 		return ErrPlanned
 	}
+	p := r.planGrid(workloads, setups)
 	gctx := ctx
 	var cancel context.CancelFunc
 	if r.FailFast {
 		gctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	r.pairGrid(workloads, setups)
-	retire := r.countWarm(workloads, setups)
-	defer retire()
 	if r.Status != nil {
 		// Announce the full cross product before launching anything, so
 		// /status shows pending cells instead of a grid that grows as
 		// leaders start.
-		for _, w := range workloads {
-			for _, su := range setups {
+		for _, w := range p.workloads {
+			for _, su := range p.setups {
 				r.Status.CellQueued(w.Name, su.Name)
 			}
 		}
@@ -523,12 +460,12 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 	var mu sync.Mutex
 	var errs []error
 	canceled := 0
-	for _, w := range workloads {
-		for _, su := range setups {
+	for _, w := range p.workloads {
+		for _, su := range p.setups {
 			wg.Add(1)
 			go func(w trace.Workload, su Setup) {
 				defer wg.Done()
-				_, err := r.run(gctx, w, su)
+				_, err := r.run(gctx, w, su, p.edges[w.Name+"/"+su.Name])
 				if err == nil {
 					return
 				}
@@ -563,88 +500,6 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 		return fmt.Errorf("exp: grid canceled (%d cells unfinished): %w", canceled, cause)
 	}
 	return nil
-}
-
-// pairRole returns the side of a shared baseline pass setup can take: 0
-// for the plain Table I machine, 1 for an oracle whose record pass runs
-// that machine, or -1.
-func pairRole(su Setup) int {
-	switch {
-	case su.Config != nil:
-		return -1
-	case su.Oracle:
-		return 1
-	case su.TLB == nil && su.LLC == nil && su.Prefetch == nil && su.Instrument == Instrumentation{}:
-		return 0
-	}
-	return -1
-}
-
-// pairGrid gives every workload of the grid a shared baseline pass when the
-// setups hold both a plain baseline and a default-config oracle and neither
-// cell is memoized yet. Runs with a persistent memo or an external executor
-// keep separate passes, since either cell may come from elsewhere, and so
-// do observed runs, whose baseline observer scope must see the plain
-// machine.
-func (r *Runner) pairGrid(workloads []trace.Workload, setups []Setup) {
-	if r.Observer != nil || r.Executor != nil || r.Memo != nil {
-		return
-	}
-	var names [2]string
-	for _, su := range setups {
-		if role := pairRole(su); role >= 0 && names[role] == "" {
-			names[role] = su.Name
-		}
-	}
-	if names[0] == "" || names[1] == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, w := range workloads {
-		if r.pairs[w.Name] == nil && !r.results.has(w.Name+"/"+names[0]) && !r.results.has(w.Name+"/"+names[1]) {
-			r.pairs[w.Name] = &pairEntry{done: make(chan struct{})}
-		}
-	}
-}
-
-// claimPair takes setup's side of w's shared pass and reports whether the
-// caller runs the pass (the first claimant) or consumes it. It returns nil,
-// and the cell runs on its own, when there is no entry for w, setup takes
-// no side, or its side was already taken (a re-run after cancellation).
-func (r *Runner) claimPair(w trace.Workload, setup Setup) (e *pairEntry, leadPass bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, role := r.pairs[w.Name], pairRole(setup)
-	if e == nil || role < 0 || e.taken[role] {
-		return nil, false
-	}
-	e.taken[role] = true
-	if e.taken[1-role] {
-		delete(r.pairs, w.Name)
-		return e, false
-	}
-	return e, true
-}
-
-// publishPair publishes the pass outcome and wakes the consumer; only the
-// leader calls it, and only its first call counts. A failed pass leaves
-// Runner.pairs, so a cell arriving later runs on its own and a later grid
-// pairs afresh.
-func (r *Runner) publishPair(w trace.Workload, e *pairEntry, rec *pred.DOARecord, res sim.Result, err error) {
-	if e.published {
-		return
-	}
-	e.published = true
-	e.rec, e.res, e.err = rec, res, err
-	if err != nil {
-		r.mu.Lock()
-		if r.pairs[w.Name] == e {
-			delete(r.pairs, w.Name)
-		}
-		r.mu.Unlock()
-	}
-	close(e.done)
 }
 
 // generator returns a fresh start-positioned cursor over the workload's
@@ -811,178 +666,101 @@ func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, 
 // it must declare a WarmupKey, nothing may need to observe the warmup
 // prefix itself (observers attach before warmup; the oracle's record pass
 // and prefetchers manage their own state), and the trace must live in
-// memory — the warm store resumes consumers from a shared Buffer position,
+// memory — a warmed master's forks resume from a shared Buffer position,
 // which a disk-streamed trace has no equivalent of.
 func (r *Runner) warmShareable(setup Setup) bool {
 	return setup.WarmupKey != "" && r.Observer == nil && r.traceDir == "" &&
 		!setup.Oracle && setup.Prefetch == nil
 }
 
-// countWarm counts the cells of a grid that will take the warm path — a
-// warm-shareable setup whose cell is not memoized (or in flight) and is not
-// a baseline cell about to share an oracle's record pass — as claims on
-// their masters, and returns the func that retires whichever of those
-// claims no consumer served.
-func (r *Runner) countWarm(workloads []trace.Workload, setups []Setup) (retire func()) {
-	type claim struct{ cell, master string }
-	var counted []claim
-	r.mu.Lock()
-	for _, w := range workloads {
-		for _, su := range setups {
-			cell := w.Name + "/" + su.Name
-			if !r.warmShareable(su) || r.results.has(cell) {
-				continue
+// runShared executes a cell on a fork of its grid's warmed master (e's
+// node). The first consumer to reach a pool slot builds and warms it in its
+// own span; the others wait for it in theirs, as they queued right behind
+// it. Each consumer drops its edge once it has forked, so the last fork
+// releases the machine. ok=false sends the caller to the cold path: Fork
+// refused (counted in WarmForks), or the master failed for another cell.
+func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e *edge) (res sim.Result, ok bool, err error) {
+	e.computes = e.claimed.CompareAndSwap(false, true)
+	if !e.computes {
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return sim.Result{}, true, ctx.Err()
+		}
+	} else {
+		e.publish(func() (any, error) {
+			sys, err := r.BuildSystem(setup)
+			if err != nil {
+				return nil, err
 			}
-			if e := r.pairs[w.Name]; e != nil && pairRole(su) == 0 && !e.taken[0] {
-				continue
+			rd, err := r.generator(ctx, w)
+			if err != nil {
+				return nil, err
 			}
-			c := claim{cell, w.Name + "/" + su.WarmupKey}
-			r.claims[c.cell]++
-			r.pending[c.master]++
-			counted = append(counted, c)
-		}
+			if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
+				return nil, err
+			}
+			// warmShareable guarantees the in-memory trace mode, so the
+			// cursor is a BufferReader whose position the forks resume from.
+			br := rd.(*trace.BufferReader)
+			return warmMaster{sys: sys, buf: br.Buffer(), pos: br.Pos()}, nil
+		}())
 	}
-	r.mu.Unlock()
-	return func() {
-		for _, c := range counted {
-			r.retireClaim(c.cell, c.master)
-		}
-	}
-}
-
-// retireClaim retires one of cell's counted claims, if it holds any, and
-// releases master if that was its last.
-func (r *Runner) retireClaim(cell, master string) {
-	if took, left := r.takeClaim(cell, master); took && left == 0 {
-		r.releaseIdle(master)
-	}
-}
-
-// takeClaim consumes one of cell's counted claims, if it holds any, and
-// returns how many counted consumers master has left.
-func (r *Runner) takeClaim(cell, master string) (took bool, left int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.claims[cell] > 0 {
-		took = true
-		if r.claims[cell]--; r.claims[cell] == 0 {
-			delete(r.claims, cell)
-		}
-		if r.pending[master]--; r.pending[master] == 0 {
-			delete(r.pending, master)
-		}
-	}
-	return took, r.pending[master]
-}
-
-// releaseIdle drops the master's machine unless a consumer was counted for
-// it meanwhile.
-func (r *Runner) releaseIdle(master string) {
-	m, ok := r.warm.value(master)
-	if !ok || m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r.mu.Lock()
-	idle := r.pending[master] == 0
-	r.mu.Unlock()
-	if idle {
-		m.sys = nil
-	}
-}
-
-// runShared executes a cell via the warm-state store: the first setup for
-// (workload, WarmupKey) builds and warms the master, every consumer measures
-// on its own fork, and the consumer that takes the master's last counted
-// claim releases its machine. ok=false means the path was unavailable
-// (master already released or fork refused, counted in WarmForks) and the
-// caller should fall back to the cold path; errors from building or warming
-// the shared machine are real and propagate.
-func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup) (res sim.Result, ok bool, err error) {
-	master := w.Name + "/" + setup.WarmupKey
-	m, _, err := r.warm.do(ctx, master, func() (*warmMaster, error) {
-		sys, err := r.BuildSystem(setup)
-		if err != nil {
-			return nil, err
-		}
-		rd, err := r.generator(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
-			return nil, err
-		}
-		// warmShareable guarantees the in-memory trace mode, so the cursor
-		// is a BufferReader whose position the forks resume from.
-		br := rd.(*trace.BufferReader)
-		return &warmMaster{sys: sys, buf: br.Buffer(), pos: br.Pos()}, nil
-	})
-	if err != nil {
-		return sim.Result{}, true, err
+	if e.err != nil {
+		// A master that failed to warm for another cell sends this one to
+		// the cold path.
+		return sim.Result{}, e.computes, e.err
 	}
 
-	m.mu.Lock()
-	var fork *sim.System
-	if m.sys != nil {
-		if f, ferr := m.sys.Fork(); ferr == nil {
-			fork = f
-		}
-	}
-	// Every consumer consumes, forked or not; the last counted one releases
-	// the master for GC.
-	if _, left := r.takeClaim(w.Name+"/"+setup.Name, master); left == 0 {
-		m.sys = nil
-	}
-	m.mu.Unlock()
-	if fork == nil {
-		// An unforkable machine, or a consumer arriving after the master's
-		// release, warms its own machine on the cold path.
+	e.mu.Lock()
+	m := e.val.(warmMaster)
+	fork, ferr := m.sys.Fork()
+	e.mu.Unlock()
+	src := m.buf.ReaderAt(m.pos)
+	e.drop()
+	if ferr != nil {
 		r.warmCold.Add(1)
 		return sim.Result{}, false, nil
 	}
 	r.warmForked.Add(1)
-	res, err = measure(ctx, r.params, fork, []trace.Generator{m.buf.ReaderAt(m.pos)}, setup)
+	res, err = measure(ctx, r.params, fork, []trace.Generator{src}, setup)
 	return res, true, err
 }
 
-// runUncached simulates one cell. A paired cell (pair != nil) takes its
-// workload's shared baseline pass: the baseline cell's result is the pass's
-// Result, the oracle replays the pass's record. A consumer whose leader
-// failed runs on its own.
-func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup, pair *pairEntry, leadPass bool) (sim.Result, error) {
-	var record *pred.DOARecord
+// runUncached simulates one cell. A cell with an edge consumes its node:
+// the oracle runs its workload's pass, the baseline takes the pass's
+// Result, a warm-path cell measures on a fork of its master; a consumer
+// whose node failed runs on its own. A panicking Setup constructor or
+// predictor fails only its own cell, with a stack.
+func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup, e *edge) (res sim.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
 	switch {
-	case pair != nil && leadPass:
-		rec, res, err := r.baselinePass(ctx, w, nil)
-		r.publishPair(w, pair, rec, res, err)
-		if err != nil || !setup.Oracle {
+	case e == nil || setup.Oracle:
+	case !e.pass:
+		if res, ok, err := r.runShared(ctx, w, setup, e); ok {
 			return res, err
 		}
-		record = rec
-	case pair != nil && pair.err == nil:
+	case e.err == nil:
 		r.sharedPasses.Add(1)
-		if !setup.Oracle {
-			return pair.res, nil
-		}
-		record = pair.rec
-	}
-	if r.warmShareable(setup) {
-		if res, ok, err := r.runShared(ctx, w, setup); ok {
-			return res, err
-		}
+		return e.val.(sim.Result), nil
 	}
 
 	if setup.Oracle {
-		if record == nil {
-			// Recording pass on its own: the baseline machine over the
-			// same trace, its Result unused.
-			rec, _, err := r.baselinePass(ctx, w, setup.Config)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			r.alonePasses.Add(1)
-			record = rec
+		// Recording pass: the baseline machine over the same trace. A
+		// paired oracle publishes its Result, which is the baseline cell's.
+		record, res, err := r.baselinePass(ctx, w, setup.Config)
+		if err == nil {
+			r.recordPasses.Add(1)
+		}
+		if e != nil {
+			e.publish(res, err)
+		}
+		if err != nil {
+			return sim.Result{}, err
 		}
 		// The replay pass is the setup's machine with the oracle, fed the
 		// record, as its TLB predictor.

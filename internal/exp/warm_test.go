@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/pred"
@@ -65,27 +67,35 @@ func TestWarmSharedMatchesCold(t *testing.T) {
 	}
 }
 
-// heldMasters lists the warm masters that still hold a machine.
-func heldMasters(r *Runner) []string {
-	r.warm.mu.Lock()
-	defer r.warm.mu.Unlock()
-	var held []string
-	for key, c := range r.warm.m {
-		select {
-		case <-c.done:
-		default:
-			held = append(held, key+" (in flight)")
-			continue
-		}
-		if m := c.val; m != nil {
-			m.mu.Lock()
-			if m.sys != nil {
-				held = append(held, key)
-			}
-			m.mu.Unlock()
-		}
+// trackPlans records every plan r runs from now on and returns a func
+// listing the cells whose node still holds an edge or a value (a master's
+// machine, a pass's record). Once every grid and Run has returned there
+// must be none: nothing a grid shares outlives it.
+func trackPlans(r *Runner) (held func() []string) {
+	var mu sync.Mutex
+	var plans []*gridPlan
+	r.onPlan = func(p *gridPlan) {
+		mu.Lock()
+		defer mu.Unlock()
+		plans = append(plans, p)
 	}
-	return held
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []string
+		for _, p := range plans {
+			for cell, e := range p.edges {
+				e.mu.Lock()
+				edges, holds := e.edges, e.val != nil
+				e.mu.Unlock()
+				if edges != 0 || holds {
+					out = append(out, fmt.Sprintf("%s (%d edges, value held %v)", cell, edges, holds))
+				}
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
 }
 
 // unforkableTLB hides its predictor's Clone, so sim.System.Fork refuses a
@@ -94,9 +104,10 @@ type unforkableTLB struct{ pred.TLBPredictor }
 
 // TestWarmCountedLifetimes: a grid counts each warm master's consumers
 // before it launches, so every consumer forks (none falls back to cold) and
-// the last one releases the master; a later lone Run of the same key finds
-// the master released, goes cold, is counted, and still matches; a consumer
-// whose Fork is refused still consumes, so its master is released too.
+// the last one releases the master; a later lone Run of the same key is a
+// plan of its own, warms and forks its own master, and still matches; a
+// consumer whose Fork is refused still drops its edge, so its master is
+// released too.
 func TestWarmCountedLifetimes(t *testing.T) {
 	var ws []trace.Workload
 	for _, name := range []string{"cc", "canneal"} {
@@ -123,13 +134,14 @@ func TestWarmCountedLifetimes(t *testing.T) {
 		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
 			r := NewRunner(Params{Warmup: 10_000, Measure: 30_000, Seed: 3, SampleEvery: 5_000})
 			r.SetJobs(jobs)
+			heldMasters := trackPlans(r)
 			if err := r.RunGrid(ws, grid); err != nil {
 				t.Fatal(err)
 			}
 			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != 0 {
 				t.Errorf("grid WarmForks = %d forked, %d cold; want %d and 0", forked, cold, 3*len(ws))
 			}
-			if held := heldMasters(r); len(held) > 0 {
+			if held := heldMasters(); len(held) > 0 {
 				t.Errorf("masters still hold a machine after the grid: %v", held)
 			}
 
@@ -143,19 +155,19 @@ func TestWarmCountedLifetimes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("cold run after release diverged:\n  fourth=%+v\n  first=%+v", got, want)
+				t.Errorf("lone Run after the grid diverged:\n  fourth=%+v\n  first=%+v", got, want)
 			}
-			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != 1 {
-				t.Errorf("after a lone Run, WarmForks = %d forked, %d cold; want %d and 1", forked, cold, 3*len(ws))
+			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)+1) || cold != 0 {
+				t.Errorf("after a lone Run, WarmForks = %d forked, %d cold; want %d and 0", forked, cold, 3*len(ws)+1)
 			}
 
 			if err := r.RunGrid(ws, []Setup{refused, refusedTwin}); err != nil {
 				t.Fatal(err)
 			}
-			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != int64(1+2*len(ws)) {
-				t.Errorf("after refused forks, WarmForks = %d forked, %d cold; want %d and %d", forked, cold, 3*len(ws), 1+2*len(ws))
+			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)+1) || cold != int64(2*len(ws)) {
+				t.Errorf("after refused forks, WarmForks = %d forked, %d cold; want %d and %d", forked, cold, 3*len(ws)+1, 2*len(ws))
 			}
-			if held := heldMasters(r); len(held) > 0 {
+			if held := heldMasters(); len(held) > 0 {
 				t.Errorf("masters still hold a machine after refused forks: %v", held)
 			}
 		})
@@ -166,10 +178,11 @@ func TestWarmCountedLifetimes(t *testing.T) {
 // once it returns on a fresh runner no master may still hold a machine.
 func TestTable4ReleasesMasters(t *testing.T) {
 	r := NewRunner(Params{Warmup: 5_000, Measure: 10_000, Seed: 1, SampleEvery: 5_000})
+	heldMasters := trackPlans(r)
 	if _, err := Table4(r); err != nil {
 		t.Fatal(err)
 	}
-	if held := heldMasters(r); len(held) > 0 {
+	if held := heldMasters(); len(held) > 0 {
 		t.Errorf("%d masters still hold a machine after Table4: %v", len(held), held)
 	}
 	if forked, cold := r.WarmForks(); forked == 0 || cold != 0 {

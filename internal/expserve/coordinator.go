@@ -186,24 +186,16 @@ func (c *Coordinator) Status() StatusDoc {
 	return doc
 }
 
-// Execute is the exp.CellExecutor. Cells whose setup or workload cannot be
-// reconstructed by name on a worker are declined (handled=false) and run
-// locally in the caller's process; everything else is served from the memo
-// or scheduled. exp.Runner single-flights per cell, so one sweep enqueues
-// each key at most once; re-submissions after a coordinator restart hit
-// the memo instead.
-func (c *Coordinator) Execute(ctx context.Context, key string, w trace.Workload, setup exp.Setup) (sim.Result, bool, error) {
-	if _, ok := exp.ResolveSetup(setup.Name); !ok {
-		return sim.Result{}, false, nil
-	}
-	if _, err := trace.ByName(w.Name); err != nil {
-		return sim.Result{}, false, nil
-	}
+// Execute is the exp.CellExecutor: it serves a cell from the memo or
+// schedules it. exp.Runner offers only cells a worker can rebuild by name,
+// and single-flights per cell, so one sweep enqueues each key at most once;
+// re-submissions after a coordinator restart hit the memo instead.
+func (c *Coordinator) Execute(ctx context.Context, key string, w trace.Workload, setup exp.Setup) (sim.Result, error) {
 	if res, ok, err := c.memo.Get(key); err == nil && ok {
 		c.mu.Lock()
 		c.memoHits++
 		c.mu.Unlock()
-		return res, true, nil
+		return res, nil
 	}
 
 	c.mu.Lock()
@@ -220,15 +212,15 @@ func (c *Coordinator) Execute(ctx context.Context, key string, w trace.Workload,
 	select {
 	case <-cl.done:
 	case <-ctx.Done():
-		return sim.Result{}, true, ctx.Err()
+		return sim.Result{}, ctx.Err()
 	}
 	c.mu.Lock()
 	res, errmsg := cl.res, cl.errmsg
 	c.mu.Unlock()
 	if errmsg != "" {
-		return sim.Result{}, true, errors.New(errmsg)
+		return sim.Result{}, errors.New(errmsg)
 	}
-	return res, true, nil
+	return res, nil
 }
 
 // scan requeues cells whose lease expired without a heartbeat.
