@@ -35,12 +35,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The samplers read entry times from the machine's first access on.
+	if err := sys.TrackEntryTimes(); err != nil {
+		log.Fatal(err)
+	}
 
 	g := w.New(1)
 	if err := sys.Run(g, *warmup); err != nil { // warm the hierarchy
 		log.Fatal(err)
 	}
-	sys.EnableCharacterization(*measure / 40)
+	if err := sys.EnableCharacterization(*measure / 40); err != nil {
+		log.Fatal(err)
+	}
 	sys.StartMeasurement()
 	if err := sys.Run(g, *measure); err != nil {
 		log.Fatal(err)

@@ -4,21 +4,24 @@
 // predictor accuracy.
 //
 // A cache stores Blocks keyed by an opaque 64-bit key: the physical block
-// number for data caches, the virtual page number for TLBs. Alongside
-// validity it carries the metadata the paper's predictors need — the
-// Accessed bit and DP bit of §V, the PC-hash/signature state of the SHiP
-// and AIP baselines — plus fill/last-hit timestamps for the §IV dead-entry
-// characterization.
+// number for data caches, the virtual page number for TLBs. Each entry
+// carries the metadata the paper's predictors need — the Accessed bit and
+// DP bit of §V, the PC-hash/signature state of the SHiP and AIP baselines,
+// a saturating hit count — in 32 bytes. The fill/last-hit timestamps and
+// exact hit counts of the §IV dead-entry characterization live in a
+// per-way side array that only a cache asked to (TrackTimes) allocates.
 //
 // Storage layout (hot path). Each set owns one record of 8-byte words in a
 // single slice: its W tags, then (under the default LRU policy) its W use
 // stamps, so set s spans [2·s·W, 2·(s+1)·W). A lookup scans the tags 8 bytes
 // per way, and the victim search that follows a miss reads the stamps on
 // the host lines right after them. The Block payloads sit in their own
-// slice indexed set*W+way and are touched only on a hit or a fill. Three
-// per-set arrays stay dense: the packed valid and dead-mark bit words, so
-// "any invalid way?" and "any dead-marked way?" are single-word tests, and
-// the LRU clock. A fully-warm access performs no interface-method calls and
+// slice indexed set*W+way and are touched only on a hit or a fill; the
+// optional generation records (Gen) run parallel to them. Three per-set
+// arrays stay dense: the packed valid and dead-mark bit words, so "any
+// invalid way?" and "any dead-marked way?" are single-word tests (the
+// valid word alone decides whether a way holds an entry), and the LRU
+// clock. A fully-warm access performs no interface-method calls and
 // no heap allocations. A fill copies its victim's Block out only when the
 // caller passes a buffer (FillVictim); the victim's key always comes back,
 // read from the tag record.
@@ -33,7 +36,7 @@ import (
 
 // Block is one entry of a set-associative structure, including all
 // predictor-visible metadata. Fields are ordered widest-first so one entry
-// packs into a single 64-byte line.
+// packs into 32 bytes, two to a host cache line.
 type Block struct {
 	// Key identifies the entry: physical block number for caches,
 	// virtual page number for TLBs.
@@ -41,13 +44,6 @@ type Block struct {
 	// Data is payload carried with the entry (the PFN for TLB entries);
 	// data caches leave it zero.
 	Data uint64
-
-	// FillTime, LastHitTime and Hits support the §IV dead/live
-	// classification: times are supplied by the caller (simulated
-	// cycles), Hits counts hits this generation.
-	FillTime    uint64
-	LastHitTime uint64
-	Hits        uint64
 
 	// PCHash is dpPred's per-TLB-entry hash of the PC that triggered the
 	// fill (6 bits by default, §V-A).
@@ -64,10 +60,12 @@ type Block struct {
 	// table at fill time.
 	AIPThreshold uint16
 
-	// Valid reports whether the entry holds a live translation/block.
-	Valid bool
-	// Dirty marks blocks modified since fill.
-	Dirty bool
+	// Hits counts hits this generation, saturating at MaxHits. Its
+	// readers (SHiP, the accuracy and confusion graders, the DOA
+	// correlation) only tell 0, 1 and more apart; the exact count is in
+	// the entry's Gen.
+	Hits uint8
+
 	// Accessed is the paper's per-entry Accessed bit: set on the first
 	// hit after fill, examined at eviction to detect dead-on-arrival
 	// entries (§V-A, §V-B).
@@ -82,6 +80,27 @@ type Block struct {
 	Outcome bool
 	// AIPConf is the confidence bit loaded with AIPThreshold.
 	AIPConf bool
+}
+
+// MaxHits is where Block.Hits saturates.
+const MaxHits = ^uint8(0)
+
+// addHits returns h+k saturated at MaxHits.
+func addHits(h uint8, k uint64) uint8 {
+	if k >= uint64(MaxHits-h) {
+		return MaxHits
+	}
+	return h + uint8(k)
+}
+
+// Gen is the timing record of one way's current generation, for the §IV
+// dead/live classification: times are supplied by the caller (simulated
+// cycles), Hits is the exact hit count. Only a cache that tracks times
+// (TrackTimes) keeps them.
+type Gen struct {
+	FillTime    uint64
+	LastHitTime uint64
+	Hits        uint64
 }
 
 // Config sizes a cache.
@@ -119,6 +138,11 @@ type Cache struct {
 	stride int
 	// blocks holds the full metadata payloads, indexed by set*ways+way.
 	blocks []Block
+	// gens holds the generation records parallel to blocks; nil unless
+	// the cache tracks times. evicted is the record of the entry the
+	// latest fill evicted.
+	gens    []Gen
+	evicted Gen
 
 	// Packed per-set bit words (bit w = way w).
 	live []uint64 // valid bits
@@ -230,6 +254,40 @@ func (c *Cache) Ways() int { return c.ways }
 // Capacity returns the total number of entries.
 func (c *Cache) Capacity() int { return c.sets * c.ways }
 
+// TrackTimes makes the cache keep a generation record (Gen) per way. The
+// records must cover every entry's whole generation, so it fails once the
+// cache holds an entry; on a cache that already tracks times it is a
+// no-op.
+func (c *Cache) TrackTimes() error {
+	if c.gens != nil {
+		return nil
+	}
+	for _, live := range c.live {
+		if live != 0 {
+			return fmt.Errorf("cache %q: entry times must be tracked from the first fill", c.name)
+		}
+	}
+	c.gens = make([]Gen, len(c.blocks))
+	return nil
+}
+
+// TracksTimes reports whether the cache keeps generation records.
+func (c *Cache) TracksTimes() bool { return c.gens != nil }
+
+// GenAt returns the generation record of the entry at (set, way); zero
+// unless the cache tracks times.
+func (c *Cache) GenAt(set, way int) Gen {
+	if c.gens == nil {
+		return Gen{}
+	}
+	return c.gens[set*c.ways+way]
+}
+
+// EvictedGen returns the generation record of the entry the latest fill
+// evicted; zero unless the cache tracks times. Read it before the next
+// fill: checkpoints and clones do not carry it.
+func (c *Cache) EvictedGen() Gen { return c.evicted }
+
 // SetIndex maps a key to its set.
 func (c *Cache) SetIndex(key uint64) int {
 	if c.pow2 {
@@ -239,10 +297,11 @@ func (c *Cache) SetIndex(key uint64) int {
 }
 
 // Lookup probes the cache for the key at simulated time now. On a hit it
-// updates replacement state, sets the Accessed bit, bumps hit counters and
-// returns the resident block. On a miss it returns (nil, false). A hit also
-// clears the way's dead-mark (a re-referenced entry is live again — the
-// revive AIP performs on every hit).
+// updates replacement state, sets the Accessed bit, bumps hit counters
+// (and the generation record's hit count and last-hit time) and returns
+// the resident block. On a miss it returns (nil, false). A hit also clears
+// the way's dead-mark (a re-referenced entry is live again — the revive
+// AIP performs on every hit).
 func (c *Cache) Lookup(key uint64, now uint64) (*Block, bool) {
 	c.lookups++
 	set := c.SetIndex(key)
@@ -272,8 +331,14 @@ func (c *Cache) hit(set, base, w int, now uint64) *Block {
 	c.hits++
 	b := &c.blocks[base+w]
 	b.Accessed = true
-	b.Hits++
-	b.LastHitTime = now
+	if b.Hits != MaxHits {
+		b.Hits++
+	}
+	if c.gens != nil {
+		g := &c.gens[base+w]
+		g.Hits++
+		g.LastHitTime = now
+	}
 	if d := c.dead[set]; d != 0 {
 		c.dead[set] = d &^ (1 << uint(w))
 	}
@@ -332,18 +397,23 @@ func (c *Cache) CoalescibleHits() bool { return c.lruClock != nil }
 // time lastNow — provided the cache saw no other traffic (lookups, fills,
 // invalidations, flushes) between those hits, which is the caller's
 // contract, and the policy is coalescible (CoalescibleHits). The per-hit
-// effects all have closed forms under that contract: counters add k, the
-// Accessed bit and dead-bit clear are idempotent, LastHitTime keeps only
-// the final time, and k consecutive LRU touches of one way advance the
-// set clock by k and leave the way holding the final stamp.
+// effects all have closed forms under that contract: counters add k (the
+// entry's saturating), the Accessed bit and dead-bit clear are idempotent,
+// LastHitTime keeps only the final time, and k consecutive LRU touches of
+// one way advance the set clock by k and leave the way holding the final
+// stamp.
 func (c *Cache) HitRun(set, way int, k, lastNow uint64) *Block {
 	base := set * c.ways
 	c.lookups += k
 	c.hits += k
 	b := &c.blocks[base+way]
 	b.Accessed = true
-	b.Hits += k
-	b.LastHitTime = lastNow
+	b.Hits = addHits(b.Hits, k)
+	if c.gens != nil {
+		g := &c.gens[base+way]
+		g.Hits += k
+		g.LastHitTime = lastNow
+	}
 	if d := c.dead[set]; d != 0 {
 		c.dead[set] = d &^ (1 << uint(way))
 	}
@@ -423,7 +493,8 @@ func (c *Cache) Install(key uint64, hint policy.InsertHint, now uint64) *Block {
 // FillVictim is the fill behind Fill and Install. When it evicts, it
 // returns the victim's key, read from the tag record, and copies the
 // victim's whole Block into `into` only when `into` is non-nil — so a
-// caller that needs no more than the key never loads the old payload.
+// caller that needs no more than the key never loads the old payload. A
+// cache that tracks times keeps the victim's Gen for EvictedGen.
 func (c *Cache) FillVictim(key uint64, hint policy.InsertHint, now uint64, into *Block) (nb *Block, victimKey uint64, evicted bool) {
 	c.fills++
 	set := c.SetIndex(key)
@@ -441,10 +512,12 @@ func (c *Cache) FillVictim(key uint64, hint policy.InsertHint, now uint64, into 
 		evicted = true
 		c.evictions++
 	}
-	c.blocks[base+way] = Block{
-		Valid:    true,
-		Key:      key,
-		FillTime: now,
+	c.blocks[base+way] = Block{Key: key}
+	if c.gens != nil {
+		if evicted {
+			c.evicted = c.gens[base+way]
+		}
+		c.gens[base+way] = Gen{FillTime: now}
 	}
 	tags[way] = key
 	c.live[set] |= 1 << uint(way)
@@ -535,6 +608,9 @@ func (c *Cache) Invalidate(key uint64) (Block, bool) {
 		if tag == key && c.live[set]>>uint(w)&1 != 0 {
 			old := c.blocks[base+w]
 			c.blocks[base+w] = Block{}
+			if c.gens != nil {
+				c.gens[base+w] = Gen{}
+			}
 			tags[w] = 0
 			c.live[set] &^= 1 << uint(w)
 			c.dead[set] &^= 1 << uint(w)

@@ -3,9 +3,42 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/policy"
 )
+
+// TestBlockIs32Bytes pins the entry layout: two entries per 64-byte host
+// line, the generation times kept apart (Gen).
+func TestBlockIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 32 {
+		t.Errorf("Block is %d bytes, want 32", got)
+	}
+}
+
+// TestTrackTimesBeforeFirstFill: a cache starts tracking times only while
+// empty, and a hit count past MaxHits saturates in the entry while its
+// generation record keeps the exact count.
+func TestTrackTimesBeforeFirstFill(t *testing.T) {
+	c := mk(t, 1, 2)
+	if c.TracksTimes() {
+		t.Fatal("a new cache tracks times")
+	}
+	c.Install(1, policy.InsertMRU, 0)
+	if err := c.TrackTimes(); err == nil {
+		t.Error("a filled cache started tracking times")
+	}
+	c = mk(t, 1, 2)
+	if err := c.TrackTimes(); err != nil {
+		t.Fatal(err)
+	}
+	c.Install(1, policy.InsertMRU, 3)
+	set, way, _ := c.Locate(1)
+	b := c.HitRun(set, way, 300, 9)
+	if g := c.GenAt(set, way); b.Hits != MaxHits || g != (Gen{FillTime: 3, LastHitTime: 9, Hits: 300}) {
+		t.Errorf("after 300 hits: entry %d hits, gen %+v", b.Hits, g)
+	}
+}
 
 func mk(t *testing.T, sets, ways int) *Cache {
 	t.Helper()
@@ -36,6 +69,9 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestLookupMissThenHit(t *testing.T) {
 	c := mk(t, 4, 2)
+	if err := c.TrackTimes(); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := c.Lookup(42, 1); ok {
 		t.Fatal("hit in empty cache")
 	}
@@ -43,15 +79,16 @@ func TestLookupMissThenHit(t *testing.T) {
 	if ev {
 		t.Fatal("eviction from empty set")
 	}
-	if nb.Key != 42 || !nb.Valid || nb.FillTime != 2 {
-		t.Fatalf("bad new block: %+v", *nb)
+	set, way, ok := c.Locate(42)
+	if nb.Key != 42 || !ok || c.GenAt(set, way).FillTime != 2 {
+		t.Fatalf("bad new block: %+v %+v", *nb, c.GenAt(set, way))
 	}
 	b, ok := c.Lookup(42, 5)
 	if !ok {
 		t.Fatal("miss after fill")
 	}
-	if !b.Accessed || b.Hits != 1 || b.LastHitTime != 5 {
-		t.Fatalf("hit metadata wrong: %+v", *b)
+	if g := c.GenAt(set, way); !b.Accessed || b.Hits != 1 || g.Hits != 1 || g.LastHitTime != 5 {
+		t.Fatalf("hit metadata wrong: %+v %+v", *b, g)
 	}
 	st := c.Stats()
 	if st.Lookups != 2 || st.Hits != 1 || st.Misses != 1 || st.Fills != 1 {
@@ -379,10 +416,10 @@ func TestInstallMatchesFill(t *testing.T) {
 		now := i
 		if _, ok := a.Lookup(key, now); !ok {
 			nb, _, _ := a.Fill(key, hint, now)
-			nb.Dirty = i%3 == 0
+			nb.DP = i%3 == 0
 		}
 		if _, ok := b.Lookup(key, now); !ok {
-			b.Install(key, hint, now).Dirty = i%3 == 0
+			b.Install(key, hint, now).DP = i%3 == 0
 		}
 	}
 	if a.Stats() != b.Stats() {

@@ -2,14 +2,14 @@ package cache
 
 import "repro/internal/ckpt"
 
-// EncodeState serializes the cache's full mutable state — entries, packed
-// valid/dead bit words, inlined LRU state and statistics — for warm-state
-// checkpointing. The set records are written split, every set's tags
-// first and every set's stamps later, so the bytes do not depend on the
-// in-memory layout. Geometry is stamped so DecodeState can reject a
-// checkpoint taken under a different configuration. Non-LRU replacement
-// state is not serializable (policy sets are opaque); encoding such a
-// cache latches an error.
+// EncodeState serializes the cache's full mutable state — entries, their
+// generation records when the cache tracks times, packed valid/dead bit
+// words, inlined LRU state and statistics — for warm-state checkpointing.
+// The set records are written split, every set's tags first and every
+// set's stamps later, so the bytes do not depend on the in-memory layout.
+// Geometry is stamped so DecodeState can reject a checkpoint taken under a
+// different configuration. Non-LRU replacement state is not serializable
+// (policy sets are opaque); encoding such a cache latches an error.
 func (c *Cache) EncodeState(w *ckpt.Writer) {
 	w.Mark("cache:" + c.name)
 	if c.lruClock == nil {
@@ -22,6 +22,10 @@ func (c *Cache) EncodeState(w *ckpt.Writer) {
 		w.Binary(c.tags(s))
 	}
 	w.Binary(c.blocks)
+	w.Bool(c.gens != nil)
+	if c.gens != nil {
+		w.Binary(c.gens)
+	}
 	w.Binary(c.live)
 	w.Binary(c.dead)
 	for s := 0; s < c.sets; s++ {
@@ -35,8 +39,21 @@ func (c *Cache) EncodeState(w *ckpt.Writer) {
 	w.U64(c.evictions)
 }
 
+// v1Block is an entry as version-1 checkpoints (DPMK v1 and DPCK) record
+// it: the 64-byte Block of earlier releases, field for field (57 bytes on
+// the wire), which held the generation times itself.
+type v1Block struct {
+	Key, Data, FillTime, LastHitTime, Hits      uint64
+	PCHash, Sig, AIPCount, AIPMax, AIPThreshold uint16
+	Valid, Dirty, Accessed, DP, Prefetched      bool
+	Outcome, AIPConf                            bool
+}
+
 // DecodeState restores state written by EncodeState into a cache built with
-// the identical configuration.
+// the identical configuration; a stream of checkpoint version 1
+// (r.Version) holds v1 entry records. Generation records the checkpoint
+// carries but this cache does not track are dropped; a cache that tracks
+// times refuses a checkpoint without them rather than restoring zeros.
 func (c *Cache) DecodeState(r *ckpt.Reader) error {
 	r.Expect("cache:" + c.name)
 	if c.lruClock == nil {
@@ -51,7 +68,20 @@ func (c *Cache) DecodeState(r *ckpt.Reader) error {
 	for s := 0; s < c.sets; s++ {
 		r.Binary(c.tags(s))
 	}
-	r.Binary(c.blocks)
+	if r.Version() == 1 {
+		c.decodeV1Entries(r)
+	} else {
+		r.Binary(c.blocks)
+		if r.Bool() {
+			gens := c.gens
+			if gens == nil {
+				gens = make([]Gen, len(c.blocks))
+			}
+			r.Binary(gens)
+		} else if c.gens != nil {
+			r.Failf("cache %q: checkpoint carries no entry times, which this machine tracks", c.name)
+		}
+	}
 	r.Binary(c.live)
 	r.Binary(c.dead)
 	for s := 0; s < c.sets; s++ {
@@ -74,4 +104,24 @@ func (c *Cache) DecodeState(r *ckpt.Reader) error {
 		}
 	}
 	return r.Err()
+}
+
+// decodeV1Entries reads v1 entry records into the entries and, when the
+// cache tracks times, their generation records.
+func (c *Cache) decodeV1Entries(r *ckpt.Reader) {
+	old := make([]v1Block, len(c.blocks))
+	r.Binary(old)
+	for i, o := range old {
+		c.blocks[i] = Block{
+			Key: o.Key, Data: o.Data,
+			PCHash: o.PCHash, Sig: o.Sig,
+			AIPCount: o.AIPCount, AIPMax: o.AIPMax, AIPThreshold: o.AIPThreshold,
+			Hits:     addHits(0, o.Hits),
+			Accessed: o.Accessed, DP: o.DP, Prefetched: o.Prefetched,
+			Outcome: o.Outcome, AIPConf: o.AIPConf,
+		}
+		if c.gens != nil {
+			c.gens[i] = Gen{FillTime: o.FillTime, LastHitTime: o.LastHitTime, Hits: o.Hits}
+		}
+	}
 }

@@ -8,9 +8,13 @@ import (
 	"repro/internal/policy"
 )
 
-// refWay is one way of the reference model: the entry and its LRU stamp.
+// refWay is one way of the reference model: the entry, its valid flag,
+// its generation record (kept whether or not the cache tracks times) and
+// its LRU stamp.
 type refWay struct {
-	blk   Block // blk.Valid and blk.Key mirror the cache's valid bit and tag
+	blk   Block // blk.Key mirrors the cache's tag
+	valid bool
+	gen   Gen
 	dead  bool
 	stamp uint64
 }
@@ -19,16 +23,18 @@ type refWay struct {
 // of ways plus a clock, with the victim rule spelled out directly — an
 // invalid way first (lowest index), else the policy victim (lowest stamp,
 // lowest way on ties) unless it is not dead-marked while another way is,
-// in which case the lowest dead-marked way.
+// in which case the lowest dead-marked way. An entry's saturating hit
+// count is derived from its exact one.
 type refCache struct {
 	name  string
+	times bool // whether the modelled cache tracks times
 	sets  [][]refWay
 	clock []uint64
 	st    Stats
 }
 
-func newRef(name string, sets, ways int) *refCache {
-	r := &refCache{name: name, sets: make([][]refWay, sets), clock: make([]uint64, sets)}
+func newRef(name string, sets, ways int, times bool) *refCache {
+	r := &refCache{name: name, times: times, sets: make([][]refWay, sets), clock: make([]uint64, sets)}
 	for s := range r.sets {
 		r.sets[s] = make([]refWay, ways)
 		for w := range r.sets[s] {
@@ -45,7 +51,7 @@ func (r *refCache) set(key uint64) int { return int(key % uint64(len(r.sets))) }
 func (r *refCache) find(key uint64) (set, way int) {
 	set = r.set(key)
 	for w, e := range r.sets[set] {
-		if e.blk.Valid && e.blk.Key == key {
+		if e.valid && e.blk.Key == key {
 			return set, w
 		}
 	}
@@ -57,8 +63,9 @@ func (r *refCache) touch(set, way int, k, now uint64) *Block {
 	r.st.Lookups += k
 	r.st.Hits += k
 	e.blk.Accessed = true
-	e.blk.Hits += k
-	e.blk.LastHitTime = now
+	e.gen.Hits += k
+	e.gen.LastHitTime = now
+	e.blk.Hits = uint8(min(e.gen.Hits, uint64(MaxHits)))
 	e.dead = false
 	r.clock[set] += k
 	e.stamp = r.clock[set]
@@ -77,7 +84,7 @@ func (r *refCache) lookup(key, now uint64) (*Block, bool) {
 func (r *refCache) victimWay(set int) (way int, full bool) {
 	ways := r.sets[set]
 	for w, e := range ways {
-		if !e.blk.Valid {
+		if !e.valid {
 			return w, false
 		}
 	}
@@ -97,16 +104,27 @@ func (r *refCache) victimWay(set int) (way int, full bool) {
 	return v, true
 }
 
-func (r *refCache) fill(key uint64, hint policy.InsertHint, now uint64) (nb *Block, victim Block, evicted bool) {
+// genOf is the generation record the cache reports for e: zero unless it
+// tracks times.
+func (r *refCache) genOf(e refWay) Gen {
+	if !r.times {
+		return Gen{}
+	}
+	return e.gen
+}
+
+func (r *refCache) fill(key uint64, hint policy.InsertHint, now uint64) (nb *Block, victim Block, vgen Gen, evicted bool) {
 	set := r.set(key)
 	way, evicted := r.victimWay(set)
 	ways := r.sets[set]
 	r.st.Fills++
 	if evicted {
-		victim = ways[way].blk
+		victim, vgen = ways[way].blk, r.genOf(ways[way])
 		r.st.Evictions++
 	}
-	ways[way].blk = Block{Valid: true, Key: key, FillTime: now}
+	ways[way].blk = Block{Key: key}
+	ways[way].valid = true
+	ways[way].gen = Gen{FillTime: now}
 	ways[way].dead = false
 	if hint == policy.InsertDistant {
 		min := ways[0].stamp
@@ -127,7 +145,7 @@ func (r *refCache) fill(key uint64, hint policy.InsertHint, now uint64) (nb *Blo
 		r.clock[set]++
 		ways[way].stamp = r.clock[set]
 	}
-	return &ways[way].blk, victim, evicted
+	return &ways[way].blk, victim, vgen, evicted
 }
 
 func (r *refCache) invalidate(key uint64) (Block, bool) {
@@ -141,18 +159,24 @@ func (r *refCache) invalidate(key uint64) (Block, bool) {
 }
 
 // encode writes the model in the checkpoint layout EncodeState promises:
-// all tags, all blocks, the valid and dead words, all stamps, the clocks
-// and the counters.
-func (r *refCache) encode(w *ckpt.Writer) {
+// all tags, all blocks, whether generation records follow and then those
+// records, the valid and dead words, all stamps, the clocks and the
+// counters.
+func (r *refCache) encode(w *ckpt.Writer) { r.encodeTimes(w, r.times) }
+
+// encodeTimes is encode with the generation records written or left out.
+func (r *refCache) encodeTimes(w *ckpt.Writer, times bool) {
 	var tags, stamps, live, dead []uint64
 	var blocks []Block
+	var gens []Gen
 	for _, ways := range r.sets {
 		var lv, dd uint64
 		for i, e := range ways {
 			tags = append(tags, e.blk.Key)
 			stamps = append(stamps, e.stamp)
 			blocks = append(blocks, e.blk)
-			if e.blk.Valid {
+			gens = append(gens, e.gen)
+			if e.valid {
 				lv |= 1 << uint(i)
 			}
 			if e.dead {
@@ -166,6 +190,10 @@ func (r *refCache) encode(w *ckpt.Writer) {
 	w.U64(uint64(len(r.sets[0])))
 	w.Binary(tags)
 	w.Binary(blocks)
+	w.Bool(times)
+	if times {
+		w.Binary(gens)
+	}
 	w.Binary(live)
 	w.Binary(dead)
 	w.Binary(stamps)
@@ -189,22 +217,53 @@ func encoded(t *testing.T, enc func(*ckpt.Writer)) []byte {
 }
 
 // FuzzCacheVsReference drives a Cache and the reference model with the
-// same random operation stream and requires identical hits, victims (key
-// and full Block), statistics and checkpoint bytes throughout, across
-// clones and checkpoint round trips.
+// same random operation stream and requires identical hits, victims (key,
+// full Block and generation record), statistics and checkpoint bytes
+// throughout, across clones and checkpoint round trips, with the cache
+// tracking times (bit 7 of the first byte) or not.
 func FuzzCacheVsReference(f *testing.F) {
 	f.Add([]byte{0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{0x13, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87, 0x98, 0xa9, 0xba, 0xcb, 0xdc})
 	f.Add(bytes.Repeat([]byte{0x27, 0x41, 0x05, 0x8c, 0x3a, 0xd2, 0x6e, 0x19}, 24))
+	f.Add(append([]byte{0x93}, bytes.Repeat([]byte{0x27, 0x41, 0x05, 0x8c, 0x3a, 0xd2, 0x6e, 0x19, 0x0a, 0x07}, 24)...))
+	// One way, one key filled, then 20 runs of 16 hits: the entry's hit
+	// count saturates while its generation record keeps counting.
+	f.Add(append([]byte{0x8c, 0x01, 0x00}, bytes.Repeat([]byte{0xf8, 0x00}, 20)...))
+	// The same through 260 single Lookups.
+	f.Add(append([]byte{0x8c, 0x01, 0x00}, bytes.Repeat([]byte{0x00, 0x00}, 260)...))
+	// Two ways tracking times: hits, then refills of hit ways, an
+	// invalidation, a checkpoint round trip, a hit run and a clone.
+	f.Add([]byte{0x90, 1, 1, 0, 1, 0, 1, 0, 1, 1, 2, 0, 2, 1, 3, 0, 3, 0, 3, 1, 4, 0, 4, 4, 3,
+		1, 5, 0, 5, 0x0a, 0, 1, 6, 0, 6, 0xf8, 6, 9, 0, 1, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
 		sets := []int{1, 2, 3, 4}[data[0]&3]
 		ways := 1 + int(data[0]>>2)%5
+		times := data[0]&0x80 != 0
 		cfg := Config{Name: "ref", Sets: sets, Ways: ways}
-		c := MustNew(cfg)
-		r := newRef(cfg.Name, sets, ways)
+		newCache := func() *Cache {
+			c := MustNew(cfg)
+			if times {
+				if err := c.TrackTimes(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c
+		}
+		c := newCache()
+		r := newRef(cfg.Name, sets, ways, times)
+		checkGens := func(i int) {
+			t.Helper()
+			for s, ways := range r.sets {
+				for w, e := range ways {
+					if got, want := c.GenAt(s, w), r.genOf(e); got != want {
+						t.Fatalf("op %d: set %d way %d gen %+v, want %+v", i, s, w, got, want)
+					}
+				}
+			}
+		}
 		keySpace := uint64(2*sets*ways + 3)
 		var now uint64
 		for i := 1; i+1 < len(data); i += 2 {
@@ -223,7 +282,7 @@ func FuzzCacheVsReference(f *testing.F) {
 					continue
 				}
 				hint := policy.InsertHint(op >> 7)
-				wnb, wv, wev := r.fill(key, hint, now)
+				wnb, wv, wg, wev := r.fill(key, hint, now)
 				var gnb *Block
 				var gv Block
 				var gk uint64
@@ -249,8 +308,11 @@ func FuzzCacheVsReference(f *testing.F) {
 					t.Fatalf("op %d fill(%d): got evicted=%v key %d %+v new %+v, want %v %+v new %+v",
 						i, key, gev, gk, gv, gnb, wev, wv, wnb)
 				}
+				if gev && c.EvictedGen() != wg {
+					t.Fatalf("op %d fill(%d): evicted gen %+v, want %+v", i, key, c.EvictedGen(), wg)
+				}
 				if op&0x20 != 0 { // set caller-owned metadata on both
-					gnb.Dirty, wnb.Dirty = true, true
+					gnb.Prefetched, wnb.Prefetched = true, true
 					gnb.DP, wnb.DP = true, true
 				}
 			case 4: // Invalidate
@@ -262,7 +324,7 @@ func FuzzCacheVsReference(f *testing.F) {
 			case 5: // MarkDead on a way, resident or not
 				way := int(op>>4) % ways
 				c.MarkDead(key, way)
-				if e := &r.sets[r.set(key)][way]; e.blk.Valid {
+				if e := &r.sets[r.set(key)][way]; e.valid {
 					e.dead = true
 				}
 			case 6: // MarkDeadKey
@@ -277,7 +339,7 @@ func FuzzCacheVsReference(f *testing.F) {
 				set, way := r.set(key), int(op>>4)%ways
 				got, gok := c.HitAt(set, way, key, now)
 				e := r.sets[set][way]
-				wok := e.blk.Valid && e.blk.Key == key
+				wok := e.valid && e.blk.Key == key
 				if gok != wok {
 					t.Fatalf("op %d HitAt(%d,%d,%d) = %v, want %v", i, set, way, key, gok, wok)
 				}
@@ -310,9 +372,17 @@ func FuzzCacheVsReference(f *testing.F) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("op %d: EncodeState bytes differ from the model's", i)
 				}
-				fresh := MustNew(cfg)
+				fresh := newCache()
 				if err := fresh.DecodeState(ckpt.NewReader(bytes.NewReader(got))); err != nil {
 					t.Fatal(err)
+				}
+				if times {
+					// A checkpoint without the records must not restore
+					// into a cache that tracks them.
+					bare := encoded(t, func(w *ckpt.Writer) { r.encodeTimes(w, false) })
+					if err := newCache().DecodeState(ckpt.NewReader(bytes.NewReader(bare))); err == nil {
+						t.Fatalf("op %d: a checkpoint without entry times restored into a cache that tracks them", i)
+					}
 				}
 				if again := encoded(t, fresh.EncodeState); !bytes.Equal(again, got) {
 					t.Fatalf("op %d: decoded cache re-encodes differently", i)
@@ -332,6 +402,7 @@ func FuzzCacheVsReference(f *testing.F) {
 			if c.Stats() != r.st {
 				t.Fatalf("op %d: stats %+v, want %+v", i, c.Stats(), r.st)
 			}
+			checkGens(i)
 		}
 		if got, want := encoded(t, c.EncodeState), encoded(t, r.encode); !bytes.Equal(got, want) {
 			t.Fatal("final EncodeState bytes differ from the model's")

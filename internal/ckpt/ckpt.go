@@ -119,9 +119,10 @@ func (w *Writer) Flush() error {
 
 // Reader deserializes primitives from an underlying stream.
 type Reader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
+	r       *bufio.Reader
+	err     error
+	buf     [8]byte
+	version uint16
 }
 
 // NewReader wraps r.
@@ -139,6 +140,14 @@ func (r *Reader) read(n int) []byte {
 	}
 	return r.buf[:n]
 }
+
+// SetVersion records the format version the stream's header declared, so
+// components whose layout changed between versions can branch on it.
+func (r *Reader) SetVersion(v uint16) { r.version = v }
+
+// Version returns the version SetVersion recorded; 0 means none was, and
+// components read their current layout.
+func (r *Reader) Version() uint16 { return r.version }
 
 // Failf latches a caller-detected error (e.g. a verification mismatch).
 func (r *Reader) Failf(format string, args ...any) {

@@ -273,7 +273,7 @@ func TestPlanExecutorMatchesColdReference(t *testing.T) {
 		shared, alone := r.RecordPasses()
 		warmSpans := 0
 		for _, su := range setups {
-			if su.WarmupKey != "" {
+			if r.warmShareable(su) {
 				warmSpans += spans[su.Name]
 			}
 		}

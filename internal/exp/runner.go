@@ -75,8 +75,11 @@ type Setup struct {
 	// in Instrument. Each grid then warms that machine once per workload
 	// and hands each such cell its own warm-state fork (sim.System.Fork),
 	// instead of re-simulating the shared warmup prefix; a later grid warms
-	// its own. Instrumentation is enabled only after warmup, so the shared
-	// warm state is bit-identical for every consumer.
+	// its own. Accuracy grading is enabled only after warmup, so the
+	// shared warm state is bit-identical for every consumer.
+	// Characterization cells keep the key but never fork: their machine
+	// tracks entry times from the first access, which a master built
+	// without them cannot supply (warmShareable).
 	WarmupKey string
 }
 
@@ -594,9 +597,11 @@ func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
 
 // BuildMachine constructs the machine mc describes (setup.Config is not
 // consulted) and installs setup's predictors, shared by every core, and
-// its prefetcher, for a non-oracle setup. Multi-core cells and
-// cmd/deadsim's checkpoint path, which rebuilds the exact machine a
-// checkpoint was taken from, build through it directly.
+// its prefetcher, for a non-oracle setup. A characterization setup's
+// machine tracks entry times from its first access, so its samplers see
+// the warmup's fills too. Multi-core cells and cmd/deadsim's checkpoint
+// path, which rebuilds the exact machine a checkpoint was taken from,
+// build through it directly.
 func BuildMachine(setup Setup, mc sim.MultiConfig) (*sim.System, error) {
 	if setup.Oracle {
 		return nil, fmt.Errorf("exp: the oracle's two-pass protocol has no standalone system")
@@ -604,6 +609,11 @@ func BuildMachine(setup Setup, mc sim.MultiConfig) (*sim.System, error) {
 	s, err := sim.NewMulti(mc)
 	if err != nil {
 		return nil, err
+	}
+	if setup.Instrument.Characterize {
+		if err := s.TrackEntryTimes(); err != nil {
+			return nil, err
+		}
 	}
 	if setup.TLB != nil {
 		p, err := setup.TLB(s)
@@ -639,7 +649,9 @@ func measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generato
 		}
 	}
 	if setup.Instrument.Characterize {
-		s.EnableCharacterization(p.SampleEvery)
+		if err := s.EnableCharacterization(p.SampleEvery); err != nil {
+			return sim.Result{}, err
+		}
 	}
 	s.StartMeasurement()
 	if err := s.RunTenants(ctx, gens, p.Measure); err != nil {
@@ -665,12 +677,14 @@ func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, 
 // warmShareable reports whether a setup can take the warm-state fork path:
 // it must declare a WarmupKey, nothing may need to observe the warmup
 // prefix itself (observers attach before warmup; the oracle's record pass
-// and prefetchers manage their own state), and the trace must live in
-// memory — a warmed master's forks resume from a shared Buffer position,
-// which a disk-streamed trace has no equivalent of.
+// and prefetchers manage their own state; characterization's samplers
+// read entry times its machine tracks from the first access), and the
+// trace must live in memory — a warmed master's forks resume from a
+// shared Buffer position, which a disk-streamed trace has no equivalent
+// of.
 func (r *Runner) warmShareable(setup Setup) bool {
 	return setup.WarmupKey != "" && r.Observer == nil && r.traceDir == "" &&
-		!setup.Oracle && setup.Prefetch == nil
+		!setup.Oracle && setup.Prefetch == nil && !setup.Instrument.Characterize
 }
 
 // runShared executes a cell on a fork of its grid's warmed master (e's

@@ -25,7 +25,8 @@ func TestWarmSharedMatchesCold(t *testing.T) {
 		ws = append(ws, w)
 	}
 	// Every WarmupKey pair from the paper grid: plain + accuracy-graded
-	// predictors, and baseline + characterization.
+	// predictors, and baseline + characterization (which keeps the key
+	// but runs cold, its machine tracking entry times).
 	shared := []Setup{
 		Baseline(), characterizationSetup(),
 		DPPredSetup(), withAccuracy(DPPredSetup()),

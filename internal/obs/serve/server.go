@@ -122,6 +122,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the headers go out: a client may publish as soon
+	// as its GET returns, and that event must already have a subscriber.
+	var events <-chan Event
+	if s.board != nil {
+		var cancel func()
+		events, cancel = s.board.Subscribe()
+		defer cancel()
+	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -130,8 +138,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 		return
 	}
-	events, cancel := s.board.Subscribe()
-	defer cancel()
 	ping := time.NewTicker(15 * time.Second)
 	defer ping.Stop()
 	for {

@@ -96,7 +96,7 @@ func TestSHiPOnlyFirstHitTrains(t *testing.T) {
 	d := s.OnFill(1, pc)
 	b := &cache.Block{Sig: d.Sig}
 	// Simulate many hits on one block: only the first may increment.
-	for h := uint64(1); h <= 10; h++ {
+	for h := uint8(1); h <= 10; h++ {
 		b.Hits = h
 		s.OnHit(b)
 	}

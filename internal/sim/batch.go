@@ -68,7 +68,6 @@ type batchMemo struct {
 	bLoc       bool
 	bPend      uint64
 	bLast      uint64
-	bDirty     bool // OR of the deferred hits' write bits
 
 	// Per-structure CoalescibleHits, resolved once per segment: a pluggable
 	// replacement policy keeps opaque per-hit state, so its hits are
@@ -108,9 +107,8 @@ func (p *proc) flushRuns(m *batchMemo) {
 // flushBlockRun applies the pending L1D run.
 func (p *proc) flushBlockRun(m *batchMemo) {
 	if m.bPend > 0 {
-		b := p.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
-		b.Dirty = b.Dirty || m.bDirty
-		m.bPend, m.bDirty = 0, false
+		p.l1d.HitRun(m.bSet, m.bWay, m.bPend, m.bLast)
+		m.bPend = 0
 	}
 }
 
@@ -247,7 +245,6 @@ func (p *proc) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error) {
 			// walk's PTE fetches keeps its run (exactly the L1D hit
 			// memAccess would find), while an evicted one falls through to
 			// memAccess (exactly its miss).
-			write := c.Flags[i]&trace.FlagWrite != 0
 			var memLat arch.Lat
 			vb := c.VA[i] >> arch.BlockShift
 			bHit := m.bOK && vb == m.bVB
@@ -262,17 +259,14 @@ func (p *proc) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error) {
 				if m.bCo {
 					m.bPend++
 					m.bLast = now
-					m.bDirty = m.bDirty || write
 				} else {
 					pa := arch.Translate(pfn, arch.VAddr(c.VA[i]))
 					key := uint64(pa.Block() >> arch.BlockShift)
-					if b, ok := p.l1d.HitAt(m.bSet, m.bWay, key, now); ok {
-						b.Dirty = b.Dirty || write
-					}
+					p.l1d.HitAt(m.bSet, m.bWay, key, now)
 				}
 			} else {
 				p.flushBlockRun(m)
-				memLat = p.memAccess(arch.Translate(pfn, arch.VAddr(c.VA[i])), c.PC[i], write)
+				memLat = p.memAccess(arch.Translate(pfn, arch.VAddr(c.VA[i])), c.PC[i])
 				m.bVB = vb
 				m.bOK, m.bLoc = true, false
 			}

@@ -69,7 +69,7 @@ func TestRunBufferMatchesStep(t *testing.T) {
 		{"characterization", false, func(t *testing.T, s *System) {
 			// A prime sampleEvery keeps sampling points misaligned with
 			// every chunk boundary.
-			s.EnableCharacterization(4099)
+			characterize(t, s, 4099)
 		}},
 		{"intervals", false, func(t *testing.T, s *System) {
 			s.AttachObserver(&obs.Observer{Interval: obs.NewIntervalRecorder(5003)})

@@ -11,11 +11,15 @@ import (
 // Checkpoint framing: a magic, the format version, the meta block,
 // scheduler state, the shared structures once, then per-tenant and
 // per-core sections in index order, each behind a labeled section mark.
-// DPMK is the only layout written. DPCK, the single-core layout earlier
-// releases wrote, is still read into a one-core one-tenant machine.
+// DPMK v2 is the only layout written: 32-byte cache entries, plus the LLT's
+// and LLC's generation records when the machine tracks entry times. DPMK
+// v1 and DPCK, the single-core layout of earlier releases, are still read
+// (their 64-byte entries carry the times in every structure); DPCK
+// restores into a one-core one-tenant machine.
 const (
 	ckptMagic   = "DPMK"
-	ckptVersion = 1
+	ckptVersion = 2
+	dpmkV1      = 1
 
 	dpckMagic   = "DPCK"
 	dpckVersion = 1
@@ -142,14 +146,16 @@ func (s *System) WriteCheckpoint(wr io.Writer, workload string) error {
 	return w.Flush()
 }
 
-// ReadCheckpoint restores state written by WriteCheckpoint — or a DPCK
-// checkpoint an earlier release wrote, into a one-core one-tenant machine
-// — into a freshly built machine with the identical configuration and
+// ReadCheckpoint restores state written by WriteCheckpoint — or a DPMK v1
+// or DPCK checkpoint an earlier release wrote, the latter into a one-core
+// one-tenant machine — into a freshly built machine with the identical configuration and
 // predictors, choosing the layout by its magic. After it returns,
 // fast-forward tenant t's generator by meta.TenantAccesses[t]; stepping
 // the restored machine is then bit-identical to having continued the
 // checkpointed run. A checkpoint that does not describe this machine, or
-// whose state is out of range, is an error.
+// whose state is out of range, is an error; so is a DPMK v2 checkpoint
+// without entry times restored into a machine that tracks them
+// (TrackEntryTimes).
 func (s *System) ReadCheckpoint(rd io.Reader) (CheckpointMeta, error) {
 	tlbC, llcC, err := s.ckptCodecs()
 	if err != nil {
@@ -163,9 +169,12 @@ func (s *System) ReadCheckpoint(rd io.Reader) (CheckpointMeta, error) {
 	}
 	var meta CheckpointMeta
 	switch {
-	case magic == ckptMagic && version == ckptVersion:
+	case magic == ckptMagic && (version == ckptVersion || version == dpmkV1):
+		r.SetVersion(version)
 		meta, err = s.readDPMK(r, tlbC, llcC)
 	case magic == dpckMagic && version == dpckVersion:
+		// DPCK's caches hold the same entry records as DPMK v1.
+		r.SetVersion(dpmkV1)
 		meta, err = s.readDPCK(r, tlbC, llcC)
 	case magic == ckptMagic || magic == dpckMagic:
 		return CheckpointMeta{}, fmt.Errorf("sim: unsupported %s checkpoint version %d", magic, version)

@@ -9,24 +9,26 @@ import (
 	"repro/internal/trace"
 )
 
-// The checked-in fixtures freeze the checkpoint byte formats. Both hold
-// the same warm state: a baseline machine after 20k accesses of cc. The
-// DPMK fixture was written by WriteCheckpoint, so any change to a
+// The checked-in fixtures freeze the checkpoint byte formats. All three
+// hold the same warm state: a baseline machine after 20k accesses of cc.
+// The DPMK v2 fixture was written by WriteCheckpoint, so any change to a
 // component's in-memory layout (the page table's radix nodes, the cache
-// arrays) must still decode it and re-encode it byte for byte. The DPCK
-// fixture was written by the single-core codec of earlier releases, which
-// no longer exists; it pins the read-only DPCK path, whose decode must
-// re-encode to exactly the DPMK fixture. Regenerate the DPMK fixture only
-// for a deliberate format change (which also bumps ckptVersion):
+// arrays) must still decode it and re-encode it byte for byte. The DPMK
+// v1 fixture (64-byte cache entries) and the DPCK fixture were written by
+// the codecs of earlier releases; they pin the read-only v1 and DPCK
+// paths, whose decodes must re-encode to exactly the v2 fixture.
+// Regenerate the v2 fixture only for a deliberate format change (which
+// also bumps ckptVersion and keeps the old fixture as a read-only input):
 //
 //	go test ./internal/sim -run TestCheckpointFixture -update-dpmk
 const (
 	dpckFixture       = "testdata/cc-20k-baseline.dpck"
-	dpmkFixture       = "testdata/cc-20k-baseline.dpmk"
+	dpmkV1Fixture     = "testdata/cc-20k-baseline.dpmk"
+	dpmkFixture       = "testdata/cc-20k-baseline-v2.dpmk"
 	dpckFixtureWarmup = 20_000
 )
 
-var updateDPMK = flag.Bool("update-dpmk", false, "rewrite the DPMK checkpoint fixture")
+var updateDPMK = flag.Bool("update-dpmk", false, "rewrite the DPMK v2 checkpoint fixture")
 
 // fixtureConfig is the Table I machine with shrunken data caches, so the
 // fixture stays small while the page table and TLBs keep their full shape.
@@ -48,7 +50,11 @@ func TestCheckpointFixture(t *testing.T) {
 		if err := s.Run(w.New(s.cfg.Machine.Seed), dpckFixtureWarmup); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(dpmkFixture, checkpointBytes(t, s), 0o644); err != nil {
+		var buf bytes.Buffer
+		if err := s.WriteCheckpoint(&buf, "cc"); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dpmkFixture, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,7 +62,7 @@ func TestCheckpointFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{dpmkFixture, dpckFixture} {
+	for _, path := range []string{dpmkFixture, dpmkV1Fixture, dpckFixture} {
 		in, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -85,10 +91,10 @@ func TestCheckpointFixture(t *testing.T) {
 }
 
 // FuzzCheckpointDecode: whatever the bytes, ReadCheckpoint either returns
-// an error or leaves a machine that runs on. Seeded with both fixtures, so
-// mutations land in every section of both layouts.
+// an error or leaves a machine that runs on. Seeded with all three
+// fixtures, so mutations land in every section of every layout.
 func FuzzCheckpointDecode(f *testing.F) {
-	for _, path := range []string{dpmkFixture, dpckFixture} {
+	for _, path := range []string{dpmkFixture, dpmkV1Fixture, dpckFixture} {
 		in, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)

@@ -156,7 +156,7 @@ func TestForkRefusals(t *testing.T) {
 	})
 	t.Run("characterize", func(t *testing.T) {
 		s := MustNew(smallConfig())
-		s.EnableCharacterization(1000)
+		characterize(t, s, 1000)
 		if _, err := s.Fork(); err == nil {
 			t.Error("fork with characterization enabled was not refused")
 		}

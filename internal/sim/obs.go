@@ -18,7 +18,9 @@ import (
 // larger machine publishes its metrics through AttachMetrics.
 //
 // Attach order is free: predictors installed after AttachObserver are
-// wired by SetTLBPredictor/SetLLCPredictor.
+// wired by SetTLBPredictor/SetLLCPredictor. A metrics registry brings the
+// lifetime histograms, which need entry times from the first access
+// (enableHistograms), so attach one before running.
 func (s *System) AttachObserver(o *obs.Observer) {
 	s.singleCore("the observer (tracer and interval sampler)")
 	p := s.cores[0]
@@ -50,7 +52,8 @@ func (s *System) AttachObserver(o *obs.Observer) {
 
 // AttachMetrics publishes every core's structure counters under a
 // "coreN." prefix plus the machine-level scheduling counters, and enables
-// per-core latency/lifetime histograms. Registration is passive — results
+// per-core latency/lifetime histograms, for which the machine tracks entry
+// times: attach before the first access. Registration is passive — results
 // stay bit-identical with or without it.
 func (s *System) AttachMetrics(reg *obs.Registry) {
 	if reg == nil {
@@ -109,8 +112,14 @@ func (p *proc) enableQuality(r *obs.Registry) {
 	p.enableHistograms(r)
 }
 
-// enableHistograms creates the latency/lifetime histograms in r.
+// enableHistograms creates the latency/lifetime histograms in r. The
+// lifetime histograms read the shared LLT's and LLC's entry times, so the
+// machine starts tracking them here; attaching after the machine filled
+// either structure is a programming error and panics.
 func (p *proc) enableHistograms(r *obs.Registry) {
+	if err := p.trackTimes(); err != nil {
+		panic(fmt.Sprintf("sim: lifetime histograms: %v (attach before the first access)", err))
+	}
 	p.histMemLat = r.Histogram("hist.mem_latency")
 	p.histWalkDepth = r.Histogram("hist.walk_depth")
 	p.histWalkLat = r.Histogram("hist.walk_latency")

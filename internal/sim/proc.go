@@ -282,7 +282,7 @@ func (p *proc) translate(vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PF
 			if evicted && !victim.Prefetched {
 				p.tlbPred.OnEvict(victim)
 				if p.lltSampler != nil {
-					p.lltSampler.OnEvict(victim, p.stepNow)
+					p.lltSampler.OnEvict(victim.Key, p.llt.Inner().EvictedGen(), p.stepNow)
 				}
 			}
 			p.prefFills++
@@ -309,13 +309,13 @@ func (p *proc) lltFill(vpn arch.VPN, pfn arch.PFN, pc uint64, d pred.Decision) {
 		p.tr.Emit(obs.Event{Kind: obs.EvLLTEvict, Key: victim.Key, Aux: victim.Data, Flag: victim.Accessed})
 	}
 	if p.histLLTLife != nil {
-		p.histLLTLife.Observe(now - victim.FillTime)
+		p.histLLTLife.Observe(now - p.llt.Inner().EvictedGen().FillTime)
 	}
 	if !victim.Prefetched {
 		p.tlbPred.OnEvict(victim)
 	}
 	if p.lltSampler != nil {
-		p.lltSampler.OnEvict(victim, now)
+		p.lltSampler.OnEvict(victim.Key, p.llt.Inner().EvictedGen(), now)
 	}
 	if p.corr != nil {
 		p.corr.OnPageEvict(arch.PFN(victim.Data), !victim.Accessed)
@@ -334,7 +334,7 @@ func (p *proc) fillL1TLB(l1 *tlb.TLB, vpn arch.VPN, pfn arch.PFN) {
 // physically addressed and traverse the hierarchy like any other access
 // ("the page table contents are cached on the processor caches", §III).
 func (p *proc) ptFetch(pa arch.PAddr) arch.Lat {
-	return p.memAccess(pa, ptWalkerPC, false)
+	return p.memAccess(pa, ptWalkerPC)
 }
 
 // ptWalkerPC is the pseudo-PC attributed to the hardware walker's fetches.
@@ -342,17 +342,17 @@ const ptWalkerPC = 0x00FF_FF00
 
 // memAccess sends a physical access through L1D → L2 → LLC → memory and
 // returns its latency. Fills propagate to all levels; LLC evictions
-// back-invalidate the inner levels (inclusive LLC).
-func (p *proc) memAccess(pa arch.PAddr, pc uint64, write bool) arch.Lat {
+// back-invalidate the inner levels (inclusive LLC). Reads and writes take
+// the same path: the clean-eviction model tracks no dirty state.
+func (p *proc) memAccess(pa arch.PAddr, pc uint64) arch.Lat {
 	now := p.stepNow
 	key := uint64(pa.Block() >> arch.BlockShift)
 
-	if b, ok := p.l1d.Lookup(key, now); ok {
-		b.Dirty = b.Dirty || write
+	if _, ok := p.l1d.Lookup(key, now); ok {
 		return p.cfg.L1D.Latency
 	}
 	if _, ok := p.l2.Lookup(key, now); ok {
-		p.fillInner(p.l1d, key, write, now)
+		p.fillInner(p.l1d, key, now)
 		return p.cfg.L2.Latency
 	}
 
@@ -367,8 +367,8 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64, write bool) arch.Lat {
 		if p.llcConf != nil {
 			p.llcConf.Access(key, false, now)
 		}
-		p.fillInner(p.l2, key, false, now)
-		p.fillInner(p.l1d, key, write, now)
+		p.fillInner(p.l2, key, now)
+		p.fillInner(p.l1d, key, now)
 		return p.cfg.LLC.Latency
 	}
 
@@ -390,7 +390,8 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64, write bool) arch.Lat {
 			p.tr.Emit(obs.Event{Kind: obs.EvLLCFill, Key: key, PC: pc, Flag: d.SetDP})
 		}
 		// The victim's Block is copied out only when something reads
-		// it (the DOA correlation comes with the sampler); back-
+		// it (the DOA correlation comes with the sampler; the lifetime
+		// histogram and the sampler read its Gen too); back-
 		// invalidation needs no more than its key.
 		var victim cache.Block
 		var into *cache.Block
@@ -419,8 +420,8 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64, write bool) arch.Lat {
 			}
 		}
 	}
-	p.fillInner(p.l2, key, false, now)
-	p.fillInner(p.l1d, key, write, now)
+	p.fillInner(p.l2, key, now)
+	p.fillInner(p.l1d, key, now)
 	return p.cfg.LLC.Latency + p.cfg.MemLatency
 }
 
@@ -432,14 +433,14 @@ func (p *proc) llcVictim(victim *cache.Block, now uint64) {
 		p.tr.Emit(obs.Event{Kind: obs.EvLLCEvict, Key: victim.Key, Flag: victim.Accessed})
 	}
 	if p.histLLCLife != nil {
-		p.histLLCLife.Observe(now - victim.FillTime)
+		p.histLLCLife.Observe(now - p.llc.EvictedGen().FillTime)
 	}
 	p.llcPred.OnEvict(*victim)
 	if p.llcSampler != nil {
-		p.llcSampler.OnEvict(*victim, now)
+		p.llcSampler.OnEvict(victim.Key, p.llc.EvictedGen(), now)
 	}
 	if p.corr != nil {
-		p.corr.OnBlockEvict(blockFrame(victim.Key), victim.Hits)
+		p.corr.OnBlockEvict(blockFrame(victim.Key), uint64(victim.Hits))
 	}
 }
 
@@ -452,6 +453,6 @@ func blockFrame(blockNum uint64) arch.PFN {
 // silent (clean-eviction model). Every call site sits on a path where key
 // just missed in c (and nothing re-inserts it in between), so the block is
 // never already resident and no residency probe is needed.
-func (p *proc) fillInner(c *cache.Cache, key uint64, write bool, now uint64) {
-	c.Install(key, policy.InsertMRU, now).Dirty = write
+func (p *proc) fillInner(c *cache.Cache, key uint64, now uint64) {
+	c.Install(key, policy.InsertMRU, now)
 }

@@ -36,7 +36,7 @@ func (p *proc) refStep(a trace.Access) error {
 
 	// Data access through the cache hierarchy.
 	pa := arch.Translate(pfn, a.Addr)
-	memLat := p.memAccess(pa, a.PC, a.Write)
+	memLat := p.memAccess(pa, a.PC)
 
 	if p.histMemLat != nil {
 		p.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))

@@ -305,12 +305,34 @@ func newMirrors[T any](cfg Config, llt *tlb.TLB, llc *cache.Cache, lltName, llcN
 	return lt, ct, err
 }
 
+// TrackEntryTimes makes the shared LLT and LLC keep a generation record
+// per way (cache.Gen: fill time, last-hit time, exact hit count), which
+// the §IV samplers and the lifetime histograms read. The records must
+// cover the whole run, warmup included, so it fails once the machine has
+// filled either structure; call it right after building. The private
+// structures never keep records.
+func (s *System) TrackEntryTimes() error { return s.cores[0].trackTimes() }
+
+// trackTimes makes the shared LLT and LLC that p reaches keep generation
+// records.
+func (p *proc) trackTimes() error {
+	if err := p.llt.Inner().TrackTimes(); err != nil {
+		return err
+	}
+	return p.llc.TrackTimes()
+}
+
 // EnableCharacterization creates the §IV dead-entry samplers and the
 // Table III correlation tracker. sampleEvery is the number of data
-// accesses between residency snapshots (0 keeps the default). Single-core
+// accesses between residency snapshots (0 keeps the default). The
+// samplers read entry times, so the machine must track them from its
+// first access (TrackEntryTimes); otherwise it is an error. Single-core
 // machines only.
-func (s *System) EnableCharacterization(sampleEvery uint64) {
+func (s *System) EnableCharacterization(sampleEvery uint64) error {
 	s.singleCore("characterization")
+	if !s.llt.Inner().TracksTimes() || !s.llc.TracksTimes() {
+		return fmt.Errorf("sim: characterization needs a machine that tracks entry times from its first access (TrackEntryTimes)")
+	}
 	p := s.cores[0]
 	if sampleEvery != 0 {
 		p.sampleEvery = sampleEvery
@@ -318,6 +340,7 @@ func (s *System) EnableCharacterization(sampleEvery uint64) {
 	p.lltSampler = stats.NewDeadSampler()
 	p.llcSampler = stats.NewDeadSampler()
 	p.corr = stats.NewDOACorrelation()
+	return nil
 }
 
 // instrumented reports whether any instrumentation holds references into

@@ -261,7 +261,7 @@ func TestAccuracyTrackingProducesGrades(t *testing.T) {
 
 func TestCharacterizationFindsDeadPages(t *testing.T) {
 	s := MustNew(smallConfig())
-	s.EnableCharacterization(10_000)
+	characterize(t, s, 10_000)
 	w, err := trace.ByName("pr")
 	if err != nil {
 		t.Fatal(err)

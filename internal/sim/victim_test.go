@@ -13,20 +13,27 @@ import (
 
 // victimRecorder is an LLC predictor that keeps its own account of every
 // resident block — its fill time, whether it was hit and its DP bit — from
-// the fill and hit hooks, and checks each victim OnEvict receives against
-// that account. At the next LLC miss it also checks that the previous
-// victims left the inner caches (inclusive back-invalidation).
+// the fill and hit hooks, and checks each victim OnEvict receives, and the
+// LLC's record of the victim's generation, against that account. At the
+// next LLC miss it also checks that the previous victims left the inner
+// caches (inclusive back-invalidation).
 type victimRecorder struct {
 	pred.NullLLC
 	p        *proc
-	resident map[uint64]cache.Block
+	resident map[uint64]residentBlock
 	pending  []uint64
 	victims  []cache.Block
 	errs     []string
 }
 
+// residentBlock is the recorder's account of one resident block.
+type residentBlock struct {
+	blk  cache.Block
+	fill uint64
+}
+
 func newVictimRecorder() *victimRecorder {
-	return &victimRecorder{resident: make(map[uint64]cache.Block)}
+	return &victimRecorder{resident: make(map[uint64]residentBlock)}
 }
 
 func (r *victimRecorder) Name() string { return "victim-recorder" }
@@ -50,23 +57,26 @@ func (r *victimRecorder) OnFill(blockNum, _ uint64) pred.Decision {
 	return pred.Decision{SetDP: blockNum%3 == 0}
 }
 
-func (r *victimRecorder) OnFillDone(b *cache.Block) { r.resident[b.Key] = *b }
+func (r *victimRecorder) OnFillDone(b *cache.Block) {
+	r.resident[b.Key] = residentBlock{blk: *b, fill: r.p.stepNow}
+}
 
 func (r *victimRecorder) OnHit(b *cache.Block) {
 	if want, ok := r.resident[b.Key]; ok {
-		want.Accessed = true
+		want.blk.Accessed = true
 		r.resident[b.Key] = want
 	}
 }
 
 func (r *victimRecorder) OnEvict(v cache.Block) {
 	want, ok := r.resident[v.Key]
+	fill := r.p.llc.EvictedGen().FillTime
 	switch {
 	case !ok:
 		r.errorf("victim key %#x was never filled (victim %+v)", v.Key, v)
-	case v.FillTime != want.FillTime || v.Accessed != want.Accessed || v.DP != want.DP:
+	case fill != want.fill || v.Accessed != want.blk.Accessed || v.DP != want.blk.DP:
 		r.errorf("victim %#x: FillTime %d Accessed %v DP %v, want %d %v %v",
-			v.Key, v.FillTime, v.Accessed, v.DP, want.FillTime, want.Accessed, want.DP)
+			v.Key, fill, v.Accessed, v.DP, want.fill, want.blk.Accessed, want.blk.DP)
 	}
 	delete(r.resident, v.Key)
 	r.pending = append(r.pending, v.Key)
@@ -94,11 +104,14 @@ type victimRun struct {
 	res       Result                // sampler and DOA correlation
 }
 
-// runVictims runs the cc workload on a small machine with the chosen LLC
-// victim consumers attached.
+// runVictims runs the cc workload on a small machine, tracking entry
+// times, with the chosen LLC victim consumers attached.
 func runVictims(t *testing.T, record, sampler, tracer, hist bool) victimRun {
 	t.Helper()
 	s := MustNew(smallConfig())
+	if err := s.TrackEntryTimes(); err != nil {
+		t.Fatal(err)
+	}
 	var out victimRun
 	if record {
 		out.rec = newVictimRecorder()
@@ -106,7 +119,7 @@ func runVictims(t *testing.T, record, sampler, tracer, hist bool) victimRun {
 		s.SetLLCPredictor(out.rec)
 	}
 	if sampler {
-		s.EnableCharacterization(20_000)
+		characterize(t, s, 20_000)
 	}
 	sink := &evictSink{}
 	if tracer {

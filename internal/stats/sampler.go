@@ -9,7 +9,7 @@ import "repro/internal/cache"
 //  1. Eviction classification (Figures 2 and 4): each evicted entry is
 //     classified as DOA (zero hits), mostly dead (≥1 hit but more dead
 //     time than live time) or mostly live, using the fill / last-hit /
-//     eviction timestamps carried in the entry.
+//     eviction timestamps of the entry's generation record (cache.Gen).
 //
 //  2. Sampled residency (Figures 1 and 3): at periodic sample points every
 //     resident entry is snapshotted; "dead at sample time" — the entry
@@ -19,7 +19,8 @@ import "repro/internal/cache"
 //
 // The structure's owner must call OnEvict for every eviction and Sample at
 // its chosen cadence; entries still resident at the end can be flushed
-// with Finish (they resolve with their final hit counts).
+// with Finish (they resolve with their final hit counts). The structure
+// must track entry times (cache.Cache.TrackTimes) from its first fill.
 type DeadSampler struct {
 	// eviction-time classification
 	evictions  uint64
@@ -48,26 +49,28 @@ func NewDeadSampler() *DeadSampler {
 
 // Sample snapshots every resident entry of the structure.
 func (d *DeadSampler) Sample(c *cache.Cache) {
-	c.ForEach(func(_, _ int, b *cache.Block) {
-		k := genKey{key: b.Key, fillTime: b.FillTime}
-		d.pending[k] = append(d.pending[k], b.Hits)
+	c.ForEach(func(set, way int, b *cache.Block) {
+		g := c.GenAt(set, way)
+		k := genKey{key: b.Key, fillTime: g.FillTime}
+		d.pending[k] = append(d.pending[k], g.Hits)
 		d.samples++
 	})
 }
 
-// OnEvict classifies the evicted entry and resolves its pending samples.
-// now is the eviction time in the same units as the entry's timestamps.
-func (d *DeadSampler) OnEvict(b cache.Block, now uint64) {
+// OnEvict classifies the evicted entry (its key and generation record)
+// and resolves its pending samples. now is the eviction time in the same
+// units as the record's timestamps.
+func (d *DeadSampler) OnEvict(key uint64, g cache.Gen, now uint64) {
 	d.evictions++
 	switch {
-	case b.Hits == 0:
+	case g.Hits == 0:
 		d.doa++
-	case now-b.LastHitTime > b.LastHitTime-b.FillTime:
+	case now-g.LastHitTime > g.LastHitTime-g.FillTime:
 		d.mostlyDead++
 	default:
 		d.mostlyLive++
 	}
-	d.resolve(b)
+	d.resolve(key, g)
 }
 
 // Finish resolves samples for entries still resident at simulation end.
@@ -75,22 +78,22 @@ func (d *DeadSampler) OnEvict(b cache.Block, now uint64) {
 // an entry with no hits after its last sample counts as dead at that
 // sample. It does not add eviction classifications.
 func (d *DeadSampler) Finish(c *cache.Cache) {
-	c.ForEach(func(_, _ int, b *cache.Block) {
-		d.resolve(*b)
+	c.ForEach(func(set, way int, b *cache.Block) {
+		d.resolve(b.Key, c.GenAt(set, way))
 	})
 }
 
-func (d *DeadSampler) resolve(b cache.Block) {
-	k := genKey{key: b.Key, fillTime: b.FillTime}
+func (d *DeadSampler) resolve(key uint64, g cache.Gen) {
+	k := genKey{key: key, fillTime: g.FillTime}
 	recs, ok := d.pending[k]
 	if !ok {
 		return
 	}
 	delete(d.pending, k)
 	for _, hitsAtSample := range recs {
-		if b.Hits == hitsAtSample {
+		if g.Hits == hitsAtSample {
 			d.deadAt++
-			if b.Hits == 0 {
+			if g.Hits == 0 {
 				d.doaAt++
 			}
 		}

@@ -90,11 +90,11 @@ func probe(a *AccuracyTracker, key uint64) (*cache.Block, bool) {
 func TestDeadSamplerEvictionClassification(t *testing.T) {
 	d := NewDeadSampler()
 	// DOA: no hits.
-	d.OnEvict(cache.Block{Key: 1, FillTime: 0, Hits: 0}, 100)
+	d.OnEvict(1, cache.Gen{FillTime: 0, Hits: 0}, 100)
 	// Mostly dead: hit at t=10, evicted at t=100 → dead 90 > live 10.
-	d.OnEvict(cache.Block{Key: 2, FillTime: 0, LastHitTime: 10, Hits: 3}, 100)
+	d.OnEvict(2, cache.Gen{FillTime: 0, LastHitTime: 10, Hits: 3}, 100)
 	// Mostly live: hit at t=90, evicted at t=100 → dead 10 < live 90.
-	d.OnEvict(cache.Block{Key: 3, FillTime: 0, LastHitTime: 90, Hits: 5}, 100)
+	d.OnEvict(3, cache.Gen{FillTime: 0, LastHitTime: 90, Hits: 5}, 100)
 	r := d.Result()
 	if r.DOA != 1 || r.MostlyDead != 1 || r.MostlyLive != 1 || r.Evictions != 3 {
 		t.Fatalf("classification: %+v", r)
@@ -107,8 +107,19 @@ func TestDeadSamplerEvictionClassification(t *testing.T) {
 	}
 }
 
+// timedCache is a one-set cache that tracks entry times, as the samplers
+// require.
+func timedCache(t *testing.T, ways int) *cache.Cache {
+	t.Helper()
+	c := cache.MustNew(cache.Config{Name: "s", Sets: 1, Ways: ways})
+	if err := c.TrackTimes(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestDeadSamplerResidencySampling(t *testing.T) {
-	c := cache.MustNew(cache.Config{Name: "s", Sets: 1, Ways: 2})
+	c := timedCache(t, 2)
 	d := NewDeadSampler()
 
 	c.Fill(1, policy.InsertMRU, 0)
@@ -118,9 +129,9 @@ func TestDeadSamplerResidencySampling(t *testing.T) {
 	c.Lookup(1, 6) // 1 hits again after the sample → live at sample
 	// 2 never hits → dead at sample, and DOA.
 	_, v1, _ := c.Fill(3, policy.InsertMRU, 10) // evicts 2 (LRU)
-	d.OnEvict(v1, 10)
+	d.OnEvict(v1.Key, c.EvictedGen(), 10)
 	_, v2, _ := c.Fill(4, policy.InsertMRU, 11) // evicts 1
-	d.OnEvict(v2, 11)
+	d.OnEvict(v2.Key, c.EvictedGen(), 11)
 
 	r := d.Result()
 	if r.Samples != 2 {
@@ -132,7 +143,7 @@ func TestDeadSamplerResidencySampling(t *testing.T) {
 }
 
 func TestDeadSamplerFinishResolvesResidents(t *testing.T) {
-	c := cache.MustNew(cache.Config{Name: "s", Sets: 1, Ways: 2})
+	c := timedCache(t, 2)
 	d := NewDeadSampler()
 	c.Fill(1, policy.InsertMRU, 0)
 	d.Sample(c)
@@ -149,18 +160,18 @@ func TestDeadSamplerFinishResolvesResidents(t *testing.T) {
 
 func TestDeadSamplerGenerationsDoNotAlias(t *testing.T) {
 	d := NewDeadSampler()
-	c := cache.MustNew(cache.Config{Name: "s", Sets: 1, Ways: 1})
+	c := timedCache(t, 1)
 	c.Fill(7, policy.InsertMRU, 1)
 	d.Sample(c)
 	_, v, _ := c.Fill(8, policy.InsertMRU, 2) // evict 7 gen 1
-	d.OnEvict(v, 2)
+	d.OnEvict(v.Key, c.EvictedGen(), 2)
 	// Refill 7 at a later time: a new generation, fresh snapshot.
 	_, v, _ = c.Fill(7, policy.InsertMRU, 3)
-	d.OnEvict(v, 3)
+	d.OnEvict(v.Key, c.EvictedGen(), 3)
 	d.Sample(c)
 	c.Lookup(7, 4)
 	_, v, _ = c.Fill(9, policy.InsertMRU, 5)
-	d.OnEvict(v, 5)
+	d.OnEvict(v.Key, c.EvictedGen(), 5)
 	r := d.Result()
 	// Gen-1 sample: dead (DOA). Gen-2 sample: live (hit after sample).
 	if r.DeadAtSample != 1 || r.DOAAtSample != 1 || r.Samples != 2 {
