@@ -37,16 +37,16 @@
 // holding the materialized buffer in memory. Output stays byte-identical
 // to the in-memory default at any -jobs; see DESIGN.md §16.
 //
-// Distributed sweeps (see DESIGN.md §17): -coordinator ADDR runs the sweep
-// as a coordinator that persists every cell result in the content-addressed
-// -memo-dir memo and serves cells over HTTP to -worker processes;
-// `paperexp -worker URL` pulls cells from a coordinator until the sweep is
-// done. Workers that die mid-cell are detected by lease expiry and their
-// cells requeued; a re-run or restarted coordinator over the same -memo-dir
-// computes only the delta, reporting the split in a final
-// "coordinator status:" line on stderr. -memo-dir alone keeps the sweep
-// in-process but persistent. Printed tables are byte-identical across
-// single-process, distributed and memo-resumed runs.
+// Distributed sweeps (see DESIGN.md §17): -memo-dir DIR persists every
+// cell result in a content-addressed memo, so a re-run computes only the
+// delta. -coordinator ADDR (which requires -memo-dir) also serves cells
+// over HTTP to -worker processes; `paperexp -worker URL` pulls cells from a
+// coordinator until the sweep is done. Workers that die mid-cell are
+// detected by lease expiry and their cells requeued; a restarted
+// coordinator over the same -memo-dir computes only the delta, reporting
+// the split in a final "coordinator status:" line on stderr. Printed
+// tables are byte-identical across single-process, distributed and
+// memo-resumed runs.
 //
 // Observability (see DESIGN.md §8): -trace-out FILE streams JSONL (or CSV,
 // by extension) hook-point events (deadsim's -trace is a replay input),
@@ -58,15 +58,16 @@
 // for the duration of the run with /metrics (Prometheus text), /status
 // (JSON grid snapshot), /events (SSE cell transitions), /healthz and
 // /debug/pprof. ":0" picks a free port; the bound address is printed to
-// stderr.
+// stderr. A coordinator serves the same routes on its own address, beside
+// its lease protocol, and its /metrics carries the expserve.* scheduling
+// and memo counters; -serve and -coordinator together are rejected.
 package main
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -119,27 +120,6 @@ func main() {
 	}
 }
 
-// printCoordinatorStatus fetches the coordinator's own /status endpoint —
-// the same document workers and CI curl — and prints its counters to
-// stderr in one greppable line. The distributed-smoke CI job parses it to
-// assert that a resumed sweep computed only the delta.
-func printCoordinatorStatus(addr string) {
-	client := &http.Client{Timeout: 2 * time.Second}
-	resp, err := client.Get("http://" + addr + "/status")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperexp: coordinator status:", err)
-		return
-	}
-	defer resp.Body.Close()
-	var st expserve.StatusDoc
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		fmt.Fprintln(os.Stderr, "paperexp: coordinator status:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "paperexp: coordinator status: cells=%d memo_hits=%d computed=%d requeues=%d failed=%d\n",
-		st.Cells, st.MemoHits, st.Computed, st.Requeues, st.Failed)
-}
-
 func run() error {
 	var (
 		quick      = flag.Bool("quick", false, "use reduced trace lengths")
@@ -151,13 +131,13 @@ func run() error {
 		traceDir   = flag.String("trace-dir", "", "cache workload traces as compressed DPBF v2 files in this directory (created if missing) and stream them from disk instead of holding materialized buffers in memory")
 		traceOut   = flag.String("trace-out", "", "write hook-point event trace to file (JSONL; a .csv extension selects CSV)")
 		metricsOut = flag.String("metrics-out", "", "write interval time series and final metrics JSON to file")
-		serveAddr  = flag.String("serve", "", "serve live monitoring HTTP endpoints on this address while the run lasts (\":0\" picks a free port)")
+		serveAddr  = flag.String("serve", "", "serve live monitoring HTTP endpoints on this address while the run lasts (\":0\" picks a free port; a -coordinator serves them on its own address)")
 		interval   = flag.Uint64("interval", 50_000, "accesses between interval samples (used with -metrics-out)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to file")
 		predictors = flag.String("predictors", "", "extended Table IV sweep: comma-separated registered predictor names, or \"all\" for every TLB-side predictor")
 		multicore  = flag.Bool("multicore", false, "multi-core/multi-tenant interference sweep: dead-page prediction quality vs core count × tenant count")
-		coordAddr  = flag.String("coordinator", "", "run the sweep as a coordinator serving cells to -worker processes on this address (\":0\" picks a free port; requires -memo-dir)")
+		coordAddr  = flag.String("coordinator", "", "run the sweep as a coordinator serving cells to -worker processes, and the monitoring endpoints, on this address (\":0\" picks a free port; requires -memo-dir)")
 		workerURL  = flag.String("worker", "", "run as a sweep worker pulling cells from this coordinator URL (e.g. http://127.0.0.1:8080)")
 		memoDir    = flag.String("memo-dir", "", "persist per-cell results in this directory (created if missing); a re-run with the same memo computes only the delta")
 	)
@@ -196,6 +176,13 @@ func run() error {
 			TraceDir:    *traceDir,
 			Verbose:     *verbose,
 		})
+	}
+
+	if *serveAddr != "" && *coordAddr != "" {
+		return fmt.Errorf("-serve and -coordinator are mutually exclusive: the coordinator's address serves the monitoring plane")
+	}
+	if *coordAddr != "" && *memoDir == "" {
+		return fmt.Errorf("-coordinator requires -memo-dir (the durable cell memo)")
 	}
 
 	if *cpuprofile != "" {
@@ -244,68 +231,74 @@ func run() error {
 	defer stopSignals()
 	r.SetContext(ctx)
 
-	// Distributed sweeps (DESIGN.md §17): -coordinator serves cells to
-	// -worker processes and persists every result in the -memo-dir memo,
-	// so a re-run (or a restarted coordinator) computes only the delta.
-	// -memo-dir alone keeps the sweep in-process but still persistent.
-	if *coordAddr != "" {
-		if *memoDir == "" {
-			return fmt.Errorf("-coordinator requires -memo-dir (the durable cell memo)")
-		}
-		memo, err := expserve.OpenDiskMemo(*memoDir)
+	// Distributed sweeps (DESIGN.md §17): -memo-dir persists every cell
+	// result, so a re-run (or a restarted coordinator) computes only the
+	// delta; -coordinator also serves cells to -worker processes.
+	var memo *expserve.DiskMemo
+	if *memoDir != "" {
+		m, err := expserve.OpenDiskMemo(*memoDir)
 		if err != nil {
 			return err
 		}
-		coord := expserve.NewCoordinator(memo, params)
-		addr, err := coord.Start(*coordAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "paperexp: coordinating on http://%s\n", addr)
-		r.Executor = coord.Execute
-		defer func() {
-			coord.Finish()
-			printCoordinatorStatus(addr)
-			// Give polling workers one round-trip to observe the done
-			// signal and exit cleanly before the listener goes away.
-			time.Sleep(1200 * time.Millisecond)
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := coord.Shutdown(sctx); err != nil {
-				fmt.Fprintln(os.Stderr, "paperexp: coordinator shutdown:", err)
-			}
-		}()
-	} else if *memoDir != "" {
-		memo, err := expserve.OpenDiskMemo(*memoDir)
-		if err != nil {
-			return err
-		}
-		r.Memo = memo
+		memo, r.Memo = m, m
 	}
-
 	observer, finishObs, err := obs.FromFlags(*traceOut, *metricsOut, *interval)
 	if err != nil {
 		return err
 	}
 
-	if *serveAddr != "" {
-		// Live monitoring needs a metrics registry even when -metrics-out
-		// is unset; the registry is passive, so results are unchanged.
-		if observer == nil {
-			observer = &obs.Observer{}
+	// One monitoring plane (DESIGN.md §13): -serve, or the coordinator's
+	// address, which also carries the lease protocol.
+	if planeAddr := cmp.Or(*serveAddr, *coordAddr); planeAddr != "" {
+		// -serve observes every run, so /metrics carries its counters and
+		// histograms; the registry is passive, so results are unchanged. A
+		// coordinator observes only under -metrics-out, so its local cells
+		// still share warm state.
+		if *serveAddr != "" {
+			if observer == nil {
+				observer = &obs.Observer{}
+			}
+			if observer.Metrics == nil {
+				observer.Metrics = obs.NewRegistry()
+			}
 		}
-		if observer.Metrics == nil {
-			observer.Metrics = obs.NewRegistry()
+		reg := obs.NewRegistry()
+		if observer != nil && observer.Metrics != nil {
+			reg = observer.Metrics
 		}
 		board := serve.NewBoard()
 		r.Status = board
-		server := serve.NewServer(observer.Metrics, board)
-		addr, err := server.Start(*serveAddr)
+		server := serve.NewServer(reg, board)
+		if memo != nil {
+			memo.RegisterProbes(reg)
+		}
+		var coord *expserve.Coordinator
+		if *coordAddr != "" {
+			coord = expserve.NewCoordinator(params)
+			coord.Mount(server, reg)
+			r.Executor = coord.Execute
+		}
+		addr, err := server.Start(planeAddr)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "paperexp: monitoring on http://%s\n", addr)
+		if coord == nil {
+			fmt.Fprintf(os.Stderr, "paperexp: monitoring on http://%s\n", addr)
+		} else {
+			coord.Start()
+			fmt.Fprintf(os.Stderr, "paperexp: coordinating on http://%s\n", addr)
+		}
 		defer func() {
+			if coord != nil {
+				coord.Finish()
+				n, m := coord.Counts(), memo.Stats()
+				fmt.Fprintf(os.Stderr, "paperexp: coordinator status: cells=%d memo_hits=%d computed=%d requeues=%d failed=%d\n",
+					int(m.Hits)+n.Computed+n.Failed+n.Queued+n.Leased, m.Hits, n.Computed, n.Requeues, n.Failed)
+				// Give polling workers one round-trip to observe the done
+				// signal and exit cleanly before the listener goes away.
+				time.Sleep(1200 * time.Millisecond)
+				coord.Stop()
+			}
 			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			if err := server.Shutdown(sctx); err != nil {

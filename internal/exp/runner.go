@@ -152,10 +152,12 @@ type Runner struct {
 	warmForked, warmCold atomic.Int64
 
 	// Memo, when set, layers a persistent result store under the
-	// in-process memo: leaders consult it before simulating and publish
-	// successful results into it, so a re-run with the same memo computes
-	// only the delta. Lookups key by CellKey — content-addressed, so a
-	// memo written under different parameters or seeds never matches.
+	// in-process memo: leaders consult it before simulating or offloading a
+	// cell, and publish every successful result into it, the Executor's
+	// included, so a re-run with the same memo computes only the delta. The
+	// runner is the memo's only client. Lookups key by CellKey —
+	// content-addressed, so a memo written under different parameters or
+	// seeds never matches.
 	// Corrupt or unreadable entries read as misses and are recomputed.
 	// The memo is best-effort: a failing Put never fails the cell.
 	Memo CellMemo
@@ -309,7 +311,7 @@ func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup, e *edge
 		return r.lead(ctx, w, setup, e)
 	})
 	if shared {
-		if r.Status != nil {
+		if r.Status != nil && err == nil {
 			r.Status.MemoHit(w.Name, setup.Name)
 		}
 		// The leader's errors are already wrapped; only this waiter's own
@@ -322,14 +324,12 @@ func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup, e *edge
 }
 
 // lead executes one uncached cell as the memo leader. With a persistent
-// memo or an external executor configured it first tries those — a memo
-// hit returns without touching the worker pool, a cell a worker can rebuild
-// by name runs remotely inside a cell span, so -v and the status board see
-// it — and otherwise it takes the local path: wait for a node another cell
-// computes, acquire a pool slot (abandoning either wait if ctx is canceled
-// first), report progress, run the cell with panic containment, report
-// completion, and publish the result into the persistent memo.
-func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edge) (sim.Result, error) {
+// memo configured it first tries that: a hit returns without touching the
+// worker pool. A cell a worker can rebuild by name goes to the external
+// executor, if one is set, inside a cell span, so -v and the status board
+// see it; any other cell takes the local path (runLocal). A result from
+// either path is published into the persistent memo.
+func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edge) (res sim.Result, err error) {
 	var key string
 	if r.Memo != nil || r.Executor != nil {
 		// A keying failure (the workload's generator errors while being
@@ -347,14 +347,25 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edg
 	}
 	if key != "" && r.Executor != nil && remote(w, setup) {
 		done := r.cellSpan(w.Name, setup.Name)
-		res, err := r.Executor(ctx, key, w, setup)
-		if err != nil {
+		if res, err = r.Executor(ctx, key, w, setup); err != nil {
 			err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 		}
 		done(err)
-		return res, err
+	} else {
+		res, err = r.runLocal(ctx, w, setup, e)
 	}
+	if err == nil && key != "" && r.Memo != nil {
+		// Best-effort: the result is correct whether or not it persists,
+		// and a full disk must not fail a finished simulation.
+		_ = r.Memo.Put(key, CellMeta{Workload: w.Name, Setup: setup.Name, Params: r.params}, res)
+	}
+	return res, err
+}
 
+// runLocal simulates a cell in this process: wait for a node another cell
+// computes, acquire a pool slot (abandoning either wait if ctx is canceled
+// first), and run the cell with panic containment inside a cell span.
+func (r *Runner) runLocal(ctx context.Context, w trace.Workload, setup Setup, e *edge) (sim.Result, error) {
 	// A baseline cell waits for its workload's pass before taking a pool
 	// slot, so waiting holds no slot and its progress span covers only its
 	// own work.
@@ -370,18 +381,13 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edg
 	case <-ctx.Done():
 		return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
 	}
+	defer func() { <-r.sem }() // release the slot before waking waiters
 	done := r.cellSpan(w.Name, setup.Name)
 	res, err := r.runUncached(ctx, w, setup, e)
 	if err != nil {
 		err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 	}
 	done(err)
-	<-r.sem // release the slot before waking waiters
-	if err == nil && key != "" && r.Memo != nil {
-		// Best-effort: the result is correct whether or not it persists,
-		// and a full disk must not fail a finished simulation.
-		_ = r.Memo.Put(key, CellMeta{Workload: w.Name, Setup: setup.Name, Params: r.params}, res)
-	}
 	return res, err
 }
 

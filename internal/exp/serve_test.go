@@ -213,3 +213,28 @@ func TestServeDuringGridCancellation(t *testing.T) {
 		t.Errorf("goroutines leaked: %d before, %d after", g0, n)
 	}
 }
+
+// TestBoardDrainsOnMemoResume: a grid served entirely from the persistent
+// memo finishes with every row done, not pending, so a resumed run's
+// /status drains like a computed one.
+func TestBoardDrainsOnMemoResume(t *testing.T) {
+	w := testWorkload(t, "cc")
+	setups := []Setup{Baseline(), DPPredSetup()}
+	memo := &memMemo{}
+	r1 := NewRunner(cellTestParams)
+	r1.Memo = memo
+	if err := r1.RunGrid([]trace.Workload{w}, setups); err != nil {
+		t.Fatal(err)
+	}
+
+	board := serve.NewBoard()
+	r2 := NewRunner(cellTestParams)
+	r2.Memo, r2.Status = memo, board
+	if err := r2.RunGrid([]trace.Workload{w}, setups); err != nil {
+		t.Fatal(err)
+	}
+	if st := board.Status(); st.Pending != 0 || st.Done != 2 || st.MemoHits != 2 {
+		t.Fatalf("resumed grid's board: pending=%d done=%d memo_hits=%d, want 0, 2, 2",
+			st.Pending, st.Done, st.MemoHits)
+	}
+}

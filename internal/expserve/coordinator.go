@@ -6,37 +6,34 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/obs"
+	"repro/internal/obs/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// Coordinator schedules cells across HTTP workers and backs them with a
-// durable DiskMemo. It plugs into exp.Runner as a CellExecutor: Execute
-// first consults the memo (a hit never leaves the process), then enqueues
-// the cell and blocks until a worker delivers it. Leases expire when a
-// worker stops heartbeating — kill -9, network partition, wedged machine —
-// and the cell is requeued with bounded retries and backoff. Because every
-// cell is deterministic, a late result from an expired lease is accepted
-// as-is; the requeued duplicate becomes a no-op.
+// Coordinator schedules cells across HTTP workers. It plugs into
+// exp.Runner as a CellExecutor: Execute enqueues a cell and blocks until a
+// worker delivers it; the runner, not the coordinator, persists results.
+// Leases expire when a worker stops heartbeating — kill -9, network
+// partition, wedged machine — and the cell is requeued with bounded
+// retries and backoff. Because every cell is deterministic, a late
+// result from an expired lease is accepted as-is; the requeued duplicate
+// becomes a no-op.
 //
-// Endpoints, in the style of internal/obs/serve:
+// The coordinator owns no listener: Mount adds its lease protocol to an
+// obs/serve.Server, beside that server's /metrics, /status and /healthz.
 //
 //	POST /cells           lease one cell        (LeaseRequest → LeaseReply)
 //	POST /cells/result    deliver a result      (ResultPost)
 //	POST /cells/heartbeat extend a lease        (HeartbeatRequest → HeartbeatReply)
-//	GET  /cells           list cells            ([]CellStatus)
-//	GET  /status          counters              (StatusDoc)
-//	GET  /healthz         liveness
 type Coordinator struct {
-	memo   *DiskMemo
 	params exp.Params
 
 	// LeaseTTL is how long a lease survives without a heartbeat before
@@ -57,13 +54,8 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	cells    map[string]*cell
-	memoHits int
 	requeues int
 	closed   bool
-
-	hs      *http.Server
-	ln      net.Listener
-	started bool
 
 	scanStop chan struct{}
 	scanDone chan struct{}
@@ -77,8 +69,6 @@ const (
 	stateFailed
 )
 
-var stateNames = [...]string{"queued", "leased", "done", "failed"}
-
 type cell struct {
 	spec      CellSpec
 	state     int
@@ -91,11 +81,17 @@ type cell struct {
 	done      chan struct{} // closed when state reaches done or failed
 }
 
-// NewCoordinator builds a coordinator over an opened memo for one set of
-// run parameters (every cell of a sweep shares them).
-func NewCoordinator(memo *DiskMemo, params exp.Params) *Coordinator {
-	c := &Coordinator{
-		memo:         memo,
+// Counts is a snapshot of the coordinator's cell table: cells delivered
+// (Computed), failed for good, queued and leased, plus the lease expiries
+// that requeued a cell.
+type Counts struct {
+	Computed, Failed, Queued, Leased, Requeues int
+}
+
+// NewCoordinator builds a coordinator for one set of run parameters
+// (every cell of a sweep shares them).
+func NewCoordinator(params exp.Params) *Coordinator {
+	return &Coordinator{
 		params:       params,
 		LeaseTTL:     5 * time.Second,
 		ScanEvery:    500 * time.Millisecond,
@@ -106,18 +102,20 @@ func NewCoordinator(memo *DiskMemo, params exp.Params) *Coordinator {
 		scanStop:     make(chan struct{}),
 		scanDone:     make(chan struct{}),
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cells", c.handleCells)
-	mux.HandleFunc("/cells/result", c.handleResult)
-	mux.HandleFunc("/cells/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("/status", c.handleStatus)
-	mux.HandleFunc("/healthz", c.handleHealthz)
-	c.hs = &http.Server{Handler: mux}
-	return c
 }
 
-// Handler returns the route mux, for httptest-style in-process serving.
-func (c *Coordinator) Handler() http.Handler { return c.hs.Handler }
+// Mount adds the lease protocol's routes to srv and publishes Counts on
+// reg as expserve.computed, .failed, .queued, .leased and .requeues.
+func (c *Coordinator) Mount(srv *serve.Server, reg *obs.Registry) {
+	srv.HandleFunc("POST /cells", c.handleLease)
+	srv.HandleFunc("POST /cells/result", c.handleResult)
+	srv.HandleFunc("POST /cells/heartbeat", c.handleHeartbeat)
+	reg.RegisterProbe("expserve.computed", func() float64 { return float64(c.Counts().Computed) })
+	reg.RegisterProbe("expserve.failed", func() float64 { return float64(c.Counts().Failed) })
+	reg.RegisterProbe("expserve.queued", func() float64 { return float64(c.Counts().Queued) })
+	reg.RegisterProbe("expserve.leased", func() float64 { return float64(c.Counts().Leased) })
+	reg.RegisterProbe("expserve.requeues", func() float64 { return float64(c.Counts().Requeues) })
+}
 
 func (c *Coordinator) logf(format string, args ...any) {
 	w := c.Log
@@ -127,20 +125,13 @@ func (c *Coordinator) logf(format string, args ...any) {
 	fmt.Fprintf(w, "expserve: "+format+"\n", args...)
 }
 
-// Start binds addr (":0" picks a free port), serves in the background and
-// starts the requeue scanner, returning the bound address.
-func (c *Coordinator) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("expserve: %w", err)
-	}
-	c.mu.Lock()
-	c.ln = ln
-	c.started = true
-	c.mu.Unlock()
-	go func() { _ = c.hs.Serve(ln) }()
-	go c.scan()
-	return ln.Addr().String(), nil
+// Start runs the requeue scanner in the background until Stop.
+func (c *Coordinator) Start() { go c.scan() }
+
+// Stop ends the requeue scanner Start started.
+func (c *Coordinator) Stop() {
+	close(c.scanStop)
+	<-c.scanDone
 }
 
 // Finish marks the sweep complete: subsequent lease requests answer
@@ -151,53 +142,32 @@ func (c *Coordinator) Finish() {
 	c.mu.Unlock()
 }
 
-// Shutdown stops the scanner and the HTTP server.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	started := c.started
-	c.started = false
-	c.mu.Unlock()
-	if !started {
-		return nil
-	}
-	close(c.scanStop)
-	<-c.scanDone
-	return c.hs.Shutdown(ctx)
-}
-
-// Status snapshots the counters GET /status serves.
-func (c *Coordinator) Status() StatusDoc {
+// Counts snapshots the cell table.
+func (c *Coordinator) Counts() Counts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	doc := StatusDoc{MemoHits: c.memoHits, Requeues: c.requeues, Done: c.closed}
+	n := Counts{Requeues: c.requeues}
 	for _, cl := range c.cells {
 		switch cl.state {
 		case stateQueued:
-			doc.Queued++
+			n.Queued++
 		case stateLeased:
-			doc.Leased++
+			n.Leased++
 		case stateDone:
-			doc.Computed++
+			n.Computed++
 		case stateFailed:
-			doc.Failed++
+			n.Failed++
 		}
 	}
-	doc.Cells = c.memoHits + doc.Queued + doc.Leased + doc.Computed + doc.Failed
-	return doc
+	return n
 }
 
-// Execute is the exp.CellExecutor: it serves a cell from the memo or
-// schedules it. exp.Runner offers only cells a worker can rebuild by name,
-// and single-flights per cell, so one sweep enqueues each key at most once;
-// re-submissions after a coordinator restart hit the memo instead.
+// Execute is the exp.CellExecutor: it schedules a cell and waits for a
+// worker's result. exp.Runner offers only cells a worker can rebuild by
+// name, and single-flights per cell, so at most one Execute waits on a key
+// at a time. An Execute canceled before the cell finishes withdraws it: no
+// worker leases it again, and a late result for it is dropped as unknown.
 func (c *Coordinator) Execute(ctx context.Context, key string, w trace.Workload, setup exp.Setup) (sim.Result, error) {
-	if res, ok, err := c.memo.Get(key); err == nil && ok {
-		c.mu.Lock()
-		c.memoHits++
-		c.mu.Unlock()
-		return res, nil
-	}
-
 	c.mu.Lock()
 	cl, exists := c.cells[key]
 	if !exists {
@@ -212,6 +182,11 @@ func (c *Coordinator) Execute(ctx context.Context, key string, w trace.Workload,
 	select {
 	case <-cl.done:
 	case <-ctx.Done():
+		c.mu.Lock()
+		if cl.state == stateQueued || cl.state == stateLeased {
+			delete(c.cells, key)
+		}
+		c.mu.Unlock()
 		return sim.Result{}, ctx.Err()
 	}
 	c.mu.Lock()
@@ -280,18 +255,6 @@ func (c *Coordinator) expireLeases(now time.Time) {
 	}
 }
 
-// handleCells serves POST (lease) and GET (listing).
-func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		c.handleList(w)
-	case http.MethodPost:
-		c.handleLease(w, r)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -340,10 +303,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var post ResultPost
 	if err := json.NewDecoder(r.Body).Decode(&post); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -352,9 +311,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	cl, ok := c.cells[post.Key]
 	if !ok || cl.state == stateDone || cl.state == stateFailed {
-		// Unknown key (a restarted coordinator that already memo-hit it)
-		// or a duplicate delivery from a requeued race: acknowledge and
-		// drop — the first result won.
+		// Unknown key (a withdrawn cell, or one a restarted coordinator
+		// never scheduled) or a duplicate delivery from a requeued race:
+		// acknowledge and drop — the first result won.
 		c.mu.Unlock()
 		writeJSON(w, struct{}{})
 		return
@@ -380,23 +339,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	cl.state = stateDone
 	cl.res = *post.Result
 	cl.worker = post.Worker
-	c.mu.Unlock()
-
-	// Persist before waking the waiter: if the Put fails the sweep still
-	// completes from memory, it just won't resume for free.
-	meta := exp.CellMeta{Workload: spec.Workload, Setup: spec.Setup, Params: spec.Params}
-	if err := c.memo.Put(post.Key, meta, *post.Result); err != nil {
-		c.logf("memo put %s/%s: %v", spec.Workload, spec.Setup, err)
-	}
 	close(cl.done)
+	c.mu.Unlock()
 	writeJSON(w, struct{}{})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var hb HeartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -410,39 +358,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	writeJSON(w, HeartbeatReply{Active: active})
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter) {
-	c.mu.Lock()
-	list := make([]CellStatus, 0, len(c.cells))
-	for _, cl := range c.cells {
-		list = append(list, CellStatus{
-			Key:      cl.spec.Key,
-			Workload: cl.spec.Workload,
-			Setup:    cl.spec.Setup,
-			State:    stateNames[cl.state],
-			Attempts: cl.attempts,
-			Worker:   cl.worker,
-			Error:    cl.errmsg,
-		})
-	}
-	c.mu.Unlock()
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Workload != list[j].Workload {
-			return list[i].Workload < list[j].Workload
-		}
-		return list[i].Setup < list[j].Setup
-	})
-	writeJSON(w, list)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, c.Status())
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

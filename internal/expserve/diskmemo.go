@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/exp"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -28,9 +30,17 @@ import (
 // Get removes it and returns ok=false so the cell is recomputed rather
 // than trusted. Go's encoding/json round-trips float64 exactly (shortest
 // representation), so a result served from disk is bit-identical to the
-// one computed.
+// one computed. Every lookup and eviction is counted (Stats), so a memo
+// that silently drops entries shows in the counts.
 type DiskMemo struct {
-	dir string
+	dir                     string
+	hits, misses, evictions atomic.Int64
+}
+
+// MemoStats counts a DiskMemo's Get outcomes since it was opened, and the
+// defective entries it evicted (each eviction is also a miss).
+type MemoStats struct {
+	Hits, Misses, Evictions int64
 }
 
 // manifestVersion guards the on-disk layout; entries written by a future
@@ -67,6 +77,19 @@ func OpenDiskMemo(dir string) (*DiskMemo, error) {
 	return &DiskMemo{dir: dir}, nil
 }
 
+// Stats snapshots the memo's counters.
+func (m *DiskMemo) Stats() MemoStats {
+	return MemoStats{Hits: m.hits.Load(), Misses: m.misses.Load(), Evictions: m.evictions.Load()}
+}
+
+// RegisterProbes publishes the counters on reg as expserve.memo_hits,
+// expserve.memo_misses and expserve.memo_evictions.
+func (m *DiskMemo) RegisterProbes(reg *obs.Registry) {
+	reg.RegisterProbe("expserve.memo_hits", func() float64 { return float64(m.hits.Load()) })
+	reg.RegisterProbe("expserve.memo_misses", func() float64 { return float64(m.misses.Load()) })
+	reg.RegisterProbe("expserve.memo_evictions", func() float64 { return float64(m.evictions.Load()) })
+}
+
 // Dir returns the memo root.
 func (m *DiskMemo) Dir() string { return m.dir }
 
@@ -89,36 +112,47 @@ func (m *DiskMemo) Get(key string) (sim.Result, bool, error) {
 	if !validKey(key) {
 		return sim.Result{}, false, fmt.Errorf("expserve: malformed cell key %q", key)
 	}
+	res, ok := m.load(key)
+	if ok {
+		m.hits.Add(1)
+	} else {
+		m.misses.Add(1)
+	}
+	return res, ok, nil
+}
+
+// load reads a valid key's entry, evicting it if it is defective.
+func (m *DiskMemo) load(key string) (sim.Result, bool) {
 	dir := m.entryDir(key)
 	mb, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		// Absent is a plain miss; an I/O error is a miss too but leaves
 		// the entry alone — only proven-defective content is evicted.
-		return sim.Result{}, false, nil
+		return sim.Result{}, false
 	}
 	var man manifest
 	if err := json.Unmarshal(mb, &man); err != nil || man.Version != manifestVersion || man.Key != key {
 		m.evict(dir)
-		return sim.Result{}, false, nil
+		return sim.Result{}, false
 	}
 	rb, err := os.ReadFile(filepath.Join(dir, "result.json"))
 	if errors.Is(err, os.ErrNotExist) {
 		m.evict(dir) // manifest without payload: a torn entry
-		return sim.Result{}, false, nil
+		return sim.Result{}, false
 	}
 	if err != nil {
-		return sim.Result{}, false, nil
+		return sim.Result{}, false
 	}
 	if sha256hex(rb) != man.ResultSHA {
 		m.evict(dir)
-		return sim.Result{}, false, nil
+		return sim.Result{}, false
 	}
 	var res sim.Result
 	if err := json.Unmarshal(rb, &res); err != nil {
 		m.evict(dir)
-		return sim.Result{}, false, nil
+		return sim.Result{}, false
 	}
-	return res, true, nil
+	return res, true
 }
 
 // Meta returns the stored metadata for a key, for listings and debugging.
@@ -227,7 +261,7 @@ func (m *DiskMemo) PutWithArtifacts(key string, meta exp.CellMeta, res sim.Resul
 		return fmt.Errorf("expserve: memo put: %w", err)
 	}
 	if err := os.Rename(tmp, m.entryDir(key)); err != nil {
-		if _, ok, gerr := m.Get(key); gerr == nil && ok {
+		if _, ok := m.load(key); ok {
 			return nil // lost the race to an equivalent entry
 		}
 		return fmt.Errorf("expserve: memo put: %w", err)
@@ -251,7 +285,10 @@ func (m *DiskMemo) Len() int {
 }
 
 // evict removes a defective entry so the recomputed cell can Put cleanly.
-func (m *DiskMemo) evict(dir string) { _ = os.RemoveAll(dir) }
+func (m *DiskMemo) evict(dir string) {
+	m.evictions.Add(1)
+	_ = os.RemoveAll(dir)
+}
 
 func sha256hex(b []byte) string {
 	sum := sha256.Sum256(b)

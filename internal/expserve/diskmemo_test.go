@@ -111,7 +111,8 @@ func TestDiskMemoArtifacts(t *testing.T) {
 }
 
 // TestDiskMemoRejectsDamage is the corruption matrix: every defect class
-// reads as a miss, evicts the entry, and a fresh Put lands cleanly.
+// reads as a miss, evicts the entry (counted), and a fresh Put lands
+// cleanly.
 func TestDiskMemoRejectsDamage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -171,6 +172,10 @@ func TestDiskMemoRejectsDamage(t *testing.T) {
 			}
 			if _, ok, err := m.Get(key); err != nil || !ok {
 				t.Fatalf("recomputed entry unreadable: ok=%v err=%v", ok, err)
+			}
+			// The damaged read is one miss and one eviction, never silent.
+			if st := m.Stats(); st != (MemoStats{Hits: 2, Misses: 1, Evictions: 1}) {
+				t.Fatalf("memo counters = %+v, want 2 hits, 1 miss, 1 eviction", st)
 			}
 		})
 	}

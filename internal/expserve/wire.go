@@ -1,14 +1,15 @@
 // Package expserve promotes exp.Runner from an in-process pool to a
-// sharded, resumable experiment service (DESIGN.md §17): a coordinator
-// that content-addresses cells (exp.CellKey), persists a durable memo to
-// disk (DiskMemo) and hands cells to workers over HTTP with lease,
-// heartbeat and requeue semantics; and a worker that pulls cells,
-// reconstructs them through the setup catalog (exp.ResolveSetup) and the
-// workload table (trace.ByName), executes them through the existing
-// Runner single-cell path, and posts results back. Everything is stdlib
-// net/http in the style of internal/obs/serve. Cells are deterministic,
-// so a cell computed twice (a requeue racing a slow worker) yields the
-// same bytes and the first result wins.
+// sharded, resumable experiment service (DESIGN.md §17): a durable,
+// content-addressed cell memo on disk (DiskMemo, keyed by exp.CellKey),
+// which the runner reads and fills; a coordinator that hands cells to
+// workers over HTTP with lease, heartbeat and requeue semantics, its routes
+// mounted on the obs/serve monitoring server; and a worker that pulls
+// cells, reconstructs them through the setup catalog (exp.ResolveSetup)
+// and the workload table (trace.ByName), executes them through the
+// existing Runner single-cell path, and posts results back. Everything is
+// stdlib net/http. Cells are deterministic, so a cell computed twice (a
+// requeue racing a slow worker) yields the same bytes and the first result
+// wins.
 package expserve
 
 import (
@@ -68,34 +69,4 @@ type ResultPost struct {
 	Worker string      `json:"worker"`
 	Result *sim.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
-}
-
-// StatusDoc is the GET /status document: the memo-hit and compute counters
-// the resume acceptance check reads, plus live queue state.
-type StatusDoc struct {
-	// Cells is every cell this coordinator has been asked for, memo hits
-	// included: Cells = MemoHits + Computed + Failed + Queued + Leased.
-	Cells    int `json:"cells"`
-	MemoHits int `json:"memo_hits"`
-	Computed int `json:"computed"`
-	Failed   int `json:"failed"`
-	Queued   int `json:"queued"`
-	Leased   int `json:"leased"`
-	// Requeues counts lease expiries that re-enqueued a cell (worker loss
-	// or heartbeat timeout).
-	Requeues int `json:"requeues"`
-	// Done reports whether the sweep has finished and workers are being
-	// told to exit.
-	Done bool `json:"done"`
-}
-
-// CellStatus is one row of the GET /cells listing.
-type CellStatus struct {
-	Key      string `json:"key"`
-	Workload string `json:"workload"`
-	Setup    string `json:"setup"`
-	State    string `json:"state"` // "queued", "leased", "done", "failed"
-	Attempts int    `json:"attempts"`
-	Worker   string `json:"worker,omitempty"`
-	Error    string `json:"error,omitempty"`
 }

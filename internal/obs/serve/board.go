@@ -52,7 +52,8 @@ type Status struct {
 	Done     int   `json:"done"`
 	Failed   int   `json:"failed"`
 	// MemoHits counts cells served from the runner's result memo without
-	// re-simulating (aggregation replays and cross-experiment sharing).
+	// re-simulating (aggregation replays, cross-experiment sharing and the
+	// persistent memo).
 	MemoHits uint64       `json:"memo_hits"`
 	Cells    []CellStatus `json:"cells"`
 }
@@ -143,11 +144,16 @@ func (b *Board) CellDone(workload, setup string, elapsed time.Duration, err erro
 	b.broadcast(ev)
 }
 
-// MemoHit records a cell request served from the result memo.
+// MemoHit records a cell request served from the result memo. A cell
+// still pending is done: served in no time, it never runs. A running,
+// done or failed row belongs to the cell's leader and stays as it is.
 func (b *Board) MemoHit(workload, setup string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.memoHits++
+	if c := b.cell(workload, setup); c.State == Pending {
+		c.State = Done
+	}
 	b.broadcast(Event{Type: "memo_hit", Workload: workload, Setup: setup})
 }
 

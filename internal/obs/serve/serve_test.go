@@ -84,15 +84,24 @@ func TestBoardLifecycle(t *testing.T) {
 	b.CellStart("cc", "dpPred")
 	b.CellDone("cc", "dpPred", 100*time.Millisecond, errors.New("kaboom"))
 	b.MemoHit("cc", "baseline")
+	b.MemoHit("cc", "dpPred")
+	// A pending cell served from the persistent memo never runs: the hit
+	// finishes it. A running cell belongs to its leader.
+	b.CellQueued("cc", "oracle")
+	b.MemoHit("cc", "oracle")
+	b.CellQueued("cc", "SHiP-TLB")
+	b.CellStart("cc", "SHiP-TLB")
+	b.MemoHit("cc", "SHiP-TLB")
 
 	st := b.Status()
-	if st.Done != 1 || st.Failed != 1 || st.Pending != 0 || st.Running != 0 {
+	if st.Done != 2 || st.Failed != 1 || st.Pending != 0 || st.Running != 1 {
 		t.Fatalf("status counts = %+v", st)
 	}
-	if st.MemoHits != 1 {
-		t.Fatalf("memo hits = %d, want 1", st.MemoHits)
+	if st.MemoHits != 4 {
+		t.Fatalf("memo hits = %d, want 4", st.MemoHits)
 	}
-	if len(st.Cells) != 2 || st.Cells[0].Setup != "baseline" || st.Cells[1].Setup != "dpPred" {
+	if len(st.Cells) != 4 || st.Cells[0].Setup != "baseline" || st.Cells[1].Setup != "dpPred" ||
+		st.Cells[2].Setup != "oracle" || st.Cells[3].Setup != "SHiP-TLB" {
 		t.Fatalf("cells out of queue order: %+v", st.Cells)
 	}
 	if st.Cells[0].State != Done || st.Cells[0].ElapsedMS != 250 {
@@ -101,8 +110,15 @@ func TestBoardLifecycle(t *testing.T) {
 	if st.Cells[1].State != Failed || st.Cells[1].Error != "kaboom" {
 		t.Fatalf("failed cell = %+v", st.Cells[1])
 	}
+	if st.Cells[2].State != Done || st.Cells[2].ElapsedMS != 0 {
+		t.Fatalf("memo-served pending cell = %+v", st.Cells[2])
+	}
+	if st.Cells[3].State != Running {
+		t.Fatalf("running cell after a memo hit = %+v", st.Cells[3])
+	}
 
-	wantTypes := []string{"queued", "queued", "start", "done", "start", "failed", "memo_hit"}
+	wantTypes := []string{"queued", "queued", "start", "done", "start", "failed", "memo_hit", "memo_hit",
+		"queued", "memo_hit", "queued", "start", "memo_hit"}
 	for i, wt := range wantTypes {
 		select {
 		case ev := <-events:

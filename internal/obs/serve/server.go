@@ -21,13 +21,16 @@ import (
 //	/healthz      liveness probe
 //	/debug/pprof  stdlib profiling handlers
 //
-// Handlers only read: the registry snapshot is mutex-guarded and
-// histograms are atomic, so serving concurrently with a simulation is
-// race-free and cannot change its results.
+// plus whatever routes a producer mounts with HandleFunc (expserve's
+// coordinator mounts its lease protocol). These handlers only read: the
+// registry snapshot is mutex-guarded and histograms are atomic, so serving
+// concurrently with a simulation is race-free and cannot change its
+// results.
 type Server struct {
 	reg   *obs.Registry
 	board *Board
 
+	mux  *http.ServeMux
 	hs   *http.Server
 	ln   net.Listener
 	done chan struct{} // closed on Shutdown; unblocks SSE handlers
@@ -40,11 +43,11 @@ type Server struct {
 // and a board (nil serves an empty status document and a silent event
 // stream).
 func NewServer(reg *obs.Registry, board *Board) *Server {
-	s := &Server{reg: reg, board: board, done: make(chan struct{})}
 	mux := http.NewServeMux()
+	s := &Server{reg: reg, board: board, mux: mux, done: make(chan struct{})}
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/status", s.handleStatus)
+	mux.HandleFunc("/status", s.handleBoard)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -56,7 +59,11 @@ func NewServer(reg *obs.Registry, board *Board) *Server {
 }
 
 // Handler returns the route mux, for httptest-style in-process serving.
-func (s *Server) Handler() http.Handler { return s.hs.Handler }
+func (s *Server) Handler() http.Handler { return s.mux }
+
+// HandleFunc mounts one more route on the server's mux, in
+// http.ServeMux pattern syntax ("POST /cells"). Call it before serving.
+func (s *Server) HandleFunc(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
 
 // Start binds addr (":0" picks a free port) and serves in a background
 // goroutine, returning the bound address.
@@ -98,7 +105,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = WriteProm(w, s.reg)
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+// handleBoard serves /status: the board's snapshot.
+func (s *Server) handleBoard(w http.ResponseWriter, _ *http.Request) {
 	var st Status
 	if s.board != nil {
 		st = s.board.Status()
