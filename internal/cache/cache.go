@@ -25,6 +25,17 @@
 // no heap allocations. A fill copies its victim's Block out only when the
 // caller passes a buffer (FillVictim); the victim's key always comes back,
 // read from the tag record.
+//
+// Storage modes. A cache built with Config.TagOnly keeps no Block payloads,
+// only one saturating hit count per way beside its tags: the structures
+// whose entries nobody reads or writes (the inner data caches, the
+// page-walk caches, an LLC without a predictor) need no more. Its Lookup,
+// HitAt, HitRun, Probe, FillVictim and Install return a nil *Block, and
+// every copy it hands out (victims, invalidated entries, ForEach) is built
+// as Block{Key: tag, Hits: h, Accessed: h > 0} — exactly the entry a
+// payload cache holds when no caller writes its fields. KeepPayload turns
+// a tag-only cache into a payload cache without loss; checkpoints read the
+// same from either mode.
 package cache
 
 import (
@@ -114,6 +125,9 @@ type Config struct {
 	Ways int
 	// Policy chooses victims within a set; nil means LRU.
 	Policy policy.Policy
+	// TagOnly builds the cache without Block payloads (see the package
+	// comment); KeepPayload adds them later.
+	TagOnly bool
 }
 
 // Cache is a set-associative lookup structure.
@@ -137,7 +151,10 @@ type Cache struct {
 	rec    []uint64
 	stride int
 	// blocks holds the full metadata payloads, indexed by set*ways+way.
+	// A tag-only cache has none and keeps counts, one saturating hit
+	// count per way, instead; exactly one of the two is non-nil.
 	blocks []Block
+	counts []uint8
 	// gens holds the generation records parallel to blocks; nil unless
 	// the cache tracks times. evicted is the record of the entry the
 	// latest fill evicted.
@@ -185,9 +202,13 @@ func New(cfg Config) (*Cache, error) {
 		pow2:     cfg.Sets&(cfg.Sets-1) == 0,
 		fullMask: fullWays(cfg.Ways),
 		stride:   cfg.Ways,
-		blocks:   make([]Block, cfg.Sets*cfg.Ways),
 		live:     make([]uint64, cfg.Sets),
 		dead:     make([]uint64, cfg.Sets),
+	}
+	if cfg.TagOnly {
+		c.counts = make([]uint8, cfg.Sets*cfg.Ways)
+	} else {
+		c.blocks = make([]Block, cfg.Sets*cfg.Ways)
 	}
 	if _, isLRU := pol.(policy.LRU); isLRU {
 		// Inline the default policy over the set records; state mirrors
@@ -267,8 +288,40 @@ func (c *Cache) TrackTimes() error {
 			return fmt.Errorf("cache %q: entry times must be tracked from the first fill", c.name)
 		}
 	}
-	c.gens = make([]Gen, len(c.blocks))
+	c.gens = make([]Gen, c.Capacity())
 	return nil
+}
+
+// KeepPayload gives a tag-only cache its Block payloads, rebuilt from the
+// tags and hit counts without loss; on a payload cache it is a no-op.
+// Callers that read or write entry fields (the LLC predictors) need it.
+func (c *Cache) KeepPayload() {
+	if c.blocks == nil {
+		c.blocks, c.counts = c.entries(), nil
+	}
+}
+
+// entries returns every way's entry: the payload itself, or a tag-only
+// cache's entries built afresh.
+func (c *Cache) entries() []Block {
+	if c.blocks != nil {
+		return c.blocks
+	}
+	blocks := make([]Block, c.Capacity())
+	for i := range blocks {
+		blocks[i] = c.entry(i)
+	}
+	return blocks
+}
+
+// entry returns a copy of entry i (set*ways+way); a tag-only cache builds
+// it from the way's tag and hit count.
+func (c *Cache) entry(i int) Block {
+	if c.blocks != nil {
+		return c.blocks[i]
+	}
+	h := c.counts[i]
+	return Block{Key: c.rec[i/c.ways*c.stride+i%c.ways], Hits: h, Accessed: h > 0}
 }
 
 // TracksTimes reports whether the cache keeps generation records.
@@ -299,9 +352,9 @@ func (c *Cache) SetIndex(key uint64) int {
 // Lookup probes the cache for the key at simulated time now. On a hit it
 // updates replacement state, sets the Accessed bit, bumps hit counters
 // (and the generation record's hit count and last-hit time) and returns
-// the resident block. On a miss it returns (nil, false). A hit also clears
-// the way's dead-mark (a re-referenced entry is live again — the revive
-// AIP performs on every hit).
+// the resident block (nil in a tag-only cache). On a miss it returns (nil,
+// false). A hit also clears the way's dead-mark (a re-referenced entry is
+// live again — the revive AIP performs on every hit).
 func (c *Cache) Lookup(key uint64, now uint64) (*Block, bool) {
 	c.lookups++
 	set := c.SetIndex(key)
@@ -329,10 +382,15 @@ func (c *Cache) Lookup(key uint64, now uint64) (*Block, bool) {
 // hit applies the hit-path side effects for the entry at (set, way).
 func (c *Cache) hit(set, base, w int, now uint64) *Block {
 	c.hits++
-	b := &c.blocks[base+w]
-	b.Accessed = true
-	if b.Hits != MaxHits {
-		b.Hits++
+	var b *Block
+	if c.blocks != nil {
+		b = &c.blocks[base+w]
+		b.Accessed = true
+		if b.Hits != MaxHits {
+			b.Hits++
+		}
+	} else if h := c.counts[base+w]; h != MaxHits {
+		c.counts[base+w] = h + 1
 	}
 	if c.gens != nil {
 		g := &c.gens[base+w]
@@ -406,9 +464,14 @@ func (c *Cache) HitRun(set, way int, k, lastNow uint64) *Block {
 	base := set * c.ways
 	c.lookups += k
 	c.hits += k
-	b := &c.blocks[base+way]
-	b.Accessed = true
-	b.Hits = addHits(b.Hits, k)
+	var b *Block
+	if c.blocks != nil {
+		b = &c.blocks[base+way]
+		b.Accessed = true
+		b.Hits = addHits(b.Hits, k)
+	} else {
+		c.counts[base+way] = addHits(c.counts[base+way], k)
+	}
 	if c.gens != nil {
 		g := &c.gens[base+way]
 		g.Hits += k
@@ -426,26 +489,11 @@ func (c *Cache) HitRun(set, way int, k, lastNow uint64) *Block {
 // Probe checks residency without touching replacement state, the Accessed
 // bit or statistics. Mirror structures and tests use it.
 func (c *Cache) Probe(key uint64) (*Block, bool) {
-	set := c.SetIndex(key)
-	tags := c.tags(set)
-	live := c.live[set]
-	for w := range tags {
-		if tags[w] == key && live>>uint(w)&1 != 0 {
-			return &c.blocks[set*c.ways+w], true
-		}
+	set, w, ok := c.Locate(key)
+	if !ok || c.blocks == nil {
+		return nil, ok
 	}
-	return nil, false
-}
-
-// Victim reports the block that a Fill for key would evict, without
-// changing any state. The boolean is false when an invalid way would absorb
-// the fill (no eviction).
-func (c *Cache) Victim(key uint64) (Block, bool) {
-	set := c.SetIndex(key)
-	if c.live[set] != c.fullMask {
-		return Block{}, false
-	}
-	return c.blocks[set*c.ways+c.victimWay(set)], true
+	return &c.blocks[set*c.ways+w], true
 }
 
 // victimWay picks the way a fill into a full set replaces: the policy's
@@ -490,10 +538,11 @@ func (c *Cache) Install(key uint64, hint policy.InsertHint, now uint64) *Block {
 	return nb
 }
 
-// FillVictim is the fill behind Fill and Install. When it evicts, it
-// returns the victim's key, read from the tag record, and copies the
-// victim's whole Block into `into` only when `into` is non-nil — so a
-// caller that needs no more than the key never loads the old payload. A
+// FillVictim is the fill behind Fill and Install; its new block is nil in
+// a tag-only cache. When it evicts, it returns the victim's key, read from
+// the tag record, and copies the victim's whole Block into `into` only
+// when `into` is non-nil — so a caller that needs no more than the key
+// never loads the old payload. A
 // cache that tracks times keeps the victim's Gen for EvictedGen.
 func (c *Cache) FillVictim(key uint64, hint policy.InsertHint, now uint64, into *Block) (nb *Block, victimKey uint64, evicted bool) {
 	c.fills++
@@ -507,12 +556,11 @@ func (c *Cache) FillVictim(key uint64, hint policy.InsertHint, now uint64, into 
 		way = c.victimWay(set)
 		victimKey = tags[way]
 		if into != nil {
-			*into = c.blocks[base+way]
+			*into = c.entry(base + way)
 		}
 		evicted = true
 		c.evictions++
 	}
-	c.blocks[base+way] = Block{Key: key}
 	if c.gens != nil {
 		if evicted {
 			c.evicted = c.gens[base+way]
@@ -529,6 +577,11 @@ func (c *Cache) FillVictim(key uint64, hint policy.InsertHint, now uint64, into 
 	} else {
 		c.repl[set].Insert(way, hint)
 	}
+	if c.blocks == nil {
+		c.counts[base+way] = 0
+		return nil, victimKey, evicted
+	}
+	c.blocks[base+way] = Block{Key: key}
 	return &c.blocks[base+way], victimKey, evicted
 }
 
@@ -570,31 +623,6 @@ func (c *Cache) MarkDead(key uint64, way int) {
 	c.dead[set] |= 1 << uint(way)
 }
 
-// MarkDeadKey locates key's resident entry and dead-marks it, reporting
-// whether the key was resident. Tests and coarse-grained callers use it;
-// per-way callers on the access path use MarkDead.
-func (c *Cache) MarkDeadKey(key uint64) bool {
-	set := c.SetIndex(key)
-	for w, tag := range c.tags(set) {
-		if tag == key && c.live[set]>>uint(w)&1 != 0 {
-			c.dead[set] |= 1 << uint(w)
-			return true
-		}
-	}
-	return false
-}
-
-// DeadMarked reports whether key's resident entry carries a dead-mark.
-func (c *Cache) DeadMarked(key uint64) bool {
-	set := c.SetIndex(key)
-	for w, tag := range c.tags(set) {
-		if tag == key && c.live[set]>>uint(w)&1 != 0 {
-			return c.dead[set]>>uint(w)&1 != 0
-		}
-	}
-	return false
-}
-
 // RecordBypass counts a fill that a predictor suppressed.
 func (c *Cache) RecordBypass() { c.bypasses++ }
 
@@ -606,8 +634,12 @@ func (c *Cache) Invalidate(key uint64) (Block, bool) {
 	tags := c.tags(set)
 	for w, tag := range tags {
 		if tag == key && c.live[set]>>uint(w)&1 != 0 {
-			old := c.blocks[base+w]
-			c.blocks[base+w] = Block{}
+			old := c.entry(base + w)
+			if c.blocks != nil {
+				c.blocks[base+w] = Block{}
+			} else {
+				c.counts[base+w] = 0
+			}
 			if c.gens != nil {
 				c.gens[base+w] = Gen{}
 			}
@@ -627,7 +659,8 @@ func (c *Cache) Invalidate(key uint64) (Block, bool) {
 }
 
 // ForEachInSet visits every valid block in the set containing key.
-// Predictors with per-set bookkeeping (AIP) use it on the access path.
+// Predictors with per-set bookkeeping (AIP) use it on the access path; like
+// BumpSetCounters, it needs a payload cache.
 func (c *Cache) ForEachInSet(key uint64, fn func(way int, b *Block)) {
 	set := c.SetIndex(key)
 	base := set * c.ways
@@ -638,12 +671,18 @@ func (c *Cache) ForEachInSet(key uint64, fn func(way int, b *Block)) {
 }
 
 // ForEach visits every valid block. Samplers use it to snapshot residency.
+// A tag-only cache passes a built copy, so writes through b are lost.
 func (c *Cache) ForEach(fn func(set, way int, b *Block)) {
 	for s := 0; s < c.sets; s++ {
 		base := s * c.ways
 		for m := c.live[s]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			fn(s, w, &c.blocks[base+w])
+			if c.blocks != nil {
+				fn(s, w, &c.blocks[base+w])
+			} else {
+				b := c.entry(base + w)
+				fn(s, w, &b)
+			}
 		}
 	}
 }

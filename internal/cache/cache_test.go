@@ -8,6 +8,32 @@ import (
 	"repro/internal/policy"
 )
 
+// victim reports the block that a Fill for key would evict, without
+// changing any state; false when an invalid way would absorb the fill.
+func (c *Cache) victim(key uint64) (Block, bool) {
+	set := c.SetIndex(key)
+	if c.live[set] != c.fullMask {
+		return Block{}, false
+	}
+	return c.entry(set*c.ways + c.victimWay(set)), true
+}
+
+// markDeadKey dead-marks key's resident entry, reporting whether the key
+// was resident.
+func (c *Cache) markDeadKey(key uint64) bool {
+	_, w, ok := c.Locate(key)
+	if ok {
+		c.MarkDead(key, w)
+	}
+	return ok
+}
+
+// deadMarked reports whether key's resident entry carries a dead-mark.
+func (c *Cache) deadMarked(key uint64) bool {
+	set, w, ok := c.Locate(key)
+	return ok && c.dead[set]>>uint(w)&1 != 0
+}
+
 // TestBlockIs32Bytes pins the entry layout: two entries per 64-byte host
 // line, the generation times kept apart (Gen).
 func TestBlockIs32Bytes(t *testing.T) {
@@ -115,17 +141,17 @@ func TestFillEvictsLRU(t *testing.T) {
 
 func TestVictimPreview(t *testing.T) {
 	c := mk(t, 1, 2)
-	if _, would := c.Victim(99); would {
+	if _, would := c.victim(99); would {
 		t.Error("empty set should not predict an eviction")
 	}
 	c.Fill(1, policy.InsertMRU, 0)
 	c.Fill(2, policy.InsertMRU, 0)
-	v, would := c.Victim(99)
+	v, would := c.victim(99)
 	if !would || v.Key != 1 {
 		t.Errorf("Victim = %+v (%v), want key 1", v, would)
 	}
 	// Preview must not mutate: repeated calls agree.
-	v2, _ := c.Victim(99)
+	v2, _ := c.victim(99)
 	if v2.Key != v.Key {
 		t.Error("Victim preview mutated state")
 	}
@@ -136,10 +162,10 @@ func TestDeadMarkPriority(t *testing.T) {
 	for k := uint64(1); k <= 4; k++ {
 		c.Fill(k, policy.InsertMRU, 0)
 	}
-	if !c.MarkDeadKey(3) {
+	if !c.markDeadKey(3) {
 		t.Fatal("MarkDeadKey(3) reported non-resident")
 	}
-	if !c.DeadMarked(3) {
+	if !c.deadMarked(3) {
 		t.Fatal("DeadMarked(3) false after MarkDeadKey")
 	}
 	c.Lookup(1, 1) // make 1 MRU; LRU victim would be 2
@@ -152,11 +178,11 @@ func TestDeadMarkPriority(t *testing.T) {
 func TestDeadMarkClearedOnHit(t *testing.T) {
 	c := mk(t, 1, 2)
 	c.Fill(1, policy.InsertMRU, 0)
-	c.MarkDeadKey(1)
+	c.markDeadKey(1)
 	if _, ok := c.Lookup(1, 1); !ok {
 		t.Fatal("miss on resident key")
 	}
-	if c.DeadMarked(1) {
+	if c.deadMarked(1) {
 		t.Error("hit did not revive the dead-marked entry")
 	}
 }
@@ -167,10 +193,10 @@ func TestMarkDeadIgnoresInvalidWay(t *testing.T) {
 	c.MarkDead(1, 1)  // way 1 is invalid
 	c.MarkDead(1, -1) // out of range
 	c.MarkDead(1, 7)  // out of range
-	if c.DeadMarked(1) {
+	if c.deadMarked(1) {
 		t.Error("invalid-way MarkDead leaked onto a resident entry")
 	}
-	if c.MarkDeadKey(99) {
+	if c.markDeadKey(99) {
 		t.Error("MarkDeadKey on absent key reported resident")
 	}
 }
@@ -179,8 +205,8 @@ func TestDeadMarkPrefersPolicyVictim(t *testing.T) {
 	c := mk(t, 1, 2)
 	c.Fill(1, policy.InsertMRU, 0)
 	c.Fill(2, policy.InsertMRU, 0)
-	c.MarkDeadKey(1)
-	c.MarkDeadKey(2)
+	c.markDeadKey(1)
+	c.markDeadKey(2)
 	// Policy victim is 1 (LRU); with both dead-marked, pick the policy's.
 	_, victim, _ := c.Fill(3, policy.InsertMRU, 1)
 	if victim.Key != 1 {

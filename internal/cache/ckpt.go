@@ -8,8 +8,10 @@ import "repro/internal/ckpt"
 // The set records are written split, every set's tags first and every
 // set's stamps later, so the bytes do not depend on the in-memory layout.
 // Geometry is stamped so DecodeState can reject a checkpoint taken under a
-// different configuration. Non-LRU replacement state is not serializable
-// (policy sets are opaque); encoding such a cache latches an error.
+// different configuration. A tag-only cache writes the entries it would
+// hold as a payload cache, so the bytes do not depend on the storage mode
+// either. Non-LRU replacement state is not serializable (policy sets are
+// opaque); encoding such a cache latches an error.
 func (c *Cache) EncodeState(w *ckpt.Writer) {
 	w.Mark("cache:" + c.name)
 	if c.lruClock == nil {
@@ -21,7 +23,7 @@ func (c *Cache) EncodeState(w *ckpt.Writer) {
 	for s := 0; s < c.sets; s++ {
 		w.Binary(c.tags(s))
 	}
-	w.Binary(c.blocks)
+	w.Binary(c.entries())
 	w.Bool(c.gens != nil)
 	if c.gens != nil {
 		w.Binary(c.gens)
@@ -53,7 +55,10 @@ type v1Block struct {
 // the identical configuration; a stream of checkpoint version 1
 // (r.Version) holds v1 entry records. Generation records the checkpoint
 // carries but this cache does not track are dropped; a cache that tracks
-// times refuses a checkpoint without them rather than restoring zeros.
+// times refuses a checkpoint without them rather than restoring zeros. A
+// tag-only cache keeps its mode unless an entry record holds more than a
+// tag-only cache can (KeepPayload's rebuild would differ from it); then it
+// keeps the payload, so decoding never loses a field.
 func (c *Cache) DecodeState(r *ckpt.Reader) error {
 	r.Expect("cache:" + c.name)
 	if c.lruClock == nil {
@@ -68,19 +73,26 @@ func (c *Cache) DecodeState(r *ckpt.Reader) error {
 	for s := 0; s < c.sets; s++ {
 		r.Binary(c.tags(s))
 	}
+	blocks := c.blocks
+	if blocks == nil {
+		blocks = make([]Block, c.Capacity())
+	}
 	if r.Version() == 1 {
-		c.decodeV1Entries(r)
+		c.decodeV1Entries(r, blocks)
 	} else {
-		r.Binary(c.blocks)
+		r.Binary(blocks)
 		if r.Bool() {
 			gens := c.gens
 			if gens == nil {
-				gens = make([]Gen, len(c.blocks))
+				gens = make([]Gen, len(blocks))
 			}
 			r.Binary(gens)
 		} else if c.gens != nil {
 			r.Failf("cache %q: checkpoint carries no entry times, which this machine tracks", c.name)
 		}
+	}
+	if c.blocks == nil {
+		c.storeEntries(blocks)
 	}
 	r.Binary(c.live)
 	r.Binary(c.dead)
@@ -106,13 +118,25 @@ func (c *Cache) DecodeState(r *ckpt.Reader) error {
 	return r.Err()
 }
 
-// decodeV1Entries reads v1 entry records into the entries and, when the
-// cache tracks times, their generation records.
-func (c *Cache) decodeV1Entries(r *ckpt.Reader) {
-	old := make([]v1Block, len(c.blocks))
+// storeEntries puts decoded entry records into a tag-only cache: as hit
+// counts when every record is one the cache can rebuild, else as payload.
+func (c *Cache) storeEntries(blocks []Block) {
+	for i, b := range blocks {
+		c.counts[i] = b.Hits
+		if c.entry(i) != b {
+			c.blocks, c.counts = blocks, nil
+			return
+		}
+	}
+}
+
+// decodeV1Entries reads v1 entry records into blocks and, when the cache
+// tracks times, their generation records.
+func (c *Cache) decodeV1Entries(r *ckpt.Reader, blocks []Block) {
+	old := make([]v1Block, len(blocks))
 	r.Binary(old)
 	for i, o := range old {
-		c.blocks[i] = Block{
+		blocks[i] = Block{
 			Key: o.Key, Data: o.Data,
 			PCHash: o.PCHash, Sig: o.Sig,
 			AIPCount: o.AIPCount, AIPMax: o.AIPMax, AIPThreshold: o.AIPThreshold,

@@ -6,8 +6,9 @@ import (
 	"repro/internal/policy"
 )
 
-// Clone returns a deep copy of the cache: contents, generation records,
-// packed valid/dead bit words, replacement state and statistics. The clone shares no mutable
+// Clone returns a deep copy of the cache in its storage mode: contents,
+// generation records, packed valid/dead bit words, replacement state and
+// statistics. The clone shares no mutable
 // state with the original, so both can be stepped independently — the
 // foundation of warm-state forking (one warmed structure, many consumers).
 //
@@ -24,6 +25,7 @@ func (c *Cache) Clone() (*Cache, error) {
 		rec:       append([]uint64(nil), c.rec...),
 		stride:    c.stride,
 		blocks:    append([]Block(nil), c.blocks...),
+		counts:    append([]uint8(nil), c.counts...),
 		gens:      append([]Gen(nil), c.gens...),
 		live:      append([]uint64(nil), c.live...),
 		dead:      append([]uint64(nil), c.dead...),

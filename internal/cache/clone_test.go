@@ -19,7 +19,7 @@ func warmClone(t *testing.T) (*Cache, *Cache) {
 			c.Fill(k, policy.InsertMRU, k)
 		}
 		if k%3 == 0 {
-			c.MarkDeadKey(k)
+			c.markDeadKey(k)
 		}
 	}
 	n, err := c.Clone()
@@ -73,7 +73,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 		if _, ok := n.Lookup(k, k); !ok {
 			n.Fill(k, policy.InsertMRU, k)
 		}
-		n.MarkDeadKey(k)
+		n.markDeadKey(k)
 		if k%2 == 0 {
 			n.Invalidate(k)
 		}

@@ -220,7 +220,10 @@ func encoded(t *testing.T, enc func(*ckpt.Writer)) []byte {
 // same random operation stream and requires identical hits, victims (key,
 // full Block and generation record), statistics and checkpoint bytes
 // throughout, across clones and checkpoint round trips, with the cache
-// tracking times (bit 7 of the first byte) or not.
+// tracking times (bit 7 of the first byte) or not, and built tag-only (bit
+// 6) or not. The model always keeps full blocks: a tag-only cache must
+// return no block pointers and build every copy it hands out equal to the
+// model's, until a random KeepPayload (on a clone) gives it payloads.
 func FuzzCacheVsReference(f *testing.F) {
 	f.Add([]byte{0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{0x13, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87, 0x98, 0xa9, 0xba, 0xcb, 0xdc})
@@ -231,10 +234,20 @@ func FuzzCacheVsReference(f *testing.F) {
 	f.Add(append([]byte{0x8c, 0x01, 0x00}, bytes.Repeat([]byte{0xf8, 0x00}, 20)...))
 	// The same through 260 single Lookups.
 	f.Add(append([]byte{0x8c, 0x01, 0x00}, bytes.Repeat([]byte{0x00, 0x00}, 260)...))
+	// Both again tag-only: the way's count saturates beside its tag.
+	f.Add(append([]byte{0xc8, 0x01, 0x00}, bytes.Repeat([]byte{0xf8, 0x00}, 20)...))
+	f.Add(append([]byte{0xc8, 0x01, 0x00}, bytes.Repeat([]byte{0x00, 0x00}, 260)...))
 	// Two ways tracking times: hits, then refills of hit ways, an
 	// invalidation, a checkpoint round trip, a hit run and a clone.
 	f.Add([]byte{0x90, 1, 1, 0, 1, 0, 1, 0, 1, 1, 2, 0, 2, 1, 3, 0, 3, 0, 3, 1, 4, 0, 4, 4, 3,
 		1, 5, 0, 5, 0x0a, 0, 1, 6, 0, 6, 0xf8, 6, 9, 0, 1, 1, 0, 1})
+	// The same tag-only: a checkpoint, then an upgrade on a clone (0x89),
+	// fills that set caller-owned metadata (0x21), and a second
+	// checkpoint that must keep the payload on decode.
+	f.Add([]byte{0xd0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 2, 0, 2, 1, 3, 0, 3, 0, 3, 1, 4, 0, 4, 4, 3,
+		0x0a, 0, 0x89, 0, 0x21, 5, 0x21, 6, 0, 5, 0x0a, 0, 6, 9, 0, 5, 0x0a, 0})
+	// Tag-only, four ways, saturating hit runs and invalidations.
+	f.Add(append([]byte{0x4d}, bytes.Repeat([]byte{1, 3, 0xf8, 3, 0x0b, 3, 4, 3, 0x0a, 1}, 12)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -242,7 +255,7 @@ func FuzzCacheVsReference(f *testing.F) {
 		sets := []int{1, 2, 3, 4}[data[0]&3]
 		ways := 1 + int(data[0]>>2)%5
 		times := data[0]&0x80 != 0
-		cfg := Config{Name: "ref", Sets: sets, Ways: ways}
+		cfg := Config{Name: "ref", Sets: sets, Ways: ways, TagOnly: data[0]&0x40 != 0}
 		newCache := func() *Cache {
 			c := MustNew(cfg)
 			if times {
@@ -254,6 +267,14 @@ func FuzzCacheVsReference(f *testing.F) {
 		}
 		c := newCache()
 		r := newRef(cfg.Name, sets, ways, times)
+		// same reports whether got is what the cache must return for the
+		// model's block want: nil in a tag-only cache, else an equal block.
+		same := func(got, want *Block) bool {
+			if c.blocks == nil {
+				return got == nil
+			}
+			return got != nil && *got == *want
+		}
 		checkGens := func(i int) {
 			t.Helper()
 			for s, ways := range r.sets {
@@ -274,7 +295,7 @@ func FuzzCacheVsReference(f *testing.F) {
 			case 0: // Lookup
 				got, gok := c.Lookup(key, now)
 				want, wok := r.lookup(key, now)
-				if gok != wok || gok && *got != *want {
+				if gok != wok || gok && !same(got, want) {
 					t.Fatalf("op %d Lookup(%d): got %v %+v, want %v %+v", i, key, gok, got, wok, want)
 				}
 			case 1, 2, 3: // Fill, Install or FillVictim on a key not resident
@@ -304,14 +325,14 @@ func FuzzCacheVsReference(f *testing.F) {
 						gv = wv
 					}
 				}
-				if gev != wev || gk != wv.Key || gv != wv || *gnb != *wnb {
+				if gev != wev || gk != wv.Key || gv != wv || !same(gnb, wnb) {
 					t.Fatalf("op %d fill(%d): got evicted=%v key %d %+v new %+v, want %v %+v new %+v",
 						i, key, gev, gk, gv, gnb, wev, wv, wnb)
 				}
 				if gev && c.EvictedGen() != wg {
 					t.Fatalf("op %d fill(%d): evicted gen %+v, want %+v", i, key, c.EvictedGen(), wg)
 				}
-				if op&0x20 != 0 { // set caller-owned metadata on both
+				if op&0x20 != 0 && gnb != nil { // set caller-owned metadata on both
 					gnb.Prefetched, wnb.Prefetched = true, true
 					gnb.DP, wnb.DP = true, true
 				}
@@ -332,7 +353,7 @@ func FuzzCacheVsReference(f *testing.F) {
 				if w >= 0 {
 					r.sets[set][w].dead = true
 				}
-				if got := c.MarkDeadKey(key); got != (w >= 0) {
+				if got := c.markDeadKey(key); got != (w >= 0) {
 					t.Fatalf("op %d MarkDeadKey(%d) = %v", i, key, got)
 				}
 			case 7: // HitAt on an arbitrary slot (the guard must hold)
@@ -344,7 +365,7 @@ func FuzzCacheVsReference(f *testing.F) {
 					t.Fatalf("op %d HitAt(%d,%d,%d) = %v, want %v", i, set, way, key, gok, wok)
 				}
 				if wok {
-					if want := r.touch(set, way, 1, now); *got != *want {
+					if want := r.touch(set, way, 1, now); !same(got, want) {
 						t.Fatalf("op %d HitAt block %+v, want %+v", i, got, want)
 					}
 				}
@@ -356,14 +377,20 @@ func FuzzCacheVsReference(f *testing.F) {
 				if ok {
 					k := uint64(op>>4) + 1
 					got := c.HitRun(set, way, k, now)
-					if want := r.touch(set, way, k, now); *got != *want {
+					if want := r.touch(set, way, k, now); !same(got, want) {
 						t.Fatalf("op %d HitRun block %+v, want %+v", i, got, want)
 					}
 				}
-			case 9: // Clone, and carry on with the clone
+			case 9: // Clone, carry on with the clone, maybe upgraded
 				n, err := c.Clone()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if (n.blocks == nil) != (c.blocks == nil) {
+					t.Fatalf("op %d: clone changed the storage mode", i)
+				}
+				if op&0x80 != 0 {
+					n.KeepPayload()
 				}
 				c = n
 			case 10: // checkpoint round trip into a fresh cache
@@ -387,9 +414,13 @@ func FuzzCacheVsReference(f *testing.F) {
 				if again := encoded(t, fresh.EncodeState); !bytes.Equal(again, got) {
 					t.Fatalf("op %d: decoded cache re-encodes differently", i)
 				}
+				if cfg.TagOnly && (fresh.blocks != nil) != r.needsPayload() {
+					t.Fatalf("op %d: decoded cache keeps payload %v, model needs it %v",
+						i, fresh.blocks != nil, r.needsPayload())
+				}
 				c = fresh
 			case 11: // Victim preview and a bypass
-				gv, gok := c.Victim(key)
+				gv, gok := c.victim(key)
 				set := r.set(key)
 				way, full := r.victimWay(set)
 				if gok != full || full && gv != r.sets[set][way].blk {
@@ -407,5 +438,35 @@ func FuzzCacheVsReference(f *testing.F) {
 		if got, want := encoded(t, c.EncodeState), encoded(t, r.encode); !bytes.Equal(got, want) {
 			t.Fatal("final EncodeState bytes differ from the model's")
 		}
+		visited := 0
+		c.ForEach(func(set, way int, b *Block) {
+			if e := r.sets[set][way]; !e.valid || *b != e.blk {
+				t.Fatalf("ForEach(%d, %d) = %+v, model %+v", set, way, *b, e)
+			}
+			visited++
+		})
+		for _, ways := range r.sets {
+			for _, e := range ways {
+				if e.valid {
+					visited--
+				}
+			}
+		}
+		if visited != 0 {
+			t.Fatalf("ForEach visited %d more entries than the model holds", visited)
+		}
 	})
+}
+
+// needsPayload reports whether some entry holds more than a tag-only cache
+// keeps (its key, and a hit count that implies the Accessed bit).
+func (r *refCache) needsPayload() bool {
+	for _, ways := range r.sets {
+		for _, e := range ways {
+			if e.blk != (Block{Key: e.blk.Key, Hits: e.blk.Hits, Accessed: e.blk.Hits > 0}) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -130,8 +130,10 @@ type CellMemo interface {
 // CellExecutor lets an external scheduler (expserve's coordinator) execute
 // cells the runner would otherwise simulate locally. The runner offers it
 // only cells a worker can rebuild by name (a catalog setup on a Table II
-// workload); its result and error stand as the cell's outcome.
-type CellExecutor func(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, error)
+// workload); its result and error stand as the cell's outcome. The
+// executor calls started once, when the cell's work begins (a worker's
+// first lease); until then the cell reads as pending.
+type CellExecutor func(ctx context.Context, key string, w trace.Workload, setup Setup, started func()) (sim.Result, error)
 
 // cellKey keys a cell for the persistent memo / executor. The workload
 // fingerprint is single-flight per workload name: every setup shares it,

@@ -246,7 +246,8 @@ func TestExecutorFallback(t *testing.T) {
 	var offered, adhocOffered atomic.Int64
 	r := NewRunner(cellTestParams)
 	spans := newSpanLog(r)
-	r.Executor = func(ctx context.Context, key string, w trace.Workload, setup Setup) (sim.Result, error) {
+	r.Executor = func(ctx context.Context, key string, w trace.Workload, setup Setup, started func()) (sim.Result, error) {
+		started()
 		if setup.Name != "baseline" {
 			adhocOffered.Add(1)
 		}
@@ -271,7 +272,7 @@ func TestExecutorFallback(t *testing.T) {
 	spans.check(t, 2, 1)
 
 	r2 := NewRunner(cellTestParams)
-	r2.Executor = func(context.Context, string, trace.Workload, Setup) (sim.Result, error) {
+	r2.Executor = func(context.Context, string, trace.Workload, Setup, func()) (sim.Result, error) {
 		return sim.Result{}, context.DeadlineExceeded
 	}
 	_, err = r2.Run(w, Baseline())

@@ -346,10 +346,16 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edg
 		}
 	}
 	if key != "" && r.Executor != nil && remote(w, setup) {
-		done := r.cellSpan(w.Name, setup.Name)
-		if res, err = r.Executor(ctx, key, w, setup); err != nil {
+		// The span opens when the executor starts the cell, not while it
+		// waits in the executor's queue; a cell that never started (its
+		// wait was canceled) still opens one here, so it ends failed.
+		var once sync.Once
+		var done func(error)
+		started := func() { once.Do(func() { done = r.cellSpan(w.Name, setup.Name) }) }
+		if res, err = r.Executor(ctx, key, w, setup, started); err != nil {
 			err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 		}
+		started()
 		done(err)
 	} else {
 		res, err = r.runLocal(ctx, w, setup, e)

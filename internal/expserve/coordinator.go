@@ -79,6 +79,7 @@ type cell struct {
 	res       sim.Result
 	errmsg    string
 	done      chan struct{} // closed when state reaches done or failed
+	started   func()        // Execute's callback, run on the first lease
 }
 
 // Counts is a snapshot of the coordinator's cell table: cells delivered
@@ -165,15 +166,18 @@ func (c *Coordinator) Counts() Counts {
 // Execute is the exp.CellExecutor: it schedules a cell and waits for a
 // worker's result. exp.Runner offers only cells a worker can rebuild by
 // name, and single-flights per cell, so at most one Execute waits on a key
-// at a time. An Execute canceled before the cell finishes withdraws it: no
-// worker leases it again, and a late result for it is dropped as unknown.
-func (c *Coordinator) Execute(ctx context.Context, key string, w trace.Workload, setup exp.Setup) (sim.Result, error) {
+// at a time. started (nil for none) runs when a worker first leases the
+// cell; a requeued cell does not run it again. An Execute canceled before
+// the cell finishes withdraws it: no worker leases it again, and a late
+// result for it is dropped as unknown.
+func (c *Coordinator) Execute(ctx context.Context, key string, w trace.Workload, setup exp.Setup, started func()) (sim.Result, error) {
 	c.mu.Lock()
 	cl, exists := c.cells[key]
 	if !exists {
 		cl = &cell{
-			spec: CellSpec{Key: key, Workload: w.Name, Setup: setup.Name, Params: c.params},
-			done: make(chan struct{}),
+			spec:    CellSpec{Key: key, Workload: w.Name, Setup: setup.Name, Params: c.params},
+			done:    make(chan struct{}),
+			started: started,
 		}
 		c.cells[key] = cl
 	}
@@ -282,14 +286,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			open = true
 		}
 	}
+	var started func()
 	if pick != nil {
 		pick.state = stateLeased
 		pick.attempts++
 		pick.worker = req.Worker
 		pick.deadline = now.Add(c.LeaseTTL)
+		if pick.attempts == 1 {
+			started = pick.started
+		}
 	}
 	closed := c.closed
 	c.mu.Unlock()
+	if started != nil {
+		started()
+	}
 
 	reply := LeaseReply{Status: LeaseWait, RetryMillis: c.PollInterval.Milliseconds()}
 	switch {

@@ -569,3 +569,49 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// TestQueuedOffloadedCellsReadPending: an offloaded cell reads pending on
+// the Board while it waits in the coordinator's queue and running once a
+// worker leases it; canceling the sweep ends every cell failed, the ones
+// never leased included.
+func TestQueuedOffloadedCellsReadPending(t *testing.T) {
+	memo, err := OpenDiskMemo(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(serveTestParams)
+	coord.Log = io.Discard
+	url := plane(t, coord, memo)
+
+	setups := []exp.Setup{exp.Baseline(), exp.DPPredSetup(), exp.SHiPTLBSetup()}
+	board := serve.NewBoard()
+	r := exp.NewRunner(serveTestParams)
+	r.Executor, r.Status = coord.Execute, board
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() { errCh <- r.RunGridContext(ctx, []trace.Workload{serveWorkload(t, "cc")}, setups) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for coord.Counts().Queued != len(setups) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cells never queued: %+v", coord.Counts())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := board.Status(); st.Pending != len(setups) || st.Running != 0 {
+		t.Fatalf("with no worker leasing, /status = %+v; want every cell pending", st)
+	}
+	if reply := leaseAs(t, url, "ghost"); reply.Status != LeaseCell {
+		t.Fatalf("lease = %+v, want a cell", reply)
+	}
+	if st := board.Status(); st.Running != 1 || st.Pending != len(setups)-1 {
+		t.Fatalf("after one lease, /status = %+v; want exactly one cell running", st)
+	}
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned %v", err)
+	}
+	if st := board.Status(); st.Failed != len(setups) || st.Running != 0 || st.Pending != 0 {
+		t.Fatalf("after cancellation, /status = %+v; want every cell failed", st)
+	}
+}

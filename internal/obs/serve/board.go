@@ -17,8 +17,8 @@ import (
 type CellState string
 
 // Cell lifecycle: Pending (queued, not started), Running (leader holds a
-// pool slot), Done, Failed (finished with an error, cancellation
-// included).
+// pool slot, or a worker leased the offloaded cell), Done, Failed
+// (finished with an error, cancellation included).
 const (
 	Pending CellState = "pending"
 	Running CellState = "running"

@@ -156,6 +156,35 @@ func mkTLBCache(t *testing.T) *cache.Cache {
 	return cache.MustNew(cache.Config{Name: "llt", Sets: 4, Ways: 2})
 }
 
+// deadMarked reports whether key's resident entry in c carries a
+// dead-mark. It asks a clone: with key alone in its set and a fresh entry
+// parked as the LRU way, the next fill evicts key only if key is marked.
+func deadMarked(t *testing.T, c *cache.Cache, key uint64) bool {
+	t.Helper()
+	n, err := c.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := n.Probe(key); !ok || n.Ways() < 2 {
+		t.Fatalf("deadMarked(%d): needs a resident key in a set of two ways or more", key)
+	}
+	set := n.SetIndex(key)
+	var others []uint64
+	n.ForEach(func(s, _ int, b *cache.Block) {
+		if s == set && b.Key != key {
+			others = append(others, b.Key)
+		}
+	})
+	for _, k := range others {
+		n.Invalidate(k)
+	}
+	for k := key + uint64(n.Sets()); ; k += uint64(n.Sets()) {
+		if _, victim, evicted := n.Fill(k, policy.InsertDistant, 0); evicted {
+			return victim.Key == key
+		}
+	}
+}
+
 func TestAIPLearnsIntervalAndMarksDead(t *testing.T) {
 	target := mkTLBCache(t)
 	a, err := NewAIPTLB(DefaultAIPTLBConfig(8), target)
@@ -189,15 +218,15 @@ func TestAIPLearnsIntervalAndMarksDead(t *testing.T) {
 		a.OnAccess(other)
 		target.Lookup(other, uint64(3+i))
 	}
-	if !target.DeadMarked(key) {
+	if !deadMarked(t, target, key) {
 		t.Error("block not dead-marked after exceeding learned interval")
 	}
 	// A hit revives it (the structure clears the mark, AIP resets the
 	// counter).
 	target.Lookup(key, 10)
 	a.OnHit(nb)
-	if target.DeadMarked(key) || nb.AIPCount != 0 {
-		t.Errorf("hit did not revive: deadMark=%v count=%d", target.DeadMarked(key), nb.AIPCount)
+	if deadMarked(t, target, key) || nb.AIPCount != 0 {
+		t.Errorf("hit did not revive: deadMark=%v count=%d", deadMarked(t, target, key), nb.AIPCount)
 	}
 }
 
@@ -215,7 +244,7 @@ func TestAIPNoConfidenceNoMark(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.OnAccess(other)
 	}
-	if target.DeadMarked(key) {
+	if deadMarked(t, target, key) {
 		t.Error("dead-marked without confidence")
 	}
 }

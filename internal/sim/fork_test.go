@@ -182,3 +182,23 @@ func BenchmarkSystemFork(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSystemForkBaseline prices the same fork of the baseline machine
+// (null predictors), whose data caches and page-walk caches are tag-only.
+func BenchmarkSystemForkBaseline(b *testing.B) {
+	s := MustNew(smallConfig())
+	w, err := trace.ByName("sssp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Run(w.New(42), 100_000); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Fork(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -138,9 +138,11 @@ func newProc(cfg Config, llt *tlb.TLB, llc *cache.Cache, t *tenantState) (*proc,
 	return p, nil
 }
 
-// newCache builds one data-cache level.
+// newCache builds one data-cache level, tag-only: only an LLC predictor
+// reads or writes a data cache's entries, and SetLLCPredictor gives the
+// LLC its payload when it installs one.
 func newCache(cc CacheConfig) (*cache.Cache, error) {
-	return cache.New(cache.Config{Name: cc.Name, Sets: cc.sets(), Ways: cc.Ways, Policy: cc.Policy})
+	return cache.New(cache.Config{Name: cc.Name, Sets: cc.sets(), Ways: cc.Ways, Policy: cc.Policy, TagOnly: true})
 }
 
 // setPredictors installs the (shared) predictors and refreshes the cached
@@ -398,10 +400,14 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64) arch.Lat {
 		if p.llcVictims || p.tr != nil || p.histLLCLife != nil || p.llcSampler != nil {
 			into = &victim
 		}
+		// A tag-only LLC (no predictor) returns no block, and the null
+		// predictor's decision leaves these fields zero anyway.
 		nb, victimKey, evicted := p.llc.FillVictim(key, d.Hint, now, into)
-		nb.DP = d.SetDP
-		nb.Sig = d.Sig
-		nb.PCHash = d.PCHash
+		if nb != nil {
+			nb.DP = d.SetDP
+			nb.Sig = d.Sig
+			nb.PCHash = d.PCHash
+		}
 		if p.llcFF != nil {
 			p.llcFF.OnFillDone(nb)
 		}

@@ -228,10 +228,14 @@ func (s *System) SetTLBPredictor(p pred.TLBPredictor) {
 }
 
 // SetLLCPredictor installs one LLC predictor instance shared by every core
-// (nil restores the baseline).
+// (nil restores the baseline). Any predictor but the null one reads and
+// writes LLC entries, so the LLC keeps its payload from then on.
 func (s *System) SetLLCPredictor(p pred.LLCPredictor) {
 	if p == nil {
 		p = pred.NullLLC{}
+	}
+	if _, null := p.(pred.NullLLC); !null {
+		s.llc.KeepPayload()
 	}
 	s.llcPred = p
 	s.installPredictors()

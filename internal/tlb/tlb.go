@@ -83,11 +83,6 @@ func (t *TLB) Probe(vpn arch.VPN) (*cache.Block, bool) {
 	return t.c.Probe(uint64(vpn))
 }
 
-// Victim previews which entry a fill for vpn would evict.
-func (t *TLB) Victim(vpn arch.VPN) (cache.Block, bool) {
-	return t.c.Victim(uint64(vpn))
-}
-
 // Fill installs a translation. pcHash is the hash of the PC that triggered
 // the miss (recorded in the entry for dpPred's eviction-time update). The
 // returned victim is the evicted entry, if any, and nb is the newly

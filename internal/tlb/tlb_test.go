@@ -82,14 +82,21 @@ func TestEvictionReturnsVictimMetadata(t *testing.T) {
 	}
 }
 
+// TestVictimPreviewMatchesFill: a fill into a clone previews the victim
+// the same fill into the original evicts.
 func TestVictimPreviewMatchesFill(t *testing.T) {
 	tb := MustNew(Config{Name: "tiny", Entries: 4, Ways: 4, Latency: 1})
 	for v := arch.VPN(0); v < 4; v++ {
 		tb.Fill(v, arch.PFN(v), 0, policy.InsertMRU, uint64(v))
 	}
-	preview, would := tb.Victim(99)
-	if !would {
-		t.Fatal("full set should evict")
+	tb.Lookup(0, 5) // the LRU victim is now 1, not the first fill
+	n, err := tb.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, preview, would := n.Fill(99, 99, 0, policy.InsertMRU, 10)
+	if !would || preview.Key != 1 {
+		t.Fatalf("preview evicted=%v key %d, want key 1", would, preview.Key)
 	}
 	_, victim, _ := tb.Fill(99, 99, 0, policy.InsertMRU, 10)
 	if victim.Key != preview.Key {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -270,7 +271,8 @@ const (
 )
 
 // ReadBuffer deserializes a DPBF buffer dump, v1 or v2 (WriteToV2),
-// dispatching on the header's version field. Truncated, corrupt or
+// dispatching on the header's version field; a v2 stream is read whole and
+// decoded through OpenChunked's index checks. Truncated, corrupt or
 // future-versioned inputs return an error; they never panic and never
 // allocate proportionally to an unvalidated count.
 func ReadBuffer(r io.Reader) (*Buffer, error) {
@@ -288,7 +290,16 @@ func ReadBuffer(r io.Reader) (*Buffer, error) {
 	switch version {
 	case bufferVersion:
 	case bufferVersion2:
-		return readBufferV2(br, headerFlags, nameLen)
+		// One v2 parser: the file is read whole and opened by index.
+		data, err := io.ReadAll(io.MultiReader(bytes.NewReader(hdr[:]), br))
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading dpbf v2: %w", err)
+		}
+		ct, err := OpenChunked(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			return nil, err
+		}
+		return ct.materialize()
 	default:
 		return nil, fmt.Errorf("trace: unsupported buffer version %d", version)
 	}

@@ -610,82 +610,6 @@ func (d *v2ChunkDecoder) decode(chunk int, rawN, plainLen uint32) error {
 	return nil
 }
 
-// --- Sequential (io.Reader) decode --------------------------------------
-
-// readBufferV2 materializes a v2 stream into a Buffer. ReadBuffer dispatches
-// here after consuming the 10-byte magic|version|flags|nameLen prefix. The
-// whole file is consumed: after the last chunk the index and trailer are
-// read and cross-checked against the chunks actually seen, so a sequential
-// read enforces the same index consistency an io.ReaderAt open does.
-func readBufferV2(r io.Reader, headerFlags uint16, nameLen int) (*Buffer, error) {
-	h, err := readV2HeaderTail(r, headerFlags, nameLen)
-	if err != nil {
-		return nil, err
-	}
-	dec := newV2ChunkDecoder(h)
-	b := &Buffer{name: h.name}
-	var seenIndex []byte
-	offset := uint64(h.headerLen)
-	var hdr [v2ChunkHdrLen]byte
-	chunks := uint32(0)
-	for got := uint64(0); got < h.count; chunks++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("trace: dpbf v2 chunk %d header: %w", chunks, err)
-		}
-		rawN := binary.LittleEndian.Uint32(hdr[0:])
-		encLen := binary.LittleEndian.Uint32(hdr[4:])
-		plainLen := binary.LittleEndian.Uint32(hdr[8:])
-		if err := dec.validateChunkHdr(int(chunks), rawN, encLen, plainLen); err != nil {
-			return nil, err
-		}
-		if uint64(rawN) > h.count-got {
-			return nil, fmt.Errorf("trace: dpbf v2 chunk %d: %d records overflow the header count %d", chunks, rawN, h.count)
-		}
-		if cap(dec.raw) < int(encLen) {
-			dec.raw = make([]byte, encLen)
-		}
-		dec.raw = dec.raw[:encLen]
-		if _, err := io.ReadFull(r, dec.raw); err != nil {
-			return nil, fmt.Errorf("trace: dpbf v2 chunk %d payload: %w", chunks, err)
-		}
-		if err := dec.decode(int(chunks), rawN, plainLen); err != nil {
-			return nil, err
-		}
-		b.pc = append(b.pc, dec.pc...)
-		b.va = append(b.va, dec.va...)
-		b.gap = append(b.gap, dec.gap...)
-		b.flags = append(b.flags, dec.flags...)
-		seenIndex = binary.LittleEndian.AppendUint64(seenIndex, offset)
-		seenIndex = binary.LittleEndian.AppendUint32(seenIndex, encLen)
-		seenIndex = binary.LittleEndian.AppendUint32(seenIndex, rawN)
-		offset += v2ChunkHdrLen + uint64(encLen)
-		got += uint64(rawN)
-	}
-
-	footer := make([]byte, len(seenIndex)+v2TrailerLen)
-	if _, err := io.ReadFull(r, footer); err != nil {
-		return nil, fmt.Errorf("trace: dpbf v2 footer: %w", err)
-	}
-	trailer := footer[len(seenIndex):]
-	if string(trailer[12:16]) != v2TrailerMagic {
-		return nil, fmt.Errorf("trace: dpbf v2 bad trailer magic %q", trailer[12:16])
-	}
-	if !bytes.Equal(footer[:len(seenIndex)], seenIndex) {
-		return nil, fmt.Errorf("%w: index entries disagree with the chunks present", ErrChunkIndexMismatch)
-	}
-	if got := binary.LittleEndian.Uint64(trailer[0:]); got != offset {
-		return nil, fmt.Errorf("%w: trailer index offset %d, chunks end at %d", ErrChunkIndexMismatch, got, offset)
-	}
-	if got := binary.LittleEndian.Uint32(trailer[8:]); got != chunks {
-		return nil, fmt.Errorf("%w: trailer chunk count %d, file has %d", ErrChunkIndexMismatch, got, chunks)
-	}
-	var one [1]byte
-	if _, err := r.Read(one[:]); err != io.EOF {
-		return nil, fmt.Errorf("trace: dpbf v2: data after trailer")
-	}
-	return b, nil
-}
-
 // --- Random-access (io.ReaderAt) decode ----------------------------------
 
 // v2IndexEntryT is one parsed chunk-index entry.
@@ -795,6 +719,28 @@ func (t *ChunkedTrace) Chunks() int { return len(t.index) }
 // ChunkInfo reports chunk i's payload size and record count (for tools).
 func (t *ChunkedTrace) ChunkInfo(i int) (encLen, rawN uint32) {
 	return t.index[i].encLen, t.index[i].rawN
+}
+
+// materialize decodes every chunk into a Buffer, growing it only as chunks
+// actually decode, so a header count the payloads do not back allocates
+// nothing.
+func (t *ChunkedTrace) materialize() (*Buffer, error) {
+	b := &Buffer{name: t.h.name}
+	if t.h.count == 0 {
+		return b, nil
+	}
+	sr := t.NewReader()
+	for b.Len() < t.h.count {
+		c, err := sr.NextChunk(int(t.h.chunkLen))
+		if err != nil {
+			return nil, err
+		}
+		b.pc = append(b.pc, c.PC...)
+		b.va = append(b.va, c.VA...)
+		b.gap = append(b.gap, c.Gap...)
+		b.flags = append(b.flags, c.Flags...)
+	}
+	return b, nil
 }
 
 // NewReader returns a streaming cursor positioned at the first access. Each

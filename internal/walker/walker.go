@@ -93,9 +93,10 @@ func New(pt *pagetable.PageTable, cfg Config, fetch Fetch) (*Walker, error) {
 			continue
 		}
 		c, err := cache.New(cache.Config{
-			Name: fmt.Sprintf("PWC%d", i+1),
-			Sets: 1,
-			Ways: n,
+			Name:    fmt.Sprintf("PWC%d", i+1),
+			Sets:    1,
+			Ways:    n,
+			TagOnly: true, // residency is all a walk reads
 		})
 		if err != nil {
 			return nil, err

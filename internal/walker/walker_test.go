@@ -242,3 +242,26 @@ func BenchmarkWalk(b *testing.B) {
 		}
 	}
 }
+
+// TestPWCsAreTagOnly: a walk reads only whether a PWC holds a key, so the
+// page-walk caches keep no entry payload, and their clones keep none either.
+func TestPWCsAreTagOnly(t *testing.T) {
+	w, _ := newWalker(t, DefaultConfig(), 10)
+	const last = arch.VPN(63 << 9)
+	for v := arch.VPN(0); v <= last; v += 1 << 9 {
+		if _, err := w.Walk(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := w.Clone(w.pt, w.fetch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wk := range []*Walker{w, n} {
+		for i, c := range wk.pwc {
+			if b, ok := c.Probe(pwcKey(last, i)); !ok || b != nil {
+				t.Errorf("PWC%d: Probe = %v, %v; want a resident key and no block", i+1, b, ok)
+			}
+		}
+	}
+}
