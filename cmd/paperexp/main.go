@@ -419,6 +419,8 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "paperexp: oracle record passes: %d shared with the baseline cell, %d run alone\n", shared, alone)
 		forked, cold := r.WarmForks()
 		fmt.Fprintf(os.Stderr, "paperexp: warm-state forks: %d forked, %d fell back to cold\n", forked, cold)
+		made, freed := r.Traces()
+		fmt.Fprintf(os.Stderr, "paperexp: traces: %d materialized, %d released\n", made, freed)
 	}
 	fmt.Fprintf(os.Stderr, "paperexp: done in %v\n", time.Since(start).Round(time.Second))
 	return nil

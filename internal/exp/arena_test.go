@@ -75,7 +75,7 @@ func TestGoldenArenaResults(t *testing.T) {
 // registry sweep: every registered TLB-side predictor (the -predictors all
 // grid) must produce bit-identical results whatever the worker count.
 func TestParallelArenaSweep(t *testing.T) {
-	setups, err := SetupsFor(pred.TLBNames())
+	setups, err := setupsFor(pred.TLBNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,4 +175,18 @@ func TestTable4ExtendedUnknownName(t *testing.T) {
 			t.Errorf("error %q missing %q", err, frag)
 		}
 	}
+}
+
+// setupsFor resolves a list of names; any unknown name fails the whole
+// list.
+func setupsFor(names []string) ([]Setup, error) {
+	setups := make([]Setup, len(names))
+	for i, n := range names {
+		s, err := SetupFor(n)
+		if err != nil {
+			return nil, err
+		}
+		setups[i] = s
+	}
+	return setups, nil
 }

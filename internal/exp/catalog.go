@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -105,16 +104,4 @@ func ResolveSetup(name string) (Setup, bool) {
 	}
 	su, ok := catalogMap[name]
 	return su, ok
-}
-
-// CatalogNames lists every resolvable setup name (without the generated
-// "+acc" variants), sorted; tests sweep it to prove catalog completeness.
-func CatalogNames() []string {
-	catalogOnce.Do(buildCatalog)
-	names := make([]string, 0, len(catalogMap))
-	for n := range catalogMap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,14 +86,14 @@ func TestCellKeyIdentity(t *testing.T) {
 // can put in a grid resolves, the resolved setup carries the same identity
 // flags, and the "+acc" convention matches withAccuracy.
 func TestCatalogResolvesEveryStandardSetup(t *testing.T) {
-	names := CatalogNames()
+	names := catalogNames()
 	if len(names) < 30 {
 		t.Fatalf("catalog suspiciously small: %d setups", len(names))
 	}
 	for _, name := range names {
 		su, ok := ResolveSetup(name)
 		if !ok {
-			t.Fatalf("CatalogNames lists %q but ResolveSetup declines it", name)
+			t.Fatalf("catalogNames lists %q but ResolveSetup declines it", name)
 		}
 		if su.Name != name {
 			t.Fatalf("ResolveSetup(%q) returned setup named %q", name, su.Name)
@@ -313,4 +314,16 @@ func TestFingerprintOncePerWorkload(t *testing.T) {
 	if n := built.Load(); n != 2 {
 		t.Fatalf("%d cells built the workload's generator %d times, want 2 (one fingerprint, one trace)", len(setups), n)
 	}
+}
+
+// catalogNames lists every resolvable setup name (without the generated
+// "+acc" variants), sorted.
+func catalogNames() []string {
+	catalogOnce.Do(buildCatalog)
+	names := make([]string, 0, len(catalogMap))
+	for n := range catalogMap {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -73,9 +73,10 @@ func (f *flight[V]) has(key string) bool {
 }
 
 // node is a value the cells of one planned grid share (gridPlan): a
-// baseline pass's Result or a warmed master. edges counts the consumers
-// yet to drop it. One consumer computes and publishes the value, the rest
-// wait for done and read it until they drop; the last drop releases it.
+// baseline pass's Result, a warmed master or a workload's trace. edges
+// counts the consumers yet to drop it. One consumer computes and publishes
+// the value, the rest wait for done and read it until they drop; the last
+// drop releases it.
 type node struct {
 	mu      sync.Mutex
 	edges   int
@@ -83,6 +84,7 @@ type node struct {
 	done    chan struct{} // closed once val and err are final
 	val     any
 	err     error
+	release func(val any) // when set, the last drop hands it a published value
 }
 
 // publish sets the outcome and wakes the waiters; only the first call
@@ -108,6 +110,9 @@ func (n *node) drop(computes bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.edges--; n.edges == 0 {
+		if n.release != nil && n.val != nil {
+			n.release(n.val)
+		}
 		n.val = nil
 	}
 }

@@ -23,6 +23,7 @@ type gridPlan struct {
 	setups    []Setup
 	seen      map[string]bool
 	edges     map[string]*edge // by consuming cell (workload/setup)
+	traces    map[string]*edge // each cell's edge into its workload's trace
 }
 
 func (p *gridPlan) add(workloads []trace.Workload, setups []Setup) {
@@ -42,10 +43,11 @@ func (p *gridPlan) add(workloads []trace.Workload, setups []Setup) {
 
 // edge is one cell's edge into a node of its plan, used only by the cell's
 // goroutine. An oracle cell computes its pass and the baseline waits for
-// it; the first of a master's consumers to reach a pool slot computes it.
+// it; the first of a master's consumers to reach a pool slot computes it,
+// and the first reader of a trace materializes it (Runner.generator).
 type edge struct {
 	*node
-	pass     bool // the node is a baseline pass, not a warmed master
+	pass     bool // the node is a baseline pass, not a warmed master or a trace
 	computes bool
 	dropped  bool
 }
@@ -71,8 +73,11 @@ func (e *edge) drop() {
 //   - One warmed master per (workload, WarmupKey) with a warm-path
 //     consumer: a warm-shareable cell not memoized or in flight, and not a
 //     baseline cell taking a pass.
+//   - One trace per workload, with an edge from every cell. Its first
+//     reader materializes it; cells that will not read it drop their edge
+//     early (Runner.lead, Runner.runLocal), so the last reader releases it.
 func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan {
-	p := &gridPlan{seen: make(map[string]bool), edges: make(map[string]*edge)}
+	p := &gridPlan{seen: make(map[string]bool), edges: make(map[string]*edge), traces: make(map[string]*edge)}
 	p.add(workloads, setups)
 	var base, oracle string
 	for _, su := range p.setups {
@@ -92,8 +97,10 @@ func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan 
 			p.edges[b] = &edge{node: n, pass: true}
 			p.edges[o] = &edge{node: n, pass: true, computes: true}
 		}
+		tn := &node{edges: len(p.setups), done: make(chan struct{}), release: r.releaseTrace}
 		for _, su := range p.setups {
 			cell, master := w.Name+"/"+su.Name, w.Name+"/"+su.WarmupKey
+			p.traces[cell] = &edge{node: tn}
 			if !r.warmShareable(su) || r.results.has(cell) || p.edges[cell] != nil {
 				continue
 			}

@@ -43,20 +43,6 @@ func SetupFor(name string) (Setup, error) {
 	return setupFromReg(reg)
 }
 
-// SetupsFor resolves a list of names; any unknown name fails the whole
-// list.
-func SetupsFor(names []string) ([]Setup, error) {
-	setups := make([]Setup, len(names))
-	for i, n := range names {
-		s, err := SetupFor(n)
-		if err != nil {
-			return nil, err
-		}
-		setups[i] = s
-	}
-	return setups, nil
-}
-
 // setupFromReg builds the Setup for one registration.
 func setupFromReg(reg pred.Registration) (Setup, error) {
 	s := Setup{Name: reg.Name}

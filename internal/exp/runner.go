@@ -8,8 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -109,10 +107,10 @@ type Runner struct {
 
 	// traceDir, when set (SetTraceDir), switches the trace plane from
 	// in-memory materialized buffers to compressed DPBF v2 files in this
-	// directory: each workload's stream is recorded once (single-flight,
-	// temp+rename) and every worker replays it through its own streaming
-	// chunk cursor, so memory stays bounded by chunks-in-flight instead of
-	// the full warmup+measure trace.
+	// directory: each workload's stream is recorded once (temp+rename) and
+	// every cell replays it through its own streaming chunk cursor, so
+	// memory stays bounded by chunks-in-flight instead of the full
+	// warmup+measure trace.
 	traceDir string
 
 	// ctx is the base context Run and RunGrid execute under (SetContext);
@@ -126,16 +124,14 @@ type Runner struct {
 	// grids want: one broken setup should not hide the other columns.
 	FailFast bool
 
-	// results, traces and fps are the runner's single-flight stores
-	// (flight): one result per (workload, setup) name pair; one trace per
-	// workload, generated once and shared read-only by every setup and
-	// worker; and one content fingerprint per workload, computed the first
-	// time a cell is keyed (CellKey hashes the stream prefix, so sharing it
-	// keeps keying O(1) per cell). What cells share beyond these, a
-	// baseline pass or a warmed master, lives in the nodes of their grid's
-	// plan (planGrid) and goes with it.
+	// results and fps are the runner's single-flight stores (flight): one
+	// result per (workload, setup) name pair, and one content fingerprint
+	// per workload, computed the first time a cell is keyed (CellKey hashes
+	// the stream prefix, so sharing it keeps keying O(1) per cell). What
+	// cells share beyond these, a workload's trace, a baseline pass or a
+	// warmed master, lives in the nodes of their grid's plan (planGrid) and
+	// goes with its last reader.
 	results flight[sim.Result]
-	traces  flight[traceSrc]
 	fps     flight[string]
 
 	// plan, when set, makes the runner a planner (PlanGrid): RunGrid
@@ -150,6 +146,9 @@ type Runner struct {
 	// of the shared master, or sent to the cold path because Fork refused
 	// it (WarmForks).
 	warmForked, warmCold atomic.Int64
+	// tracesMade and tracesFreed count trace nodes materialized (or opened)
+	// and released by their last reader (Traces).
+	tracesMade, tracesFreed atomic.Int64
 
 	// Memo, when set, layers a persistent result store under the
 	// in-process memo: leaders consult it before simulating or offloading a
@@ -189,15 +188,9 @@ type Runner struct {
 	Status *serve.Board
 }
 
-// traceSrc is one workload's shared trace: exactly one of buf (in-memory
-// materialized buffer) or ct (disk-backed DPBF v2 trace, the SetTraceDir
-// mode) is set.
-type traceSrc struct {
-	buf *trace.Buffer
-	ct  *trace.ChunkedTrace
-}
-
-// warmMaster is a warmed machine its grid's warm-path cells fork.
+// warmMaster is a warmed machine its grid's warm-path cells fork. It holds
+// its own reference to the trace, so the buffer outlives the trace node for
+// as long as the master or a fork's cursor reads it.
 type warmMaster struct {
 	sys *sim.System
 	buf *trace.Buffer // shared trace, with pos = the post-warmup cursor
@@ -239,9 +232,10 @@ func (r *Runner) SetContext(ctx context.Context) { r.ctx = ctx }
 // byte-identical to the default in-memory mode at any job count — both
 // feed the same columnar chunks to sim.System.RunContext — but warm
 // sharing is off, since a fork resumes mid-buffer: every cell warms its
-// own machine and no warm master is planned. The directory must
-// exist; trace files opened from it stay open for the runner's lifetime.
-// Call before submitting work.
+// own machine and no warm master is planned. The directory must exist. A
+// trace file opened from it stays open while cells of its grid may read it
+// and closes when the last of them drops its edge. Call before submitting
+// work.
 func (r *Runner) SetTraceDir(dir string) { r.traceDir = dir }
 
 // baseCtx returns the runner's base context.
@@ -280,6 +274,15 @@ func (r *Runner) WarmForks() (forked, cold int64) {
 	return r.warmForked.Load(), r.warmCold.Load()
 }
 
+// Traces reports the workload traces materialized so far (with
+// SetTraceDir: opened), one per plan and workload a cell read, and how many
+// of them their last reader has released. Once every grid and Run has
+// returned the two are equal.
+func (r *Runner) Traces() (materialized, released int64) {
+	released = r.tracesFreed.Load() // first: a trace is counted before it is released
+	return r.tracesMade.Load(), released
+}
+
 // Run simulates one workload under one setup (memoized, single-flight).
 // Concurrent callers asking for the same key block until the leader's
 // simulation finishes and then share its result; errors are memoized too,
@@ -300,15 +303,18 @@ func (r *Runner) RunContext(ctx context.Context, w trace.Workload, setup Setup) 
 		return sim.Result{}, ErrPlanned
 	}
 	p := r.planGrid([]trace.Workload{w}, []Setup{setup})
-	return r.run(ctx, w, setup, p.edges[w.Name+"/"+setup.Name])
+	cell := w.Name + "/" + setup.Name
+	return r.run(ctx, w, setup, p.edges[cell], p.traces[cell])
 }
 
 // run runs one cell of a plan, whose edge into a shared node is e (nil if
-// it has none), and drops e when it returns, on every path.
-func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup, e *edge) (sim.Result, error) {
+// it has none) and into its workload's trace te, and drops both when it
+// returns, on every path.
+func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup, e, te *edge) (sim.Result, error) {
 	defer e.drop()
+	defer te.drop()
 	res, shared, err := r.results.do(ctx, w.Name+"/"+setup.Name, func() (sim.Result, error) {
-		return r.lead(ctx, w, setup, e)
+		return r.lead(ctx, w, setup, e, te)
 	})
 	if shared {
 		if r.Status != nil && err == nil {
@@ -328,8 +334,9 @@ func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup, e *edge
 // worker pool. A cell a worker can rebuild by name goes to the external
 // executor, if one is set, inside a cell span, so -v and the status board
 // see it; any other cell takes the local path (runLocal). A result from
-// either path is published into the persistent memo.
-func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edge) (res sim.Result, err error) {
+// either path is published into the persistent memo. Neither a memo hit nor
+// an executor's cell reads the trace.
+func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e, te *edge) (res sim.Result, err error) {
 	var key string
 	if r.Memo != nil || r.Executor != nil {
 		// A keying failure (the workload's generator errors while being
@@ -349,6 +356,7 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edg
 		// The span opens when the executor starts the cell, not while it
 		// waits in the executor's queue; a cell that never started (its
 		// wait was canceled) still opens one here, so it ends failed.
+		te.drop()
 		var once sync.Once
 		var done func(error)
 		started := func() { once.Do(func() { done = r.cellSpan(w.Name, setup.Name) }) }
@@ -358,7 +366,7 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edg
 		started()
 		done(err)
 	} else {
-		res, err = r.runLocal(ctx, w, setup, e)
+		res, err = r.runLocal(ctx, w, setup, e, te)
 	}
 	if err == nil && key != "" && r.Memo != nil {
 		// Best-effort: the result is correct whether or not it persists,
@@ -370,16 +378,21 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e *edg
 
 // runLocal simulates a cell in this process: wait for a node another cell
 // computes, acquire a pool slot (abandoning either wait if ctx is canceled
-// first), and run the cell with panic containment inside a cell span.
-func (r *Runner) runLocal(ctx context.Context, w trace.Workload, setup Setup, e *edge) (sim.Result, error) {
+// first), and run the cell with panic containment inside a cell span. The
+// cell drops its trace edge before it gives up its slot.
+func (r *Runner) runLocal(ctx context.Context, w trace.Workload, setup Setup, e, te *edge) (sim.Result, error) {
 	// A baseline cell waits for its workload's pass before taking a pool
 	// slot, so waiting holds no slot and its progress span covers only its
-	// own work.
+	// own work. A published pass is its Result, so it drops its trace edge
+	// at once; it reads the trace only if the pass failed.
 	if e != nil && e.pass && !e.computes {
 		select {
 		case <-e.done:
 		case <-ctx.Done():
 			return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
+		}
+		if e.err == nil {
+			te.drop()
 		}
 	}
 	select {
@@ -388,8 +401,9 @@ func (r *Runner) runLocal(ctx context.Context, w trace.Workload, setup Setup, e 
 		return sim.Result{}, fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, ctx.Err())
 	}
 	defer func() { <-r.sem }() // release the slot before waking waiters
+	defer te.drop()
 	done := r.cellSpan(w.Name, setup.Name)
-	res, err := r.runUncached(ctx, w, setup, e)
+	res, err := r.runUncached(ctx, w, setup, e, te)
 	if err != nil {
 		err = fmt.Errorf("exp: %s under %s: %w", w.Name, setup.Name, err)
 	}
@@ -480,7 +494,8 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 			wg.Add(1)
 			go func(w trace.Workload, su Setup) {
 				defer wg.Done()
-				_, err := r.run(gctx, w, su, p.edges[w.Name+"/"+su.Name])
+				cell := w.Name + "/" + su.Name
+				_, err := r.run(gctx, w, su, p.edges[cell], p.traces[cell])
 				if err == nil {
 					return
 				}
@@ -515,81 +530,6 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 		return fmt.Errorf("exp: grid canceled (%d cells unfinished): %w", canceled, cause)
 	}
 	return nil
-}
-
-// generator returns a fresh start-positioned cursor over the workload's
-// trace. The trace itself is built once per workload (single-flight,
-// covering warmup+measure) and shared read-only afterwards; callers each
-// get an independent cursor. In the default mode that is a BufferReader
-// over an in-memory materialized buffer; with SetTraceDir it is a
-// StreamReader over a compressed DPBF v2 file on disk. Either way the
-// cursor implements trace.ChunkReader, so every run takes the batched
-// columnar simulation path.
-func (r *Runner) generator(ctx context.Context, w trace.Workload) (trace.Generator, error) {
-	src, _, err := r.traces.do(ctx, w.Name, func() (src traceSrc, err error) {
-		if r.traceDir != "" {
-			src.ct, err = r.streamWorkload(ctx, w)
-		} else {
-			src.buf, err = trace.MaterializeContext(ctx, w.New(r.params.Seed), r.params.Warmup+r.params.Measure)
-		}
-		return src, err
-	})
-	switch {
-	case err != nil:
-		return nil, err
-	case src.ct != nil:
-		return src.ct.NewReader(), nil
-	}
-	return src.buf.Reader(), nil
-}
-
-// streamWorkload records the workload's warmup+measure stream as a
-// compressed DPBF v2 file under traceDir (or reuses an existing file whose
-// name encodes the same workload, seed and length) and opens it for
-// chunk-streamed random access. The write goes to a temp file renamed into
-// place, so a crashed or canceled recording never leaves a truncated file
-// that a later run would trust; the opened file handle stays live for the
-// runner's lifetime, shared by every StreamReader.
-func (r *Runner) streamWorkload(ctx context.Context, w trace.Workload) (*trace.ChunkedTrace, error) {
-	n := r.params.Warmup + r.params.Measure
-	path := filepath.Join(r.traceDir, fmt.Sprintf("%s-seed%d-n%d.dpbf", w.Name, r.params.Seed, n))
-	f, err := os.Open(path)
-	if err != nil {
-		tmp, terr := os.CreateTemp(r.traceDir, w.Name+".*.tmp")
-		if terr != nil {
-			return nil, fmt.Errorf("exp: recording %s: %w", w.Name, terr)
-		}
-		werr := trace.RecordV2Context(ctx, tmp, w.New(r.params.Seed), n)
-		if cerr := tmp.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(tmp.Name(), path)
-		}
-		if werr != nil {
-			os.Remove(tmp.Name())
-			return nil, fmt.Errorf("exp: recording %s: %w", w.Name, werr)
-		}
-		if f, err = os.Open(path); err != nil {
-			return nil, fmt.Errorf("exp: recording %s: %w", w.Name, err)
-		}
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("exp: opening cached trace %s: %w", path, err)
-	}
-	ct, err := trace.OpenChunked(f, info.Size())
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("exp: opening cached trace %s: %w", path, err)
-	}
-	if ct.Len() != n || ct.Name() != w.Name {
-		f.Close()
-		return nil, fmt.Errorf("exp: cached trace %s holds %d accesses of %q, want %d of %q; delete it to re-record",
-			path, ct.Len(), ct.Name(), n, w.Name)
-	}
-	return ct, nil
 }
 
 // BuildSystem constructs the one-core machine and its
@@ -674,9 +614,9 @@ func measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generato
 }
 
 // simulate runs a freshly built machine over the workload's warmup and
-// measured accesses.
-func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, setup Setup) (sim.Result, error) {
-	g, err := r.generator(ctx, w)
+// measured accesses, read through the cell's trace edge te.
+func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, setup Setup, te *edge) (sim.Result, error) {
+	g, err := r.generator(ctx, w, te)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -705,7 +645,7 @@ func (r *Runner) warmShareable(setup Setup) bool {
 // it. Each consumer drops its edge once it has forked, so the last fork
 // releases the machine. ok=false sends the caller to the cold path: Fork
 // refused (counted in WarmForks), or the master failed for another cell.
-func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e *edge) (res sim.Result, ok bool, err error) {
+func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e, te *edge) (res sim.Result, ok bool, err error) {
 	e.computes = e.claimed.CompareAndSwap(false, true)
 	if !e.computes {
 		select {
@@ -719,7 +659,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e
 			if err != nil {
 				return nil, err
 			}
-			rd, err := r.generator(ctx, w)
+			rd, err := r.generator(ctx, w, te)
 			if err != nil {
 				return nil, err
 			}
@@ -758,7 +698,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e
 // Result, a warm-path cell measures on a fork of its master; a consumer
 // whose node failed runs on its own. A panicking Setup constructor or
 // predictor fails only its own cell, with a stack.
-func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup, e *edge) (res sim.Result, err error) {
+func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup, e, te *edge) (res sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
@@ -767,7 +707,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 	switch {
 	case e == nil || setup.Oracle:
 	case !e.pass:
-		if res, ok, err := r.runShared(ctx, w, setup, e); ok {
+		if res, ok, err := r.runShared(ctx, w, setup, e, te); ok {
 			return res, err
 		}
 	case e.err == nil:
@@ -778,7 +718,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 	if setup.Oracle {
 		// Recording pass: the baseline machine over the same trace. A
 		// paired oracle publishes its Result, which is the baseline cell's.
-		record, res, err := r.baselinePass(ctx, w, setup.Config)
+		record, res, err := r.baselinePass(ctx, w, setup.Config, te)
 		if err == nil {
 			r.recordPasses.Add(1)
 		}
@@ -808,7 +748,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 		defer join()
 		s.AttachObserver(child)
 	}
-	return r.simulate(ctx, s, w, setup)
+	return r.simulate(ctx, s, w, setup, te)
 }
 
 // baselinePass runs the predictor-less machine config describes (nil means
@@ -816,7 +756,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 // RecorderTLB capturing every LLT fill's ground-truth DOA outcome for the
 // oracle. The recorder never bypasses and sim.Result reports nothing about
 // predictors, so the Result is the plain machine's cell bit for bit.
-func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, config func() sim.Config) (*pred.DOARecord, sim.Result, error) {
+func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, config func() sim.Config, te *edge) (*pred.DOARecord, sim.Result, error) {
 	rec := pred.NewDOARecord()
 	s, err := r.BuildSystem(Setup{Config: config, TLB: func(*sim.System) (pred.TLBPredictor, error) {
 		return pred.NewRecorderTLB(rec), nil
@@ -824,7 +764,7 @@ func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, config func
 	if err != nil {
 		return nil, sim.Result{}, err
 	}
-	res, err := r.simulate(ctx, s, w, Setup{})
+	res, err := r.simulate(ctx, s, w, Setup{}, te)
 	if err != nil {
 		return nil, sim.Result{}, err
 	}

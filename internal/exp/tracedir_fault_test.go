@@ -16,10 +16,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Regression tests for the PR 9 streamed-trace memo (-trace-dir): a
-// cancellation or failure mid-record must leave no temp files, no
-// truncated .dpbf a later run would accept, and no stale memo entry — the
-// interrupted workload's trace is recomputed from scratch.
+// Regression tests for streamed traces (-trace-dir): a cancellation or
+// failure mid-record must leave no temp files, no truncated .dpbf a later
+// run would accept, and nothing a later run reuses — the interrupted
+// workload's trace is recomputed from scratch.
 
 // hookGen passes an inner generator through, firing hook once when the
 // shared counter reaches at.
@@ -80,9 +80,9 @@ func listDir(t *testing.T, dir string) []string {
 
 // TestTraceDirCancelMidRecordRecomputes is the SIGINT-mid-record audit:
 // cancel the context while a workload's trace file is being recorded, then
-// prove the aborted recording left no file behind (temp or final), the
-// trace memo was evicted, and a later run re-records and produces the same
-// bytes as the in-memory mode — never a stale or partial trace.
+// prove the aborted recording left no file behind (temp or final), and a
+// later run re-records and produces the same bytes as the in-memory mode —
+// never a stale or partial trace.
 func TestTraceDirCancelMidRecordRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	inner := testWorkload(t, "cc")
@@ -108,7 +108,7 @@ func TestTraceDirCancelMidRecordRecomputes(t *testing.T) {
 	}
 
 	// The same runner must recompute, not replay the aborted attempt: the
-	// buffer memo was evicted, so this re-records the full trace.
+	// next Run plans its own trace node, so this re-records the full trace.
 	res, err := r.RunContext(context.Background(), w, Baseline())
 	if err != nil {
 		t.Fatalf("re-run after canceled recording: %v", err)
@@ -153,13 +153,13 @@ func TestTraceDirGeneratorErrorCleansUp(t *testing.T) {
 	if left := listDir(t, dir); len(left) != 0 {
 		t.Fatalf("failed recording left files behind: %v", left)
 	}
-	// Real errors stay memoized — the second run replays the failure
-	// without touching the directory again.
+	// A trace lives in its plan, so a later Run records again; it fails the
+	// same way and again leaves nothing behind.
 	if _, err := r.Run(w, DPPredSetup()); !errors.Is(err, faultio.ErrInjected) {
-		t.Fatalf("memoized recording failure lost: %v", err)
+		t.Fatalf("second recording did not fail: %v", err)
 	}
 	if left := listDir(t, dir); len(left) != 0 {
-		t.Fatalf("memoized failure re-touched the trace dir: %v", left)
+		t.Fatalf("second failed recording left files behind: %v", left)
 	}
 }
 

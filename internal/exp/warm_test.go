@@ -70,8 +70,8 @@ func TestWarmSharedMatchesCold(t *testing.T) {
 
 // trackPlans records every plan r runs from now on and returns a func
 // listing the cells whose node still holds an edge or a value (a master's
-// machine, a pass's record). Once every grid and Run has returned there
-// must be none: nothing a grid shares outlives it.
+// machine, a pass's record, a workload's trace). Once every grid and Run
+// has returned there must be none: nothing a grid shares outlives it.
 func trackPlans(r *Runner) (held func() []string) {
 	var mu sync.Mutex
 	var plans []*gridPlan
@@ -85,12 +85,14 @@ func trackPlans(r *Runner) (held func() []string) {
 		defer mu.Unlock()
 		var out []string
 		for _, p := range plans {
-			for cell, e := range p.edges {
-				e.mu.Lock()
-				edges, holds := e.edges, e.val != nil
-				e.mu.Unlock()
-				if edges != 0 || holds {
-					out = append(out, fmt.Sprintf("%s (%d edges, value held %v)", cell, edges, holds))
+			for kind, edges := range map[string]map[string]*edge{"": p.edges, " trace": p.traces} {
+				for cell, e := range edges {
+					e.mu.Lock()
+					n, holds := e.edges, e.val != nil
+					e.mu.Unlock()
+					if n != 0 || holds {
+						out = append(out, fmt.Sprintf("%s%s (%d edges, value held %v)", cell, kind, n, holds))
+					}
 				}
 			}
 		}

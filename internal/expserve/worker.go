@@ -42,7 +42,7 @@ type worker struct {
 	client *http.Client
 
 	mu      sync.Mutex
-	runners map[exp.Params]*exp.Runner // one runner per parameter set, sharing trace memos across cells
+	runners map[exp.Params]*exp.Runner // one runner per parameter set, sharing its result memo across cells
 }
 
 // RunWorker pulls cells from a coordinator until the sweep is done, the
@@ -94,9 +94,11 @@ func (w *worker) logf(format string, args ...any) {
 	fmt.Fprintf(out, "worker %s: "+format+"\n", append([]any{w.cfg.ID}, args...)...)
 }
 
-// runner returns the shared runner for one parameter set. Runners memoize
-// workload traces, so cells sharing a workload generate (or open) its
-// trace once per worker process, not once per cell.
+// runner returns the shared runner for one parameter set. Each leased cell
+// is a lone Run, a plan of one, so it materializes (or opens) its
+// workload's trace itself and releases it when it finishes: a worker holds
+// only its running cells' traces, at the cost of one materialization per
+// cell.
 func (w *worker) runner(p exp.Params) *exp.Runner {
 	w.mu.Lock()
 	defer w.mu.Unlock()

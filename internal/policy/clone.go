@@ -24,17 +24,6 @@ func (s *srripSet) CloneSet(map[any]any) Set {
 	return &srripSet{rrpv: append([]uint8(nil), s.rrpv...)}
 }
 
-// CloneSet implements SetCloner.
-func (s *fifoSet) CloneSet(map[any]any) Set {
-	return &fifoSet{order: append([]uint64(nil), s.order...), clock: s.clock}
-}
-
-// CloneSet implements SetCloner.
-func (s *randomSet) CloneSet(map[any]any) Set {
-	c := *s
-	return &c
-}
-
 // CloneSet implements SetCloner. All sets of one DIP-managed structure
 // share a single duel/PSEL state; the shared map keeps that topology:
 // exactly one dipState copy is made per structure clone.
@@ -55,7 +44,5 @@ func (s *dipSet) CloneSet(shared map[any]any) Set {
 var (
 	_ SetCloner = (*lruSet)(nil)
 	_ SetCloner = (*srripSet)(nil)
-	_ SetCloner = (*fifoSet)(nil)
-	_ SetCloner = (*randomSet)(nil)
 	_ SetCloner = (*dipSet)(nil)
 )

@@ -1,7 +1,6 @@
 // Package policy implements the replacement policies used by the simulated
 // TLBs and caches: LRU (the paper's baseline), SRRIP (used in the Fig. 11f
-// sensitivity study), FIFO (used by cbPred's PFN filter queue) and a
-// deterministic pseudo-random policy for comparison experiments.
+// sensitivity study) and DIP with its set-dueling monitor.
 //
 // A Policy is a factory producing independent per-set state. The cache owns
 // validity: it always prefers an invalid way, so a Set only ranks valid
@@ -10,8 +9,6 @@
 // LRU position under LRU, or with RRPV=3 under SRRIP, exactly as §VI-A
 // adapts SHiP to an LRU baseline).
 package policy
-
-import "fmt"
 
 // InsertHint tells the policy where a newly filled block should start.
 type InsertHint int
@@ -43,26 +40,6 @@ type Policy interface {
 	Name() string
 	// NewSet returns replacement state for a set with the given ways.
 	NewSet(ways int) Set
-}
-
-// New returns the policy with the given name. Supported names are
-// "LRU", "SRRIP", "FIFO" and "Random".
-func New(name string) (Policy, error) {
-	switch name {
-	case "LRU", "lru":
-		return LRU{}, nil
-	case "SRRIP", "srrip":
-		return SRRIP{}, nil
-	case "FIFO", "fifo":
-		return FIFO{}, nil
-	case "Random", "random":
-		return Random{Seed: 1}, nil
-	case "DIP", "dip":
-		// A fresh instance per call: DIP carries shared dueling state
-		// and must not be reused across structures.
-		return NewDIP(), nil
-	}
-	return nil, fmt.Errorf("policy: unknown replacement policy %q", name)
 }
 
 // LRU is the least-recently-used policy (the paper's baseline everywhere).
@@ -178,79 +155,3 @@ func (s *srripSet) Victim() int {
 }
 
 func (s *srripSet) Invalidate(way int) { s.rrpv[way] = rrpvMax }
-
-// FIFO replaces ways in insertion order, ignoring hits. cbPred's PFQ uses
-// FIFO replacement (§V-B).
-type FIFO struct{}
-
-// Name implements Policy.
-func (FIFO) Name() string { return "FIFO" }
-
-// NewSet implements Policy.
-func (FIFO) NewSet(ways int) Set {
-	s := &fifoSet{order: make([]uint64, ways)}
-	for i := range s.order {
-		s.order[i] = uint64(i)
-	}
-	s.clock = uint64(ways)
-	return s
-}
-
-type fifoSet struct {
-	order []uint64
-	clock uint64
-}
-
-func (s *fifoSet) Touch(int) {}
-
-func (s *fifoSet) Insert(way int, _ InsertHint) {
-	s.clock++
-	s.order[way] = s.clock
-}
-
-func (s *fifoSet) Victim() int {
-	victim := 0
-	for i := 1; i < len(s.order); i++ {
-		if s.order[i] < s.order[victim] {
-			victim = i
-		}
-	}
-	return victim
-}
-
-func (s *fifoSet) Invalidate(way int) { s.order[way] = 0 }
-
-// Random picks victims with a per-set xorshift64 generator, seeded
-// deterministically so that simulations are reproducible.
-type Random struct {
-	// Seed perturbs every per-set generator; zero is replaced by one.
-	Seed uint64
-}
-
-// Name implements Policy.
-func (Random) Name() string { return "Random" }
-
-// NewSet implements Policy.
-func (r Random) NewSet(ways int) Set {
-	seed := r.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &randomSet{ways: ways, state: seed}
-}
-
-type randomSet struct {
-	ways  int
-	state uint64
-}
-
-func (s *randomSet) Touch(int)              {}
-func (s *randomSet) Insert(int, InsertHint) {}
-func (s *randomSet) Invalidate(int)         {}
-
-func (s *randomSet) Victim() int {
-	s.state ^= s.state << 13
-	s.state ^= s.state >> 7
-	s.state ^= s.state << 17
-	return int(s.state % uint64(s.ways))
-}

@@ -1,22 +1,23 @@
 package policy
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewByName(t *testing.T) {
 	for _, name := range []string{"LRU", "SRRIP", "FIFO", "Random", "lru", "srrip"} {
-		p, err := New(name)
+		p, err := byName(name)
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("byName(%q): %v", name, err)
 		}
 		if p.NewSet(4) == nil {
-			t.Fatalf("New(%q).NewSet returned nil", name)
+			t.Fatalf("byName(%q).NewSet returned nil", name)
 		}
 	}
-	if _, err := New("PLRU"); err == nil {
-		t.Error("New(PLRU) should fail")
+	if _, err := byName("PLRU"); err == nil {
+		t.Error("byName(PLRU) should fail")
 	}
 }
 
@@ -181,4 +182,111 @@ func TestLRUTouchProtectsProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// byName returns the policy with the given name: the package's policies
+// and the FIFO and Random reference policies below.
+func byName(name string) (Policy, error) {
+	switch name {
+	case "LRU", "lru":
+		return LRU{}, nil
+	case "SRRIP", "srrip":
+		return SRRIP{}, nil
+	case "FIFO", "fifo":
+		return FIFO{}, nil
+	case "Random", "random":
+		return Random{Seed: 1}, nil
+	case "DIP", "dip":
+		// A fresh instance per call: DIP carries shared dueling state
+		// and must not be reused across structures.
+		return NewDIP(), nil
+	}
+	return nil, fmt.Errorf("policy: unknown replacement policy %q", name)
+}
+
+// FIFO replaces ways in insertion order, ignoring hits: a reference policy
+// the property tests run beside the package's own.
+type FIFO struct{}
+
+// Name implements Policy.
+func (FIFO) Name() string { return "FIFO" }
+
+// NewSet implements Policy.
+func (FIFO) NewSet(ways int) Set {
+	s := &fifoSet{order: make([]uint64, ways)}
+	for i := range s.order {
+		s.order[i] = uint64(i)
+	}
+	s.clock = uint64(ways)
+	return s
+}
+
+type fifoSet struct {
+	order []uint64
+	clock uint64
+}
+
+func (s *fifoSet) Touch(int) {}
+
+func (s *fifoSet) Insert(way int, _ InsertHint) {
+	s.clock++
+	s.order[way] = s.clock
+}
+
+func (s *fifoSet) Victim() int {
+	victim := 0
+	for i := 1; i < len(s.order); i++ {
+		if s.order[i] < s.order[victim] {
+			victim = i
+		}
+	}
+	return victim
+}
+
+func (s *fifoSet) Invalidate(way int) { s.order[way] = 0 }
+
+// CloneSet implements SetCloner.
+func (s *fifoSet) CloneSet(map[any]any) Set {
+	return &fifoSet{order: append([]uint64(nil), s.order...), clock: s.clock}
+}
+
+// Random picks victims with a per-set xorshift64 generator, seeded
+// deterministically: another reference policy for the property tests.
+type Random struct {
+	// Seed perturbs every per-set generator; zero is replaced by one.
+	Seed uint64
+}
+
+// Name implements Policy.
+func (Random) Name() string { return "Random" }
+
+// NewSet implements Policy.
+func (r Random) NewSet(ways int) Set {
+	seed := r.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return &randomSet{ways: ways, state: seed}
+}
+
+type randomSet struct {
+	ways  int
+	state uint64
+}
+
+func (s *randomSet) Touch(int)              {}
+func (s *randomSet) Insert(int, InsertHint) {}
+func (s *randomSet) Invalidate(int)         {}
+
+func (s *randomSet) Victim() int {
+	s.state ^= s.state << 13
+	s.state ^= s.state >> 7
+	s.state ^= s.state << 17
+	return int(s.state % uint64(s.ways))
+}
+
+// CloneSet implements SetCloner.
+func (s *randomSet) CloneSet(map[any]any) Set {
+	c := *s
+	return &c
 }

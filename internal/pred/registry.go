@@ -212,6 +212,3 @@ func Names() []string { return defaultRegistry.Names(0) }
 // TLBNames lists the registered TLB-side predictors, sorted by name — the
 // default extended-Table-IV sweep.
 func TLBNames() []string { return defaultRegistry.Names(KindTLB) }
-
-// LLCNames lists the registered LLC-side predictors, sorted by name.
-func LLCNames() []string { return defaultRegistry.Names(KindLLC) }
