@@ -421,6 +421,9 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "paperexp: warm-state forks: %d forked, %d fell back to cold\n", forked, cold)
 		made, freed := r.Traces()
 		fmt.Fprintf(os.Stderr, "paperexp: traces: %d materialized, %d released\n", made, freed)
+		st := r.Storage()
+		fmt.Fprintf(os.Stderr, "paperexp: storage: %d machines built, %d recycled, %d kept; %d trace buffers reused\n",
+			st.Built, st.Recycled, st.Kept, st.TracesReused)
 	}
 	fmt.Fprintf(os.Stderr, "paperexp: done in %v\n", time.Since(start).Round(time.Second))
 	return nil

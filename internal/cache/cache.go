@@ -36,6 +36,12 @@
 // payload cache holds when no caller writes its fields. KeepPayload turns
 // a tag-only cache into a payload cache without loss; checkpoints read the
 // same from either mode.
+//
+// Storage lifetime. A cache built with Config.Pool draws every array it
+// owns from that pool, and so do its clones; Release hands them back for
+// the next cache of the same geometry, which gets them cleared (or
+// overwritten by Clone's copy), and leaves the released cache without
+// storage.
 package cache
 
 import (
@@ -43,6 +49,7 @@ import (
 	"math/bits"
 
 	"repro/internal/policy"
+	"repro/internal/pool"
 )
 
 // Block is one entry of a set-associative structure, including all
@@ -128,6 +135,9 @@ type Config struct {
 	// TagOnly builds the cache without Block payloads (see the package
 	// comment); KeepPayload adds them later.
 	TagOnly bool
+	// Pool, when set, is where the cache and its clones draw their arrays
+	// from and where Release returns them; nil allocates them.
+	Pool *pool.Pool
 }
 
 // Cache is a set-associative lookup structure.
@@ -172,6 +182,9 @@ type Cache struct {
 	// LRU fast path is active).
 	repl []policy.Set
 
+	// pool supplies the arrays above and takes them back (Release).
+	pool *pool.Pool
+
 	// Statistics maintained by the structure itself.
 	lookups   uint64
 	hits      uint64
@@ -202,21 +215,22 @@ func New(cfg Config) (*Cache, error) {
 		pow2:     cfg.Sets&(cfg.Sets-1) == 0,
 		fullMask: fullWays(cfg.Ways),
 		stride:   cfg.Ways,
-		live:     make([]uint64, cfg.Sets),
-		dead:     make([]uint64, cfg.Sets),
+		live:     pool.Make[uint64](cfg.Pool, cfg.Sets),
+		dead:     pool.Make[uint64](cfg.Pool, cfg.Sets),
+		pool:     cfg.Pool,
 	}
 	if cfg.TagOnly {
-		c.counts = make([]uint8, cfg.Sets*cfg.Ways)
+		c.counts = pool.Make[uint8](cfg.Pool, cfg.Sets*cfg.Ways)
 	} else {
-		c.blocks = make([]Block, cfg.Sets*cfg.Ways)
+		c.blocks = pool.Make[Block](cfg.Pool, cfg.Sets*cfg.Ways)
 	}
 	if _, isLRU := pol.(policy.LRU); isLRU {
 		// Inline the default policy over the set records; state mirrors
 		// policy.LRU.NewSet exactly (distinct initial stamps, clock at
 		// ways) so victim choices are bit-identical.
 		c.stride = 2 * cfg.Ways
-		c.rec = make([]uint64, cfg.Sets*c.stride)
-		c.lruClock = make([]uint64, cfg.Sets)
+		c.rec = pool.Make[uint64](cfg.Pool, cfg.Sets*c.stride)
+		c.lruClock = pool.Make[uint64](cfg.Pool, cfg.Sets)
 		for s := 0; s < cfg.Sets; s++ {
 			for w, stamps := 0, c.stamps(s); w < cfg.Ways; w++ {
 				stamps[w] = uint64(w)
@@ -225,7 +239,7 @@ func New(cfg Config) (*Cache, error) {
 		}
 		return c, nil
 	}
-	c.rec = make([]uint64, cfg.Sets*c.stride)
+	c.rec = pool.Make[uint64](cfg.Pool, cfg.Sets*c.stride)
 	c.repl = make([]policy.Set, cfg.Sets)
 	for s := 0; s < cfg.Sets; s++ {
 		c.repl[s] = pol.NewSet(cfg.Ways)
@@ -288,7 +302,7 @@ func (c *Cache) TrackTimes() error {
 			return fmt.Errorf("cache %q: entry times must be tracked from the first fill", c.name)
 		}
 	}
-	c.gens = make([]Gen, c.Capacity())
+	c.gens = pool.Make[Gen](c.pool, c.Capacity())
 	return nil
 }
 
@@ -296,9 +310,31 @@ func (c *Cache) TrackTimes() error {
 // tags and hit counts without loss; on a payload cache it is a no-op.
 // Callers that read or write entry fields (the LLC predictors) need it.
 func (c *Cache) KeepPayload() {
-	if c.blocks == nil {
-		c.blocks, c.counts = c.entries(), nil
+	if c.blocks != nil {
+		return
 	}
+	blocks := pool.Make[Block](c.pool, c.Capacity())
+	for i := range blocks {
+		blocks[i] = c.entry(i)
+	}
+	pool.Put(c.pool, c.counts)
+	c.blocks, c.counts = blocks, nil
+}
+
+// Release returns the cache's arrays to its pool (Config.Pool) and leaves
+// it without storage: any later lookup, fill or walk panics, so a stale
+// reference can never read the state of the cache the arrays go to next.
+// Statistics stay readable. A released cache stays released.
+func (c *Cache) Release() {
+	pool.Put(c.pool, c.rec)
+	pool.Put(c.pool, c.blocks)
+	pool.Put(c.pool, c.counts)
+	pool.Put(c.pool, c.gens)
+	pool.Put(c.pool, c.live)
+	pool.Put(c.pool, c.dead)
+	pool.Put(c.pool, c.lruClock)
+	c.rec, c.blocks, c.counts, c.gens = nil, nil, nil, nil
+	c.live, c.dead, c.lruClock, c.repl = nil, nil, nil, nil
 }
 
 // entries returns every way's entry: the payload itself, or a tag-only

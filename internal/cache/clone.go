@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/policy"
+	"repro/internal/pool"
 )
 
 // Clone returns a deep copy of the cache in its storage mode: contents,
@@ -11,6 +12,8 @@ import (
 // statistics. The clone shares no mutable
 // state with the original, so both can be stepped independently — the
 // foundation of warm-state forking (one warmed structure, many consumers).
+// It draws its arrays from the original's pool, every one overwritten by
+// the copy.
 //
 // Non-LRU replacement state must implement policy.SetCloner; otherwise the
 // clone would alias live per-set state and Clone fails loudly.
@@ -22,13 +25,14 @@ func (c *Cache) Clone() (*Cache, error) {
 		setMask:   c.setMask,
 		pow2:      c.pow2,
 		fullMask:  c.fullMask,
-		rec:       append([]uint64(nil), c.rec...),
+		rec:       pool.Clone(c.pool, c.rec),
 		stride:    c.stride,
-		blocks:    append([]Block(nil), c.blocks...),
-		counts:    append([]uint8(nil), c.counts...),
-		gens:      append([]Gen(nil), c.gens...),
-		live:      append([]uint64(nil), c.live...),
-		dead:      append([]uint64(nil), c.dead...),
+		blocks:    pool.Clone(c.pool, c.blocks),
+		counts:    pool.Clone(c.pool, c.counts),
+		gens:      pool.Clone(c.pool, c.gens),
+		live:      pool.Clone(c.pool, c.live),
+		dead:      pool.Clone(c.pool, c.dead),
+		pool:      c.pool,
 		lookups:   c.lookups,
 		hits:      c.hits,
 		fills:     c.fills,
@@ -36,7 +40,7 @@ func (c *Cache) Clone() (*Cache, error) {
 		evictions: c.evictions,
 	}
 	if c.lruClock != nil {
-		n.lruClock = append([]uint64(nil), c.lruClock...)
+		n.lruClock = pool.Clone(c.pool, c.lruClock)
 		return n, nil
 	}
 	n.repl = make([]policy.Set, len(c.repl))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/pool"
 )
 
 // warmClone builds a small LRU cache, fills it with a mixed pattern (some
@@ -142,5 +143,44 @@ func TestCloneDIPSharedPSEL(t *testing.T) {
 	}
 	if c.Stats() != before {
 		t.Error("original DIP cache perturbed by driving the clone")
+	}
+}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s on a released cache did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestReleasedCachePanics: Release hands the arrays to the pool and leaves
+// the cache without storage, so every later access panics instead of
+// reading arrays another cache now owns. A clone taken before keeps its
+// entries, and a cache built on the recycled arrays starts empty.
+func TestReleasedCachePanics(t *testing.T) {
+	p := pool.New(2)
+	for _, tagOnly := range []bool{false, true} {
+		c := MustNew(Config{Name: "t", Sets: 8, Ways: 4, TagOnly: tagOnly, Pool: p})
+		for k := uint64(0); k < 40; k++ {
+			c.Fill(k, policy.InsertMRU, k)
+		}
+		n, err := c.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Release()
+		c.Release() // idempotent
+		mustPanic(t, "Lookup", func() { c.Lookup(39, 0) })
+		mustPanic(t, "Fill", func() { c.Fill(1, policy.InsertMRU, 0) })
+		mustPanic(t, "ForEach", func() { c.ForEach(func(int, int, *Block) {}) })
+		if _, ok := n.Lookup(39, 0); !ok {
+			t.Error("the clone lost its entries when the original was released")
+		}
+		fresh := MustNew(Config{Name: "t", Sets: 8, Ways: 4, TagOnly: tagOnly, Pool: p})
+		fresh.ForEach(func(s, w int, b *Block) { t.Errorf("a cache built on recycled storage holds (%d,%d) %+v", s, w, *b) })
 	}
 }

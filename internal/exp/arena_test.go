@@ -28,7 +28,7 @@ func arenaGoldenSetups() []Setup {
 // against committed snapshots, exactly like TestGoldenTableIVResults does
 // for the paper's configurations; regenerate with -update.
 func TestGoldenArenaResults(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	workloads := trace.Workloads()
 	setups := arenaGoldenSetups()
 	if err := quickRunner.RunGrid(workloads, setups); err != nil {

@@ -3,6 +3,7 @@ package exp
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,41 @@ import (
 // quickRunner shares one memoized runner across the package's tests so the
 // baseline simulations run once.
 var quickRunner = NewRunner(QuickParams())
+
+// quickUnion is the package's quickRunner experiments (and the golden
+// arena grid), planned as one grid by quickGrid.
+var quickUnion = []func(*Runner) (Series, error){
+	Figure1, Figure2, Figure3, Figure4, Table3, Figure9, Table4, Figure10,
+	Table5, Table6, Table7, Figure11a, Figure11b, Figure11c, Figure11d,
+	Figure11e, Figure11f, ExtensionPrefetch, ExtensionDIP, AblationThreshold,
+	AblationCounterBits,
+	func(r *Runner) (Series, error) { return Series{}, r.RunGrid(trace.Workloads(), arenaGoldenSetups()) },
+}
+
+var (
+	quickOnce sync.Once
+	quickErr  error
+)
+
+// quickGrid is paperGrid for a test that reads quickRunner's grids. The
+// first call simulates the union of every such grid (quickUnion) as one
+// planned grid, as paperexp does, so each workload's trace materializes
+// once and warm masters and oracle passes are shared across experiments;
+// every experiment's own grid is then memo hits.
+func quickGrid(t *testing.T) {
+	t.Helper()
+	paperGrid(t)
+	quickOnce.Do(func() {
+		var ws []trace.Workload
+		var setups []Setup
+		if ws, setups, quickErr = PlanGrid(quickRunner.Params(), quickUnion...); quickErr == nil {
+			quickErr = quickRunner.RunGrid(ws, setups)
+		}
+	})
+	if quickErr != nil {
+		t.Fatal(quickErr)
+	}
+}
 
 // paperGrid marks a test of the full-length QuickParams paper grid (its
 // shapes and golden snapshots) and skips it under -race. The grid's
@@ -55,7 +91,7 @@ func TestRunMemoizes(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Figure1(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +110,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure2DOADominates(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Figure2(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +122,7 @@ func TestFigure2DOADominates(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Figure3(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +143,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Figure4(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +166,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestTable3CorrelationPresent(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Table3(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +178,7 @@ func TestTable3CorrelationPresent(t *testing.T) {
 }
 
 func TestFigure9DPPredWins(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Figure9(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +212,7 @@ func TestFigure9DPPredWins(t *testing.T) {
 }
 
 func TestTable4OracleBeatsDPPred(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Table4(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +227,7 @@ func TestTable4OracleBeatsDPPred(t *testing.T) {
 }
 
 func TestFigure10FullProposalWins(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Figure10(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +269,7 @@ func TestFigure10FullProposalWins(t *testing.T) {
 // either grid (EXPERIMENTS.md, Table V), so that ordering is not asserted;
 // the paper's consistency contrast is.
 func TestTable5Shape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Table5(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +299,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6ShadowImprovesAccuracy(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Table6(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +316,7 @@ func TestTable6ShadowImprovesAccuracy(t *testing.T) {
 }
 
 func TestTable7PFQBoostsAccuracy(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := Table7(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -296,19 +332,13 @@ func TestTable7PFQBoostsAccuracy(t *testing.T) {
 
 // TestFigure11Shapes checks the six §VI-E sensitivity figures against the
 // orderings and ranges EXPERIMENTS.md reports, not exact values. Their
-// cells simulate first as one planned union grid, as paperexp runs them.
+// cells simulate in quickGrid's union grid, as paperexp runs them.
 func TestFigure11Shapes(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	figs := []func(*Runner) (Series, error){Figure11a, Figure11b, Figure11c, Figure11d, Figure11e, Figure11f}
-	ws, setups, err := PlanGrid(quickRunner.Params(), figs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := quickRunner.RunGrid(ws, setups); err != nil {
-		t.Fatal(err)
-	}
 	s := make([]Series, len(figs))
 	for i, fig := range figs {
+		var err error
 		if s[i], err = fig(quickRunner); err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@ import "testing"
 // tinyRunner keeps the extension smoke tests fast; the quickRunner's
 // memoized baselines are reused where setups overlap.
 func TestExtensionPrefetchShape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := ExtensionPrefetch(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestExtensionPrefetchShape(t *testing.T) {
 }
 
 func TestExtensionDIPShape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := ExtensionDIP(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestExtensionDIPShape(t *testing.T) {
 }
 
 func TestAblationThresholdShape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := AblationThreshold(quickRunner)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestAblationThresholdShape(t *testing.T) {
 }
 
 func TestAblationCounterBitsShape(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	s, err := AblationCounterBits(quickRunner)
 	if err != nil {
 		t.Fatal(err)

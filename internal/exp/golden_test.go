@@ -47,7 +47,7 @@ func goldenPath(setup string) string {
 // of the package, so the grid simulates only once per test invocation; run
 // with -update after an intentional modelling change and commit the diff.
 func TestGoldenTableIVResults(t *testing.T) {
-	paperGrid(t)
+	quickGrid(t)
 	workloads := trace.Workloads()
 	setups := goldenSetups()
 	if err := quickRunner.RunGrid(workloads, setups); err != nil {

@@ -1,0 +1,197 @@
+package exp
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// The runner's machines and the storage they draw. Every machine the runner
+// builds or forks for a cell takes its cache and TLB arrays from the
+// runner's pool (Runner.pool) and gives them back when the plan says it is
+// done: a cell's machine once its Result is taken (cold cell, fork,
+// baseline pass, oracle replay), a warm master in its node's release hook
+// after its last fork. Trace buffers come from the same pool and go back in
+// releaseTrace. A machine that cannot go back is kept and counted
+// (Storage): one with an observer or metrics attached, one that failed, one
+// handed to a caller outside the runner (BuildSystem).
+
+// warmMaster is a warmed machine its grid's warm-path cells fork, and the
+// trace position its forks resume from. Every consumer holds an edge to
+// the trace's node while it reads, so the buffer is not released under it.
+type warmMaster struct {
+	sys *sim.System
+	buf *trace.Buffer // shared trace, with pos = the post-warmup cursor
+	pos uint64
+}
+
+// storageCounts are the runner's machine and trace-buffer counters.
+type storageCounts struct {
+	built, recycled, kept, tracesReused atomic.Int64
+}
+
+// StorageStats is what Storage reports.
+type StorageStats struct {
+	// Built counts the machines the runner built or forked.
+	Built int64
+	// Recycled counts those whose storage went back to the pool.
+	Recycled int64
+	// Kept counts those whose storage did not: an observer or metrics were
+	// attached, the run failed, or BuildSystem handed the machine out.
+	Kept int64
+	// TracesReused counts trace buffers materialized into the columns of
+	// buffers released before them.
+	TracesReused int64
+}
+
+// Storage reports how the runner's machines and trace buffers used its
+// storage pool so far. Once every grid and Run has returned, Built equals
+// Recycled + Kept.
+func (r *Runner) Storage() StorageStats {
+	st := StorageStats{
+		Recycled:     r.storage.recycled.Load(), // first: a machine is built before it retires
+		Kept:         r.storage.kept.Load(),
+		TracesReused: r.storage.tracesReused.Load(),
+	}
+	st.Built = r.storage.built.Load()
+	return st
+}
+
+// BuildSystem constructs the one-core machine and its
+// predictors/prefetcher for a non-oracle setup, without running anything:
+// BuildMachine on a 1×1 topology, drawing from the runner's storage pool.
+// The machine belongs to the caller, so the runner counts it as kept
+// (Storage); the runner's own cells build through machine.
+func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
+	s, err := r.machine(setup)
+	if err == nil {
+		r.storage.kept.Add(1)
+	}
+	return s, err
+}
+
+// machine builds a cell's machine, BuildSystem's construction, which the
+// cell retires (owned) when it is done with it. The oracle's two passes
+// substitute their RecorderTLB and OracleTLB as the setup's TLB
+// constructor.
+func (r *Runner) machine(setup Setup) (*sim.System, error) {
+	cfgFn := setup.Config
+	if cfgFn == nil {
+		cfgFn = sim.DefaultConfig
+	}
+	cfg := cfgFn()
+	cfg.Seed = r.params.Seed
+	s, err := BuildMachine(setup, sim.MultiConfig{Machine: cfg, Cores: 1, Tenants: 1, Pool: r.pool})
+	if err == nil {
+		r.storage.built.Add(1)
+	}
+	return s, err
+}
+
+// BuildMachine constructs the machine mc describes (setup.Config is not
+// consulted) and installs setup's predictors, shared by every core, and
+// its prefetcher, for a non-oracle setup. A characterization setup's
+// machine tracks entry times from its first access, so its samplers see
+// the warmup's fills too. Multi-core cells and cmd/deadsim's checkpoint
+// path, which rebuilds the exact machine a checkpoint was taken from,
+// build through it directly.
+func BuildMachine(setup Setup, mc sim.MultiConfig) (*sim.System, error) {
+	if setup.Oracle {
+		return nil, fmt.Errorf("exp: the oracle's two-pass protocol has no standalone system")
+	}
+	s, err := sim.NewMulti(mc)
+	if err != nil {
+		return nil, err
+	}
+	if setup.Instrument.Characterize {
+		if err := s.TrackEntryTimes(); err != nil {
+			return nil, err
+		}
+	}
+	if setup.TLB != nil {
+		p, err := setup.TLB(s)
+		if err != nil {
+			return nil, err
+		}
+		s.SetTLBPredictor(p)
+	}
+	if setup.LLC != nil {
+		p, err := setup.LLC(s)
+		if err != nil {
+			return nil, err
+		}
+		s.SetLLCPredictor(p)
+	}
+	if setup.Prefetch != nil {
+		p, err := setup.Prefetch(s)
+		if err != nil {
+			return nil, err
+		}
+		s.SetTLBPrefetcher(p)
+	}
+	return s, nil
+}
+
+// fork forks a warm master; the fork draws from the master's pool.
+func (r *Runner) fork(s *sim.System) (*sim.System, error) {
+	f, err := s.Fork()
+	if err == nil {
+		r.storage.built.Add(1)
+	}
+	return f, err
+}
+
+// warm builds and warms the master of a warm-path cell's node, reading the
+// trace through the cell's edge te. A master that fails, or panics, is
+// kept; a published one is released by its node (releaseMaster).
+func (r *Runner) warm(ctx context.Context, w trace.Workload, setup Setup, te *edge) (v any, err error) {
+	sys, err := r.machine(setup)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if v == nil {
+			r.retire(sys, false)
+		}
+	}()
+	rd, err := r.generator(ctx, w, te)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
+		return nil, err
+	}
+	// warmShareable guarantees the in-memory trace mode, so the cursor is a
+	// BufferReader whose position the forks resume from.
+	br := rd.(*trace.BufferReader)
+	return warmMaster{sys: sys, buf: br.Buffer(), pos: br.Pos()}, nil
+}
+
+// releaseMaster is a warm master node's release: its last consumer has
+// forked it.
+func (r *Runner) releaseMaster(v any) { r.retire(v.(warmMaster).sys, true) }
+
+// owned runs fn, a cell's work on machine s, which the runner built or
+// forked for the cell, and retires s when fn returns or panics: its
+// storage goes back to the pool only if fn succeeded.
+func (r *Runner) owned(s *sim.System, fn func() (sim.Result, error)) (res sim.Result, err error) {
+	clean := false
+	defer func() { r.retire(s, clean) }()
+	res, err = fn()
+	clean = err == nil
+	return res, err
+}
+
+// retire ends the runner's use of machine s. A clean machine whose storage
+// nothing else can reach goes back to the pool (sim.System.Release); any
+// other is kept.
+func (r *Runner) retire(s *sim.System, clean bool) {
+	if clean && s.Release() {
+		r.storage.recycled.Add(1)
+	} else {
+		r.storage.kept.Add(1)
+	}
+}

@@ -105,7 +105,7 @@ func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan 
 				continue
 			}
 			if masters[master] == nil {
-				masters[master] = &node{done: make(chan struct{})}
+				masters[master] = &node{done: make(chan struct{}), release: r.releaseMaster}
 			}
 			masters[master].edges++
 			p.edges[cell] = &edge{node: masters[master]}

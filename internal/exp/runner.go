@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
+	"repro/internal/pool"
 	"repro/internal/pred"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -150,6 +151,12 @@ type Runner struct {
 	// and released by their last reader (Traces).
 	tracesMade, tracesFreed atomic.Int64
 
+	// pool is the storage pool: it recycles the arrays of the machines and
+	// traces the runner is done with (machines.go); storage counts what
+	// became of them (Storage).
+	pool    *pool.Pool
+	storage storageCounts
+
 	// Memo, when set, layers a persistent result store under the
 	// in-process memo: leaders consult it before simulating or offloading a
 	// cell, and publish every successful result into it, the Executor's
@@ -188,15 +195,6 @@ type Runner struct {
 	Status *serve.Board
 }
 
-// warmMaster is a warmed machine its grid's warm-path cells fork. It holds
-// its own reference to the trace, so the buffer outlives the trace node for
-// as long as the master or a fork's cursor reads it.
-type warmMaster struct {
-	sys *sim.System
-	buf *trace.Buffer // shared trace, with pos = the post-warmup cursor
-	pos uint64
-}
-
 // NewRunner creates a runner with the given parameters and a worker pool
 // sized to runtime.GOMAXPROCS.
 func NewRunner(p Params) *Runner {
@@ -214,6 +212,7 @@ func (r *Runner) SetJobs(n int) {
 	}
 	r.jobs = n
 	r.sem = make(chan struct{}, n)
+	r.pool = pool.New(n + 1) // idle arrays per size: one per job and one spare
 }
 
 // Jobs returns the worker-pool bound.
@@ -532,65 +531,6 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 	return nil
 }
 
-// BuildSystem constructs the one-core machine and its
-// predictors/prefetcher for a non-oracle setup, without running anything:
-// BuildMachine on a 1×1 topology. Every cell builds its machine through it
-// (the oracle's two passes substitute their RecorderTLB and OracleTLB as
-// the setup's TLB constructor).
-func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
-	cfgFn := setup.Config
-	if cfgFn == nil {
-		cfgFn = sim.DefaultConfig
-	}
-	cfg := cfgFn()
-	cfg.Seed = r.params.Seed
-	return BuildMachine(setup, sim.MultiConfig{Machine: cfg, Cores: 1, Tenants: 1})
-}
-
-// BuildMachine constructs the machine mc describes (setup.Config is not
-// consulted) and installs setup's predictors, shared by every core, and
-// its prefetcher, for a non-oracle setup. A characterization setup's
-// machine tracks entry times from its first access, so its samplers see
-// the warmup's fills too. Multi-core cells and cmd/deadsim's checkpoint
-// path, which rebuilds the exact machine a checkpoint was taken from,
-// build through it directly.
-func BuildMachine(setup Setup, mc sim.MultiConfig) (*sim.System, error) {
-	if setup.Oracle {
-		return nil, fmt.Errorf("exp: the oracle's two-pass protocol has no standalone system")
-	}
-	s, err := sim.NewMulti(mc)
-	if err != nil {
-		return nil, err
-	}
-	if setup.Instrument.Characterize {
-		if err := s.TrackEntryTimes(); err != nil {
-			return nil, err
-		}
-	}
-	if setup.TLB != nil {
-		p, err := setup.TLB(s)
-		if err != nil {
-			return nil, err
-		}
-		s.SetTLBPredictor(p)
-	}
-	if setup.LLC != nil {
-		p, err := setup.LLC(s)
-		if err != nil {
-			return nil, err
-		}
-		s.SetLLCPredictor(p)
-	}
-	if setup.Prefetch != nil {
-		p, err := setup.Prefetch(s)
-		if err != nil {
-			return nil, err
-		}
-		s.SetTLBPrefetcher(p)
-	}
-	return s, nil
-}
-
 // measure runs the post-warmup half of a cell on a warmed machine: enable
 // the setup's instrumentation, mark the measurement region, feed p.Measure
 // accesses from the tenants' generators and collect the result.
@@ -614,16 +554,18 @@ func measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generato
 }
 
 // simulate runs a freshly built machine over the workload's warmup and
-// measured accesses, read through the cell's trace edge te.
+// measured accesses, read through the cell's trace edge te, and retires it.
 func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, setup Setup, te *edge) (sim.Result, error) {
-	g, err := r.generator(ctx, w, te)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
-		return sim.Result{}, err
-	}
-	return measure(ctx, r.params, s, []trace.Generator{g}, setup)
+	return r.owned(s, func() (sim.Result, error) {
+		g, err := r.generator(ctx, w, te)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
+			return sim.Result{}, err
+		}
+		return measure(ctx, r.params, s, []trace.Generator{g}, setup)
+	})
 }
 
 // warmShareable reports whether a setup can take the warm-state fork path:
@@ -643,8 +585,9 @@ func (r *Runner) warmShareable(setup Setup) bool {
 // node). The first consumer to reach a pool slot builds and warms it in its
 // own span; the others wait for it in theirs, as they queued right behind
 // it. Each consumer drops its edge once it has forked, so the last fork
-// releases the machine. ok=false sends the caller to the cold path: Fork
-// refused (counted in WarmForks), or the master failed for another cell.
+// releases the machine into the storage pool (releaseMaster). ok=false
+// sends the caller to the cold path: Fork refused (counted in WarmForks),
+// or the master failed for another cell.
 func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e, te *edge) (res sim.Result, ok bool, err error) {
 	e.computes = e.claimed.CompareAndSwap(false, true)
 	if !e.computes {
@@ -654,23 +597,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e
 			return sim.Result{}, true, ctx.Err()
 		}
 	} else {
-		e.publish(func() (any, error) {
-			sys, err := r.BuildSystem(setup)
-			if err != nil {
-				return nil, err
-			}
-			rd, err := r.generator(ctx, w, te)
-			if err != nil {
-				return nil, err
-			}
-			if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
-				return nil, err
-			}
-			// warmShareable guarantees the in-memory trace mode, so the
-			// cursor is a BufferReader whose position the forks resume from.
-			br := rd.(*trace.BufferReader)
-			return warmMaster{sys: sys, buf: br.Buffer(), pos: br.Pos()}, nil
-		}())
+		e.publish(r.warm(ctx, w, setup, te))
 	}
 	if e.err != nil {
 		// A master that failed to warm for another cell sends this one to
@@ -680,7 +607,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e
 
 	e.mu.Lock()
 	m := e.val.(warmMaster)
-	fork, ferr := m.sys.Fork()
+	fork, ferr := r.fork(m.sys)
 	e.mu.Unlock()
 	src := m.buf.ReaderAt(m.pos)
 	e.drop()
@@ -689,7 +616,9 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e
 		return sim.Result{}, false, nil
 	}
 	r.warmForked.Add(1)
-	res, err = measure(ctx, r.params, fork, []trace.Generator{src}, setup)
+	res, err = r.owned(fork, func() (sim.Result, error) {
+		return measure(ctx, r.params, fork, []trace.Generator{src}, setup)
+	})
 	return res, true, err
 }
 
@@ -733,7 +662,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 		setup.Oracle = false
 		setup.TLB = func(*sim.System) (pred.TLBPredictor, error) { return pred.NewOracleTLB(record), nil }
 	}
-	s, err := r.BuildSystem(setup)
+	s, err := r.machine(setup)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -758,7 +687,7 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 // predictors, so the Result is the plain machine's cell bit for bit.
 func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, config func() sim.Config, te *edge) (*pred.DOARecord, sim.Result, error) {
 	rec := pred.NewDOARecord()
-	s, err := r.BuildSystem(Setup{Config: config, TLB: func(*sim.System) (pred.TLBPredictor, error) {
+	s, err := r.machine(Setup{Config: config, TLB: func(*sim.System) (pred.TLBPredictor, error) {
 		return pred.NewRecorderTLB(rec), nil
 	}})
 	if err != nil {

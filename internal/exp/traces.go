@@ -26,8 +26,9 @@ type traceSrc struct {
 // trace, the value of the cell's trace node te. The node's first reader
 // builds it (openTrace) while later readers wait, and every reader gets an
 // independent cursor. In the default mode that is a BufferReader over an
-// in-memory materialized buffer; the cursor holds the buffer itself, so the
-// buffer lives as long as its last cursor. With SetTraceDir it is a
+// in-memory materialized buffer, valid while the cell holds te: the node's
+// release returns the buffer's columns to the runner's pool (and any read
+// after that panics). With SetTraceDir it is a
 // StreamReader over a compressed DPBF v2 file, which the node closes when
 // its last reader drops it. Either way the cursor implements
 // trace.ChunkReader, so every run takes the batched columnar simulation
@@ -61,19 +62,25 @@ func (r *Runner) openTrace(ctx context.Context, w trace.Workload) (any, error) {
 	if r.traceDir != "" {
 		src, err = r.streamWorkload(ctx, w)
 	} else {
-		src.buf, err = trace.MaterializeContext(ctx, w.New(r.params.Seed), r.params.Warmup+r.params.Measure)
+		src.buf, err = trace.MaterializePooled(ctx, w.New(r.params.Seed), r.params.Warmup+r.params.Measure, r.pool)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if src.buf != nil && src.buf.Recycled() {
+		r.storage.tracesReused.Add(1)
 	}
 	r.tracesMade.Add(1)
 	return src, nil
 }
 
-// releaseTrace is a trace node's release: its last reader has dropped it.
+// releaseTrace is a trace node's release: its last reader has dropped it,
+// so a materialized buffer's columns go back to the runner's pool.
 func (r *Runner) releaseTrace(v any) {
-	if f := v.(traceSrc).f; f != nil {
-		f.Close()
+	if src := v.(traceSrc); src.f != nil {
+		src.f.Close()
+	} else {
+		src.buf.Release()
 	}
 	r.tracesFreed.Add(1)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pool"
 	"repro/internal/pred"
 	"repro/internal/trace"
 )
@@ -15,8 +16,16 @@ import (
 // cursor. dpPred+cbPred is the deepest-state configuration, so it exercises
 // every Clone path.
 func warmSystem(t testing.TB, warm uint64) (*System, *trace.Buffer, uint64) {
+	return warmSystemIn(t, warm, nil)
+}
+
+// warmSystemIn is warmSystem on a machine whose storage comes from p.
+func warmSystemIn(t testing.TB, warm uint64, p *pool.Pool) (*System, *trace.Buffer, uint64) {
 	t.Helper()
-	s := MustNew(smallConfig())
+	s, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 1, Tenants: 1, Pool: p})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dp, err := newTestDPPred(s)
 	if err != nil {
 		t.Fatal(err)
@@ -172,21 +181,34 @@ func TestForkRefusals(t *testing.T) {
 
 // BenchmarkSystemFork prices a warm-state fork of the full dpPred+cbPred
 // machine — the cost the runner pays instead of re-simulating a warmup.
+// Like the runner's at one job, the master draws from a storage pool that
+// keeps two idle arrays per size, and each fork is released into it, so a
+// fork copies into recycled arrays.
 func BenchmarkSystemFork(b *testing.B) {
-	s, _, _ := warmSystem(b, 100_000)
+	s, _, _ := warmSystemIn(b, 100_000, pool.New(2))
+	benchFork(b, s)
+}
+
+// benchFork forks s b.N times, releasing each fork into s's pool.
+func benchFork(b *testing.B, s *System) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fork(); err != nil {
+		f, err := s.Fork()
+		if err != nil {
 			b.Fatal(err)
 		}
+		f.Release()
 	}
 }
 
 // BenchmarkSystemForkBaseline prices the same fork of the baseline machine
 // (null predictors), whose data caches and page-walk caches are tag-only.
 func BenchmarkSystemForkBaseline(b *testing.B) {
-	s := MustNew(smallConfig())
+	s, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 1, Tenants: 1, Pool: pool.New(2)})
+	if err != nil {
+		b.Fatal(err)
+	}
 	w, err := trace.ByName("sssp")
 	if err != nil {
 		b.Fatal(err)
@@ -194,11 +216,5 @@ func BenchmarkSystemForkBaseline(b *testing.B) {
 	if err := s.Run(w.New(42), 100_000); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Fork(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFork(b, s)
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pagetable"
 	"repro/internal/policy"
+	"repro/internal/pool"
 	"repro/internal/pred"
 	"repro/internal/stats"
 	"repro/internal/tlb"
@@ -113,7 +114,7 @@ type proc struct {
 }
 
 // newProc builds one core over the shared LLT and LLC, running tenant t.
-func newProc(cfg Config, llt *tlb.TLB, llc *cache.Cache, t *tenantState) (*proc, error) {
+func newProc(cfg Config, pl *pool.Pool, llt *tlb.TLB, llc *cache.Cache, t *tenantState) (*proc, error) {
 	p := &proc{cfg: cfg, llt: llt, llc: llc, pt: t.pt, asidKey: t.asidKey, sampleEvery: 50_000}
 	var err error
 	if p.itlb, err = tlb.New(cfg.L1ITLB); err != nil {
@@ -125,10 +126,10 @@ func newProc(cfg Config, llt *tlb.TLB, llc *cache.Cache, t *tenantState) (*proc,
 	if p.walk, err = walker.New(p.pt, cfg.PWC, p.ptFetch); err != nil {
 		return nil, err
 	}
-	if p.l1d, err = newCache(cfg.L1D); err != nil {
+	if p.l1d, err = newCache(cfg.L1D, pl); err != nil {
 		return nil, err
 	}
-	if p.l2, err = newCache(cfg.L2); err != nil {
+	if p.l2, err = newCache(cfg.L2, pl); err != nil {
 		return nil, err
 	}
 	if p.core, err = cpu.New(cfg.Core); err != nil {
@@ -140,9 +141,9 @@ func newProc(cfg Config, llt *tlb.TLB, llc *cache.Cache, t *tenantState) (*proc,
 
 // newCache builds one data-cache level, tag-only: only an LLC predictor
 // reads or writes a data cache's entries, and SetLLCPredictor gives the
-// LLC its payload when it installs one.
-func newCache(cc CacheConfig) (*cache.Cache, error) {
-	return cache.New(cache.Config{Name: cc.Name, Sets: cc.sets(), Ways: cc.Ways, Policy: cc.Policy, TagOnly: true})
+// LLC its payload when it installs one. Its arrays come from pl.
+func newCache(cc CacheConfig, pl *pool.Pool) (*cache.Cache, error) {
+	return cache.New(cache.Config{Name: cc.Name, Sets: cc.sets(), Ways: cc.Ways, Policy: cc.Policy, TagOnly: true, Pool: pl})
 }
 
 // setPredictors installs the (shared) predictors and refreshes the cached

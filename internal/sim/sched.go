@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/pagetable"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -72,6 +73,10 @@ type MultiConfig struct {
 	// UnmapEvery injects one page unmap (plus shootdown) per tenant every
 	// UnmapEvery of that tenant's accesses. 0 disables unmapping.
 	UnmapEvery uint64
+	// Pool, when set, supplies the arrays of every cache and TLB of the
+	// machine and of its forks, and takes them back when the machine is
+	// released (System.Release); nil allocates them.
+	Pool *pool.Pool
 }
 
 // maxTenants bounds the ASID space: tenant IDs must fit the key bits above

@@ -109,13 +109,14 @@ func NewMulti(mc MultiConfig) (*System, error) {
 		return nil, err
 	}
 	cfg := mc.Machine
+	cfg.L1ITLB.Pool, cfg.L1DTLB.Pool, cfg.LLT.Pool, cfg.PWC.Pool = mc.Pool, mc.Pool, mc.Pool, mc.Pool
 	s := &System{cfg: mc, tlbPred: pred.NullTLB{}, llcPred: pred.NullLLC{}}
 
 	var err error
 	if s.llt, err = tlb.New(cfg.LLT); err != nil {
 		return nil, err
 	}
-	if s.llc, err = newCache(cfg.LLC); err != nil {
+	if s.llc, err = newCache(cfg.LLC, mc.Pool); err != nil {
 		return nil, err
 	}
 	if s.alloc, err = pagetable.NewAllocator(cfg.PhysMemMB<<20/arch.PageSize, cfg.Alloc, cfg.Seed); err != nil {
@@ -144,7 +145,7 @@ func NewMulti(mc MultiConfig) (*System, error) {
 	s.curTenant = make([]int, mc.Cores)
 	s.sliceLeft = make([]uint64, mc.Cores)
 	for c := range s.cores {
-		p, err := newProc(cfg, s.llt, s.llc, s.tenants[s.runningTenant(c)])
+		p, err := newProc(cfg, mc.Pool, s.llt, s.llc, s.tenants[s.runningTenant(c)])
 		if err != nil {
 			return nil, err
 		}
@@ -157,6 +158,28 @@ func NewMulti(mc MultiConfig) (*System, error) {
 	s.wireBackInvalidation()
 	s.allocRunScratch()
 	return s, nil
+}
+
+// Release returns the storage of every cache and TLB of the machine to its
+// pool (MultiConfig.Pool) and reports true; afterwards any access to the
+// machine panics, so a stale reference can never read the state of the
+// machine the storage goes to next. A machine with an observer or metrics
+// attached keeps its storage and reports false: their probes and joins
+// read its structures after the run. Results already taken stay valid.
+func (s *System) Release() bool {
+	if p := s.cores[0]; p.observer != nil || p.histMemLat != nil {
+		return false
+	}
+	s.llt.Release()
+	s.llc.Release()
+	for _, p := range s.cores {
+		p.itlb.Release()
+		p.dtlb.Release()
+		p.l1d.Release()
+		p.l2.Release()
+		p.walk.Release()
+	}
+	return true
 }
 
 // allocRunScratch sizes the run scratch for the machine's topology.

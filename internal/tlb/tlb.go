@@ -12,6 +12,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/policy"
+	"repro/internal/pool"
 )
 
 // Config sizes a TLB.
@@ -27,6 +28,9 @@ type Config struct {
 	Latency arch.Lat
 	// Policy is the replacement policy; nil means LRU.
 	Policy policy.Policy
+	// Pool, when set, supplies the backing structure's arrays
+	// (cache.Config.Pool).
+	Pool *pool.Pool
 }
 
 // TLB caches virtual-to-physical page translations.
@@ -46,6 +50,7 @@ func New(cfg Config) (*TLB, error) {
 		Sets:   cfg.Entries / cfg.Ways,
 		Ways:   cfg.Ways,
 		Policy: cfg.Policy,
+		Pool:   cfg.Pool,
 	})
 	if err != nil {
 		return nil, err
@@ -153,6 +158,10 @@ func (t *TLB) Clone() (*TLB, error) {
 	}
 	return &TLB{c: c, lat: t.lat}, nil
 }
+
+// Release returns the TLB's storage to its pool; any later use panics
+// (cache.Cache.Release).
+func (t *TLB) Release() { t.c.Release() }
 
 // Stats returns the activity counters.
 func (t *TLB) Stats() cache.Stats { return t.c.Stats() }

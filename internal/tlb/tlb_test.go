@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/policy"
+	"repro/internal/pool"
 )
 
 func llt(t *testing.T) *TLB {
@@ -187,4 +188,18 @@ func BenchmarkLLTLookup(b *testing.B) {
 			b.Fatal("warm lookup missed")
 		}
 	}
+}
+
+// TestReleasedTLBPanics: a released TLB has no storage left, so a lookup
+// through a stale reference panics.
+func TestReleasedTLBPanics(t *testing.T) {
+	tb := MustNew(Config{Name: "LLT", Entries: 64, Ways: 4, Latency: 8, Pool: pool.New(1)})
+	tb.Fill(5, 9, 0, policy.InsertMRU, 0)
+	tb.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Lookup on a released TLB did not panic")
+		}
+	}()
+	tb.Lookup(5, 0)
 }

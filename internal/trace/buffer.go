@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"repro/internal/arch"
+	"repro/internal/pool"
 )
 
 // Buffer is a materialized access trace in struct-of-arrays form: one flat
@@ -19,13 +20,25 @@ import (
 // and every worker, eliminating the per-cell regeneration cost (the RNG
 // and math.Pow work of the synthetic generators).
 //
-// A Buffer is immutable once built; concurrent readers need no locking.
+// A Buffer is immutable from the time it is built until it is released;
+// concurrent readers need no locking. Only a buffer materialized into a
+// pool (MaterializePooled) is ever released: its owner returns the
+// columns to the pool (Release) once no reader is left, and any read after
+// that panics. The experiment runner's buffers are of that kind, valid
+// while a cell holds an edge to the trace's plan node.
 type Buffer struct {
 	name  string
 	pc    []uint64
 	va    []uint64
 	gap   []uint32
 	flags []uint8
+
+	// pool supplied the columns (nil: allocated); recycled reports that
+	// they came from storage an earlier buffer released, and released that
+	// this buffer's went back.
+	pool     *pool.Pool
+	recycled bool
+	released bool
 }
 
 // Per-record flag bits of the packed flags byte. Bits 2..7 are reserved
@@ -42,14 +55,28 @@ const (
 )
 
 // NewBuffer returns an empty buffer with capacity for n accesses.
-func NewBuffer(name string, n int) *Buffer {
-	return &Buffer{
-		name:  name,
-		pc:    make([]uint64, 0, n),
-		va:    make([]uint64, 0, n),
-		gap:   make([]uint32, 0, n),
-		flags: make([]uint8, 0, n),
+func NewBuffer(name string, n int) *Buffer { return newBuffer(name, n, nil) }
+
+// newBuffer returns an empty buffer whose columns, with room for n
+// accesses, come from p.
+func newBuffer(name string, n int, p *pool.Pool) *Buffer {
+	b := &Buffer{name: name, pool: p}
+	var ok [4]bool
+	b.pc, ok[0] = column[uint64](p, n)
+	b.va, ok[1] = column[uint64](p, n)
+	b.gap, ok[2] = column[uint32](p, n)
+	b.flags, ok[3] = column[uint8](p, n)
+	b.recycled = ok == [4]bool{true, true, true, true}
+	return b
+}
+
+// column returns an empty column with room for n records, recycled from p
+// when it holds one (appends overwrite what its last owner left).
+func column[T any](p *pool.Pool, n int) ([]T, bool) {
+	if s, ok := pool.Take[T](p, n); ok {
+		return s[:0], true
 	}
+	return make([]T, 0, n), false
 }
 
 // Materialize drains n accesses from the generator into a new buffer.
@@ -64,12 +91,20 @@ func Materialize(g Generator, n uint64) (*Buffer, error) {
 // MaterializeContext is Materialize with cancellation: the drain loop
 // checks ctx on a coarse stride and stops with ctx's error when canceled.
 func MaterializeContext(ctx context.Context, g Generator, n uint64) (*Buffer, error) {
-	b := NewBuffer(g.Name(), int(n))
+	return MaterializePooled(ctx, g, n, nil)
+}
+
+// MaterializePooled is MaterializeContext into columns drawn from p. The
+// caller owns the buffer and hands its columns back with Release once no
+// reader is left; a failed materialization returns them itself.
+func MaterializePooled(ctx context.Context, g Generator, n uint64, p *pool.Pool) (*Buffer, error) {
+	b := newBuffer(g.Name(), int(n), p)
 	done := ctx.Done()
 	for i := uint64(0); i < n; i++ {
 		if done != nil && i&(ctxCheckStride-1) == 0 {
 			select {
 			case <-done:
+				b.Release()
 				return nil, fmt.Errorf("trace: materializing %s canceled at access %d of %d: %w",
 					g.Name(), i, n, ctx.Err())
 			default:
@@ -78,16 +113,39 @@ func MaterializeContext(ctx context.Context, g Generator, n uint64) (*Buffer, er
 		b.Append(g.Next())
 	}
 	if err := GeneratorErr(g); err != nil {
+		b.Release()
 		return nil, fmt.Errorf("trace: materializing %s: %w", g.Name(), err)
 	}
 	return b, nil
 }
 
+// Recycled reports whether the buffer's columns came from storage an
+// earlier buffer of its pool released.
+func (b *Buffer) Recycled() bool { return b.recycled }
+
+// Release returns the buffer's columns to its pool (MaterializePooled) and
+// marks it released: any later read of it, through a reader made before or
+// after, panics. The caller must know no reader is left.
+func (b *Buffer) Release() {
+	pool.Put(b.pool, b.pc)
+	pool.Put(b.pool, b.va)
+	pool.Put(b.pool, b.gap)
+	pool.Put(b.pool, b.flags)
+	b.pc, b.va, b.gap, b.flags = nil, nil, nil, nil
+	b.released = true
+}
+
 // Name returns the workload name carried with the buffer.
 func (b *Buffer) Name() string { return b.name }
 
-// Len returns the number of materialized accesses.
-func (b *Buffer) Len() uint64 { return uint64(len(b.pc)) }
+// Len returns the number of materialized accesses. Every read path asks
+// it first, so it is where a released buffer panics.
+func (b *Buffer) Len() uint64 {
+	if b.released {
+		panic("trace: read of released buffer " + b.name)
+	}
+	return uint64(len(b.pc))
+}
 
 // Append adds one access.
 func (b *Buffer) Append(a Access) {
@@ -206,7 +264,8 @@ type ChunkReader interface {
 }
 
 // NextChunk implements ChunkReader: the returned slices alias the shared
-// immutable Buffer and stay valid indefinitely.
+// immutable Buffer and stay valid until the buffer is released (Release),
+// which its owner does only once no reader is left.
 func (r *BufferReader) NextChunk(max int) (Chunk, error) {
 	if max <= 0 {
 		return Chunk{}, nil

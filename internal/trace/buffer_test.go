@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/pool"
 )
 
 // TestMaterializeMatchesLive: replaying a materialized buffer must be
@@ -231,5 +233,53 @@ func BenchmarkLiveGenerate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
+	}
+}
+
+// TestReleasedBufferPanics: a pooled buffer's columns go back to its pool
+// on Release, a later materialization reuses them, and a reader of the
+// released buffer panics instead of reading the new trace.
+func TestReleasedBufferPanics(t *testing.T) {
+	w, err := ByName("cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pool.New(2)
+	b, err := MaterializePooled(context.Background(), w.New(7), 5_000, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Recycled() {
+		t.Error("the first buffer of an empty pool reads as recycled")
+	}
+	rd := b.Reader()
+	rd.Next()
+	b.Release()
+	again, err := MaterializePooled(context.Background(), w.New(8), 5_000, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Recycled() {
+		t.Error("a buffer materialized after a release did not reuse its columns")
+	}
+	want := mustMaterialize(t, w.New(8), 5_000)
+	for i := uint64(0); i < want.Len(); i++ {
+		if again.At(i) != want.At(i) {
+			t.Fatalf("recycled buffer access %d = %+v, want %+v", i, again.At(i), want.At(i))
+		}
+	}
+	for name, read := range map[string]func(){
+		"Next":      func() { rd.Next() },
+		"NextChunk": func() { rd.NextChunk(64) },
+		"Reader":    func() { b.Reader().Next() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released buffer did not panic", name)
+				}
+			}()
+			read()
+		}()
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/pagetable"
+	"repro/internal/pool"
 )
 
 // PWCLevels is the number of page-walk-cache levels.
@@ -35,6 +36,8 @@ type Config struct {
 	PWCEntries [PWCLevels]int
 	// PWCLatency are the lookup latencies for PWC1..PWC3.
 	PWCLatency [PWCLevels]arch.Lat
+	// Pool, when set, supplies the PWCs' arrays (cache.Config.Pool).
+	Pool *pool.Pool
 }
 
 // DefaultConfig returns the paper's Table I PWC configuration.
@@ -97,6 +100,7 @@ func New(pt *pagetable.PageTable, cfg Config, fetch Fetch) (*Walker, error) {
 			Sets:    1,
 			Ways:    n,
 			TagOnly: true, // residency is all a walk reads
+			Pool:    cfg.Pool,
 		})
 		if err != nil {
 			return nil, err
@@ -223,6 +227,16 @@ func (w *Walker) Clone(pt *pagetable.PageTable, fetch Fetch) (*Walker, error) {
 // ASID-tagged hardware PWC.
 func (w *Walker) Rebind(pt *pagetable.PageTable) {
 	w.pt = pt
+}
+
+// Release returns the PWCs' storage to their pool; any later walk that
+// reaches a PWC panics (cache.Cache.Release).
+func (w *Walker) Release() {
+	for _, c := range w.pwc {
+		if c != nil {
+			c.Release()
+		}
+	}
 }
 
 // Stats returns a snapshot of walker counters.
