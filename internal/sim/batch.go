@@ -148,9 +148,9 @@ func (p *proc) translateMiss(m *batchMemo, vpn arch.VPN, pc uint64, instr bool) 
 // runBatch is the simulator's only access loop: every driver hands it
 // columnar chunks. Its result is that of simulating the accesses one at a
 // time — same structure-touch order, same timestamps, same counter
-// increments — but it hoists the per-access sampler/interval modulus
-// checks out of the loop (the loop is split at the next sampling boundary
-// and the checks run in a per-segment epilogue) and turns
+// increments — but it hoists the per-access instrument tick checks out of
+// the loop (the loop is split at the next tick and the tick runs in a
+// per-segment epilogue) and turns
 // same-page/same-block runs into deferred-hit runs resolved by one
 // coalesced update each. It simulates accesses [lo, hi) of c (the chunk
 // travels by pointer so a one-access segment passes its
@@ -160,18 +160,13 @@ func (p *proc) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error) {
 	asid := arch.VPN(p.asidKey)
 	i := lo
 	for i < hi {
-		// Split the batch at the next access count that runs a sampler or
-		// interval snapshot, so the inner loop needs no modulus checks and
-		// the epilogue fires them after exactly that access.
-		lim := hi
-		if p.lltSampler != nil {
-			if next := i + int(p.sampleEvery-p.accesses%p.sampleEvery); next < lim {
-				lim = next
-			}
-		}
-		if p.intervalEvery != 0 {
-			if next := i + int(p.intervalEvery-p.accesses%p.intervalEvery); next < lim {
-				lim = next
+		// Split the batch after the next access at which an instrument
+		// ticks, so the inner loop needs no modulus checks and the
+		// epilogue fires the tick after exactly that access.
+		lim, tick := hi, false
+		if p.inst != nil {
+			if n := p.inst.untilTick(p.accesses); n <= uint64(hi-i) {
+				lim, tick = i+int(n), true
 			}
 		}
 
@@ -271,26 +266,21 @@ func (p *proc) runBatch(m *batchMemo, c *trace.Chunk, lo, hi int) (int, error) {
 				m.bOK, m.bLoc = true, false
 			}
 
-			if p.histMemLat != nil {
-				p.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
+			lat := uint64(iLat) + uint64(dLat) + uint64(memLat)
+			if p.inst != nil {
+				p.inst.accessDone(lat)
 			}
-			p.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), c.Flags[i]&trace.FlagDependent != 0)
+			p.core.Memory(lat, c.Flags[i]&trace.FlagDependent != 0)
 		}
 
-		// Epilogue: settle the deferred runs (the samplers and the
-		// interval snapshot read structure state and counters), then the
-		// checks due after an access — valid here because the segment
-		// limit guarantees no boundary was crossed mid-segment. Samplers
-		// run before the interval.
+		// Epilogue: settle the deferred runs (a ticking instrument reads
+		// structure state and counters), then the tick due after the
+		// segment's last access.
 		if m.iPend|m.dPend|m.bPend != 0 {
 			p.flushRuns(m)
 		}
-		if p.lltSampler != nil && p.accesses%p.sampleEvery == 0 {
-			p.lltSampler.Sample(p.llt.Inner())
-			p.llcSampler.Sample(p.llc)
-		}
-		if p.intervalEvery != 0 && p.accesses%p.intervalEvery == 0 {
-			p.sampleInterval()
+		if tick {
+			p.inst.tick(p)
 		}
 	}
 	return hi - lo, nil

@@ -44,35 +44,44 @@ func checkpointBytes(tb testing.TB, s *System) []byte {
 // TestRunBufferMatchesStep is the batched loop's correctness contract:
 // feeding the same trace through Run must leave the machine in a state
 // bit-identical to the reference stepper — same Result, same checkpoint
-// image — across predictor, sampler and interval-observer configurations
-// (the sampler/interval cases exercise the segment splitting that hoists
-// the modulus checks out of the inner loop). Run is driven twice: from
-// the buffer's own chunks, and through a plain Generator whose records it
-// copies into its scratch chunk.
+// image, same interval samples — across predictor, sampler and
+// interval-observer configurations (the sampler/interval cases exercise
+// the segment splitting that hoists the tick checks out of the inner
+// loop). Run is driven twice: from the buffer's own chunks, and through a
+// plain Generator whose records it copies into its scratch chunk.
 func TestRunBufferMatchesStep(t *testing.T) {
 	// Odd warm/measure counts so chunk boundaries never line up with
 	// ctxCheckStride, and the run wraps the buffer several times.
 	const bufLen, warm, meas = 10_007, 20_011, 30_031
 	scenarios := []struct {
-		name  string
-		ckpt  bool // instrumented machines refuse to checkpoint
-		setup func(t *testing.T, s *System)
+		name string
+		ckpt bool // instrumented machines refuse to checkpoint
+		// setup returns the machine's interval recorder, if it has one.
+		setup func(t *testing.T, s *System) *obs.IntervalRecorder
 	}{
-		{"baseline", true, func(t *testing.T, s *System) {}},
-		{"dp-predictor", true, func(t *testing.T, s *System) {
+		{"baseline", true, func(t *testing.T, s *System) *obs.IntervalRecorder { return nil }},
+		{"dp-predictor", true, func(t *testing.T, s *System) *obs.IntervalRecorder {
 			dp, err := newTestDPPred(s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.SetTLBPredictor(dp)
+			return nil
 		}},
-		{"characterization", false, func(t *testing.T, s *System) {
-			// A prime sampleEvery keeps sampling points misaligned with
-			// every chunk boundary.
+		{"characterization", false, func(t *testing.T, s *System) *obs.IntervalRecorder {
+			// Prime periods keep the sampling points and the intervals
+			// misaligned with every chunk boundary and with each other.
 			characterize(t, s, 4099)
+			rec := obs.NewIntervalRecorder(7001)
+			s.AttachObserver(&obs.Observer{Interval: rec})
+			return rec
 		}},
-		{"intervals", false, func(t *testing.T, s *System) {
-			s.AttachObserver(&obs.Observer{Interval: obs.NewIntervalRecorder(5003)})
+		{"intervals", false, func(t *testing.T, s *System) *obs.IntervalRecorder {
+			// Every other warmup tick falls exactly on a segment's last
+			// access (a ctxCheckStride boundary), the rest mid-segment.
+			rec := obs.NewIntervalRecorder(ctxCheckStride / 2)
+			s.AttachObserver(&obs.Observer{Interval: rec})
+			return rec
 		}},
 	}
 	for _, wl := range []string{"sssp", "mcf"} {
@@ -80,7 +89,7 @@ func TestRunBufferMatchesStep(t *testing.T) {
 		for _, sc := range scenarios {
 			t.Run(wl+"/"+sc.name, func(t *testing.T) {
 				refSys := MustNew(smallConfig())
-				sc.setup(t, refSys)
+				refRec := sc.setup(t, refSys)
 				rd := buf.Reader()
 				if err := refRun(refSys, rd, warm); err != nil {
 					t.Fatal(err)
@@ -92,7 +101,7 @@ func TestRunBufferMatchesStep(t *testing.T) {
 
 				for _, chunked := range []bool{true, false} {
 					batchSys := MustNew(smallConfig())
-					sc.setup(t, batchSys)
+					batchRec := sc.setup(t, batchSys)
 					var g trace.Generator = buf.Reader()
 					if !chunked {
 						g = genOnly{g}
@@ -107,6 +116,15 @@ func TestRunBufferMatchesStep(t *testing.T) {
 
 					if a, b := refSys.Result(), batchSys.Result(); !reflect.DeepEqual(a, b) {
 						t.Errorf("chunked=%v: results diverged:\n  ref:   %+v\n  batch: %+v", chunked, a, b)
+					}
+					if refRec != nil {
+						a, b := refRec.Samples(), batchRec.Samples()
+						if len(a) != (warm+meas)/int(refRec.Every) {
+							t.Errorf("reference recorded %d interval samples, want %d", len(a), (warm+meas)/int(refRec.Every))
+						}
+						if !reflect.DeepEqual(a, b) {
+							t.Errorf("chunked=%v: interval samples diverged:\n  ref:   %+v\n  batch: %+v", chunked, a, b)
+						}
 					}
 					if sc.ckpt {
 						if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {

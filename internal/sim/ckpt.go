@@ -78,7 +78,7 @@ func (s *System) ckptCodecs() (tlbC, llcC stateCodec, err error) {
 // samplers and observers hold references into the live run and are rebuilt
 // by the restoring side).
 func (s *System) WriteCheckpoint(wr io.Writer, workload string) error {
-	if s.instrumented() {
+	if attached, _ := s.instrumented(); attached {
 		return fmt.Errorf("sim: cannot checkpoint with instrumentation enabled")
 	}
 	tlbC, llcC, err := s.ckptCodecs()

@@ -23,12 +23,11 @@ import (
 // the original (fork first, then instrument the fork), and the oracle
 // predictors are tied to their two-pass record/replay protocol.
 func (s *System) Fork() (*System, error) {
-	if s.instrumented() {
-		return nil, fmt.Errorf("sim: cannot fork with instrumentation enabled; fork first, then instrument the fork")
-	}
-	// AttachObserver and AttachMetrics both reach core 0.
-	if p := s.cores[0]; p.observer != nil || p.histMemLat != nil {
+	switch attached, published := s.instrumented(); {
+	case published:
 		return nil, fmt.Errorf("sim: cannot fork with an observer or metrics attached; fork first, then attach to the fork")
+	case attached:
+		return nil, fmt.Errorf("sim: cannot fork with instrumentation enabled; fork first, then instrument the fork")
 	}
 	ct, ok := s.tlbPred.(pred.ClonableTLB)
 	if !ok {
@@ -101,11 +100,11 @@ func (s *System) Fork() (*System, error) {
 
 // fork copies a core's private state — its counters, L1 TLBs, L1D, L2,
 // timing core, and a walker bound to pt — into a new proc. The shared
-// levels (LLT, LLC), the predictors and the hooks are left for the caller.
+// levels (LLT, LLC) and the predictors are left for the caller; a forked
+// machine has no instruments.
 func (p *proc) fork(pt *pagetable.PageTable) (*proc, error) {
 	n := &proc{
 		cfg:             p.cfg,
-		sampleEvery:     p.sampleEvery,
 		prefFills:       p.prefFills,
 		prefUseful:      p.prefUseful,
 		accesses:        p.accesses,

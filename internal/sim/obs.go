@@ -12,40 +12,49 @@ import (
 // tracer receives the Figure 6/8 hook-point events (and is handed to
 // predictors that emit their own), the metrics registry gains probes for
 // every structure's counters, and the interval recorder is driven every
-// Interval.Every accesses. Passing nil detaches everything. Each hook in
-// the simulator is guarded by one pointer/integer check, so a detached
-// system pays nothing on the access path. Single-core machines only; a
+// Interval.Every accesses. Passing nil detaches everything. Each one is
+// an instrument on the core's access path (instrument.go), so a detached
+// system pays one nil check per event site. Single-core machines only; a
 // larger machine publishes its metrics through AttachMetrics.
 //
 // Attach order is free: predictors installed after AttachObserver are
 // wired by SetTLBPredictor/SetLLCPredictor. A metrics registry brings the
 // lifetime histograms, which need entry times from the first access
-// (enableHistograms), so attach one before running.
+// (newHistograms), so attach one before running.
 func (s *System) AttachObserver(o *obs.Observer) {
 	s.singleCore("the observer (tracer and interval sampler)")
 	p := s.cores[0]
 	p.observer = o
-	p.tr = nil
-	p.intervalEvery = 0
-	p.lltConf, p.llcConf = s.lltConf, s.llcConf
-	p.histMemLat, p.histWalkDepth, p.histWalkLat = nil, nil, nil
-	p.histLLTLife, p.histLLCLife = nil, nil
-	if o == nil {
-		return
-	}
-	p.tr = o.Tracer
-	if p.tr != nil {
-		p.tr.SetClock(func() (uint64, uint64) { return p.now(), p.accesses })
-	}
-	if o.Interval != nil && o.Interval.Every > 0 {
-		p.intervalEvery = o.Interval.Every
-	}
-	if reg := o.RunRegistry(); reg != nil {
-		p.enableQuality(reg)
-		p.registerMetrics(reg)
-	}
-	if p.intervalEvery > 0 {
-		p.intervalBase = p.snap()
+	p.instrument(func(c *instruments) {
+		c.conf, c.hist, c.tr, c.ivl = s.conf, nil, nil, nil
+		c.published = o != nil
+		if o == nil {
+			return
+		}
+		if o.Tracer != nil {
+			o.Tracer.SetClock(func() (uint64, uint64) { return p.now(), p.accesses })
+			c.tr = &eventTracer{tr: o.Tracer}
+		}
+		if reg := o.RunRegistry(); reg != nil {
+			// A registry brings the confusion mirrors (the machine's
+			// shared ones when EnableConfusionTracking ran). Their
+			// construction cannot fail here — the geometries were
+			// validated when the real structures were built — but a
+			// defensive check leaves them off if it ever does.
+			if c.conf == nil {
+				if m, err := newMirrors(p.cfg, p.llt, p.llc); err == nil {
+					c.conf = &confusionMirrors{m}
+				}
+			}
+			c.hist = newHistograms(p, reg)
+			p.registerMetrics(reg)
+		}
+		if o.Interval != nil && o.Interval.Every > 0 {
+			c.ivl = &intervalSampler{rec: o.Interval, tr: o.Tracer}
+		}
+	})
+	if p.inst != nil && p.inst.ivl != nil {
+		p.inst.ivl.base = p.snap()
 	}
 	p.observePredictors()
 }
@@ -61,7 +70,7 @@ func (s *System) AttachMetrics(reg *obs.Registry) {
 	}
 	for i, p := range s.cores {
 		sub := reg.Sub(fmt.Sprintf("core%d.", i))
-		p.enableHistograms(sub)
+		p.instrument(func(c *instruments) { c.hist, c.published = newHistograms(p, sub), true })
 		p.registerMetrics(sub)
 	}
 	reg.RegisterProbe("multi.steps", func() float64 { return float64(s.counts.steps) })
@@ -82,9 +91,9 @@ func (p *proc) observePredictors() {
 	}
 	reg := p.observer.RunRegistry()
 	for _, pr := range []any{p.tlbPred, p.llcPred} {
-		if p.tr != nil {
+		if tr := p.observer.Tracer; tr != nil {
 			if ta, ok := pr.(obs.TraceAttacher); ok {
-				ta.AttachTracer(p.tr)
+				ta.AttachTracer(tr)
 			}
 		}
 		if reg != nil {
@@ -93,38 +102,6 @@ func (p *proc) observePredictors() {
 			}
 		}
 	}
-}
-
-// enableQuality turns on the passive quality telemetry that only exists
-// when a metrics registry is attached: the confusion trackers mirroring
-// the LLT and LLC (grading every dead prediction as true-dead, premature
-// or missed; the machine's shared ones when EnableConfusionTracking ran)
-// and the latency/lifetime histograms. Mirror construction cannot fail
-// here — the geometries were already validated when the real structures
-// were built — but a defensive nil keeps the hook disabled if it ever
-// does.
-func (p *proc) enableQuality(r *obs.Registry) {
-	if p.lltConf == nil {
-		if lt, ct, err := newMirrors(p.cfg, p.llt, p.llc, "llt", "llc", stats.NewConfusionTracker); err == nil {
-			p.lltConf, p.llcConf = lt, ct
-		}
-	}
-	p.enableHistograms(r)
-}
-
-// enableHistograms creates the latency/lifetime histograms in r. The
-// lifetime histograms read the shared LLT's and LLC's entry times, so the
-// machine starts tracking them here; attaching after the machine filled
-// either structure is a programming error and panics.
-func (p *proc) enableHistograms(r *obs.Registry) {
-	if err := p.trackTimes(); err != nil {
-		panic(fmt.Sprintf("sim: lifetime histograms: %v (attach before the first access)", err))
-	}
-	p.histMemLat = r.Histogram("hist.mem_latency")
-	p.histWalkDepth = r.Histogram("hist.walk_depth")
-	p.histWalkLat = r.Histogram("hist.walk_latency")
-	p.histLLTLife = r.Histogram("hist.llt_lifetime")
-	p.histLLCLife = r.Histogram("hist.llc_lifetime")
 }
 
 // registerMetrics publishes every structure's counters as probes. Probes
@@ -167,24 +144,17 @@ func (p *proc) registerMetrics(r *obs.Registry) {
 	r.RegisterProbe("sim.walks", func() float64 { return float64(p.walks) })
 	r.RegisterProbe("sim.shadow_fills", func() float64 { return float64(p.shadowFills) })
 
-	// Ground-truth prediction quality from the mirror-based confusion
-	// trackers (nil-guarded: the trackers only exist while a registry is
-	// attached, but probes may outlive a detach).
-	confusion := func(prefix string, t func() *stats.ConfusionTracker) {
-		counts := func() stats.Confusion {
-			if ct := t(); ct != nil {
-				return ct.Counts()
-			}
-			return stats.Confusion{}
-		}
+	// Ground-truth prediction quality from the confusion mirrors (zero
+	// while none is attached; probes may outlive a detach).
+	confusion := func(prefix string, counts func() stats.Confusion) {
 		r.RegisterProbe(prefix+".true_dead", func() float64 { return float64(counts().TrueDead) })
 		r.RegisterProbe(prefix+".premature", func() float64 { return float64(counts().Premature) })
 		r.RegisterProbe(prefix+".missed", func() float64 { return float64(counts().Missed) })
 		r.RegisterProbe(prefix+".premature_rate", func() float64 { return counts().PrematureRate() })
 		r.RegisterProbe(prefix+".coverage", func() float64 { return counts().CoverageRate() })
 	}
-	confusion("conf.llt", func() *stats.ConfusionTracker { return p.lltConf })
-	confusion("conf.llc", func() *stats.ConfusionTracker { return p.llcConf })
+	confusion("conf.llt", func() stats.Confusion { c, _ := p.confusion(); return c })
+	confusion("conf.llc", func() stats.Confusion { _, c := p.confusion(); return c })
 
 	// Self-reported quality from predictors implementing obs.QualitySource
 	// (dpPred's shadow table detects its own premature predictions). The
@@ -208,60 +178,4 @@ func (p *proc) registerMetrics(r *obs.Registry) {
 	}
 	quality("pred.tlb", func() any { return p.tlbPred })
 	quality("pred.llc", func() any { return p.llcPred })
-}
-
-// sampleInterval emits one time-series point covering the accesses since
-// the previous sample (or since AttachObserver). Runs off the hot path —
-// once per intervalEvery accesses.
-func (p *proc) sampleInterval() {
-	cur := p.snap()
-	b := p.intervalBase
-	p.intervalBase = cur
-
-	d := between(cur, b)
-	samp := obs.IntervalSample{
-		Access:          p.accesses,
-		Cycle:           cur.cycles,
-		Instructions:    d.Instructions,
-		Walks:           d.Walks,
-		ShadowHits:      d.ShadowFills,
-		WalkQueueCycles: d.WalkQueueCycles,
-		IPC:             d.IPC,
-		LLTMPKI:         d.LLTMPKI,
-		LLCMPKI:         d.LLCMPKI,
-		LLTBypassRate:   bypassRate(d.LLTBypasses, d.LLTMisses),
-		LLCBypassRate:   bypassRate(d.LLCBypasses, d.LLCMisses),
-	}
-	if now := p.now(); p.walkerBusyUntil > now {
-		samp.WalkerBacklog = p.walkerBusyUntil - now
-	}
-	if h, ok := p.tlbPred.(obs.CounterHistogrammer); ok {
-		samp.PHISTHist = h.CounterHistogram()
-	}
-	if h, ok := p.llcPred.(obs.CounterHistogrammer); ok {
-		samp.BHISTHist = h.CounterHistogram()
-	}
-	if p.lltConf != nil {
-		d := cur.lltConf.Delta(b.lltConf)
-		samp.LLTTrueDead, samp.LLTPremature, samp.LLTMissed = d.TrueDead, d.Premature, d.Missed
-		samp.LLTPrematureRate = d.PrematureRate()
-	}
-	if p.llcConf != nil {
-		d := cur.llcConf.Delta(b.llcConf)
-		samp.LLCTrueDead, samp.LLCPremature, samp.LLCMissed = d.TrueDead, d.Premature, d.Missed
-		samp.LLCPrematureRate = d.PrematureRate()
-	}
-	idx := p.observer.Interval.Add(samp)
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{Kind: obs.EvInterval, Key: uint64(idx)})
-	}
-}
-
-// bypassRate returns bypasses / misses (each miss is a fill opportunity;
-// bypassed misses are included in the miss count).
-func bypassRate(bypasses, misses uint64) float64 {
-	if misses == 0 {
-		return 0
-	}
-	return float64(bypasses) / float64(misses)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pred"
 	"repro/internal/trace"
 )
@@ -136,4 +137,43 @@ func TestPrefetchedEntriesDoNotTrainDPPred(t *testing.T) {
 // newTestDPPred builds a default dpPred for the system's LLT.
 func newTestDPPred(s *System) (*core.DPPred, error) {
 	return core.NewDPPred(core.DefaultDPPredConfig(s.LLT().Entries()))
+}
+
+// kindCounter is a trace sink that counts events by kind.
+type kindCounter map[obs.Kind]uint64
+
+func (k kindCounter) WriteEvent(ev obs.Event) error { k[ev.Kind]++; return nil }
+func (kindCounter) Close() error                    { return nil }
+
+// TestPrefetchEvictionsReachEveryInstrument: an LLT eviction caused by a
+// prefetch fill is an eviction like any other, so the tracer, the LLT
+// lifetime histogram and the dead sampler must each see every one the LLT
+// counts, whichever fill caused it.
+func TestPrefetchEvictionsReachEveryInstrument(t *testing.T) {
+	s := MustNew(DefaultConfig())
+	characterize(t, s, 0)
+	pf, err := pred.NewDistancePrefetcher(pred.DefaultDistancePrefetcherConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetTLBPrefetcher(pf)
+	events := kindCounter{}
+	reg := obs.NewRegistry()
+	s.AttachObserver(&obs.Observer{Tracer: obs.NewTracer(0, events), Metrics: reg})
+	if err := s.Run(materializeWorkload(t, "cactusADM", 1, 300_000).Reader(), 300_000); err != nil {
+		t.Fatal(err)
+	}
+	if issued, _ := s.PrefetchStats(); issued == 0 {
+		t.Fatal("no prefetch fills: the run does not exercise prefetch evictions")
+	}
+	want := s.LLT().Stats().Evictions
+	for name, got := range map[string]uint64{
+		"llt_evict events":        events[obs.EvLLTEvict],
+		"hist.llt_lifetime count": reg.Histograms()["hist.llt_lifetime"].Count,
+		"sampler evictions":       s.Result().LLTDead.Evictions,
+	} {
+		if got != want {
+			t.Errorf("%s = %d, want the LLT's %d evictions", name, got, want)
+		}
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/pool"
 	"repro/internal/pred"
-	"repro/internal/stats"
 	"repro/internal/tlb"
 	"repro/internal/walker"
 	"repro/internal/xhash"
@@ -46,37 +45,12 @@ type proc struct {
 	prefFills  uint64
 	prefUseful uint64
 
-	// Instrumentation (nil unless enabled). The accuracy mirrors are the
-	// machine's shared ones; the samplers and correlation tracker exist
-	// only on a single-core machine.
-	lltAcc      *stats.AccuracyTracker
-	llcAcc      *stats.AccuracyTracker
-	lltSampler  *stats.DeadSampler
-	llcSampler  *stats.DeadSampler
-	corr        *stats.DOACorrelation
-	sampleEvery uint64
-
-	// Observability (nil/zero unless attached; see AttachObserver). tr
-	// and intervalEvery are cached from observer so the hot-path guards
-	// are a single load each.
-	observer      *obs.Observer
-	tr            *obs.Tracer
-	intervalEvery uint64
-	intervalBase  snapshot
-
-	// Predictor-quality telemetry and latency/lifetime histograms. The
-	// confusion trackers are the machine's shared ones when
-	// EnableConfusionTracking ran, else created by AttachObserver; the
-	// histograms come with a metrics registry. All nil otherwise, so the
-	// disabled hot path pays one nil check per hook. All of it is passive:
-	// mirrors and histograms only observe, so results are bit-identical
-	// with or without it.
-	lltConf, llcConf *stats.ConfusionTracker
-	histMemLat       *obs.Histogram // total memory latency per access
-	histWalkDepth    *obs.Histogram // PTE fetches per page walk (1–4)
-	histWalkLat      *obs.Histogram // effective walk latency, queueing included
-	histLLTLife      *obs.Histogram // LLT entry residency, fill → eviction
-	histLLCLife      *obs.Histogram // LLC block residency, fill → eviction
+	// inst is the core's composite instrument (instrument.go), nil unless
+	// an instrument, an observer or metrics are attached. observer is
+	// the attached observability bundle (AttachObserver), kept to wire
+	// predictors installed after it.
+	inst     *instruments
+	observer *obs.Observer
 
 	// Counters owned by the core.
 	accesses    uint64
@@ -115,7 +89,7 @@ type proc struct {
 
 // newProc builds one core over the shared LLT and LLC, running tenant t.
 func newProc(cfg Config, pl *pool.Pool, llt *tlb.TLB, llc *cache.Cache, t *tenantState) (*proc, error) {
-	p := &proc{cfg: cfg, llt: llt, llc: llc, pt: t.pt, asidKey: t.asidKey, sampleEvery: 50_000}
+	p := &proc{cfg: cfg, llt: llt, llc: llc, pt: t.pt, asidKey: t.asidKey}
 	var err error
 	if p.itlb, err = tlb.New(cfg.L1ITLB); err != nil {
 		return nil, err
@@ -189,11 +163,8 @@ func (p *proc) translate(vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PF
 			b.Prefetched = false
 		}
 		p.tlbPred.OnHit(b)
-		if p.lltAcc != nil {
-			p.lltAcc.Access(uint64(vpn), false, now)
-		}
-		if p.lltConf != nil {
-			p.lltConf.Access(uint64(vpn), false, now)
+		if p.inst != nil {
+			p.inst.lltHit(vpn, now)
 		}
 		pfn := arch.PFN(b.Data)
 		p.fillL1TLB(l1, vpn, pfn)
@@ -204,16 +175,11 @@ func (p *proc) translate(vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PF
 	// before walking (Fig. 6a).
 	if pfn, handled := p.tlbPred.OnMiss(vpn, pc); handled {
 		p.shadowFills++
-		if p.tr != nil {
-			p.tr.Emit(obs.Event{Kind: obs.EvShadowHit, Key: uint64(vpn), Aux: uint64(pfn), PC: pc})
+		d := pred.Decision{PCHash: uint16(xhash.PC(pc, 6))}
+		if p.inst != nil {
+			p.inst.shadowRefill(vpn, pfn, pc, d, now)
 		}
-		p.lltFill(vpn, pfn, pc, pred.Decision{PCHash: uint16(xhash.PC(pc, 6))})
-		if p.lltAcc != nil {
-			p.lltAcc.Access(uint64(vpn), false, now)
-		}
-		if p.lltConf != nil {
-			p.lltConf.Access(uint64(vpn), false, now)
-		}
+		p.lltFill(vpn, pfn, d)
 		p.fillL1TLB(l1, vpn, pfn)
 		return p.llt.Latency(), pfn, nil
 	}
@@ -234,31 +200,18 @@ func (p *proc) translate(vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PF
 	}
 	p.walkerBusyUntil = start + uint64(res.Latency)
 	effWalk := arch.Lat(p.walkerBusyUntil - now)
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{Kind: obs.EvWalk, Key: uint64(vpn), Aux: uint64(effWalk), Flag: !walkerWasIdle})
-	}
-	if p.histWalkDepth != nil {
-		p.histWalkDepth.Observe(uint64(res.PTAccesses))
-		p.histWalkLat.Observe(uint64(effWalk))
-	}
 	d := p.tlbPred.OnFill(vpn, res.PFN, pc)
-	if p.lltAcc != nil {
-		p.lltAcc.Access(uint64(vpn), d.PredictDOA, now)
-	}
-	if p.lltConf != nil {
-		p.lltConf.Access(uint64(vpn), d.PredictDOA, now)
+	if p.inst != nil {
+		p.inst.walked(vpn, res.PFN, pc, effWalk, res.PTAccesses, !walkerWasIdle, d, now)
 	}
 	if d.Bypass {
 		p.llt.RecordBypass()
-		if p.tr != nil {
-			p.tr.Emit(obs.Event{Kind: obs.EvLLTBypass, Key: uint64(vpn), Aux: uint64(res.PFN), PC: pc})
-		}
 		// Fig. 6b: announce the DOA page's frame to the LLC side.
 		if p.llcDOA != nil {
 			p.llcDOA.NotifyDOAPage(res.PFN)
 		}
 	} else {
-		p.lltFill(vpn, res.PFN, pc, d)
+		p.lltFill(vpn, res.PFN, d)
 	}
 	p.fillL1TLB(l1, vpn, res.PFN)
 
@@ -282,11 +235,8 @@ func (p *proc) translate(vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PF
 			}
 			nb, victim, evicted := p.llt.Fill(cand, pfn, 0, policy.InsertMRU, p.stepNow)
 			nb.Prefetched = true
-			if evicted && !victim.Prefetched {
-				p.tlbPred.OnEvict(victim)
-				if p.lltSampler != nil {
-					p.lltSampler.OnEvict(victim.Key, p.llt.Inner().EvictedGen(), p.stepNow)
-				}
+			if evicted {
+				p.lltEvict(&victim)
 			}
 			p.prefFills++
 		}
@@ -295,33 +245,26 @@ func (p *proc) translate(vpn arch.VPN, pc uint64, instr bool) (arch.Lat, arch.PF
 }
 
 // lltFill allocates an LLT entry and processes the resulting eviction.
-func (p *proc) lltFill(vpn arch.VPN, pfn arch.PFN, pc uint64, d pred.Decision) {
-	now := p.stepNow
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{Kind: obs.EvLLTFill, Key: uint64(vpn), Aux: uint64(pfn), PC: pc})
-	}
-	nb, victim, evicted := p.llt.Fill(vpn, pfn, d.PCHash, d.Hint, now)
+func (p *proc) lltFill(vpn arch.VPN, pfn arch.PFN, d pred.Decision) {
+	nb, victim, evicted := p.llt.Fill(vpn, pfn, d.PCHash, d.Hint, p.stepNow)
 	nb.Sig = d.Sig
 	if p.tlbFF != nil {
 		p.tlbFF.OnFillDone(nb)
 	}
-	if !evicted {
-		return
+	if evicted {
+		p.lltEvict(&victim)
 	}
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{Kind: obs.EvLLTEvict, Key: victim.Key, Aux: victim.Data, Flag: victim.Accessed})
-	}
-	if p.histLLTLife != nil {
-		p.histLLTLife.Observe(now - p.llt.Inner().EvictedGen().FillTime)
+}
+
+// lltEvict hands an entry a demand or prefetch fill evicted from the LLT
+// to the instruments and, unless a prefetch installed it, to the
+// predictor (prefetched entries never train it).
+func (p *proc) lltEvict(victim *cache.Block) {
+	if p.inst != nil {
+		p.inst.lltEvict(*victim, p.llt.Inner().EvictedGen(), p.stepNow)
 	}
 	if !victim.Prefetched {
-		p.tlbPred.OnEvict(victim)
-	}
-	if p.lltSampler != nil {
-		p.lltSampler.OnEvict(victim.Key, p.llt.Inner().EvictedGen(), now)
-	}
-	if p.corr != nil {
-		p.corr.OnPageEvict(arch.PFN(victim.Data), !victim.Accessed)
+		p.tlbPred.OnEvict(*victim)
 	}
 }
 
@@ -364,11 +307,8 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64) arch.Lat {
 	}
 	if b, ok := p.llc.Lookup(key, now); ok {
 		p.llcPred.OnHit(b)
-		if p.llcAcc != nil {
-			p.llcAcc.Access(key, false, now)
-		}
-		if p.llcConf != nil {
-			p.llcConf.Access(key, false, now)
+		if p.inst != nil {
+			p.inst.llcHit(key, now)
 		}
 		p.fillInner(p.l2, key, now)
 		p.fillInner(p.l1d, key, now)
@@ -377,28 +317,18 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64) arch.Lat {
 
 	// LLC miss → main memory; decide allocation (Fig. 8b).
 	d := p.llcPred.OnFill(key, pc)
-	if p.llcAcc != nil {
-		p.llcAcc.Access(key, d.PredictDOA, now)
-	}
-	if p.llcConf != nil {
-		p.llcConf.Access(key, d.PredictDOA, now)
+	if p.inst != nil {
+		p.inst.llcMiss(key, pc, d, now)
 	}
 	if d.Bypass {
 		p.llc.RecordBypass()
-		if p.tr != nil {
-			p.tr.Emit(obs.Event{Kind: obs.EvLLCBypass, Key: key, PC: pc})
-		}
 	} else {
-		if p.tr != nil {
-			p.tr.Emit(obs.Event{Kind: obs.EvLLCFill, Key: key, PC: pc, Flag: d.SetDP})
-		}
 		// The victim's Block is copied out only when something reads
-		// it (the DOA correlation comes with the sampler; the lifetime
-		// histogram and the sampler read its Gen too); back-
-		// invalidation needs no more than its key.
+		// it, the predictor or an instrument; back-invalidation needs
+		// no more than its key.
 		var victim cache.Block
 		var into *cache.Block
-		if p.llcVictims || p.tr != nil || p.histLLCLife != nil || p.llcSampler != nil {
+		if p.llcVictims || p.inst != nil {
 			into = &victim
 		}
 		// A tag-only LLC (no predictor) returns no block, and the null
@@ -414,7 +344,7 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64) arch.Lat {
 		}
 		if evicted {
 			if into != nil {
-				p.llcVictim(&victim, now)
+				p.llcEvict(&victim)
 			}
 			// Inclusive LLC: drop inner copies — from every core
 			// sharing the LLC when the machine installed the fan-out,
@@ -432,23 +362,13 @@ func (p *proc) memAccess(pa arch.PAddr, pc uint64) arch.Lat {
 	return p.cfg.LLC.Latency + p.cfg.MemLatency
 }
 
-// llcVictim hands an evicted LLC block to everything that reads it: the
-// tracer, the lifetime histogram, the predictor, the sampler and the DOA
-// correlation.
-func (p *proc) llcVictim(victim *cache.Block, now uint64) {
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{Kind: obs.EvLLCEvict, Key: victim.Key, Flag: victim.Accessed})
-	}
-	if p.histLLCLife != nil {
-		p.histLLCLife.Observe(now - p.llc.EvictedGen().FillTime)
+// llcEvict hands an evicted LLC block to the instruments and the
+// predictor.
+func (p *proc) llcEvict(victim *cache.Block) {
+	if p.inst != nil {
+		p.inst.llcEvict(*victim, p.llc.EvictedGen(), p.stepNow)
 	}
 	p.llcPred.OnEvict(*victim)
-	if p.llcSampler != nil {
-		p.llcSampler.OnEvict(victim.Key, p.llc.EvictedGen(), now)
-	}
-	if p.corr != nil {
-		p.corr.OnBlockEvict(blockFrame(victim.Key), uint64(victim.Hits))
-	}
 }
 
 // blockFrame recovers the frame of a physical block number.

@@ -38,18 +38,13 @@ func (p *proc) refStep(a trace.Access) error {
 	pa := arch.Translate(pfn, a.Addr)
 	memLat := p.memAccess(pa, a.PC)
 
-	if p.histMemLat != nil {
-		p.histMemLat.Observe(uint64(iLat) + uint64(dLat) + uint64(memLat))
+	lat := uint64(iLat) + uint64(dLat) + uint64(memLat)
+	if p.inst != nil {
+		p.inst.accessDone(lat)
 	}
-
-	p.core.Memory(uint64(iLat)+uint64(dLat)+uint64(memLat), a.Dependent)
-
-	if p.lltSampler != nil && p.accesses%p.sampleEvery == 0 {
-		p.lltSampler.Sample(p.llt.Inner())
-		p.llcSampler.Sample(p.llc)
-	}
-	if p.intervalEvery != 0 && p.accesses%p.intervalEvery == 0 {
-		p.sampleInterval()
+	p.core.Memory(lat, a.Dependent)
+	if p.inst != nil {
+		p.inst.tick(p)
 	}
 	return nil
 }

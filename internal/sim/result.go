@@ -43,13 +43,7 @@ func (p *proc) snap() snapshot {
 	dtlb := p.dtlb.Stats()
 	wk := p.walk.Stats()
 	latSum, memOps := p.core.MemLatencyStats()
-	var lltConf, llcConf stats.Confusion
-	if p.lltConf != nil {
-		lltConf = p.lltConf.Counts()
-	}
-	if p.llcConf != nil {
-		llcConf = p.llcConf.Counts()
-	}
+	lltConf, llcConf := p.confusion()
 	return snapshot{
 		lltConf: lltConf, llcConf: llcConf,
 		l1dLookups: l1d.Lookups, l1dMisses: l1d.Misses,
@@ -148,21 +142,13 @@ type Result struct {
 }
 
 // result computes the core's summary for everything since
-// StartMeasurement. The shared structures' counters (LLT, LLC) and the
-// shared accuracy mirrors are machine-global, so they are the same on
-// every core.
+// StartMeasurement, with its instruments' fields. The shared structures'
+// counters (LLT, LLC) and the shared accuracy mirrors are machine-global,
+// so they are the same on every core.
 func (p *proc) result() Result {
 	r := between(p.snap(), p.base)
-	if p.lltAcc != nil {
-		r.LLTAccuracy = p.lltAcc.Result()
-		r.LLCAccuracy = p.llcAcc.Result()
-	}
-	if p.lltSampler != nil {
-		r.LLTDead = p.lltSampler.Result()
-		r.LLCDead = p.llcSampler.Result()
-	}
-	if p.corr != nil {
-		r.Correlation = p.corr.Result()
+	if p.inst != nil {
+		p.inst.report(&r)
 	}
 	return r
 }
@@ -227,8 +213,8 @@ func (s *System) Result() Result {
 	r.Shootdowns = c.shootdowns - b.shootdowns
 	r.ShootdownFlushed = c.shootdownFlushed - b.shootdownFlushed
 	r.Unmaps = c.unmaps - b.unmaps
-	if s.lltConf != nil {
-		lc, cc := s.lltConf.Counts(), s.llcConf.Counts()
+	if s.conf != nil {
+		lc, cc := s.conf.llt.Counts(), s.conf.llc.Counts()
 		r.LLTConfusion, r.LLCConfusion = &lc, &cc
 	}
 	return r

@@ -4,76 +4,11 @@
 // DOA-block/DOA-page correlation measurement of Table III.
 package stats
 
-import (
-	"repro/internal/cache"
-	"repro/internal/policy"
-)
-
-// AccuracyTracker grades fill-time DOA predictions against ground truth.
-//
-// A bypassed entry never lives in the real structure, so its true outcome
-// is unobservable there. The tracker therefore maintains a tag-only
-// *mirror* of the structure with identical geometry and replacement policy
-// that always allocates. Every access touches the mirror; a mirror fill is
-// tagged with the predictor's claim for the corresponding real fill. When
-// the mirror evicts an entry:
-//
-//   - zero hits             → it was a true DOA (coverage denominator)
-//   - zero hits + predicted → the prediction was correct
-//   - hits    + predicted   → the prediction was wrong
-//
-// Accuracy = correct / predictions graded; Coverage = correct / true DOAs,
-// matching the definitions in §VI-C.
-type AccuracyTracker struct {
-	mirror *cache.Cache
-
-	correct uint64
-	wrong   uint64
-	trueDOA uint64
-}
-
-// NewAccuracyTracker builds a tracker mirroring a structure with the given
-// geometry and policy (nil means LRU).
-func NewAccuracyTracker(name string, sets, ways int, pol policy.Policy) (*AccuracyTracker, error) {
-	m, err := cache.New(cache.Config{Name: name + "-mirror", Sets: sets, Ways: ways, Policy: pol})
-	if err != nil {
-		return nil, err
-	}
-	return &AccuracyTracker{mirror: m}, nil
-}
-
-// Access records one access to the structure. predictedDOA is the
-// predictor's fill-time claim when this access caused a real fill (false
-// when the real structure hit, when no prediction was made, or when the
-// access is a non-predicting refill such as a shadow-table promotion).
-func (a *AccuracyTracker) Access(key uint64, predictedDOA bool, now uint64) {
-	if _, ok := a.mirror.Lookup(key, now); ok {
-		return
-	}
-	nb, victim, evicted := a.mirror.Fill(key, policy.InsertMRU, now)
-	// The DP bit is reused in the mirror to mean "predicted DOA".
-	nb.DP = predictedDOA
-	if evicted {
-		a.grade(victim)
-	}
-}
-
-func (a *AccuracyTracker) grade(b cache.Block) {
-	doa := b.Hits == 0
-	if doa {
-		a.trueDOA++
-	}
-	if !b.DP {
-		return
-	}
-	if doa {
-		a.correct++
-	} else {
-		a.wrong++
-	}
-}
-
-// Result summarizes graded predictions.
+// AccuracyResult is the §VI-C view of a ConfusionTracker's grading
+// (ConfusionTracker.Accuracy): a correct prediction is a true-dead one, a
+// wrong one is premature, and every entry that died unused — caught or
+// missed — counts toward coverage. Accuracy = correct / predictions
+// graded; Coverage = correct / true DOAs.
 type AccuracyResult struct {
 	// Correct and Wrong are graded predictions; TrueDOA is the coverage
 	// denominator (all DOA evictions seen by the mirror).
@@ -96,9 +31,4 @@ func (r AccuracyResult) Coverage() float64 {
 		return 0
 	}
 	return float64(r.Correct) / float64(r.TrueDOA)
-}
-
-// Result returns the current tally.
-func (a *AccuracyTracker) Result() AccuracyResult {
-	return AccuracyResult{Correct: a.correct, Wrong: a.wrong, TrueDOA: a.trueDOA}
 }

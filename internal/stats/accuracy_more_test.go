@@ -8,7 +8,7 @@ import (
 )
 
 func TestAccuracyTrackerWithSRRIPMirror(t *testing.T) {
-	a, err := NewAccuracyTracker("llt", 2, 2, policy.SRRIP{})
+	a, err := NewConfusionTracker("llt", 2, 2, policy.SRRIP{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestAccuracyTrackerWithSRRIPMirror(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		a.Access(i, i%2 == 0, i)
 	}
-	r := a.Result()
+	r := a.Accuracy()
 	if r.TrueDOA == 0 {
 		t.Error("no true DOAs graded under an SRRIP mirror")
 	}
@@ -27,7 +27,7 @@ func TestAccuracyTrackerWithSRRIPMirror(t *testing.T) {
 }
 
 func TestAccuracyTrackerRepeatedKeyIsHit(t *testing.T) {
-	a, err := NewAccuracyTracker("llt", 1, 2, nil)
+	a, err := NewConfusionTracker("llt", 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestAccuracyTrackerRepeatedKeyIsHit(t *testing.T) {
 	a.Access(1, false, 1)
 	a.Access(2, false, 2)
 	a.Access(3, false, 3) // evicts 1: predicted but hit → wrong
-	r := a.Result()
+	r := a.Accuracy()
 	if r.Wrong != 1 || r.Correct != 0 {
 		t.Errorf("grading = %+v, want one wrong prediction", r)
 	}
 }
 
 func TestAccuracyTrackerBadGeometry(t *testing.T) {
-	if _, err := NewAccuracyTracker("x", 0, 2, nil); err == nil {
+	if _, err := NewConfusionTracker("x", 0, 2, nil); err == nil {
 		t.Error("zero sets accepted")
 	}
 }

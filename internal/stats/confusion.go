@@ -5,10 +5,10 @@ import (
 	"repro/internal/policy"
 )
 
-// Confusion tallies fill-time dead predictions against ground truth. It is
-// the live-telemetry refinement of AccuracyResult: instead of two buckets
-// (correct/wrong) it classifies every graded outcome into the three the
-// paper's risk analysis needs:
+// Confusion tallies fill-time dead predictions against ground truth. It
+// refines AccuracyResult: instead of two buckets (correct/wrong) it
+// classifies every graded outcome into the three the paper's risk
+// analysis needs:
 //
 //   - TrueDead:  predicted dead, and the entry really saw no further use.
 //   - Premature: predicted dead, but the entry was re-touched afterwards —
@@ -64,10 +64,16 @@ func (c Confusion) Delta(prev Confusion) Confusion {
 	}
 }
 
-// ConfusionTracker grades dead predictions with the same tag-only mirror
-// technique as AccuracyTracker (a bypassed entry never lives in the real
-// structure, so its outcome is only observable in an always-allocating
-// mirror) but classifies each mirror eviction into the Confusion classes.
+// ConfusionTracker grades fill-time dead predictions against ground truth.
+//
+// A bypassed entry never lives in the real structure, so its true outcome
+// is unobservable there. The tracker therefore maintains a tag-only
+// *mirror* of the structure with identical geometry and replacement policy
+// that always allocates. Every access touches the mirror; a mirror fill is
+// tagged with the predictor's claim for the corresponding real fill, and
+// each mirror eviction is classified into the Confusion classes (zero hits
+// means the entry died unused). Accuracy reads the same grading as the
+// §VI-C accuracy and coverage.
 //
 // The tracker is passive: it observes the same (key, predictedDOA, now)
 // stream the structure sees and never feeds anything back, so enabling it
@@ -113,6 +119,11 @@ func (c *ConfusionTracker) grade(b cache.Block) {
 	case dead:
 		c.counts.Missed++
 	}
+}
+
+// Accuracy returns the grading so far as §VI-C accuracy and coverage.
+func (c *ConfusionTracker) Accuracy() AccuracyResult {
+	return AccuracyResult{Correct: c.counts.TrueDead, Wrong: c.counts.Premature, TrueDOA: c.counts.ActualDead()}
 }
 
 // Counts returns the classification so far. Entries still resident in the

@@ -10,7 +10,7 @@ import (
 )
 
 func TestAccuracyTrackerGrading(t *testing.T) {
-	a, err := NewAccuracyTracker("llt", 1, 2, nil)
+	a, err := NewConfusionTracker("llt", 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestAccuracyTrackerGrading(t *testing.T) {
 	a.Access(1, true, tick())
 	a.Access(2, false, tick())
 	a.Access(3, false, tick()) // evicts 1 (LRU): DOA + predicted → correct
-	r := a.Result()
+	r := a.Accuracy()
 	if r.Correct != 1 || r.Wrong != 0 || r.TrueDOA != 1 {
 		t.Fatalf("after first eviction: %+v", r)
 	}
@@ -32,7 +32,7 @@ func TestAccuracyTrackerGrading(t *testing.T) {
 	a.Access(4, false, tick()) // hit: 4 now has a hit
 	a.Access(5, false, tick()) // evicts 3 (unpredicted DOA)
 	a.Access(6, false, tick()) // evicts 4: predicted but hit → wrong
-	r = a.Result()
+	r = a.Accuracy()
 	if r.Correct != 1 || r.Wrong != 1 {
 		t.Fatalf("final grading: %+v", r)
 	}
@@ -61,7 +61,7 @@ func TestAccuracyEmptyIsPerfect(t *testing.T) {
 // trueDOA ≥ correct.
 func TestAccuracyBoundsProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		a, err := NewAccuracyTracker("p", 2, 2, nil)
+		a, err := NewConfusionTracker("p", 2, 2, nil)
 		if err != nil {
 			return false
 		}
@@ -75,7 +75,7 @@ func TestAccuracyBoundsProperty(t *testing.T) {
 			}
 			a.Access(key, p, uint64(i))
 		}
-		r := a.Result()
+		r := a.Accuracy()
 		return r.Correct+r.Wrong <= predicted && r.Correct <= r.TrueDOA
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -83,7 +83,7 @@ func TestAccuracyBoundsProperty(t *testing.T) {
 	}
 }
 
-func probe(a *AccuracyTracker, key uint64) (*cache.Block, bool) {
+func probe(a *ConfusionTracker, key uint64) (*cache.Block, bool) {
 	return a.mirror.Probe(key)
 }
 
