@@ -41,42 +41,30 @@ func counterBitsSetup(bits uint) Setup {
 // this ablation quantifies the trade: lower thresholds raise coverage and
 // lower accuracy, risking the wrongful bypasses the shadow table then has
 // to absorb.
-func AblationThreshold(r *Runner) (Series, error) {
-	thresholds := []uint8{2, 4, 6}
-	setups := make([]Setup, len(thresholds))
-	cols := make([]string, len(thresholds))
-	for i, th := range thresholds {
-		setups[i] = thresholdSetup(th)
-		cols[i] = fmt.Sprintf("threshold %d", th)
+func AblationThreshold(r *Runner) (Series, error) { return r.series(ablationThreshold()) }
+
+func ablationThreshold() table {
+	var setups []Setup
+	var cols []string
+	for _, th := range []uint8{2, 4, 6} {
+		setups = append(setups, thresholdSetup(th))
+		cols = append(cols, fmt.Sprintf("threshold %d", th))
 	}
-	s, err := r.ipcSeries("Ablation A",
-		"dpPred prediction threshold (paper default: 6)",
-		Baseline(), setups)
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = cols
-	return s, nil
+	return ipcTable("Ablation A", "dpPred prediction threshold (paper default: 6)", setups, cols...)
 }
 
 // AblationCounterBits sweeps the width of pHIST's saturating counters with
 // the threshold scaled proportionally (predict when the counter is in the
 // top quarter of its range), isolating the cost of the 3-bit choice §V-D
 // budgets for.
-func AblationCounterBits(r *Runner) (Series, error) {
-	widths := []uint{2, 3, 4}
-	setups := make([]Setup, len(widths))
-	cols := make([]string, len(widths))
-	for i, bits := range widths {
-		setups[i] = counterBitsSetup(bits)
-		cols[i] = fmt.Sprintf("%d-bit", bits)
+func AblationCounterBits(r *Runner) (Series, error) { return r.series(ablationCounterBits()) }
+
+func ablationCounterBits() table {
+	var setups []Setup
+	var cols []string
+	for _, bits := range []uint{2, 3, 4} {
+		setups = append(setups, counterBitsSetup(bits))
+		cols = append(cols, fmt.Sprintf("%d-bit", bits))
 	}
-	s, err := r.ipcSeries("Ablation B",
-		"pHIST counter width (paper default: 3-bit, threshold 6)",
-		Baseline(), setups)
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = cols
-	return s, nil
+	return ipcTable("Ablation B", "pHIST counter width (paper default: 3-bit, threshold 6)", setups, cols...)
 }

@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pred"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // withAccuracy returns a copy of the setup with mirror grading enabled.
@@ -40,57 +39,42 @@ func cbPredNoPFQSetup() Setup {
 	}
 }
 
-// accuracySeries builds an accuracy/coverage grid from a list of setups,
-// reading either the LLT-side or LLC-side grading.
-func (r *Runner) accuracySeries(id, title string, setups []Setup, names []string, llcSide bool) (Series, error) {
-	graded := make([]Setup, len(setups))
+// accuracyTable grades each setup's predictions through the mirror
+// structures, reading the LLT side or, with llcSide, the LLC side.
+func accuracyTable(id, title string, setups []Setup, names []string, llcSide bool) table {
+	t := table{id: id, title: title, unit: "%", summary: "mean"}
 	for i, su := range setups {
-		graded[i] = withAccuracy(su)
+		t.grid = append(t.grid, withAccuracy(su))
+		t.cols = append(t.cols, names[i]+" Acc", names[i]+" Cov")
 	}
-	if err := r.RunGrid(trace.Workloads(), graded); err != nil {
-		return Series{}, err
-	}
-	s := Series{
-		ID:    id,
-		Title: title,
-		Unit:  "%",
-	}
-	for _, n := range names {
-		s.Cols = append(s.Cols, n+" Acc", n+" Cov")
-	}
-	for _, w := range trace.Workloads() {
-		row := SeriesRow{Name: w.Name}
-		for _, su := range setups {
-			res, err := r.Run(w, withAccuracy(su))
-			if err != nil {
-				return Series{}, err
-			}
-			acc := res.LLTAccuracy
+	t.row = func(res []sim.Result) []float64 {
+		var out []float64
+		for _, r := range res {
+			acc := r.LLTAccuracy
 			if llcSide {
-				acc = res.LLCAccuracy
+				acc = r.LLCAccuracy
 			}
-			row.Values = append(row.Values, 100*acc.Accuracy(), 100*acc.Coverage())
+			out = append(out, 100*acc.Accuracy(), 100*acc.Coverage())
 		}
-		s.Rows = append(s.Rows, row)
+		return out
 	}
-	s.summarize("mean", mean)
-	return s, nil
+	return t
 }
 
 // Table6 grades the dead-page predictors: dpPred, dpPred−SH and SHiP-TLB.
-func Table6(r *Runner) (Series, error) {
-	return r.accuracySeries("Table VI",
-		"Accuracy, coverage for dead page predictors",
+func Table6(r *Runner) (Series, error) { return r.series(table6()) }
+
+func table6() table {
+	return accuracyTable("Table VI", "Accuracy, coverage for dead page predictors",
 		[]Setup{DPPredSetup(), dpPredNoShadowSetup(), SHiPTLBSetup()},
-		[]string{"dpPred", "dpPred-SH", "SHiP-TLB"},
-		false)
+		[]string{"dpPred", "dpPred-SH", "SHiP-TLB"}, false)
 }
 
 // Table7 grades the dead-block predictors: cbPred, cbPred−PF and SHiP-LLC.
-func Table7(r *Runner) (Series, error) {
-	return r.accuracySeries("Table VII",
-		"Accuracy, coverage for dead block predictors",
+func Table7(r *Runner) (Series, error) { return r.series(table7()) }
+
+func table7() table {
+	return accuracyTable("Table VII", "Accuracy, coverage for dead block predictors",
 		[]Setup{DPPredCBPredSetup(), cbPredNoPFQSetup(), SHiPLLCSetup()},
-		[]string{"cbPred", "cbPred-PF", "SHiP-LLC"},
-		true)
+		[]string{"cbPred", "cbPred-PF", "SHiP-LLC"}, true)
 }

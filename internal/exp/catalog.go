@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/pred"
 )
 
@@ -25,66 +23,32 @@ var (
 	catalogMap  map[string]Setup
 )
 
-// buildCatalog assembles the name → Setup map from the same constructors
-// the experiment functions use, so catalog and experiments cannot drift.
+// buildCatalog assembles the name → Setup map as the union of the grids
+// of paperTables (with a "+acc" cell stored under its base name) and every
+// registered predictor (the arena), resolved as Table4Extended does, so
+// the catalog holds exactly the setups the experiments can plan and cannot
+// drift from them. A name seen twice is the same setup; the first wins.
 func buildCatalog() {
 	catalogMap = make(map[string]Setup)
-	add := func(setups ...Setup) {
-		for _, s := range setups {
-			if _, ok := catalogMap[s.Name]; ok {
-				panic(fmt.Sprintf("exp: duplicate catalog setup %q", s.Name))
-			}
+	add := func(s Setup) {
+		if base, ok := strings.CutSuffix(s.Name, "+acc"); ok {
+			s.Name, s.Instrument.Accuracy = base, false
+		}
+		if _, ok := catalogMap[s.Name]; !ok {
 			catalogMap[s.Name] = s
 		}
 	}
-
-	// Baseline and characterization.
-	add(Baseline(), characterizationSetup())
-
-	// Every registered predictor (the arena), resolved exactly as
-	// Table4Extended and the historical constructors do. This covers
-	// dpPred, dpPred+cbPred, AIP/SHiP on both sides, and all competitors.
+	for _, t := range paperTables() {
+		for _, s := range t.grid {
+			add(s)
+		}
+	}
 	for _, name := range pred.Names() {
 		su, err := SetupFor(name)
 		if err != nil {
 			panic(err) // registered names must resolve
 		}
 		add(su)
-	}
-
-	// Combined and special configurations of the main results.
-	add(AIPBothSetup(), SHiPBothSetup(), IsoStorageSetup(), OracleSetup())
-
-	// Accuracy-table variants with non-default predictor configs.
-	add(dpPredNoShadowSetup(), cbPredNoPFQSetup())
-
-	// Sensitivity sweeps (Figure 11).
-	for _, n := range []int{512, 1024, 1536} {
-		cfgFn := lltSizeConfig(n)
-		add(Setup{Name: fmt.Sprintf("base-llt%d", n), Config: cfgFn},
-			Setup{Name: fmt.Sprintf("dpPred-llt%d", n), Config: cfgFn, TLB: newDPPred})
-	}
-	add(dpPredVariant("dpPred-6pc5vpn", func(c *core.DPPredConfig) { c.VPNBits = 5 }),
-		dpPredVariant("dpPred-10pc", func(c *core.DPPredConfig) { c.PCBits, c.VPNBits = 10, 0 }),
-		dpPredVariant("dpPred-sh4", func(c *core.DPPredConfig) { c.ShadowEntries = 4 }),
-		cbPredVariant("dpPred+cbPred-pfq64", 64))
-	for _, kb := range []int{2048, 3072} {
-		cfgFn := llcSizeConfig(kb)
-		add(Setup{Name: fmt.Sprintf("base-llc%d", kb), Config: cfgFn},
-			Setup{Name: fmt.Sprintf("dpPred+cbPred-llc%d", kb), Config: cfgFn, TLB: newDPPred, LLC: newCBPred})
-	}
-	add(Setup{Name: "srrip-llt", Config: srripConfig(false)},
-		Setup{Name: "srrip-dpPred", Config: srripConfig(false), TLB: newDPPred},
-		Setup{Name: "srrip-llt-llc", Config: srripConfig(true)},
-		Setup{Name: "srrip-cbPred", Config: srripConfig(true), TLB: newDPPred, LLC: newCBPred})
-
-	// Extensions and ablations.
-	add(distancePrefetchSetup(), dpPredPrefetchSetup(), dipLLTSetup(), dipDPPredSetup())
-	for _, th := range []uint8{2, 4, 6} {
-		add(thresholdSetup(th))
-	}
-	for _, bits := range []uint{2, 3, 4} {
-		add(counterBitsSetup(bits))
 	}
 }
 

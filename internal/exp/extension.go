@@ -45,16 +45,11 @@ func dipDPPredSetup() Setup { return Setup{Name: "DIP+dpPred", Config: dipConfig
 // (strides, repeating deltas) while bypassing protects resident reuse, so
 // the combination should dominate either alone on stride-heavy workloads
 // and fall back to dpPred's behaviour on irregular ones.
-func ExtensionPrefetch(r *Runner) (Series, error) {
-	s, err := r.ipcSeries("Extension A",
-		"dpPred vs distance-based TLB prefetching (related work, §VII)",
-		Baseline(),
+func ExtensionPrefetch(r *Runner) (Series, error) { return r.series(extensionPrefetch()) }
+
+func extensionPrefetch() table {
+	return ipcTable("Extension A", "dpPred vs distance-based TLB prefetching (related work, §VII)",
 		[]Setup{DPPredSetup(), distancePrefetchSetup(), dpPredPrefetchSetup()})
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = []string{"dpPred", "distance-prefetch", "dpPred+prefetch"}
-	return s, nil
 }
 
 // ExtensionDIP compares dpPred against the thrash-resistant Dynamic
@@ -62,14 +57,9 @@ func ExtensionPrefetch(r *Runner) (Series, error) {
 // dpPred layered on top of a DIP-managed LLT. DIP resists streaming
 // pollution without knowing which entries are dead; dpPred adds the
 // dead-entry knowledge.
-func ExtensionDIP(r *Runner) (Series, error) {
-	s, err := r.ipcSeries("Extension B",
-		"dpPred vs a DIP-managed LLT",
-		Baseline(),
+func ExtensionDIP(r *Runner) (Series, error) { return r.series(extensionDIP()) }
+
+func extensionDIP() table {
+	return ipcTable("Extension B", "dpPred vs a DIP-managed LLT",
 		[]Setup{DPPredSetup(), dipLLTSetup(), dipDPPredSetup()})
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = []string{"dpPred", "DIP-LLT", "DIP+dpPred"}
-	return s, nil
 }

@@ -1,121 +1,44 @@
 package exp
 
-import "repro/internal/trace"
-
-// ipcSeries builds a normalized-IPC grid: each setup's IPC divided by the
-// baseline setup's IPC on the same workload. The whole grid is simulated
-// through the worker pool first; the aggregation loops below then replay
-// from the memo in the paper's fixed row/column order.
-func (r *Runner) ipcSeries(id, title string, baseline Setup, setups []Setup) (Series, error) {
-	if err := r.RunGrid(trace.Workloads(), append([]Setup{baseline}, setups...)); err != nil {
-		return Series{}, err
-	}
-	s := Series{
-		ID:    id,
-		Title: title,
-		Unit:  "IPC normalized to " + baseline.Name,
-		Cols:  make([]string, len(setups)),
-	}
-	for i, su := range setups {
-		s.Cols[i] = su.Name
-	}
-	for _, w := range trace.Workloads() {
-		base, err := r.Run(w, baseline)
-		if err != nil {
-			return Series{}, err
-		}
-		row := SeriesRow{Name: w.Name, Values: make([]float64, len(setups))}
-		for i, su := range setups {
-			res, err := r.Run(w, su)
-			if err != nil {
-				return Series{}, err
-			}
-			row.Values[i] = res.IPC / base.IPC
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	s.summarize("geomean", geomean)
-	return s, nil
-}
-
 // Figure9 compares TLB dead-page predictors: AIP-TLB, SHiP-TLB, dpPred and
 // an iso-storage LLT, all normalized to the Table I baseline.
-func Figure9(r *Runner) (Series, error) {
-	return r.ipcSeries("Figure 9",
-		"Normalized IPC for TLB dead page predictors",
-		Baseline(),
+func Figure9(r *Runner) (Series, error) { return r.series(figure9()) }
+
+func figure9() table {
+	return ipcTable("Figure 9", "Normalized IPC for TLB dead page predictors",
 		[]Setup{AIPTLBSetup(), SHiPTLBSetup(), DPPredSetup(), IsoStorageSetup()})
 }
 
 // Table4 reports LLT MPKI reductions for the Figure 9 predictors plus the
 // approximate oracle.
-func Table4(r *Runner) (Series, error) {
-	s := Series{
-		ID:    "Table IV",
-		Title: "LLT MPKI reductions by dead page predictors",
-		Unit:  "% LLT MPKI reduction vs baseline",
-		Cols:  []string{"AIP-TLB", "SHiP-TLB", "dpPred", "Iso-TLB", "Oracle"},
-	}
-	setups := []Setup{AIPTLBSetup(), SHiPTLBSetup(), DPPredSetup(), IsoStorageSetup(), OracleSetup()}
-	if err := r.RunGrid(trace.Workloads(), append([]Setup{Baseline()}, setups...)); err != nil {
-		return Series{}, err
-	}
-	for _, w := range trace.Workloads() {
-		base, err := r.Run(w, Baseline())
-		if err != nil {
-			return Series{}, err
-		}
-		row := SeriesRow{Name: w.Name, Values: make([]float64, len(setups))}
-		for i, su := range setups {
-			res, err := r.Run(w, su)
-			if err != nil {
-				return Series{}, err
-			}
-			row.Values[i] = pctReduction(base.LLTMPKI, res.LLTMPKI)
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	s.summarize("mean", mean)
-	return s, nil
+func Table4(r *Runner) (Series, error) { return r.series(table4()) }
+
+func table4() table {
+	return versus("Table IV", "LLT MPKI reductions by dead page predictors",
+		"% LLT MPKI reduction vs baseline",
+		[]Setup{AIPTLBSetup(), SHiPTLBSetup(), DPPredSetup(), IsoStorageSetup(), OracleSetup()},
+		[]string{"AIP-TLB", "SHiP-TLB", "dpPred", "Iso-TLB", "Oracle"},
+		lltMPKIReduction, "mean")
 }
 
 // Figure10 compares LLC dead-block predictors and combined TLB+LLC
 // configurations against the paper's dpPred+cbPred proposal.
-func Figure10(r *Runner) (Series, error) {
-	return r.ipcSeries("Figure 10",
+func Figure10(r *Runner) (Series, error) { return r.series(figure10()) }
+
+func figure10() table {
+	return ipcTable("Figure 10",
 		"Normalized IPC for LLC dead block predictors or LLC and TLB combined predictors",
-		Baseline(),
 		[]Setup{AIPLLCSetup(), SHiPLLCSetup(), AIPBothSetup(), SHiPBothSetup(), DPPredCBPredSetup()})
 }
 
 // Table5 reports LLC MPKI reductions for AIP-LLC, SHiP-LLC and cbPred
 // (coupled with dpPred).
-func Table5(r *Runner) (Series, error) {
-	s := Series{
-		ID:    "Table V",
-		Title: "LLC MPKI reductions by dead block predictors",
-		Unit:  "% LLC MPKI reduction vs baseline",
-		Cols:  []string{"AIP-LLC", "SHiP-LLC", "cbPred"},
-	}
-	setups := []Setup{AIPLLCSetup(), SHiPLLCSetup(), DPPredCBPredSetup()}
-	if err := r.RunGrid(trace.Workloads(), append([]Setup{Baseline()}, setups...)); err != nil {
-		return Series{}, err
-	}
-	for _, w := range trace.Workloads() {
-		base, err := r.Run(w, Baseline())
-		if err != nil {
-			return Series{}, err
-		}
-		row := SeriesRow{Name: w.Name, Values: make([]float64, len(setups))}
-		for i, su := range setups {
-			res, err := r.Run(w, su)
-			if err != nil {
-				return Series{}, err
-			}
-			row.Values[i] = pctReduction(base.LLCMPKI, res.LLCMPKI)
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	s.summarize("mean", mean)
-	return s, nil
+func Table5(r *Runner) (Series, error) { return r.series(table5()) }
+
+func table5() table {
+	return versus("Table V", "LLC MPKI reductions by dead block predictors",
+		"% LLC MPKI reduction vs baseline",
+		[]Setup{AIPLLCSetup(), SHiPLLCSetup(), DPPredCBPredSetup()},
+		[]string{"AIP-LLC", "SHiP-LLC", "cbPred"},
+		llcMPKIReduction, "mean")
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/pred"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // warmupKeys pins which setups share a warm-state fork (Setup.WarmupKey).
@@ -115,34 +114,11 @@ func Table4Extended(r *Runner, names []string) (Series, error) {
 		}
 		regs[i], setups[i] = reg, su
 	}
-	s := Series{
-		ID:    "Table IV+",
-		Title: "LLT MPKI reductions across the predictor arena",
-		Unit:  "% LLT MPKI reduction vs baseline",
-		Cols:  make([]string, len(setups)),
-	}
-	for i, su := range setups {
-		s.Cols[i] = su.Name
-	}
-	if err := r.RunGrid(trace.Workloads(), append([]Setup{Baseline()}, setups...)); err != nil {
+	s, err := r.series(versus("Table IV+", "LLT MPKI reductions across the predictor arena",
+		"% LLT MPKI reduction vs baseline", setups, setupNames(setups), lltMPKIReduction, "mean"))
+	if err != nil {
 		return Series{}, err
 	}
-	for _, w := range trace.Workloads() {
-		base, err := r.Run(w, Baseline())
-		if err != nil {
-			return Series{}, err
-		}
-		row := SeriesRow{Name: w.Name, Values: make([]float64, len(setups))}
-		for i, su := range setups {
-			res, err := r.Run(w, su)
-			if err != nil {
-				return Series{}, err
-			}
-			row.Values[i] = pctReduction(base.LLTMPKI, res.LLTMPKI)
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	s.summarize("mean", mean)
 
 	// Storage normalization: competitors spend very different budgets, so
 	// the raw means are not comparable head-to-head. The footers hold each

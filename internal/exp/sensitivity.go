@@ -7,7 +7,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/pred"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // lltSizeConfig builds a Table I machine with a resized LLT.
@@ -22,44 +21,20 @@ func lltSizeConfig(entries int) func() sim.Config {
 
 // Figure11a studies dpPred across LLT sizes (512/1024/1536 entries); each
 // column is normalized to the baseline of the same size.
-func Figure11a(r *Runner) (Series, error) {
-	sizes := []int{512, 1024, 1536}
-	var grid []Setup
-	for _, n := range sizes {
+func Figure11a(r *Runner) (Series, error) { return r.series(figure11a()) }
+
+func figure11a() table {
+	var pairs [][2]Setup
+	var cols []string
+	for _, n := range []int{512, 1024, 1536} {
 		cfgFn := lltSizeConfig(n)
-		grid = append(grid,
-			Setup{Name: fmt.Sprintf("base-llt%d", n), Config: cfgFn},
-			Setup{Name: fmt.Sprintf("dpPred-llt%d", n), Config: cfgFn, TLB: newDPPred})
+		pairs = append(pairs, [2]Setup{
+			{Name: fmt.Sprintf("base-llt%d", n), Config: cfgFn},
+			{Name: fmt.Sprintf("dpPred-llt%d", n), Config: cfgFn, TLB: newDPPred},
+		})
+		cols = append(cols, fmt.Sprintf("%d entries", n))
 	}
-	if err := r.RunGrid(trace.Workloads(), grid); err != nil {
-		return Series{}, err
-	}
-	s := Series{
-		ID:    "Figure 11a",
-		Title: "Performance of dpPred for different TLB sizes",
-		Unit:  "IPC normalized to same-size baseline",
-	}
-	for _, n := range sizes {
-		s.Cols = append(s.Cols, fmt.Sprintf("%d entries", n))
-	}
-	for _, w := range trace.Workloads() {
-		row := SeriesRow{Name: w.Name}
-		for _, n := range sizes {
-			cfgFn := lltSizeConfig(n)
-			base, err := r.Run(w, Setup{Name: fmt.Sprintf("base-llt%d", n), Config: cfgFn})
-			if err != nil {
-				return Series{}, err
-			}
-			dp, err := r.Run(w, Setup{Name: fmt.Sprintf("dpPred-llt%d", n), Config: cfgFn, TLB: newDPPred})
-			if err != nil {
-				return Series{}, err
-			}
-			row.Values = append(row.Values, dp.IPC/base.IPC)
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	s.summarize("geomean", geomean)
-	return s, nil
+	return pairedIPCTable("Figure 11a", "Performance of dpPred for different TLB sizes", pairs, cols)
 }
 
 // dpPredVariant builds a dpPred setup with a custom pHIST geometry or
@@ -78,36 +53,25 @@ func dpPredVariant(name string, mutate func(*core.DPPredConfig)) Setup {
 // Figure11b studies the pHIST indexing function: 6-bit PC × 5-bit VPN
 // (2048 entries), the default 6 × 4 (1024 entries), and a PC-only 10-bit
 // index (1024 entries).
-func Figure11b(r *Runner) (Series, error) {
-	setups := []Setup{
-		dpPredVariant("dpPred-6pc5vpn", func(c *core.DPPredConfig) { c.VPNBits = 5 }),
-		DPPredSetup(),
-		dpPredVariant("dpPred-10pc", func(c *core.DPPredConfig) { c.PCBits, c.VPNBits = 10, 0 }),
-	}
-	s, err := r.ipcSeries("Figure 11b",
-		"Performance of dpPred for different history table configurations",
-		Baseline(), setups)
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = []string{"6b PC, 5b VPN", "6b PC, 4b VPN", "10b PC"}
-	return s, nil
+func Figure11b(r *Runner) (Series, error) { return r.series(figure11b()) }
+
+func figure11b() table {
+	return ipcTable("Figure 11b", "Performance of dpPred for different history table configurations",
+		[]Setup{
+			dpPredVariant("dpPred-6pc5vpn", func(c *core.DPPredConfig) { c.VPNBits = 5 }),
+			DPPredSetup(),
+			dpPredVariant("dpPred-10pc", func(c *core.DPPredConfig) { c.PCBits, c.VPNBits = 10, 0 }),
+		},
+		"6b PC, 5b VPN", "6b PC, 4b VPN", "10b PC")
 }
 
 // Figure11c studies the shadow-table size (2 vs 4 entries).
-func Figure11c(r *Runner) (Series, error) {
-	setups := []Setup{
-		DPPredSetup(),
-		dpPredVariant("dpPred-sh4", func(c *core.DPPredConfig) { c.ShadowEntries = 4 }),
-	}
-	s, err := r.ipcSeries("Figure 11c",
-		"Performance of dpPred for different shadow table sizes",
-		Baseline(), setups)
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = []string{"2-entry shadow", "4-entry shadow"}
-	return s, nil
+func Figure11c(r *Runner) (Series, error) { return r.series(figure11c()) }
+
+func figure11c() table {
+	return ipcTable("Figure 11c", "Performance of dpPred for different shadow table sizes",
+		[]Setup{DPPredSetup(), dpPredVariant("dpPred-sh4", func(c *core.DPPredConfig) { c.ShadowEntries = 4 })},
+		"2-entry shadow", "4-entry shadow")
 }
 
 // cbPredVariant builds a dpPred+cbPred setup with a custom PFQ size.
@@ -124,19 +88,12 @@ func cbPredVariant(name string, pfq int) Setup {
 }
 
 // Figure11d studies the PFQ size (8 vs 64 entries).
-func Figure11d(r *Runner) (Series, error) {
-	setups := []Setup{
-		DPPredCBPredSetup(),
-		cbPredVariant("dpPred+cbPred-pfq64", 64),
-	}
-	s, err := r.ipcSeries("Figure 11d",
-		"Performance of cbPred for different PFQ sizes",
-		Baseline(), setups)
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = []string{"8-entry PFQ", "64-entry PFQ"}
-	return s, nil
+func Figure11d(r *Runner) (Series, error) { return r.series(figure11d()) }
+
+func figure11d() table {
+	return ipcTable("Figure 11d", "Performance of cbPred for different PFQ sizes",
+		[]Setup{DPPredCBPredSetup(), cbPredVariant("dpPred+cbPred-pfq64", 64)},
+		"8-entry PFQ", "64-entry PFQ")
 }
 
 // llcSizeConfig builds a Table I machine with a resized LLC.
@@ -150,48 +107,19 @@ func llcSizeConfig(sizeKB int) func() sim.Config {
 
 // Figure11e studies dpPred+cbPred across LLC sizes (2 MB vs 3 MB); each
 // column is normalized to the baseline with the same LLC.
-func Figure11e(r *Runner) (Series, error) {
-	sizes := []int{2048, 3072}
-	var grid []Setup
-	for _, kb := range sizes {
+func Figure11e(r *Runner) (Series, error) { return r.series(figure11e()) }
+
+func figure11e() table {
+	var pairs [][2]Setup
+	for _, kb := range []int{2048, 3072} {
 		cfgFn := llcSizeConfig(kb)
-		grid = append(grid,
-			Setup{Name: fmt.Sprintf("base-llc%d", kb), Config: cfgFn},
-			Setup{
-				Name: fmt.Sprintf("dpPred+cbPred-llc%d", kb), Config: cfgFn,
-				TLB: newDPPred, LLC: newCBPred,
-			})
+		pairs = append(pairs, [2]Setup{
+			{Name: fmt.Sprintf("base-llc%d", kb), Config: cfgFn},
+			{Name: fmt.Sprintf("dpPred+cbPred-llc%d", kb), Config: cfgFn, TLB: newDPPred, LLC: newCBPred},
+		})
 	}
-	if err := r.RunGrid(trace.Workloads(), grid); err != nil {
-		return Series{}, err
-	}
-	s := Series{
-		ID:    "Figure 11e",
-		Title: "Performance with dpPred and cbPred for different LLC sizes",
-		Unit:  "IPC normalized to same-size baseline",
-		Cols:  []string{"2 MB/core", "3 MB/core"},
-	}
-	for _, w := range trace.Workloads() {
-		row := SeriesRow{Name: w.Name}
-		for _, kb := range sizes {
-			cfgFn := llcSizeConfig(kb)
-			base, err := r.Run(w, Setup{Name: fmt.Sprintf("base-llc%d", kb), Config: cfgFn})
-			if err != nil {
-				return Series{}, err
-			}
-			both, err := r.Run(w, Setup{
-				Name: fmt.Sprintf("dpPred+cbPred-llc%d", kb), Config: cfgFn,
-				TLB: newDPPred, LLC: newCBPred,
-			})
-			if err != nil {
-				return Series{}, err
-			}
-			row.Values = append(row.Values, both.IPC/base.IPC)
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	s.summarize("geomean", geomean)
-	return s, nil
+	return pairedIPCTable("Figure 11e", "Performance with dpPred and cbPred for different LLC sizes",
+		pairs, []string{"2 MB/core", "3 MB/core"})
 }
 
 // srripConfig builds a machine with SRRIP in the LLT and optionally the LLC.
@@ -213,19 +141,15 @@ func srripConfig(llc bool) func() sim.Config {
 //	SRRIP dpPred       — dpPred on top of an SRRIP LLT
 //	SRRIP LLT+LLC      — SRRIP in both structures
 //	SRRIP cbPred       — dpPred+cbPred on top of SRRIP LLT+LLC
-func Figure11f(r *Runner) (Series, error) {
-	setups := []Setup{
-		{Name: "srrip-llt", Config: srripConfig(false)},
-		{Name: "srrip-dpPred", Config: srripConfig(false), TLB: newDPPred},
-		{Name: "srrip-llt-llc", Config: srripConfig(true)},
-		{Name: "srrip-cbPred", Config: srripConfig(true), TLB: newDPPred, LLC: newCBPred},
-	}
-	s, err := r.ipcSeries("Figure 11f",
-		"Performance of cbPred and dpPred when using SRRIP",
-		Baseline(), setups)
-	if err != nil {
-		return Series{}, err
-	}
-	s.Cols = []string{"SRRIP LLT", "SRRIP dpPred", "SRRIP LLT+LLC", "SRRIP cbPred"}
-	return s, nil
+func Figure11f(r *Runner) (Series, error) { return r.series(figure11f()) }
+
+func figure11f() table {
+	return ipcTable("Figure 11f", "Performance of cbPred and dpPred when using SRRIP",
+		[]Setup{
+			{Name: "srrip-llt", Config: srripConfig(false)},
+			{Name: "srrip-dpPred", Config: srripConfig(false), TLB: newDPPred},
+			{Name: "srrip-llt-llc", Config: srripConfig(true)},
+			{Name: "srrip-cbPred", Config: srripConfig(true), TLB: newDPPred, LLC: newCBPred},
+		},
+		"SRRIP LLT", "SRRIP dpPred", "SRRIP LLT+LLC", "SRRIP cbPred")
 }
