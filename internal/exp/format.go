@@ -61,31 +61,26 @@ func (s Series) Format() string {
 		}
 	}
 
+	line := func(name string, vs []float64) {
+		fmt.Fprintf(&b, "%-*s", nameW, name)
+		for i, v := range vs {
+			fmt.Fprintf(&b, "  %*s", colW[i], formatCell(v))
+		}
+		b.WriteByte('\n')
+	}
 	fmt.Fprintf(&b, "%-*s", nameW, "workload")
 	for i, c := range s.Cols {
 		fmt.Fprintf(&b, "  %*s", colW[i], c)
 	}
 	b.WriteByte('\n')
 	for _, r := range s.Rows {
-		fmt.Fprintf(&b, "%-*s", nameW, r.Name)
-		for i, v := range r.Values {
-			fmt.Fprintf(&b, "  %*s", colW[i], formatCell(v))
-		}
-		b.WriteByte('\n')
+		line(r.Name, r.Values)
 	}
 	if s.Summary != nil {
-		fmt.Fprintf(&b, "%-*s", nameW, s.SummaryLabel)
-		for i, v := range s.Summary {
-			fmt.Fprintf(&b, "  %*s", colW[i], formatCell(v))
-		}
-		b.WriteByte('\n')
+		line(s.SummaryLabel, s.Summary)
 	}
 	for _, r := range s.Footers {
-		fmt.Fprintf(&b, "%-*s", nameW, r.Name)
-		for i, v := range r.Values {
-			fmt.Fprintf(&b, "  %*s", colW[i], formatCell(v))
-		}
-		b.WriteByte('\n')
+		line(r.Name, r.Values)
 	}
 	return b.String()
 }

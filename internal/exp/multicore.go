@@ -99,11 +99,7 @@ func multiCoreSweep(r *Runner, coreCounts, tenantCounts []int) (Series, error) {
 			res.IPC,
 		}})
 	}
-	s.Summary = make([]float64, len(s.Cols))
-	for i := range s.Cols {
-		s.Summary[i] = mean(column(s.Rows, i))
-	}
-	s.SummaryLabel = "mean"
+	s.summarize("mean", mean)
 	return s, nil
 }
 

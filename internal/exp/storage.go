@@ -47,21 +47,16 @@ func StorageOverheads() (StorageReport, error) {
 		return StorageReport{}, err
 	}
 
-	// AIP's storage is configuration-derived; it does not need built
-	// structures to account for bits, but the constructor wants one, so
-	// compute the same formula directly.
-	aipTLBCfg := pred.DefaultAIPTLBConfig(lltEntries)
-	aipLLCCfg := pred.DefaultAIPLLCConfig(llcBlocks)
-	aipBits := func(c pred.AIPConfig) uint64 {
-		table := (uint64(1) << (c.PCBits + c.AddrBits)) * uint64(c.ThresholdBits+1)
-		return table + uint64(c.PerEntryBits)*uint64(c.Entries)
-	}
+	// AIP's storage is configuration-derived: its constructors want built
+	// structures, its config does not.
+	aipBits := pred.DefaultAIPTLBConfig(lltEntries).StorageBits() +
+		pred.DefaultAIPLLCConfig(llcBlocks).StorageBits()
 
 	return StorageReport{Rows: []StorageRow{
 		{Name: "dpPred (LLT)", Bits: dp.StorageBits()},
 		{Name: "cbPred (LLC)", Bits: cb.StorageBits()},
 		{Name: "dpPred+cbPred total", Bits: dp.StorageBits() + cb.StorageBits()},
-		{Name: "AIP (LLT+LLC)", Bits: aipBits(aipTLBCfg) + aipBits(aipLLCCfg)},
+		{Name: "AIP (LLT+LLC)", Bits: aipBits},
 		{Name: "SHiP (LLT+LLC)", Bits: shipTLB.StorageBits() + shipLLC.StorageBits()},
 	}}, nil
 }
