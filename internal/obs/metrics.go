@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -183,17 +181,6 @@ func (s Snapshot) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// WriteJSON writes the snapshot as one JSON object (names sorted —
-// encoding/json orders map keys).
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
 
 // Format renders the snapshot as aligned "name value" lines, sorted.

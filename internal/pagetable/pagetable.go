@@ -66,9 +66,6 @@ func (a *Allocator) Alloc() (arch.PFN, error) {
 	return arch.PFN(a.scramble(n)), nil
 }
 
-// Allocated returns how many frames have been handed out.
-func (a *Allocator) Allocated() uint64 { return a.next }
-
 // scramble maps the counter through a bijection on [0, limit): a balanced
 // Feistel network over the smallest even-width power-of-two domain covering
 // limit, with cycle walking for out-of-range intermediate values (the

@@ -77,9 +77,7 @@ type DistancePrefetcher struct {
 	cfg   DistancePrefetcherConfig
 	table []distEntry
 	ctx   []missContext
-
-	issued uint64
-	out    []arch.VPN // reused buffer
+	out   []arch.VPN // reused buffer
 }
 
 // NewDistancePrefetcher builds the prefetcher.
@@ -150,7 +148,6 @@ func (p *DistancePrefetcher) OnMiss(vpn arch.VPN, _ uint64) []arch.VPN {
 				p.out = append(p.out, arch.VPN(target))
 			}
 		}
-		p.issued += uint64(len(p.out))
 	}
 	return p.out
 }
@@ -170,9 +167,6 @@ func (e *distEntry) learn(d int64, ways int) {
 	e.next[e.cur] = d
 	e.cur = (e.cur + 1) % ways
 }
-
-// Issued returns the total number of prefetches produced.
-func (p *DistancePrefetcher) Issued() uint64 { return p.issued }
 
 // StorageBits implements TLBPrefetcher: the distance table (tag + ways ×
 // distance + valid per entry) plus the per-PC contexts (VPN + distance).
