@@ -311,9 +311,13 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 
 // FuzzBatchVsStep feeds fuzzer-shaped access sequences through Run and
 // through the reference stepper on two identical machines and requires
-// identical final Results and bit-identical checkpoints. VAs are masked to a small window
-// so arbitrary bytes cannot exhaust physical memory, and PCs to a window
-// that still spans many pages.
+// identical final Results. VAs are masked to a small window so arbitrary
+// bytes cannot exhaust physical memory, and PCs to a window that still
+// spans many pages. The low 14 bits of n are the run length; the bits
+// above draw the machine's predictor and instruments (fuzzInstruments).
+// An uninstrumented pair must also leave bit-identical checkpoints; an
+// instrumented one, which refuses to checkpoint, must record identical
+// interval samples, so a tick the batched loop drops or moves shows.
 func FuzzBatchVsStep(f *testing.F) {
 	for _, wl := range []string{"sssp", "cc"} {
 		b := materializeWorkload(f, wl, 1, 64)
@@ -333,6 +337,11 @@ func FuzzBatchVsStep(f *testing.F) {
 			raw = append(raw, rec[:]...)
 		}
 		f.Add(raw, uint64(300))
+		if wl == "sssp" {
+			// dpPred, accuracy, confusion, characterization and a
+			// ctxCheckStride/2 interval over 9001 accesses.
+			f.Add(raw, uint64(0b011111)<<fuzzRunBits|9001)
+		}
 	}
 	f.Add([]byte{}, uint64(10))
 	f.Add(bytes.Repeat([]byte{0xAB}, 18*7), uint64(9001))
@@ -342,10 +351,11 @@ func FuzzBatchVsStep(f *testing.F) {
 		if nrec == 0 || nrec > 4096*3 {
 			return
 		}
-		// Cap the run so one fuzz exec stays in the milliseconds: 16k+
+		// Cap the run so one fuzz exec stays in the milliseconds: 16k
 		// accesses cross several chunk boundaries and wrap small inputs
 		// many times, which is where the interesting divergence would be.
-		n %= 16_384
+		draw := n >> fuzzRunBits
+		n &= 1<<fuzzRunBits - 1
 		buf := trace.NewBuffer("fuzz", nrec)
 		for i := 0; i < nrec; i++ {
 			rec := data[i*18:]
@@ -359,8 +369,10 @@ func FuzzBatchVsStep(f *testing.F) {
 		}
 
 		refSys := MustNew(smallConfig())
+		refRec, instrumented := fuzzInstruments(t, refSys, draw)
 		refErr := refRun(refSys, buf.Reader(), n)
 		batchSys := MustNew(smallConfig())
+		batchRec, _ := fuzzInstruments(t, batchSys, draw)
 		batchErr := batchSys.RunBuffer(buf.Reader(), n)
 
 		if (refErr == nil) != (batchErr == nil) {
@@ -372,10 +384,54 @@ func FuzzBatchVsStep(f *testing.F) {
 		if a, b := refSys.Result(), batchSys.Result(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("results diverged:\n  ref:   %+v\n  batch: %+v", a, b)
 		}
-		if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
-			t.Fatal("checkpoints diverged")
+		if refRec != nil {
+			if a, b := refRec.Samples(), batchRec.Samples(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("interval samples diverged (%d vs %d):\n  ref:   %+v\n  batch: %+v", len(a), len(b), a, b)
+			}
+		}
+		if !instrumented {
+			if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
+				t.Fatal("checkpoints diverged")
+			}
 		}
 	})
+}
+
+// fuzzRunBits is how many low bits of FuzzBatchVsStep's n are the run
+// length.
+const fuzzRunBits = 14
+
+// fuzzInstruments attaches what draw selects to a fresh machine: bit 0 a
+// dpPred TLB predictor, bit 1 accuracy grading, bit 2 confusion grading,
+// bit 3 characterization (entry times from the first access), and bits
+// 4–5 an interval recorder (none, every ctxCheckStride/2, every 1021 or
+// every 97 accesses). It returns the recorder, if any, and whether any
+// instrument is attached.
+func fuzzInstruments(t *testing.T, s *System, draw uint64) (*obs.IntervalRecorder, bool) {
+	t.Helper()
+	if draw&1 != 0 {
+		dp, err := newTestDPPred(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetTLBPredictor(dp)
+	}
+	for bit, enable := range []func() error{s.EnableAccuracyTracking, s.EnableConfusionTracking} {
+		if draw&(2<<bit) != 0 {
+			if err := enable(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if draw&8 != 0 {
+		characterize(t, s, 997)
+	}
+	var rec *obs.IntervalRecorder
+	if every := []uint64{0, ctxCheckStride / 2, 1021, 97}[draw>>4&3]; every > 0 {
+		rec = obs.NewIntervalRecorder(every)
+		s.AttachObserver(&obs.Observer{Interval: rec})
+	}
+	return rec, draw&0b111110 != 0
 }
 
 // replayBenchBuffer builds the locality-heavy replay trace of
