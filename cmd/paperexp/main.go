@@ -424,6 +424,8 @@ func run() error {
 		st := r.Storage()
 		fmt.Fprintf(os.Stderr, "paperexp: storage: %d machines built, %d recycled, %d kept; %d trace buffers reused\n",
 			st.Built, st.Recycled, st.Kept, st.TracesReused)
+		fmt.Fprintf(os.Stderr, "paperexp: pool: %d reused, %d allocated, %d dropped\n",
+			st.Pool.Reused, st.Pool.Allocated, st.Pool.Dropped)
 	}
 	fmt.Fprintf(os.Stderr, "paperexp: done in %v\n", time.Since(start).Round(time.Second))
 	return nil

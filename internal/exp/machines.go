@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -45,6 +46,9 @@ type StorageStats struct {
 	// TracesReused counts trace buffers materialized into the columns of
 	// buffers released before them.
 	TracesReused int64
+	// Pool is the storage pool's own traffic: arrays reused, allocated
+	// and dropped by its bound.
+	Pool pool.Stats
 }
 
 // Storage reports how the runner's machines and trace buffers used its
@@ -55,6 +59,7 @@ func (r *Runner) Storage() StorageStats {
 		Recycled:     r.storage.recycled.Load(), // first: a machine is built before it retires
 		Kept:         r.storage.kept.Load(),
 		TracesReused: r.storage.tracesReused.Load(),
+		Pool:         r.pool.Stats(),
 	}
 	st.Built = r.storage.built.Load()
 	return st

@@ -9,9 +9,11 @@
 // A Pool holds free lists keyed by element type and length, behind a
 // mutex. Make returns a zeroed array and Clone a copy, each taken from the
 // free list when it holds one; Take returns one as it was left, for a
-// caller that overwrites it; Put returns an array. A Pool keeps at most
-// a fixed number of idle arrays per key, so its idle storage stays bounded
-// by a few structures' worth; Put drops the rest to the garbage collector.
+// caller that overwrites it; Append grows an array into a larger one; Put
+// returns an array. A Pool keeps at most a fixed number of idle arrays per
+// key, so its idle storage stays bounded by a few structures' worth; Put
+// drops the rest to the garbage collector. Stats counts what became of
+// every request and return, so a drop is never silent.
 //
 // A nil *Pool is valid everywhere: Make and Clone allocate as make and
 // append would, and Put does nothing. Structures built without a pool
@@ -24,8 +26,31 @@ import "sync"
 type Pool struct {
 	keep int
 
-	mu   sync.Mutex
-	free map[key]any // each a *list[T] for the key's T
+	mu    sync.Mutex
+	free  map[key]any // each a *list[T] for the key's T
+	stats Stats
+}
+
+// Stats counts a pool's traffic.
+type Stats struct {
+	// Reused counts the requests an idle array served.
+	Reused int64
+	// Allocated counts the requests the pool could not serve, each of
+	// which its caller met with a new array.
+	Allocated int64
+	// Dropped counts the arrays Put left to the garbage collector because
+	// their key already held the keep bound's worth.
+	Dropped int64
+}
+
+// Stats returns the pool's counts so far; a nil pool reports zeros.
+func (p *Pool) Stats() Stats {
+	if p == nil {
+		return Stats{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // list is one free list. Its arrays are stored typed, so taking and
@@ -51,8 +76,8 @@ func New(keep int) *Pool {
 }
 
 // Take pops an idle []T of length n from p, as its last owner left it;
-// ok is false when p holds none. A caller that reads the array before
-// writing it wants Make.
+// ok is false when p holds none, and the caller is counted as allocating
+// one (Stats). A caller that reads the array before writing it wants Make.
 func Take[T any](p *Pool, n int) (s []T, ok bool) {
 	if p == nil || n == 0 {
 		return nil, false
@@ -61,8 +86,10 @@ func Take[T any](p *Pool, n int) (s []T, ok bool) {
 	defer p.mu.Unlock()
 	l, _ := p.free[key{(*T)(nil), n}].(*list[T])
 	if l == nil || len(l.idle) == 0 {
+		p.stats.Allocated++
 		return nil, false
 	}
+	p.stats.Reused++
 	s = l.idle[len(l.idle)-1]
 	l.idle[len(l.idle)-1] = nil
 	l.idle = l.idle[:len(l.idle)-1]
@@ -93,6 +120,26 @@ func Clone[T any](p *Pool, src []T) []T {
 	return s
 }
 
+// Append appends v to s like append, except that a full s moves into an
+// array of twice its capacity (at least 1) from p, and the array it leaves
+// goes back to p. A structure that grows this way holds one array per
+// length, and the next structure's growth finds every length it passes
+// through.
+func Append[T any](p *Pool, s []T, v T) []T {
+	if len(s) == cap(s) {
+		n := max(2*cap(s), 1)
+		g, ok := Take[T](p, n)
+		if !ok {
+			g = make([]T, n)
+		}
+		g = g[:len(s)]
+		copy(g, s)
+		Put(p, s)
+		s = g
+	}
+	return append(s, v)
+}
+
 // Put returns s to p for a later Make or Clone of its length. The caller
 // must not use s afterwards. p keeps s only while the free list of its
 // type and length holds fewer than its keep bound.
@@ -111,5 +158,7 @@ func Put[T any](p *Pool, s []T) {
 	}
 	if len(l.idle) < p.keep {
 		l.idle = append(l.idle, s)
+	} else {
+		p.stats.Dropped++
 	}
 }

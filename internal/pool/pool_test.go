@@ -79,3 +79,44 @@ func TestNilPoolAllocates(t *testing.T) {
 		t.Fatal("a nil pool held an array")
 	}
 }
+
+func TestStatsCountTraffic(t *testing.T) {
+	p := New(1)
+	a := Make[uint64](p, 4)    // allocated
+	b := Clone(p, []uint64{1}) // allocated
+	Put(p, a)
+	Put(p, make([]uint64, 4)) // dropped: the key holds one already
+	Put(p, b)
+	Make[uint64](p, 4) // reused
+	if _, ok := Take[uint64](p, 8); ok {
+		t.Fatal("Take served an absent key")
+	}
+	want := Stats{Reused: 1, Allocated: 3, Dropped: 1}
+	if got := p.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	if (*Pool)(nil).Stats() != (Stats{}) {
+		t.Fatal("a nil pool reported traffic")
+	}
+}
+
+func TestAppendGrowsThroughThePool(t *testing.T) {
+	p := New(1)
+	var s []int
+	for i := 0; i < 5; i++ {
+		s = Append(p, s, i)
+	}
+	if len(s) != 5 || cap(s) != 8 || s[0] != 0 || s[4] != 4 {
+		t.Fatalf("Append built %v, cap %d", s, cap(s))
+	}
+	// Growing returned the outgrown arrays of capacities 1, 2 and 4, so a
+	// second structure's growth allocates only past them.
+	before := p.Stats()
+	var r []int
+	for i := 0; i < 5; i++ {
+		r = Append(p, r, i)
+	}
+	if got := p.Stats(); got.Allocated-before.Allocated != 1 || got.Reused-before.Reused != 3 {
+		t.Fatalf("second growth: %+v after %+v", got, before)
+	}
+}
