@@ -1,5 +1,7 @@
 package pagetable
 
+import "repro/internal/pool"
+
 // Clone deep-copies the allocator: both copies hand out the same future
 // frame sequence independently.
 func (a *Allocator) Clone() *Allocator {
@@ -7,11 +9,10 @@ func (a *Allocator) Clone() *Allocator {
 	return &c
 }
 
-// Clone deep-copies the page table — the full radix tree, the allocator and
-// the interior-path memo — for warm-state forking. Leaf tables are copied
-// as arrays; the memoized leaf pointer is remapped to the corresponding
-// node of the cloned tree during the same traversal, so the clone's fast
-// path stays primed without aliasing the original's nodes.
+// Clone deep-copies the page table — both slabs, the allocator and the
+// interior-path memo — for warm-state forking. The memo names its leaf by
+// slot, and slots are the same in the copy, so the clone's fast path stays
+// primed.
 func (pt *PageTable) Clone() *PageTable {
 	return pt.CloneWith(pt.alloc.Clone())
 }
@@ -20,45 +21,16 @@ func (pt *PageTable) Clone() *PageTable {
 // sharing one frame allocator (per-tenant address spaces over a single
 // physical memory) are forked by cloning the allocator once and handing
 // the same clone to every table's CloneWith, preserving the sharing in the
-// forked set.
+// forked set. The copy's slabs, of the source's capacities, come from
+// pt's pool, and it owns them: a fork never reads storage its source may
+// release.
 func (pt *PageTable) CloneWith(alloc *Allocator) *PageTable {
-	n := &PageTable{
-		alloc:       alloc,
-		memoKey:     pt.memoKey,
-		memoValid:   pt.memoValid,
-		memoSteps:   pt.memoSteps,
-		mappedPages: pt.mappedPages,
-		tableNodes:  pt.tableNodes,
+	if pt.inner == nil {
+		panic("pagetable: clone of a released table")
 	}
-	n.root = cloneNode(pt.root, pt.memoLeaf, &n.memoLeaf)
-	if n.memoLeaf == nil {
-		// The memoized path was not found (memo never set); drop the memo
-		// rather than alias the original tree. Results are unaffected —
-		// the memo is a pure lookup shortcut.
-		n.memoValid = false
-	}
-	return n
-}
-
-// cloneNode recursively copies a radix node. When it copies the node that
-// memoLeaf points at, it records the copy in memoOut.
-func cloneNode(src, memoLeaf *node, memoOut **node) *node {
-	if src == nil {
-		return nil
-	}
-	dst := &node{frame: src.frame}
-	if src.children != nil {
-		dst.children = new([fanout]*node)
-		for i, ch := range src.children {
-			dst.children[i] = cloneNode(ch, memoLeaf, memoOut)
-		}
-	}
-	if src.leaves != nil {
-		leaves := *src.leaves
-		dst.leaves = &leaves
-	}
-	if src == memoLeaf {
-		*memoOut = dst
-	}
-	return dst
+	n := *pt
+	n.alloc = alloc
+	n.inner = pool.Clone(pt.pool, pt.inner[:cap(pt.inner)])[:len(pt.inner)]
+	n.leaves = pool.Clone(pt.pool, pt.leaves[:cap(pt.leaves)])[:len(pt.leaves)]
+	return &n
 }

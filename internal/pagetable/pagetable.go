@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/pool"
 )
 
 // AllocPolicy selects how the frame allocator assigns physical frames.
@@ -111,61 +112,83 @@ func mix(v uint64) uint64 {
 // fanout is the number of entries of one radix node.
 const fanout = 1 << arch.RadixIndexBits
 
-// node is one radix-tree node. Its frame is where the 512 PTEs live in
-// simulated physical memory; children/leaves hold the next level, indexed
-// by the VPN's radix index at this level.
-type node struct {
-	frame    arch.PFN
-	children *[fanout]*node // interior levels
-	leaves   *leafTable     // leaf level only
+// The radix tree lives in two slabs, one per kind of node, linked by
+// index: an interior node's entry holds its child's slot in the next
+// level's slab plus one (0 = no child), and the root is interior slot 0.
+// A slab grows by doubling from a small start, so a table of a few nodes
+// stays a few nodes' worth. Both slabs come from the table's pool
+// (NewPooled) and go back to it in Release; a clone copies each slab into
+// one drawn from the same pool.
+
+// innerNode is an interior (PML4, PDPT or PD) node: its frame, where its
+// 512 PTEs live in simulated physical memory, and its children's slots.
+type innerNode struct {
+	frame arch.PFN
+	child [fanout]uint32
 }
 
-// leafTable is a PT-level node's translations: pfn[i] is meaningful only
-// where bit i of present is set (frame 0 is a valid translation).
-type leafTable struct {
+// leafNode is a PT-level node: its frame and its translations, where
+// pfn[i] is meaningful only where bit i of present is set (frame 0 is a
+// valid translation).
+type leafNode struct {
+	frame   arch.PFN
 	present [fanout / 64]uint64
 	pfn     [fanout]arch.PFN
 }
 
-func (t *leafTable) has(i uint64) bool { return t.present[i/64]>>(i%64)&1 != 0 }
+func (t *leafNode) has(i uint64) bool { return t.present[i/64]>>(i%64)&1 != 0 }
 
-func (t *leafTable) set(i uint64, pfn arch.PFN) {
+func (t *leafNode) set(i uint64, pfn arch.PFN) {
 	t.present[i/64] |= 1 << (i % 64)
 	t.pfn[i] = pfn
 }
 
-func (t *leafTable) clear(i uint64) { t.present[i/64] &^= 1 << (i % 64) }
+func (t *leafNode) clear(i uint64) { t.present[i/64] &^= 1 << (i % 64) }
 
 // lookup returns the translation at index i, if present.
-func (t *leafTable) lookup(i uint64) (arch.PFN, bool) {
+func (t *leafNode) lookup(i uint64) (arch.PFN, bool) {
 	if !t.has(i) {
 		return 0, false
 	}
 	return t.pfn[i], true
 }
 
+// Initial slab capacities: room for the first path's three interior
+// nodes (rounded up to a power of two) and its leaf.
+const (
+	innerStart = 4
+	leafStart  = 1
+)
+
 // PageTable is a four-level radix page table plus the frame allocator.
 type PageTable struct {
 	alloc *Allocator
-	root  *node
+	pool  *pool.Pool
+
+	inner  []innerNode // interior nodes, the root first
+	leaves []leafNode
 
 	// Last-path memo: consecutive translations overwhelmingly share the
 	// interior radix path (everything above the PT level), so Translate
-	// caches the node frames and the leaf-level node of the most recent
-	// walk. Radix nodes are never freed or remapped, so the memo can only
-	// go stale by pointing at a path that does not exist yet — and it is
-	// only populated for paths that do.
+	// caches the node frames and the leaf slot of the most recent walk.
+	// Radix nodes are never freed or moved between slots, so the memo can
+	// only go stale by pointing at a path that does not exist yet — and it
+	// is only populated for paths that do.
 	memoKey   uint64 // vpn >> RadixIndexBits of the memoized path
 	memoValid bool
 	memoSteps [arch.RadixLevels - 1]Step // interior steps (indices fixed by memoKey)
-	memoLeaf  *node                      // PT-level node holding the leaf table
+	memoLeaf  uint32                     // slot of the PT-level node
 
 	mappedPages uint64
-	tableNodes  uint64
 }
 
-// New creates an empty page table backed by the allocator.
-func New(alloc *Allocator) (*PageTable, error) {
+// New creates an empty page table backed by the allocator, its slabs
+// allocated as it grows.
+func New(alloc *Allocator) (*PageTable, error) { return NewPooled(alloc, nil) }
+
+// NewPooled is New with the slabs drawn from p, and returned to it by
+// Release.
+func NewPooled(alloc *Allocator, p *pool.Pool) (*PageTable, error) {
 	if alloc == nil {
 		return nil, fmt.Errorf("pagetable: nil allocator")
 	}
@@ -173,11 +196,36 @@ func New(alloc *Allocator) (*PageTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PageTable{
-		alloc:      alloc,
-		root:       &node{frame: rootFrame, children: new([fanout]*node)},
-		tableNodes: 1,
-	}, nil
+	pt := &PageTable{
+		alloc:  alloc,
+		pool:   p,
+		inner:  pool.Make[innerNode](p, innerStart)[:0],
+		leaves: pool.Make[leafNode](p, leafStart)[:0],
+	}
+	pt.newInner(rootFrame)
+	return pt, nil
+}
+
+// newInner adds an interior node with no children and returns its slot.
+func (pt *PageTable) newInner(frame arch.PFN) uint32 {
+	pt.inner = pool.Append(pt.pool, pt.inner, innerNode{frame: frame})
+	return uint32(len(pt.inner) - 1)
+}
+
+// newLeaf adds a PT-level node with no translations and returns its slot.
+func (pt *PageTable) newLeaf(frame arch.PFN) uint32 {
+	pt.leaves = pool.Append(pt.pool, pt.leaves, leafNode{frame: frame})
+	return uint32(len(pt.leaves) - 1)
+}
+
+// Release returns the table's slabs to its pool and leaves it without
+// storage: any later translation, lookup, clone or encoding panics, so a
+// stale reference can never read the table the slabs go to next.
+// MappedPages stays readable. A released table stays released.
+func (pt *PageTable) Release() {
+	pool.Put(pt.pool, pt.inner)
+	pool.Put(pt.pool, pt.leaves)
+	pt.inner, pt.leaves = nil, nil
 }
 
 // Step is one page-table access of a walk: the level it reads (0 = PML4,
@@ -194,61 +242,61 @@ type Step struct {
 // The steps slice is appended to dst to let callers reuse storage.
 func (pt *PageTable) Translate(vpn arch.VPN, dst []Step) (arch.PFN, []Step, error) {
 	// Fast path: the interior radix path matches the previous walk's, so
-	// the memoized steps and leaf node stand in for three node lookups.
+	// the memoized steps and leaf slot stand in for three node lookups.
 	if pt.memoValid && uint64(vpn)>>arch.RadixIndexBits == pt.memoKey {
 		dst = append(dst, pt.memoSteps[:]...)
 		return pt.leafStep(pt.memoLeaf, vpn, dst)
 	}
 
-	n := pt.root
+	k := uint32(0)
 	for level := 0; level < arch.RadixLevels-1; level++ {
 		idx := vpn.RadixIndex(level)
+		n := &pt.inner[k]
 		dst = append(dst, Step{
 			Level:   level,
 			PTEAddr: n.frame.Addr() + arch.PAddr(idx*arch.PTESize),
 		})
-		child := n.children[idx]
-		if child == nil {
+		child := n.child[idx]
+		if child == 0 {
 			frame, err := pt.alloc.Alloc()
 			if err != nil {
 				return 0, dst, err
 			}
-			child = &node{frame: frame}
 			if level == arch.RadixLevels-2 {
-				child.leaves = new(leafTable)
+				child = pt.newLeaf(frame) + 1
 			} else {
-				child.children = new([fanout]*node)
+				child = pt.newInner(frame) + 1
 			}
-			n.children[idx] = child
-			pt.tableNodes++
+			pt.inner[k].child[idx] = child // n may have moved with its slab
 		}
-		n = child
+		k = child - 1
 	}
 	// Memoize the now-complete interior path (nodes are never freed, so
 	// the memo cannot dangle).
 	pt.memoKey = uint64(vpn) >> arch.RadixIndexBits
 	copy(pt.memoSteps[:], dst[len(dst)-(arch.RadixLevels-1):])
-	pt.memoLeaf = n
+	pt.memoLeaf = k
 	pt.memoValid = true
-	return pt.leafStep(n, vpn, dst)
+	return pt.leafStep(k, vpn, dst)
 }
 
-// leafStep emits the PT-level step for vpn against the given leaf node and
+// leafStep emits the PT-level step for vpn against the leaf in slot k and
 // resolves (allocating on first touch) the final translation.
-func (pt *PageTable) leafStep(n *node, vpn arch.VPN, dst []Step) (arch.PFN, []Step, error) {
+func (pt *PageTable) leafStep(k uint32, vpn arch.VPN, dst []Step) (arch.PFN, []Step, error) {
+	n := &pt.leaves[k]
 	idx := vpn.RadixIndex(arch.RadixLevels - 1)
 	dst = append(dst, Step{
 		Level:   arch.RadixLevels - 1,
 		PTEAddr: n.frame.Addr() + arch.PAddr(idx*arch.PTESize),
 	})
-	pfn, ok := n.leaves.lookup(idx)
+	pfn, ok := n.lookup(idx)
 	if !ok {
 		var err error
 		pfn, err = pt.alloc.Alloc()
 		if err != nil {
 			return 0, dst, err
 		}
-		n.leaves.set(idx, pfn)
+		n.set(idx, pfn)
 		pt.mappedPages++
 	}
 	return pfn, dst, nil
@@ -263,22 +311,26 @@ func (pt *PageTable) leafStep(n *node, vpn arch.VPN, dst []Step) (arch.PFN, []St
 func (pt *PageTable) Unmap(vpn arch.VPN) bool {
 	n := pt.leafNode(vpn)
 	idx := vpn.RadixIndex(arch.RadixLevels - 1)
-	if n == nil || !n.leaves.has(idx) {
+	if n == nil || !n.has(idx) {
 		return false
 	}
-	n.leaves.clear(idx)
+	n.clear(idx)
 	pt.mappedPages--
 	return true
 }
 
 // leafNode returns the PT-level node on vpn's path, or nil when the path
 // does not exist yet.
-func (pt *PageTable) leafNode(vpn arch.VPN) *node {
-	n := pt.root
-	for level := 0; level < arch.RadixLevels-1 && n != nil; level++ {
-		n = n.children[vpn.RadixIndex(level)]
+func (pt *PageTable) leafNode(vpn arch.VPN) *leafNode {
+	k := uint32(0)
+	for level := 0; level < arch.RadixLevels-1; level++ {
+		child := pt.inner[k].child[vpn.RadixIndex(level)]
+		if child == 0 {
+			return nil
+		}
+		k = child - 1
 	}
-	return n
+	return &pt.leaves[k]
 }
 
 // TranslateIfMapped returns the frame for vpn only if a mapping already
@@ -289,7 +341,7 @@ func (pt *PageTable) TranslateIfMapped(vpn arch.VPN) (arch.PFN, bool) {
 	if n == nil {
 		return 0, false
 	}
-	return n.leaves.lookup(vpn.RadixIndex(arch.RadixLevels - 1))
+	return n.lookup(vpn.RadixIndex(arch.RadixLevels - 1))
 }
 
 // NodeFrame returns the frame of the radix node reached after consuming
@@ -297,20 +349,25 @@ func (pt *PageTable) TranslateIfMapped(vpn arch.VPN) (arch.PFN, bool) {
 // reports ok=false when the path does not exist yet; the walker uses this
 // to validate page-walk-cache contents.
 func (pt *PageTable) NodeFrame(vpn arch.VPN, levels int) (arch.PFN, bool) {
-	n := pt.root
-	for l := 0; l < levels; l++ {
-		if n.children == nil { // past the PT level
-			return 0, false
-		}
-		if n = n.children[vpn.RadixIndex(l)]; n == nil {
-			return 0, false
-		}
+	if levels >= arch.RadixLevels { // past the PT level
+		return 0, false
 	}
-	return n.frame, true
+	k := uint32(0)
+	for l := 0; l < levels; l++ {
+		child := pt.inner[k].child[vpn.RadixIndex(l)]
+		if child == 0 {
+			return 0, false
+		}
+		k = child - 1
+	}
+	if levels == arch.RadixLevels-1 {
+		return pt.leaves[k].frame, true
+	}
+	return pt.inner[k].frame, true
 }
 
 // MappedPages returns how many leaf translations exist.
 func (pt *PageTable) MappedPages() uint64 { return pt.mappedPages }
 
 // TableNodes returns how many radix nodes (including the root) exist.
-func (pt *PageTable) TableNodes() uint64 { return pt.tableNodes }
+func (pt *PageTable) TableNodes() uint64 { return uint64(len(pt.inner) + len(pt.leaves)) }

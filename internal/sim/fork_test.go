@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/pred"
@@ -217,4 +219,101 @@ func BenchmarkSystemForkBaseline(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchFork(b, s)
+}
+
+// TestForkIsolation: a fork owns copies of its master's page tables. Two
+// forks of one warm master map new pages and unmap others, and neither the
+// master nor the sibling sees any of it; and a fork whose master was
+// released, its storage recycled into a machine that has run since,
+// measures exactly what a fork of the live master measures.
+func TestForkIsolation(t *testing.T) {
+	const warm, meas = 60_000, 100_000
+	p := pool.New(2)
+	build := func() *System {
+		s, err := NewMulti(MultiConfig{Machine: smallConfig(), Cores: 1, Tenants: 1, UnmapEvery: 2_000, Pool: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	stream := func(name string, seed uint64, n uint64) *trace.Buffer {
+		w, err := trace.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := trace.Materialize(w.New(seed), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	tables := func(s *System) []byte {
+		var b bytes.Buffer
+		w := ckpt.NewWriter(&b)
+		s.tenants[0].pt.EncodeState(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	buf := stream("sssp", 42, warm+meas)
+	m := build()
+	rd := buf.Reader()
+	if err := m.Run(rd, warm); err != nil {
+		t.Fatal(err)
+	}
+	pos := rd.Pos()
+	master := tables(m)
+
+	a, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling := tables(b)
+	// Another workload's pages: a maps pages the master never touched and
+	// unmaps some the master holds.
+	if err := a.Run(stream("cc", 7, meas).Reader(), meas); err != nil {
+		t.Fatal(err)
+	}
+	if a.counts.unmaps == m.counts.unmaps || bytes.Equal(tables(a), master) {
+		t.Fatal("fork a neither mapped nor unmapped a page")
+	}
+	if !bytes.Equal(tables(m), master) || !bytes.Equal(tables(b), sibling) {
+		t.Fatal("fork a's mappings reached its master or its sibling")
+	}
+	after := tables(a)
+	if err := b.Run(stream("mcf", 9, meas).Reader(), meas); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tables(m), master) || !bytes.Equal(tables(a), after) {
+		t.Fatal("fork b's mappings reached its master or its sibling")
+	}
+	a.Release()
+	b.Release()
+
+	live, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := measureFrom(t, live, buf, pos, meas)
+	live.Release()
+	orphan, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Release() {
+		t.Fatal("the master kept its storage")
+	}
+	// The master's arrays go to a machine that runs over them.
+	scribbler := build()
+	if err := scribbler.Run(buf.Reader(), warm); err != nil {
+		t.Fatal(err)
+	}
+	if got := measureFrom(t, orphan, buf, pos, meas); !reflect.DeepEqual(got, want) {
+		t.Errorf("fork of a released master diverged:\n  got=%+v\n  want=%+v", got, want)
+	}
 }

@@ -73,8 +73,8 @@ type MultiConfig struct {
 	// UnmapEvery injects one page unmap (plus shootdown) per tenant every
 	// UnmapEvery of that tenant's accesses. 0 disables unmapping.
 	UnmapEvery uint64
-	// Pool, when set, supplies the arrays of every cache and TLB of the
-	// machine and of its forks, and takes them back when the machine is
+	// Pool, when set, supplies the arrays of every cache, TLB and page
+	// table of the machine and of its forks, and takes them back when the machine is
 	// released (System.Release); nil allocates them.
 	Pool *pool.Pool
 }

@@ -127,7 +127,7 @@ func NewMulti(mc MultiConfig) (*System, error) {
 	s.tenants = make([]*tenantState, mc.Tenants)
 	s.coreTenants = make([][]int, mc.Cores)
 	for t := range s.tenants {
-		pt, err := pagetable.New(s.alloc)
+		pt, err := pagetable.NewPooled(s.alloc, mc.Pool)
 		if err != nil {
 			return nil, err
 		}
@@ -159,8 +159,8 @@ func NewMulti(mc MultiConfig) (*System, error) {
 	return s, nil
 }
 
-// Release returns the storage of every cache and TLB of the machine to its
-// pool (MultiConfig.Pool) and reports true; afterwards any access to the
+// Release returns the storage of every cache, TLB and page table of the
+// machine to its pool (MultiConfig.Pool) and reports true; afterwards any access to the
 // machine panics, so a stale reference can never read the state of the
 // machine the storage goes to next. A machine with an observer or metrics
 // attached keeps its storage and reports false: their probes and joins
@@ -177,6 +177,9 @@ func (s *System) Release() bool {
 		p.l1d.Release()
 		p.l2.Release()
 		p.walk.Release()
+	}
+	for _, t := range s.tenants {
+		t.pt.Release()
 	}
 	return true
 }
