@@ -658,7 +658,9 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 			return sim.Result{}, err
 		}
 		// The replay pass is the setup's machine with the oracle, fed the
-		// record, as its TLB predictor.
+		// record, as its TLB predictor; the record's storage goes back to
+		// the pool once the replay is done.
+		defer record.Release()
 		setup.Oracle = false
 		setup.TLB = func(*sim.System) (pred.TLBPredictor, error) { return pred.NewOracleTLB(record), nil }
 	}
@@ -686,18 +688,18 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 // oracle. The recorder never bypasses and sim.Result reports nothing about
 // predictors, so the Result is the plain machine's cell bit for bit.
 func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, config func() sim.Config, te *edge) (*pred.DOARecord, sim.Result, error) {
-	rec := pred.NewDOARecord()
+	rec := pred.NewPooledDOARecord(r.pool)
 	s, err := r.machine(Setup{Config: config, TLB: func(*sim.System) (pred.TLBPredictor, error) {
 		return pred.NewRecorderTLB(rec), nil
 	}})
-	if err != nil {
-		return nil, sim.Result{}, err
+	if err == nil {
+		var res sim.Result
+		if res, err = r.simulate(ctx, s, w, Setup{}, te); err == nil {
+			return rec, res, nil
+		}
 	}
-	res, err := r.simulate(ctx, s, w, Setup{}, te)
-	if err != nil {
-		return nil, sim.Result{}, err
-	}
-	return rec, res, nil
+	rec.Release()
+	return nil, sim.Result{}, err
 }
 
 // --- Standard setups -----------------------------------------------------

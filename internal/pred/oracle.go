@@ -18,91 +18,96 @@ package pred
 import (
 	"repro/internal/arch"
 	"repro/internal/cache"
+	"repro/internal/pool"
 )
 
 // DOARecord holds the fill outcomes captured by a RecorderTLB without a
-// heap object per VPN: a log of every fill in fill order, each entry the
-// filled VPN's dense id and its DOA bit, and by id the VPN's latest fill,
-// which OnEvict resolves. The replay groups the outcomes by VPN once
-// (NewOracleTLB), each group in its VPN's fill order.
+// heap object per VPN or a Go map: a log of every fill in fill order,
+// each entry its DOA bit and a link to the same VPN's next fill, and an
+// open-addressed VPN table whose slot holds the VPN's first and latest
+// fill, which OnEvict resolves. The replay follows each VPN's links from
+// its first fill, so its outcomes come back in its fill order. Both arrays
+// grow by doubling and, for a record built with NewPooledDOARecord, come
+// from its pool and go back to it in Release.
 type DOARecord struct {
-	ids   map[arch.VPN]uint32 // dense VPN ids, in first-fill order
-	fills column              // by fill: id<<1 | DOA bit
-	last  column              // by id: index of the VPN's latest fill
-
-	// Replay state (NewOracleTLB): by id, start[id] is the offset of the
-	// VPN's first outcome in the grouped DOA bitset, next[id] its replay
-	// cursor.
-	start   []uint32
-	next    []uint32
-	grouped []uint64
+	pool  *pool.Pool
+	slots []vpnSlot // power-of-two length, at most half full
+	used  int       // occupied slots
+	fills []outcome // by fill
 }
 
-// columnBits sizes a column's chunks (4096 entries, 16 KiB).
-const columnBits = 12
+// outcome is one fill's entry: the next fill of its VPN plus one (0 =
+// none yet) shifted left by one, and the DOA bit.
+type outcome uint32
 
-// column is an append-only uint32 sequence kept in fixed-size chunks, so
-// growing it never copies: a plain slice of a record's length allocates
-// about four times its final size while append grows it.
-type column struct {
-	chunks [][]uint32
-	n      int
+// vpnSlot is one VPN's entry in the record's table, 16 bytes. first is
+// the VPN's first fill plus one, 0 only in an empty slot. at is a fill
+// plus one: while recording, the VPN's latest; once an oracle is built,
+// the next one it replays (0 = past the VPN's last).
+type vpnSlot struct {
+	vpn       arch.VPN
+	first, at uint32
 }
 
-// push appends v.
-func (c *column) push(v uint32) {
-	if c.n&(1<<columnBits-1) == 0 {
-		c.chunks = append(c.chunks, make([]uint32, 1<<columnBits))
+// Initial capacities: a record grows by doubling from these.
+const (
+	slotsStart = 1 << 10
+	fillsStart = 1 << 12
+)
+
+// NewDOARecord creates an empty record whose arrays are allocated as it
+// grows.
+func NewDOARecord() *DOARecord { return NewPooledDOARecord(nil) }
+
+// NewPooledDOARecord is NewDOARecord with the arrays drawn from p, and
+// returned to it by Release.
+func NewPooledDOARecord(p *pool.Pool) *DOARecord {
+	return &DOARecord{
+		pool:  p,
+		slots: pool.Make[vpnSlot](p, slotsStart),
+		fills: pool.Make[outcome](p, fillsStart)[:0],
 	}
-	c.chunks[c.n>>columnBits][c.n&(1<<columnBits-1)] = v
-	c.n++
 }
 
-// at returns entry i.
-func (c *column) at(i uint32) *uint32 {
-	return &c.chunks[i>>columnBits][i&(1<<columnBits-1)]
+// Release returns the record's arrays to its pool; any later fill, eviction
+// or replay panics. The caller must know that no recorder or oracle will
+// read the record again.
+func (r *DOARecord) Release() {
+	pool.Put(r.pool, r.slots)
+	pool.Put(r.pool, r.fills)
+	r.slots, r.fills = nil, nil
 }
 
-// NewDOARecord creates an empty record.
-func NewDOARecord() *DOARecord {
-	return &DOARecord{ids: make(map[arch.VPN]uint32)}
-}
-
-// Fills returns the number of recorded fills for vpn.
-func (r *DOARecord) Fills(vpn arch.VPN) int {
-	id, ok := r.ids[vpn]
-	if !ok {
-		return 0
-	}
-	n := 0
-	for i := 0; i < r.fills.n; i++ {
-		if *r.fills.at(uint32(i))>>1 == id {
-			n++
+// find returns vpn's slot, or the empty slot where it belongs.
+func (r *DOARecord) find(vpn arch.VPN) *vpnSlot {
+	mask := uint64(len(r.slots) - 1)
+	for i := uint64(vpn) * 0x9e3779b97f4a7c15 >> 32 & mask; ; i = (i + 1) & mask {
+		if s := &r.slots[i]; s.first == 0 || s.vpn == vpn {
+			return s
 		}
 	}
-	return n
 }
 
-// group builds the replay state: each VPN's outcomes in its fill order,
-// the VPNs one after another in id order.
-func (r *DOARecord) group() {
-	vpns := r.last.n
-	r.start = make([]uint32, vpns+1)
-	for i := 0; i < r.fills.n; i++ {
-		r.start[*r.fills.at(uint32(i))>>1+1]++
+// insert returns vpn's slot, claiming one (its first still 0) for a new
+// VPN and doubling the table when that fills it past half.
+func (r *DOARecord) insert(vpn arch.VPN) *vpnSlot {
+	if s := r.find(vpn); s.first != 0 {
+		return s
 	}
-	for id := 0; id < vpns; id++ {
-		r.start[id+1] += r.start[id]
+	if 2*(r.used+1) > len(r.slots) {
+		old := r.slots
+		r.slots = pool.Make[vpnSlot](r.pool, 2*len(old))
+		for _, s := range old {
+			if s.first != 0 {
+				*r.find(s.vpn) = s
+			}
+		}
+		pool.Put(r.pool, old)
 	}
-	r.next = make([]uint32, vpns)
-	copy(r.next, r.start)
-	r.grouped = make([]uint64, (r.fills.n+63)/64)
-	for i := 0; i < r.fills.n; i++ {
-		f := *r.fills.at(uint32(i))
-		pos := r.next[f>>1]
-		r.next[f>>1]++
-		r.grouped[pos/64] |= uint64(f&1) << (pos % 64)
-	}
+	r.used++
+	s := r.find(vpn)
+	s.vpn = vpn
+	return s
 }
 
 // RecorderTLB is a pass-through TLB predictor that captures ground-truth
@@ -127,17 +132,18 @@ func (*RecorderTLB) OnMiss(arch.VPN, uint64) (arch.PFN, bool) { return 0, false 
 
 // OnFill implements TLBPredictor. It appends a pending outcome (resolved at
 // eviction; fills still resident at simulation end stay non-DOA, the
-// conservative choice).
+// conservative choice) and links it from the VPN's previous fill.
 func (r *RecorderTLB) OnFill(vpn arch.VPN, _ arch.PFN, _ uint64) Decision {
 	rec := r.rec
-	id, ok := rec.ids[vpn]
-	if !ok {
-		id = uint32(rec.last.n)
-		rec.ids[vpn] = id
-		rec.last.push(0)
+	rec.fills = pool.Append(rec.pool, rec.fills, 0)
+	i := uint32(len(rec.fills))
+	s := rec.insert(vpn)
+	if s.first == 0 {
+		s.first = i
+	} else {
+		rec.fills[s.at-1] |= outcome(i) << 1
 	}
-	*rec.last.at(id) = uint32(rec.fills.n)
-	rec.fills.push(id << 1)
+	s.at = i
 	return Decision{}
 }
 
@@ -145,12 +151,12 @@ func (r *RecorderTLB) OnFill(vpn arch.VPN, _ arch.PFN, _ uint64) Decision {
 // A VPN is resident at most once, so fills and evictions strictly
 // alternate per VPN and the last recorded fill is the one being evicted.
 func (r *RecorderTLB) OnEvict(b cache.Block) {
-	id, ok := r.rec.ids[arch.VPN(b.Key)]
-	if !ok {
+	s := r.rec.find(arch.VPN(b.Key))
+	if s.first == 0 {
 		return // eviction of an entry filled before recording began
 	}
-	f := r.rec.fills.at(*r.rec.last.at(id))
-	*f = id << 1
+	f := &r.rec.fills[s.at-1]
+	*f &^= 1
 	if !b.Accessed {
 		*f |= 1
 	}
@@ -168,15 +174,13 @@ type OracleTLB struct {
 	predictions uint64
 }
 
-// NewOracleTLB builds the replay predictor from a completed record,
-// grouping its outcomes by VPN the first time. The replay cursors live in
-// the record, so a record drives one oracle at a time; building an oracle
-// rewinds them.
+// NewOracleTLB builds the replay predictor from a completed record, which
+// takes no more fills. The replay cursors live in the record, so a record
+// drives one oracle at a time; building an oracle rewinds them.
 func NewOracleTLB(rec *DOARecord) *OracleTLB {
-	if rec.start == nil {
-		rec.group()
+	for i := range rec.slots {
+		rec.slots[i].at = rec.slots[i].first
 	}
-	copy(rec.next, rec.start)
 	return &OracleTLB{rec: rec}
 }
 
@@ -191,17 +195,13 @@ func (*OracleTLB) OnMiss(arch.VPN, uint64) (arch.PFN, bool) { return 0, false }
 
 // OnFill implements TLBPredictor.
 func (o *OracleTLB) OnFill(vpn arch.VPN, _ arch.PFN, _ uint64) Decision {
-	rec := o.rec
-	id, ok := rec.ids[vpn]
-	if !ok {
-		return Decision{}
+	s := o.rec.find(vpn)
+	if s.at == 0 {
+		return Decision{} // an unrecorded VPN, or past its recorded fills
 	}
-	i := rec.next[id]
-	if i == rec.start[id+1] {
-		return Decision{} // past the VPN's recorded fills
-	}
-	rec.next[id] = i + 1
-	if rec.grouped[i/64]>>(i%64)&1 != 0 {
+	f := o.rec.fills[s.at-1]
+	s.at = uint32(f >> 1)
+	if f&1 != 0 {
 		o.predictions++
 		return Decision{Bypass: true, PredictDOA: true}
 	}

@@ -25,6 +25,15 @@ func TestNullPredictorsAreInert(t *testing.T) {
 	}
 }
 
+// Fills returns the number of recorded fills for vpn, following its links.
+func (r *DOARecord) Fills(vpn arch.VPN) int {
+	n := 0
+	for i := r.find(vpn).first; i != 0; i = uint32(r.fills[i-1] >> 1) {
+		n++
+	}
+	return n
+}
+
 func TestRecorderCapturesDOAOutcomes(t *testing.T) {
 	rec := NewDOARecord()
 	r := NewRecorderTLB(rec)
