@@ -171,7 +171,6 @@ func BenchmarkSimulatorThroughputTraced(b *testing.B) {
 		Metrics:  NewMetricsRegistry(),
 		Interval: NewIntervalRecorder(50_000),
 	}
-	o.BeginRun("cc", "bench")
 	sys.AttachObserver(o)
 	w, err := WorkloadByName("cc")
 	if err != nil {

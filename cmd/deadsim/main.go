@@ -116,7 +116,7 @@ func run() error {
 		// header fails the run through the normal error path. A DPBF v2
 		// file streams, and a chunk that fails to read or decode latches
 		// its error during replay (trace.ErrGenerator), which every drain
-		// path (Materialize, System.Run) surfaces instead of silently
+		// path (MaterializeContext, System.Run) surfaces instead of silently
 		// repeating the last record.
 		f, err := os.Open(*traceFile)
 		if err != nil {
@@ -184,19 +184,18 @@ func run() error {
 		}
 	}
 	setup.Config = func() sim.Config { return cfg }
-	setup.Instrument = exp.Instrumentation{Accuracy: *accuracy, Characterize: *deadScan}
 
 	// -cores/-tenants/-unmap-every select the multi-core machine (DESIGN.md
-	// §15). The single-machine path below is untouched — and byte-identical
-	// — at the 1-core, 1-tenant, no-unmap defaults.
+	// §15). The single-machine path is untouched — and byte-identical — at
+	// the 1-core, 1-tenant, no-unmap defaults.
 	multicore := *cores > 1 || *tenants > 1 || *unmapEvery > 0
-	mcfg := sim.MultiConfig{Machine: cfg, Cores: 1, Tenants: 1}
+	checkpoint := *ckptOut != "" || *ckptIn != ""
 	if multicore {
 		policy, err := sim.ParseShootdown(*shootdown)
 		if err != nil {
 			return err
 		}
-		mcfg = sim.MultiConfig{Machine: cfg, Cores: *cores, Tenants: *tenants,
+		setup.Topology = exp.Topology{Cores: *cores, Tenants: *tenants,
 			Quantum: *quantum, Shootdown: policy, UnmapEvery: *unmapEvery}
 		switch {
 		case *traceFile != "":
@@ -209,6 +208,10 @@ func run() error {
 			return fmt.Errorf("-trace-out hook events are single-machine only; use -metrics-out or -serve for multi-core observability")
 		}
 	}
+	// Multi-core output reports premature kills; a checkpointed run grades
+	// them with accuracy as well, on any topology.
+	setup.Instrument = exp.Instrumentation{Accuracy: *accuracy, Characterize: *deadScan,
+		Confusion: *accuracy && (multicore || checkpoint)}
 
 	if *cpuprofile != "" {
 		stop, err := obs.StartCPUProfile(*cpuprofile)
@@ -233,20 +236,19 @@ func run() error {
 
 	r := exp.NewRunner(exp.Params{Warmup: *warmup, Measure: *measure, Seed: *seed, SampleEvery: 20_000})
 	r.SetContext(ctx)
-	var board *serve.Board
 	if *serveAddr != "" {
-		// Single-cell board: the one workload/setup pair still gets
-		// queued/start/done transitions, and /metrics serves the run's
-		// registry (created here when -metrics-out didn't already).
+		// Single-cell board: a lone Run queues nothing, so the run's
+		// workload/setup pair shows start and done transitions only, and
+		// /metrics serves the run's registry (created here when
+		// -metrics-out didn't already), under its workload/cli/ scope.
 		if observer == nil {
 			observer = &obs.Observer{}
 		}
 		if observer.Metrics == nil {
 			observer.Metrics = obs.NewRegistry()
 		}
-		board = serve.NewBoard()
-		r.Status = board
-		server := serve.NewServer(observer.Metrics, board)
+		r.Status = serve.NewBoard()
+		server := serve.NewServer(observer.Metrics, r.Status)
 		addr, err := server.Start(*serveAddr)
 		if err != nil {
 			return err
@@ -264,31 +266,15 @@ func run() error {
 	}
 	r.Observer = observer
 	var res sim.Result
-	switch {
-	case *ckptOut != "" || *ckptIn != "":
+	if checkpoint {
 		if observer != nil {
 			return fmt.Errorf("checkpoints cannot be combined with -trace-out/-metrics-out/-serve (observers span the whole run, including warmup)")
 		}
 		if setup.Oracle {
 			return fmt.Errorf("the oracle's two-pass protocol cannot be checkpointed")
 		}
-		res, err = runWithCheckpoint(ctx, r.Params(), w, setup, mcfg, *ckptOut, *ckptIn)
-	case multicore:
-		var metrics *obs.Registry
-		if observer != nil {
-			metrics = observer.Metrics
-		}
-		cell := fmt.Sprintf("%dc×%dt", mcfg.Cores, mcfg.Tenants)
-		start := time.Now()
-		if board != nil {
-			board.CellQueued(w.Name, cell)
-			board.CellStart(w.Name, cell)
-		}
-		res, err = exp.RunMulti(ctx, r.Params(), w, setup, mcfg, metrics)
-		if board != nil {
-			board.CellDone(w.Name, cell, time.Since(start), err)
-		}
-	default:
+		res, err = runWithCheckpoint(ctx, r.Params(), w, setup, *ckptOut, *ckptIn)
+	} else {
 		res, err = r.Run(w, setup)
 	}
 	if err != nil {
@@ -312,7 +298,7 @@ func run() error {
 	}
 
 	if multicore {
-		printMulti(w, mcfg, *tlbPred, *llcPred, *accuracy, res)
+		printMulti(w, setup.Topology, *tlbPred, *llcPred, *accuracy, res)
 		return nil
 	}
 
@@ -364,7 +350,7 @@ func run() error {
 
 // printMulti renders the multi-core run's statistics: the machine totals,
 // which carry the shared LLT/LLC counters, and each core's IPC.
-func printMulti(w trace.Workload, mc sim.MultiConfig, tlbPred, llcPred string, accuracy bool, res sim.Result) {
+func printMulti(w trace.Workload, mc exp.Topology, tlbPred, llcPred string, accuracy bool, res sim.Result) {
 	fmt.Printf("workload      %s (%s, %d MB) × %d tenants\n", w.Name, w.Suite, w.FootprintMB, mc.Tenants)
 	fmt.Printf("topology      %d cores, quantum %d, shootdown %s, unmap every %d\n",
 		mc.Cores, mc.Quantum, mc.Shootdown, mc.UnmapEvery)
@@ -410,13 +396,13 @@ const _ uint = -(ffStride & (ffStride - 1))
 // file. A restored run fast-forwards each tenant's generator by the
 // checkpoint's count of accesses that tenant consumed, and is
 // bit-identical to the cold run that produced the checkpoint.
-func runWithCheckpoint(ctx context.Context, p exp.Params, w trace.Workload, setup exp.Setup, mc sim.MultiConfig,
+func runWithCheckpoint(ctx context.Context, p exp.Params, w trace.Workload, setup exp.Setup,
 	outPath, inPath string) (sim.Result, error) {
-	s, err := exp.BuildMachine(setup, mc)
+	s, err := exp.BuildMachine(setup, p.Seed, nil)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	gens := exp.TenantGenerators(w, p.Seed, mc.Tenants)
+	gens := exp.TenantGenerators(w.New(p.Seed), w, p.Seed, s.Config().Tenants)
 	if inPath != "" {
 		f, err := os.Open(inPath)
 		if err != nil {

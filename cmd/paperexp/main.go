@@ -22,14 +22,17 @@
 // -multicore runs the multi-core/multi-tenant interference sweep (DESIGN.md
 // §15): dead-page prediction accuracy, premature-kill rate, LLT MPKI and
 // aggregate IPC across a cores × tenants grid with ASID-targeted TLB
-// shootdowns. Without -only, -multicore runs just that sweep. Like every
-// grid, the printed table is byte-identical whatever -jobs is.
+// shootdowns. Without -only, -multicore runs just that sweep. Its cells
+// are runner cells like every table's, so -memo-dir, -coordinator, -v's
+// counters and the printed table's -jobs invariance all hold for it too.
 //
 // Simulations are sharded across a bounded worker pool (-jobs); every run
 // is seeded, results are aggregated in the paper's fixed order, and the
 // printed tables are byte-identical whatever the job count. The selected
-// experiments' cells simulate first as one planned grid (exp.PlanGrid), so
-// -v progress follows that grid rather than the tables' order.
+// tables' and -predictors' cells simulate first as one planned grid
+// (exp.PlanGrid), so -v progress follows that grid rather than the
+// tables' order; the -multicore sweep, which runs one workload only, runs
+// its own grid after them.
 //
 // -trace-dir DIR caches each workload's stream as a compressed DPBF v2
 // trace file under DIR (recorded once, reused on later runs with the same

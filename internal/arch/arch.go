@@ -92,11 +92,6 @@ func (a PAddr) Page() PFN { return PFN(a >> PageShift) }
 // Block returns the address of the cache block containing the address.
 func (a PAddr) Block() PAddr { return a &^ BlockOffsetMask }
 
-// BlockIndex returns the index of the block within its page (0..63).
-func (a PAddr) BlockIndex() uint64 {
-	return (uint64(a) & PageOffsetMask) >> BlockShift
-}
-
 // Addr returns the first byte address of the frame.
 func (f PFN) Addr() PAddr { return PAddr(f) << PageShift }
 

@@ -64,11 +64,14 @@ func TestTranslatePreservesOffset(t *testing.T) {
 	}
 }
 
+// TestBlockIndexRange: every block-aligned address of a page is its own
+// block, on that page, and its block offset bits are clear.
 func TestBlockIndexRange(t *testing.T) {
+	base := PAddr(0x5000_0000)
 	for off := uint64(0); off < PageSize; off += BlockSize {
-		pa := PAddr(0x5000_0000 + off)
-		if idx := pa.BlockIndex(); idx != off/BlockSize {
-			t.Fatalf("BlockIndex(%#x) = %d, want %d", pa, idx, off/BlockSize)
+		pa := base + PAddr(off)
+		if pa.Block() != pa || pa.Page() != base.Page() || (pa+BlockSize-1).Block() != pa {
+			t.Fatalf("block at page offset %#x: Block %#x, Page %#x", off, pa.Block(), pa.Page())
 		}
 	}
 }

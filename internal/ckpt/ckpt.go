@@ -57,20 +57,11 @@ func (w *Writer) U16(v uint16) {
 	w.write(w.buf[:2])
 }
 
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
 // U64 writes a little-endian uint64.
 func (w *Writer) U64(v uint64) {
 	binary.LittleEndian.PutUint64(w.buf[:8], v)
 	w.write(w.buf[:8])
 }
-
-// I64 writes a two's-complement int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
 // F64 writes an IEEE-754 float64 bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -162,14 +153,8 @@ func (r *Reader) U8() uint8 { return r.read(1)[0] }
 // U16 reads a little-endian uint16.
 func (r *Reader) U16() uint16 { return binary.LittleEndian.Uint16(r.read(2)) }
 
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.read(4)) }
-
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.read(8)) }
-
-// I64 reads a two's-complement int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // F64 reads an IEEE-754 float64 bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }

@@ -14,9 +14,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Mark("head")
 	w.U8(0xab)
 	w.U16(0xbeef)
-	w.U32(0xdeadbeef)
 	w.U64(^uint64(0))
-	w.I64(-42)
 	w.F64(3.25)
 	w.Bool(true)
 	w.Bool(false)
@@ -35,14 +33,8 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.U16(); got != 0xbeef {
 		t.Errorf("U16 = %#x", got)
 	}
-	if got := r.U32(); got != 0xdeadbeef {
-		t.Errorf("U32 = %#x", got)
-	}
 	if got := r.U64(); got != ^uint64(0) {
 		t.Errorf("U64 = %#x", got)
-	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
 	}
 	if got := r.F64(); got != 3.25 {
 		t.Errorf("F64 = %v", got)
@@ -76,7 +68,7 @@ func TestErrorLatching(t *testing.T) {
 	if first == nil {
 		t.Fatal("no error latched on empty stream")
 	}
-	_ = r.U32()
+	_ = r.U16()
 	_ = r.String()
 	r.Expect("x")
 	if r.Err() != first {

@@ -25,12 +25,10 @@ func (q *pfq) clone() *pfq {
 
 // CloneTLB implements pred.ClonableTLB: a deep copy of pHIST (single
 // contiguous backing, like NewDPPred builds), the shadow table and the
-// counters. The DOA-page listener and tracer are deliberately left
-// disconnected — the forking simulator rewires the listener to its own
-// cbPred clone, and forks always run without instrumentation.
+// counters. The tracer is deliberately left disconnected: forks always
+// run without instrumentation.
 func (p *DPPred) CloneTLB(*cache.Cache) (pred.TLBPredictor, error) {
 	c := *p
-	c.onDOAPage = nil
 	c.tr = nil
 	c.shadow = p.shadow.clone()
 	rows := len(p.phist)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"hash/fnv"
 	"testing"
 
@@ -181,7 +182,7 @@ func FuzzPredictorVsReference(f *testing.F) {
 		if wi >= 2 {
 			break
 		}
-		buf, err := trace.Materialize(w.New(1), 512)
+		buf, err := trace.MaterializeContext(context.Background(), w.New(1), 512)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func TestPredictorVsReferenceSeeds(t *testing.T) {
 		if wi >= 3 {
 			break
 		}
-		buf, err := trace.Materialize(w.New(7), diffCap)
+		buf, err := trace.MaterializeContext(context.Background(), w.New(7), diffCap)
 		if err != nil {
 			t.Fatal(err)
 		}

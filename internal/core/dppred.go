@@ -70,11 +70,6 @@ type DPPred struct {
 	ctrMax uint8
 	shadow *shadowTable
 
-	// onDOAPage, when set, is invoked with the frame of every
-	// predicted-DOA page; the simulator wires it to cbPred's PFQ
-	// ("Send PFN to LLC controller for PFQ insertion", Fig. 6b).
-	onDOAPage func(arch.PFN)
-
 	// tr, when set, receives pHIST column-flush events (the one dpPred
 	// hook point the simulator cannot observe from outside).
 	tr *obs.Tracer
@@ -120,10 +115,6 @@ func NewDPPred(cfg DPPredConfig) (*DPPred, error) {
 	}
 	return p, nil
 }
-
-// SetDOAPageListener wires the predicted-DOA-page notification (to cbPred's
-// PFQ). Passing nil disconnects it.
-func (p *DPPred) SetDOAPageListener(fn func(arch.PFN)) { p.onDOAPage = fn }
 
 // Name implements pred.TLBPredictor.
 func (p *DPPred) Name() string { return "dpPred" }
@@ -179,16 +170,13 @@ func (p *DPPred) flushColumn(col int) {
 // OnFill implements pred.TLBPredictor: the Fig. 6b fill path. The PC hash
 // comes from the LLT's MSHR (the simulator passes the PC that triggered the
 // miss). A counter above the threshold predicts DOA: the translation
-// bypasses the LLT, parks in the shadow table, and the frame is announced
-// to the LLC side.
+// bypasses the LLT and parks in the shadow table, and the simulator
+// announces the frame to the LLC side.
 func (p *DPPred) OnFill(vpn arch.VPN, pfn arch.PFN, pc uint64) pred.Decision {
 	h := p.pcHash(pc)
 	if p.phist[h][p.vpnHash(vpn)] > p.cfg.Threshold {
 		p.stats.Predictions++
 		p.shadow.Insert(vpn, pfn)
-		if p.onDOAPage != nil {
-			p.onDOAPage(pfn)
-		}
 		return pred.Decision{Bypass: true, PredictDOA: true, PCHash: h}
 	}
 	return pred.Decision{PCHash: h}
@@ -232,9 +220,6 @@ func (p *DPPred) Stats() DPPredStats { return p.stats }
 func (p *DPPred) Counter(pcHash uint16, vpn arch.VPN) uint8 {
 	return p.phist[int(pcHash)&(len(p.phist)-1)][p.vpnHash(vpn)]
 }
-
-// ShadowLen reports the number of valid shadow-table entries.
-func (p *DPPred) ShadowLen() int { return p.shadow.Len() }
 
 // AttachTracer implements obs.TraceAttacher: pHIST column flushes are
 // emitted through t (nil detaches).

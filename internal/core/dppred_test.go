@@ -103,8 +103,8 @@ func TestBypassedTranslationParkedInShadow(t *testing.T) {
 	if !d.Bypass {
 		t.Fatal("expected bypass")
 	}
-	if p.ShadowLen() != 1 {
-		t.Fatalf("shadow has %d entries, want 1", p.ShadowLen())
+	if p.shadow.Len() != 1 {
+		t.Fatalf("shadow has %d entries, want 1", p.shadow.Len())
 	}
 	// The victim buffer serves the next miss to the same VPN.
 	pfn, handled := p.OnMiss(vpn, pc)
@@ -186,17 +186,17 @@ func TestShadowDisabledVariant(t *testing.T) {
 	}
 }
 
+// TestDOAPageListenerNotified: a predicted-DOA fill bypasses and predicts
+// DOA, the decision on which the simulator announces the frame to the LLC
+// side's pred.DOAPageListener (Fig. 6b).
 func TestDOAPageListenerNotified(t *testing.T) {
 	p := newDP(t)
-	var got []arch.PFN
-	p.SetDOAPageListener(func(f arch.PFN) { got = append(got, f) })
 	const pc, vpn = 0x400123, arch.VPN(0x7000)
 	for i := 0; i < 7; i++ {
 		evict(p, vpn, pc, false)
 	}
-	p.OnFill(vpn, 321, pc)
-	if len(got) != 1 || got[0] != 321 {
-		t.Fatalf("listener saw %v, want [321]", got)
+	if d := p.OnFill(vpn, 321, pc); !d.Bypass || !d.PredictDOA {
+		t.Fatalf("decision %+v, want a bypass predicting DOA", d)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestDPPredInvariantsUnderRandomStream(t *testing.T) {
 		case 3:
 			p.OnHit(nil)
 		}
-		if got := p.ShadowLen(); got > cfg.ShadowEntries {
+		if got := p.shadow.Len(); got > cfg.ShadowEntries {
 			t.Fatalf("step %d: shadow occupancy %d exceeds %d", i, got, cfg.ShadowEntries)
 		}
 		if i%500 == 0 {

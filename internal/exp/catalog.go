@@ -24,10 +24,11 @@ var (
 )
 
 // buildCatalog assembles the name → Setup map as the union of the grids
-// of paperTables (with a "+acc" cell stored under its base name) and every
-// registered predictor (the arena), resolved as Table4Extended does, so
-// the catalog holds exactly the setups the experiments can plan and cannot
-// drift from them. A name seen twice is the same setup; the first wins.
+// of paperTables (with a "+acc" cell stored under its base name), every
+// registered predictor (the arena), resolved as Table4Extended does, and
+// the multi-core sweep's topologies, so the catalog holds exactly the
+// setups the experiments can plan and cannot drift from them. A name seen
+// twice is the same setup; the first wins.
 func buildCatalog() {
 	catalogMap = make(map[string]Setup)
 	add := func(s Setup) {
@@ -48,6 +49,9 @@ func buildCatalog() {
 		if err != nil {
 			panic(err) // registered names must resolve
 		}
+		add(su)
+	}
+	for _, su := range multiCoreSetups(multiCoreDims, multiCoreDims) {
 		add(su)
 	}
 }

@@ -70,7 +70,8 @@ func WorkloadFingerprint(w trace.Workload, seed, n uint64) (string, error) {
 
 // CellKey content-addresses one experiment cell: the workload's stream
 // fingerprint × the setup's identity × the run parameters. Setup identity
-// is its name plus the flags that change what a run computes; the name is
+// is its name plus the flags and topology that change what a run computes
+// (the Table I topology adds nothing to the hash); the name is
 // load-bearing — the in-process memo already requires that equal-named
 // setups behave identically, and the persistent memo extends that contract
 // across processes (ResolveSetup pins the standard names to exact
@@ -99,7 +100,19 @@ func CellKey(workloadFP string, setup Setup, p Params) string {
 	if setup.Instrument.Characterize {
 		flags |= 4
 	}
+	if setup.Instrument.Confusion {
+		flags |= 8
+	}
+	t := setup.Topology
+	if t != (Topology{}) {
+		flags |= 16
+	}
 	writeU64(flags)
+	if flags&16 != 0 {
+		for _, v := range []uint64{uint64(t.Cores), uint64(t.Tenants), t.Quantum, uint64(t.Shootdown), t.UnmapEvery} {
+			writeU64(v)
+		}
+	}
 	writeU64(p.Warmup)
 	writeU64(p.Measure)
 	writeU64(p.Seed)

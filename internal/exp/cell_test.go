@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -67,6 +68,14 @@ func TestCellKeyIdentity(t *testing.T) {
 	record("setup", CellKey(fp, DPPredSetup(), p))
 	record("accuracy", CellKey(fp, withAccuracy(Baseline()), p))
 	record("oracle", CellKey(fp, OracleSetup(), p))
+	confusion := Baseline()
+	confusion.Instrument.Confusion = true
+	record("confusion", CellKey(fp, confusion, p))
+	for _, t := range []Topology{{Cores: 2}, {Tenants: 2}, {Quantum: 1}, {Shootdown: sim.ShootdownFullFlush}, {UnmapEvery: 1}} {
+		multi := Baseline()
+		multi.Topology = t
+		record(fmt.Sprintf("topology %+v", t), CellKey(fp, multi, p))
+	}
 	record("fingerprint", CellKey(otherFP, Baseline(), p))
 	pp := p
 	pp.Warmup++
@@ -115,9 +124,16 @@ func TestCatalogResolvesEveryStandardSetup(t *testing.T) {
 		"base-llc2048", "dpPred+cbPred-llc3072", "srrip-llt", "srrip-cbPred",
 		"distance-prefetch", "dpPred+prefetch", "DIP-LLT", "DIP+dpPred",
 		"dpPred-th2", "dpPred-ctr4",
+		"1c×1t", "1c×2t", "1c×4t", "2c×1t", "2c×2t", "2c×4t", "4c×1t", "4c×2t", "4c×4t",
 	} {
 		if _, ok := ResolveSetup(name); !ok {
 			t.Errorf("standard setup %q missing from the catalog", name)
+		}
+	}
+	// The multi-core sweep's names resolve to its own setups.
+	for _, su := range multiCoreSetups(multiCoreDims, multiCoreDims) {
+		if got, _ := ResolveSetup(su.Name); CellKey("", got, cellTestParams) != CellKey("", su, cellTestParams) {
+			t.Errorf("sweep setup %q resolves to a different cell", su.Name)
 		}
 	}
 	if _, ok := ResolveSetup("no-such-setup"); ok {

@@ -17,8 +17,7 @@ import (
 // baseline pass, oracle replay), a warm master in its node's release hook
 // after its last fork. Trace buffers come from the same pool and go back in
 // releaseTrace. A machine that cannot go back is kept and counted
-// (Storage): one with an observer or metrics attached, one that failed, one
-// handed to a caller outside the runner (BuildSystem).
+// (Storage): one with an observer or metrics attached, or one that failed.
 
 // warmMaster is a warmed machine its grid's warm-path cells fork, and the
 // trace position its forks resume from. Every consumer holds an edge to
@@ -41,7 +40,7 @@ type StorageStats struct {
 	// Recycled counts those whose storage went back to the pool.
 	Recycled int64
 	// Kept counts those whose storage did not: an observer or metrics were
-	// attached, the run failed, or BuildSystem handed the machine out.
+	// attached, or the run failed.
 	Kept int64
 	// TracesReused counts trace buffers materialized into the columns of
 	// buffers released before them.
@@ -65,49 +64,38 @@ func (r *Runner) Storage() StorageStats {
 	return st
 }
 
-// BuildSystem constructs the one-core machine and its
-// predictors/prefetcher for a non-oracle setup, without running anything:
-// BuildMachine on a 1×1 topology, drawing from the runner's storage pool.
-// The machine belongs to the caller, so the runner counts it as kept
-// (Storage); the runner's own cells build through machine.
-func (r *Runner) BuildSystem(setup Setup) (*sim.System, error) {
-	s, err := r.machine(setup)
-	if err == nil {
-		r.storage.kept.Add(1)
-	}
-	return s, err
-}
-
-// machine builds a cell's machine, BuildSystem's construction, which the
-// cell retires (owned) when it is done with it. The oracle's two passes
-// substitute their RecorderTLB and OracleTLB as the setup's TLB
-// constructor.
+// machine builds a cell's machine, which the cell retires (owned) when it
+// is done with it. The oracle's two passes substitute their RecorderTLB and
+// OracleTLB as the setup's TLB constructor.
 func (r *Runner) machine(setup Setup) (*sim.System, error) {
-	cfgFn := setup.Config
-	if cfgFn == nil {
-		cfgFn = sim.DefaultConfig
-	}
-	cfg := cfgFn()
-	cfg.Seed = r.params.Seed
-	s, err := BuildMachine(setup, sim.MultiConfig{Machine: cfg, Cores: 1, Tenants: 1, Pool: r.pool})
+	s, err := BuildMachine(setup, r.params.Seed, r.pool)
 	if err == nil {
 		r.storage.built.Add(1)
 	}
 	return s, err
 }
 
-// BuildMachine constructs the machine mc describes (setup.Config is not
-// consulted) and installs setup's predictors, shared by every core, and
-// its prefetcher, for a non-oracle setup. A characterization setup's
+// BuildMachine constructs the machine of a non-oracle setup: its Config
+// (nil means Table I) with the given seed, under its Topology, with its
+// arrays drawn from pl (nil allocates them), and installs its predictors,
+// shared by every core, and its prefetcher. A characterization setup's
 // machine tracks entry times from its first access, so its samplers see
-// the warmup's fills too. Multi-core cells and cmd/deadsim's checkpoint
-// path, which rebuilds the exact machine a checkpoint was taken from,
-// build through it directly.
-func BuildMachine(setup Setup, mc sim.MultiConfig) (*sim.System, error) {
+// the warmup's fills too. cmd/deadsim's checkpoint path, which rebuilds
+// the exact machine a checkpoint was taken from, builds through it
+// directly.
+func BuildMachine(setup Setup, seed uint64, pl *pool.Pool) (*sim.System, error) {
 	if setup.Oracle {
 		return nil, fmt.Errorf("exp: the oracle's two-pass protocol has no standalone system")
 	}
-	s, err := sim.NewMulti(mc)
+	cfgFn := setup.Config
+	if cfgFn == nil {
+		cfgFn = sim.DefaultConfig
+	}
+	cfg := cfgFn()
+	cfg.Seed = seed
+	t := setup.Topology
+	s, err := sim.NewMulti(sim.MultiConfig{Machine: cfg, Cores: max(t.Cores, 1), Tenants: max(t.Tenants, 1),
+		Quantum: t.Quantum, Shootdown: t.Shootdown, UnmapEvery: t.UnmapEvery, Pool: pl})
 	if err != nil {
 		return nil, err
 	}

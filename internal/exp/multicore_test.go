@@ -121,8 +121,9 @@ func multiResultFields(t *testing.T, r goldenMultiCell) map[string]string {
 	return out
 }
 
-// TestGoldenMultiCoreSweep diffs the full QuickParams cores×tenants grid
-// against testdata/golden/multicore.json. Any drift in the multi-machine
+// TestGoldenMultiCoreSweep diffs the full QuickParams cores×tenants grid,
+// run as one grid of the package's shared runner, against
+// testdata/golden/multicore.json. Any drift in the multi-machine
 // composition — scheduling order, ASID tagging, shootdown broadcast,
 // shared-structure contention — fails with a per-field diff; regenerate
 // with -update after an intentional modelling change.
@@ -132,17 +133,17 @@ func TestGoldenMultiCoreSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dims := []int{1, 2, 4}
+	setups := multiCoreSetups(multiCoreDims, multiCoreDims)
+	if err := quickRunner.RunGrid([]trace.Workload{w}, setups); err != nil {
+		t.Fatal(err)
+	}
 	got := make(map[string]goldenMultiCell)
-	for _, c := range dims {
-		for _, tn := range dims {
-			cell := multiCoreCell{cores: c, tenants: tn}
-			res, err := runMultiCell(quickRunner.baseCtx(), quickRunner.params, w, cell)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[cell.name()] = goldenCell(res)
+	for _, su := range setups {
+		res, err := quickRunner.Run(w, su)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got[su.Name] = goldenCell(res)
 	}
 
 	path := goldenPath("multicore")

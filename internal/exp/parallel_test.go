@@ -113,6 +113,12 @@ func TestSingleFlightMemo(t *testing.T) {
 	}
 }
 
+// seqLog is a trace sink that keeps every event's sequence number.
+type seqLog struct{ seqs []uint64 }
+
+func (l *seqLog) WriteEvent(ev obs.Event) error { l.seqs = append(l.seqs, ev.Seq); return nil }
+func (*seqLog) Close() error                    { return nil }
+
 // TestParallelObserverIsolation runs a grid with jobs=8 against one shared
 // observer bundle and checks the isolation guarantees: every run's
 // interval samples are contiguous (never interleaved with another run's),
@@ -121,8 +127,9 @@ func TestSingleFlightMemo(t *testing.T) {
 func TestParallelObserverIsolation(t *testing.T) {
 	r := NewRunner(Params{Warmup: 10_000, Measure: 30_000, Seed: 1, SampleEvery: 5_000})
 	r.SetJobs(8)
+	events := &seqLog{}
 	o := &obs.Observer{
-		Tracer:   obs.NewTracer(0, obs.NullSink{}),
+		Tracer:   obs.NewTracer(0, events),
 		Metrics:  obs.NewRegistry(),
 		Interval: obs.NewIntervalRecorder(5_000),
 	}
@@ -137,12 +144,10 @@ func TestParallelObserverIsolation(t *testing.T) {
 	if o.Tracer.Count() == 0 {
 		t.Error("no events traced")
 	}
-	prevSeq := uint64(0)
-	for i, ev := range o.Tracer.Events() {
-		if i > 0 && ev.Seq <= prevSeq {
-			t.Fatalf("trace seq not monotone at ring index %d: %d after %d", i, ev.Seq, prevSeq)
+	for i := 1; i < len(events.seqs); i++ {
+		if events.seqs[i] <= events.seqs[i-1] {
+			t.Fatalf("trace seq not monotone at event %d: %d after %d", i, events.seqs[i], events.seqs[i-1])
 		}
-		prevSeq = ev.Seq
 	}
 
 	finished := map[string]bool{}

@@ -64,9 +64,10 @@ func (e *edge) drop() {
 // planGrid plans a grid: its cells and the nodes they share, each with its
 // count of consumers.
 //   - One baseline pass per workload, when the grid holds a plain baseline
-//     and a default-config oracle and neither cell is memoized or in
-//     flight: the oracle's record pass (§VI-A) is the plain machine's run,
-//     so the oracle computes it and replays its record at once.
+//     and an oracle on the Table I machine (default config and topology)
+//     and neither cell is memoized or in flight: the oracle's record pass
+//     (§VI-A) is the plain machine's run, so the oracle computes it and
+//     replays its record at once.
 //     Runs with a persistent memo or an external executor keep separate
 //     passes, since either cell may come from elsewhere, and so do
 //     observed runs, whose baseline scope must see the plain machine.
@@ -82,7 +83,7 @@ func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan 
 	var base, oracle string
 	for _, su := range p.setups {
 		switch {
-		case su.Config != nil:
+		case su.Config != nil || su.Topology != Topology{}:
 		case su.Oracle && oracle == "":
 			oracle = su.Name
 		case !su.Oracle && base == "" && su.TLB == nil && su.LLC == nil && su.Prefetch == nil && su.Instrument == Instrumentation{}:
@@ -120,10 +121,11 @@ func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan 
 // PlanGrid returns the union of the grids the experiment functions fns
 // simulate, without simulating anything: each function runs, one at a
 // time, on a planning runner whose RunGrid records its grid and returns
-// ErrPlanned. Every grid experiment of this package (all but the
-// multi-core sweep) is a table run by Runner.series, which calls RunGrid
-// over trace.Workloads() before anything else and aborts on its error, so
-// the union's cross product is exactly their cells.
+// ErrPlanned. Every experiment of this package calls RunGrid before
+// anything else and aborts on its error. The tables (Runner.series) all
+// run over trace.Workloads(), so the union's cross product is exactly
+// their cells; the multi-core sweep runs cactusADM alone, so a union
+// holding it with a table would run its topologies on every workload.
 //
 // Running the union as one RunGrid and then the experiments themselves
 // (every cell a memo hit) lets one plan count each warm master's consumers

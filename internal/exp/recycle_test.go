@@ -34,11 +34,12 @@ func workload(t *testing.T, name string) trace.Workload {
 	return w
 }
 
-// TestRecycledMachineMatchesFresh runs every catalog setup, and a
-// multi-core cell, on machines drawn from a pool that other geometries
-// dirtied first — iso-storage's 1152-entry 9-way LLT shares its set count
-// with the Table I LLT, and a cbPred LLC leaves payload fields in its
-// blocks — and requires the Result a fresh machine gives.
+// TestRecycledMachineMatchesFresh runs every catalog setup, the multi-core
+// sweep's included, and two more multi-core cells on machines drawn from a
+// pool that other geometries dirtied first — iso-storage's 1152-entry
+// 9-way LLT shares its set count with the Table I LLT, and a cbPred LLC
+// leaves payload fields in its blocks — and requires the Result a fresh
+// machine gives.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	if raceDetector {
 		t.Skip("every catalog setup twice; the pooled grid is raced by TestPooledGridMatchesFresh")
@@ -72,21 +73,18 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 		diffResults(t, name, w.Name, got, want)
 	}
 
-	mc := sim.MultiConfig{Machine: sim.DefaultConfig(), Cores: 2, Tenants: 3, Quantum: 5_000,
-		Shootdown: sim.ShootdownFlushASID, UnmapEvery: 7_000}
-	mc.Machine.Seed = recycleParams.Seed
-	multi := func(su Setup, m sim.MultiConfig) sim.Result {
-		res, err := RunMulti(context.Background(), recycleParams, w, su, m, nil)
+	for _, su := range []Setup{Baseline(), DPPredCBPredSetup()} {
+		su.Name += " (2c×3t)"
+		su.Topology = Topology{Cores: 2, Tenants: 3, Quantum: 5_000, Shootdown: sim.ShootdownFlushASID, UnmapEvery: 7_000}
+		got, err := dirty.Run(w, su)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	for _, su := range []Setup{Baseline(), DPPredCBPredSetup()} {
-		want := multi(su, mc)
-		pooled := mc
-		pooled.Pool = dirty.pool
-		diffResults(t, su.Name+" (2 cores)", w.Name, multi(su, pooled), want)
+		want, err := freshRunner(recycleParams).Run(w, su)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffResults(t, su.Name, w.Name, got, want)
 	}
 	if st := dirty.Storage(); st.Built != st.Recycled+st.Kept || st.Kept != 0 || st.TracesReused == 0 {
 		t.Errorf("storage %+v: want every machine recycled and trace buffers reused", st)
@@ -133,24 +131,30 @@ func TestPooledGridMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestStorageKeepsObservedAndHandedOut: a machine an observer watches, or
-// one BuildSystem hands to its caller, never goes back to the pool, and
-// Storage counts it as kept.
-func TestStorageKeepsObservedAndHandedOut(t *testing.T) {
+// TestStorageKeepsObservedMachines: a machine an observer watches never
+// goes back to the pool, whether it is a single machine with the observer
+// attached or a multi-core one registering its metrics, and Storage counts
+// it as kept.
+func TestStorageKeepsObservedMachines(t *testing.T) {
 	r := NewRunner(recycleParams)
-	if _, err := r.BuildSystem(Baseline()); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Storage(); st.Built != 1 || st.Kept != 1 {
-		t.Errorf("after BuildSystem: %+v, want 1 built, 1 kept", st)
-	}
 	r.Observer = &obs.Observer{Tracer: obs.NewTracer(0, obs.NullSink{}), Metrics: obs.NewRegistry()}
 	if _, err := r.Run(workload(t, "cc"), DPPredSetup()); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Storage(); st.Built != 2 || st.Kept != 2 || st.Recycled != 0 {
-		t.Errorf("after an observed run: %+v, want 2 built, 2 kept", st)
+	multi := DPPredSetup()
+	multi.Name, multi.Topology = "dpPred (2c×2t)", Topology{Cores: 2, Tenants: 2}
+	if _, err := r.Run(workload(t, "cc"), multi); err != nil {
+		t.Fatal(err)
 	}
+	if st := r.Storage(); st.Built != 2 || st.Kept != 2 || st.Recycled != 0 {
+		t.Errorf("after two observed runs: %+v, want 2 built, 2 kept", st)
+	}
+	for name := range r.Observer.Metrics.Histograms() {
+		if strings.HasPrefix(name, "cc/dpPred (2c×2t)/core1.") {
+			return
+		}
+	}
+	t.Error("no core1 histogram under the multi-core cell's cc/dpPred (2c×2t)/ scope")
 }
 
 // TestReleasedTracePanics: once the last reader drops a trace node, the

@@ -80,6 +80,21 @@ type Setup struct {
 	// tracks entry times from the first access, which a master built
 	// without them cannot supply (warmShareable).
 	WarmupKey string
+	// Topology shapes the machine: cores over a shared LLT and LLC, and
+	// tenants beyond the cell's workload (DESIGN.md §15). The zero value is
+	// the paper's one-core, one-tenant machine.
+	Topology Topology
+}
+
+// Topology is a cell's multi-core, multi-tenant machine shape. Tenant 0
+// replays the cell's workload trace and tenant t > 0 runs the workload's
+// generator at seed+t; Cores and Tenants below 1 mean 1.
+type Topology struct {
+	Cores, Tenants int
+	// Quantum, Shootdown and UnmapEvery are sim.MultiConfig's (BuildMachine).
+	Quantum    uint64
+	Shootdown  sim.ShootdownPolicy
+	UnmapEvery uint64
 }
 
 // Instrumentation selects measurement machinery.
@@ -88,6 +103,9 @@ type Instrumentation struct {
 	Accuracy bool
 	// Characterize enables the §IV samplers and Table III correlation.
 	Characterize bool
+	// Confusion enables the shared-structure true-dead/premature/missed
+	// grading the multi-core sweep reports.
+	Confusion bool
 }
 
 // Runner executes setups against workloads, memoizing results so that
@@ -531,10 +549,17 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 	return nil
 }
 
-// measure runs the post-warmup half of a cell on a warmed machine: enable
-// the setup's instrumentation, mark the measurement region, feed p.Measure
-// accesses from the tenants' generators and collect the result.
-func measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generator, setup Setup) (sim.Result, error) {
+// Measure runs the post-warmup half of a cell on a warmed machine of any
+// topology: enable the setup's instrumentation, mark the measurement
+// region, feed p.Measure accesses from the tenants' generators and collect
+// the result. Every runner cell measures through it, and so does
+// cmd/deadsim's checkpoint path.
+func Measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generator, setup Setup) (sim.Result, error) {
+	if setup.Instrument.Confusion {
+		if err := s.EnableConfusionTracking(); err != nil {
+			return sim.Result{}, err
+		}
+	}
 	if setup.Instrument.Accuracy {
 		if err := s.EnableAccuracyTracking(); err != nil {
 			return sim.Result{}, err
@@ -553,18 +578,30 @@ func measure(ctx context.Context, p Params, s *sim.System, gens []trace.Generato
 	return s.Result(), nil
 }
 
+// TenantGenerators returns one generator per tenant of a machine running
+// w: tenant 0 reads first, tenant t > 0 runs w.New(seed+t).
+func TenantGenerators(first trace.Generator, w trace.Workload, seed uint64, tenants int) []trace.Generator {
+	gens := []trace.Generator{first}
+	for t := 1; t < tenants; t++ {
+		gens = append(gens, w.New(seed+uint64(t)))
+	}
+	return gens
+}
+
 // simulate runs a freshly built machine over the workload's warmup and
-// measured accesses, read through the cell's trace edge te, and retires it.
+// measured accesses, tenant 0's read through the cell's trace edge te, and
+// retires it.
 func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, setup Setup, te *edge) (sim.Result, error) {
 	return r.owned(s, func() (sim.Result, error) {
 		g, err := r.generator(ctx, w, te)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		if err := s.RunContext(ctx, g, r.params.Warmup); err != nil {
+		gens := TenantGenerators(g, w, r.params.Seed, s.Config().Tenants)
+		if err := s.RunTenants(ctx, gens, r.params.Warmup); err != nil {
 			return sim.Result{}, err
 		}
-		return measure(ctx, r.params, s, []trace.Generator{g}, setup)
+		return Measure(ctx, r.params, s, gens, setup)
 	})
 }
 
@@ -577,7 +614,7 @@ func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, 
 // shared Buffer position, which a disk-streamed trace has no equivalent
 // of.
 func (r *Runner) warmShareable(setup Setup) bool {
-	return setup.WarmupKey != "" && r.Observer == nil && r.traceDir == "" &&
+	return setup.WarmupKey != "" && r.Observer == nil && r.traceDir == "" && setup.Topology == Topology{} &&
 		!setup.Oracle && setup.Prefetch == nil && !setup.Instrument.Characterize
 }
 
@@ -617,7 +654,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e
 	}
 	r.warmForked.Add(1)
 	res, err = r.owned(fork, func() (sim.Result, error) {
-		return measure(ctx, r.params, fork, []trace.Generator{src}, setup)
+		return Measure(ctx, r.params, fork, []trace.Generator{src}, setup)
 	})
 	return res, true, err
 }
@@ -674,10 +711,16 @@ func (r *Runner) runUncached(ctx context.Context, w trace.Workload, setup Setup,
 		// cover the whole run (Result stays measurement-scoped). Each run
 		// observes through its own forked scope so parallel runs cannot
 		// interleave; join publishes into the shared bundle even when the
-		// run errors, flushing whatever was traced.
+		// run errors, flushing whatever was traced. The tracer and interval
+		// sampler are single-machine instruments: a multi-topology cell
+		// registers its per-core metrics and histograms only.
 		child, join := r.Observer.ForkRun(w.Name, setup.Name)
 		defer join()
-		s.AttachObserver(child)
+		if setup.Topology == (Topology{}) {
+			s.AttachObserver(child)
+		} else {
+			s.AttachMetrics(child.Metrics)
+		}
 	}
 	return r.simulate(ctx, s, w, setup, te)
 }

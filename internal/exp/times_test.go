@@ -7,7 +7,7 @@ import (
 	"repro/internal/trace"
 )
 
-// TestCharacterizationTracksEntryTimes: BuildSystem gives a
+// TestCharacterizationTracksEntryTimes: the runner gives a
 // characterization setup's machine entry times on its LLT and LLC, and
 // none to the Table IV setups; such a cell never takes the warm-fork path;
 // and measuring a characterization cell on a machine built without entry
@@ -15,7 +15,7 @@ import (
 func TestCharacterizationTracksEntryTimes(t *testing.T) {
 	r := NewRunner(Params{Warmup: 2_000, Measure: 4_000, Seed: 1, SampleEvery: 1_000})
 	for _, su := range []Setup{Baseline(), AIPTLBSetup(), SHiPTLBSetup(), DPPredSetup(), IsoStorageSetup()} {
-		s, err := r.BuildSystem(su)
+		s, err := r.machine(su)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -24,7 +24,7 @@ func TestCharacterizationTracksEntryTimes(t *testing.T) {
 		}
 	}
 	char := characterizationSetup()
-	s, err := r.BuildSystem(char)
+	s, err := r.machine(char)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestCharacterizationTracksEntryTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err = r.BuildSystem(Baseline())
+	s, err = r.machine(Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens := TenantGenerators(w, 1, 1)
+	gens := []trace.Generator{w.New(1)}
 	if err := s.RunTenants(context.Background(), gens, r.Params().Warmup); err != nil {
 		t.Fatal(err)
 	}

@@ -90,9 +90,6 @@ func (m *DiskMemo) RegisterProbes(reg *obs.Registry) {
 	reg.RegisterProbe("expserve.memo_evictions", func() float64 { return float64(m.evictions.Load()) })
 }
 
-// Dir returns the memo root.
-func (m *DiskMemo) Dir() string { return m.dir }
-
 func (m *DiskMemo) entryDir(key string) string { return filepath.Join(m.dir, key) }
 
 // validKey rejects keys that could escape the memo root or collide with

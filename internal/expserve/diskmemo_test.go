@@ -62,7 +62,7 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	if err := m.Put(key, memoMeta(), want); err != nil {
 		t.Fatalf("duplicate Put: %v", err)
 	}
-	ents, err := os.ReadDir(m.Dir())
+	ents, err := os.ReadDir(m.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDiskMemoArtifacts(t *testing.T) {
 	}
 	// A corrupted artifact must be refused (hash mismatch), while the
 	// result itself stays servable.
-	if err := os.WriteFile(filepath.Join(m.Dir(), key, "trace.dpbf"), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(m.dir, key, "trace.dpbf"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := m.Artifact(key, "trace.dpbf"); ok {
@@ -156,11 +156,11 @@ func TestDiskMemoRejectsDamage(t *testing.T) {
 			if err := m.Put(other, memoMeta(), memoResult()); err != nil {
 				t.Fatal(err)
 			}
-			tc.damage(t, filepath.Join(m.Dir(), key))
+			tc.damage(t, filepath.Join(m.dir, key))
 			if _, ok, err := m.Get(key); err != nil || ok {
 				t.Fatalf("damaged entry served: ok=%v err=%v", ok, err)
 			}
-			if _, err := os.Stat(filepath.Join(m.Dir(), key)); !os.IsNotExist(err) {
+			if _, err := os.Stat(filepath.Join(m.dir, key)); !os.IsNotExist(err) {
 				t.Fatalf("damaged entry not evicted (stat err %v)", err)
 			}
 			// The neighbor entry is untouched, and the key is reusable.

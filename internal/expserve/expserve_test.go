@@ -365,7 +365,7 @@ func TestWorkerErrorIsTerminal(t *testing.T) {
 	if st := coord.Counts(); st.Failed != 1 || st.Requeues != 0 {
 		t.Fatalf("status after terminal error: %+v, want 1 failed and 0 requeues", st)
 	}
-	if m, err := os.ReadDir(memo.Dir()); err != nil || len(m) != 0 {
+	if m, err := os.ReadDir(memo.dir); err != nil || len(m) != 0 {
 		t.Fatalf("failed cell leaked into the memo: %v %v", m, err)
 	}
 }

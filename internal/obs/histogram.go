@@ -91,28 +91,3 @@ func (s HistogramSnapshot) MaxBucket() int {
 	}
 	return -1
 }
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]): the
-// bucket boundary below which at least q·Count observations fall. Log
-// buckets make this a factor-of-two estimate, which is what live
-// monitoring needs.
-func (s HistogramSnapshot) Quantile(q float64) uint64 {
-	if s.Count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(s.Count))
-	if target >= s.Count {
-		target = s.Count - 1
-	}
-	var cum uint64
-	for i, b := range s.Buckets {
-		cum += b
-		if cum > target {
-			if i == len(s.Buckets)-1 {
-				return 1 << 63 // open-ended last bucket
-			}
-			return HistBucketBound(i)
-		}
-	}
-	return HistBucketBound(len(s.Buckets) - 1)
-}

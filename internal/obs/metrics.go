@@ -11,9 +11,6 @@ type Counter struct {
 	v uint64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v += n }
 

@@ -32,42 +32,15 @@ type Observer struct {
 	// Interval collects per-N-access time-series samples.
 	Interval *IntervalRecorder
 
-	// scope is the per-run registry view created by BeginRun.
-	scope *Registry
-
 	// mu serializes ForkRun joins (cross-run flushes into Tracer/Interval).
 	mu sync.Mutex
 }
 
-// BeginRun marks the start of one simulation run (workload under setup).
-// It emits a run_start trace event, labels subsequent interval samples,
-// and scopes metric registration under "workload/setup/". Callers driving
-// a single bare System may skip it.
-func (o *Observer) BeginRun(workload, setup string) {
-	if o == nil {
-		return
-	}
-	label := workload + "/" + setup
-	if o.Tracer != nil {
-		o.Tracer.EmitLabeled(Event{Kind: EvRunStart}, label)
-	}
-	if o.Interval != nil {
-		o.Interval.SetRun(label)
-	}
-	if o.Metrics != nil {
-		o.scope = o.Metrics.Sub(label + "/")
-	}
-}
-
-// RunRegistry returns the registry view the current run should register
-// metrics into: the BeginRun scope when one exists, the root registry
-// otherwise, nil when metrics are disabled.
+// RunRegistry returns the registry the run registers its metrics into, nil
+// when metrics are disabled.
 func (o *Observer) RunRegistry() *Registry {
 	if o == nil {
 		return nil
-	}
-	if o.scope != nil {
-		return o.scope
 	}
 	return o.Metrics
 }

@@ -10,7 +10,7 @@ import (
 func TestRegistryCountersGaugesProbes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("llt.misses")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := r.Counter("llt.misses").Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -41,10 +41,24 @@ func TestRegistrySubPrefixes(t *testing.T) {
 		t.Fatalf("snapshot missing prefixed counter: %v", s)
 	}
 	// Nested Sub composes prefixes.
-	sub.Sub("x/").Counter("y").Inc()
+	sub.Sub("x/").Counter("y").Add(1)
 	if r.Snapshot()["cactusADM/dpPred/x/y"] != 1 {
 		t.Fatalf("nested prefix broken: %v", r.Snapshot())
 	}
+}
+
+// events returns the tracer's buffered events oldest-first (at most ring
+// capacity).
+func events(t *Tracer) []Event {
+	if !t.full {
+		out := make([]Event, t.pos)
+		copy(out, t.ring[:t.pos])
+		return out
+	}
+	out := make([]Event, 0, len(t.ring))
+	out = append(out, t.ring[t.pos:]...)
+	out = append(out, t.ring[:t.pos]...)
+	return out
 }
 
 func TestTracerRingWrapsOldestFirst(t *testing.T) {
@@ -52,7 +66,7 @@ func TestTracerRingWrapsOldestFirst(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr.Emit(Event{Kind: EvLLTFill, Key: uint64(i)})
 	}
-	evs := tr.Events()
+	evs := events(tr)
 	if len(evs) != 4 {
 		t.Fatalf("ring holds %d events, want 4", len(evs))
 	}
@@ -70,7 +84,7 @@ func TestTracerClockStamps(t *testing.T) {
 	tr := NewTracer(0, nil)
 	tr.SetClock(func() (uint64, uint64) { return 123, 45 })
 	tr.Emit(Event{Kind: EvWalk})
-	ev := tr.Events()[0]
+	ev := events(tr)[0]
 	if ev.Cycle != 123 || ev.Access != 45 {
 		t.Fatalf("stamped event = %+v", ev)
 	}
@@ -136,11 +150,11 @@ func TestIntervalRecorderAndMetricsJSON(t *testing.T) {
 		Metrics:  NewRegistry(),
 		Interval: NewIntervalRecorder(1000),
 	}
-	o.BeginRun("cc", "dpPred")
-	o.RunRegistry().Counter("llt.misses").Add(2)
+	o.Interval.SetRun("cc/dpPred")
+	o.Metrics.Sub("cc/dpPred/").Counter("llt.misses").Add(2)
 	o.Interval.Add(IntervalSample{Access: 1000, IPC: 0.5})
 	o.Interval.Add(IntervalSample{Access: 2000, IPC: 0.6})
-	o.BeginRun("cc", "baseline")
+	o.Interval.SetRun("cc/baseline")
 	o.Interval.Add(IntervalSample{Access: 1000, IPC: 0.4})
 
 	samples := o.Interval.Samples()
@@ -151,7 +165,7 @@ func TestIntervalRecorderAndMetricsJSON(t *testing.T) {
 		t.Fatalf("run labels/indices wrong: %+v", samples[:2])
 	}
 	if samples[2].Run != "cc/baseline" || samples[2].Index != 0 {
-		t.Fatalf("BeginRun did not reset index: %+v", samples[2])
+		t.Fatalf("SetRun did not reset index: %+v", samples[2])
 	}
 
 	var buf bytes.Buffer
@@ -176,7 +190,6 @@ func TestIntervalRecorderAndMetricsJSON(t *testing.T) {
 
 func TestNilObserverIsSafe(t *testing.T) {
 	var o *Observer
-	o.BeginRun("w", "s")
 	if o.RunRegistry() != nil {
 		t.Fatal("nil observer must have nil registry")
 	}

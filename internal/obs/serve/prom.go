@@ -10,7 +10,7 @@ import (
 )
 
 // Registry names are "workload/setup/metric" once runs scope themselves
-// (obs.Observer.BeginRun / ForkRun); bare names come from unscoped
+// (obs.Observer.ForkRun); bare names come from unscoped
 // registrations. The exposition splits each name at its last '/': the
 // prefix becomes a run="workload/setup" label and the leaf is sanitized
 // into a Prometheus metric name, so every run's series share one metric

@@ -62,19 +62,6 @@ func (t *Tracer) EmitLabeled(ev Event, label string) {
 	t.Emit(ev)
 }
 
-// Events returns the buffered events oldest-first (at most ring capacity).
-func (t *Tracer) Events() []Event {
-	if !t.full {
-		out := make([]Event, t.pos)
-		copy(out, t.ring[:t.pos])
-		return out
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.pos:]...)
-	out = append(out, t.ring[:t.pos]...)
-	return out
-}
-
 // Count returns the total number of events emitted (not capped by the
 // ring).
 func (t *Tracer) Count() uint64 { return t.seq }

@@ -143,15 +143,15 @@ func FuzzPageTableVsReference(f *testing.F) {
 				if got := pt.Unmap(vpn); got != had {
 					t.Fatalf("op %d: Unmap(%#x) = %v, want %v", i, vpn, got, had)
 				}
-			case 3: // TranslateIfMapped and NodeFrame
+			case 3: // TranslateIfMapped and nodeFrame
 				want, had := m.mapped[vpn]
 				if got, ok := pt.TranslateIfMapped(vpn); ok != had || got != want {
 					t.Fatalf("op %d: TranslateIfMapped(%#x) = %d,%v, want %d,%v", i, vpn, got, ok, want, had)
 				}
 				for levels := 0; levels <= arch.RadixLevels; levels++ {
 					want, had := m.nodes[nodeKey(vpn, levels)]
-					if got, ok := pt.NodeFrame(vpn, levels); ok != had || got != want {
-						t.Fatalf("op %d: NodeFrame(%#x, %d) = %d,%v, want %d,%v", i, vpn, levels, got, ok, want, had)
+					if got, ok := nodeFrame(pt, vpn, levels); ok != had || got != want {
+						t.Fatalf("op %d: nodeFrame(%#x, %d) = %d,%v, want %d,%v", i, vpn, levels, got, ok, want, had)
 					}
 				}
 			case 4, 5: // Clone, or CloneWith a fresh allocator
@@ -194,9 +194,9 @@ func FuzzPageTableVsReference(f *testing.F) {
 				tables, models = append(tables[:k], tables[k+1:]...), append(models[:k], models[k+1:]...)
 				continue
 			}
-			if pt.MappedPages() != uint64(len(m.mapped)) || pt.TableNodes() != uint64(len(m.nodes)) {
+			if pt.mappedPages != uint64(len(m.mapped)) || pt.TableNodes() != uint64(len(m.nodes)) {
 				t.Fatalf("op %d: %d pages, %d nodes; model %d, %d", i,
-					pt.MappedPages(), pt.TableNodes(), len(m.mapped), len(m.nodes))
+					pt.mappedPages, pt.TableNodes(), len(m.mapped), len(m.nodes))
 			}
 		}
 	})

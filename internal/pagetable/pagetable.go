@@ -220,8 +220,8 @@ func (pt *PageTable) newLeaf(frame arch.PFN) uint32 {
 
 // Release returns the table's slabs to its pool and leaves it without
 // storage: any later translation, lookup, clone or encoding panics, so a
-// stale reference can never read the table the slabs go to next.
-// MappedPages stays readable. A released table stays released.
+// stale reference can never read the table the slabs go to next. A
+// released table stays released.
 func (pt *PageTable) Release() {
 	pool.Put(pt.pool, pt.inner)
 	pool.Put(pt.pool, pt.leaves)
@@ -343,31 +343,6 @@ func (pt *PageTable) TranslateIfMapped(vpn arch.VPN) (arch.PFN, bool) {
 	}
 	return n.lookup(vpn.RadixIndex(arch.RadixLevels - 1))
 }
-
-// NodeFrame returns the frame of the radix node reached after consuming
-// `levels` levels of the walk for vpn (0 returns the root's frame). It
-// reports ok=false when the path does not exist yet; the walker uses this
-// to validate page-walk-cache contents.
-func (pt *PageTable) NodeFrame(vpn arch.VPN, levels int) (arch.PFN, bool) {
-	if levels >= arch.RadixLevels { // past the PT level
-		return 0, false
-	}
-	k := uint32(0)
-	for l := 0; l < levels; l++ {
-		child := pt.inner[k].child[vpn.RadixIndex(l)]
-		if child == 0 {
-			return 0, false
-		}
-		k = child - 1
-	}
-	if levels == arch.RadixLevels-1 {
-		return pt.leaves[k].frame, true
-	}
-	return pt.inner[k].frame, true
-}
-
-// MappedPages returns how many leaf translations exist.
-func (pt *PageTable) MappedPages() uint64 { return pt.mappedPages }
 
 // TableNodes returns how many radix nodes (including the root) exist.
 func (pt *PageTable) TableNodes() uint64 { return uint64(len(pt.inner) + len(pt.leaves)) }

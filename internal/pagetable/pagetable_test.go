@@ -20,6 +20,27 @@ func newPT(t *testing.T, frames uint64, pol AllocPolicy) *PageTable {
 	return pt
 }
 
+// nodeFrame returns the frame of the radix node reached after consuming
+// `levels` levels of the walk for vpn (0 returns the root's frame). It
+// reports ok=false when the path does not exist yet.
+func nodeFrame(pt *PageTable, vpn arch.VPN, levels int) (arch.PFN, bool) {
+	if levels >= arch.RadixLevels { // past the PT level
+		return 0, false
+	}
+	k := uint32(0)
+	for l := 0; l < levels; l++ {
+		child := pt.inner[k].child[vpn.RadixIndex(l)]
+		if child == 0 {
+			return 0, false
+		}
+		k = child - 1
+	}
+	if levels == arch.RadixLevels-1 {
+		return pt.leaves[k].frame, true
+	}
+	return pt.inner[k].frame, true
+}
+
 func TestAllocatorSequential(t *testing.T) {
 	a, err := NewAllocator(4, AllocSequential, 0)
 	if err != nil {
@@ -98,7 +119,7 @@ func TestTranslateFirstTouchAllocates(t *testing.T) {
 		t.Fatalf("walk has %d steps, want %d", len(steps), arch.RadixLevels)
 	}
 	// Re-translation is stable and allocates nothing new.
-	before := pt.MappedPages()
+	before := pt.mappedPages
 	pfn2, _, err := pt.Translate(vpn, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +127,7 @@ func TestTranslateFirstTouchAllocates(t *testing.T) {
 	if pfn2 != pfn {
 		t.Errorf("unstable translation: %d then %d", pfn, pfn2)
 	}
-	if pt.MappedPages() != before {
+	if pt.mappedPages != before {
 		t.Error("re-translation allocated a page")
 	}
 }
@@ -135,7 +156,7 @@ func TestWalkStepsAreInTableFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range steps {
-		frame, ok := pt.NodeFrame(vpn, s.Level)
+		frame, ok := nodeFrame(pt, vpn, s.Level)
 		if !ok {
 			t.Fatalf("node for level %d missing after translate", s.Level)
 		}
@@ -153,10 +174,10 @@ func TestWalkStepsAreInTableFrames(t *testing.T) {
 
 func TestNodeFrameMissingPath(t *testing.T) {
 	pt := newPT(t, 1024, AllocSequential)
-	if _, ok := pt.NodeFrame(arch.VPN(0xABC_DEF_12), 3); ok {
-		t.Error("NodeFrame reported a path that was never created")
+	if _, ok := nodeFrame(pt, arch.VPN(0xABC_DEF_12), 3); ok {
+		t.Error("nodeFrame reported a path that was never created")
 	}
-	if f, ok := pt.NodeFrame(arch.VPN(0), 0); !ok || f != 0 {
+	if f, ok := nodeFrame(pt, arch.VPN(0), 0); !ok || f != 0 {
 		t.Errorf("root frame = %d,%v; want 0,true (sequential alloc)", f, ok)
 	}
 }
@@ -262,7 +283,7 @@ func TestTranslateIfMapped(t *testing.T) {
 	if _, ok := pt.TranslateIfMapped(43); ok {
 		t.Error("sibling VPN reported mapped")
 	}
-	if before := pt.MappedPages(); before != 1 {
-		t.Errorf("MappedPages = %d, want 1 (lookup must not allocate)", before)
+	if before := pt.mappedPages; before != 1 {
+		t.Errorf("mapped pages = %d, want 1 (lookup must not allocate)", before)
 	}
 }

@@ -22,7 +22,7 @@ func materializeWorkload(tb testing.TB, name string, seed, n uint64) *trace.Buff
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := trace.Materialize(w.New(seed), n)
+	b, err := trace.MaterializeContext(context.Background(), w.New(seed), n)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -317,7 +317,8 @@ func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 // above draw the machine's predictor and instruments (fuzzInstruments).
 // An uninstrumented pair must also leave bit-identical checkpoints; an
 // instrumented one, which refuses to checkpoint, must record identical
-// interval samples, so a tick the batched loop drops or moves shows.
+// interval samples and histograms, so a tick or an observation the batched
+// loop drops or moves shows.
 func FuzzBatchVsStep(f *testing.F) {
 	for _, wl := range []string{"sssp", "cc"} {
 		b := materializeWorkload(f, wl, 1, 64)
@@ -341,6 +342,10 @@ func FuzzBatchVsStep(f *testing.F) {
 			// dpPred, accuracy, confusion, characterization and a
 			// ctxCheckStride/2 interval over 9001 accesses.
 			f.Add(raw, uint64(0b011111)<<fuzzRunBits|9001)
+		} else {
+			// dpPred, accuracy, a ctxCheckStride/2 interval and metrics
+			// histograms over 9001 accesses.
+			f.Add(raw, uint64(0b1010011)<<fuzzRunBits|9001)
 		}
 	}
 	f.Add([]byte{}, uint64(10))
@@ -369,10 +374,10 @@ func FuzzBatchVsStep(f *testing.F) {
 		}
 
 		refSys := MustNew(smallConfig())
-		refRec, instrumented := fuzzInstruments(t, refSys, draw)
+		refRec, refReg, instrumented := fuzzInstruments(t, refSys, draw)
 		refErr := refRun(refSys, buf.Reader(), n)
 		batchSys := MustNew(smallConfig())
-		batchRec, _ := fuzzInstruments(t, batchSys, draw)
+		batchRec, batchReg, _ := fuzzInstruments(t, batchSys, draw)
 		batchErr := batchSys.RunBuffer(buf.Reader(), n)
 
 		if (refErr == nil) != (batchErr == nil) {
@@ -389,6 +394,11 @@ func FuzzBatchVsStep(f *testing.F) {
 				t.Fatalf("interval samples diverged (%d vs %d):\n  ref:   %+v\n  batch: %+v", len(a), len(b), a, b)
 			}
 		}
+		if refReg != nil {
+			if a, b := refReg.Histograms(), batchReg.Histograms(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("histograms diverged:\n  ref:   %+v\n  batch: %+v", a, b)
+			}
+		}
 		if !instrumented {
 			if a, b := checkpointBytes(t, refSys), checkpointBytes(t, batchSys); !bytes.Equal(a, b) {
 				t.Fatal("checkpoints diverged")
@@ -403,11 +413,13 @@ const fuzzRunBits = 14
 
 // fuzzInstruments attaches what draw selects to a fresh machine: bit 0 a
 // dpPred TLB predictor, bit 1 accuracy grading, bit 2 confusion grading,
-// bit 3 characterization (entry times from the first access), and bits
-// 4–5 an interval recorder (none, every ctxCheckStride/2, every 1021 or
-// every 97 accesses). It returns the recorder, if any, and whether any
-// instrument is attached.
-func fuzzInstruments(t *testing.T, s *System, draw uint64) (*obs.IntervalRecorder, bool) {
+// bit 3 characterization (entry times from the first access), bits 4–5
+// an interval recorder (none, every ctxCheckStride/2, every 1021 or every
+// 97 accesses), and bit 6 a metrics registry (AttachMetrics, after the
+// recorder's observer, so its histograms stay attached). It returns the
+// recorder and the registry, if any, and whether any instrument is
+// attached.
+func fuzzInstruments(t *testing.T, s *System, draw uint64) (*obs.IntervalRecorder, *obs.Registry, bool) {
 	t.Helper()
 	if draw&1 != 0 {
 		dp, err := newTestDPPred(s)
@@ -431,7 +443,12 @@ func fuzzInstruments(t *testing.T, s *System, draw uint64) (*obs.IntervalRecorde
 		rec = obs.NewIntervalRecorder(every)
 		s.AttachObserver(&obs.Observer{Interval: rec})
 	}
-	return rec, draw&0b111110 != 0
+	var reg *obs.Registry
+	if draw&64 != 0 {
+		reg = obs.NewRegistry()
+		s.AttachMetrics(reg)
+	}
+	return rec, reg, draw&0b1111110 != 0
 }
 
 // replayBenchBuffer builds the locality-heavy replay trace of

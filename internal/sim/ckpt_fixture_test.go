@@ -76,9 +76,8 @@ func TestCheckpointFixture(t *testing.T) {
 			t.Fatalf("%s meta = %+v, want cc after %d accesses", path, meta, dpckFixtureWarmup)
 		}
 		pt := s.tenants[0].pt
-		if pt.MappedPages() == 0 || pt.TableNodes() < 4 {
-			t.Fatalf("%s page table holds %d pages in %d nodes; want a populated tree",
-				path, pt.MappedPages(), pt.TableNodes())
+		if pt.TableNodes() < 4 {
+			t.Fatalf("%s page table holds %d nodes; want a populated tree", path, pt.TableNodes())
 		}
 		var got bytes.Buffer
 		if err := s.WriteCheckpoint(&got, meta.Workload); err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -43,7 +44,7 @@ func warmSystemIn(t testing.TB, warm uint64, p *pool.Pool) (*System, *trace.Buff
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := trace.Materialize(w.New(42), warm+400_000)
+	buf, err := trace.MaterializeContext(context.Background(), w.New(42), warm+400_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestForkIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf, err := trace.Materialize(w.New(seed), n)
+		buf, err := trace.MaterializeContext(context.Background(), w.New(seed), n)
 		if err != nil {
 			t.Fatal(err)
 		}

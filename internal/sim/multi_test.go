@@ -24,7 +24,7 @@ func multiBuffers(t testing.TB, tenants int, seed, n uint64) []*trace.Buffer {
 	t.Helper()
 	bufs := make([]*trace.Buffer, tenants)
 	for i := range bufs {
-		b, err := trace.Materialize(obsTestMix(t, seed+uint64(i)), n)
+		b, err := trace.MaterializeContext(context.Background(), obsTestMix(t, seed+uint64(i)), n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func (p *proc) observePredictors() {
 
 // registerMetrics publishes every structure's counters as probes. Probes
 // are closures over the live structures, so a snapshot always reflects
-// current state; per-run registry scopes (obs.Observer.BeginRun) keep
+// current state; per-run registry scopes (obs.Observer.ForkRun) keep
 // successive runs apart.
 func (p *proc) registerMetrics(r *obs.Registry) {
 	cacheStats := func(prefix string, st func() cache.Stats) {

@@ -63,7 +63,6 @@ func TestObserverDoesNotPerturbResult(t *testing.T) {
 		Metrics:  obs.NewRegistry(),
 		Interval: obs.NewIntervalRecorder(10_000),
 	}
-	o.BeginRun("obs-mix", "dpPred+cbPred")
 	observed := runObsSystem(t, o)
 
 	if !reflect.DeepEqual(plain, observed) {
@@ -83,18 +82,16 @@ func TestObserverDoesNotPerturbResult(t *testing.T) {
 // TestObserverEventAndSampleContents checks the hook points actually fire
 // and the interval series carries the learning-curve signals.
 func TestObserverEventAndSampleContents(t *testing.T) {
+	kinds := kindCounter{}
 	o := &obs.Observer{
-		Tracer:   obs.NewTracer(1<<16, obs.NullSink{}),
+		Tracer:   obs.NewTracer(0, kinds),
 		Metrics:  obs.NewRegistry(),
 		Interval: obs.NewIntervalRecorder(10_000),
 	}
-	o.BeginRun("obs-mix", "dpPred+cbPred")
-	runObsSystem(t, o)
+	child, join := o.ForkRun("obs-mix", "dpPred+cbPred")
+	runObsSystem(t, child)
+	join()
 
-	kinds := map[obs.Kind]int{}
-	for _, ev := range o.Tracer.Events() {
-		kinds[ev.Kind]++
-	}
 	for _, want := range []obs.Kind{obs.EvLLTFill, obs.EvLLTEvict, obs.EvWalk, obs.EvLLCFill, obs.EvLLCEvict, obs.EvInterval} {
 		if kinds[want] == 0 {
 			t.Errorf("no %v events traced (kinds seen: %v)", want, kinds)

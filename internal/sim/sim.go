@@ -284,11 +284,6 @@ func (s *System) SetTLBPrefetcher(p pred.TLBPrefetcher) {
 	s.cores[0].tlbPref = p
 }
 
-// PrefetchStats reports (fills installed, fills that later hit).
-func (s *System) PrefetchStats() (issued, useful uint64) {
-	return s.cores[0].prefFills, s.cores[0].prefUseful
-}
-
 // EnableAccuracyTracking creates one pair of mirrors over the shared LLT
 // and LLC that grade fill-time DOA predictions (§VI-C), and attaches them
 // to every core. One mirror per shared structure is the only correct

@@ -18,8 +18,7 @@ import (
 //
 // Invariants: TrueDead+Premature == Predicted (every prediction is graded
 // exactly once), TrueDead+Missed == ActualDead (every real death is
-// classified exactly once), and Total() == TrueDead+Premature+Missed ==
-// Predicted+Missed (every classified dead-prediction outcome).
+// classified exactly once).
 type Confusion struct {
 	TrueDead  uint64 `json:"true_dead"`
 	Premature uint64 `json:"premature"`
@@ -31,10 +30,6 @@ func (c Confusion) Predicted() uint64 { return c.TrueDead + c.Premature }
 
 // ActualDead returns the number of entries that really died unused.
 func (c Confusion) ActualDead() uint64 { return c.TrueDead + c.Missed }
-
-// Total returns the number of classified outcomes: every dead prediction
-// plus every unpredicted death.
-func (c Confusion) Total() uint64 { return c.TrueDead + c.Premature + c.Missed }
 
 // PrematureRate returns Premature/Predicted — the fraction of dead
 // predictions that evicted a translation or block still in use. 0 when

@@ -79,17 +79,13 @@ func column[T any](p *pool.Pool, n int) ([]T, bool) {
 	return make([]T, 0, n), false
 }
 
-// Materialize drains n accesses from the generator into a new buffer.
-// The buffer replays bit-identically to the live stream: Materialize
+// MaterializeContext drains n accesses from the generator into a new
+// buffer. The buffer replays bit-identically to the live stream: it
 // consumes the generator exactly as a simulation would. A source that
 // latches an error mid-stream (ErrGenerator) fails the materialization
 // rather than yielding a buffer padded with its repeated final access.
-func Materialize(g Generator, n uint64) (*Buffer, error) {
-	return MaterializeContext(context.Background(), g, n)
-}
-
-// MaterializeContext is Materialize with cancellation: the drain loop
-// checks ctx on a coarse stride and stops with ctx's error when canceled.
+// The drain loop checks ctx on a coarse stride and stops with ctx's error
+// when canceled.
 func MaterializeContext(ctx context.Context, g Generator, n uint64) (*Buffer, error) {
 	return MaterializePooled(ctx, g, n, nil)
 }

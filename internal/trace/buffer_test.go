@@ -192,7 +192,7 @@ func mustByName(t testing.TB, name string) Workload {
 
 func mustMaterialize(t testing.TB, g Generator, n uint64) *Buffer {
 	t.Helper()
-	b, err := Materialize(g, n)
+	b, err := MaterializeContext(context.Background(), g, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func BenchmarkMaterialize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Materialize(w.New(1), n); err != nil {
+		if _, err := MaterializeContext(context.Background(), w.New(1), n); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ func testBufferN(t testing.TB, n uint64) *Buffer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Materialize(w.New(1), n)
+	b, err := MaterializeContext(context.Background(), w.New(1), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRecordV2MatchesWriteToV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2*v2ChunkLen + 100
-	b, err := Materialize(w.New(7), n)
+	b, err := MaterializeContext(context.Background(), w.New(7), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestBufferV2CompressionRatio(t *testing.T) {
 	var worstName string
 	var report strings.Builder
 	for _, w := range Workloads() {
-		b, err := Materialize(w.New(1), n)
+		b, err := MaterializeContext(context.Background(), w.New(1), n)
 		if err != nil {
 			t.Fatal(err)
 		}

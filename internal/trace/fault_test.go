@@ -171,7 +171,7 @@ func TestMaterializeSurfacesGeneratorError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Materialize(rp, v2ChunkLen+10); !errors.Is(err, faultio.ErrInjected) {
+	if _, err := MaterializeContext(context.Background(), rp, v2ChunkLen+10); !errors.Is(err, faultio.ErrInjected) {
 		t.Fatalf("Materialize over a dying replay: err = %v, want wrapped faultio.ErrInjected", err)
 	}
 }
@@ -180,7 +180,7 @@ func TestMaterializeSurfacesGeneratorError(t *testing.T) {
 // must fail (errEmptyTrace) rather than yield zero-valued accesses.
 func TestMaterializeEmptyBufferReader(t *testing.T) {
 	rd := NewBuffer("empty", 0).Reader()
-	if _, err := Materialize(rd, 4); err == nil {
+	if _, err := MaterializeContext(context.Background(), rd, 4); err == nil {
 		t.Fatal("Materialize over an empty buffer succeeded")
 	}
 	if !errors.Is(rd.Err(), errEmptyTrace) {

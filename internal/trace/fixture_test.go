@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,7 +44,7 @@ func TestV1FixtureReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Materialize(w.New(1), 40_000)
+	want, err := MaterializeContext(context.Background(), w.New(1), 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}

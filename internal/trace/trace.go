@@ -52,7 +52,7 @@ type Generator interface {
 // an error without breaking the Generator contract, so sources backed by
 // I/O (StreamReader) or by finite storage (BufferReader) latch the first
 // failure instead and keep returning the last good access. Consumers that
-// drain a generator — Materialize, RecordV2, sim.System.Run — check Err
+// drain a generator — MaterializeContext, RecordV2, sim.System.Run — check Err
 // afterwards via GeneratorErr, so trace corruption surfaces as an error
 // instead of silently repeated records.
 type ErrGenerator interface {
@@ -64,7 +64,7 @@ type ErrGenerator interface {
 // errEmptyTrace reports a structurally valid trace with zero records.
 var errEmptyTrace = errors.New("trace: no records")
 
-// ctxCheckStride is how many loop iterations drain loops (Materialize,
+// ctxCheckStride is how many loop iterations drain loops (MaterializeContext,
 // RecordV2, sim.System.RunContext) run between context checks: frequent
 // enough that cancellation lands within microseconds, coarse enough that
 // the check is invisible next to the per-iteration work. It doubles as the
