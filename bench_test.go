@@ -167,7 +167,7 @@ func BenchmarkSimulatorThroughputTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 	o := &Observer{
-		Tracer:   NewTracer(0, obs.NullSink{}),
+		Tracer:   NewTracer(obs.NullSink{}),
 		Metrics:  NewMetricsRegistry(),
 		Interval: NewIntervalRecorder(50_000),
 	}

@@ -114,14 +114,14 @@ type (
 type (
 	// Observer bundles the telemetry hooks a System or Runner accepts.
 	Observer = obs.Observer
-	// Tracer records structured hook-point events into a ring buffer and
-	// an optional sink.
+	// Tracer stamps structured hook-point events and streams them to a
+	// sink.
 	Tracer = obs.Tracer
 	// TraceEvent is one recorded hook-point event.
 	TraceEvent = obs.Event
 	// TraceSink receives events as they are emitted (JSONL, CSV, null).
 	TraceSink = obs.Sink
-	// MetricsRegistry holds named counters, gauges and probes.
+	// MetricsRegistry holds named probes and histograms.
 	MetricsRegistry = obs.Registry
 	// IntervalRecorder collects per-N-access time-series samples.
 	IntervalRecorder = obs.IntervalRecorder
@@ -210,10 +210,9 @@ func QuickParams() Params { return exp.QuickParams() }
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewTracer creates a tracer with the given ring size (0 picks the
-// default) writing to sink. Use NewJSONLSink/NewCSVSink for file output
-// or obs.NullSink to keep events only in the ring.
-func NewTracer(ringSize int, sink TraceSink) *Tracer { return obs.NewTracer(ringSize, sink) }
+// NewTracer creates a tracer writing to sink. Use NewJSONLSink/NewCSVSink
+// for file output or obs.NullSink to only count events.
+func NewTracer(sink TraceSink) *Tracer { return obs.NewTracer(sink) }
 
 // NewJSONLSink streams events to w as one JSON object per line.
 func NewJSONLSink(w io.Writer) *obs.JSONLSink { return obs.NewJSONLSink(w) }

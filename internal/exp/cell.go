@@ -160,3 +160,20 @@ func (r *Runner) cellKey(ctx context.Context, w trace.Workload, setup Setup) (st
 	}
 	return CellKey(fp, setup, r.params), nil
 }
+
+// recall memoizes a cell the persistent memo holds and the runner does not,
+// so its grid plans around it and run serves it as a memo hit. A keying
+// failure or an unreadable entry is a miss, and the cell computes.
+func (r *Runner) recall(ctx context.Context, w trace.Workload, setup Setup) {
+	cell := w.Name + "/" + setup.Name
+	if r.Memo == nil || r.results.has(cell) {
+		return
+	}
+	key, err := r.cellKey(ctx, w, setup)
+	if err != nil {
+		return
+	}
+	if res, ok, err := r.Memo.Get(key); err == nil && ok {
+		r.results.do(ctx, cell, func() (sim.Result, error) { return res, nil })
+	}
+}

@@ -20,12 +20,12 @@ import (
 // (Storage): one with an observer or metrics attached, or one that failed.
 
 // warmMaster is a warmed machine its grid's warm-path cells fork, and the
-// trace position its forks resume from. Every consumer holds an edge to
-// the trace's node while it reads, so the buffer is not released under it.
+// trace cursor after warmup, which each of them forks to resume from. Every
+// consumer holds an edge to the trace's node while it reads, so the trace
+// is not released under it.
 type warmMaster struct {
 	sys *sim.System
-	buf *trace.Buffer // shared trace, with pos = the post-warmup cursor
-	pos uint64
+	gen trace.ForkableGenerator
 }
 
 // storageCounts are the runner's machine and trace-buffer counters.
@@ -157,10 +157,7 @@ func (r *Runner) warm(ctx context.Context, w trace.Workload, setup Setup, te *ed
 	if err := sys.RunContext(ctx, rd, r.params.Warmup); err != nil {
 		return nil, err
 	}
-	// warmShareable guarantees the in-memory trace mode, so the cursor is a
-	// BufferReader whose position the forks resume from.
-	br := rd.(*trace.BufferReader)
-	return warmMaster{sys: sys, buf: br.Buffer(), pos: br.Pos()}, nil
+	return warmMaster{sys: sys, gen: rd}, nil
 }
 
 // releaseMaster is a warm master node's release: its last consumer has

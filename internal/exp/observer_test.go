@@ -13,7 +13,7 @@ import (
 func TestRunnerObserver(t *testing.T) {
 	r := NewRunner(Params{Warmup: 20_000, Measure: 60_000, Seed: 1, SampleEvery: 5_000})
 	o := &obs.Observer{
-		Tracer:   obs.NewTracer(0, obs.NullSink{}),
+		Tracer:   obs.NewTracer(obs.NullSink{}),
 		Metrics:  obs.NewRegistry(),
 		Interval: obs.NewIntervalRecorder(10_000),
 	}

@@ -143,9 +143,10 @@ func pairGridResults(t *testing.T, r *Runner, ws []trace.Workload) map[string]si
 
 // TestSharedPassMatchesFallbacks: every path that runs the oracle's record
 // pass on its own — an oracle-only grid, a grid whose baseline is already
-// memoized, a run over a persistent memo — gives the shared pass's
-// results, and the record-pass counters tell the paths apart. So does
-// -trace-dir's streamed mode, which shares the pass too.
+// memoized here or in a persistent memo — gives the shared pass's results,
+// and the record-pass counters tell the paths apart. So do -trace-dir's
+// streamed mode and a grid over a fresh persistent memo, which share the
+// pass too.
 func TestSharedPassMatchesFallbacks(t *testing.T) {
 	ws := []trace.Workload{testWorkload(t, "cc"), testWorkload(t, "mcf")}
 	both := []Setup{Baseline(), OracleSetup()}
@@ -178,6 +179,10 @@ func TestSharedPassMatchesFallbacks(t *testing.T) {
 		}, 0, 2},
 		{"trace-dir", func(r *Runner) error {
 			r.SetTraceDir(t.TempDir())
+			return r.RunGrid(ws, both)
+		}, 2, 0},
+		{"memo-fresh", func(r *Runner) error {
+			r.Memo = &memMemo{}
 			return r.RunGrid(ws, both)
 		}, 2, 0},
 		{"memo-fill", func(r *Runner) error {

@@ -129,7 +129,7 @@ func TestParallelObserverIsolation(t *testing.T) {
 	r.SetJobs(8)
 	events := &seqLog{}
 	o := &obs.Observer{
-		Tracer:   obs.NewTracer(0, events),
+		Tracer:   obs.NewTracer(events),
 		Metrics:  obs.NewRegistry(),
 		Interval: obs.NewIntervalRecorder(5_000),
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/trace"
@@ -62,22 +63,23 @@ func (e *edge) drop() {
 }
 
 // planGrid plans a grid: its cells and the nodes they share, each with its
-// count of consumers.
+// count of consumers. A cell the persistent memo holds is memoized first
+// (Runner.recall), so the nodes form over the cells still to compute.
 //   - One baseline pass per workload, when the grid holds a plain baseline
 //     and an oracle on the Table I machine (default config and topology)
 //     and neither cell is memoized or in flight: the oracle's record pass
 //     (§VI-A) is the plain machine's run, so the oracle computes it and
 //     replays its record at once.
-//     Runs with a persistent memo or an external executor keep separate
-//     passes, since either cell may come from elsewhere, and so do
-//     observed runs, whose baseline scope must see the plain machine.
-//   - One warmed master per (workload, WarmupKey) with a warm-path
-//     consumer: a warm-shareable cell not memoized or in flight, and not a
-//     baseline cell taking a pass.
+//     Runs with an external executor keep separate passes, since either
+//     cell may run elsewhere, and so do observed runs, whose baseline
+//     scope must see the plain machine.
+//   - One warmed master per (workload, WarmupKey) with two or more
+//     warm-path consumers: warm-shareable cells not memoized or in flight,
+//     and not a baseline cell taking a pass. A lone consumer runs cold.
 //   - One trace per workload, with an edge from every cell. Its first
 //     reader materializes it; cells that will not read it drop their edge
 //     early (Runner.lead, Runner.runLocal), so the last reader releases it.
-func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan {
+func (r *Runner) planGrid(ctx context.Context, workloads []trace.Workload, setups []Setup) *gridPlan {
 	p := &gridPlan{seen: make(map[string]bool), edges: make(map[string]*edge), traces: make(map[string]*edge)}
 	p.add(workloads, setups)
 	var base, oracle string
@@ -90,26 +92,32 @@ func (r *Runner) planGrid(workloads []trace.Workload, setups []Setup) *gridPlan 
 			base = su.Name
 		}
 	}
-	pairs := base != "" && oracle != "" && r.Observer == nil && r.Executor == nil && r.Memo == nil
-	masters := make(map[string]*node)
+	pairs := base != "" && oracle != "" && r.Observer == nil && r.Executor == nil
 	for _, w := range p.workloads {
+		for _, su := range p.setups {
+			r.recall(ctx, w, su)
+		}
 		if b, o := w.Name+"/"+base, w.Name+"/"+oracle; pairs && !r.results.has(b) && !r.results.has(o) {
 			n := &node{edges: 2, done: make(chan struct{})}
 			p.edges[b] = &edge{node: n, pass: true}
 			p.edges[o] = &edge{node: n, pass: true, computes: true}
 		}
 		tn := &node{edges: len(p.setups), done: make(chan struct{}), release: r.releaseTrace}
+		warm := make(map[string][]string) // warm-path cells by WarmupKey
 		for _, su := range p.setups {
-			cell, master := w.Name+"/"+su.Name, w.Name+"/"+su.WarmupKey
+			cell := w.Name + "/" + su.Name
 			p.traces[cell] = &edge{node: tn}
-			if !r.warmShareable(su) || r.results.has(cell) || p.edges[cell] != nil {
-				continue
+			if r.warmShareable(su) && !r.results.has(cell) && p.edges[cell] == nil {
+				warm[su.WarmupKey] = append(warm[su.WarmupKey], cell)
 			}
-			if masters[master] == nil {
-				masters[master] = &node{done: make(chan struct{}), release: r.releaseMaster}
+		}
+		for _, cells := range warm {
+			if len(cells) > 1 {
+				m := &node{edges: len(cells), done: make(chan struct{}), release: r.releaseMaster}
+				for _, cell := range cells {
+					p.edges[cell] = &edge{node: m}
+				}
 			}
-			masters[master].edges++
-			p.edges[cell] = &edge{node: masters[master]}
 		}
 	}
 	if r.onPlan != nil {

@@ -189,8 +189,8 @@ func TestOverlappingGridsOnOneRunner(t *testing.T) {
 // of those cells, at jobs 1 or 3, and sometimes cancels the grid at its
 // k-th span and runs it again. Every cell must match the reference, no node
 // may hold anything afterwards, and the last grid's counters must account
-// for the cells it computed: forked + cold for its warm-path cells, shared
-// + alone for its oracle cells.
+// for the cells it computed: forked + cold for the consumers of its warm
+// masters, shared + alone for its oracle cells.
 func TestPlanExecutorMatchesColdReference(t *testing.T) {
 	p := Params{Warmup: 3_000, Measure: 6_000, Seed: 5, SampleEvery: 3_000}
 	ws := []trace.Workload{testWorkload(t, "cc"), testWorkload(t, "canneal")}
@@ -226,6 +226,16 @@ func TestPlanExecutorMatchesColdReference(t *testing.T) {
 		r := NewRunner(p)
 		r.SetJobs(jobs)
 		held := trackPlans(r)
+		track, consumers := r.onPlan, 0
+		r.onPlan = func(p *gridPlan) {
+			track(p)
+			consumers = 0
+			for _, e := range p.edges {
+				if !e.pass {
+					consumers++
+				}
+			}
+		}
 		for _, w := range ws {
 			for _, su := range setups {
 				if rng.Intn(4) == 0 {
@@ -271,15 +281,8 @@ func TestPlanExecutorMatchesColdReference(t *testing.T) {
 
 		forked, cold := r.WarmForks()
 		shared, alone := r.RecordPasses()
-		warmSpans := 0
-		for _, su := range setups {
-			if r.warmShareable(su) {
-				warmSpans += spans[su.Name]
-			}
-		}
-		// A baseline cell that ran its workload's shared pass took no fork.
-		if got, want := forked+cold-forked0-cold0, int64(warmSpans)-(shared-shared0); got != want {
-			t.Errorf("%s: %d forked + cold, want %d warm-path cells", desc, got, want)
+		if got := forked + cold - forked0 - cold0; got != int64(consumers) {
+			t.Errorf("%s: %d forked + cold, want %d master consumers", desc, got, consumers)
 		}
 		if got, want := shared+alone-shared0-alone0, int64(spans["oracle"]); got != want {
 			t.Errorf("%s: %d shared + alone record passes, want %d oracle cells", desc, got, want)

@@ -137,7 +137,7 @@ func TestPooledGridMatchesFresh(t *testing.T) {
 // it as kept.
 func TestStorageKeepsObservedMachines(t *testing.T) {
 	r := NewRunner(recycleParams)
-	r.Observer = &obs.Observer{Tracer: obs.NewTracer(0, obs.NullSink{}), Metrics: obs.NewRegistry()}
+	r.Observer = &obs.Observer{Tracer: obs.NewTracer(obs.NullSink{}), Metrics: obs.NewRegistry()}
 	if _, err := r.Run(workload(t, "cc"), DPPredSetup()); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestStorageKeepsObservedMachines(t *testing.T) {
 func TestReleasedTracePanics(t *testing.T) {
 	r := NewRunner(Params{Warmup: 1_000, Measure: 1_000, Seed: 1})
 	w := workload(t, "cc")
-	p := r.planGrid([]trace.Workload{w}, []Setup{Baseline(), DPPredSetup()})
+	p := r.planGrid(context.Background(), []trace.Workload{w}, []Setup{Baseline(), DPPredSetup()})
 	g, err := r.generator(context.Background(), w, p.traces[w.Name+"/baseline"])
 	if err != nil {
 		t.Fatal(err)

@@ -247,12 +247,11 @@ func (r *Runner) SetContext(ctx context.Context) { r.ctx = ctx }
 // a previous run when its name matches the workload, seed and length) and
 // replayed from disk through per-worker chunk cursors. Results are
 // byte-identical to the default in-memory mode at any job count — both
-// feed the same columnar chunks to sim.System.RunContext — but warm
-// sharing is off, since a fork resumes mid-buffer: every cell warms its
-// own machine and no warm master is planned. The directory must exist. A
-// trace file opened from it stays open while cells of its grid may read it
-// and closes when the last of them drops its edge. Call before submitting
-// work.
+// feed the same columnar chunks to sim.System.RunContext — and a warm
+// master's forks resume from forks of its StreamReader. The directory
+// must exist. A trace file opened from it stays open while cells of its
+// grid may read it and closes when the last of them drops its edge. Call
+// before submitting work.
 func (r *Runner) SetTraceDir(dir string) { r.traceDir = dir }
 
 // baseCtx returns the runner's base context.
@@ -313,13 +312,13 @@ func (r *Runner) Run(w trace.Workload, setup Setup) (sim.Result, error) {
 // leaders (between simulation strides) and waiters (immediately); a waiter
 // canceled while the leader keeps running does not disturb the memo.
 //
-// A lone cell is a plan of one: a warm-path cell not yet memoized warms its
-// own master, forks it once and releases it.
+// A lone cell is a plan of one, which shares nothing: a warm-path cell
+// warms its own machine.
 func (r *Runner) RunContext(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
 	if r.plan != nil {
 		return sim.Result{}, ErrPlanned
 	}
-	p := r.planGrid([]trace.Workload{w}, []Setup{setup})
+	p := r.planGrid(ctx, []trace.Workload{w}, []Setup{setup})
 	cell := w.Name + "/" + setup.Name
 	return r.run(ctx, w, setup, p.edges[cell], p.traces[cell])
 }
@@ -346,13 +345,12 @@ func (r *Runner) run(ctx context.Context, w trace.Workload, setup Setup, e, te *
 	return res, err
 }
 
-// lead executes one uncached cell as the memo leader. With a persistent
-// memo configured it first tries that: a hit returns without touching the
-// worker pool. A cell a worker can rebuild by name goes to the external
-// executor, if one is set, inside a cell span, so -v and the status board
-// see it; any other cell takes the local path (runLocal). A result from
-// either path is published into the persistent memo. Neither a memo hit nor
-// an executor's cell reads the trace.
+// lead executes one uncached cell as the memo leader; the plan has already
+// served the persistent memo's hits (recall). A cell a worker can rebuild
+// by name goes to the external executor, if one is set, inside a cell
+// span, so -v and the status board see it; any other cell takes the local
+// path (runLocal). A result from either path is published into the
+// persistent memo. An executor's cell does not read the trace.
 func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e, te *edge) (res sim.Result, err error) {
 	var key string
 	if r.Memo != nil || r.Executor != nil {
@@ -360,14 +358,6 @@ func (r *Runner) lead(ctx context.Context, w trace.Workload, setup Setup, e, te 
 		// fingerprinted) is not fatal here: the local path below replays
 		// the same generator and reports the error as the cell's outcome.
 		key, _ = r.cellKey(ctx, w, setup)
-	}
-	if key != "" && r.Memo != nil {
-		if res, ok, err := r.Memo.Get(key); err == nil && ok {
-			if r.Status != nil {
-				r.Status.MemoHit(w.Name, setup.Name)
-			}
-			return res, nil
-		}
 	}
 	if key != "" && r.Executor != nil && remote(w, setup) {
 		// The span opens when the executor starts the cell, not while it
@@ -485,7 +475,7 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 		r.plan.add(workloads, setups)
 		return ErrPlanned
 	}
-	p := r.planGrid(workloads, setups)
+	p := r.planGrid(ctx, workloads, setups)
 	gctx := ctx
 	var cancel context.CancelFunc
 	if r.FailFast {
@@ -606,15 +596,12 @@ func (r *Runner) simulate(ctx context.Context, s *sim.System, w trace.Workload, 
 }
 
 // warmShareable reports whether a setup can take the warm-state fork path:
-// it must declare a WarmupKey, nothing may need to observe the warmup
+// it must declare a WarmupKey, and nothing may need to observe the warmup
 // prefix itself (observers attach before warmup; the oracle's record pass
 // and prefetchers manage their own state; characterization's samplers
-// read entry times its machine tracks from the first access), and the
-// trace must live in memory — a warmed master's forks resume from a
-// shared Buffer position, which a disk-streamed trace has no equivalent
-// of.
+// read entry times its machine tracks from the first access).
 func (r *Runner) warmShareable(setup Setup) bool {
-	return setup.WarmupKey != "" && r.Observer == nil && r.traceDir == "" && setup.Topology == Topology{} &&
+	return setup.WarmupKey != "" && r.Observer == nil && setup.Topology == Topology{} &&
 		!setup.Oracle && setup.Prefetch == nil && !setup.Instrument.Characterize
 }
 
@@ -646,7 +633,7 @@ func (r *Runner) runShared(ctx context.Context, w trace.Workload, setup Setup, e
 	m := e.val.(warmMaster)
 	fork, ferr := r.fork(m.sys)
 	e.mu.Unlock()
-	src := m.buf.ReaderAt(m.pos)
+	src := m.gen.Fork()
 	e.drop()
 	if ferr != nil {
 		r.warmCold.Add(1)

@@ -33,7 +33,7 @@ type traceSrc struct {
 // its last reader drops it. Either way the cursor implements
 // trace.ChunkReader, so every run takes the batched columnar simulation
 // path.
-func (r *Runner) generator(ctx context.Context, w trace.Workload, te *edge) (trace.Generator, error) {
+func (r *Runner) generator(ctx context.Context, w trace.Workload, te *edge) (trace.ForkableGenerator, error) {
 	if te.claimed.CompareAndSwap(false, true) {
 		te.computes = true
 		te.publish(r.openTrace(ctx, w))

@@ -68,6 +68,52 @@ func TestWarmSharedMatchesCold(t *testing.T) {
 	}
 }
 
+// TestTraceDirWarmForks: under SetTraceDir a warm master with two
+// consumers resumes each of them from a fork of its StreamReader, so the
+// streamed grid forks every consumer the in-memory grid forks, falls back
+// to cold for none, and gives the same Results.
+func TestTraceDirWarmForks(t *testing.T) {
+	ws := []trace.Workload{workload(t, "cc"), workload(t, "canneal")}
+	setups := []Setup{DPPredSetup(), withAccuracy(DPPredSetup()), SHiPLLCSetup(), withAccuracy(SHiPLLCSetup())}
+	grid := func(r *Runner) map[string]sim.Result {
+		r.SetJobs(2)
+		held := trackPlans(r)
+		if err := r.RunGrid(ws, setups); err != nil {
+			t.Fatal(err)
+		}
+		if forked, cold := r.WarmForks(); forked != int64(len(ws)*len(setups)) || cold != 0 {
+			t.Errorf("WarmForks = %d forked, %d cold; want %d and 0", forked, cold, len(ws)*len(setups))
+		}
+		if h := held(); len(h) > 0 {
+			t.Errorf("nodes still held: %v", h)
+		}
+		out := make(map[string]sim.Result)
+		for _, w := range ws {
+			for _, su := range setups {
+				res, err := r.Run(w, su)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[w.Name+"/"+su.Name] = res
+			}
+		}
+		return out
+	}
+	// A warmup that ends mid-chunk, so each fork re-decodes a partly read
+	// chunk.
+	p := Params{Warmup: 15_000, Measure: 45_000, Seed: 7, SampleEvery: 5_000}
+	want := grid(NewRunner(p))
+	streamed := NewRunner(p)
+	streamed.SetTraceDir(t.TempDir())
+	if got := grid(streamed); !reflect.DeepEqual(got, want) {
+		for cell, res := range want {
+			if !reflect.DeepEqual(got[cell], res) {
+				t.Errorf("%s: streamed result diverged from in-memory:\n  got  %+v\n  want %+v", cell, got[cell], res)
+			}
+		}
+	}
+}
+
 // trackPlans records every plan r runs from now on and returns a func
 // listing the cells whose node still holds an edge or a value (a master's
 // machine, a pass's record, a workload's trace). Once every grid and Run
@@ -108,7 +154,7 @@ type unforkableTLB struct{ pred.TLBPredictor }
 // TestWarmCountedLifetimes: a grid counts each warm master's consumers
 // before it launches, so every consumer forks (none falls back to cold) and
 // the last one releases the master; a later lone Run of the same key is a
-// plan of its own, warms and forks its own master, and still matches; a
+// plan of its own, whose lone consumer runs cold, and still matches; a
 // consumer whose Fork is refused still drops its edge, so its master is
 // released too.
 func TestWarmCountedLifetimes(t *testing.T) {
@@ -160,15 +206,15 @@ func TestWarmCountedLifetimes(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("lone Run after the grid diverged:\n  fourth=%+v\n  first=%+v", got, want)
 			}
-			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)+1) || cold != 0 {
-				t.Errorf("after a lone Run, WarmForks = %d forked, %d cold; want %d and 0", forked, cold, 3*len(ws)+1)
+			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != 0 {
+				t.Errorf("after a lone Run, WarmForks = %d forked, %d cold; want %d and 0", forked, cold, 3*len(ws))
 			}
 
 			if err := r.RunGrid(ws, []Setup{refused, refusedTwin}); err != nil {
 				t.Fatal(err)
 			}
-			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)+1) || cold != int64(2*len(ws)) {
-				t.Errorf("after refused forks, WarmForks = %d forked, %d cold; want %d and %d", forked, cold, 3*len(ws)+1, 2*len(ws))
+			if forked, cold := r.WarmForks(); forked != int64(3*len(ws)) || cold != int64(2*len(ws)) {
+				t.Errorf("after refused forks, WarmForks = %d forked, %d cold; want %d and %d", forked, cold, 3*len(ws), 2*len(ws))
 			}
 			if held := heldMasters(); len(held) > 0 {
 				t.Errorf("masters still hold a machine after refused forks: %v", held)
@@ -177,18 +223,31 @@ func TestWarmCountedLifetimes(t *testing.T) {
 	}
 }
 
-// TestTable4ReleasesMasters: Table IV has one consumer per warm master, so
-// once it returns on a fresh runner no master may still hold a machine.
+// TestTable4ReleasesMasters: each warm-path cell of Table IV is the only
+// one of its WarmupKey, so Table IV plans no master and forks nothing, and
+// once it returns on a fresh runner no node may still hold anything.
 func TestTable4ReleasesMasters(t *testing.T) {
 	r := NewRunner(Params{Warmup: 5_000, Measure: 10_000, Seed: 1, SampleEvery: 5_000})
-	heldMasters := trackPlans(r)
+	held := trackPlans(r)
+	track, masters := r.onPlan, 0
+	r.onPlan = func(p *gridPlan) {
+		track(p)
+		for _, e := range p.edges {
+			if !e.pass {
+				masters++
+			}
+		}
+	}
 	if _, err := Table4(r); err != nil {
 		t.Fatal(err)
 	}
-	if held := heldMasters(); len(held) > 0 {
-		t.Errorf("%d masters still hold a machine after Table4: %v", len(held), held)
+	if h := held(); len(h) > 0 {
+		t.Errorf("%d nodes still hold something after Table4: %v", len(h), h)
 	}
-	if forked, cold := r.WarmForks(); forked == 0 || cold != 0 {
-		t.Errorf("Table4 WarmForks = %d forked, %d cold; want forks and no cold fallback", forked, cold)
+	if masters != 0 {
+		t.Errorf("Table4 planned %d warm-master edges, want none", masters)
+	}
+	if forked, cold := r.WarmForks(); forked != 0 || cold != 0 {
+		t.Errorf("Table4 WarmForks = %d forked, %d cold; want 0 and 0", forked, cold)
 	}
 }

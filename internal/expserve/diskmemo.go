@@ -19,9 +19,7 @@ import (
 // exp.CellMemo. Each cell key owns one directory under the memo root:
 //
 //	<root>/<key>/result.json     the sim.Result, canonical JSON
-//	<root>/<key>/manifest.json   CellMeta + SHA-256 of every payload file
-//	<root>/<key>/<artifact>      optional payloads (DPBF v2 trace, DPCK
-//	                             checkpoint) listed in the manifest
+//	<root>/<key>/manifest.json   CellMeta + SHA-256 of result.json
 //
 // Writes are crash-safe: the entry is assembled in a hidden temp directory
 // and renamed into place, with the manifest written last inside it, so a
@@ -47,26 +45,13 @@ type MemoStats struct {
 // incompatible layout read as misses, never as garbage.
 const manifestVersion = 1
 
-// manifest is the per-entry commit record.
+// manifest is the per-entry commit record. Manifests of older releases
+// may also list artifacts; reading ignores them.
 type manifest struct {
-	Version   int           `json:"version"`
-	Key       string        `json:"key"`
-	Meta      exp.CellMeta  `json:"meta"`
-	ResultSHA string        `json:"result_sha256"`
-	Artifacts []ArtifactRef `json:"artifacts,omitempty"`
-}
-
-// Artifact is an optional payload stored alongside a result.
-type Artifact struct {
-	Name string
-	Data []byte
-}
-
-// ArtifactRef is the manifest's record of one artifact.
-type ArtifactRef struct {
-	Name   string `json:"name"`
-	SHA256 string `json:"sha256"`
-	Size   int64  `json:"size"`
+	Version   int          `json:"version"`
+	Key       string       `json:"key"`
+	Meta      exp.CellMeta `json:"meta"`
+	ResultSHA string       `json:"result_sha256"`
 }
 
 // OpenDiskMemo opens (creating if needed) a memo rooted at dir.
@@ -152,61 +137,12 @@ func (m *DiskMemo) load(key string) (sim.Result, bool) {
 	return res, true
 }
 
-// Meta returns the stored metadata for a key, for listings and debugging.
-func (m *DiskMemo) Meta(key string) (exp.CellMeta, bool) {
-	if !validKey(key) {
-		return exp.CellMeta{}, false
-	}
-	mb, err := os.ReadFile(filepath.Join(m.entryDir(key), "manifest.json"))
-	if err != nil {
-		return exp.CellMeta{}, false
-	}
-	var man manifest
-	if err := json.Unmarshal(mb, &man); err != nil || man.Key != key {
-		return exp.CellMeta{}, false
-	}
-	return man.Meta, true
-}
-
-// Artifact reads one named artifact of an entry, hash-verified against the
-// manifest; ok=false for anything defective.
-func (m *DiskMemo) Artifact(key, name string) ([]byte, bool) {
-	if !validKey(key) || name != filepath.Base(name) {
-		return nil, false
-	}
-	dir := m.entryDir(key)
-	mb, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, false
-	}
-	var man manifest
-	if err := json.Unmarshal(mb, &man); err != nil {
-		return nil, false
-	}
-	for _, ref := range man.Artifacts {
-		if ref.Name != name {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil || sha256hex(data) != ref.SHA256 {
-			return nil, false
-		}
-		return data, true
-	}
-	return nil, false
-}
-
-// Put implements exp.CellMemo (no artifacts).
+// Put implements exp.CellMemo. It writes a complete entry atomically: the
+// result and manifest land in a temp directory first, then one rename
+// commits the entry. Losing a same-key race (or finding a previous
+// complete entry) is success — cells are deterministic, so whichever
+// writer won stored the same result.
 func (m *DiskMemo) Put(key string, meta exp.CellMeta, res sim.Result) error {
-	return m.PutWithArtifacts(key, meta, res, nil)
-}
-
-// PutWithArtifacts writes a complete entry atomically: payloads and
-// manifest land in a temp directory first, then one rename commits the
-// entry. Losing a same-key race (or finding a previous complete entry) is
-// success — cells are deterministic, so whichever writer won stored the
-// same result.
-func (m *DiskMemo) PutWithArtifacts(key string, meta exp.CellMeta, res sim.Result, arts []Artifact) error {
 	if !validKey(key) {
 		return fmt.Errorf("expserve: malformed cell key %q", key)
 	}
@@ -235,15 +171,6 @@ func (m *DiskMemo) PutWithArtifacts(key string, meta exp.CellMeta, res sim.Resul
 			werr = cerr
 		}
 		return werr
-	}
-	for _, a := range arts {
-		if a.Name != filepath.Base(a.Name) || a.Name == "result.json" || a.Name == "manifest.json" {
-			return fmt.Errorf("expserve: invalid artifact name %q", a.Name)
-		}
-		if err := writeFile(a.Name, a.Data); err != nil {
-			return fmt.Errorf("expserve: memo put: %w", err)
-		}
-		man.Artifacts = append(man.Artifacts, ArtifactRef{Name: a.Name, SHA256: sha256hex(a.Data), Size: int64(len(a.Data))})
 	}
 	if err := writeFile("result.json", rb); err != nil {
 		return fmt.Errorf("expserve: memo put: %w", err)

@@ -1,6 +1,7 @@
 package expserve
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,9 +51,21 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round-tripped result diverges:\n got %+v\nwant %+v", got, want)
 	}
-	meta, ok := m.Meta(key)
-	if !ok || meta != memoMeta() {
-		t.Fatalf("Meta: ok=%v meta=%+v", ok, meta)
+	mb, err := os.ReadFile(filepath.Join(m.dir, key, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man manifest
+	if err := json.Unmarshal(mb, &man); err != nil || man.Meta != memoMeta() {
+		t.Fatalf("manifest meta %+v (err %v), want %+v", man.Meta, err, memoMeta())
+	}
+	// A manifest from a release that stored artifacts still reads.
+	mb = []byte(strings.Replace(string(mb), `"result_sha256"`, `"artifacts": [{"name": "trace.dpbf", "sha256": "00", "size": 1}], "result_sha256"`, 1))
+	if err := os.WriteFile(filepath.Join(m.dir, key, "manifest.json"), mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := m.Get(key); err != nil || !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Get over a manifest listing artifacts: ok=%v err=%v", ok, err)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
@@ -69,43 +82,6 @@ func TestDiskMemoRoundTrip(t *testing.T) {
 	for _, e := range ents {
 		if !validKey(e.Name()) {
 			t.Fatalf("memo root holds non-entry debris %q", e.Name())
-		}
-	}
-}
-
-func TestDiskMemoArtifacts(t *testing.T) {
-	m, err := OpenDiskMemo(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := memoKey(0x01)
-	trace := []byte("pretend this is a DPBF v2 trace")
-	err = m.PutWithArtifacts(key, memoMeta(), memoResult(), []Artifact{{Name: "trace.dpbf", Data: trace}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := m.Artifact(key, "trace.dpbf")
-	if !ok || string(got) != string(trace) {
-		t.Fatalf("artifact round trip: ok=%v data=%q", ok, got)
-	}
-	if _, ok := m.Artifact(key, "absent.dpck"); ok {
-		t.Fatal("Artifact served a payload the manifest never listed")
-	}
-	// A corrupted artifact must be refused (hash mismatch), while the
-	// result itself stays servable.
-	if err := os.WriteFile(filepath.Join(m.dir, key, "trace.dpbf"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Artifact(key, "trace.dpbf"); ok {
-		t.Fatal("Artifact served hash-mismatched bytes")
-	}
-	if _, ok, err := m.Get(key); err != nil || !ok {
-		t.Fatalf("result should survive artifact corruption: ok=%v err=%v", ok, err)
-	}
-	// Reserved and path-escaping artifact names are rejected outright.
-	for _, name := range []string{"result.json", "manifest.json", "../escape"} {
-		if err := m.PutWithArtifacts(memoKey(0x02), memoMeta(), memoResult(), []Artifact{{Name: name}}); err == nil {
-			t.Fatalf("artifact name %q accepted", name)
 		}
 	}
 }

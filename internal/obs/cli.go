@@ -66,7 +66,7 @@ func fromFlags(tracePath, metricsPath string, interval uint64, openSink func(str
 		} else {
 			sink = NewJSONLSink(f)
 		}
-		o.Tracer = NewTracer(0, sink)
+		o.Tracer = NewTracer(sink)
 	}
 	var metricsFile io.WriteCloser
 	if metricsPath != "" {

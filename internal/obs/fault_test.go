@@ -12,7 +12,7 @@ import (
 // document exceeds a small sink capacity.
 func metricsObserver() *Observer {
 	o := &Observer{Metrics: NewRegistry(), Interval: NewIntervalRecorder(10)}
-	o.Metrics.Counter("events").Add(3)
+	o.Metrics.RegisterProbe("events", func() float64 { return 3 })
 	o.Interval.SetRun("run")
 	for i := 0; i < 8; i++ {
 		o.Interval.Add(IntervalSample{Access: uint64(i * 10)})
@@ -89,7 +89,7 @@ func TestFromFlagsFinishFullDisk(t *testing.T) {
 		t.Fatalf("fromFlags: %v", err)
 	}
 	// Enough registry state that the JSON document overflows 64 bytes.
-	o.Metrics.Counter("events").Add(3)
+	o.Metrics.RegisterProbe("events", func() float64 { return 3 })
 	o.Metrics.Histogram("hist.lat").Observe(7)
 	if err := finish(); !errors.Is(err, faultio.ErrNoSpace) {
 		t.Fatalf("finish err = %v, want wrapped faultio.ErrNoSpace", err)

@@ -63,15 +63,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Delta returns s minus prev, bucket-wise.
-func (s HistogramSnapshot) Delta(prev HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum}
-	for i := range s.Buckets {
-		d.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
-	}
-	return d
-}
-
 // Mean returns the average observed value (0 when empty).
 func (s HistogramSnapshot) Mean() float64 {
 	if s.Count == 0 {

@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: a zero-dependency
-// bundle of (1) a metrics registry of named counters, gauges and probes
-// with snapshot/delta semantics, (2) a structured event tracer — ring
-// buffer plus pluggable sinks (JSONL, CSV, null) — capturing the paper's
+// bundle of (1) a metrics registry of named probes and histograms with
+// snapshot semantics, (2) a structured event tracer with pluggable sinks
+// (JSONL, CSV, null) capturing the paper's
 // Figure 6/8 hook-point events (LLT fill/bypass/evict, shadow hits, pHIST
 // column flushes, PFQ pushes, LLC bypasses), (3) an interval recorder that
 // collects per-N-access time series (IPC, MPKI, bypass rates, walker-queue
@@ -52,8 +52,8 @@ func (o *Observer) RunRegistry() *Registry {
 // "workload/setup/" (registry views share one mutex-guarded store, so
 // concurrent registration is safe). The join flushes the child's buffered
 // events and samples into the parent atomically: events re-acquire
-// globally monotone sequence numbers and land in the parent's ring and
-// sink contiguously per run.
+// globally monotone sequence numbers and land in the parent's sink
+// contiguously per run.
 //
 // ForkRun on a nil observer returns (nil, no-op), so callers can fork
 // unconditionally. Each child must observe exactly one single-threaded
@@ -69,9 +69,7 @@ func (o *Observer) ForkRun(workload, setup string) (*Observer, func()) {
 	var events *captureSink
 	if o.Tracer != nil {
 		events = &captureSink{}
-		// Ring size 1: children are write-through buffers, never inspected
-		// post-mortem (the parent's ring is refilled at join).
-		child.Tracer = NewTracer(1, events)
+		child.Tracer = NewTracer(events)
 		child.Tracer.EmitLabeled(Event{Kind: EvRunStart}, label)
 	}
 	if o.Interval != nil {

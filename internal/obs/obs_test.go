@@ -7,93 +7,55 @@ import (
 	"testing"
 )
 
-func TestRegistryCountersGaugesProbes(t *testing.T) {
+func TestRegistryProbes(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("llt.misses")
-	c.Add(1)
-	c.Add(4)
-	if got := r.Counter("llt.misses").Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	r.Gauge("walker.backlog").Set(3.5)
 	var probed float64 = 7
 	r.RegisterProbe("core.ipc", func() float64 { return probed })
-
-	s1 := r.Snapshot()
-	if s1["llt.misses"] != 5 || s1["walker.backlog"] != 3.5 || s1["core.ipc"] != 7 {
-		t.Fatalf("snapshot = %v", s1)
+	r.RegisterProbe("llt.misses", func() float64 { return 5 })
+	if s := r.Snapshot(); s["core.ipc"] != 7 || s["llt.misses"] != 5 || len(s) != 2 {
+		t.Fatalf("snapshot = %v", s)
 	}
-
-	c.Add(10)
+	// Probes are evaluated at each snapshot; the last registration wins.
 	probed = 9
-	d := r.Snapshot().Delta(s1)
-	if d["llt.misses"] != 10 || d["core.ipc"] != 2 || d["walker.backlog"] != 0 {
-		t.Fatalf("delta = %v", d)
+	r.RegisterProbe("llt.misses", func() float64 { return 6 })
+	if s := r.Snapshot(); s["core.ipc"] != 9 || s["llt.misses"] != 6 {
+		t.Fatalf("snapshot = %v", s)
 	}
 }
 
 func TestRegistrySubPrefixes(t *testing.T) {
 	r := NewRegistry()
 	sub := r.Sub("cactusADM/dpPred/")
-	sub.Counter("llt.misses").Add(3)
+	sub.RegisterProbe("llt.misses", func() float64 { return 3 })
 	s := r.Snapshot()
 	if s["cactusADM/dpPred/llt.misses"] != 3 {
-		t.Fatalf("snapshot missing prefixed counter: %v", s)
+		t.Fatalf("snapshot missing prefixed probe: %v", s)
 	}
 	// Nested Sub composes prefixes.
-	sub.Sub("x/").Counter("y").Add(1)
+	sub.Sub("x/").RegisterProbe("y", func() float64 { return 1 })
 	if r.Snapshot()["cactusADM/dpPred/x/y"] != 1 {
 		t.Fatalf("nested prefix broken: %v", r.Snapshot())
 	}
 }
 
-// events returns the tracer's buffered events oldest-first (at most ring
-// capacity).
-func events(t *Tracer) []Event {
-	if !t.full {
-		out := make([]Event, t.pos)
-		copy(out, t.ring[:t.pos])
-		return out
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.pos:]...)
-	out = append(out, t.ring[:t.pos]...)
-	return out
-}
-
-func TestTracerRingWrapsOldestFirst(t *testing.T) {
-	tr := NewTracer(4, nil)
-	for i := 0; i < 6; i++ {
-		tr.Emit(Event{Kind: EvLLTFill, Key: uint64(i)})
-	}
-	evs := events(tr)
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := uint64(i + 2); ev.Key != want || ev.Seq != want {
-			t.Fatalf("event %d = %+v, want key/seq %d", i, ev, want)
-		}
-	}
-	if tr.Count() != 6 {
-		t.Fatalf("count = %d, want 6", tr.Count())
-	}
-}
-
 func TestTracerClockStamps(t *testing.T) {
-	tr := NewTracer(0, nil)
+	sink := &captureSink{}
+	tr := NewTracer(sink)
 	tr.SetClock(func() (uint64, uint64) { return 123, 45 })
+	tr.Emit(Event{Kind: EvLLTFill})
 	tr.Emit(Event{Kind: EvWalk})
-	ev := events(tr)[0]
-	if ev.Cycle != 123 || ev.Access != 45 {
+	if ev := sink.events[1]; ev.Seq != 1 || ev.Cycle != 123 || ev.Access != 45 {
 		t.Fatalf("stamped event = %+v", ev)
+	}
+	if tr.Count() != 2 {
+		t.Fatalf("count = %d, want 2", tr.Count())
 	}
 }
 
 func TestJSONLSinkSchema(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
-	tr := NewTracer(0, sink)
+	tr := NewTracer(sink)
 	tr.EmitLabeled(Event{Kind: EvRunStart}, "cc/dpPred")
 	tr.Emit(Event{Kind: EvLLTEvict, Key: 0xAB, Aux: 0xCD, PC: 0x400, Flag: true})
 	if err := tr.Close(); err != nil {
@@ -127,7 +89,7 @@ func TestJSONLSinkSchema(t *testing.T) {
 func TestCSVSinkHeaderAndRows(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewCSVSink(&buf)
-	tr := NewTracer(0, sink)
+	tr := NewTracer(sink)
 	tr.Emit(Event{Kind: EvPFQPush, Key: 9})
 	tr.Emit(Event{Kind: EvLLCBypass, Key: 10, PC: 11})
 	if err := tr.Close(); err != nil {
@@ -151,7 +113,7 @@ func TestIntervalRecorderAndMetricsJSON(t *testing.T) {
 		Interval: NewIntervalRecorder(1000),
 	}
 	o.Interval.SetRun("cc/dpPred")
-	o.Metrics.Sub("cc/dpPred/").Counter("llt.misses").Add(2)
+	o.Metrics.Sub("cc/dpPred/").RegisterProbe("llt.misses", func() float64 { return 2 })
 	o.Interval.Add(IntervalSample{Access: 1000, IPC: 0.5})
 	o.Interval.Add(IntervalSample{Access: 2000, IPC: 0.6})
 	o.Interval.SetRun("cc/baseline")
@@ -200,7 +162,7 @@ func TestNilObserverIsSafe(t *testing.T) {
 }
 
 func BenchmarkTracerEmitNullSink(b *testing.B) {
-	tr := NewTracer(0, NullSink{})
+	tr := NewTracer(NullSink{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(Event{Kind: EvLLTFill, Key: uint64(i), Aux: 1, PC: 2})
@@ -209,7 +171,7 @@ func BenchmarkTracerEmitNullSink(b *testing.B) {
 
 func BenchmarkJSONLSinkWrite(b *testing.B) {
 	sink := NewJSONLSink(discard{})
-	tr := NewTracer(0, sink)
+	tr := NewTracer(sink)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(Event{Kind: EvLLCEvict, Key: uint64(i), Aux: 1, PC: 2, Flag: true})

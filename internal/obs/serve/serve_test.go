@@ -22,13 +22,13 @@ func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 func testRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	run := reg.Sub("cc/dpPred/")
-	run.Counter("llt.misses").Add(42)
+	run.RegisterProbe("llt.misses", func() float64 { return 42 })
 	run.RegisterProbe("conf.llt.premature_rate", func() float64 { return 0.125 })
 	h := run.Histogram("hist.mem_latency")
 	h.Observe(3)
 	h.Observe(3)
 	h.Observe(200)
-	reg.Gauge("grid.jobs").Set(8)
+	reg.RegisterProbe("grid.jobs", func() float64 { return 8 })
 	return reg
 }
 

@@ -17,8 +17,7 @@ type Sink interface {
 	Close() error
 }
 
-// NullSink discards every event; it measures tracing overhead and backs
-// ring-buffer-only tracing.
+// NullSink discards every event; it measures tracing overhead.
 type NullSink struct{}
 
 // WriteEvent implements Sink.

@@ -1,20 +1,10 @@
 package obs
 
-// DefaultRingSize is the tracer's in-memory event capacity when 0 is
-// requested.
-const DefaultRingSize = 4096
-
-// Tracer stamps, buffers and forwards structured events. It keeps the
-// last ringSize events in a fixed ring (for post-mortem inspection
-// without any sink) and streams every event to the sink when one is set.
-// The first sink error is latched in Err and stops further sink writes,
-// so a full disk cannot abort a simulation.
+// Tracer stamps structured events and streams them to its sink, when one
+// is set. The first sink error is latched in Err and stops further sink
+// writes, so a full disk cannot abort a simulation.
 type Tracer struct {
-	ring []Event
-	pos  int
 	seq  uint64
-	full bool
-
 	sink Sink
 	err  error
 
@@ -23,31 +13,19 @@ type Tracer struct {
 	clock func() (cycle, access uint64)
 }
 
-// NewTracer builds a tracer with the given ring capacity (0 selects
-// DefaultRingSize) writing to sink (nil keeps the ring only).
-func NewTracer(ringSize int, sink Sink) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
-	}
-	return &Tracer{ring: make([]Event, ringSize), sink: sink}
-}
+// NewTracer builds a tracer writing to sink (nil only counts events).
+func NewTracer(sink Sink) *Tracer { return &Tracer{sink: sink} }
 
 // SetClock installs the (cycle, access) stamp source.
 func (t *Tracer) SetClock(fn func() (cycle, access uint64)) { t.clock = fn }
 
 // Emit records one event: stamps Seq (and Cycle/Access from the clock when
-// installed), appends to the ring, and forwards to the sink.
+// installed) and forwards it to the sink.
 func (t *Tracer) Emit(ev Event) {
 	ev.Seq = t.seq
 	t.seq++
 	if t.clock != nil {
 		ev.Cycle, ev.Access = t.clock()
-	}
-	t.ring[t.pos] = ev
-	t.pos++
-	if t.pos == len(t.ring) {
-		t.pos = 0
-		t.full = true
 	}
 	if t.sink != nil && t.err == nil {
 		if err := t.sink.WriteEvent(ev); err != nil {
@@ -62,8 +40,7 @@ func (t *Tracer) EmitLabeled(ev Event, label string) {
 	t.Emit(ev)
 }
 
-// Count returns the total number of events emitted (not capped by the
-// ring).
+// Count returns the total number of events emitted.
 func (t *Tracer) Count() uint64 { return t.seq }
 
 // Err returns the first sink error, if any.

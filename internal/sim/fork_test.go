@@ -58,7 +58,7 @@ func warmSystemIn(t testing.TB, warm uint64, p *pool.Pool) (*System, *trace.Buff
 func measureFrom(t *testing.T, s *System, buf *trace.Buffer, pos, n uint64) Result {
 	t.Helper()
 	s.StartMeasurement()
-	if err := s.Run(buf.ReaderAt(pos), n); err != nil {
+	if err := s.Run(readerAt(buf, pos), n); err != nil {
 		t.Fatal(err)
 	}
 	s.Finish()
@@ -137,7 +137,7 @@ func TestConcurrentSiblingForks(t *testing.T) {
 		go func(i int, f *System) {
 			defer wg.Done()
 			f.StartMeasurement()
-			if err := f.Run(buf.ReaderAt(pos), meas); err != nil {
+			if err := f.Run(readerAt(buf, pos), meas); err != nil {
 				t.Error(err)
 				return
 			}

@@ -76,7 +76,7 @@ func instrumentDigests(t *testing.T) map[string]string {
 		must(s.TrackEntryTimes())
 		predictors(s)
 		var events bytes.Buffer
-		tr := obs.NewTracer(0, obs.NewJSONLSink(&events))
+		tr := obs.NewTracer(obs.NewJSONLSink(&events))
 		o := &obs.Observer{Tracer: tr, Metrics: obs.NewRegistry(), Interval: obs.NewIntervalRecorder(20_000)}
 		s.AttachObserver(o)
 		g := w.New(seed)

@@ -42,9 +42,18 @@ func readers(bufs []*trace.Buffer, pos []uint64) []trace.Generator {
 		if pos != nil {
 			p = pos[i]
 		}
-		gens[i] = b.ReaderAt(p)
+		gens[i] = readerAt(b, p)
 	}
 	return gens
+}
+
+// readerAt returns a reader over b that has read its first pos accesses.
+func readerAt(b *trace.Buffer, pos uint64) *trace.BufferReader {
+	rd := b.Reader()
+	for range pos {
+		rd.Next()
+	}
+	return rd
 }
 
 // positions snapshots each reader's cursor.

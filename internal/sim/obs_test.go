@@ -59,7 +59,7 @@ func runObsSystem(t testing.TB, o *obs.Observer) Result {
 func TestObserverDoesNotPerturbResult(t *testing.T) {
 	plain := runObsSystem(t, nil)
 	o := &obs.Observer{
-		Tracer:   obs.NewTracer(0, obs.NullSink{}),
+		Tracer:   obs.NewTracer(obs.NullSink{}),
 		Metrics:  obs.NewRegistry(),
 		Interval: obs.NewIntervalRecorder(10_000),
 	}
@@ -84,7 +84,7 @@ func TestObserverDoesNotPerturbResult(t *testing.T) {
 func TestObserverEventAndSampleContents(t *testing.T) {
 	kinds := kindCounter{}
 	o := &obs.Observer{
-		Tracer:   obs.NewTracer(0, kinds),
+		Tracer:   obs.NewTracer(kinds),
 		Metrics:  obs.NewRegistry(),
 		Interval: obs.NewIntervalRecorder(10_000),
 	}
@@ -192,7 +192,7 @@ func BenchmarkStepObserverTracing(b *testing.B) {
 		b.Fatal(err)
 	}
 	o := &obs.Observer{
-		Tracer:   obs.NewTracer(0, obs.NullSink{}),
+		Tracer:   obs.NewTracer(obs.NullSink{}),
 		Interval: obs.NewIntervalRecorder(10_000),
 	}
 	s.AttachObserver(o)

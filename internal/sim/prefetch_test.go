@@ -164,7 +164,7 @@ func TestPrefetchEvictionsReachEveryInstrument(t *testing.T) {
 	s.SetTLBPrefetcher(pf)
 	events := kindCounter{}
 	reg := obs.NewRegistry()
-	s.AttachObserver(&obs.Observer{Tracer: obs.NewTracer(0, events), Metrics: reg})
+	s.AttachObserver(&obs.Observer{Tracer: obs.NewTracer(events), Metrics: reg})
 	if err := s.Run(materializeWorkload(t, "cactusADM", 1, 300_000).Reader(), 300_000); err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestEntryTimesOnlyWhereSampled(t *testing.T) {
 	}{
 		{"table4", func(*System) {}, nil},
 		{"tracer", func(s *System) {
-			s.AttachObserver(&obs.Observer{Tracer: obs.NewTracer(0, obs.NullSink{})})
+			s.AttachObserver(&obs.Observer{Tracer: obs.NewTracer(obs.NullSink{})})
 		}, nil},
 		{"characterization", func(s *System) { characterize(t, s, 5_000) }, []string{"LLT", "LLC"}},
 		{"histograms", func(s *System) { s.AttachMetrics(obs.NewRegistry()) }, []string{"LLT", "LLC"}},

@@ -123,7 +123,7 @@ func runVictims(t *testing.T, record, sampler, tracer, hist bool) victimRun {
 	}
 	sink := &evictSink{}
 	if tracer {
-		s.AttachObserver(&obs.Observer{Tracer: obs.NewTracer(0, sink)})
+		s.AttachObserver(&obs.Observer{Tracer: obs.NewTracer(sink)})
 	}
 	reg := obs.NewRegistry()
 	if hist {

@@ -173,15 +173,6 @@ func (b *Buffer) At(i uint64) Access {
 // Reader returns a Generator view positioned at the start of the buffer.
 func (b *Buffer) Reader() *BufferReader { return &BufferReader{buf: b} }
 
-// ReaderAt returns a Generator view positioned at access pos (clamped to
-// the buffer length; the next Next() wraps to the start when pos == Len).
-func (b *Buffer) ReaderAt(pos uint64) *BufferReader {
-	if pos > b.Len() {
-		pos = b.Len()
-	}
-	return &BufferReader{buf: b, pos: pos}
-}
-
 // BufferReader is a positioned Generator over a shared read-only Buffer.
 // Forking a reader costs one small allocation, which is what lets a warmed
 // simulation and its clones resume the same stream independently.
@@ -204,9 +195,6 @@ func (r *BufferReader) Name() string { return r.buf.name }
 
 // Pos returns the index of the next access to be returned.
 func (r *BufferReader) Pos() uint64 { return r.pos }
-
-// Buffer returns the underlying shared buffer.
-func (r *BufferReader) Buffer() *Buffer { return r.buf }
 
 // Next implements Generator. Past the end the reader wraps to the start;
 // an empty buffer returns zero accesses.
@@ -290,9 +278,10 @@ func (r *BufferReader) NextChunk(max int) (Chunk, error) {
 
 // ForkableGenerator is a Generator whose position/state can be duplicated
 // so two consumers continue the same stream independently. BufferReader
-// forks by copying its cursor; the synthetic mix generators fork by
-// deep-copying their RNG and per-stream offsets. The warm-state fork path
-// in the experiment runner requires it.
+// forks by copying its cursor, StreamReader by re-decoding its current
+// chunk, and the synthetic mix generators by deep-copying their RNG and
+// per-stream offsets. The experiment runner's warm masters keep one, which
+// every consumer forks.
 type ForkableGenerator interface {
 	Generator
 	Fork() Generator

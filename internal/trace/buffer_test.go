@@ -104,14 +104,18 @@ func TestBufferCodecRejects(t *testing.T) {
 	}
 }
 
-// TestBufferReaderWrapsAndForks: ReaderAt cursors wrap at the end of the
-// buffer, and forked readers advance independently.
+// TestBufferReaderWrapsAndForks: a reader wraps at the end of the buffer,
+// and forked readers advance independently.
 func TestBufferReaderWrapsAndForks(t *testing.T) {
 	b := NewBuffer("wrap", 3)
 	for i := 0; i < 3; i++ {
 		b.Append(Access{PC: uint64(i)})
 	}
-	rd := b.ReaderAt(b.Len()) // at the end: next access wraps to 0
+	rd := b.Reader()
+	for range b.Len() {
+		rd.Next()
+	}
+	// At the end: the next access wraps to 0.
 	if got := rd.Next(); got.PC != 0 {
 		t.Errorf("wrap: got PC %d, want 0", got.PC)
 	}

@@ -780,14 +780,26 @@ func (r *StreamReader) Pos() uint64 {
 	return r.t.index[r.cur].firstAccess + uint64(r.off)
 }
 
-// load decodes the next chunk (wrapping past the last) into the reader's
+// Fork implements ForkableGenerator: the new reader shares the trace,
+// decodes its current chunk again through the chunk index into buffers of
+// its own, and continues from the same position, independently. A latched
+// error carries over.
+func (r *StreamReader) Fork() Generator {
+	f := r.t.NewReader()
+	f.last, f.err = r.last, r.err
+	if f.err == nil && r.cur >= 0 && f.load(r.cur) {
+		f.off = r.off
+	}
+	return f
+}
+
+// load decodes chunk nxt (past the last: the first) into the reader's
 // buffers. On failure the error latches and the cursor stays put.
-func (r *StreamReader) load() bool {
+func (r *StreamReader) load(nxt int) bool {
 	if len(r.t.index) == 0 {
 		r.err = errEmptyTrace
 		return false
 	}
-	nxt := r.cur + 1
 	if nxt >= len(r.t.index) {
 		nxt = 0
 	}
@@ -830,7 +842,7 @@ func (r *StreamReader) Next() Access {
 		return r.last
 	}
 	if r.off >= r.n {
-		if !r.load() {
+		if !r.load(r.cur + 1) {
 			return r.last
 		}
 	}
@@ -857,7 +869,7 @@ func (r *StreamReader) NextChunk(max int) (Chunk, error) {
 		return Chunk{}, nil
 	}
 	if r.off >= r.n {
-		if !r.load() {
+		if !r.load(r.cur + 1) {
 			return Chunk{}, r.err
 		}
 	}

@@ -167,6 +167,81 @@ func TestBufferV2StreamReaderInterleave(t *testing.T) {
 	}
 }
 
+// TestStreamReaderFork: a fork of a StreamReader continues the stream
+// from the reader's position, independently of it, wherever the cursor
+// stands: at the start, mid-chunk, at a chunk boundary and at the wrap
+// point. Each fork reads what a fresh reader advanced as far reads.
+func TestStreamReaderFork(t *testing.T) {
+	b := testBufferN(t, 2*v2ChunkLen+300)
+	var buf bytes.Buffer
+	if _, err := b.WriteToV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := OpenChunked(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	advanced := func(n uint64) *StreamReader {
+		sr := ct.NewReader()
+		for n > 0 {
+			c, err := sr.NextChunk(int(min(n, 1000)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n -= uint64(c.Len())
+		}
+		return sr
+	}
+	for _, at := range []uint64{0, 123, v2ChunkLen, b.Len()} {
+		sr := advanced(at)
+		f := sr.Fork().(*StreamReader)
+		for range 77 {
+			sr.Next() // the original moves on; the fork must not follow
+		}
+		ref := advanced(at)
+		if f.Pos() != ref.Pos() {
+			t.Errorf("fork at %d: Pos %d, want %d", at, f.Pos(), ref.Pos())
+		}
+		for i := range v2ChunkLen + 500 {
+			if got, want := f.Next(), ref.Next(); got != want {
+				t.Fatalf("fork at %d, access %d after it: got %+v, want %+v", at, i, got, want)
+			}
+		}
+		if err := f.Err(); err != nil {
+			t.Errorf("fork at %d: %v", at, err)
+		}
+	}
+}
+
+// TestStreamReaderForkKeepsError: a fork of a reader whose error has
+// latched carries the error and repeats the last good access.
+func TestStreamReaderForkKeepsError(t *testing.T) {
+	failing, size := streamedTrace(t)
+	ct, err := OpenChunked(failing, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := ct.NewReader()
+	var last Access
+	for range v2ChunkLen {
+		last = sr.Next()
+	}
+	sr.Next() // the second chunk's read fails
+	if !errors.Is(sr.Err(), faultio.ErrInjected) {
+		t.Fatalf("Err() = %v, want wrapped faultio.ErrInjected", sr.Err())
+	}
+	f := sr.Fork().(*StreamReader)
+	if f.Err() != sr.Err() {
+		t.Errorf("fork Err() = %v, want %v", f.Err(), sr.Err())
+	}
+	if got := f.Next(); got != last {
+		t.Errorf("fork read %+v after the error, want the last good access %+v", got, last)
+	}
+	if c, err := f.NextChunk(10); c.Len() != 0 || err != sr.Err() {
+		t.Errorf("fork NextChunk = %d accesses, %v; want none and the latched error", c.Len(), err)
+	}
+}
+
 // TestBufferV2Corruption flips every byte of a small v2 file in turn and
 // requires the readers to error or produce the original data — never panic,
 // never silently return different accesses while also passing index checks.
