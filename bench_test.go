@@ -6,6 +6,7 @@ package deadpred
 // numbers use cmd/paperexp.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/exp"
@@ -18,14 +19,19 @@ func benchParams() exp.Params {
 	return exp.Params{Warmup: 20_000, Measure: 60_000, Seed: 1, SampleEvery: 5_000}
 }
 
-// benchSeries runs one experiment per iteration and reports the mean of
-// the given summary column as the benchmark's headline metric.
-func benchSeries(b *testing.B, fn func(*exp.Runner) (exp.Series, error), col int, metric string) {
+// benchSeries runs the experiment with the given ID (exp.Experiments) once
+// per iteration and reports the mean of the given summary column as the
+// benchmark's headline metric.
+func benchSeries(b *testing.B, id string, col int, metric string) {
 	b.Helper()
+	es := exp.Experiments()
+	i := slices.IndexFunc(es, func(e exp.Experiment) bool { return e.ID == id })
+	if i < 0 {
+		b.Fatalf("no experiment %q", id)
+	}
 	var last float64
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchParams())
-		s, err := fn(r)
+	for n := 0; n < b.N; n++ {
+		s, err := es[i].Run(exp.NewRunner(benchParams()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,87 +41,87 @@ func benchSeries(b *testing.B, fn func(*exp.Runner) (exp.Series, error), col int
 }
 
 func BenchmarkFig1DeadPagesSampled(b *testing.B) {
-	benchSeries(b, exp.Figure1, 0, "mean-%dead-LLT")
+	benchSeries(b, "fig1", 0, "mean-%dead-LLT")
 }
 
 func BenchmarkFig2DeadPageClassification(b *testing.B) {
-	benchSeries(b, exp.Figure2, 1, "mean-%DOA-evictions")
+	benchSeries(b, "fig2", 1, "mean-%DOA-evictions")
 }
 
 func BenchmarkFig3DeadBlocksSampled(b *testing.B) {
-	benchSeries(b, exp.Figure3, 0, "mean-%dead-LLC")
+	benchSeries(b, "fig3", 0, "mean-%dead-LLC")
 }
 
 func BenchmarkFig4DeadBlockClassification(b *testing.B) {
-	benchSeries(b, exp.Figure4, 1, "mean-%DOA-evictions")
+	benchSeries(b, "fig4", 1, "mean-%DOA-evictions")
 }
 
 func BenchmarkTable3DOACorrelation(b *testing.B) {
-	benchSeries(b, exp.Table3, 0, "mean-%DOA-on-DOA-page")
+	benchSeries(b, "tab3", 0, "mean-%DOA-on-DOA-page")
 }
 
 func BenchmarkFig9TLBPredictorIPC(b *testing.B) {
-	benchSeries(b, exp.Figure9, 2, "dpPred-geomean-IPC")
+	benchSeries(b, "fig9", 2, "dpPred-geomean-IPC")
 }
 
 func BenchmarkTable4LLTMPKI(b *testing.B) {
-	benchSeries(b, exp.Table4, 2, "dpPred-mean-MPKI-reduction-%")
+	benchSeries(b, "tab4", 2, "dpPred-mean-MPKI-reduction-%")
 }
 
 func BenchmarkFig10LLCPredictorIPC(b *testing.B) {
-	benchSeries(b, exp.Figure10, 4, "proposal-geomean-IPC")
+	benchSeries(b, "fig10", 4, "proposal-geomean-IPC")
 }
 
 func BenchmarkTable5LLCMPKI(b *testing.B) {
-	benchSeries(b, exp.Table5, 2, "cbPred-mean-MPKI-reduction-%")
+	benchSeries(b, "tab5", 2, "cbPred-mean-MPKI-reduction-%")
 }
 
 func BenchmarkTable6DPAccuracy(b *testing.B) {
-	benchSeries(b, exp.Table6, 0, "dpPred-mean-accuracy-%")
+	benchSeries(b, "tab6", 0, "dpPred-mean-accuracy-%")
 }
 
 func BenchmarkTable7CBAccuracy(b *testing.B) {
-	benchSeries(b, exp.Table7, 0, "cbPred-mean-accuracy-%")
+	benchSeries(b, "tab7", 0, "cbPred-mean-accuracy-%")
 }
 
 func BenchmarkFig11aLLTSize(b *testing.B) {
-	benchSeries(b, exp.Figure11a, 1, "dpPred-1024e-geomean-IPC")
+	benchSeries(b, "fig11a", 1, "dpPred-1024e-geomean-IPC")
 }
 
 func BenchmarkFig11bPHISTConfig(b *testing.B) {
-	benchSeries(b, exp.Figure11b, 1, "default-pHIST-geomean-IPC")
+	benchSeries(b, "fig11b", 1, "default-pHIST-geomean-IPC")
 }
 
 func BenchmarkFig11cShadowSize(b *testing.B) {
-	benchSeries(b, exp.Figure11c, 0, "2-entry-shadow-geomean-IPC")
+	benchSeries(b, "fig11c", 0, "2-entry-shadow-geomean-IPC")
 }
 
 func BenchmarkFig11dPFQSize(b *testing.B) {
-	benchSeries(b, exp.Figure11d, 0, "8-entry-PFQ-geomean-IPC")
+	benchSeries(b, "fig11d", 0, "8-entry-PFQ-geomean-IPC")
 }
 
 func BenchmarkFig11eLLCSize(b *testing.B) {
-	benchSeries(b, exp.Figure11e, 0, "2MB-LLC-geomean-IPC")
+	benchSeries(b, "fig11e", 0, "2MB-LLC-geomean-IPC")
 }
 
 func BenchmarkFig11fSRRIP(b *testing.B) {
-	benchSeries(b, exp.Figure11f, 3, "SRRIP+proposal-geomean-IPC")
+	benchSeries(b, "fig11f", 3, "SRRIP+proposal-geomean-IPC")
 }
 
 func BenchmarkExtensionPrefetch(b *testing.B) {
-	benchSeries(b, exp.ExtensionPrefetch, 2, "dpPred+prefetch-geomean-IPC")
+	benchSeries(b, "exta", 2, "dpPred+prefetch-geomean-IPC")
 }
 
 func BenchmarkExtensionDIP(b *testing.B) {
-	benchSeries(b, exp.ExtensionDIP, 2, "DIP+dpPred-geomean-IPC")
+	benchSeries(b, "extb", 2, "DIP+dpPred-geomean-IPC")
 }
 
 func BenchmarkAblationThreshold(b *testing.B) {
-	benchSeries(b, exp.AblationThreshold, 2, "threshold6-geomean-IPC")
+	benchSeries(b, "abla", 2, "threshold6-geomean-IPC")
 }
 
 func BenchmarkAblationCounterBits(b *testing.B) {
-	benchSeries(b, exp.AblationCounterBits, 1, "3bit-geomean-IPC")
+	benchSeries(b, "ablb", 1, "3bit-geomean-IPC")
 }
 
 func BenchmarkStorageOverhead(b *testing.B) {

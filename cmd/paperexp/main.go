@@ -17,7 +17,8 @@
 // identical materialized traces and prints the extended Table IV with
 // storage-normalized footers; "all" sweeps every TLB-side predictor, a
 // comma-separated list picks specific competitors (unknown names list the
-// registered set). Without -only, -predictors runs just the sweep.
+// registered set). Without -only, -predictors runs just the sweep. An
+// unknown -only ID or -predictors name fails before anything simulates.
 //
 // -multicore runs the multi-core/multi-tenant interference sweep (DESIGN.md
 // §15): dead-page prediction accuracy, premature-kill rate, LLT MPKI and
@@ -29,10 +30,10 @@
 // Simulations are sharded across a bounded worker pool (-jobs); every run
 // is seeded, results are aggregated in the paper's fixed order, and the
 // printed tables are byte-identical whatever the job count. The selected
-// tables' and -predictors' cells simulate first as one planned grid
-// (exp.PlanGrid), so -v progress follows that grid rather than the
-// tables' order; the -multicore sweep, which runs one workload only, runs
-// its own grid after them.
+// tables' and -predictors' cells simulate first as one union grid, their
+// grids concatenated (exp.Experiment.Grid), so -v progress follows that
+// grid rather than the tables' order; the -multicore sweep, which runs one
+// workload only, runs its own grid after them.
 //
 // -trace-dir DIR caches each workload's stream as a compressed DPBF v2
 // trace file under DIR (recorded once, reused on later runs with the same
@@ -74,6 +75,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -83,38 +85,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/serve"
 	"repro/internal/pred"
+	"repro/internal/trace"
 )
-
-// experiment binds an ID to its generator function.
-type experiment struct {
-	id   string
-	name string
-	run  func(*exp.Runner) (exp.Series, error)
-}
-
-var experiments = []experiment{
-	{"fig1", "Figure 1 (dead/DOA LLT entries, sampled)", exp.Figure1},
-	{"fig2", "Figure 2 (LLT eviction classification)", exp.Figure2},
-	{"fig3", "Figure 3 (dead/DOA LLC blocks, sampled)", exp.Figure3},
-	{"fig4", "Figure 4 (LLC eviction classification)", exp.Figure4},
-	{"tab3", "Table III (DOA block / DOA page correlation)", exp.Table3},
-	{"fig9", "Figure 9 (TLB predictor IPC)", exp.Figure9},
-	{"tab4", "Table IV (LLT MPKI reductions)", exp.Table4},
-	{"fig10", "Figure 10 (LLC predictor IPC)", exp.Figure10},
-	{"tab5", "Table V (LLC MPKI reductions)", exp.Table5},
-	{"tab6", "Table VI (dead page predictor accuracy)", exp.Table6},
-	{"tab7", "Table VII (dead block predictor accuracy)", exp.Table7},
-	{"fig11a", "Figure 11a (LLT size sensitivity)", exp.Figure11a},
-	{"fig11b", "Figure 11b (pHIST configuration)", exp.Figure11b},
-	{"fig11c", "Figure 11c (shadow table size)", exp.Figure11c},
-	{"fig11d", "Figure 11d (PFQ size)", exp.Figure11d},
-	{"fig11e", "Figure 11e (LLC size sensitivity)", exp.Figure11e},
-	{"fig11f", "Figure 11f (SRRIP replacement)", exp.Figure11f},
-	{"exta", "Extension A (distance TLB prefetching vs dpPred)", exp.ExtensionPrefetch},
-	{"extb", "Extension B (DIP-managed LLT vs dpPred)", exp.ExtensionDIP},
-	{"abla", "Ablation A (dpPred prediction threshold)", exp.AblationThreshold},
-	{"ablb", "Ablation B (pHIST counter width)", exp.AblationCounterBits},
-}
 
 func main() {
 	if err := run(); err != nil {
@@ -146,9 +118,10 @@ func run() error {
 	)
 	flag.Parse()
 
+	experiments := exp.Experiments()
 	if *list {
 		for _, e := range experiments {
-			fmt.Printf("%-8s %s\n", e.id, e.name)
+			fmt.Printf("%-8s %s\n", e.ID, e.Name)
 		}
 		fmt.Println("storage  Section VI-D (storage overheads)")
 		fmt.Println("\nflag-selected sweeps: -predictors (extended Table IV), -multicore (interference grid)")
@@ -186,6 +159,52 @@ func run() error {
 	}
 	if *coordAddr != "" && *memoDir == "" {
 		return fmt.Errorf("-coordinator requires -memo-dir (the durable cell memo)")
+	}
+
+	// Select the experiments before anything simulates, so an unknown
+	// -only ID or -predictors name fails at once.
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.ID)
+	}
+	ids = append(ids, "storage")
+	selected := map[string]bool{}
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.ToLower(strings.TrimSpace(id)); id == "" {
+			continue
+		}
+		if !slices.Contains(ids, id) {
+			return fmt.Errorf("-only: unknown experiment ID %q (valid: %s)", id, strings.Join(ids, ", "))
+		}
+		selected[id] = true
+	}
+	// With -predictors or -multicore and no -only, run just those sweeps.
+	want := func(id string) bool {
+		if len(selected) == 0 {
+			return *predictors == "" && !*multicore
+		}
+		return selected[id]
+	}
+	var runs, arena []exp.Experiment
+	for _, e := range experiments {
+		if want(e.ID) {
+			runs = append(runs, e)
+		}
+	}
+	if *predictors != "" {
+		var names []string
+		if !strings.EqualFold(*predictors, "all") {
+			for _, n := range strings.Split(*predictors, ",") {
+				if n = strings.TrimSpace(n); n != "" {
+					names = append(names, n)
+				}
+			}
+		}
+		a, err := exp.Arena(names)
+		if err != nil {
+			return fmt.Errorf("predictors: %w", err)
+		}
+		arena = append(arena, a)
 	}
 
 	if *cpuprofile != "" {
@@ -313,20 +332,6 @@ func run() error {
 	}
 	r.Observer = observer
 
-	selected := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			selected[strings.ToLower(id)] = true
-		}
-	}
-	// With -predictors or -multicore and no -only, run just those sweeps.
-	want := func(id string) bool {
-		if len(selected) == 0 {
-			return *predictors == "" && !*multicore
-		}
-		return selected[id]
-	}
-
 	// failPartial flushes the observability sinks before surfacing an
 	// error, so an interrupted or failed grid still leaves analyzable
 	// partial traces and metrics behind.
@@ -339,51 +344,34 @@ func run() error {
 		return err
 	}
 
-	var selectedRuns []experiment
-	for _, e := range experiments {
-		if want(e.id) {
-			selectedRuns = append(selectedRuns, e)
-		}
-	}
-	var predictorsRun func(*exp.Runner) (exp.Series, error)
-	if *predictors != "" {
-		var names []string
-		if !strings.EqualFold(*predictors, "all") {
-			for _, n := range strings.Split(*predictors, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					names = append(names, n)
-				}
-			}
-		}
-		predictorsRun = func(r *exp.Runner) (exp.Series, error) { return exp.Table4Extended(r, names) }
-	}
-
 	start := time.Now()
-	// Every selected experiment's cells simulate first, as one planned
-	// grid: its plan counts each warm master's consumers across
-	// experiments and pairs one experiment's baseline cells with another's
-	// oracle (DESIGN.md §9). The experiments below replay that grid from the memo
-	// in table order, so stdout is unchanged. A planning or grid failure is
-	// not reported here: each experiment re-runs its own grid, failed and
+	// Every selected experiment's cells simulate first, as one grid: the
+	// selected grids concatenated, which RunGrid deduplicates by name. Its
+	// plan counts each warm master's consumers across experiments and
+	// pairs one experiment's baseline cells with another's oracle
+	// (DESIGN.md §9). The experiments below replay that grid from the memo
+	// in table order, so stdout is unchanged. A grid failure is not
+	// reported here: each experiment re-runs its own grid, failed and
 	// canceled cells included, and fails under its own ID after the ones
 	// before it have printed, as it would on its own.
-	fns := make([]func(*exp.Runner) (exp.Series, error), 0, len(selectedRuns)+1)
-	for _, e := range selectedRuns {
-		fns = append(fns, e.run)
+	var union []exp.Setup
+	for _, e := range append(runs, arena...) {
+		union = append(union, e.Grid()...)
 	}
-	if predictorsRun != nil {
-		fns = append(fns, predictorsRun)
-	}
-	if ws, setups, err := exp.PlanGrid(params, fns...); err == nil {
-		_ = r.RunGrid(ws, setups)
+	_ = r.RunGrid(trace.Workloads(), union)
+	show := func(es []exp.Experiment) error {
+		for _, e := range es {
+			s, err := e.Run(r)
+			if err != nil {
+				return failPartial(fmt.Errorf("%s: %w", e.ID, err))
+			}
+			fmt.Println(s.Format())
+		}
+		return nil
 	}
 
-	for _, e := range selectedRuns {
-		s, err := e.run(r)
-		if err != nil {
-			return failPartial(fmt.Errorf("%s: %w", e.id, err))
-		}
-		fmt.Println(s.Format())
+	if err := show(runs); err != nil {
+		return err
 	}
 	if want("storage") {
 		rep, err := exp.StorageOverheads()
@@ -392,12 +380,8 @@ func run() error {
 		}
 		fmt.Println(rep.Format())
 	}
-	if predictorsRun != nil {
-		s, err := predictorsRun(r)
-		if err != nil {
-			return failPartial(fmt.Errorf("predictors: %w", err))
-		}
-		fmt.Println(s.Format())
+	if err := show(arena); err != nil {
+		return err
 	}
 	if *multicore {
 		s, err := exp.MultiCoreSweep(r)

@@ -35,14 +35,12 @@ func counterBitsSetup(bits uint) Setup {
 	}
 }
 
-// AblationThreshold sweeps dpPred's prediction threshold. The paper fixes
+// ablationThreshold sweeps dpPred's prediction threshold. The paper fixes
 // it at 6 (of a 3-bit counter's 0–7 range) and notes for canneal/Triangle
 // that "the statically set threshold … turns out to be too conservative";
 // this ablation quantifies the trade: lower thresholds raise coverage and
 // lower accuracy, risking the wrongful bypasses the shadow table then has
 // to absorb.
-func AblationThreshold(r *Runner) (Series, error) { return r.series(ablationThreshold()) }
-
 func ablationThreshold() table {
 	var setups []Setup
 	var cols []string
@@ -53,12 +51,10 @@ func ablationThreshold() table {
 	return ipcTable("Ablation A", "dpPred prediction threshold (paper default: 6)", setups, cols...)
 }
 
-// AblationCounterBits sweeps the width of pHIST's saturating counters with
+// ablationCounterBits sweeps the width of pHIST's saturating counters with
 // the threshold scaled proportionally (predict when the counter is in the
 // top quarter of its range), isolating the cost of the 3-bit choice §V-D
 // budgets for.
-func AblationCounterBits(r *Runner) (Series, error) { return r.series(ablationCounterBits()) }
-
 func ablationCounterBits() table {
 	var setups []Setup
 	var cols []string

@@ -61,18 +61,14 @@ func accuracyTable(id, title string, setups []Setup, names []string, llcSide boo
 	return t
 }
 
-// Table6 grades the dead-page predictors: dpPred, dpPred−SH and SHiP-TLB.
-func Table6(r *Runner) (Series, error) { return r.series(table6()) }
-
+// table6 grades the dead-page predictors: dpPred, dpPred−SH and SHiP-TLB.
 func table6() table {
 	return accuracyTable("Table VI", "Accuracy, coverage for dead page predictors",
 		[]Setup{DPPredSetup(), dpPredNoShadowSetup(), SHiPTLBSetup()},
 		[]string{"dpPred", "dpPred-SH", "SHiP-TLB"}, false)
 }
 
-// Table7 grades the dead-block predictors: cbPred, cbPred−PF and SHiP-LLC.
-func Table7(r *Runner) (Series, error) { return r.series(table7()) }
-
+// table7 grades the dead-block predictors: cbPred, cbPred−PF and SHiP-LLC.
 func table7() table {
 	return accuracyTable("Table VII", "Accuracy, coverage for dead block predictors",
 		[]Setup{DPPredCBPredSetup(), cbPredNoPFQSetup(), SHiPLLCSetup()},

@@ -24,6 +24,20 @@ func arenaGoldenSetups() []Setup {
 	}
 }
 
+// goldenArena is the extended Table IV over arenaGoldenSetups.
+func goldenArena(t testing.TB) Experiment {
+	t.Helper()
+	var names []string
+	for _, su := range arenaGoldenSetups() {
+		names = append(names, su.Name)
+	}
+	e, err := Arena(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestGoldenArenaResults diffs the arena competitors' QuickParams results
 // against committed snapshots, exactly like TestGoldenTableIVResults does
 // for the paper's configurations; regenerate with -update.
@@ -125,8 +139,11 @@ func TestParallelArenaSweep(t *testing.T) {
 // sweep), the mean summary row, and the two storage-normalization footers
 // with strictly positive budgets.
 func TestTable4ExtendedShape(t *testing.T) {
-	r := NewRunner(parallelTestParams)
-	s, err := Table4Extended(r, nil)
+	e, err := Arena(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Run(NewRunner(parallelTestParams))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +179,10 @@ func TestTable4ExtendedShape(t *testing.T) {
 }
 
 // TestTable4ExtendedUnknownName surfaces the registry's unknown-name error
-// (with the registered set) through the sweep entry point, which is what
-// paperexp -predictors prints on a typo.
+// (with the registered set) through Arena, which is what paperexp
+// -predictors prints on a typo before anything simulates.
 func TestTable4ExtendedUnknownName(t *testing.T) {
-	r := NewRunner(parallelTestParams)
-	_, err := Table4Extended(r, []string{"SDBP-TLB", "bogus"})
+	_, err := Arena([]string{"SDBP-TLB", "bogus"})
 	if err == nil {
 		t.Fatal("sweep accepted an unregistered predictor name")
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -89,43 +88,42 @@ func TestPanickingSetupFailsOnlyItsCell(t *testing.T) {
 	}
 }
 
-// TestFailFastCancelsQueuedCells: with FailFast set, the first real
-// failure must cancel the cells that have not finished yet, and the
-// canceled cells must be evicted from the memo so a later Run re-simulates
-// them successfully.
-func TestFailFastCancelsQueuedCells(t *testing.T) {
+// TestFailureThenCancelWrapsCause: a grid whose context is canceled after
+// one of its cells failed reports both, the failure and the cancellation,
+// and its error still wraps ctx's cause. The canceled cell is evicted from
+// the memo, so a later Run re-simulates it.
+func TestFailureThenCancelWrapsCause(t *testing.T) {
 	r := NewRunner(cancelTestParams)
-	r.FailFast = true
 	w := testWorkload(t, "cc")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 
-	failErr := errors.New("distinctive fail-fast failure")
+	failErr := errors.New("distinctive failure before cancel")
 	gate := make(chan struct{})
-	bad := Setup{Name: "failfast-bad", TLB: func(*sim.System) (pred.TLBPredictor, error) {
+	bad := Setup{Name: "cancel-bad", TLB: func(*sim.System) (pred.TLBPredictor, error) {
 		close(gate) // single-flight: runs exactly once
 		return nil, failErr
 	}}
-	// The gated setups hold their pool slot until the bad cell has failed,
-	// then linger long enough for the fail-fast cancellation to land, so
-	// the test observes cancellation deterministically.
-	gated := func(i int) Setup {
-		return Setup{Name: fmt.Sprintf("failfast-gated%d", i), TLB: func(s *sim.System) (pred.TLBPredictor, error) {
-			<-gate
-			time.Sleep(100 * time.Millisecond)
-			return newDPPred(s)
-		}}
-	}
-	setups := []Setup{bad, gated(0), gated(1), gated(2)}
-	r.SetJobs(len(setups)) // every cell gets a slot; none deadlocks on the gate
+	// The gated cell cancels the grid only once the bad cell has failed,
+	// then runs into the canceled context.
+	gated := Setup{Name: "cancel-gated", TLB: func(s *sim.System) (pred.TLBPredictor, error) {
+		<-gate
+		cancel()
+		return newDPPred(s)
+	}}
+	r.SetJobs(2) // both cells hold a slot; neither deadlocks on the gate
 
-	err := r.RunGrid([]trace.Workload{w}, setups)
+	err := r.RunGridContext(ctx, []trace.Workload{w}, []Setup{bad, gated})
 	if !errors.Is(err, failErr) {
-		t.Fatalf("grid error does not wrap the triggering failure:\n%v", err)
+		t.Fatalf("grid error does not wrap the cell failure:\n%v", err)
 	}
-	if !strings.Contains(err.Error(), "fail-fast canceled 3 queued cells") {
-		t.Fatalf("fail-fast did not cancel the in-flight cells:\n%v", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("grid error does not wrap the cancellation:\n%v", err)
 	}
-	// Canceled cells were evicted: re-running one must succeed now.
-	if _, err := r.Run(w, gated(0)); err != nil {
+	if !strings.Contains(err.Error(), "grid canceled (1 cells unfinished)") {
+		t.Fatalf("grid error does not count the canceled cell:\n%v", err)
+	}
+	if _, err := r.Run(w, gated); err != nil {
 		t.Fatalf("canceled cell stayed poisoned in the memo: %v", err)
 	}
 }

@@ -24,11 +24,11 @@ var (
 )
 
 // buildCatalog assembles the name → Setup map as the union of the grids
-// of paperTables (with a "+acc" cell stored under its base name), every
-// registered predictor (the arena), resolved as Table4Extended does, and
-// the multi-core sweep's topologies, so the catalog holds exactly the
-// setups the experiments can plan and cannot drift from them. A name seen
-// twice is the same setup; the first wins.
+// of Experiments (with a "+acc" cell stored under its base name), the arena
+// over every registered predictor, and the multi-core sweep's topologies,
+// so the catalog holds exactly the setups the experiments can plan and
+// cannot drift from them. A name seen twice is the same setup; the first
+// wins.
 func buildCatalog() {
 	catalogMap = make(map[string]Setup)
 	add := func(s Setup) {
@@ -39,17 +39,14 @@ func buildCatalog() {
 			catalogMap[s.Name] = s
 		}
 	}
-	for _, t := range paperTables() {
-		for _, s := range t.grid {
+	arena, err := Arena(pred.Names())
+	if err != nil {
+		panic(err) // registered names must resolve
+	}
+	for _, e := range append(Experiments(), arena) {
+		for _, s := range e.Grid() {
 			add(s)
 		}
-	}
-	for _, name := range pred.Names() {
-		su, err := SetupFor(name)
-		if err != nil {
-			panic(err) // registered names must resolve
-		}
-		add(su)
 	}
 	for _, su := range multiCoreSetups(multiCoreDims, multiCoreDims) {
 		add(su)

@@ -141,6 +141,31 @@ func TestCatalogResolvesEveryStandardSetup(t *testing.T) {
 	}
 }
 
+// TestExperimentsResolve: experiment IDs are unique, and every setup of
+// every Experiments() grid and of the default arena resolves through the
+// catalog to the same cell.
+func TestExperimentsResolve(t *testing.T) {
+	arena, err := Arena(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{"storage": true} // paperexp -only takes storage too
+	for _, e := range append(Experiments(), arena) {
+		if ids[e.ID] {
+			t.Errorf("experiment ID %q appears twice", e.ID)
+		}
+		ids[e.ID] = true
+		for _, su := range e.Grid() {
+			got, ok := ResolveSetup(su.Name)
+			if !ok {
+				t.Errorf("%s: setup %q is not in the catalog", e.ID, su.Name)
+			} else if CellKey("", got, cellTestParams) != CellKey("", su, cellTestParams) {
+				t.Errorf("%s: setup %q resolves to a different cell", e.ID, su.Name)
+			}
+		}
+	}
+}
+
 // TestResolvedSetupMatchesOriginal: a catalog-resolved setup simulates the
 // same bytes as the experiment suite's own construction — the property the
 // whole distributed plane rests on.

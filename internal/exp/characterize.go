@@ -6,12 +6,11 @@ import (
 )
 
 // characterizationSetup is the baseline machine with samplers enabled; one
-// run per workload feeds Figures 1–4 and Table III.
+// run per workload feeds Figures 1–4 and Table III. It carries no
+// WarmupKey: its machine tracks entry times from the first access, so it
+// never forks a warmed master (warmShareable).
 func characterizationSetup() Setup {
-	s := Baseline()
-	s.Name = "characterize"
-	s.Instrument.Characterize = true
-	return s
+	return Setup{Name: "characterize", Instrument: Instrumentation{Characterize: true}}
 }
 
 // characterization reads one row from a workload's characterization pass;
@@ -37,47 +36,37 @@ func evictedDead(d stats.DeadResult) []float64 {
 	return []float64{100 * d.MostlyDeadFrac(), 100 * d.DOAFrac(), 100 * d.DeadFrac()}
 }
 
-// Figure1 reports the fraction of LLT entries dead or DOA at any time
+// figure1 reports the fraction of LLT entries dead or DOA at any time
 // (sampled residency view).
-func Figure1(r *Runner) (Series, error) { return r.series(figure1()) }
-
 func figure1() table {
 	return characterization("Figure 1", "Fraction of LLT entries dead or DOA at any time",
 		"% of sampled LLT entries", []string{"Dead", "DOA"},
 		func(res sim.Result) []float64 { return sampledDead(res.LLTDead) })
 }
 
-// Figure2 classifies LLT evictions into mostly-dead and DOA.
-func Figure2(r *Runner) (Series, error) { return r.series(figure2()) }
-
+// figure2 classifies LLT evictions into mostly-dead and DOA.
 func figure2() table {
 	return characterization("Figure 2", "Classification of dead pages in LLT (at eviction)",
 		"% of LLT evictions", []string{"MostlyDead", "DOA", "TotalDead"},
 		func(res sim.Result) []float64 { return evictedDead(res.LLTDead) })
 }
 
-// Figure3 reports the fraction of LLC entries dead or DOA at any time.
-func Figure3(r *Runner) (Series, error) { return r.series(figure3()) }
-
+// figure3 reports the fraction of LLC entries dead or DOA at any time.
 func figure3() table {
 	return characterization("Figure 3", "Fraction of LLC entries dead or DOA at any time",
 		"% of sampled LLC blocks", []string{"Dead", "DOA"},
 		func(res sim.Result) []float64 { return sampledDead(res.LLCDead) })
 }
 
-// Figure4 classifies LLC evictions into mostly-dead and DOA.
-func Figure4(r *Runner) (Series, error) { return r.series(figure4()) }
-
+// figure4 classifies LLC evictions into mostly-dead and DOA.
 func figure4() table {
 	return characterization("Figure 4", "Classification of dead blocks in LLC (at eviction)",
 		"% of LLC evictions", []string{"MostlyDead", "DOA", "TotalDead"},
 		func(res sim.Result) []float64 { return evictedDead(res.LLCDead) })
 }
 
-// Table3 reports the percentage of LLC DOA blocks that map onto a DOA page
+// table3 reports the percentage of LLC DOA blocks that map onto a DOA page
 // in the LLT.
-func Table3(r *Runner) (Series, error) { return r.series(table3()) }
-
 func table3() table {
 	return characterization("Table III", "Percentage of LLC DOA blocks that map on to a DOA page in LLT",
 		"% of LLC DOA blocks", []string{"OnDOAPage"},

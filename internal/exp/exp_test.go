@@ -14,14 +14,22 @@ import (
 // baseline simulations run once.
 var quickRunner = NewRunner(QuickParams())
 
-// quickUnion is the package's quickRunner experiments (and the golden
-// arena grid), planned as one grid by quickGrid.
-var quickUnion = []func(*Runner) (Series, error){
-	Figure1, Figure2, Figure3, Figure4, Table3, Figure9, Table4, Figure10,
-	Table5, Table6, Table7, Figure11a, Figure11b, Figure11c, Figure11d,
-	Figure11e, Figure11f, ExtensionPrefetch, ExtensionDIP, AblationThreshold,
-	AblationCounterBits,
-	func(r *Runner) (Series, error) { return Series{}, r.RunGrid(trace.Workloads(), arenaGoldenSetups()) },
+// experiment returns the Experiments() entry with the given ID.
+func experiment(t testing.TB, id string) Experiment {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return Experiment{}
+}
+
+// quickUnion is every experiment quickRunner's tests read: Experiments()
+// and the golden arena, whose grids quickGrid runs as one.
+func quickUnion(t testing.TB) []Experiment {
+	return append(Experiments(), goldenArena(t))
 }
 
 var (
@@ -31,18 +39,18 @@ var (
 
 // quickGrid is paperGrid for a test that reads quickRunner's grids. The
 // first call simulates the union of every such grid (quickUnion) as one
-// planned grid, as paperexp does, so each workload's trace materializes
-// once and warm masters and oracle passes are shared across experiments;
-// every experiment's own grid is then memo hits.
+// grid, as paperexp does, so each workload's trace materializes once and
+// warm masters and oracle passes are shared across experiments; every
+// experiment's own grid is then memo hits.
 func quickGrid(t *testing.T) {
 	t.Helper()
 	paperGrid(t)
 	quickOnce.Do(func() {
-		var ws []trace.Workload
-		var setups []Setup
-		if ws, setups, quickErr = PlanGrid(quickRunner.Params(), quickUnion...); quickErr == nil {
-			quickErr = quickRunner.RunGrid(ws, setups)
+		var union []Setup
+		for _, e := range quickUnion(t) {
+			union = append(union, e.Grid()...)
 		}
+		quickErr = quickRunner.RunGrid(trace.Workloads(), union)
 	})
 	if quickErr != nil {
 		t.Fatal(quickErr)
@@ -92,7 +100,7 @@ func TestRunMemoizes(t *testing.T) {
 
 func TestFigure1Shape(t *testing.T) {
 	quickGrid(t)
-	s, err := Figure1(quickRunner)
+	s, err := experiment(t, "fig1").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,7 @@ func TestFigure1Shape(t *testing.T) {
 
 func TestFigure2DOADominates(t *testing.T) {
 	quickGrid(t)
-	s, err := Figure2(quickRunner)
+	s, err := experiment(t, "fig2").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +131,7 @@ func TestFigure2DOADominates(t *testing.T) {
 
 func TestFigure3Shape(t *testing.T) {
 	quickGrid(t)
-	s, err := Figure3(quickRunner)
+	s, err := experiment(t, "fig3").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +152,7 @@ func TestFigure3Shape(t *testing.T) {
 
 func TestFigure4Shape(t *testing.T) {
 	quickGrid(t)
-	s, err := Figure4(quickRunner)
+	s, err := experiment(t, "fig4").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +175,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestTable3CorrelationPresent(t *testing.T) {
 	quickGrid(t)
-	s, err := Table3(quickRunner)
+	s, err := experiment(t, "tab3").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +187,7 @@ func TestTable3CorrelationPresent(t *testing.T) {
 
 func TestFigure9DPPredWins(t *testing.T) {
 	quickGrid(t)
-	s, err := Figure9(quickRunner)
+	s, err := experiment(t, "fig9").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +236,7 @@ func TestTable4OracleBeatsDPPred(t *testing.T) {
 
 func TestFigure10FullProposalWins(t *testing.T) {
 	quickGrid(t)
-	s, err := Figure10(quickRunner)
+	s, err := experiment(t, "fig10").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +278,7 @@ func TestFigure10FullProposalWins(t *testing.T) {
 // the paper's consistency contrast is.
 func TestTable5Shape(t *testing.T) {
 	quickGrid(t)
-	s, err := Table5(quickRunner)
+	s, err := experiment(t, "tab5").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +308,7 @@ func TestTable5Shape(t *testing.T) {
 
 func TestTable6ShadowImprovesAccuracy(t *testing.T) {
 	quickGrid(t)
-	s, err := Table6(quickRunner)
+	s, err := experiment(t, "tab6").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +325,7 @@ func TestTable6ShadowImprovesAccuracy(t *testing.T) {
 
 func TestTable7PFQBoostsAccuracy(t *testing.T) {
 	quickGrid(t)
-	s, err := Table7(quickRunner)
+	s, err := experiment(t, "tab7").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +343,11 @@ func TestTable7PFQBoostsAccuracy(t *testing.T) {
 // cells simulate in quickGrid's union grid, as paperexp runs them.
 func TestFigure11Shapes(t *testing.T) {
 	quickGrid(t)
-	figs := []func(*Runner) (Series, error){Figure11a, Figure11b, Figure11c, Figure11d, Figure11e, Figure11f}
+	figs := []string{"fig11a", "fig11b", "fig11c", "fig11d", "fig11e", "fig11f"}
 	s := make([]Series, len(figs))
-	for i, fig := range figs {
+	for i, id := range figs {
 		var err error
-		if s[i], err = fig(quickRunner); err != nil {
+		if s[i], err = experiment(t, id).Run(quickRunner); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,7 +37,7 @@ func dipConfig() sim.Config {
 func dipLLTSetup() Setup    { return Setup{Name: "DIP-LLT", Config: dipConfig} }
 func dipDPPredSetup() Setup { return Setup{Name: "DIP+dpPred", Config: dipConfig, TLB: newDPPred} }
 
-// ExtensionPrefetch compares the bypass approach (dpPred) with classic
+// extensionPrefetch compares the bypass approach (dpPred) with classic
 // distance-based TLB prefetching (Kandiraju & Sivasubramaniam, discussed
 // in §VII) and with their combination. The paper argues bypassing is
 // complementary to prefetching; this extension experiment quantifies that
@@ -45,20 +45,16 @@ func dipDPPredSetup() Setup { return Setup{Name: "DIP+dpPred", Config: dipConfig
 // (strides, repeating deltas) while bypassing protects resident reuse, so
 // the combination should dominate either alone on stride-heavy workloads
 // and fall back to dpPred's behaviour on irregular ones.
-func ExtensionPrefetch(r *Runner) (Series, error) { return r.series(extensionPrefetch()) }
-
 func extensionPrefetch() table {
 	return ipcTable("Extension A", "dpPred vs distance-based TLB prefetching (related work, §VII)",
 		[]Setup{DPPredSetup(), distancePrefetchSetup(), dpPredPrefetchSetup()})
 }
 
-// ExtensionDIP compares dpPred against the thrash-resistant Dynamic
+// extensionDIP compares dpPred against the thrash-resistant Dynamic
 // Insertion Policy (Qureshi et al., cited in §VII) applied to the LLT, and
 // dpPred layered on top of a DIP-managed LLT. DIP resists streaming
 // pollution without knowing which entries are dead; dpPred adds the
 // dead-entry knowledge.
-func ExtensionDIP(r *Runner) (Series, error) { return r.series(extensionDIP()) }
-
 func extensionDIP() table {
 	return ipcTable("Extension B", "dpPred vs a DIP-managed LLT",
 		[]Setup{DPPredSetup(), dipLLTSetup(), dipDPPredSetup()})

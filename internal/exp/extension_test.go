@@ -6,7 +6,7 @@ import "testing"
 // memoized baselines are reused where setups overlap.
 func TestExtensionPrefetchShape(t *testing.T) {
 	quickGrid(t)
-	s, err := ExtensionPrefetch(quickRunner)
+	s, err := experiment(t, "exta").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestExtensionPrefetchShape(t *testing.T) {
 
 func TestExtensionDIPShape(t *testing.T) {
 	quickGrid(t)
-	s, err := ExtensionDIP(quickRunner)
+	s, err := experiment(t, "extb").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestExtensionDIPShape(t *testing.T) {
 
 func TestAblationThresholdShape(t *testing.T) {
 	quickGrid(t)
-	s, err := AblationThreshold(quickRunner)
+	s, err := experiment(t, "abla").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAblationThresholdShape(t *testing.T) {
 
 func TestAblationCounterBitsShape(t *testing.T) {
 	quickGrid(t)
-	s, err := AblationCounterBits(quickRunner)
+	s, err := experiment(t, "ablb").Run(quickRunner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package exp
 
-// Figure9 compares TLB dead-page predictors: AIP-TLB, SHiP-TLB, dpPred and
+// figure9 compares TLB dead-page predictors: AIP-TLB, SHiP-TLB, dpPred and
 // an iso-storage LLT, all normalized to the Table I baseline.
-func Figure9(r *Runner) (Series, error) { return r.series(figure9()) }
-
 func figure9() table {
 	return ipcTable("Figure 9", "Normalized IPC for TLB dead page predictors",
 		[]Setup{AIPTLBSetup(), SHiPTLBSetup(), DPPredSetup(), IsoStorageSetup()})
@@ -21,20 +19,16 @@ func table4() table {
 		lltMPKIReduction, "mean")
 }
 
-// Figure10 compares LLC dead-block predictors and combined TLB+LLC
+// figure10 compares LLC dead-block predictors and combined TLB+LLC
 // configurations against the paper's dpPred+cbPred proposal.
-func Figure10(r *Runner) (Series, error) { return r.series(figure10()) }
-
 func figure10() table {
 	return ipcTable("Figure 10",
 		"Normalized IPC for LLC dead block predictors or LLC and TLB combined predictors",
 		[]Setup{AIPLLCSetup(), SHiPLLCSetup(), AIPBothSetup(), SHiPBothSetup(), DPPredCBPredSetup()})
 }
 
-// Table5 reports LLC MPKI reductions for AIP-LLC, SHiP-LLC and cbPred
+// table5 reports LLC MPKI reductions for AIP-LLC, SHiP-LLC and cbPred
 // (coupled with dpPred).
-func Table5(r *Runner) (Series, error) { return r.series(table5()) }
-
 func table5() table {
 	return versus("Table V", "LLC MPKI reductions by dead block predictors",
 		"% LLC MPKI reduction vs baseline",

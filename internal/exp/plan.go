@@ -7,39 +7,18 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrPlanned is what a planning runner's RunGrid and Run return: the grid
-// was recorded, not simulated (PlanGrid).
-var ErrPlanned = errors.New("exp: grid planned, not simulated")
-
 // errAbandoned wakes the waiters of a node dropped before it was computed.
 var errAbandoned = errors.New("exp: shared node abandoned")
 
 // gridPlan is a grid's cells, its workloads and setups each in first-seen
 // order and deduplicated by name, and the shared nodes the cells consume.
 // RunGrid plans its grid before launching anything, and a lone Run is a
-// plan of one cell; a planning runner (PlanGrid) accumulates the union of
-// every grid it is asked for instead.
+// plan of one cell.
 type gridPlan struct {
 	workloads []trace.Workload
 	setups    []Setup
-	seen      map[string]bool
 	edges     map[string]*edge // by consuming cell (workload/setup)
 	traces    map[string]*edge // each cell's edge into its workload's trace
-}
-
-func (p *gridPlan) add(workloads []trace.Workload, setups []Setup) {
-	for _, w := range workloads {
-		if !p.seen["w/"+w.Name] {
-			p.seen["w/"+w.Name] = true
-			p.workloads = append(p.workloads, w)
-		}
-	}
-	for _, su := range setups {
-		if !p.seen["s/"+su.Name] {
-			p.seen["s/"+su.Name] = true
-			p.setups = append(p.setups, su)
-		}
-	}
 }
 
 // edge is one cell's edge into a node of its plan, used only by the cell's
@@ -63,8 +42,10 @@ func (e *edge) drop() {
 }
 
 // planGrid plans a grid: its cells and the nodes they share, each with its
-// count of consumers. A cell the persistent memo holds is memoized first
-// (Runner.recall), so the nodes form over the cells still to compute.
+// count of consumers. Workloads and setups are deduplicated by name, the
+// first seen kept, so a union of grids may repeat a setup. A cell the
+// persistent memo holds is memoized first (Runner.recall), so the nodes
+// form over the cells still to compute.
 //   - One baseline pass per workload, when the grid holds a plain baseline
 //     and an oracle on the Table I machine (default config and topology)
 //     and neither cell is memoized or in flight: the oracle's record pass
@@ -80,8 +61,20 @@ func (e *edge) drop() {
 //     reader materializes it; cells that will not read it drop their edge
 //     early (Runner.lead, Runner.runLocal), so the last reader releases it.
 func (r *Runner) planGrid(ctx context.Context, workloads []trace.Workload, setups []Setup) *gridPlan {
-	p := &gridPlan{seen: make(map[string]bool), edges: make(map[string]*edge), traces: make(map[string]*edge)}
-	p.add(workloads, setups)
+	p := &gridPlan{edges: make(map[string]*edge), traces: make(map[string]*edge)}
+	seen := make(map[string]bool)
+	for _, w := range workloads {
+		if !seen["w/"+w.Name] {
+			seen["w/"+w.Name] = true
+			p.workloads = append(p.workloads, w)
+		}
+	}
+	for _, su := range setups {
+		if !seen["s/"+su.Name] {
+			seen["s/"+su.Name] = true
+			p.setups = append(p.setups, su)
+		}
+	}
 	var base, oracle string
 	for _, su := range p.setups {
 		switch {
@@ -124,33 +117,4 @@ func (r *Runner) planGrid(ctx context.Context, workloads []trace.Workload, setup
 		r.onPlan(p)
 	}
 	return p
-}
-
-// PlanGrid returns the union of the grids the experiment functions fns
-// simulate, without simulating anything: each function runs, one at a
-// time, on a planning runner whose RunGrid records its grid and returns
-// ErrPlanned. Every experiment of this package calls RunGrid before
-// anything else and aborts on its error. The tables (Runner.series) all
-// run over trace.Workloads(), so the union's cross product is exactly
-// their cells; the multi-core sweep runs cactusADM alone, so a union
-// holding it with a table would run its topologies on every workload.
-//
-// Running the union as one RunGrid and then the experiments themselves
-// (every cell a memo hit) lets one plan count each warm master's consumers
-// across experiments (Figure 9's dpPred and Table VI's dpPred+acc share
-// one) and pair one experiment's baseline cells with another's oracle. A
-// function that fails before planning (an unknown predictor name) returns
-// its error; one that returns without calling RunGrid is an error too.
-func PlanGrid(p Params, fns ...func(*Runner) (Series, error)) ([]trace.Workload, []Setup, error) {
-	planner := NewRunner(p)
-	planner.plan = &gridPlan{seen: make(map[string]bool)}
-	for _, fn := range fns {
-		if _, err := fn(planner); !errors.Is(err, ErrPlanned) {
-			if err == nil {
-				err = errors.New("exp: experiment returned without planning a grid")
-			}
-			return nil, nil, err
-		}
-	}
-	return planner.plan.workloads, planner.plan.setups, nil
 }

@@ -92,12 +92,13 @@ func storageProbeSize(reg pred.Registration) int {
 	return cfg.LLT.Entries
 }
 
-// Table4Extended is the arena sweep: the Table IV metric (% LLT MPKI
-// reduction vs baseline) across every requested registered predictor on
-// identical materialized traces, storage-normalized by two footer rows —
-// each column's budget in KB and its mean reduction per KB. A nil or empty
-// names list sweeps every registered TLB predictor, sorted by name.
-func Table4Extended(r *Runner, names []string) (Series, error) {
+// Arena is the extended Table IV, the arena sweep: the Table IV metric (%
+// LLT MPKI reduction vs baseline) across every requested registered
+// predictor on identical materialized traces, storage-normalized by two
+// footer rows — each column's budget in KB and its mean reduction per KB. A
+// nil or empty names list sweeps every registered TLB predictor, sorted by
+// name. An unknown name errors with the full registered set.
+func Arena(names []string) (Experiment, error) {
 	if len(names) == 0 {
 		names = pred.TLBNames()
 	}
@@ -106,33 +107,31 @@ func Table4Extended(r *Runner, names []string) (Series, error) {
 	for i, n := range names {
 		reg, err := pred.Lookup(n)
 		if err != nil {
-			return Series{}, err
+			return Experiment{}, err
 		}
 		su, err := setupFromReg(reg)
 		if err != nil {
-			return Series{}, err
+			return Experiment{}, err
 		}
 		regs[i], setups[i] = reg, su
 	}
-	s, err := r.series(versus("Table IV+", "LLT MPKI reductions across the predictor arena",
-		"% LLT MPKI reduction vs baseline", setups, setupNames(setups), lltMPKIReduction, "mean"))
-	if err != nil {
-		return Series{}, err
-	}
-
+	t := versus("Table IV+", "LLT MPKI reductions across the predictor arena",
+		"% LLT MPKI reduction vs baseline", setups, setupNames(setups), lltMPKIReduction, "mean")
 	// Storage normalization: competitors spend very different budgets, so
 	// the raw means are not comparable head-to-head. The footers hold each
 	// column's budget (KB) and its mean reduction per KB of state.
-	storage := make([]float64, len(regs))
-	perKB := make([]float64, len(regs))
-	for i, reg := range regs {
-		kb := float64(reg.StorageBits(storageProbeSize(reg))) / 8192
-		storage[i] = kb
-		perKB[i] = s.Summary[i] / kb
+	t.footers = func(s Series) []SeriesRow {
+		storage := make([]float64, len(regs))
+		perKB := make([]float64, len(regs))
+		for i, reg := range regs {
+			kb := float64(reg.StorageBits(storageProbeSize(reg))) / 8192
+			storage[i] = kb
+			perKB[i] = s.Summary[i] / kb
+		}
+		return []SeriesRow{
+			{Name: "storage (KB)", Values: storage},
+			{Name: "mean %/KB", Values: perKB},
+		}
 	}
-	s.Footers = []SeriesRow{
-		{Name: "storage (KB)", Values: storage},
-		{Name: "mean %/KB", Values: perKB},
-	}
-	return s, nil
+	return Experiment{"predictors", "Table IV+ (predictor arena)", t}, nil
 }

@@ -1,7 +1,7 @@
 // Package exp reproduces the paper's evaluation: every figure and table of
-// §IV and §VI is a function returning a structured result that cmd/paperexp
-// prints in the paper's layout and bench_test.go regenerates under `go
-// test -bench`. See DESIGN.md §5 for the experiment index.
+// §IV and §VI is an Experiment (Experiments) whose structured result
+// cmd/paperexp prints in the paper's layout and bench_test.go regenerates
+// under `go test -bench`. See DESIGN.md §5 for the experiment index.
 package exp
 
 import (
@@ -76,9 +76,9 @@ type Setup struct {
 	// instead of re-simulating the shared warmup prefix; a later grid warms
 	// its own. Accuracy grading is enabled only after warmup, so the
 	// shared warm state is bit-identical for every consumer.
-	// Characterization cells keep the key but never fork: their machine
-	// tracks entry times from the first access, which a master built
-	// without them cannot supply (warmShareable).
+	// Characterization cells carry none: their machine tracks entry times
+	// from the first access, which a master built without them cannot
+	// supply (warmShareable).
 	WarmupKey string
 	// Topology shapes the machine: cores over a shared LLT and LLC, and
 	// tenants beyond the cell's workload (DESIGN.md §15). The zero value is
@@ -137,12 +137,6 @@ type Runner struct {
 	// RunContext/RunGridContext take precedence over it.
 	ctx context.Context
 
-	// FailFast makes RunGrid cancel the remaining cells as soon as one
-	// cell fails with a real (non-cancellation) error. The default keeps
-	// going and aggregates every cell's error, which is what the paper
-	// grids want: one broken setup should not hide the other columns.
-	FailFast bool
-
 	// results and fps are the runner's single-flight stores (flight): one
 	// result per (workload, setup) name pair, and one content fingerprint
 	// per workload, computed the first time a cell is keyed (CellKey hashes
@@ -153,9 +147,6 @@ type Runner struct {
 	results flight[sim.Result]
 	fps     flight[string]
 
-	// plan, when set, makes the runner a planner (PlanGrid): RunGrid
-	// records its grid there and Run simulates nothing.
-	plan   *gridPlan
 	onPlan func(*gridPlan) // when set, sees every plan before it runs (tests)
 
 	// recordPasses counts the oracle cells' record passes, sharedPasses
@@ -315,9 +306,6 @@ func (r *Runner) Run(w trace.Workload, setup Setup) (sim.Result, error) {
 // A lone cell is a plan of one, which shares nothing: a warm-path cell
 // warms its own machine.
 func (r *Runner) RunContext(ctx context.Context, w trace.Workload, setup Setup) (sim.Result, error) {
-	if r.plan != nil {
-		return sim.Result{}, ErrPlanned
-	}
 	p := r.planGrid(ctx, []trace.Workload{w}, []Setup{setup})
 	cell := w.Name + "/" + setup.Name
 	return r.run(ctx, w, setup, p.edges[cell], p.traces[cell])
@@ -452,8 +440,7 @@ func remote(w trace.Workload, setup Setup) bool {
 // RunGrid simulates the full workload × setup cross product, sharding the
 // uncached runs across the worker pool. Unlike a first-error-wins scheme,
 // every failing cell's error is collected and returned joined (sorted for
-// determinism), so one broken setup cannot hide another; with FailFast set
-// the first real failure cancels the cells still queued. All results land
+// determinism), so one broken setup cannot hide another. All results land
 // in the memo, so callers aggregate afterwards by replaying Run in
 // whatever fixed order the report needs — aggregation order is completely
 // decoupled from completion order.
@@ -464,24 +451,14 @@ func (r *Runner) RunGrid(workloads []trace.Workload, setups []Setup) error {
 // RunGridContext is RunGrid under an explicit context. Canceling ctx stops
 // the grid promptly: running cells stop at their next stride check, queued
 // cells never start, and the returned error wraps ctx's error with the
-// number of unfinished cells.
+// number of unfinished cells, after any cell failures.
 //
 // Before launching anything the grid is planned (planGrid): its baseline
 // passes and warmed masters, each with its consumers counted, so a master
 // is released as soon as its last consumer has forked it. Every cell drops
 // its edge on return, so nothing the grid shared outlives it.
 func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload, setups []Setup) error {
-	if r.plan != nil {
-		r.plan.add(workloads, setups)
-		return ErrPlanned
-	}
 	p := r.planGrid(ctx, workloads, setups)
-	gctx := ctx
-	var cancel context.CancelFunc
-	if r.FailFast {
-		gctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
 	if r.Status != nil {
 		// Announce the full cross product before launching anything, so
 		// /status shows pending cells instead of a grid that grows as
@@ -502,7 +479,7 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 			go func(w trace.Workload, su Setup) {
 				defer wg.Done()
 				cell := w.Name + "/" + su.Name
-				_, err := r.run(gctx, w, su, p.edges[cell], p.traces[cell])
+				_, err := r.run(ctx, w, su, p.edges[cell], p.traces[cell])
 				if err == nil {
 					return
 				}
@@ -511,32 +488,23 @@ func (r *Runner) RunGridContext(ctx context.Context, workloads []trace.Workload,
 					canceled++
 				} else {
 					errs = append(errs, err)
-					if cancel != nil {
-						cancel()
-					}
 				}
 				mu.Unlock()
 			}(w, su)
 		}
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		// Completion order is nondeterministic; sort so the aggregate
-		// error reads identically run to run.
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		if canceled > 0 {
-			errs = append(errs, fmt.Errorf("exp: fail-fast canceled %d queued cells", canceled))
-		}
-		return errors.Join(errs...)
-	}
+	// Completion order is nondeterministic; sort so the aggregate error
+	// reads identically run to run.
+	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
 	if canceled > 0 {
 		cause := ctx.Err()
 		if cause == nil {
 			cause = context.Canceled
 		}
-		return fmt.Errorf("exp: grid canceled (%d cells unfinished): %w", canceled, cause)
+		errs = append(errs, fmt.Errorf("exp: grid canceled (%d cells unfinished): %w", canceled, cause))
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Measure runs the post-warmup half of a cell on a warmed machine of any
@@ -734,8 +702,9 @@ func (r *Runner) baselinePass(ctx context.Context, w trace.Workload, config func
 
 // --- Standard setups -----------------------------------------------------
 
-// Baseline is the unmodified Table I machine. It shares warm state with the
-// characterization cell (same machine, extra sampling after warmup).
+// Baseline is the unmodified Table I machine. Its WarmupKey is its own:
+// the characterization cell runs the same machine but never forks
+// (warmShareable).
 func Baseline() Setup { return Setup{Name: "baseline", WarmupKey: "baseline"} }
 
 // DPPredSetup runs dpPred on the LLT. Shares warm state with its accuracy

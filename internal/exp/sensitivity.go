@@ -19,10 +19,8 @@ func lltSizeConfig(entries int) func() sim.Config {
 	}
 }
 
-// Figure11a studies dpPred across LLT sizes (512/1024/1536 entries); each
+// figure11a studies dpPred across LLT sizes (512/1024/1536 entries); each
 // column is normalized to the baseline of the same size.
-func Figure11a(r *Runner) (Series, error) { return r.series(figure11a()) }
-
 func figure11a() table {
 	var pairs [][2]Setup
 	var cols []string
@@ -50,11 +48,9 @@ func dpPredVariant(name string, mutate func(*core.DPPredConfig)) Setup {
 	}
 }
 
-// Figure11b studies the pHIST indexing function: 6-bit PC × 5-bit VPN
+// figure11b studies the pHIST indexing function: 6-bit PC × 5-bit VPN
 // (2048 entries), the default 6 × 4 (1024 entries), and a PC-only 10-bit
 // index (1024 entries).
-func Figure11b(r *Runner) (Series, error) { return r.series(figure11b()) }
-
 func figure11b() table {
 	return ipcTable("Figure 11b", "Performance of dpPred for different history table configurations",
 		[]Setup{
@@ -65,9 +61,7 @@ func figure11b() table {
 		"6b PC, 5b VPN", "6b PC, 4b VPN", "10b PC")
 }
 
-// Figure11c studies the shadow-table size (2 vs 4 entries).
-func Figure11c(r *Runner) (Series, error) { return r.series(figure11c()) }
-
+// figure11c studies the shadow-table size (2 vs 4 entries).
 func figure11c() table {
 	return ipcTable("Figure 11c", "Performance of dpPred for different shadow table sizes",
 		[]Setup{DPPredSetup(), dpPredVariant("dpPred-sh4", func(c *core.DPPredConfig) { c.ShadowEntries = 4 })},
@@ -87,9 +81,7 @@ func cbPredVariant(name string, pfq int) Setup {
 	}
 }
 
-// Figure11d studies the PFQ size (8 vs 64 entries).
-func Figure11d(r *Runner) (Series, error) { return r.series(figure11d()) }
-
+// figure11d studies the PFQ size (8 vs 64 entries).
 func figure11d() table {
 	return ipcTable("Figure 11d", "Performance of cbPred for different PFQ sizes",
 		[]Setup{DPPredCBPredSetup(), cbPredVariant("dpPred+cbPred-pfq64", 64)},
@@ -105,10 +97,8 @@ func llcSizeConfig(sizeKB int) func() sim.Config {
 	}
 }
 
-// Figure11e studies dpPred+cbPred across LLC sizes (2 MB vs 3 MB); each
+// figure11e studies dpPred+cbPred across LLC sizes (2 MB vs 3 MB); each
 // column is normalized to the baseline with the same LLC.
-func Figure11e(r *Runner) (Series, error) { return r.series(figure11e()) }
-
 func figure11e() table {
 	var pairs [][2]Setup
 	for _, kb := range []int{2048, 3072} {
@@ -134,15 +124,13 @@ func srripConfig(llc bool) func() sim.Config {
 	}
 }
 
-// Figure11f studies the predictors on top of SRRIP replacement. All four
+// figure11f studies the predictors on top of SRRIP replacement. All four
 // bars are normalized to the LRU baseline, as in the paper:
 //
 //	SRRIP LLT          — SRRIP in the LLT only
 //	SRRIP dpPred       — dpPred on top of an SRRIP LLT
 //	SRRIP LLT+LLC      — SRRIP in both structures
 //	SRRIP cbPred       — dpPred+cbPred on top of SRRIP LLT+LLC
-func Figure11f(r *Runner) (Series, error) { return r.series(figure11f()) }
-
 func figure11f() table {
 	return ipcTable("Figure 11f", "Performance of cbPred and dpPred when using SRRIP",
 		[]Setup{

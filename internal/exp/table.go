@@ -18,11 +18,12 @@ type table struct {
 	row  func([]sim.Result) []float64
 	// summary labels the summary row: "mean" or "geomean".
 	summary string
+	// footers, when set, derives footer rows from the summarized series.
+	footers func(Series) []SeriesRow
 }
 
 // series simulates t's grid through the worker pool, then reads every cell
-// back from the memo in the paper's fixed row and column order. A planning
-// runner (PlanGrid) stops at RunGrid.
+// back from the memo in the paper's fixed row and column order.
 func (r *Runner) series(t table) (Series, error) {
 	workloads := trace.Workloads()
 	if err := r.RunGrid(workloads, t.grid); err != nil {
@@ -44,17 +45,52 @@ func (r *Runner) series(t table) (Series, error) {
 		fn = geomean
 	}
 	s.summarize(t.summary, fn)
+	if t.footers != nil {
+		s.Footers = t.footers(s)
+	}
 	return s, nil
 }
 
-// paperTables is every table the paper's evaluation prints, in paperexp's
-// order; the extended Table IV's arena comes from the registry instead.
-func paperTables() []table {
-	return []table{
-		figure1(), figure2(), figure3(), figure4(), table3(),
-		figure9(), table4(), figure10(), table5(), table6(), table7(),
-		figure11a(), figure11b(), figure11c(), figure11d(), figure11e(), figure11f(),
-		extensionPrefetch(), extensionDIP(), ablationThreshold(), ablationCounterBits(),
+// Experiment is one figure or table of the evaluation: the ID paperexp's
+// -only selects it by, the name -list prints, and the table it simulates.
+type Experiment struct {
+	ID, Name string
+	t        table
+}
+
+// Grid is the setups the experiment simulates on every workload of
+// trace.Workloads(). Concatenating several experiments' grids gives their
+// union grid: RunGrid deduplicates setups by name.
+func (e Experiment) Grid() []Setup { return e.t.grid }
+
+// Run simulates the experiment's grid and returns its series.
+func (e Experiment) Run(r *Runner) (Series, error) { return r.series(e.t) }
+
+// Experiments is every figure and table the paper's evaluation prints, in
+// paperexp's order; the extended Table IV is Arena.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"fig1", "Figure 1 (dead/DOA LLT entries, sampled)", figure1()},
+		{"fig2", "Figure 2 (LLT eviction classification)", figure2()},
+		{"fig3", "Figure 3 (dead/DOA LLC blocks, sampled)", figure3()},
+		{"fig4", "Figure 4 (LLC eviction classification)", figure4()},
+		{"tab3", "Table III (DOA block / DOA page correlation)", table3()},
+		{"fig9", "Figure 9 (TLB predictor IPC)", figure9()},
+		{"tab4", "Table IV (LLT MPKI reductions)", table4()},
+		{"fig10", "Figure 10 (LLC predictor IPC)", figure10()},
+		{"tab5", "Table V (LLC MPKI reductions)", table5()},
+		{"tab6", "Table VI (dead page predictor accuracy)", table6()},
+		{"tab7", "Table VII (dead block predictor accuracy)", table7()},
+		{"fig11a", "Figure 11a (LLT size sensitivity)", figure11a()},
+		{"fig11b", "Figure 11b (pHIST configuration)", figure11b()},
+		{"fig11c", "Figure 11c (shadow table size)", figure11c()},
+		{"fig11d", "Figure 11d (PFQ size)", figure11d()},
+		{"fig11e", "Figure 11e (LLC size sensitivity)", figure11e()},
+		{"fig11f", "Figure 11f (SRRIP replacement)", figure11f()},
+		{"exta", "Extension A (distance TLB prefetching vs dpPred)", extensionPrefetch()},
+		{"extb", "Extension B (DIP-managed LLT vs dpPred)", extensionDIP()},
+		{"abla", "Ablation A (dpPred prediction threshold)", ablationThreshold()},
+		{"ablb", "Ablation B (pHIST counter width)", ablationCounterBits()},
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 var tablesGoldenPath = filepath.Join("testdata", "tables.sha256")
 
 // TestExperimentTablesGolden pins the printed bytes of every table the
-// package's quickRunner grid feeds: each quickUnion experiment's Format(),
-// the §VI-D storage report, and the extended Table IV over the arena
-// setups quickUnion already simulates, so it adds no cells. The Result
-// goldens pin the numbers; this pins what the experiment layer makes of
-// them (row order, columns, summaries, footers). Regenerate with
+// package's quickRunner grid feeds: each Experiments() entry's Format(),
+// the §VI-D storage report, and the extended Table IV over the golden arena
+// (goldenArena), in that order. The Result goldens pin the numbers; this
+// pins what the experiment layer makes of them (row order, columns,
+// summaries, footers). Regenerate with
 //
 //	go test ./internal/exp -run TestExperimentTablesGolden -update
 func TestExperimentTablesGolden(t *testing.T) {
@@ -26,30 +26,22 @@ func TestExperimentTablesGolden(t *testing.T) {
 	digest := func(id, text string) {
 		lines = append(lines, fmt.Sprintf("%x  %s", sha256.Sum256([]byte(text)), id))
 	}
-	for _, fn := range quickUnion {
-		s, err := fn(quickRunner)
+	series := func(e Experiment) {
+		s, err := e.Run(quickRunner)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.ID == "" {
-			continue // the arena grid, which prints no table of its own
-		}
 		digest(s.ID, s.Format())
+	}
+	for _, e := range Experiments() {
+		series(e)
 	}
 	storage, err := StorageOverheads()
 	if err != nil {
 		t.Fatal(err)
 	}
 	digest("Section VI-D", storage.Format())
-	var names []string
-	for _, su := range arenaGoldenSetups() {
-		names = append(names, su.Name)
-	}
-	arena, err := Table4Extended(quickRunner, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest(arena.ID, arena.Format())
+	series(goldenArena(t))
 
 	got := strings.Join(lines, "\n") + "\n"
 	if *update {

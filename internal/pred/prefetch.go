@@ -4,7 +4,7 @@
 // for most workloads. However, prefetching does not perform well across
 // all applications"). It is implemented here as an *extension* so that the
 // bypass approach (dpPred) can be compared — and combined — with a
-// prefetch approach on equal footing; see exp.ExtensionPrefetch.
+// prefetch approach on equal footing; see Extension A (paperexp -only exta).
 //
 // The predictor tracks the distance (in pages) between consecutive LLT
 // misses. A distance table maps the previous distance to the distances
